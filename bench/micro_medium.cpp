@@ -1,13 +1,11 @@
 // Micro-benchmarks of the simulation hot path: medium broadcast rounds
-// (spatial-grid index vs a replica of the seed's O(N^2) full scan),
-// event-queue churn, and unit-disk adjacency construction. These are the
-// gauges recorded in BENCH_2.json by tools/bench_report.
+// (spatial grid + per-cell receiver snapshots), event-queue churn, and
+// unit-disk adjacency construction. tools/bench_report records them in the
+// BENCH_N series.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "net/medium.hpp"
@@ -18,67 +16,26 @@ using namespace manet;
 
 namespace {
 
-// Grid layout with ~8 in-range neighbors per node at the default 250 m
-// range: per-node density stays constant as N grows, so the seed scan's
-// O(N^2) cost is isolated from delivery work.
-std::vector<net::Position> bench_layout(std::size_t n) {
-  return net::grid_layout(n, 180.0);
+// Grid layouts at the default 250 m range: 180 m spacing gives ~8
+// in-range neighbors per node (~2 senders per 250 m cell), so per-node
+// density stays constant as N grows; 88 m is the dense variant (~8 senders
+// per cell, ~24 in-range neighbors) where the per-cell receiver snapshots
+// are shared most.
+std::vector<net::Position> bench_layout(std::size_t n, double spacing = 180.0) {
+  return net::grid_layout(n, spacing);
 }
 
 net::Bytes hello_sized_payload() { return net::Bytes(60, 0xAB); }
 
-/// Replica of the seed Medium::transmit: every broadcast scans the whole
-/// std::map of hosts and deep-copies the payload once per receiver. Kept as
-/// the baseline the spatial index is gauged against (acceptance: >=5x
-/// broadcast throughput at N=1024).
-class SeedScanMedium {
- public:
-  SeedScanMedium(sim::Simulator& sim, net::RadioConfig config)
-      : sim_{sim}, config_{config} {}
-
-  void attach(net::NodeId id, net::Position pos) {
-    hosts_.emplace(id, Host{pos, true});
-  }
-
-  void broadcast(net::NodeId sender, const net::Bytes& payload,
-                 std::uint64_t& delivered) {
-    const Host& tx = hosts_.at(sender);
-    if (!tx.up) return;
-    for (const auto& [id, rx] : hosts_) {
-      if (id == sender || !rx.up) continue;
-      if (net::distance(tx.pos, rx.pos) > config_.range_m) continue;
-      if (sim_.rng().bernoulli(config_.loss_probability)) continue;
-      sim::Duration delay = config_.base_delay;
-      if (config_.delay_jitter > sim::Duration{}) {
-        delay += sim::Duration::from_us(
-            sim_.rng().uniform_int(0, config_.delay_jitter.us()));
-      }
-      net::Bytes copy = payload;  // the seed's per-receiver deep copy
-      sim_.schedule(delay, [&delivered, copy = std::move(copy)] {
-        delivered += copy.size();
-      });
-    }
-  }
-
- private:
-  struct Host {
-    net::Position pos;
-    bool up = true;
-  };
-  sim::Simulator& sim_;
-  net::RadioConfig config_;
-  std::map<net::NodeId, Host> hosts_;
-};
-
 }  // namespace
 
-// One broadcast round: every node transmits one HELLO-sized frame, then the
-// queue drains. Items processed = broadcasts.
+// One HELLO round: every node broadcasts one HELLO-sized frame, then the
+// queue drains. Items processed = broadcasts. Args: N, grid spacing (m).
 static void BM_MediumBroadcast(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim{42};
   net::Medium medium{sim, net::RadioConfig{}};
-  const auto layout = bench_layout(n);
+  const auto layout = bench_layout(n, static_cast<double>(state.range(1)));
   std::uint64_t delivered = 0;
   for (std::size_t i = 0; i < n; ++i) {
     medium.attach(net::NodeId{static_cast<std::uint32_t>(i)}, layout[i],
@@ -95,27 +52,12 @@ static void BM_MediumBroadcast(benchmark::State& state) {
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_MediumBroadcast)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-static void BM_MediumBroadcastSeed(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Simulator sim{42};
-  SeedScanMedium medium{sim, net::RadioConfig{}};
-  const auto layout = bench_layout(n);
-  for (std::size_t i = 0; i < n; ++i)
-    medium.attach(net::NodeId{static_cast<std::uint32_t>(i)}, layout[i]);
-  const auto payload = hello_sized_payload();
-  std::uint64_t delivered = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i)
-      medium.broadcast(net::NodeId{static_cast<std::uint32_t>(i)}, payload,
-                       delivered);
-    sim.run_all();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_MediumBroadcastSeed)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_MediumBroadcast)
+    ->Args({16, 180})
+    ->Args({64, 180})
+    ->Args({256, 180})
+    ->Args({1024, 180})
+    ->Args({1024, 88});
 
 // Schedule a batch at random times, cancel half, drain — the allocation and
 // heap churn pattern of OLSR timers and investigation timeouts.

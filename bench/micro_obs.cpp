@@ -21,12 +21,12 @@ static void BM_CounterInc(benchmark::State& state) {
   if (enabled) {
     obs::Scope scope{&ctx};
     for (auto _ : state) {
-      obs::hit(obs::Hot::kMediumBroadcasts);
+      obs::hit(obs::Hot::kMediumBatchedBroadcasts);
       benchmark::ClobberMemory();
     }
   } else {
     for (auto _ : state) {
-      obs::hit(obs::Hot::kMediumBroadcasts);
+      obs::hit(obs::Hot::kMediumBatchedBroadcasts);
       benchmark::ClobberMemory();
     }
   }

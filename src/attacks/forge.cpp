@@ -17,7 +17,7 @@ void StormAttack::on_tick() {
     tc.ansn = fake_ansn_++;
     tc.advertised = config_.advertised;
     m.body = tc;
-    agent_->raw_broadcast(std::move(m));
+    agent_->broadcast_message(std::move(m));
     ++forged_;
   }
 }
@@ -34,7 +34,7 @@ void IdentitySpoofingAttack::on_tick() {
   for (auto n : advertised_)
     hello.add(olsr::LinkType::kSym, olsr::NeighborType::kSymNeigh, n);
   m.body = hello;
-  agent_->raw_broadcast(std::move(m));
+  agent_->broadcast_message(std::move(m));
   ++forged_;
 }
 

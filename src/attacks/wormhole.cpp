@@ -19,7 +19,7 @@ void WormholeEndpoint::on_tick() {
     auto m = channel_->pop();
     sim_.schedule(channel_->tunnel_delay(), [this, m = std::move(m)]() mutable {
       if (agent_ != nullptr && agent_->running()) {
-        agent_->raw_broadcast(std::move(m));
+        agent_->broadcast_message(std::move(m));
         ++replayed_;
       }
     });

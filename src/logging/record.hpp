@@ -43,6 +43,8 @@ struct LogRecord {
   net::NodeId node_field(std::string_view key) const;
   std::int64_t int_field(std::string_view key) const;
   std::vector<net::NodeId> node_list_field(std::string_view key) const;
+
+  friend bool operator==(const LogRecord&, const LogRecord&) = default;
 };
 
 /// Builds the '|'-separated list form used in record fields.

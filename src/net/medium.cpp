@@ -19,7 +19,6 @@ Medium::Medium(sim::Engine& sim, RadioConfig config)
       // The 3x3 neighborhood guarantee needs cell size >= range; degenerate
       // ranges still need a positive cell to index coincident hosts.
       grid_{std::max(config.range_m, 1e-6)},
-      receiver_scratch_(1),
       stats_shards_(1),
       snapshots_(1),
       batch_stats_shards_(1) {}
@@ -36,7 +35,6 @@ void Medium::set_shard_router(ShardRouter* router) {
         "race across shards"};
   router_ = router;
   const unsigned n = std::max(1u, router->shard_count());
-  receiver_scratch_.assign(n, {});
   stats_shards_.assign(n, MediumStats{});
   snapshots_.assign(n, {});
   batch_stats_shards_.assign(n, BatchStats{});
@@ -59,8 +57,6 @@ const BatchStats& Medium::batch_stats() const {
   if (batch_stats_shards_.size() == 1) return batch_stats_shards_[0];
   batch_stats_fold_ = BatchStats{};
   for (const auto& s : batch_stats_shards_) {
-    batch_stats_fold_.enrolled += s.enrolled;
-    batch_stats_fold_.batched_broadcasts += s.batched_broadcasts;
     batch_stats_fold_.snapshot_builds += s.snapshot_builds;
     batch_stats_fold_.snapshot_hits += s.snapshot_hits;
   }
@@ -224,34 +220,11 @@ const Medium::Host& Medium::host(NodeId id) const {
 }
 
 void Medium::broadcast(NodeId sender, Bytes payload) {
-  transmit(sender, kInvalidNode,
-           make_payload(std::move(payload)));
-}
-
-void Medium::broadcast(NodeId sender, PayloadPtr payload) {
-  transmit(sender, kInvalidNode, std::move(payload));
+  broadcast(sender, make_payload(std::move(payload)));
 }
 
 void Medium::unicast(NodeId sender, NodeId next_hop, Bytes payload) {
-  transmit(sender, next_hop,
-           make_payload(std::move(payload)));
-}
-
-void Medium::unicast(NodeId sender, NodeId next_hop, PayloadPtr payload) {
-  transmit(sender, next_hop, std::move(payload));
-}
-
-void Medium::BroadcastBatch::enroll(NodeId /*sender*/) {
-  ++medium_.batch_stats_slot().enrolled;
-}
-
-void Medium::BroadcastBatch::broadcast(NodeId sender, Bytes payload) {
-  medium_.transmit_batched(sender,
-                           make_payload(std::move(payload)));
-}
-
-void Medium::BroadcastBatch::broadcast(NodeId sender, PayloadPtr payload) {
-  medium_.transmit_batched(sender, std::move(payload));
+  unicast(sender, next_hop, make_payload(std::move(payload)));
 }
 
 Medium::CellSnapshot& Medium::snapshot_for(SpatialGrid::CellKey cell) {
@@ -261,7 +234,7 @@ Medium::CellSnapshot& Medium::snapshot_for(SpatialGrid::CellKey cell) {
     return snap;
   }
   // One gather + one ascending-NodeId sort per occupied cell per topology
-  // generation, shared by every batched sender in the cell. Down hosts are
+  // generation, shared by every sender in the cell. Down hosts are
   // filtered here (set_up bumps the generation, so the snapshot can never
   // be stale about radio state).
   snap.generation = topo_generation_;
@@ -278,14 +251,7 @@ Medium::CellSnapshot& Medium::snapshot_for(SpatialGrid::CellKey cell) {
   return snap;
 }
 
-void Medium::transmit_batched(NodeId sender, PayloadPtr payload) {
-  // Tracked (checkpointable) runs bypass the snapshot fast path: the
-  // per-sender transmit is observationally identical (the batch contract)
-  // and schedules per receiver, which is what the flight registry hooks.
-  if (track_in_flight_) {
-    transmit(sender, kInvalidNode, std::move(payload));
-    return;
-  }
+void Medium::broadcast(NodeId sender, PayloadPtr payload) {
   const Host& tx = host(sender);
   if (!tx.up) return;
   sim::Engine& eng = engine();
@@ -294,7 +260,6 @@ void Medium::transmit_batched(NodeId sender, PayloadPtr payload) {
     ++st.frames_sent;
     st.bytes_sent += payload->size();
   }
-  ++batch_stats_slot().batched_broadcasts;
   obs::hit(obs::Hot::kMediumBatchedBroadcasts);
 
   const Packet packet{sender, kInvalidNode, std::move(payload), eng.now()};
@@ -302,7 +267,7 @@ void Medium::transmit_batched(NodeId sender, PayloadPtr payload) {
   const CellSnapshot& snap = snapshot_for(grid_.cell_of(origin));
 
   // Conservative squared-distance bounds around the exact
-  // `distance(a,b) > range` predicate the per-sender path uses. dx*dx+dy*dy
+  // `distance(a,b) > range` predicate (the unit-disk rule). dx*dx+dy*dy
   // carries ~2^-51 relative rounding error and std::hypot is within a few
   // ulps of the true distance, so with a 2^-40 relative safety band (orders
   // of magnitude wider than any of those errors) a candidate outside the
@@ -316,33 +281,40 @@ void Medium::transmit_batched(NodeId sender, PayloadPtr payload) {
 
   // The snapshot is already ascending-NodeId and up-filtered; the exact
   // distance test and the sender exclusion preserve that order, so the RNG
-  // draws and delivery order match the per-sender transmit() exactly.
-  // Sequentially the deliveries are added through one coalesced-insertion
-  // window (each event built in place in the queue's heap storage, sifted
-  // on close); a shard router schedules per receiver instead, because the
-  // receivers of one broadcast may live in different shards' queues.
+  // draws and delivery order match a fresh full scan exactly.
+  // Cross-partition receivers are skipped before any RNG draw, like
+  // out-of-range ones. Sequentially the deliveries are added through one
+  // coalesced-insertion window (each event built in place in the queue's
+  // heap storage, sifted on close). A shard router schedules per receiver
+  // instead, because the receivers of one broadcast may live in different
+  // shards' queues; so does in-flight tracking, which needs each event's
+  // id and cannot schedule while a window is open.
   const double tx_loss = sender_loss(tx);
   std::optional<DeliveryWindow> window;
-  if (seq_sim_ != nullptr && router_ == nullptr)
+  if (seq_sim_ != nullptr && router_ == nullptr && !track_in_flight_)
     window.emplace(seq_sim_->open_window());
   for (const auto& c : snap.candidates) {
     if (c.id == sender) continue;
-    if (hosts_[c.slot].partition != tx.partition) continue;
+    Host& rx = hosts_[c.slot];
+    if (rx.partition != tx.partition) continue;
     const double dx = c.pos.x - origin.x;
     const double dy = c.pos.y - origin.y;
     const double dd = dx * dx + dy * dy;
     if (dd > rr_out) continue;
     if (dd >= rr_in && distance(origin, c.pos) > config_.range_m) continue;
-    Host& rx = hosts_[c.slot];
-    const double loss = rx.loss_override >= 0.0
-                            ? std::max(tx_loss, rx.loss_override)
-                            : tx_loss;
-    deliver_to(rx, packet, eng, loss, window ? &*window : nullptr);
+    deliver_to(rx, packet, eng, merged_loss(tx_loss, rx),
+               window ? &*window : nullptr);
   }
   if (window) window->close();
 }
 
-void Medium::transmit(NodeId sender, NodeId link_dest, PayloadPtr payload) {
+void Medium::unicast(NodeId sender, NodeId next_hop, PayloadPtr payload) {
+  // kInvalidNode is the broadcast link address (Packet::link_dest), so a
+  // frame addressed to it (e.g. a forged DATA route) goes out as one.
+  if (!next_hop.valid()) {
+    broadcast(sender, std::move(payload));
+    return;
+  }
   const Host& tx = host(sender);
   if (!tx.up) return;
   sim::Engine& eng = engine();
@@ -351,49 +323,16 @@ void Medium::transmit(NodeId sender, NodeId link_dest, PayloadPtr payload) {
     ++st.frames_sent;
     st.bytes_sent += payload->size();
   }
-
-  const Packet packet{sender, link_dest, std::move(payload), eng.now()};
-
-  const double tx_loss = sender_loss(tx);
-  const std::uint32_t tx_partition = tx.partition;
-  auto effective_loss = [&](const Host& rx) {
-    return rx.loss_override >= 0.0 ? std::max(tx_loss, rx.loss_override)
-                                   : tx_loss;
-  };
-
-  if (link_dest.valid()) {
-    // Unicast fast path: at most one receiver, no scan at all.
-    obs::hit(obs::Hot::kMediumUnicasts);
-    if (link_dest == sender) return;
-    const auto it = index_.find(link_dest);
-    if (it == index_.end()) return;
-    Host& rx = hosts_[it->second];
-    if (!rx.up || rx.partition != tx_partition) return;
-    if (distance(tx.pos, rx.pos) > config_.range_m) return;
-    deliver_to(rx, packet, eng, effective_loss(rx));
-    return;
-  }
-
-  obs::hit(obs::Hot::kMediumBroadcasts);
-  // Broadcast: collect in-range receivers from the 3x3 grid neighborhood,
-  // then deliver in ascending NodeId order so the RNG draw sequence matches
-  // the full-scan implementation this replaced. Cross-partition receivers
-  // are excluded here, before any RNG draw — like out-of-range ones.
-  const Position origin = tx.pos;
-  auto& scratch = receiver_scratch_[shard_index()];
-  scratch.clear();
-  grid_.for_each_candidate(origin, [&](std::uint32_t slot) {
-    const Host& rx = hosts_[slot];
-    if (rx.id == sender || !rx.up || rx.partition != tx_partition) return;
-    if (distance(origin, rx.pos) > config_.range_m) return;
-    scratch.push_back(slot);
-  });
-  std::sort(scratch.begin(), scratch.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return hosts_[a].id < hosts_[b].id;
-            });
-  for (const auto slot : scratch)
-    deliver_to(hosts_[slot], packet, eng, effective_loss(hosts_[slot]));
+  // At most one receiver, no scan at all.
+  obs::hit(obs::Hot::kMediumUnicasts);
+  if (next_hop == sender) return;
+  const auto it = index_.find(next_hop);
+  if (it == index_.end()) return;
+  Host& rx = hosts_[it->second];
+  if (!rx.up || rx.partition != tx.partition) return;
+  if (distance(tx.pos, rx.pos) > config_.range_m) return;
+  const Packet packet{sender, next_hop, std::move(payload), eng.now()};
+  deliver_to(rx, packet, eng, merged_loss(sender_loss(tx), rx));
 }
 
 void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,

@@ -58,15 +58,13 @@ struct InFlightFrame {
   std::uint64_t seq = 0;
 };
 
-/// Accounting of the batched broadcast-round fast path: how often the
-/// shared per-cell receiver snapshots were rebuilt versus reused. In a
-/// static round of S senders over C occupied cells, expect C builds and
-/// S - C hits; any topology mutation invalidates all snapshots.
+/// Accounting of the per-cell receiver snapshots every broadcast reads:
+/// how often they were rebuilt versus reused. In a static round of S
+/// senders over C occupied cells, expect C builds and S - C hits; any
+/// topology mutation invalidates all snapshots.
 struct BatchStats {
-  std::uint64_t enrolled = 0;            ///< BroadcastBatch::enroll calls
-  std::uint64_t batched_broadcasts = 0;  ///< broadcasts served via snapshots
-  std::uint64_t snapshot_builds = 0;     ///< per-cell snapshots (re)built
-  std::uint64_t snapshot_hits = 0;       ///< broadcasts reusing a snapshot
+  std::uint64_t snapshot_builds = 0;  ///< per-cell snapshots (re)built
+  std::uint64_t snapshot_hits = 0;    ///< broadcasts reusing a snapshot
 };
 
 /// The shared broadcast medium. Hosts attach with a position and a receive
@@ -75,61 +73,30 @@ struct BatchStats {
 /// simulator seed.
 ///
 /// Hosts live in a dense vector indexed through a uniform-grid spatial
-/// index (cell size = radio range), so a transmit examines only the 3x3
-/// cell neighborhood of the sender instead of scanning every host.
-/// Receivers are delivered in ascending NodeId order — the iteration order
-/// of the original std::map full scan — so the RNG draw sequence, and
-/// therefore every trace, is unchanged. Broadcasts that cluster in time
-/// (the HELLO jitter window) can additionally go through the BroadcastBatch
-/// fast path, which shares one candidate gather + sort per occupied cell
-/// across all senders of the round — again trace-identical.
+/// index (cell size = radio range), so a broadcast examines only the 3x3
+/// cell neighborhood of the sender instead of scanning every host. The
+/// candidate gather + ascending-NodeId sort of that neighborhood is cached
+/// per occupied cell and shared by every sender in the cell until the
+/// topology changes — OLSR HELLO and TC floods cluster inside one jitter
+/// window, so a whole round reuses one snapshot per cell.
+///
+/// Determinism contract (tests/medium_index_test.cpp checks it against a
+/// per-sender full-scan reference): receivers are delivered in ascending
+/// NodeId order — the iteration order of the original std::map full scan —
+/// with one loss draw, then one jitter draw, per receiver in that order, so
+/// the RNG draw sequence, arrival times and event ordering equal a fresh
+/// per-sender scan. The snapshots are invalidated by every topology
+/// mutation (attach, detach, set_position, set_up) and are therefore always
+/// equal to what a fresh gather would produce; partition and loss
+/// overrides are read from the live host entries, never from a snapshot.
 class Medium {
  public:
   using ReceiveHandler = std::function<void(const Packet&)>;
 
-  /// Batched broadcast rounds — the HELLO fast path. OLSR HELLO emissions
-  /// cluster inside one jitter window (every node fires once per
-  /// hello_interval, jittered by at most `jitter`); the per-sender
-  /// broadcast path pays one 3x3 grid gather + one ascending-NodeId sort
-  /// per sender even though senders sharing a grid cell see the same
-  /// candidate set. A BroadcastBatch lets the HELLO scheduler announce the
-  /// round: each enrolled sender still transmits in its own event at its
-  /// own jittered time, but the candidate gather + sort is done once per
-  /// occupied cell for the whole round and shared by every sender in that
-  /// cell.
-  ///
-  /// Determinism contract (verified by tests/medium_batch_test.cpp): a
-  /// batched broadcast is observationally identical to Medium::broadcast —
-  /// same receivers in the same ascending-NodeId delivery order, same RNG
-  /// draw sequence (one loss draw, then one jitter draw, per receiver in
-  /// that order), same arrival times, same event ordering — because the
-  /// snapshots are invalidated by every topology mutation (attach, detach,
-  /// set_position, set_up) and are therefore always equal to what a fresh
-  /// gather would produce.
-  class BroadcastBatch {
-   public:
-    /// Announces that `sender` will broadcast during the current jitter
-    /// window (called by the HELLO scheduler when the emission is armed).
-    /// Pure bookkeeping: never draws from the RNG, never schedules.
-    void enroll(NodeId sender);
-
-    /// Broadcasts through the round's shared per-cell snapshots.
-    /// Equivalent to Medium::broadcast in every observable way.
-    void broadcast(NodeId sender, Bytes payload);
-    void broadcast(NodeId sender, PayloadPtr payload);
-
-   private:
-    friend class Medium;
-    explicit BroadcastBatch(Medium& medium) : medium_{medium} {}
-    BroadcastBatch(const BroadcastBatch&) = delete;
-    BroadcastBatch& operator=(const BroadcastBatch&) = delete;
-    Medium& medium_;
-  };
-
   Medium(sim::Engine& sim, RadioConfig config);
 
   /// Installs the psim shard-awareness hook (see net/shard_router.hpp) and
-  /// sizes the per-shard stat/scratch/snapshot slots. Must be called before
+  /// sizes the per-shard stat and snapshot slots. Must be called before
   /// any traffic flows; rejects radio configs the sharded engine cannot
   /// honor (the collision model needs cross-shard receiver bookkeeping at
   /// transmit time, which would race). Passing nullptr restores the
@@ -175,8 +142,8 @@ class Medium {
   /// Opt-in registry of transmitted-but-not-yet-arrived frames, the
   /// checkpoint machinery's view of the air. Off by default (zero cost on
   /// the golden paths); requires the sequential engine and no collision
-  /// model. While on, broadcasts bypass the BroadcastBatch snapshot fast
-  /// path (trace-identical per the batch determinism contract).
+  /// model. While on, broadcasts schedule each delivery individually instead
+  /// of through one coalesced insertion window (same event order).
   void set_track_in_flight(bool on);
   bool track_in_flight() const { return track_in_flight_; }
 
@@ -192,8 +159,9 @@ class Medium {
   /// Checkpoint restore of the traffic counters (sequential engine only).
   void restore_stats(const MediumStats& stats);
 
-  /// Link-layer broadcast to every in-range host. The payload is serialized
-  /// once and shared by all receivers (zero-copy).
+  /// Link-layer broadcast to every in-range host, through the sender cell's
+  /// shared receiver snapshot. The payload is serialized once and shared by
+  /// all receivers (zero-copy).
   void broadcast(NodeId sender, Bytes payload);
   void broadcast(NodeId sender, PayloadPtr payload);
 
@@ -205,18 +173,11 @@ class Medium {
   /// only; protocol code must learn neighbors via HELLO exchange.
   std::vector<NodeId> neighbors_in_range(NodeId id) const;
 
-  /// The shared batched-round handle (one per Medium). Despite the name —
-  /// kept for source compatibility with the original HELLO-only fast path —
-  /// agents now route every flood through it that clusters in time: jittered
-  /// HELLO emissions, TC emissions, and MPR re-broadcasts of forwarded
-  /// messages inside one duplicate window (Agent::Config::batched_floods).
-  BroadcastBatch& hello_batch() { return batch_; }
-
   /// Folded traffic counters (sum over the per-shard slots; the sequential
   /// engine has exactly one slot, so this is the plain counter block).
   const MediumStats& stats() const;
-  /// Clears both the frame counters and the batch gauges, so a post-warm-up
-  /// reset leaves every stat block measuring the same phase.
+  /// Clears both the frame counters and the snapshot gauges, so a post-
+  /// warm-up reset leaves every stat block measuring the same phase.
   void reset_stats();
   const BatchStats& batch_stats() const;
 
@@ -238,7 +199,7 @@ class Medium {
 
   /// Shared receiver-candidate snapshot of one grid cell: every up host in
   /// the 3x3 neighborhood, ascending NodeId, with slot and position copied
-  /// into a compact array so the per-sender scan stays cache-local. Valid
+  /// into a compact array so each sender's scan stays cache-local. Valid
   /// only while `generation` matches the Medium's topology generation.
   struct CellSnapshot {
     struct Candidate {
@@ -252,8 +213,6 @@ class Medium {
 
   using DeliveryWindow = sim::EventQueue::Window;
 
-  void transmit(NodeId sender, NodeId link_dest, PayloadPtr payload);
-  void transmit_batched(NodeId sender, PayloadPtr payload);
   /// Draws loss + jitter for one receiver (from `eng`, the executing
   /// context) and either schedules the delivery (window == nullptr), adds
   /// it to the caller's coalesced-insertion window, or — with a shard
@@ -263,11 +222,17 @@ class Medium {
   /// overrides of sender and receiver).
   void deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
                   double loss, DeliveryWindow* window = nullptr);
-  /// max(config loss, sender override); deliver_to folds in the receiver's.
+  /// max(config loss, sender override).
   double sender_loss(const Host& tx) const {
     return tx.loss_override >= 0.0
                ? std::max(config_.loss_probability, tx.loss_override)
                : config_.loss_probability;
+  }
+  /// The effective loss of one delivery: sender_loss folded with the
+  /// receiver's override.
+  static double merged_loss(double tx_loss, const Host& rx) {
+    return rx.loss_override >= 0.0 ? std::max(tx_loss, rx.loss_override)
+                                   : tx_loss;
   }
   CellSnapshot& snapshot_for(SpatialGrid::CellKey cell);
   /// Any mutation of positions/occupancy/radio state: stale all snapshots.
@@ -296,15 +261,12 @@ class Medium {
   std::vector<Host> hosts_;
   std::unordered_map<NodeId, std::uint32_t> index_;
   SpatialGrid grid_;
-  /// Per-shard reused transmit scratch (one slot sequentially).
-  std::vector<std::vector<std::uint32_t>> receiver_scratch_;
   /// Per-shard traffic counters, folded on demand by stats().
   std::vector<MediumStats> stats_shards_;
   mutable MediumStats stats_fold_;
 
-  BroadcastBatch batch_{*this};
   std::uint64_t topo_generation_ = 1;
-  /// Per-shard broadcast-round snapshot caches: workers never share one.
+  /// Per-shard broadcast snapshot caches: workers never share one.
   std::vector<std::unordered_map<SpatialGrid::CellKey, CellSnapshot>>
       snapshots_;
   std::vector<BatchStats> batch_stats_shards_;

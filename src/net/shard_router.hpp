@@ -21,8 +21,8 @@ namespace manet::net {
 ///   next window barrier. Either way the event executes in the receiver's
 ///   node context.
 /// - `current_shard()`/`shard_count()` index the Medium's per-shard stat
-///   blocks, receiver scratch buffers and broadcast-round snapshot caches,
-///   so worker threads never share mutable state.
+///   blocks and receiver snapshot caches, so worker threads never share
+///   mutable state.
 ///
 /// With no router installed (the default) the Medium behaves exactly as the
 /// sequential single-threaded implementation always has, draw for draw.

@@ -28,7 +28,7 @@ class SpatialGrid {
  public:
   /// Opaque identifier of one grid cell (packed integer cell coordinates).
   /// Two points share a CellKey iff they fall in the same cell, so the
-  /// Medium keys its per-cell broadcast-round snapshots by it.
+  /// Medium keys its per-cell receiver snapshots by it.
   using CellKey = std::uint64_t;
 
   /// `cell_size` must be positive and should equal the largest query radius

@@ -15,8 +15,6 @@ thread_local TlsBinding tls;
 
 const char* hot_name(Hot h) {
   switch (h) {
-    case Hot::kMediumBroadcasts:
-      return "manet_medium_broadcasts_total";
     case Hot::kMediumBatchedBroadcasts:
       return "manet_medium_batched_broadcasts_total";
     case Hot::kMediumUnicasts:

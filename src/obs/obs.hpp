@@ -31,8 +31,7 @@ namespace manet::obs {
 /// `shard->hot[i] += n` with zero name lookup. Exposed in Prometheus text
 /// under the names in hot_name().
 enum class Hot : std::uint32_t {
-  kMediumBroadcasts,         ///< per-sender transmit() calls
-  kMediumBatchedBroadcasts,  ///< snapshot fast-path broadcasts
+  kMediumBatchedBroadcasts,  ///< broadcasts (all share per-cell snapshots)
   kMediumUnicasts,           ///< routed unicast frames
   kRouteRecomputes,          ///< olsr::Agent routing recomputes that changed
   kMprRecomputes,            ///< olsr::Agent MPR-set recomputes that changed

@@ -25,23 +25,7 @@ Agent::Agent(sim::Engine& sim, net::Medium& medium, NodeId id,
                    emit_hna();
                  }},
       housekeeping_timer_{sim, config_.housekeeping_interval, sim::Duration{},
-                          [this] { housekeep(); }} {
-  if (config_.batched_hello) {
-    // The HELLO scheduler drives the Medium's batched broadcast rounds:
-    // every arming of the jittered emission announces the sender for the
-    // upcoming window. Enrollment is pure bookkeeping (no RNG draws, no
-    // events), so it cannot perturb the trace.
-    hello_timer_.set_on_schedule(
-        [this](sim::Time) { medium_.hello_batch().enroll(id_); });
-  }
-  if (config_.batched_floods) {
-    // TC emissions cluster inside the same kind of jitter window as HELLOs
-    // (tc_interval - U[0, jitter] per MPR), so they join the shared
-    // per-cell snapshot path the same way.
-    tc_timer_.set_on_schedule(
-        [this](sim::Time) { medium_.hello_batch().enroll(id_); });
-  }
-}
+                          [this] { housekeep(); }} {}
 
 Agent::~Agent() { stop(); }
 
@@ -160,7 +144,7 @@ void Agent::emit_hello() {
   log_.append(std::move(rec));
 
   ++stats_.hello_sent;
-  broadcast_message(std::move(m), config_.batched_hello);
+  broadcast_message(std::move(m));
 }
 
 void Agent::emit_tc() {
@@ -189,7 +173,7 @@ void Agent::emit_tc() {
   ++stats_.tc_sent;
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
                      config_.dup_hold);
-  broadcast_message(std::move(m), config_.batched_floods);
+  broadcast_message(std::move(m));
 }
 
 void Agent::emit_mid() {
@@ -238,18 +222,7 @@ void Agent::emit_hna() {
   broadcast_message(std::move(m));
 }
 
-void Agent::broadcast_message(Message m, bool batched) {
-  OlsrPacket p;
-  p.seq_num = next_pkt_seq();
-  p.messages.push_back(std::move(m));
-  if (batched) {
-    medium_.hello_batch().broadcast(id_, serialize_packet(p));
-  } else {
-    medium_.broadcast(id_, serialize_packet(p));
-  }
-}
-
-void Agent::raw_broadcast(Message message) {
+void Agent::broadcast_message(Message message) {
   OlsrPacket p;
   p.seq_num = next_pkt_seq();
   p.messages.push_back(std::move(message));
@@ -516,11 +489,7 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter) {
       .with("seq", static_cast<std::int64_t>(m.header.seq_num));
   log_.append(std::move(rec));
 
-  // Small forwarding jitter (§3.4.1 note). A TC flooding storm is every
-  // MPR re-broadcasting within one duplicate window: with batched_floods
-  // the relays enroll here (arming time, no draws) and emit through the
-  // shared per-cell snapshots, exactly like a HELLO round.
-  if (config_.batched_floods) medium_.hello_batch().enroll(id_);
+  // Small forwarding jitter (§3.4.1 note).
   const auto delay = sim::Duration::from_us(sim_.rng().uniform_int(0, 100'000));
   arm_forward(std::move(copy), sim_.now() + delay);
 }
@@ -531,7 +500,7 @@ void Agent::arm_forward(Message copy, sim::Time at) {
   // branch is the original closure verbatim.
   if (!track_pending_forwards_) {
     sim_.schedule_at(at, [this, copy = std::move(copy)]() mutable {
-      if (running_) broadcast_message(std::move(copy), config_.batched_floods);
+      if (running_) broadcast_message(std::move(copy));
     });
     return;
   }
@@ -540,8 +509,7 @@ void Agent::arm_forward(Message copy, sim::Time at) {
   const sim::EventId ev =
       sim_.schedule_at(at, [this, token, copy = std::move(copy)]() mutable {
         pending_forwards_reg_.erase(token);
-        if (running_)
-          broadcast_message(std::move(copy), config_.batched_floods);
+        if (running_) broadcast_message(std::move(copy));
       });
   pf.seq = ev.raw();
   pending_forwards_reg_.emplace(token, std::move(pf));

@@ -73,20 +73,6 @@ class Agent {
     /// External networks this node gateways for; enables HNA emission.
     std::vector<HnaMessage::Entry> hna_networks;
     bool prune_redundant_mprs = false;
-    /// Route HELLO emissions through the Medium's BroadcastBatch: the HELLO
-    /// scheduler enrolls each jittered emission when it is armed, and the
-    /// emission shares the per-cell receiver gather + sort with every other
-    /// HELLO of the same jitter window. Trace-equivalent to the per-sender
-    /// path (tests/medium_batch_test.cpp pins this); off reproduces the
-    /// unbatched PR-2 behavior exactly, draw for draw.
-    bool batched_hello = true;
-    /// Same fast path for the TC flood: jittered TC emissions and the MPR
-    /// re-broadcasts of forwarded messages (every relay firing within one
-    /// duplicate window sees the same topology) share the per-cell
-    /// snapshots too. Trace-equivalent like batched_hello — the batch path
-    /// is observationally identical to Medium::broadcast, and enrollment
-    /// never draws or schedules.
-    bool batched_floods = true;
     /// Log an fwd_echo record (by/orig/seq) whenever a neighbor is heard
     /// re-broadcasting a *third-party* flood — the raw material of the
     /// forwarding audit (core/signatures_forwarding.hpp). Off by default:
@@ -156,9 +142,10 @@ class Agent {
                      std::vector<std::uint8_t> payload);
   void set_data_handler(DataHandler handler) { data_handler_ = std::move(handler); }
 
-  /// Injects a raw, attacker-crafted message into the medium as if this
-  /// agent emitted it (used by forge attacks; normal code has no use for it).
-  void raw_broadcast(Message message);
+  /// Wraps `message` in a fresh OLSR packet and broadcasts it, with no log
+  /// record or duplicate-set entry (the emitters add their own). Forge
+  /// attacks use it to inject crafted messages as if this agent sent them.
+  void broadcast_message(Message message);
 
   // --- fault / checkpoint surface ------------------------------------
   // Everything below exists so the faults subsystem can crash, amnesia-
@@ -264,7 +251,6 @@ class Agent {
   void recompute_mprs();
   void recompute_routes();
   void build_knowledge_graph(KnowledgeGraph& g) const;
-  void broadcast_message(Message m, bool batched = false);
 
   std::uint16_t next_msg_seq() { return msg_seq_++; }
   std::uint16_t next_pkt_seq() { return pkt_seq_++; }

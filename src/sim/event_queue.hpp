@@ -54,7 +54,7 @@ class EventQueue {
   void cancel(EventId id);
 
   /// Coalesced-insertion window for a burst of events prepared together —
-  /// the per-receiver deliveries of one batched broadcast. Each add()
+  /// the per-receiver deliveries of one broadcast. Each add()
   /// constructs its entry directly into heap storage (no intermediate
   /// buffer, no extra callback relocation) and entries are sifted into
   /// place when the window closes. Sequence numbers are assigned at add()

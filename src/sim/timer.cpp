@@ -50,7 +50,6 @@ void PeriodicTimer::arm_at(Time at) {
     schedule_next();
     on_fire_();
   });
-  if (on_schedule_) on_schedule_(at);
 }
 
 void OneShotTimer::arm(Duration delay, std::function<void()> on_fire) {

@@ -29,14 +29,6 @@ class PeriodicTimer {
   void stop();
   bool running() const { return running_; }
 
-  /// Observer called after every arming with the absolute fire time — how
-  /// the OLSR HELLO scheduler enrolls the upcoming emission into the
-  /// Medium's BroadcastBatch. Must not draw from the RNG or schedule
-  /// events, so installing it cannot perturb a run.
-  void set_on_schedule(std::function<void(Time fire_at)> on_schedule) {
-    on_schedule_ = std::move(on_schedule);
-  }
-
   void set_period(Duration period) { period_ = period; }
   Duration period() const { return period_; }
 
@@ -61,7 +53,6 @@ class PeriodicTimer {
   Duration period_;
   Duration jitter_;
   std::function<void()> on_fire_;
-  std::function<void(Time)> on_schedule_;
   EventId pending_{};
   Time next_fire_{};
   bool running_ = false;

@@ -1,7 +1,7 @@
 // Golden-trace regression: a small fixed-seed 16-node scenario sweep must
 // reproduce the committed per-round detection CSV byte for byte. This pins
 // the entire stack — RNG draw order, event ordering, Medium delivery order
-// (including the batched HELLO fast path), trust arithmetic and CSV
+// (through the shared per-cell receiver snapshots), trust arithmetic and CSV
 // formatting — so any fast-path PR that silently changes a trace fails
 // here even if every unit invariant still holds.
 //

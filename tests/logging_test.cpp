@@ -1,11 +1,17 @@
 // Unit tests for the audit-log substrate: record fields, text format
-// round-trip, log store retention and queries.
+// round-trip (including the format <-> parse identity property), log store
+// retention and queries.
 
 #include <gtest/gtest.h>
+
+#include <string_view>
 
 #include "logging/format.hpp"
 #include "logging/log_store.hpp"
 #include "logging/record.hpp"
+#include "runtime/experiment_spec.hpp"
+#include "scenario/trust_experiment.hpp"
+#include "sim/rng.hpp"
 
 namespace manet::logging {
 namespace {
@@ -200,6 +206,97 @@ TEST_P(FormatRoundTrip, Holds) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FormatRoundTrip,
                          ::testing::Values(0, 1, 2, 5, 13, 100, 12345));
+
+// --- format <-> parse identity --------------------------------------------
+// parse_record(format_record(r)) == r for every record inside the format's
+// domain: a valid node, no spaces anywhere, keys free of '=' and not one of
+// the header keys t/node/event. Two shapes fall outside it and are pinned
+// below: a value that is literally "-" (the empty-value placeholder) and an
+// invalid node id.
+
+std::string random_token(sim::Rng& rng, std::string_view alphabet,
+                         std::int64_t min_len, std::int64_t max_len) {
+  std::string out(static_cast<std::size_t>(rng.uniform_int(min_len, max_len)),
+                  ' ');
+  for (auto& c : out)
+    c = alphabet[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+  return out;
+}
+
+LogRecord random_record(sim::Rng& rng) {
+  constexpr std::string_view kKeyChars = "abcdefghijklmnopqrstuvwxyz_0123456789";
+  constexpr std::string_view kValueChars =
+      "abcdefghijklmnopqrstuvwxyz_0123456789|.-=?";
+  LogRecord r;
+  r.time = sim::Time::from_us(rng.uniform_int(0, 1'000'000'000'000));
+  r.node = NodeId{static_cast<std::uint32_t>(
+      rng.uniform_int(0, NodeId::kInvalid - 1))};
+  do {
+    r.event = random_token(rng, kValueChars, 0, 16);
+  } while (r.event == "-");
+  const auto fields = rng.uniform_int(0, 8);
+  for (std::int64_t f = 0; f < fields; ++f) {
+    std::string key;
+    do {
+      key = random_token(rng, kKeyChars, 1, 12);
+    } while (key == "t" || key == "node" || key == "event");
+    std::string value;
+    do {
+      value = random_token(rng, kValueChars, 0, 24);
+    } while (value == "-");
+    r.with(std::move(key), std::move(value));
+  }
+  return r;
+}
+
+TEST(FormatIdentity, HoldsOnRandomRecords) {
+  sim::Rng rng{2024};
+  for (int i = 0; i < 5000; ++i) {
+    const auto r = random_record(rng);
+    const auto line = format_record(r);
+    ASSERT_EQ(parse_record(line), r) << line;
+  }
+}
+
+TEST(FormatIdentity, HoldsOnEveryRecordOfAGoldenRun) {
+  // One replication of the golden sweep (tests/fixtures/README.md): 16
+  // nodes, 29% liars, seed 2024, 6 attack rounds.
+  runtime::ExperimentSpec spec;
+  spec.seeds = {2024};
+  spec.node_counts = {16};
+  spec.attacker_fractions = {0.29};
+  spec.rounds = 6;
+  const auto tasks = spec.expand();
+  ASSERT_EQ(tasks.size(), 1u);
+  scenario::TrustExperiment experiment{tasks[0].to_config()};
+  experiment.setup();
+  experiment.run_attack_rounds(tasks[0].rounds);
+
+  std::size_t checked = 0;
+  auto& network = experiment.network();
+  for (std::size_t i = 0; i < network.size(); ++i) {
+    const auto& log = network.agent(i).log();
+    for (std::size_t k = 0; k < log.size(); ++k) {
+      const auto line = format_record(log.at(k));
+      ASSERT_EQ(parse_record(line), log.at(k)) << line;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(FormatIdentity, OutsideTheDomainIsNotIdentity) {
+  LogRecord dash = sample_record();
+  dash.with("note", "-");  // reads back as the empty value
+  auto back = parse_record(format_record(dash));
+  EXPECT_NE(back, dash);
+  EXPECT_EQ(back.field("note"), "");
+
+  LogRecord invalid = sample_record();
+  invalid.node = net::kInvalidNode;  // formats as "n?"
+  EXPECT_THROW(parse_record(format_record(invalid)), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace manet::logging

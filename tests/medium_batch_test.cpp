@@ -1,18 +1,14 @@
-// Randomized equivalence of the BroadcastBatch fast path against the
-// per-sender Medium::broadcast it replaces for HELLO rounds. For 50 seeds x
-// random layouts, a Medium whose broadcasts all go through hello_batch()
-// and a Medium using the plain per-sender path must produce identical
-// delivery/loss/collision traces — same receivers, same arrival times, same
-// bytes — including under mobility (set_position), radio down/up toggles,
-// detach/attach churn, loss, jitter and collisions. This is the same
-// equivalence argument tests/medium_index_test.cpp made for the PR-2
-// spatial index, one layer up.
+// Per-cell receiver snapshots shared by every Medium::broadcast: how often
+// they are built and reused, when they are invalidated, and that the
+// in-flight tracking used by checkpoints (which schedules each delivery
+// individually instead of through one coalesced window) leaves a full OLSR
+// flood trace unchanged. Trace equivalence against the per-sender
+// full-scan reference lives in tests/medium_index_test.cpp.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "net/medium.hpp"
 #include "net/topology.hpp"
@@ -25,164 +21,6 @@ using namespace manet;
 using net::Bytes;
 using net::NodeId;
 using net::Position;
-
-/// One observed delivery, comparable across the two paths.
-struct Delivery {
-  std::int64_t at_us;
-  std::uint32_t receiver;
-  std::uint32_t transmitter;
-  Bytes payload;
-
-  friend bool operator==(const Delivery&, const Delivery&) = default;
-};
-
-/// Drives a batched Medium and a per-sender Medium through the same
-/// randomized script and compares the full delivery trace and stats.
-void run_equivalence_round(std::uint64_t seed) {
-  sim::Rng script{seed * 6271 + 29};
-
-  const auto n = static_cast<std::size_t>(script.uniform_int(8, 96));
-  const double width = 1200.0;
-  const double height = 900.0;
-  net::RadioConfig config;
-  config.range_m = 250.0;
-  config.loss_probability = 0.15 * static_cast<double>(seed % 3);
-  config.delay_jitter =
-      seed % 2 == 0 ? sim::Duration::from_us(500) : sim::Duration{};
-  config.collision_window =
-      seed % 4 == 0 ? sim::Duration::from_us(300) : sim::Duration{};
-
-  std::vector<Position> layout;
-  layout.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    layout.push_back(Position{script.uniform_real(0.0, width),
-                              script.uniform_real(0.0, height)});
-
-  sim::Simulator sim_a{seed + 1};
-  sim::Simulator sim_b{seed + 1};
-  net::Medium batched{sim_a, config};
-  net::Medium per_sender{sim_b, config};
-
-  std::vector<Delivery> trace_a;
-  std::vector<Delivery> trace_b;
-  auto attach_both = [&](NodeId id, Position pos) {
-    batched.attach(id, pos, [&trace_a, id, &sim_a](const net::Packet& p) {
-      trace_a.push_back(Delivery{sim_a.now().us(), id.value(),
-                                 p.transmitter.value(), p.payload()});
-    });
-    per_sender.attach(id, pos, [&trace_b, id, &sim_b](const net::Packet& p) {
-      trace_b.push_back(Delivery{sim_b.now().us(), id.value(),
-                                 p.transmitter.value(), p.payload()});
-    });
-  };
-  for (std::size_t i = 0; i < n; ++i)
-    attach_both(NodeId{static_cast<std::uint32_t>(i)}, layout[i]);
-
-  // Script: HELLO-round-style broadcast bursts interleaved with moves,
-  // radio toggles and detach/attach churn, mirrored into both simulators.
-  // Bursts exercise the snapshot sharing; the mutations exercise the
-  // generation invalidation.
-  sim::Time t;
-  for (int step = 0; step < 40; ++step) {
-    t += sim::Duration::from_us(script.uniform_int(0, 2000));
-    const auto action = script.uniform_int(0, 9);
-    if (action < 6) {
-      // A burst of broadcasts inside one jitter window: several senders
-      // fire within 100 us of each other, like a HELLO round.
-      const auto burst = script.uniform_int(1, 8);
-      sim::Time fire = t;
-      for (std::int64_t b = 0; b < burst; ++b) {
-        const NodeId id{static_cast<std::uint32_t>(
-            script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
-        fire += sim::Duration::from_us(script.uniform_int(0, 100));
-        Bytes payload(static_cast<std::size_t>(script.uniform_int(1, 80)));
-        for (auto& byte : payload)
-          byte = static_cast<std::uint8_t>(script.uniform_int(0, 255));
-        batched.hello_batch().enroll(id);
-        sim_a.schedule_at(fire, [&batched, id, payload] {
-          if (batched.attached(id)) batched.hello_batch().broadcast(id, payload);
-        });
-        sim_b.schedule_at(fire, [&per_sender, id, payload] {
-          if (per_sender.attached(id)) per_sender.broadcast(id, payload);
-        });
-      }
-      t = fire;
-    } else if (action < 8) {
-      const NodeId id{static_cast<std::uint32_t>(
-          script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
-      const Position pos{script.uniform_real(0.0, width),
-                         script.uniform_real(0.0, height)};
-      sim_a.schedule_at(t, [&batched, id, pos] {
-        if (batched.attached(id)) batched.set_position(id, pos);
-      });
-      sim_b.schedule_at(t, [&per_sender, id, pos] {
-        if (per_sender.attached(id)) per_sender.set_position(id, pos);
-      });
-    } else if (action == 8) {
-      const NodeId id{static_cast<std::uint32_t>(
-          script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
-      const bool up = script.bernoulli(0.7);
-      sim_a.schedule_at(t, [&batched, id, up] {
-        if (batched.attached(id)) batched.set_up(id, up);
-      });
-      sim_b.schedule_at(t, [&per_sender, id, up] {
-        if (per_sender.attached(id)) per_sender.set_up(id, up);
-      });
-    } else {
-      // Detach + re-attach at a fresh position: exercises the slot
-      // compaction (grid replace) under live snapshots.
-      const NodeId id{static_cast<std::uint32_t>(
-          script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
-      const Position pos{script.uniform_real(0.0, width),
-                         script.uniform_real(0.0, height)};
-      sim_a.schedule_at(t, [&batched, &trace_a, &sim_a, id, pos] {
-        batched.detach(id);
-        batched.attach(id, pos, [&trace_a, id, &sim_a](const net::Packet& p) {
-          trace_a.push_back(Delivery{sim_a.now().us(), id.value(),
-                                     p.transmitter.value(), p.payload()});
-        });
-      });
-      sim_b.schedule_at(t, [&per_sender, &trace_b, &sim_b, id, pos] {
-        per_sender.detach(id);
-        per_sender.attach(id, pos,
-                          [&trace_b, id, &sim_b](const net::Packet& p) {
-                            trace_b.push_back(Delivery{sim_b.now().us(),
-                                                       id.value(),
-                                                       p.transmitter.value(),
-                                                       p.payload()});
-                          });
-      });
-    }
-  }
-
-  sim_a.run_all();
-  sim_b.run_all();
-
-  ASSERT_EQ(trace_a.size(), trace_b.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < trace_a.size(); ++i)
-    ASSERT_EQ(trace_a[i], trace_b[i]) << "seed " << seed << " delivery " << i;
-
-  EXPECT_EQ(batched.stats().frames_sent, per_sender.stats().frames_sent);
-  EXPECT_EQ(batched.stats().deliveries, per_sender.stats().deliveries);
-  EXPECT_EQ(batched.stats().losses, per_sender.stats().losses);
-  EXPECT_EQ(batched.stats().collisions, per_sender.stats().collisions);
-  EXPECT_EQ(batched.stats().bytes_sent, per_sender.stats().bytes_sent);
-
-  // Every broadcast that reached a live sender went through the batch.
-  EXPECT_EQ(batched.batch_stats().batched_broadcasts,
-            batched.stats().frames_sent);
-  EXPECT_EQ(per_sender.batch_stats().batched_broadcasts, 0u);
-}
-
-class MediumBatchEquivalence : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(MediumBatchEquivalence, MatchesPerSenderPath) {
-  run_equivalence_round(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(FiftySeeds, MediumBatchEquivalence,
-                         ::testing::Range<std::uint64_t>(0, 50));
 
 // A static round shares one snapshot per occupied cell: S senders over C
 // occupied cells must cost exactly C builds and S - C hits, and a second
@@ -199,93 +37,85 @@ TEST(MediumBatch, StaticRoundSharesSnapshotsPerCell) {
     m.attach(NodeId{i}, Position{x, 40.0}, {});
   }
 
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    m.hello_batch().enroll(NodeId{i});
-    m.hello_batch().broadcast(NodeId{i}, Bytes{0x01});
-  }
+  for (std::uint32_t i = 0; i < 8; ++i) m.broadcast(NodeId{i}, Bytes{0x01});
   sim.run_all();
-  EXPECT_EQ(m.batch_stats().enrolled, 8u);
-  EXPECT_EQ(m.batch_stats().batched_broadcasts, 8u);
+  EXPECT_EQ(m.stats().frames_sent, 8u);
   EXPECT_EQ(m.batch_stats().snapshot_builds, 2u);  // one per occupied cell
   EXPECT_EQ(m.batch_stats().snapshot_hits, 6u);
 
   // No topology mutation in between: the next round reuses both snapshots.
-  for (std::uint32_t i = 0; i < 8; ++i)
-    m.hello_batch().broadcast(NodeId{i}, Bytes{0x02});
+  for (std::uint32_t i = 0; i < 8; ++i) m.broadcast(NodeId{i}, Bytes{0x02});
   sim.run_all();
   EXPECT_EQ(m.batch_stats().snapshot_builds, 2u);
   EXPECT_EQ(m.batch_stats().snapshot_hits, 14u);
 
   // A single position change stales every snapshot.
   m.set_position(NodeId{0}, Position{45.0, 40.0});
-  for (std::uint32_t i = 0; i < 8; ++i)
-    m.hello_batch().broadcast(NodeId{i}, Bytes{0x03});
+  for (std::uint32_t i = 0; i < 8; ++i) m.broadcast(NodeId{i}, Bytes{0x03});
   sim.run_all();
   EXPECT_EQ(m.batch_stats().snapshot_builds, 4u);
 }
 
-// TC/forwarded-flood batching (Agent::Config::batched_floods): a full OLSR
-// network over a multi-hop grid — MPR selection, TC emission, duplicate-
-// window forwarding storms — must produce byte-identical audit logs on
-// every node whether the TC flood goes through the shared per-cell
-// snapshots or the per-sender path. This is the agent-level analogue of
-// the Medium-level equivalence above: timestamps, sequence numbers,
-// receiver sets and forwarding decisions all pinned at once.
+// Checkpointable runs track every in-flight frame, so their broadcasts
+// schedule each delivery on its own instead of through the coalesced
+// insertion window. A full OLSR network over a multi-hop grid — MPR
+// selection, TC emission, duplicate-window forwarding storms — must produce
+// byte-identical audit logs on every node either way: timestamps, sequence
+// numbers, receiver sets and forwarding decisions all pinned at once.
 void run_flood_equivalence(std::uint64_t seed) {
-  auto build = [&](bool batched_floods) {
+  auto build = [&](bool tracked) {
     scenario::Network::Config nc;
     nc.seed = seed + 11;
     nc.radio.range_m = 250.0;
     // A 150 m grid spacing makes the 24-node network genuinely multi-hop,
     // so TCs are emitted and forwarded (a full mesh has no MPRs at all).
     nc.positions = net::grid_layout(24, 150.0);
-    nc.agent.batched_floods = batched_floods;
-    return std::make_unique<scenario::Network>(std::move(nc));
+    auto net = std::make_unique<scenario::Network>(std::move(nc));
+    if (tracked) {
+      net->medium().set_track_in_flight(true);
+      for (std::size_t i = 0; i < net->size(); ++i)
+        net->agent(i).set_track_pending_forwards(true);
+    }
+    return net;
   };
 
-  auto batched = build(true);
-  auto per_sender = build(false);
-  batched->start_all();
-  per_sender->start_all();
-  batched->run_for(sim::Duration::from_seconds(20.0));
-  per_sender->run_for(sim::Duration::from_seconds(20.0));
+  auto untracked = build(false);
+  auto tracked = build(true);
+  untracked->start_all();
+  tracked->start_all();
+  untracked->run_for(sim::Duration::from_seconds(20.0));
+  tracked->run_for(sim::Duration::from_seconds(20.0));
 
-  for (std::size_t i = 0; i < batched->size(); ++i) {
-    ASSERT_EQ(batched->agent(i).log().text_since(sim::Time{}),
-              per_sender->agent(i).log().text_since(sim::Time{}))
+  for (std::size_t i = 0; i < untracked->size(); ++i) {
+    ASSERT_EQ(untracked->agent(i).log().text_since(sim::Time{}),
+              tracked->agent(i).log().text_since(sim::Time{}))
         << "seed " << seed << " node " << i;
-    const auto& a = batched->agent(i).stats();
-    const auto& b = per_sender->agent(i).stats();
+    const auto& a = untracked->agent(i).stats();
+    const auto& b = tracked->agent(i).stats();
     EXPECT_EQ(a.tc_sent, b.tc_sent) << "seed " << seed << " node " << i;
     EXPECT_EQ(a.tc_recv, b.tc_recv) << "seed " << seed << " node " << i;
     EXPECT_EQ(a.msgs_forwarded, b.msgs_forwarded)
         << "seed " << seed << " node " << i;
   }
-  EXPECT_EQ(batched->medium().stats().deliveries,
-            per_sender->medium().stats().deliveries);
-  EXPECT_EQ(batched->medium().stats().frames_sent,
-            per_sender->medium().stats().frames_sent);
-
-  // With batched_floods on, TC emissions and forwards join the batch on
-  // top of the HELLOs, so strictly more broadcasts ride the snapshots.
-  std::uint64_t hello_sent = 0;
-  for (std::size_t i = 0; i < batched->size(); ++i)
-    hello_sent += batched->agent(i).stats().hello_sent;
-  EXPECT_GT(batched->medium().batch_stats().batched_broadcasts, hello_sent);
+  EXPECT_EQ(untracked->medium().stats().deliveries,
+            tracked->medium().stats().deliveries);
+  EXPECT_EQ(untracked->medium().stats().frames_sent,
+            tracked->medium().stats().frames_sent);
+  EXPECT_GT(tracked->medium().batch_stats().snapshot_hits, 0u);
 }
 
-class FloodBatchEquivalence : public ::testing::TestWithParam<std::uint64_t> {
-};
+class FloodTrackingEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FloodBatchEquivalence, TcAndForwardsMatchPerSenderPath) {
+TEST_P(FloodTrackingEquivalence, TcAndForwardsMatchUntrackedRun) {
   run_flood_equivalence(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(TenSeeds, FloodBatchEquivalence,
+INSTANTIATE_TEST_SUITE_P(TenSeeds, FloodTrackingEquivalence,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 // Radio state is baked into the snapshot, so set_up must invalidate it:
-// a down receiver stops hearing batched broadcasts immediately.
+// a down receiver stops hearing broadcasts immediately.
 TEST(MediumBatch, SetUpInvalidatesSnapshots) {
   sim::Simulator sim{7};
   net::RadioConfig config;
@@ -298,17 +128,17 @@ TEST(MediumBatch, SetUpInvalidatesSnapshots) {
   m.attach(NodeId{1}, Position{50.0, 0.0},
            [&received](const net::Packet&) { ++received; });
 
-  m.hello_batch().broadcast(NodeId{0}, Bytes{1});
+  m.broadcast(NodeId{0}, Bytes{1});
   sim.run_all();
   EXPECT_EQ(received, 1);
 
   m.set_up(NodeId{1}, false);
-  m.hello_batch().broadcast(NodeId{0}, Bytes{2});
+  m.broadcast(NodeId{0}, Bytes{2});
   sim.run_all();
   EXPECT_EQ(received, 1);
 
   m.set_up(NodeId{1}, true);
-  m.hello_batch().broadcast(NodeId{0}, Bytes{3});
+  m.broadcast(NodeId{0}, Bytes{3});
   sim.run_all();
   EXPECT_EQ(received, 2);
 }

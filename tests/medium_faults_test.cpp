@@ -2,8 +2,9 @@
 // hosts (up/down is evaluated when a frame lands, never retroactively
 // against frames already in flight), brown-out loss overrides (max over
 // config, sender and receiver), netsplit partitions (decided at transmit
-// time, before any RNG draw), and the opt-in in-flight registry the
-// checkpoint machinery reads. Pins the contract documented in
+// time, before any RNG draw), both applied through per-cell receiver
+// snapshots built before the fault was set, and the opt-in in-flight
+// registry the checkpoint machinery reads. Pins the contract documented in
 // ARCHITECTURE.md, "Fault model & checkpoint format".
 
 #include <gtest/gtest.h>
@@ -197,6 +198,58 @@ TEST_F(MediumFaultsTest, HealRestoresCrossPartitionTraffic) {
   medium_.broadcast(NodeId{0}, Bytes{2});
   run_ms(10);
   EXPECT_EQ(deliveries_to(NodeId{2}), 1u);
+}
+
+// --- fault state on a live snapshot --------------------------------------
+
+// Partitions and brown-outs bump no topology generation, so they must take
+// effect through a per-cell snapshot built before they were set: every
+// broadcast reads them from the live host entries, never from the snapshot.
+TEST_F(MediumFaultsTest, FaultsApplyThroughALiveSnapshot) {
+  sim::Simulator sim{13};
+  // Replays exactly the draws the medium should make, receiver by receiver.
+  sim::Simulator twin{13};
+  const auto rc = radio();
+  auto twin_delivery = [&](double loss) {
+    if (twin.rng().bernoulli(loss)) return;
+    twin.rng().uniform_int(0, rc.delay_jitter.us());
+  };
+
+  Medium m{sim, rc};
+  std::map<NodeId, int> got;
+  for (std::uint32_t i = 0; i < 4; ++i) {  // all four share one 250 m cell
+    const NodeId id{i};
+    m.attach(id, Position{static_cast<double>(i) * 40.0, 0.0},
+             [&got, id](const Packet&) { ++got[id]; });
+  }
+
+  // 1. Build the snapshot.
+  m.broadcast(NodeId{0}, Bytes{1});
+  for (int rx = 1; rx < 4; ++rx) twin_delivery(rc.loss_probability);
+  sim.run_until(sim.now() + sim::Duration::from_ms(10));
+  ASSERT_EQ(m.batch_stats().snapshot_builds, 1u);
+  ASSERT_EQ(m.batch_stats().snapshot_hits, 0u);
+
+  // 2. Partition node 1 off and brown node 2 out completely.
+  m.set_partition(NodeId{1}, 7);
+  m.set_loss_override(NodeId{2}, 1.0);
+
+  // 3. Broadcast again from the same cell: node 1 is skipped before any
+  // draw, node 2 draws at the brown-out rate, node 3 is untouched.
+  m.broadcast(NodeId{0}, Bytes{2});
+  twin_delivery(1.0);
+  twin_delivery(rc.loss_probability);
+  sim.run_until(sim.now() + sim::Duration::from_ms(10));
+
+  EXPECT_EQ(m.batch_stats().snapshot_builds, 1u);
+  EXPECT_EQ(m.batch_stats().snapshot_hits, 1u);
+  EXPECT_EQ(got[NodeId{1}], 1);  // the first broadcast only
+  EXPECT_EQ(got[NodeId{2}], 1);
+  EXPECT_EQ(got[NodeId{3}], 2);
+  EXPECT_EQ(m.stats().losses, 1u);
+  // Same stream position as the replay: the partitioned receiver drew
+  // nothing.
+  EXPECT_EQ(sim.rng().next_u64(), twin.rng().next_u64());
 }
 
 // --- in-flight tracking (checkpoint support) -----------------------------

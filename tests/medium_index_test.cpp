@@ -1,10 +1,11 @@
-// Randomized equivalence of the spatial-indexed Medium against a verbatim
-// port of the seed implementation (std::map storage, O(N) full scan per
-// transmit, per-receiver payload copy). For 50 seeds x random layouts the
-// two must produce identical neighbors_in_range sets and an identical
-// delivery/loss/collision trace — same receivers, same arrival times, same
-// bytes — including under mobility (set_position), radio down/up toggles,
-// loss, jitter and collisions.
+// Randomized equivalence of Medium against a spec-style brute-force
+// reference (std::map storage, O(N) full scan per sender, per-receiver
+// payload copy). For 50 seeds x random layouts the two must produce
+// identical neighbors_in_range sets and an identical delivery/loss/collision
+// trace — same receivers, same arrival times, same bytes — including under
+// HELLO-round broadcast bursts (which share the per-cell receiver
+// snapshots), mobility (set_position), radio down/up toggles, detach +
+// re-attach churn, loss, jitter and collisions.
 
 #include <gtest/gtest.h>
 
@@ -37,10 +38,10 @@ struct Delivery {
   friend bool operator==(const Delivery&, const Delivery&) = default;
 };
 
-/// The seed Medium, kept as the brute-force reference: every transmit scans
-/// all hosts in ascending NodeId order (std::map) and deep-copies the
+/// The seed Medium, kept as the brute-force reference: every broadcast
+/// scans all hosts in ascending NodeId order (std::map) and deep-copies the
 /// payload per receiver. Draws from the same Simulator Rng in the same
-/// order as the indexed implementation must.
+/// order as the indexed, snapshot-sharing implementation must.
 class BruteForceMedium {
  public:
   using ReceiveHandler = std::function<void(NodeId transmitter, const Bytes&)>;
@@ -52,6 +53,7 @@ class BruteForceMedium {
     hosts_.emplace(id, Host{pos, std::move(handler), true, {}});
   }
 
+  void detach(NodeId id) { hosts_.erase(id); }
   void set_position(NodeId id, Position pos) { hosts_.at(id).pos = pos; }
   void set_up(NodeId id, bool up) { hosts_.at(id).up = up; }
 
@@ -142,15 +144,29 @@ std::vector<NodeId> sorted_ids(std::vector<NodeId> v) {
   return v;
 }
 
-/// Drives the indexed Medium and the brute-force reference through the same
-/// randomized script (broadcasts, node moves, radio toggles) and compares
-/// neighbor sets, stats and the full delivery trace.
-void run_equivalence_round(std::uint64_t seed) {
-  sim::Rng script{seed * 7919 + 17};
+/// Where one randomized script places its hosts: the square every layout
+/// position and every move is drawn from, plus the script stream's salt.
+struct Arena {
+  double width;
+  double height;
+  std::uint64_t salt;
+  bool expect_snapshot_hits;
+};
+
+/// Many grid cells, a few hosts each: exercises the spatial index.
+constexpr Arena kSparse{1200.0, 900.0, 17, false};
+/// At most 2x2 cells of 250 m: bursts from many senders per cell, so most
+/// broadcasts reuse a per-cell snapshot built by an earlier sender.
+constexpr Arena kDense{300.0, 300.0, 29, true};
+
+/// Drives Medium and the brute-force reference through the same randomized
+/// script (single broadcasts, HELLO-round bursts, node moves, radio
+/// toggles, detach + re-attach) and compares neighbor sets, stats and the
+/// full delivery trace.
+void run_equivalence_round(std::uint64_t seed, const Arena& arena) {
+  sim::Rng script{seed * 7919 + arena.salt};
 
   const auto n = static_cast<std::size_t>(script.uniform_int(8, 96));
-  const double width = 1200.0;
-  const double height = 900.0;
   net::RadioConfig config;
   config.range_m = 250.0;
   config.loss_probability = 0.15 * static_cast<double>(seed % 3);
@@ -159,62 +175,101 @@ void run_equivalence_round(std::uint64_t seed) {
   config.collision_window =
       seed % 4 == 0 ? sim::Duration::from_us(300) : sim::Duration{};
 
+  auto random_position = [&] {
+    return Position{script.uniform_real(0.0, arena.width),
+                    script.uniform_real(0.0, arena.height)};
+  };
+  auto random_node = [&] {
+    return NodeId{static_cast<std::uint32_t>(
+        script.uniform_int(0, static_cast<std::int64_t>(n) - 1))};
+  };
+  auto random_payload = [&] {
+    Bytes payload(static_cast<std::size_t>(script.uniform_int(1, 80)));
+    for (auto& b : payload)
+      b = static_cast<std::uint8_t>(script.uniform_int(0, 255));
+    return payload;
+  };
+
   std::vector<Position> layout;
   layout.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    layout.push_back(Position{script.uniform_real(0.0, width),
-                              script.uniform_real(0.0, height)});
+  for (std::size_t i = 0; i < n; ++i) layout.push_back(random_position());
 
   sim::Simulator sim_a{seed + 1};
   sim::Simulator sim_b{seed + 1};
-  net::Medium indexed{sim_a, config};
+  net::Medium medium{sim_a, config};
   BruteForceMedium brute{sim_b, config};
 
   std::vector<Delivery> trace_a;
   std::vector<Delivery> trace_b;
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    indexed.attach(id, layout[i], [&trace_a, id, &sim_a](const net::Packet& p) {
+  auto attach_medium = [&](NodeId id, Position pos) {
+    medium.attach(id, pos, [&trace_a, id, &sim_a](const net::Packet& p) {
       trace_a.push_back(Delivery{sim_a.now().us(), id.value(),
                                  p.transmitter.value(), p.payload()});
     });
-    brute.attach(id, layout[i],
+  };
+  auto attach_brute = [&](NodeId id, Position pos) {
+    brute.attach(id, pos,
                  [&trace_b, id, &sim_b](NodeId from, const Bytes& payload) {
                    trace_b.push_back(Delivery{sim_b.now().us(), id.value(),
                                               from.value(), payload});
                  });
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    attach_medium(NodeId{static_cast<std::uint32_t>(i)}, layout[i]);
+    attach_brute(NodeId{static_cast<std::uint32_t>(i)}, layout[i]);
   }
 
-  // Script: interleaved broadcasts, moves and radio toggles at increasing
-  // times, mirrored into both simulators.
+  auto broadcast_both = [&](sim::Time at, NodeId id, const Bytes& payload) {
+    sim_a.schedule_at(at, [&medium, id, payload] {
+      medium.broadcast(id, payload);
+    });
+    sim_b.schedule_at(at, [&brute, id, payload] {
+      brute.broadcast(id, payload);
+    });
+  };
+
+  // Script: the actions below at increasing times, mirrored into both
+  // simulators.
   sim::Time t;
   for (int step = 0; step < 60; ++step) {
     t += sim::Duration::from_us(script.uniform_int(0, 2000));
-    const auto node =
-        static_cast<std::uint32_t>(script.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    const NodeId id{node};
-    const auto action = script.uniform_int(0, 9);
-    if (action < 6) {
-      Bytes payload(static_cast<std::size_t>(script.uniform_int(1, 80)));
-      for (auto& b : payload)
-        b = static_cast<std::uint8_t>(script.uniform_int(0, 255));
-      sim_a.schedule_at(t, [&indexed, id, payload] {
-        indexed.broadcast(id, payload);
-      });
-      sim_b.schedule_at(t, [&brute, id, payload] {
-        brute.broadcast(id, payload);
-      });
-    } else if (action < 8) {
-      const Position pos{script.uniform_real(0.0, width),
-                         script.uniform_real(0.0, height)};
-      sim_a.schedule_at(t, [&indexed, id, pos] {
-        indexed.set_position(id, pos);
+    const auto action = script.uniform_int(0, 11);
+    if (action < 7) {
+      // One broadcast, or a HELLO round: several senders fire within
+      // 100 us of each other with no mutation in between, so they share
+      // per-cell snapshots.
+      const auto senders = action < 5 ? 1 : script.uniform_int(2, 8);
+      for (std::int64_t b = 0; b < senders; ++b) {
+        if (b > 0) t += sim::Duration::from_us(script.uniform_int(0, 100));
+        const NodeId id = random_node();
+        broadcast_both(t, id, random_payload());
+      }
+    } else if (action < 9) {
+      const NodeId id = random_node();
+      const Position pos = random_position();
+      sim_a.schedule_at(t, [&medium, id, pos] {
+        medium.set_position(id, pos);
       });
       sim_b.schedule_at(t, [&brute, id, pos] { brute.set_position(id, pos); });
-    } else {
+    } else if (action < 11) {
+      const NodeId id = random_node();
       const bool up = script.bernoulli(0.7);
-      sim_a.schedule_at(t, [&indexed, id, up] { indexed.set_up(id, up); });
+      sim_a.schedule_at(t, [&medium, id, up] { medium.set_up(id, up); });
       sim_b.schedule_at(t, [&brute, id, up] { brute.set_up(id, up); });
+    } else {
+      // Detach + re-attach at a fresh position: the slot compaction (grid
+      // replace) under live snapshots, and frames in flight toward the
+      // host's old incarnation.
+      const NodeId id = random_node();
+      const Position pos = random_position();
+      sim_a.schedule_at(t, [&medium, &attach_medium, id, pos] {
+        medium.detach(id);
+        attach_medium(id, pos);
+      });
+      sim_b.schedule_at(t, [&brute, &attach_brute, id, pos] {
+        brute.detach(id);
+        attach_brute(id, pos);
+      });
     }
   }
 
@@ -225,15 +280,18 @@ void run_equivalence_round(std::uint64_t seed) {
   for (std::size_t i = 0; i < trace_a.size(); ++i)
     ASSERT_EQ(trace_a[i], trace_b[i]) << "seed " << seed << " delivery " << i;
 
-  EXPECT_EQ(indexed.stats().frames_sent, brute.stats().frames_sent);
-  EXPECT_EQ(indexed.stats().deliveries, brute.stats().deliveries);
-  EXPECT_EQ(indexed.stats().losses, brute.stats().losses);
-  EXPECT_EQ(indexed.stats().collisions, brute.stats().collisions);
-  EXPECT_EQ(indexed.stats().bytes_sent, brute.stats().bytes_sent);
+  EXPECT_EQ(medium.stats().frames_sent, brute.stats().frames_sent);
+  EXPECT_EQ(medium.stats().deliveries, brute.stats().deliveries);
+  EXPECT_EQ(medium.stats().losses, brute.stats().losses);
+  EXPECT_EQ(medium.stats().collisions, brute.stats().collisions);
+  EXPECT_EQ(medium.stats().bytes_sent, brute.stats().bytes_sent);
+  if (arena.expect_snapshot_hits) {
+    EXPECT_GT(medium.batch_stats().snapshot_hits, 0u) << "seed " << seed;
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EXPECT_EQ(indexed.neighbors_in_range(id),
+    EXPECT_EQ(medium.neighbors_in_range(id),
               sorted_ids(brute.neighbors_in_range(id)))
         << "seed " << seed << " node " << i;
   }
@@ -243,10 +301,22 @@ class MediumIndexEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(MediumIndexEquivalence, MatchesBruteForceReference) {
-  run_equivalence_round(GetParam());
+  run_equivalence_round(GetParam(), kSparse);
 }
 
 INSTANTIATE_TEST_SUITE_P(FiftySeeds, MediumIndexEquivalence,
+                         ::testing::Range<std::uint64_t>(0, 50));
+
+// The same script crowded into a few cells: broadcasts sharing one
+// snapshot must still match the per-sender full-scan reference.
+class MediumBatchEquivalence : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(MediumBatchEquivalence, MatchesPerSenderPath) {
+  run_equivalence_round(GetParam(), kDense);
+}
+
+INSTANTIATE_TEST_SUITE_P(FiftySeeds, MediumBatchEquivalence,
                          ::testing::Range<std::uint64_t>(0, 50));
 
 // Detach compacts the dense host storage (swap with the last slot); the

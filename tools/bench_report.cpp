@@ -1,7 +1,6 @@
-// Runs the perf-gauge micro benchmarks — medium broadcast (spatial grid and
-// the seed full-scan baseline), batched vs per-sender HELLO rounds,
-// event-queue churn, MPR selection and link-set scans, routing recompute
-// (full rebuild, identical-graph refresh and edge-addition churn), wire
+// Runs the perf-gauge micro benchmarks — medium broadcast rounds (spatial
+// grid + per-cell receiver snapshots, sparse and dense), event-queue
+// churn, MPR selection and link-set scans, routing recompute (full rebuild, identical-graph refresh and edge-addition churn), wire
 // round-trip, the flat-slab trust store at >= 10k subjects, and the psim
 // sharded-engine gauges (full-stack slabs, synthetic window throughput,
 // serial-fraction counters), and the fault-subsystem checkpoint codec
@@ -33,8 +32,7 @@ int main(int argc, char** argv) {
       "--benchmark_repetitions=5",
       "--benchmark_report_aggregates_only=true",
       "--benchmark_filter=BM_MediumBroadcast|BM_EventQueueChurn|"
-      "BM_MprSelection|BM_HelloSerializeParse|BM_BatchedRound|"
-      "BM_PerSenderRound|BM_RoundWithDrain|BM_LinkSetScan|"
+      "BM_MprSelection|BM_HelloSerializeParse|BM_LinkSetScan|"
       "BM_RoutingRecompute|BM_SequentialSlab|BM_ShardedSlab|"
       "BM_SequentialWindows|BM_ShardedWindows|"
       "BM_TrustUpdateLarge|BM_TrustDecayAllLarge|"

@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
         spec.attacker_fractions = {0.07, 0.29, 0.43};
         spec.rounds = 25;
       } else if (sweep == "scale-256") {
-        // Paper-plus scale: the batched HELLO fast path and spatial index
+        // Paper-plus scale: the per-cell broadcast snapshots and spatial index
         // carry the control plane; each replication is still minutes of
         // CPU (the dense cluster gives every node ~70 OLSR neighbors).
         spec.node_counts = {256};
