@@ -1,5 +1,6 @@
-// Micro-benchmarks of the OLSR substrate: MPR selection, routing-table
-// computation, wire (de)serialization and audit-log parsing throughput.
+// Micro-benchmarks of the OLSR substrate: MPR selection, knowledge-graph
+// patching, routing-table computation, wire (de)serialization and
+// audit-log parsing throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,7 @@
 #include "logging/format.hpp"
 #include "olsr/link_set.hpp"
 #include "olsr/mpr_selection.hpp"
+#include "olsr/neighbor_table.hpp"
 #include "olsr/routing_table.hpp"
 #include "olsr/wire.hpp"
 #include "sim/rng.hpp"
@@ -87,7 +89,8 @@ BENCHMARK(BM_RoutingRecompute)->Arg(16)->Arg(64)->Arg(256);
 // is maximal. This is the control-plane profiling target ROADMAP promotes
 // after the medium fast paths (see micro_psim for the engine side);
 // BENCH_5.json recorded the std::map baseline, BENCH_6.json the flat-slab
-// CSR rebuild. A fresh table per iteration pins the full-rebuild path.
+// CSR rebuild, BENCH_13.json the BFS over the live graph. A fresh table
+// per iteration forces the BFS.
 static void BM_RoutingRecomputeDense(benchmark::State& state) {
   const auto g = random_graph(static_cast<std::size_t>(state.range(0)),
                               static_cast<std::size_t>(state.range(1)), 7);
@@ -98,40 +101,45 @@ static void BM_RoutingRecomputeDense(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingRecomputeDense)->Args({256, 70})->Args({1024, 78});
 
-// Steady-state control plane, identical graph: the most common recompute
-// in a converged network is a refresh that changes nothing; the table
-// answers it with the snapshot compare alone.
-static void BM_RoutingRecomputeSame(benchmark::State& state) {
-  const auto g = random_graph(static_cast<std::size_t>(state.range(0)),
-                              static_cast<std::size_t>(state.range(1)), 7);
-  olsr::RoutingTable rt;
-  rt.recompute(NodeId{0}, g);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rt.recompute(NodeId{0}, g));
+// The live graph's unit of work: one HELLO changes one neighbor's 2-hop
+// membership in the paper's N=64 full mesh. The neighbor table reports the
+// delta and the graph takes it as reference-count patches; iterations
+// alternate dropping and restoring one advertised node. (Routing re-runs
+// its BFS only when such a patch changes the arc set.)
+static void BM_KnowledgeGraphPatch(benchmark::State& state) {
+  constexpr std::uint32_t kNodes = 64;
+  const NodeId self{0};
+  const auto until = sim::Time::from_seconds(60.0);
+  olsr::NeighborTable table;
+  olsr::KnowledgeGraph g;
+  olsr::EdgeDelta delta;
+  auto patch = [&] {
+    for (const auto& [a, b] : delta.added) g.add_edge(a, b);
+    for (const auto& [a, b] : delta.removed) g.remove_edge(a, b);
+    delta.clear();
+  };
+  std::vector<NodeId> full;
+  for (std::uint32_t via = 1; via < kNodes; ++via) {
+    g.add_edge(self, NodeId{via});
+    full.clear();
+    for (std::uint32_t n = 1; n < kNodes; ++n)
+      if (n != via) full.push_back(NodeId{n});
+    table.set_two_hops_via(NodeId{via}, full, until, &delta);
+    patch();
   }
-}
-BENCHMARK(BM_RoutingRecomputeSame)->Args({256, 70})->Args({1024, 78});
-
-// Edge-addition churn: alternating between a graph and a one-edge superset
-// exercises the incremental relaxation (base -> grown) and the full-rebuild
-// fallback (grown -> base, a removal) in equal measure.
-static void BM_RoutingRecomputeIncremental(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  const auto base = random_graph(nodes, static_cast<std::size_t>(state.range(1)), 7);
-  auto grown = base;
-  // One extra edge touching fresh nodes: the superset fast path relaxes
-  // outward from just this arc pair.
-  grown.add_edge(NodeId{static_cast<std::uint32_t>(nodes)},
-                 NodeId{static_cast<std::uint32_t>(nodes / 2)});
-  olsr::RoutingTable rt;
-  rt.recompute(NodeId{0}, base);
+  const NodeId via{kNodes / 2};
+  full = table.two_hops_via(via);
+  auto dropped = full;
+  dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(kNodes / 4));
   bool flip = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rt.recompute(NodeId{0}, flip ? grown : base));
+    table.set_two_hops_via(via, flip ? full : dropped, until, &delta);
+    patch();
     flip = !flip;
   }
+  benchmark::DoNotOptimize(g.arc_count());
 }
-BENCHMARK(BM_RoutingRecomputeIncremental)->Args({256, 70})->Args({1024, 78});
+BENCHMARK(BM_KnowledgeGraphPatch);
 
 // Link-set scans run on every HELLO build (symmetric + asymmetric
 // enumeration) and on every HELLO receipt (is_symmetric); at >= 70

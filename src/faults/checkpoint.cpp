@@ -1,5 +1,6 @@
 #include "faults/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -134,6 +135,57 @@ void decode_log(CheckpointReader& r, logging::LogStore& log) {
   log.restore(std::move(records), total, dropped);
 }
 
+// ------------------------------------------------------------------- routes
+
+void encode_routes(CheckpointWriter& w,
+                   const olsr::RoutingTable::Persisted& routes) {
+  w.node(routes.self);
+  w.count(routes.dests.size());
+  for (const auto d : routes.dests) w.node(d);
+  w.count(routes.dist.size());
+  for (const auto d : routes.dist) w.u32(static_cast<std::uint32_t>(d));
+  w.count(routes.parent.size());
+  for (const auto p : routes.parent) w.node(p);
+}
+
+olsr::RoutingTable::Persisted decode_routes(CheckpointReader& r) {
+  olsr::RoutingTable::Persisted p;
+  p.self = r.node();
+  p.dests.resize(r.count());
+  for (auto& d : p.dests) d = r.node();
+  p.dist.resize(r.count());
+  for (auto& d : p.dist) d = static_cast<std::int32_t>(r.u32());
+  p.parent.resize(r.count());
+  for (auto& n : p.parent) n = r.node();
+
+  // route_to/path_to walk parent chains by binary search over dests, so
+  // everything they rely on is checked here: parallel lengths, strictly
+  // ascending dests without self, and parents one hop closer each step
+  // (which also makes every chain end at self).
+  const std::size_t n = p.dests.size();
+  if (p.dist.size() != n || p.parent.size() != n)
+    throw CheckpointError{"routing section lengths disagree"};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && !(p.dests[i - 1] < p.dests[i]))
+      throw CheckpointError{"routing destinations unsorted or duplicated"};
+    if (p.dests[i] == p.self || p.dist[i] < 1 ||
+        static_cast<std::size_t>(p.dist[i]) > n)
+      throw CheckpointError{"routing entry out of range"};
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto it =
+        std::lower_bound(p.dests.begin(), p.dests.end(), p.parent[i]);
+    const bool ok =
+        p.dist[i] == 1
+            ? p.parent[i] == p.self
+            : it != p.dests.end() && *it == p.parent[i] &&
+                  p.dist[static_cast<std::size_t>(it - p.dests.begin())] ==
+                      p.dist[i] - 1;
+    if (!ok) throw CheckpointError{"routing parent out of range"};
+  }
+  return p;
+}
+
 // -------------------------------------------------------------------- agent
 
 namespace {
@@ -195,9 +247,7 @@ void encode_agent(CheckpointWriter& w, const olsr::Agent& agent) {
     w.time(until);
   }
   w.boolean(scalars.mprs_dirty);
-  w.boolean(scalars.routes_dirty);
   w.time(scalars.mprs_links_hint);
-  w.time(scalars.routes_links_hint);
   w.u16(scalars.msg_seq);
   w.u16(scalars.pkt_seq);
   w.u16(scalars.ansn);
@@ -261,21 +311,8 @@ void encode_agent(CheckpointWriter& w, const olsr::Agent& agent) {
     w.time(rs.expiry);
   }
 
-  // Routing table (CSR snapshot + dense routes).
-  const auto routes = agent.routes().persist();
-  w.node(routes.self);
-  w.count(routes.node_ids.size());
-  for (const auto n : routes.node_ids) w.node(n);
-  w.count(routes.offsets.size());
-  for (const auto o : routes.offsets) w.u32(o);
-  w.count(routes.targets.size());
-  for (const auto t : routes.targets) w.u32(t);
-  w.count(routes.dist.size());
-  for (const auto d : routes.dist) w.u32(static_cast<std::uint32_t>(d));
-  w.count(routes.parent.size());
-  for (const auto p : routes.parent) w.node(p);
-  w.count(routes.dests.size());
-  for (const auto d : routes.dests) w.node(d);
+  // Routing table (the knowledge graph is rebuilt from the tables).
+  encode_routes(w, agent.routes().persist());
 
   // MID / HNA association sets.
   const auto& mid = agent.mid_set();
@@ -327,9 +364,7 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
     until = r.time();
   }
   scalars.mprs_dirty = r.boolean();
-  scalars.routes_dirty = r.boolean();
   scalars.mprs_links_hint = r.time();
-  scalars.routes_links_hint = r.time();
   scalars.msg_seq = r.u16();
   scalars.pkt_seq = r.u16();
   scalars.ansn = r.u16();
@@ -394,21 +429,8 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   }
   agent.restore_duplicates().restore(std::move(entries), std::move(ring));
 
-  olsr::RoutingTable::Persisted routes;
-  routes.self = r.node();
-  routes.node_ids.resize(r.count());
-  for (auto& n : routes.node_ids) n = r.node();
-  routes.offsets.resize(r.count());
-  for (auto& o : routes.offsets) o = r.u32();
-  routes.targets.resize(r.count());
-  for (auto& t : routes.targets) t = r.u32();
-  routes.dist.resize(r.count());
-  for (auto& d : routes.dist) d = static_cast<std::int32_t>(r.u32());
-  routes.parent.resize(r.count());
-  for (auto& p : routes.parent) p = r.node();
-  routes.dests.resize(r.count());
-  for (auto& d : routes.dests) d = r.node();
-  agent.restore_routes().restore(std::move(routes));
+  agent.restore_routes().restore(decode_routes(r));
+  agent.rebuild_knowledge_graph();
 
   std::vector<olsr::MidSet::Tuple> mid(r.count());
   for (auto& t : mid) {

@@ -21,9 +21,11 @@ namespace manet::faults {
 /// field, a reordered table) bumps the version and invalidates old files.
 /// There is deliberately no migration path: checkpoints are short-lived
 /// run artifacts, not archival data. Version 2 added the detector's
-/// forwarding-audit state and the per-attack-kind experiment payload.
+/// forwarding-audit state and the per-attack-kind experiment payload;
+/// version 3 replaced the routing snapshot with the routes alone (the
+/// knowledge graph is rebuilt from the restored tables).
 inline constexpr std::uint32_t kCheckpointMagic = 0x43544E4Du;  // "MNTC"
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Thrown on malformed, truncated or version-mismatched snapshots.
 struct CheckpointError : std::runtime_error {
@@ -119,6 +121,13 @@ sim::Rng::State decode_rng(CheckpointReader& r);
 
 void encode_log(CheckpointWriter& w, const logging::LogStore& log);
 void decode_log(CheckpointReader& r, logging::LogStore& log);
+
+/// Routing section of an agent. Decode rejects any table whose parent
+/// chains route_to could not walk: mismatched lengths, unsorted or
+/// duplicate destinations, out-of-range distances or parents.
+void encode_routes(CheckpointWriter& w,
+                   const olsr::RoutingTable::Persisted& routes);
+olsr::RoutingTable::Persisted decode_routes(CheckpointReader& r);
 
 void encode_agent(CheckpointWriter& w, const olsr::Agent& agent);
 AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent);

@@ -23,6 +23,12 @@ const char* hot_name(Hot h) {
       return "manet_olsr_route_recomputes_total";
     case Hot::kMprRecomputes:
       return "manet_olsr_mpr_recomputes_total";
+    case Hot::kRouteRuns:
+      return "manet_olsr_route_runs_total";
+    case Hot::kMprRuns:
+      return "manet_olsr_mpr_runs_total";
+    case Hot::kGraphArcUpdates:
+      return "manet_olsr_graph_arc_updates_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:

@@ -35,6 +35,9 @@ enum class Hot : std::uint32_t {
   kMediumUnicasts,           ///< routed unicast frames
   kRouteRecomputes,          ///< olsr::Agent routing recomputes that changed
   kMprRecomputes,            ///< olsr::Agent MPR-set recomputes that changed
+  kRouteRuns,                ///< olsr::Agent routing BFS runs
+  kMprRuns,                  ///< olsr::Agent MPR selections run
+  kGraphArcUpdates,          ///< knowledge-graph arcs added/removed by patches
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed

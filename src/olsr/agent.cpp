@@ -80,27 +80,65 @@ bool Agent::is_mpr(NodeId n) const {
   return std::binary_search(mprs_.begin(), mprs_.end(), n);
 }
 
-void Agent::build_knowledge_graph(KnowledgeGraph& g) const {
-  g.clear();
-  const auto now = sim_.now();
-  // Edges touching ourselves come exclusively from the link set: RFC 3626
-  // §10 requires the first hop of any route to be a *symmetric* neighbor,
-  // so stale TC tuples must not resurrect a dead local link.
-  links_.symmetric_neighbors(now, sym_scratch_);
-  for (auto n : sym_scratch_) g.add_edge(id_, n);
-  for (const auto& t : neighbors_.two_hop_tuples()) {
-    if (t.two_hop == id_) continue;
-    g.add_edge(t.via, t.two_hop);
-  }
-  for (const auto& t : topology_.tuples()) {
-    if (t.dest == id_ || t.last_hop == id_) continue;
-    g.add_edge(t.last_hop, t.dest);
-  }
+std::size_t Agent::apply_delta() {
+  // Edges touching ourselves come exclusively from the link set (see
+  // sync_self_edges). Additions go first, so a removal never finds its
+  // arc's count already at zero.
+  std::size_t changed = 0;
+  for (const auto& [a, b] : delta_.added)
+    if (a != id_ && b != id_) changed += graph_.add_edge(a, b);
+  for (const auto& [a, b] : delta_.removed)
+    if (a != id_ && b != id_) changed += graph_.remove_edge(a, b);
+  delta_.clear();
+  return changed;
+}
+
+std::size_t Agent::sync_self_edges(KnowledgeGraph& g) const {
+  // RFC 3626 §10 requires the first hop of any route to be a *symmetric*
+  // neighbor, so stale TC tuples must not resurrect a dead local link: our
+  // own adjacency is exactly the symmetric link set, read at now because
+  // link symmetry lapses with time alone.
+  links_.symmetric_neighbors(sim_.now(), sym_scratch_);
+  const auto self = g.slot_of(id_);
+  const auto own = self == KnowledgeGraph::kNpos
+                       ? std::span<const KnowledgeGraph::Arc>{}
+                       : g.arcs_from(self);
+  const auto same_id = [&g](const KnowledgeGraph::Arc& a, NodeId n) {
+    return g.id_at(a.to) == n;
+  };
+  if (std::equal(own.begin(), own.end(), sym_scratch_.begin(),
+                 sym_scratch_.end(), same_id))
+    return 0;
+  std::vector<NodeId> lapsed;
+  for (const auto& a : own)
+    if (!std::binary_search(sym_scratch_.begin(), sym_scratch_.end(),
+                            g.id_at(a.to)))
+      lapsed.push_back(g.id_at(a.to));
+  std::size_t changed = 0;
+  for (const auto n : lapsed) changed += g.remove_edge(id_, n);
+  for (const auto n : sym_scratch_)
+    if (g.refs(id_, n) == 0) changed += g.add_edge(id_, n);
+  return changed;
+}
+
+void Agent::refresh_graph() {
+  const auto changed = apply_delta() + sync_self_edges(graph_);
+  if (changed > 0) obs::hit(obs::Hot::kGraphArcUpdates, changed);
+}
+
+void Agent::rebuild_knowledge_graph() {
+  graph_.clear();
+  delta_.clear();
+  for (const auto& t : neighbors_.two_hop_tuples())
+    delta_.added.emplace_back(t.via, t.two_hop);
+  for (const auto& t : topology_.tuples())
+    delta_.added.emplace_back(t.last_hop, t.dest);
+  apply_delta();
 }
 
 KnowledgeGraph Agent::knowledge_graph() const {
-  KnowledgeGraph g;
-  build_knowledge_graph(g);
+  KnowledgeGraph g = graph_;
+  sync_self_edges(g);
   return g;
 }
 
@@ -343,7 +381,7 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
     for (auto n : advertised_sym)
       if (n != id_) two_hops.push_back(n);
     if (neighbors_.set_two_hops_via(from, two_hops,
-                                    sim_.now() + m.header.vtime)) {
+                                    sim_.now() + m.header.vtime, &delta_)) {
       tables_changed = true;
       auto r = make_record("two_hop_update");
       r.with("via", from)
@@ -373,13 +411,10 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
   }
 
   // MPR selector changes do not feed MPR selection or routing, so they do
-  // not raise the dirty flags.
-  if (tables_changed) {
-    mprs_dirty_ = true;
-    routes_dirty_ = true;
-  }
+  // not raise the dirty flag.
+  if (tables_changed) mprs_dirty_ = true;
   maybe_recompute_mprs();
-  maybe_recompute_routes();
+  update_routes();
 }
 
 void Agent::process_tc(const Message& m, NodeId transmitter) {
@@ -405,21 +440,19 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   ++stats_.tc_recv;
 
   const NodeId origin = mid_set_.main_address_of(m.header.originator);
-  const auto tc_result = topology_.on_tc(sim_.now(), origin, tc->ansn,
-                                         tc->advertised, m.header.vtime);
+  const bool applied = topology_.on_tc(sim_.now(), origin, tc->ansn,
+                                       tc->advertised, m.header.vtime,
+                                       &delta_);
   auto rec = make_record("tc_recv");
   rec.with("orig", origin)
       .with("via", transmitter)
       .with("seq", static_cast<std::int64_t>(m.header.seq_num))
       .with("ansn", static_cast<std::int64_t>(tc->ansn))
       .with("adv", logging::join_node_list(tc->advertised))
-      .with("applied", tc_result.applied ? "1" : "0");
+      .with("applied", applied ? "1" : "0");
   log_.append(std::move(rec));
 
-  // A steady-state TC readvertising the same destination set (fresh ANSN,
-  // same edges) refreshes validity only — nothing routing consumes changed.
-  if (tc_result.changed) routes_dirty_ = true;
-  maybe_recompute_routes();
+  update_routes();
   maybe_forward(m, transmitter);
 }
 
@@ -541,13 +574,13 @@ void Agent::reset_tables() {
   duplicates_ = DuplicateSet{};
   mid_set_ = MidSet{};
   hna_set_ = HnaSet{};
+  graph_.clear();
+  delta_.clear();
   routing_ = RoutingTable{};
   mprs_.clear();
   mpr_selectors_.clear();
   mprs_dirty_ = true;
-  routes_dirty_ = true;
   mprs_links_hint_ = sim::Time{};
-  routes_links_hint_ = sim::Time{};
   // msg_seq_/pkt_seq_/ansn_ intentionally keep counting (see header).
   log_.append(make_record("tables_reset"));
 }
@@ -568,9 +601,7 @@ Agent::ProtocolScalars Agent::protocol_scalars() const {
   s.mprs = mprs_;
   s.mpr_selectors.assign(mpr_selectors_.begin(), mpr_selectors_.end());
   s.mprs_dirty = mprs_dirty_;
-  s.routes_dirty = routes_dirty_;
   s.mprs_links_hint = mprs_links_hint_;
-  s.routes_links_hint = routes_links_hint_;
   s.msg_seq = msg_seq_;
   s.pkt_seq = pkt_seq_;
   s.ansn = ansn_;
@@ -583,9 +614,7 @@ void Agent::restore_protocol_scalars(const ProtocolScalars& s) {
   mpr_selectors_.clear();
   mpr_selectors_.insert(s.mpr_selectors.begin(), s.mpr_selectors.end());
   mprs_dirty_ = s.mprs_dirty;
-  routes_dirty_ = s.routes_dirty;
   mprs_links_hint_ = s.mprs_links_hint;
-  routes_links_hint_ = s.routes_links_hint;
   msg_seq_ = s.msg_seq;
   pkt_seq_ = s.pkt_seq;
   ansn_ = s.ansn;
@@ -597,8 +626,8 @@ void Agent::restore_protocol_scalars(const ProtocolScalars& s) {
 Agent::SendStatus Agent::send_data(NodeId dest, std::uint16_t protocol,
                                    std::vector<std::uint8_t> payload,
                                    std::span<const NodeId> avoid) {
-  build_knowledge_graph(kg_scratch_);
-  auto path = RoutingTable::shortest_path(kg_scratch_, id_, dest, avoid);
+  refresh_graph();
+  auto path = RoutingTable::shortest_path(graph_, id_, dest, avoid);
   if (!path) {
     auto rec = make_record("data_no_route");
     rec.with("dest", dest);
@@ -694,21 +723,15 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
 void Agent::housekeep() {
   const auto now = sim_.now();
   const auto lost = links_.expire(now);
-  if (!lost.empty()) {
-    mprs_dirty_ = true;
-    routes_dirty_ = true;
-  }
+  if (!lost.empty()) mprs_dirty_ = true;
   for (auto n : lost) {
-    neighbors_.remove_neighbor(n);
+    neighbors_.remove_neighbor(n, &delta_);
     auto rec = make_record("link_lost");
     rec.with("nbr", n);
     log_.append(std::move(rec));
   }
-  if (neighbors_.expire_two_hops(now)) {
-    mprs_dirty_ = true;
-    routes_dirty_ = true;
-  }
-  if (topology_.expire(now)) routes_dirty_ = true;
+  if (neighbors_.expire_two_hops(now, &delta_)) mprs_dirty_ = true;
+  topology_.expire(now, &delta_);
   duplicates_.expire(now);
   mid_set_.expire(now);
   hna_set_.expire(now);
@@ -724,7 +747,7 @@ void Agent::housekeep() {
     }
   }
   maybe_recompute_mprs();
-  maybe_recompute_routes();
+  update_routes();
 }
 
 void Agent::maybe_recompute_mprs() {
@@ -735,15 +758,8 @@ void Agent::maybe_recompute_mprs() {
   mprs_links_hint_ = links_.next_transition(now);
 }
 
-void Agent::maybe_recompute_routes() {
-  const auto now = sim_.now();
-  if (!routes_dirty_ && now < routes_links_hint_) return;
-  recompute_routes();
-  routes_dirty_ = false;
-  routes_links_hint_ = links_.next_transition(now);
-}
-
 void Agent::recompute_mprs() {
+  obs::hit(obs::Hot::kMprRuns);
   const auto now = sim_.now();
   mpr_inputs_.neighbors.clear();
   links_.symmetric_neighbors(now, sym_scratch_);
@@ -770,9 +786,11 @@ void Agent::recompute_mprs() {
   log_.append(std::move(rec));
 }
 
-void Agent::recompute_routes() {
-  build_knowledge_graph(kg_scratch_);
-  const auto [added, removed] = routing_.recompute(id_, kg_scratch_);
+void Agent::update_routes() {
+  refresh_graph();
+  if (routing_.current(id_, graph_)) return;
+  obs::hit(obs::Hot::kRouteRuns);
+  const auto [added, removed] = routing_.recompute(id_, graph_);
   if (added.empty() && removed.empty()) return;
   obs::hit(obs::Hot::kRouteRecomputes);
   obs::instant(obs::SpanName::kRoutingRecompute, sim_.now(), id_.value());

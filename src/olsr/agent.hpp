@@ -46,14 +46,15 @@ struct AgentStats {
 /// audit LogStore — the paper's IDS consumes *only* that log plus the
 /// investigation answers, never the agent's in-memory state.
 ///
-/// MPR and route recomputation is coalesced behind dirty flags: table
-/// mutations mark the derived state dirty, and the recompute runs at the
-/// same protocol points as before (end of HELLO/TC processing,
-/// housekeeping) only when an input actually changed — or when a link-set
-/// symmetry timer boundary (LinkSet::next_transition) has passed, which is
-/// the one way inputs change without an event. Skipped recomputes are
-/// exactly those that would have produced identical state and no log
-/// record, so traces are byte-identical to the eager behavior.
+/// Derived state is kept current at the end of HELLO/TC processing and
+/// housekeeping. Routing reads a live knowledge graph patched in place from
+/// the 2-hop and topology deltas, its self edges re-synced to the link set
+/// on every read; the BFS re-runs only when the graph's arc set changed.
+/// MPR selection is coalesced behind a dirty flag: table mutations raise
+/// it, and the selection also re-runs once a link-set symmetry timer
+/// boundary (LinkSet::next_transition) has passed, which is the one way
+/// its inputs change without an event. Skipped runs are exactly those that
+/// would have produced identical state and no log record.
 class Agent {
  public:
   struct Config {
@@ -117,7 +118,8 @@ class Agent {
   bool is_symmetric_neighbor(NodeId n) const;
   const AgentStats& stats() const { return stats_; }
 
-  /// The adjacency this node believes in (link set + 2-hop + TC topology).
+  /// A copy of the adjacency this node believes in (link set + 2-hop + TC
+  /// topology, §10), self edges synced to the symmetric links at now.
   KnowledgeGraph knowledge_graph() const;
 
   // --- audit log (the IDS's only window into the daemon) ---
@@ -192,9 +194,7 @@ class Agent {
     std::vector<NodeId> mprs;
     std::vector<std::pair<NodeId, sim::Time>> mpr_selectors;
     bool mprs_dirty = true;
-    bool routes_dirty = true;
     sim::Time mprs_links_hint{};
-    sim::Time routes_links_hint{};
     std::uint16_t msg_seq = 1;
     std::uint16_t pkt_seq = 1;
     std::uint16_t ansn = 1;
@@ -215,6 +215,9 @@ class Agent {
   MidSet& restore_mid_set() { return mid_set_; }
   HnaSet& restore_hna_set() { return hna_set_; }
   RoutingTable& restore_routes() { return routing_; }
+  /// Rebuilds the live knowledge graph from the restored 2-hop and
+  /// topology tables (self edges re-sync on the next read).
+  void rebuild_knowledge_graph();
 
   /// Timer access for checkpoint save (next_fire/pending_seq) and restore
   /// (resume_at). The MID timer only runs for multi-homed/gateway configs.
@@ -247,10 +250,18 @@ class Agent {
   void housekeep();
 
   void maybe_recompute_mprs();
-  void maybe_recompute_routes();
   void recompute_mprs();
-  void recompute_routes();
-  void build_knowledge_graph(KnowledgeGraph& g) const;
+  /// Brings the live graph up to date, then re-runs routing if its arc
+  /// set moved and logs any change of the reachable set.
+  void update_routes();
+  /// Applies the pending table delta and re-syncs the self edges.
+  void refresh_graph();
+  /// Patches the graph with delta_ minus arcs touching self; returns the
+  /// arc-set changes.
+  std::size_t apply_delta();
+  /// Re-syncs `g`'s self<->neighbor edges to the symmetric links at now;
+  /// returns the arc-set changes.
+  std::size_t sync_self_edges(KnowledgeGraph& g) const;
 
   std::uint16_t next_msg_seq() { return msg_seq_++; }
   std::uint16_t next_pkt_seq() { return pkt_seq_++; }
@@ -270,23 +281,22 @@ class Agent {
   DuplicateSet duplicates_;
   MidSet mid_set_;
   HnaSet hna_set_;
+  KnowledgeGraph graph_;  // live: patched from table deltas, never rebuilt
+  EdgeDelta delta_;       // table changes not yet applied to graph_
   RoutingTable routing_;
   std::vector<NodeId> mprs_;  // sorted ascending
   std::map<NodeId, sim::Time> mpr_selectors_;  // -> valid_until
 
-  // Recompute coalescing: dirty flags raised by table mutations, plus a
-  // per-consumer snapshot of the link set's next symmetry-timer boundary
-  // taken at its last recompute. Initial values force the first recompute.
+  // MPR recompute coalescing: a dirty flag raised by table mutations, plus
+  // a snapshot of the link set's next symmetry-timer boundary taken at the
+  // last selection. Initial values force the first selection.
   bool mprs_dirty_ = true;
-  bool routes_dirty_ = true;
   sim::Time mprs_links_hint_{};
-  sim::Time routes_links_hint_{};
 
   // Reusable scratch: per-HELLO/recompute work runs allocation-free in
   // steady state.
   mutable std::vector<NodeId> sym_scratch_;
   mutable std::vector<NodeId> asym_scratch_;
-  mutable KnowledgeGraph kg_scratch_;
   MprInputs mpr_inputs_;
   MprScratch mpr_scratch_;
   std::vector<NodeId> fresh_mprs_;

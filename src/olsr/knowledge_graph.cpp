@@ -1,0 +1,113 @@
+#include "olsr/knowledge_graph.hpp"
+
+#include <algorithm>
+#include <atomic>
+
+namespace manet::olsr {
+
+void EdgeDelta::diff(NodeId key, std::span<const NodeId> before,
+                     std::span<const NodeId> after) {
+  std::size_t i = 0, j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      removed.emplace_back(key, before[i++]);
+    } else if (i == before.size() || after[j] < before[i]) {
+      added.emplace_back(key, after[j++]);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+}
+
+std::uint64_t KnowledgeGraph::fresh_stamp() {
+  // Process-wide so that graphs built independently (tests, benches, a
+  // restored agent) never share a stamp. Only equality is ever compared,
+  // so the values reach no output and thread interleaving is harmless.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint32_t KnowledgeGraph::slot_of(NodeId id) const {
+  const auto it = std::lower_bound(
+      by_id_.begin(), by_id_.end(), id,
+      [this](std::uint32_t slot, NodeId n) { return ids_[slot] < n; });
+  if (it == by_id_.end() || ids_[*it] != id) return kNpos;
+  return *it;
+}
+
+std::uint32_t KnowledgeGraph::slot_or_insert(NodeId id) {
+  const auto it = std::lower_bound(
+      by_id_.begin(), by_id_.end(), id,
+      [this](std::uint32_t slot, NodeId n) { return ids_[slot] < n; });
+  if (it != by_id_.end() && ids_[*it] == id) return *it;
+  const auto slot = static_cast<std::uint32_t>(ids_.size());
+  by_id_.insert(it, slot);
+  ids_.push_back(id);
+  out_.emplace_back();
+  return slot;
+}
+
+std::size_t KnowledgeGraph::lower_arc(std::uint32_t from_slot,
+                                      NodeId to) const {
+  const auto& adj = out_[from_slot];
+  return static_cast<std::size_t>(
+      std::lower_bound(
+          adj.begin(), adj.end(), to,
+          [this](const Arc& a, NodeId n) { return ids_[a.to] < n; }) -
+      adj.begin());
+}
+
+bool KnowledgeGraph::add_arc(NodeId from, NodeId to) {
+  const auto from_slot = slot_or_insert(from);
+  const auto to_slot = slot_or_insert(to);
+  auto& adj = out_[from_slot];
+  const auto i = lower_arc(from_slot, to);
+  if (i < adj.size() && adj[i].to == to_slot) {
+    ++adj[i].refs;
+    return false;
+  }
+  adj.insert(adj.begin() + static_cast<std::ptrdiff_t>(i), Arc{to_slot, 1});
+  ++arc_count_;
+  stamp_ = fresh_stamp();
+  return true;
+}
+
+bool KnowledgeGraph::remove_arc(NodeId from, NodeId to) {
+  const auto from_slot = slot_of(from);
+  if (from_slot == kNpos) return false;
+  auto& adj = out_[from_slot];
+  const auto i = lower_arc(from_slot, to);
+  if (i == adj.size() || ids_[adj[i].to] != to) return false;
+  if (--adj[i].refs > 0) return false;
+  adj.erase(adj.begin() + static_cast<std::ptrdiff_t>(i));
+  --arc_count_;
+  stamp_ = fresh_stamp();
+  return true;
+}
+
+void KnowledgeGraph::clear() {
+  ids_.clear();
+  out_.clear();
+  by_id_.clear();
+  arc_count_ = 0;
+  stamp_ = fresh_stamp();
+}
+
+std::uint32_t KnowledgeGraph::refs(NodeId from, NodeId to) const {
+  const auto from_slot = slot_of(from);
+  if (from_slot == kNpos) return 0;
+  const auto& adj = out_[from_slot];
+  const auto i = lower_arc(from_slot, to);
+  return i < adj.size() && ids_[adj[i].to] == to ? adj[i].refs : 0;
+}
+
+std::vector<std::pair<NodeId, NodeId>> KnowledgeGraph::arcs() const {
+  std::vector<std::pair<NodeId, NodeId>> out;
+  out.reserve(arc_count_);
+  for (const auto slot : by_id_)
+    for (const auto& a : out_[slot]) out.emplace_back(ids_[slot], ids_[a.to]);
+  return out;
+}
+
+}  // namespace manet::olsr

@@ -19,12 +19,12 @@ bool NeighborTable::upsert_neighbor(NodeId id, Willingness will,
   return changed;
 }
 
-void NeighborTable::remove_neighbor(NodeId id) {
+void NeighborTable::remove_neighbor(NodeId id, EdgeDelta* delta) {
   auto it = std::lower_bound(
       neighbors_.begin(), neighbors_.end(), id,
       [](const NeighborTuple& t, NodeId n) { return t.id < n; });
   if (it != neighbors_.end() && it->id == id) neighbors_.erase(it);
-  drop_two_hops_via(id);
+  drop_two_hops_via(id, delta);
 }
 
 std::optional<NeighborTuple> NeighborTable::neighbor(NodeId id) const {
@@ -70,7 +70,8 @@ std::pair<std::size_t, std::size_t> NeighborTable::via_range(
 
 bool NeighborTable::set_two_hops_via(NodeId via,
                                      const std::vector<NodeId>& two_hops,
-                                     sim::Time valid_until) {
+                                     sim::Time valid_until,
+                                     EdgeDelta* delta) {
   scratch_.assign(two_hops.begin(), two_hops.end());
   std::sort(scratch_.begin(), scratch_.end());
   scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
@@ -87,6 +88,14 @@ bool NeighborTable::set_two_hops_via(NodeId via,
     return false;
   }
 
+  if (delta != nullptr) {
+    std::vector<NodeId> before;
+    before.reserve(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i)
+      before.push_back(two_hops_[i].two_hop);
+    delta->diff(via, before, scratch_);
+  }
+
   // Replace the contiguous per-via range wholesale; the staged list is
   // sorted, so the slab stays ordered by (via, two_hop).
   std::vector<TwoHopTuple> fresh;
@@ -97,15 +106,21 @@ bool NeighborTable::set_two_hops_via(NodeId via,
   return true;
 }
 
-void NeighborTable::drop_two_hops_via(NodeId via) {
+void NeighborTable::drop_two_hops_via(NodeId via, EdgeDelta* delta) {
   const auto [lo, hi] = via_range(via);
+  if (delta != nullptr)
+    for (std::size_t i = lo; i < hi; ++i)
+      delta->removed.emplace_back(via, two_hops_[i].two_hop);
   two_hops_.erase(two_hops_.begin() + lo, two_hops_.begin() + hi);
 }
 
-bool NeighborTable::expire_two_hops(sim::Time now) {
+bool NeighborTable::expire_two_hops(sim::Time now, EdgeDelta* delta) {
   const auto before = two_hops_.size();
-  std::erase_if(two_hops_,
-                [now](const TwoHopTuple& t) { return t.valid_until <= now; });
+  std::erase_if(two_hops_, [now, delta](const TwoHopTuple& t) {
+    if (t.valid_until > now) return false;
+    if (delta != nullptr) delta->removed.emplace_back(t.via, t.two_hop);
+    return true;
+  });
   return two_hops_.size() != before;
 }
 

@@ -6,6 +6,7 @@
 
 #include "net/node_id.hpp"
 #include "olsr/constants.hpp"
+#include "olsr/knowledge_graph.hpp"
 #include "sim/time.hpp"
 
 namespace manet::olsr {
@@ -35,12 +36,15 @@ struct TwoHopTuple {
 /// per-via 2-hop set is one contiguous range, and iteration order matches
 /// the previous std::map layout exactly (the audit log depends on it).
 /// Mutators report whether they materially changed the table so the Agent
-/// can coalesce MPR/route recomputation behind dirty flags.
+/// can coalesce MPR recomputation behind a dirty flag, and the ones that
+/// touch 2-hop tuples append each (via, two_hop) they removed or added to
+/// an optional EdgeDelta — the patch for the Agent's live knowledge graph.
 class NeighborTable {
  public:
   /// Returns true when the tuple is new or its willingness/symmetry differ.
   bool upsert_neighbor(NodeId id, Willingness will, bool symmetric);
-  void remove_neighbor(NodeId id);
+  /// Drops the neighbor and the 2-hop tuples it advertised.
+  void remove_neighbor(NodeId id, EdgeDelta* delta = nullptr);
   std::optional<NeighborTuple> neighbor(NodeId id) const;
   std::vector<NodeId> symmetric_neighbors() const;
   Willingness willingness_of(NodeId id) const;
@@ -50,10 +54,10 @@ class NeighborTable {
   /// Returns true when the *membership* changed — a pure validity refresh
   /// (same nodes, newer expiry) returns false.
   bool set_two_hops_via(NodeId via, const std::vector<NodeId>& two_hops,
-                        sim::Time valid_until);
-  void drop_two_hops_via(NodeId via);
+                        sim::Time valid_until, EdgeDelta* delta = nullptr);
+  void drop_two_hops_via(NodeId via, EdgeDelta* delta = nullptr);
   /// Returns true when any tuple was removed.
-  bool expire_two_hops(sim::Time now);
+  bool expire_two_hops(sim::Time now, EdgeDelta* delta = nullptr);
 
   /// Strict 2-hop neighbors: advertised by some symmetric neighbor,
   /// excluding `self` and excluding nodes that are themselves symmetric

@@ -7,95 +7,19 @@
 #include <utility>
 #include <vector>
 
-#include "net/node_id.hpp"
+#include "olsr/knowledge_graph.hpp"
 
 namespace manet::olsr {
 
 using net::NodeId;
 
-/// Directed adjacency a node *believes* in: its link set, 2-hop set and
-/// the TC-derived topology set merged (§10).
-///
-/// Arcs accumulate in a raw edge list; the first query compacts them into a
-/// CSR (sorted unique node list + offset/target arrays with dense indices),
-/// so building the graph per recompute is append-only and the BFS consumers
-/// run over contiguous index arrays instead of a map of sets. Adjacency
-/// lists come out ascending by node id — the same iteration order the old
-/// std::map<NodeId, std::set<NodeId>> gave, which the trace-pinned BFS
-/// tie-breaks rely on. Not thread-safe: the lazy build mutates cached
-/// state (one graph belongs to one replication).
-class KnowledgeGraph {
- public:
-  static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
-
-  /// Adds the directed arc from -> to (duplicates are compacted away).
-  void add_arc(NodeId from, NodeId to) {
-    arcs_.emplace_back(from, to);
-    built_ = false;
-  }
-  /// Adds both directions of an undirected edge.
-  void add_edge(NodeId a, NodeId b) {
-    add_arc(a, b);
-    add_arc(b, a);
-  }
-  void reserve(std::size_t arcs) { arcs_.reserve(arcs); }
-  void clear() {
-    arcs_.clear();
-    nodes_.clear();
-    offsets_.clear();
-    targets_.clear();
-    built_ = true;
-  }
-
-  /// All endpoints mentioned by any arc, sorted ascending.
-  const std::vector<NodeId>& nodes() const {
-    build();
-    return nodes_;
-  }
-  std::size_t node_count() const {
-    build();
-    return nodes_.size();
-  }
-  std::size_t arc_count() const {
-    build();
-    return targets_.size();
-  }
-  NodeId id_at(std::uint32_t index) const {
-    build();
-    return nodes_[index];
-  }
-  /// Dense index of `id` in nodes(), or kNpos when absent.
-  std::uint32_t index_of(NodeId id) const;
-  /// Out-arc target indices of one node, ascending by target id.
-  std::span<const std::uint32_t> arcs_from(std::uint32_t node_index) const;
-  std::span<const std::uint32_t> offsets() const {
-    build();
-    return offsets_;
-  }
-  std::span<const std::uint32_t> targets() const {
-    build();
-    return targets_;
-  }
-
- private:
-  void build() const;
-
-  mutable std::vector<std::pair<NodeId, NodeId>> arcs_;
-  mutable std::vector<NodeId> nodes_;           // sorted unique endpoints
-  mutable std::vector<std::uint32_t> offsets_;  // node_count() + 1
-  mutable std::vector<std::uint32_t> targets_;  // indices into nodes_
-  mutable bool built_ = true;  // an empty graph is trivially built
-};
-
 /// Routing table (§10): hop-count shortest paths over the knowledge graph.
 ///
-/// Routes are dense arrays (distance + parent id) over the last graph's
-/// sorted node list. `recompute` keeps a snapshot of that graph: an
-/// identical graph is a no-op, a pure edge-addition superset reuses the
-/// previous shortest-path tree and only relaxes outward from the new arcs,
-/// and anything else falls back to a full BFS rebuild. All three paths
-/// yield identical distances and reachable sets, so the (added, removed)
-/// diff the agent logs is independent of which path ran.
+/// One path: a BFS from `self` over the graph's adjacency (ascending by
+/// node id, FIFO queue), run only when the graph's stamp or `self` moved
+/// since the last run. Routes are kept by destination id — sorted
+/// destinations with a parallel hop count and BFS-first parent — so they
+/// outlive the graph they came from and persist without it.
 class RoutingTable {
  public:
   struct Entry {
@@ -105,7 +29,13 @@ class RoutingTable {
     friend bool operator==(const Entry&, const Entry&) = default;
   };
 
-  /// Rebuilds all routes via BFS from `self`. Returns (added, removed)
+  /// True when the last run was over this graph state from this `self`,
+  /// i.e. recompute() would return without a BFS.
+  bool current(NodeId self, const KnowledgeGraph& graph) const {
+    return self == self_ && graph.stamp() == stamp_;
+  }
+
+  /// Re-runs the BFS from `self` unless current(). Returns (added, removed)
   /// destination sets relative to the previous table — the agent logs these.
   std::pair<std::vector<NodeId>, std::vector<NodeId>> recompute(
       NodeId self, const KnowledgeGraph& graph);
@@ -133,54 +63,36 @@ class RoutingTable {
                          std::span<const NodeId>{avoid.begin(), avoid.size()});
   }
 
-  /// Checkpoint image of the table: the CSR snapshot the incremental
-  /// recompute diffs against plus the dense route arrays. Restoring the
-  /// snapshot verbatim means the no-op / incremental / full-rebuild choice
-  /// on the next recompute is the same one the uninterrupted run makes —
-  /// and the (added, removed) diff the agent logs depends on `dests`.
+  /// Checkpoint image: the routes, which is all the table needs until its
+  /// next run. A restored table is never current(), so that run is a BFS
+  /// over the rebuilt graph — the same routes an uninterrupted run holds.
   struct Persisted {
     NodeId self{};
-    std::vector<NodeId> node_ids;
-    std::vector<std::uint32_t> offsets;
-    std::vector<std::uint32_t> targets;
-    std::vector<std::int32_t> dist;
-    std::vector<NodeId> parent;
-    std::vector<NodeId> dests;
+    std::vector<NodeId> dests;       // ascending, self excluded
+    std::vector<std::int32_t> dist;  // per dest, >= 1
+    std::vector<NodeId> parent;      // per dest: self, or a dest one hop closer
   };
-  Persisted persist() const {
-    return Persisted{self_,  node_ids_, offsets_, targets_,
-                     dist_,  parent_,   dests_};
-  }
+  Persisted persist() const { return Persisted{self_, dests_, dist_, parent_}; }
   void restore(Persisted p) {
     self_ = p.self;
-    node_ids_ = std::move(p.node_ids);
-    offsets_ = std::move(p.offsets);
-    targets_ = std::move(p.targets);
+    dests_ = std::move(p.dests);
     dist_ = std::move(p.dist);
     parent_ = std::move(p.parent);
-    dests_ = std::move(p.dests);
+    stamp_ = 0;  // stamps start at 1: the next recompute runs
   }
 
  private:
-  static constexpr std::int32_t kUnreachable = -1;
-
-  void full_rebuild(const KnowledgeGraph& graph);
-  /// Relaxes from arcs present in `graph` but not in the snapshot. Only
-  /// valid when the snapshot's arc set is a subset of `graph`'s.
-  void relax_additions(
-      const KnowledgeGraph& graph,
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& seeds);
-  std::uint32_t index_of(NodeId id) const;
-  void rebuild_dests(std::vector<NodeId>& out) const;
+  std::size_t index_of(NodeId dest) const;  // into dests_; size() if absent
 
   NodeId self_;
-  std::vector<NodeId> node_ids_;  // snapshot of the last graph's node list
-  std::vector<std::uint32_t> offsets_;  // snapshot of the last graph's CSR
-  std::vector<std::uint32_t> targets_;
-  std::vector<std::int32_t> dist_;  // per node index; kUnreachable if none
-  std::vector<NodeId> parent_;      // per node index; invalid at roots
-  std::vector<NodeId> dests_;       // sorted reachable destinations (≠ self)
-  std::vector<std::uint32_t> queue_;  // BFS scratch
+  std::uint64_t stamp_ = 0;  // graph stamp of the last run; 0 = none
+  std::vector<NodeId> dests_;        // reachable destinations (≠ self)
+  std::vector<std::int32_t> dist_;   // per dest
+  std::vector<NodeId> parent_;       // per dest
+  // BFS scratch, per graph slot.
+  std::vector<std::int32_t> slot_dist_;
+  std::vector<std::uint32_t> slot_parent_;
+  std::vector<std::uint32_t> queue_;
 };
 
 }  // namespace manet::olsr

@@ -23,24 +23,25 @@ std::pair<std::size_t, std::size_t> TopologySet::origin_range(
           static_cast<std::size_t>(hi - tuples_.begin())};
 }
 
-TopologySet::TcResult TopologySet::on_tc(sim::Time now, NodeId originator,
-                                         std::uint16_t ansn,
-                                         const std::vector<NodeId>& advertised,
-                                         sim::Duration vtime) {
+bool TopologySet::on_tc(sim::Time now, NodeId originator, std::uint16_t ansn,
+                        const std::vector<NodeId>& advertised,
+                        sim::Duration vtime, EdgeDelta* delta) {
   auto ansn_it = std::lower_bound(
       latest_ansn_.begin(), latest_ansn_.end(), originator,
       [](const auto& p, NodeId o) { return p.first < o; });
   if (ansn_it != latest_ansn_.end() && ansn_it->first == originator) {
-    if (seq_newer(ansn_it->second, ansn)) return {};
+    if (seq_newer(ansn_it->second, ansn)) return false;
     ansn_it->second = ansn;
   } else {
     latest_ansn_.insert(ansn_it, {originator, ansn});
   }
 
   auto [lo, hi] = origin_range(originator);
-  scratch_before_.clear();
-  for (std::size_t i = lo; i < hi; ++i)
-    scratch_before_.push_back(tuples_[i].dest);
+  if (delta != nullptr) {
+    scratch_before_.clear();
+    for (std::size_t i = lo; i < hi; ++i)
+      scratch_before_.push_back(tuples_[i].dest);
+  }
 
   // §9.5: remove older tuples from this originator, then record new ones.
   const auto removed_begin = std::stable_partition(
@@ -62,16 +63,22 @@ TopologySet::TcResult TopologySet::on_tc(sim::Time now, NodeId originator,
     }
   }
 
-  scratch_after_.clear();
-  for (std::size_t i = lo; i < hi; ++i)
-    scratch_after_.push_back(tuples_[i].dest);
-  return {true, scratch_before_ != scratch_after_};
+  if (delta != nullptr) {
+    scratch_after_.clear();
+    for (std::size_t i = lo; i < hi; ++i)
+      scratch_after_.push_back(tuples_[i].dest);
+    delta->diff(originator, scratch_before_, scratch_after_);
+  }
+  return true;
 }
 
-bool TopologySet::expire(sim::Time now) {
+bool TopologySet::expire(sim::Time now, EdgeDelta* delta) {
   const auto before = tuples_.size();
-  std::erase_if(tuples_,
-                [now](const TopologyTuple& t) { return t.valid_until <= now; });
+  std::erase_if(tuples_, [now, delta](const TopologyTuple& t) {
+    if (t.valid_until > now) return false;
+    if (delta != nullptr) delta->removed.emplace_back(t.last_hop, t.dest);
+    return true;
+  });
   return tuples_.size() != before;
 }
 

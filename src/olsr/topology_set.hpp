@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/node_id.hpp"
+#include "olsr/knowledge_graph.hpp"
 #include "sim/time.hpp"
 
 namespace manet::olsr {
@@ -25,25 +26,19 @@ struct TopologyTuple {
 /// Tuples live in one flat slab sorted by (last_hop, dest): an originator's
 /// advertisements form a contiguous range, so a TC replaces one range
 /// in-place and `advertised_by` is a single range scan. Iteration order
-/// matches the previous (last_hop, dest)-keyed std::map exactly.
+/// matches the previous (last_hop, dest)-keyed std::map exactly. Mutators
+/// append each (last_hop, dest) they removed or added to an optional
+/// EdgeDelta — the patch for the Agent's live knowledge graph.
 class TopologySet {
  public:
-  struct TcResult {
-    /// False when the TC was stale (older ANSN than already recorded for
-    /// this originator) and was ignored.
-    bool applied = false;
-    /// True when the originator's advertised edge *set* materially changed
-    /// (not a mere ANSN/validity refresh of the same destinations) — the
-    /// signal the Agent's route-recompute dirty flag keys off.
-    bool changed = false;
-  };
-
-  /// Applies one received TC (§9.5).
-  TcResult on_tc(sim::Time now, NodeId originator, std::uint16_t ansn,
-                 const std::vector<NodeId>& advertised, sim::Duration vtime);
+  /// Applies one received TC (§9.5). Returns false when the TC was stale
+  /// (older ANSN than already recorded for this originator) and ignored.
+  bool on_tc(sim::Time now, NodeId originator, std::uint16_t ansn,
+             const std::vector<NodeId>& advertised, sim::Duration vtime,
+             EdgeDelta* delta = nullptr);
 
   /// Returns true when any tuple was removed.
-  bool expire(sim::Time now);
+  bool expire(sim::Time now, EdgeDelta* delta = nullptr);
 
   /// Edges (last_hop -> dest) currently valid, sorted by (last_hop, dest).
   const std::vector<TopologyTuple>& tuples() const { return tuples_; }
@@ -69,7 +64,7 @@ class TopologySet {
 
   std::vector<TopologyTuple> tuples_;  // sorted by (last_hop, dest)
   std::vector<std::pair<NodeId, std::uint16_t>> latest_ansn_;  // sorted by id
-  std::vector<NodeId> scratch_before_;  // dest sets for change detection
+  std::vector<NodeId> scratch_before_;  // dest sets for the delta
   std::vector<NodeId> scratch_after_;
 };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -273,6 +274,56 @@ TEST(Checkpoint, RestoreRejectsTruncationAndTrailingGarbage) {
   padded.push_back(0);
   EXPECT_THROW(TrustExperiment::restore_checkpoint(config, padded),
                CheckpointError);
+}
+
+// The routing section is the one whose entries index each other: route_to
+// walks parent chains by binary search over the destinations. A crafted
+// section with mismatched lengths, unsorted or duplicate destinations, or
+// out-of-range distances and parents must be rejected at decode, not read
+// past the end of an array later (CI runs this suite under ASan too).
+TEST(Checkpoint, RestoreRejectsInconsistentRoutingSection) {
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto bytes = exp.save_checkpoint();
+
+  // Agent 0's section starts with its own id, so it occurs once.
+  const auto good = exp.network().agent(0).routes().persist();
+  ASSERT_GE(good.dests.size(), 2u);
+  const auto encode = [](const olsr::RoutingTable::Persisted& p) {
+    CheckpointWriter w;
+    faults::encode_routes(w, p);
+    return w.take();
+  };
+  const auto section = encode(good);
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), section.begin(), section.end());
+  ASSERT_NE(at, bytes.end());
+  const auto splice = [&](const olsr::RoutingTable::Persisted& p) {
+    std::vector<std::uint8_t> out(bytes.begin(), at);
+    const auto crafted = encode(p);
+    out.insert(out.end(), crafted.begin(), crafted.end());
+    out.insert(out.end(), at + static_cast<std::ptrdiff_t>(section.size()),
+               bytes.end());
+    return out;
+  };
+  EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(config, splice(good)));
+
+  auto short_dist = good;  // dist shorter than dests
+  short_dist.dist.pop_back();
+  auto unsorted = good;
+  std::swap(unsorted.dests[0], unsorted.dests[1]);
+  auto duplicate = good;
+  duplicate.dests[1] = duplicate.dests[0];
+  auto far = good;  // more hops than there are destinations
+  far.dist[0] = 1000;
+  auto orphan = good;  // a parent that is no destination
+  orphan.dist[0] = 2;
+  orphan.parent[0] = net::NodeId{999};
+  for (const auto& bad : {short_dist, unsorted, duplicate, far, orphan})
+    EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
+                 CheckpointError);
 }
 
 }  // namespace

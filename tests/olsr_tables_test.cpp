@@ -1,9 +1,10 @@
 // Unit tests for the OLSR information bases: link set, neighbor/2-hop
 // tables, topology set, duplicate set, MID/HNA sets, routing table.
 //
-// The flat-slab storage (PR 6) is additionally pinned against reference
-// map/set implementations by a randomized 50-seed equivalence suite at the
-// bottom of this file.
+// The flat-slab storage is additionally pinned against reference map/set
+// implementations, and routing on a real Agent against a naive §10
+// reference, by a randomized 50-seed equivalence suite at the bottom of
+// this file.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +13,18 @@
 #include <set>
 #include <utility>
 
+#include "faults/checkpoint.hpp"
+#include "net/medium.hpp"
+#include "olsr/agent.hpp"
 #include "olsr/assoc_sets.hpp"
 #include "olsr/duplicate_set.hpp"
 #include "olsr/link_set.hpp"
 #include "olsr/neighbor_table.hpp"
 #include "olsr/routing_table.hpp"
 #include "olsr/topology_set.hpp"
+#include "olsr/wire.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace manet::olsr {
 namespace {
@@ -26,6 +32,8 @@ namespace {
 constexpr auto kVtime = sim::Duration::from_seconds(6.0);
 
 sim::Time t(double s) { return sim::Time::from_seconds(s); }
+
+using Arcs = std::vector<std::pair<NodeId, NodeId>>;
 
 std::vector<NodeId> reach_of(const NeighborTable::Reachability& reach,
                              NodeId via) {
@@ -173,7 +181,9 @@ TEST(NeighborTable, TwoHopExpiry) {
   nt.upsert_neighbor(NodeId{1}, Willingness::kDefault, true);
   nt.set_two_hops_via(NodeId{1}, {NodeId{3}}, t(5));
   EXPECT_EQ(nt.two_hops_via(NodeId{1}).size(), 1u);
-  EXPECT_TRUE(nt.expire_two_hops(t(6)));
+  EdgeDelta delta;
+  EXPECT_TRUE(nt.expire_two_hops(t(6), &delta));
+  EXPECT_EQ(delta.removed, (Arcs{{NodeId{1}, NodeId{3}}}));
   EXPECT_TRUE(nt.two_hops_via(NodeId{1}).empty());
   // Nothing left to remove: the sweep reports no change.
   EXPECT_FALSE(nt.expire_two_hops(t(7)));
@@ -183,17 +193,29 @@ TEST(NeighborTable, SetTwoHopsReplacesOldAdvertisement) {
   NeighborTable nt;
   nt.upsert_neighbor(NodeId{1}, Willingness::kDefault, true);
   EXPECT_TRUE(nt.set_two_hops_via(NodeId{1}, {NodeId{3}, NodeId{4}}, t(100)));
-  EXPECT_TRUE(nt.set_two_hops_via(NodeId{1}, {NodeId{5}}, t(100)));
-  EXPECT_EQ(nt.two_hops_via(NodeId{1}), (std::vector<NodeId>{NodeId{5}}));
+  EdgeDelta delta;
+  EXPECT_TRUE(nt.set_two_hops_via(NodeId{1}, {NodeId{5}, NodeId{4}}, t(100),
+                                  &delta));
+  EXPECT_EQ(nt.two_hops_via(NodeId{1}),
+            (std::vector<NodeId>{NodeId{4}, NodeId{5}}));
+  EXPECT_EQ(delta.removed, (Arcs{{NodeId{1}, NodeId{3}}}));
+  EXPECT_EQ(delta.added, (Arcs{{NodeId{1}, NodeId{5}}}));
   // Same membership, fresher expiry: a refresh, not a change.
-  EXPECT_FALSE(nt.set_two_hops_via(NodeId{1}, {NodeId{5}}, t(200)));
+  delta.clear();
+  EXPECT_FALSE(nt.set_two_hops_via(NodeId{1}, {NodeId{4}, NodeId{5}}, t(200),
+                                   &delta));
+  EXPECT_TRUE(delta.removed.empty() && delta.added.empty());
   EXPECT_FALSE(nt.expire_two_hops(t(150)));  // refreshed past the old expiry
-  EXPECT_EQ(nt.two_hops_via(NodeId{1}), (std::vector<NodeId>{NodeId{5}}));
+  // Losing the neighbor drops what it advertised.
+  nt.remove_neighbor(NodeId{1}, &delta);
+  EXPECT_EQ(delta.removed,
+            (Arcs{{NodeId{1}, NodeId{4}}, {NodeId{1}, NodeId{5}}}));
+  EXPECT_TRUE(nt.two_hops_via(NodeId{1}).empty());
 }
 
 TEST(TopologySet, RecordsAndExpires) {
   TopologySet ts;
-  EXPECT_TRUE(ts.on_tc(t(0), NodeId{1}, 10, {NodeId{2}, NodeId{3}}, kVtime).applied);
+  EXPECT_TRUE(ts.on_tc(t(0), NodeId{1}, 10, {NodeId{2}, NodeId{3}}, kVtime));
   EXPECT_EQ(ts.size(), 2u);
   EXPECT_EQ(ts.advertised_by(NodeId{1}).size(), 2u);
   EXPECT_TRUE(ts.expire(t(7)));
@@ -203,28 +225,37 @@ TEST(TopologySet, RecordsAndExpires) {
 
 TEST(TopologySet, StaleAnsnRejected) {
   TopologySet ts;
-  EXPECT_TRUE(ts.on_tc(t(0), NodeId{1}, 10, {NodeId{2}}, kVtime).applied);
-  EXPECT_FALSE(ts.on_tc(t(1), NodeId{1}, 9, {NodeId{9}}, kVtime).applied);
+  EXPECT_TRUE(ts.on_tc(t(0), NodeId{1}, 10, {NodeId{2}}, kVtime));
+  EXPECT_FALSE(ts.on_tc(t(1), NodeId{1}, 9, {NodeId{9}}, kVtime));
   EXPECT_EQ(ts.advertised_by(NodeId{1}), (std::vector<NodeId>{NodeId{2}}));
 }
 
 TEST(TopologySet, NewerAnsnReplacesOlderTuples) {
   TopologySet ts;
   ts.on_tc(t(0), NodeId{1}, 10, {NodeId{2}, NodeId{3}}, kVtime);
-  const auto r = ts.on_tc(t(1), NodeId{1}, 11, {NodeId{4}}, kVtime);
-  EXPECT_TRUE(r.applied);
-  EXPECT_TRUE(r.changed);
+  EdgeDelta delta;
+  EXPECT_TRUE(ts.on_tc(t(1), NodeId{1}, 11, {NodeId{4}}, kVtime, &delta));
+  EXPECT_EQ(delta.removed,
+            (Arcs{{NodeId{1}, NodeId{2}}, {NodeId{1}, NodeId{3}}}));
+  EXPECT_EQ(delta.added, (Arcs{{NodeId{1}, NodeId{4}}}));
   EXPECT_EQ(ts.advertised_by(NodeId{1}), (std::vector<NodeId>{NodeId{4}}));
+  // Expiry reports what it removed.
+  delta.clear();
+  EXPECT_TRUE(ts.expire(t(8), &delta));
+  EXPECT_EQ(delta.removed, (Arcs{{NodeId{1}, NodeId{4}}}));
+  EXPECT_TRUE(delta.added.empty());
 }
 
 TEST(TopologySet, SteadyStateRefreshIsNotAChange) {
-  // The recompute-coalescing win: a periodic TC with a new ANSN but the
-  // same advertised set refreshes timers without dirtying routes.
+  // A periodic TC with a new ANSN but the same advertised set refreshes
+  // timers and leaves the knowledge graph (and so routing) alone.
   TopologySet ts;
   ts.on_tc(t(0), NodeId{1}, 10, {NodeId{2}, NodeId{3}}, kVtime);
-  const auto refresh = ts.on_tc(t(1), NodeId{1}, 11, {NodeId{2}, NodeId{3}}, kVtime);
-  EXPECT_TRUE(refresh.applied);
-  EXPECT_FALSE(refresh.changed);
+  EdgeDelta delta;
+  EXPECT_TRUE(ts.on_tc(t(1), NodeId{1}, 11, {NodeId{2}, NodeId{3}}, kVtime,
+                       &delta));
+  EXPECT_TRUE(delta.removed.empty());
+  EXPECT_TRUE(delta.added.empty());
   // The timers did refresh: tuples survive past the original expiry.
   EXPECT_FALSE(ts.expire(t(6.5)));
   EXPECT_EQ(ts.size(), 2u);
@@ -234,18 +265,16 @@ TEST(TopologySet, AnsnWraparound) {
   TopologySet ts;
   ts.on_tc(t(0), NodeId{1}, 65530, {NodeId{2}}, kVtime);
   // 5 is "newer" than 65530 modulo 2^16 (RFC 3626 §19).
-  const auto r = ts.on_tc(t(1), NodeId{1}, 5, {NodeId{3}}, kVtime);
-  EXPECT_TRUE(r.applied);
-  EXPECT_TRUE(r.changed);
+  EXPECT_TRUE(ts.on_tc(t(1), NodeId{1}, 5, {NodeId{3}}, kVtime));
   EXPECT_EQ(ts.advertised_by(NodeId{1}), (std::vector<NodeId>{NodeId{3}}));
   // ...and 65530 is stale relative to 5 post-wrap.
-  EXPECT_FALSE(ts.on_tc(t(2), NodeId{1}, 65530, {NodeId{9}}, kVtime).applied);
+  EXPECT_FALSE(ts.on_tc(t(2), NodeId{1}, 65530, {NodeId{9}}, kVtime));
   // Exactly half the sequence space away is treated as newer in one
   // direction only (the <= 32768 rule keeps the relation antisymmetric).
   TopologySet half;
   half.on_tc(t(0), NodeId{1}, 0, {NodeId{2}}, kVtime);
-  EXPECT_TRUE(half.on_tc(t(1), NodeId{1}, 32768, {NodeId{3}}, kVtime).applied);
-  EXPECT_FALSE(half.on_tc(t(2), NodeId{1}, 0, {NodeId{4}}, kVtime).applied);
+  EXPECT_TRUE(half.on_tc(t(1), NodeId{1}, 32768, {NodeId{3}}, kVtime));
+  EXPECT_FALSE(half.on_tc(t(2), NodeId{1}, 0, {NodeId{4}}, kVtime));
 }
 
 TEST(DuplicateSet, SeenAndForwarded) {
@@ -315,19 +344,69 @@ KnowledgeGraph line_graph(int n) {
   return g;
 }
 
-TEST(KnowledgeGraph, CsrCompaction) {
+TEST(KnowledgeGraph, ArcLeavesWithItsLastReference) {
   KnowledgeGraph g;
-  g.add_edge(NodeId{3}, NodeId{1});
-  g.add_edge(NodeId{1}, NodeId{3});  // duplicate edge compacts away
-  g.add_arc(NodeId{1}, NodeId{2});
-  EXPECT_EQ(g.nodes(), (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{3}}));
+  EXPECT_EQ(g.add_edge(NodeId{3}, NodeId{1}), 2);  // both arcs new
+  EXPECT_EQ(g.add_edge(NodeId{1}, NodeId{3}), 0);  // second source, same edge
+  EXPECT_TRUE(g.add_arc(NodeId{1}, NodeId{2}));
   EXPECT_EQ(g.arc_count(), 3u);  // 1->3, 3->1, 1->2
-  const auto from_1 = g.arcs_from(g.index_of(NodeId{1}));
-  ASSERT_EQ(from_1.size(), 2u);
-  // Adjacency ascends by target id: n2 before n3.
-  EXPECT_EQ(g.id_at(from_1[0]), NodeId{2});
-  EXPECT_EQ(g.id_at(from_1[1]), NodeId{3});
-  EXPECT_EQ(g.index_of(NodeId{9}), KnowledgeGraph::kNpos);
+  EXPECT_EQ(g.refs(NodeId{1}, NodeId{3}), 2u);
+  EXPECT_EQ(g.refs(NodeId{1}, NodeId{2}), 1u);
+  EXPECT_EQ(g.refs(NodeId{2}, NodeId{1}), 0u);
+
+  // Dropping one of two sources leaves the arc set, and the stamp, alone.
+  const auto stamp = g.stamp();
+  EXPECT_EQ(g.remove_edge(NodeId{3}, NodeId{1}), 0);
+  EXPECT_EQ(g.stamp(), stamp);
+  EXPECT_EQ(g.arc_count(), 3u);
+  EXPECT_EQ(g.remove_edge(NodeId{1}, NodeId{3}), 2);
+  EXPECT_NE(g.stamp(), stamp);
+  EXPECT_EQ(g.arcs(), (Arcs{{NodeId{1}, NodeId{2}}}));
+
+  // Absent arcs and unknown nodes: no-ops, never negative counts.
+  EXPECT_FALSE(g.remove_arc(NodeId{1}, NodeId{3}));
+  EXPECT_FALSE(g.remove_arc(NodeId{9}, NodeId{1}));
+  EXPECT_TRUE(g.add_arc(NodeId{1}, NodeId{3}));
+  EXPECT_EQ(g.refs(NodeId{1}, NodeId{3}), 1u);
+  EXPECT_EQ(g.arc_count(), 2u);
+}
+
+TEST(KnowledgeGraph, AdjacencyAscendsByTargetId) {
+  KnowledgeGraph g;
+  // Slots follow first sight; adjacency and slots_by_id follow node ids.
+  g.add_arc(NodeId{5}, NodeId{9});
+  g.add_arc(NodeId{5}, NodeId{2});
+  g.add_arc(NodeId{5}, NodeId{7});
+  std::vector<NodeId> targets;
+  for (const auto& a : g.arcs_from(g.slot_of(NodeId{5})))
+    targets.push_back(g.id_at(a.to));
+  EXPECT_EQ(targets, (std::vector<NodeId>{NodeId{2}, NodeId{7}, NodeId{9}}));
+  std::vector<NodeId> by_id;
+  for (const auto slot : g.slots_by_id()) by_id.push_back(g.id_at(slot));
+  EXPECT_EQ(by_id,
+            (std::vector<NodeId>{NodeId{2}, NodeId{5}, NodeId{7}, NodeId{9}}));
+  EXPECT_EQ(g.slot_of(NodeId{4}), KnowledgeGraph::kNpos);
+  // A slot whose arcs all left stays, with an empty adjacency.
+  g.remove_arc(NodeId{5}, NodeId{2});
+  g.remove_arc(NodeId{5}, NodeId{7});
+  g.remove_arc(NodeId{5}, NodeId{9});
+  EXPECT_EQ(g.arc_count(), 0u);
+  ASSERT_NE(g.slot_of(NodeId{5}), KnowledgeGraph::kNpos);
+  EXPECT_TRUE(g.arcs_from(g.slot_of(NodeId{5})).empty());
+}
+
+TEST(KnowledgeGraph, CopySharesStampUntilPatched) {
+  KnowledgeGraph g;
+  g.add_edge(NodeId{1}, NodeId{2});
+  auto copy = g;
+  EXPECT_EQ(copy.stamp(), g.stamp());
+  copy.add_edge(NodeId{2}, NodeId{3});
+  EXPECT_NE(copy.stamp(), g.stamp());
+  // Equal arc sets built apart never share a stamp (conservative).
+  KnowledgeGraph twin;
+  twin.add_edge(NodeId{1}, NodeId{2});
+  EXPECT_EQ(twin.arcs(), g.arcs());
+  EXPECT_NE(twin.stamp(), g.stamp());
 }
 
 TEST(RoutingTable, LineGraphDistances) {
@@ -378,20 +457,73 @@ TEST(RoutingTable, IdenticalGraphIsNoOpDiff) {
   EXPECT_EQ(rt.size(), 3u);
 }
 
-TEST(RoutingTable, IncrementalAdditionMatchesFullRebuild) {
-  // Growing the line extends reachability; the incremental path must agree
-  // with a from-scratch rebuild entry for entry.
-  RoutingTable inc;
-  inc.recompute(NodeId{0}, line_graph(4));
+TEST(RoutingTable, RerunAfterPatchMatchesFreshTable) {
+  // Patching the graph moves its stamp, so the next recompute re-runs the
+  // BFS; additions and removals alike must match a fresh table entry for
+  // entry.
   auto g = line_graph(4);
+  RoutingTable rt;
+  rt.recompute(NodeId{0}, g);
+  EXPECT_TRUE(rt.current(NodeId{0}, g));
   g.add_edge(NodeId{3}, NodeId{4});
   g.add_edge(NodeId{1}, NodeId{5});  // and a fresh branch
-  auto [added, removed] = inc.recompute(NodeId{0}, g);
+  EXPECT_FALSE(rt.current(NodeId{0}, g));
+  auto [added, removed] = rt.recompute(NodeId{0}, g);
   EXPECT_EQ(added, (std::vector<NodeId>{NodeId{4}, NodeId{5}}));
   EXPECT_TRUE(removed.empty());
-  RoutingTable full;
-  full.recompute(NodeId{0}, g);
-  EXPECT_EQ(inc.entries(), full.entries());
+  RoutingTable fresh;
+  fresh.recompute(NodeId{0}, g);
+  EXPECT_EQ(rt.entries(), fresh.entries());
+
+  g.remove_edge(NodeId{1}, NodeId{2});  // cuts n2..n4 off
+  auto [added2, removed2] = rt.recompute(NodeId{0}, g);
+  EXPECT_TRUE(added2.empty());
+  EXPECT_EQ(removed2, (std::vector<NodeId>{NodeId{2}, NodeId{3}, NodeId{4}}));
+  RoutingTable fresh2;
+  fresh2.recompute(NodeId{0}, g);
+  EXPECT_EQ(rt.entries(), fresh2.entries());
+}
+
+TEST(RoutingTable, RerunOnlyWhenStampOrSelfMoves) {
+  auto g = line_graph(3);
+  RoutingTable rt;
+  rt.recompute(NodeId{0}, g);
+  EXPECT_TRUE(rt.current(NodeId{0}, g));
+  EXPECT_TRUE(rt.current(NodeId{0}, KnowledgeGraph{g}));  // a copy
+  EXPECT_FALSE(rt.current(NodeId{1}, g));
+  // A second source for an existing edge leaves the arc set alone.
+  g.add_edge(NodeId{0}, NodeId{1});
+  EXPECT_TRUE(rt.current(NodeId{0}, g));
+  // A new root re-runs from there: n0 becomes a destination, n2 the root.
+  const auto [added, removed] = rt.recompute(NodeId{2}, g);
+  EXPECT_EQ(added, (std::vector<NodeId>{NodeId{0}}));
+  EXPECT_EQ(removed, (std::vector<NodeId>{NodeId{2}}));
+  EXPECT_EQ(rt.route_to(NodeId{0})->distance, 2);
+}
+
+TEST(RoutingTable, NextHopIsTheBfsFirstParent) {
+  // Diamond 0-1-3, 0-2-3 (+ 0-4-3): BFS dequeues n1 first, so n1 is n3's
+  // parent and next hop.
+  KnowledgeGraph g;
+  g.add_edge(NodeId{0}, NodeId{4});
+  g.add_edge(NodeId{0}, NodeId{2});
+  g.add_edge(NodeId{0}, NodeId{1});
+  g.add_edge(NodeId{4}, NodeId{3});
+  g.add_edge(NodeId{2}, NodeId{3});
+  g.add_edge(NodeId{1}, NodeId{3});
+  RoutingTable rt;
+  rt.recompute(NodeId{0}, g);
+  const auto e = rt.route_to(NodeId{3});
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->next_hop, NodeId{1});
+  EXPECT_EQ(e->distance, 2);
+  // Restored routes answer queries, but the next recompute re-runs.
+  RoutingTable restored;
+  restored.restore(rt.persist());
+  EXPECT_EQ(restored.entries(), rt.entries());
+  EXPECT_EQ(*restored.path_to(NodeId{3}),
+            (std::vector<NodeId>{NodeId{1}, NodeId{3}}));
+  EXPECT_FALSE(restored.current(NodeId{0}, g));
 }
 
 TEST(RoutingTable, ShortestPathAvoidsNodes) {
@@ -640,62 +772,147 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
   }
 }
 
+// Routing on a real Agent against the spec (§10): a random script of
+// HELLO-driven 2-hop churn, TC ANSN churn, expiry, link lapse by time,
+// reset_tables and a checkpoint save/restore. After every step the live
+// graph must equal the §10 union rebuilt from the tables, and the routes a
+// naive std::map BFS over that union (FIFO queue, neighbors ascending):
+// same destinations, distances, and next hop = first hop of the BFS-first
+// parent chain. (The name is kept so the 50 seeded cases keep their ids.)
 TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
-  // Evolve one RoutingTable through a random mix of edge additions (the
-  // incremental fast path) and removals (full-rebuild fallback); at every
-  // step a from-scratch table over the same graph must agree exactly.
-  sim::Rng rng{GetParam()};
   const NodeId self{0};
-  const std::uint32_t n = 12;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> edges;
-  auto build = [&] {
-    KnowledgeGraph g;
-    for (const auto& [a, b] : edges) g.add_edge(NodeId{a}, NodeId{b});
-    return g;
+  constexpr std::uint32_t kPuppets = 5;  // n1..n5 transmit; n6..n10 are far
+  constexpr std::uint32_t kIds = 11;
+  sim::Rng rng{GetParam()};
+  sim::Simulator sim{GetParam()};
+  net::Medium medium{sim, net::RadioConfig{}};
+  for (std::uint32_t p = 1; p <= kPuppets; ++p)
+    medium.attach(NodeId{p}, net::Position{10.0 * p, 0.0});
+  Agent agent{sim, medium, self, Agent::Config{}};
+  agent.start();
+
+  std::uint16_t seq = 1;
+  std::map<NodeId, std::uint16_t> ansn;
+  auto random_ids = [&](NodeId except) {
+    std::vector<NodeId> out;
+    for (std::uint32_t i = 0; i < kIds; ++i)
+      if (NodeId{i} != except && rng.uniform_int(0, 2) == 0)
+        out.push_back(NodeId{i});
+    return out;
   };
-  RoutingTable evolving;
-  for (int step = 0; step < 60; ++step) {
-    const bool remove = !edges.empty() && rng.uniform_int(0, 3) == 0;
-    if (remove) {
-      auto it = edges.begin();
-      std::advance(it, static_cast<long>(
-                           rng.uniform_int(0, static_cast<int>(edges.size()) - 1)));
-      edges.erase(it);
-    } else {
-      const auto a = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
-      const auto b = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
-      if (a == b) continue;
-      edges.insert({std::min(a, b), std::max(a, b)});
-    }
-    const auto g = build();
-    const auto [added, removed_dests] = evolving.recompute(self, g);
-    RoutingTable fresh;
-    fresh.recompute(self, g);
-    // Destinations and distances are the contract; the next-hop parent
-    // tie-break may differ between the incremental relaxation and a BFS
-    // (it is not trace-observable), but must still be a real neighbor.
-    auto key_view = [](const RoutingTable& rt) {
-      std::vector<std::pair<NodeId, int>> v;
-      for (const auto& e : rt.entries()) v.emplace_back(e.dest, e.distance);
-      return v;
+  auto inject = [&](NodeId transmitter, Message m) {
+    m.header.seq_num = seq++;
+    OlsrPacket packet;
+    packet.seq_num = seq++;
+    packet.messages.push_back(std::move(m));
+    medium.broadcast(transmitter, serialize_packet(packet));
+  };
+  auto vtime = [&] {
+    return sim::Duration::from_ms(rng.uniform_int(1500, 7000));
+  };
+  auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
+    return NodeId{static_cast<std::uint32_t>(rng.uniform_int(lo, hi))};
+  };
+
+  auto check = [&](int step) {
+    const auto now = sim.now();
+    std::set<std::pair<NodeId, NodeId>> spec;
+    auto edge = [&](NodeId a, NodeId b) {
+      if (a == self || b == self) return;  // only links touch self
+      spec.insert({a, b});
+      spec.insert({b, a});
     };
-    ASSERT_EQ(key_view(evolving), key_view(fresh)) << "step " << step;
-    const auto entries = evolving.entries();
-    const auto self_arcs =
-        entries.empty() ? std::span<const std::uint32_t>{}
-                        : g.arcs_from(g.index_of(self));
-    for (const auto& e : entries) {
-      const auto hop_idx = g.index_of(e.next_hop);
-      ASSERT_TRUE(e.distance == 1
-                      ? e.next_hop == e.dest
-                      : std::find(self_arcs.begin(), self_arcs.end(),
-                                  hop_idx) != self_arcs.end())
-          << "step " << step;
+    for (const auto n : agent.links().symmetric_neighbors(now)) {
+      spec.insert({self, n});
+      spec.insert({n, self});
     }
-    // The diff must be consistent: every added dest routable, every removed
-    // dest not.
-    for (auto d : added) ASSERT_TRUE(evolving.route_to(d).has_value());
-    for (auto d : removed_dests) ASSERT_FALSE(evolving.route_to(d).has_value());
+    for (const auto& t : agent.neighbors().two_hop_tuples())
+      edge(t.via, t.two_hop);
+    for (const auto& t : agent.topology().tuples()) edge(t.last_hop, t.dest);
+    ASSERT_EQ(agent.knowledge_graph().arcs(), Arcs(spec.begin(), spec.end()))
+        << "step " << step;
+
+    std::map<NodeId, std::set<NodeId>> adj;
+    for (const auto& [a, b] : spec) adj[a].insert(b);
+    std::map<NodeId, int> dist{{self, 0}};
+    std::map<NodeId, NodeId> parent;
+    std::vector<NodeId> queue{self};
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto u = queue[head];
+      for (const auto v : adj[u]) {
+        if (dist.contains(v)) continue;
+        dist[v] = dist[u] + 1;
+        parent[v] = u;
+        queue.push_back(v);
+      }
+    }
+    std::vector<RoutingTable::Entry> expected;
+    for (const auto& [dest, d] : dist) {
+      if (dest == self) continue;
+      NodeId hop = dest;
+      while (parent[hop] != self) hop = parent[hop];
+      expected.push_back({dest, hop, d});
+    }
+    ASSERT_EQ(agent.routes().entries(), expected) << "step " << step;
+  };
+
+  // Steps start on housekeeping ticks (every 500 ms from t=0, jitter-free)
+  // and end on one, so the routes the check reads were computed at now.
+  for (int step = 0; step < 60; ++step) {
+    const auto op = rng.uniform_int(0, 24);
+    if (op < 12) {
+      // HELLO: lists us (-> symmetric link) or not, with a random
+      // advertised symmetric set (-> 2-hop churn; n0 is skipped).
+      const NodeId from = pick(1, kPuppets);
+      HelloMessage h;
+      if (rng.uniform_int(0, 3) > 0)
+        h.add(LinkType::kSym, NeighborType::kSymNeigh, self);
+      for (const auto n : random_ids(from))
+        if (n != self) h.add(LinkType::kSym, NeighborType::kSymNeigh, n);
+      Message m;
+      m.header.type = MessageType::kHello;
+      m.header.vtime = vtime();
+      m.header.originator = from;
+      m.header.ttl = 1;
+      m.body = h;
+      inject(from, std::move(m));
+    } else if (op < 22) {
+      // TC from any originator relayed by a puppet; ANSNs mostly advance,
+      // sometimes repeat or go stale (ignored).
+      const NodeId via = pick(1, kPuppets);
+      const NodeId origin = pick(1, kIds - 1);
+      auto& a = ansn[origin];
+      a = static_cast<std::uint16_t>(a + rng.uniform_int(-1, 2));
+      TcMessage tc;
+      tc.ansn = a;
+      tc.advertised = random_ids(origin);
+      Message m;
+      m.header.type = MessageType::kTc;
+      m.header.vtime = vtime();
+      m.header.originator = origin;
+      m.header.ttl = 8;
+      m.header.hop_count = origin == via ? 0 : 1;
+      m.body = tc;
+      inject(via, std::move(m));
+    } else if (op == 22) {
+      agent.stop();
+      agent.reset_tables();
+      agent.start();
+    } else {
+      // Save and restore in place: tables and routes come back from bytes
+      // and the graph is rebuilt from the restored tables.
+      faults::CheckpointWriter w;
+      faults::encode_agent(w, agent);
+      const auto bytes = w.take();
+      faults::CheckpointReader r{bytes};
+      faults::decode_agent(r, agent);
+      ASSERT_TRUE(r.at_end());
+      check(step);
+    }
+    const auto ticks = rng.uniform_int(0, 5) == 0 ? rng.uniform_int(6, 20)
+                                                  : rng.uniform_int(1, 3);
+    sim.run_until(sim.now() + sim::Duration::from_ms(500 * ticks));
+    check(step);
   }
 }
 

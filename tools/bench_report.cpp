@@ -1,6 +1,7 @@
 // Runs the perf-gauge micro benchmarks — medium broadcast rounds (spatial
 // grid + per-cell receiver snapshots, sparse and dense), event-queue
-// churn, MPR selection and link-set scans, routing recompute (full rebuild, identical-graph refresh and edge-addition churn), wire
+// churn, MPR selection and link-set scans, knowledge-graph patching and
+// the routing BFS, wire
 // round-trip, the flat-slab trust store at >= 10k subjects, and the psim
 // sharded-engine gauges (full-stack slabs, synthetic window throughput,
 // serial-fraction counters), and the fault-subsystem checkpoint codec
@@ -10,7 +11,7 @@
 // grayhole detection round), and the observability-layer gauges (disabled
 // and enabled counter record, span record, registry snapshot) — with
 // repeated runs and median aggregates, and
-// writes the results to BENCH_10.json: the current point of this repo's
+// writes the results to BENCH_13.json: the current point of this repo's
 // recorded perf trajectory (see docs/BENCHMARKING.md for the whole series
 // and its comparability rules; tools/bench_diff.py prints median deltas
 // between consecutive BENCH_N files).
@@ -27,13 +28,14 @@
 int main(int argc, char** argv) {
   std::vector<std::string> args = {
       argv[0],
-      "--benchmark_out=BENCH_10.json",
+      "--benchmark_out=BENCH_13.json",
       "--benchmark_out_format=json",
       "--benchmark_repetitions=5",
       "--benchmark_report_aggregates_only=true",
       "--benchmark_filter=BM_MediumBroadcast|BM_EventQueueChurn|"
       "BM_MprSelection|BM_HelloSerializeParse|BM_LinkSetScan|"
-      "BM_RoutingRecompute|BM_SequentialSlab|BM_ShardedSlab|"
+      "BM_RoutingRecompute|BM_KnowledgeGraphPatch|"
+      "BM_SequentialSlab|BM_ShardedSlab|"
       "BM_SequentialWindows|BM_ShardedWindows|"
       "BM_TrustUpdateLarge|BM_TrustDecayAllLarge|"
       "BM_CheckpointSave|BM_CheckpointRestore|"

@@ -14,6 +14,10 @@ Validates a metrics file emitted by `manet_experiments --metrics` or
    `_count`) plus `_sum` and `_count`.
 4. Manifest: at least `tool` and `version` keys when any manifest line is
    present (the CLIs always stamp one).
+5. Work vs outcome: a `*_runs_total` work counter is never below the
+   `*_recomputes_total` outcome counter it pairs with (only a run can
+   change a result), e.g. manet_olsr_route_runs_total >=
+   manet_olsr_route_recomputes_total.
 
 Usage:  check_metrics.py FILE...       lint one or more exposition files
         check_metrics.py --selftest    run the built-in fixture checks
@@ -33,6 +37,11 @@ SAMPLE_RE = re.compile(
     r"(?:\{([^}]*)\})?"                  # optional label set
     r" (\S+)$")                          # value
 LABEL_RE = re.compile(r'^le="([^"]*)"$')
+# Work counter -> the outcome counter it bounds from above.
+RUNS_BOUND = {
+    "manet_olsr_route_runs_total": "manet_olsr_route_recomputes_total",
+    "manet_olsr_mpr_runs_total": "manet_olsr_mpr_recomputes_total",
+}
 
 
 def parse_le(text):
@@ -49,6 +58,7 @@ def lint_text(text, where="metrics"):
     buckets = {}
     hist_sum = set()
     hist_count = {}
+    counters = {}       # unlabelled counter samples, for rule 5
 
     def base_of(name):
         for suffix in ("_bucket", "_sum", "_count"):
@@ -102,6 +112,8 @@ def lint_text(text, where="metrics"):
             continue
 
         if kind == "counter":
+            if not labels:
+                counters[name] = number
             if not base.endswith("_total"):
                 findings.append(f"{loc}: counter {base} should end in _total")
             if number < 0 or number != int(number):
@@ -152,6 +164,13 @@ def lint_text(text, where="metrics"):
         if kind == "histogram" and base not in buckets:
             findings.append(f"{where}: histogram {base} has no buckets")
 
+    for runs, outcome in sorted(RUNS_BOUND.items()):
+        if runs in counters and outcome in counters and (
+                counters[runs] < counters[outcome]):
+            findings.append(
+                f"{where}: {runs} {counters[runs]:g} < {outcome} "
+                f"{counters[outcome]:g} (work below outcome)")
+
     if seen_manifest:
         for key in ("tool", "version"):
             if key not in manifest:
@@ -165,6 +184,12 @@ GOOD = """\
 # manifest seeds=2
 # TYPE manet_pipeline_lines_total counter
 manet_pipeline_lines_total 336
+# TYPE manet_olsr_route_recomputes_total counter
+manet_olsr_route_recomputes_total 1718
+# TYPE manet_olsr_route_runs_total counter
+manet_olsr_route_runs_total 5875
+# TYPE manet_olsr_graph_arc_updates_total counter
+manet_olsr_graph_arc_updates_total 41020
 # TYPE manet_replication_rounds gauge
 manet_replication_rounds 4
 # TYPE manet_round_detect histogram
@@ -200,6 +225,12 @@ BAD_CASES = [
      "# manifest tool=x\n# TYPE manet_x_total counter\nmanet_x_total 0\n",
      "version"),
     ("garbage line", "!!!\n", "malformed"),
+    ("runs below outcome",
+     "# TYPE manet_olsr_mpr_recomputes_total counter\n"
+     "manet_olsr_mpr_recomputes_total 9\n"
+     "# TYPE manet_olsr_mpr_runs_total counter\n"
+     "manet_olsr_mpr_runs_total 4\n",
+     "work below outcome"),
 ]
 
 

@@ -49,9 +49,9 @@ presets (override the grid; --seeds still applies)
   --sweep table-a       liar-ratio accuracy sweep (fractions 0,0.15,0.3,0.45)
   --sweep fig3          Fig. 3 liar trajectory (fractions 0.07,0.29,0.43, 25 rounds)
   --sweep scale-256     paper-plus scale: 256 nodes, fractions 0,0.25, 6 rounds
-                        (minutes per replication -- use --threads 0 on a real host)
+                        (~30 s per replication on one core)
   --sweep scale-1024    1024 nodes, fraction 0.25, 3 rounds (a long-haul run:
-                        tens of minutes per replication, meant for multicore hosts)
+                        ~18 min and ~4.7 GB per replication on one core)
   --sweep chaos         graceful-degradation run: 16 nodes, fraction 0.25,
                         12 rounds, per-seed chaos fault plans (node churn,
                         brown-out, netsplit); pair with --degradation
