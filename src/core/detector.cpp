@@ -111,25 +111,25 @@ bool Detector::in_cooldown(NodeId suspect, NodeId subject) const {
 
 std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
   // Log-derived: the freshest HELLO heard from the suspect names its
-  // advertised neighbors; any node whose HELLO lists the suspect is also a
-  // believed neighbor. Falls back to the 2-hop table exposed via logs.
-  std::set<NodeId> out;
-  const auto hellos = agent_.log().records_with_event("hello_recv");
-  std::map<NodeId, std::vector<NodeId>> latest_sym;
-  for (const auto& rec : hellos)
-    latest_sym[rec.node_field("from")] = rec.node_list_field("sym");
-
-  auto it = latest_sym.find(suspect);
-  if (it != latest_sym.end())
-    for (auto n : it->second) out.insert(n);
-  for (const auto& [from, sym] : latest_sym) {
-    if (from == suspect) continue;
-    if (std::find(sym.begin(), sym.end(), suspect) != sym.end())
-      out.insert(from);
-  }
-  out.erase(agent_.id());
-  out.erase(suspect);
-  return {out.begin(), out.end()};
+  // advertised neighbors; any node whose freshest HELLO lists the suspect
+  // is also a believed neighbor.
+  const auto& index = investigations_.log_index();
+  std::vector<NodeId> out;
+  if (const auto* claim = index.newest_hello(suspect))
+    logging::for_each_listed(LogIndex::sym(*claim), [&out](NodeId n) {
+      out.push_back(n);
+      return true;
+    });
+  index.for_each_newest_hello(
+      [&](NodeId from, const logging::LogRecord& hello) {
+        if (from != suspect && LogIndex::lists(hello, suspect))
+          out.push_back(from);
+        return true;
+      });
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::erase_if(out, [&](NodeId n) { return n == agent_.id() || n == suspect; });
+  return out;
 }
 
 std::size_t Detector::scan_once() {
@@ -291,47 +291,34 @@ void Detector::process_records(const std::vector<logging::LogRecord>& records,
 
 std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
                                                   std::size_t max_links) const {
-  // Freshest advertised neighbor list of the suspect, plus per-origin
-  // latest HELLO contents — all from the local log.
-  const auto hellos = agent_.log().records_with_event("hello_recv");
-  std::map<NodeId, std::vector<NodeId>> latest_sym;
-  for (const auto& rec : hellos)
-    latest_sym[rec.node_field("from")] = rec.node_list_field("sym");
+  // The suspect's freshest advertised neighbor list, checked against the
+  // other originators' freshest HELLOs and the TCs — all from the local log.
+  const auto& index = investigations_.log_index();
+  const auto* claim = index.newest_hello(suspect);
+  if (!claim) return {};
 
-  auto it = latest_sym.find(suspect);
-  if (it == latest_sym.end()) return {};
-
-  // Nodes independently evidenced: heard directly, originated a TC, were
-  // advertised in a TC, or listed by a third party's HELLO.
-  std::set<NodeId> independent;
-  for (const auto& [from, sym] : latest_sym) {
-    independent.insert(from);
-    if (from == suspect) continue;
-    independent.insert(sym.begin(), sym.end());
-  }
-  for (const auto& rec : agent_.log().records_with_event("tc_recv")) {
-    independent.insert(rec.node_field("orig"));
-    if (rec.node_field("orig") == suspect) continue;
-    const auto adv = rec.node_list_field("adv");
-    independent.insert(adv.begin(), adv.end());
-  }
+  // Evidence for a node never heard directly: it originated a TC, was
+  // advertised in another node's TC, or is listed by a third party's
+  // freshest HELLO.
+  const auto independent = [&](NodeId x) {
+    return index.tc_originated(x) || index.tc_advertised_by_other(x, suspect) ||
+           !index.for_each_newest_hello(
+               [&](NodeId from, const logging::LogRecord& hello) {
+                 return from == suspect || !LogIndex::lists(hello, x);
+               });
+  };
 
   std::vector<NodeId> disputed;
-  for (auto x : it->second) {
-    if (disputed.size() >= max_links) break;
-    if (x == agent_.id()) continue;
-    // Uncorroborated neighbor: nobody but the suspect has ever mentioned x.
-    if (!independent.contains(x)) {
-      disputed.push_back(x);
-      continue;
-    }
+  logging::for_each_listed(LogIndex::sym(*claim), [&](NodeId x) {
+    if (disputed.size() >= max_links) return false;
+    if (x == agent_.id()) return true;
+    const auto* own = index.newest_hello(x);
     // Contradicted neighbor: x's own freshest HELLO omits the suspect.
-    auto xh = latest_sym.find(x);
-    if (xh != latest_sym.end() &&
-        std::find(xh->second.begin(), xh->second.end(), suspect) ==
-            xh->second.end())
+    // Uncorroborated neighbor: nobody but the suspect has mentioned x.
+    if (own ? !LogIndex::lists(*own, suspect) : !independent(x))
       disputed.push_back(x);
-  }
+    return true;
+  });
   return disputed;
 }
 

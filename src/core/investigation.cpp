@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "logging/format.hpp"
 #include "obs/obs.hpp"
 
 namespace manet::core {
@@ -95,7 +94,11 @@ InvestigationManager::InvestigationManager(sim::Engine& sim,
                                            olsr::Agent& agent,
                                            InvestigationConfig config,
                                            AnswerPolicy policy)
-    : sim_{sim}, agent_{agent}, config_{config}, policy_{policy} {
+    : sim_{sim},
+      agent_{agent},
+      config_{config},
+      policy_{policy},
+      index_{agent.log()} {
   agent_.set_data_handler(
       [this](const olsr::DataMessage& message) { on_data(message); });
 }
@@ -113,17 +116,19 @@ void InvestigationManager::on_data(const olsr::DataMessage& message) {
   }
 }
 
-double InvestigationManager::honest_observation(const LinkQuery& query) const {
+double InvestigationManager::honest_observation(const LinkQuery& query) {
   const auto now = sim_.now();
+  const auto& index = log_index();
+  const auto fresh = [&](sim::Time at) {
+    return !(now - at > config_.hello_freshness);
+  };
 
   if (query.kind == QueryKind::kForwarding) {
     // Did we select the suspect as MPR, and did it retransmit our messages?
     if (!agent_.is_mpr(query.suspect)) return 0.0;
-    for (const auto& rec : agent_.log().records_with_event("own_fwd_heard")) {
-      if (now - rec.time > config_.hello_freshness) continue;
-      if (rec.node_field("by") == query.suspect) return +1.0;
-    }
-    return -1.0;  // our MPR, but no forward observed recently
+    const auto echo = index.newest_fwd_echo(query.suspect);
+    // Our MPR, but no forward observed recently: -1.
+    return echo && fresh(*echo) ? +1.0 : -1.0;
   }
 
   // kLinkStatus: is the link suspect-subject up? Evidence must come from
@@ -144,43 +149,23 @@ double InvestigationManager::honest_observation(const LinkQuery& query) const {
   // subject tells us whether it considers the suspect a neighbor; if it
   // does, the suspect's freshest HELLO must reciprocate for the link to be
   // symmetric (a one-sided listing is not an up link).
-  const auto hellos = agent_.log().records_with_event("hello_recv");
-  for (auto it = hellos.rbegin(); it != hellos.rend(); ++it) {
-    if (now - it->time > config_.hello_freshness) break;  // older only
-    if (it->node_field("from") != query.subject) continue;
-    const auto sym = it->node_list_field("sym");
-    const bool subject_lists =
-        std::find(sym.begin(), sym.end(), query.suspect) != sym.end();
-    if (!subject_lists) return -1.0;
-    for (auto jt = hellos.rbegin(); jt != hellos.rend(); ++jt) {
-      if (now - jt->time > config_.hello_freshness) break;
-      if (jt->node_field("from") != query.suspect) continue;
-      const auto ssym = jt->node_list_field("sym");
-      const bool reciprocated =
-          std::find(ssym.begin(), ssym.end(), query.subject) != ssym.end();
-      return reciprocated ? +1.0 : -1.0;
-    }
-    return +1.0;  // subject vouches; suspect unheard locally
+  const auto* subject_hello = index.newest_hello(query.subject);
+  if (subject_hello && fresh(subject_hello->time)) {
+    if (!LogIndex::lists(*subject_hello, query.suspect)) return -1.0;
+    const auto* suspect_hello = index.newest_hello(query.suspect);
+    if (!suspect_hello || !fresh(suspect_hello->time))
+      return +1.0;  // subject vouches; suspect unheard locally
+    return LogIndex::lists(*suspect_hello, query.subject) ? +1.0 : -1.0;
   }
 
   // Never heard the subject directly. Look for evidence of its existence
   // that does NOT trace back to the suspect itself: a TC it originated, a
   // TC advertising it, or a HELLO from a third node listing it. If no
   // independent trace exists, the advertised link points at a phantom.
-  for (const auto& rec : agent_.log().records_with_event("tc_recv")) {
-    if (rec.node_field("orig") == query.subject) return 0.0;
-    const auto adv = rec.node_list_field("adv");
-    if (rec.node_field("orig") != query.suspect &&
-        std::find(adv.begin(), adv.end(), query.subject) != adv.end())
-      return 0.0;
-  }
-  for (auto it = hellos.rbegin(); it != hellos.rend(); ++it) {
-    const auto from = it->node_field("from");
-    if (from == query.suspect || from == query.subject) continue;
-    const auto sym = it->node_list_field("sym");
-    if (std::find(sym.begin(), sym.end(), query.subject) != sym.end())
-      return 0.0;  // a third party vouches the subject exists
-  }
+  if (index.tc_originated(query.subject) ||
+      index.tc_advertised_by_other(query.subject, query.suspect) ||
+      index.hello_listed_by_other(query.subject, query.suspect, query.subject))
+    return 0.0;
   return -1.0;
 }
 

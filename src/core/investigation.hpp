@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/log_index.hpp"
 #include "olsr/agent.hpp"
 #include "sim/rng.hpp"
 #include "sim/timer.hpp"
@@ -113,8 +114,15 @@ class InvestigationManager {
                    RoundCallback done);
 
   /// The honest observation this node would give for a query (exposed for
-  /// tests; the responder path uses it).
-  double honest_observation(const LinkQuery& query) const;
+  /// tests; the responder path uses it). Read from the log index.
+  double honest_observation(const LinkQuery& query);
+
+  /// This node's audit-log index, caught up with the log (the detector's
+  /// neighborhood queries read it too).
+  const LogIndex& log_index() {
+    index_.sync();
+    return index_;
+  }
 
   const InvestigationStats& stats() const { return stats_; }
   std::size_t outstanding() const { return outstanding_.size(); }
@@ -127,7 +135,8 @@ class InvestigationManager {
   /// Checkpoint surface: investigation ids are monotonic, so a restored run
   /// must keep issuing the exact id sequence; stats ride along. Only valid
   /// between rounds (no outstanding investigations — the harness
-  /// checkpoints after every round callback has fired).
+  /// checkpoints after every round callback has fired). The log index is
+  /// not part of it: it is rebuilt from the restored log.
   std::uint32_t next_id() const { return next_id_; }
   void restore_ids(std::uint32_t next_id, const InvestigationStats& stats) {
     if (!outstanding_.empty())
@@ -135,6 +144,7 @@ class InvestigationManager {
           "cannot restore with outstanding investigations"};
     next_id_ = next_id;
     stats_ = stats;
+    index_.reset();
   }
 
  private:
@@ -167,6 +177,7 @@ class InvestigationManager {
   std::map<std::uint32_t, Outstanding> outstanding_;
   InvestigationStats stats_;
   Fallback fallback_;
+  LogIndex index_;
 };
 
 }  // namespace manet::core

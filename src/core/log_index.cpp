@@ -1,0 +1,144 @@
+#include "core/log_index.hpp"
+
+#include <algorithm>
+
+#include "obs/obs.hpp"
+
+namespace manet::core {
+namespace {
+
+/// lower_bound over a slab of node-keyed pairs.
+template <typename Slab>
+auto slab_find(Slab& slab, NodeId node) {
+  return std::lower_bound(
+      slab.begin(), slab.end(), node,
+      [](const auto& entry, NodeId n) { return entry.first < n; });
+}
+
+/// The entry of `node`, inserted value-initialized when absent.
+template <typename Slab>
+auto& slab_entry(Slab& slab, NodeId node) {
+  auto it = slab_find(slab, node);
+  if (it == slab.end() || it->first != node) it = slab.insert(it, {node, {}});
+  return it->second;
+}
+
+template <typename Slab>
+const auto* slab_get(const Slab& slab, NodeId node) {
+  const auto it = slab_find(slab, node);
+  return it == slab.end() || it->first != node ? nullptr : &it->second;
+}
+
+void parse_list(std::string_view list, std::vector<NodeId>& out) {
+  out.clear();
+  logging::for_each_listed(list, [&out](NodeId id) {
+    out.push_back(id);
+    return true;
+  });
+}
+
+}  // namespace
+
+template <std::size_t K>
+void LogIndex::Witnesses<K>::add(NodeId id) {
+  if (count == K || std::find(ids.begin(), ids.begin() + count, id) !=
+                        ids.begin() + count)
+    return;
+  ids[count++] = id;
+}
+
+template <std::size_t K>
+bool LogIndex::Witnesses<K>::any_outside(NodeId a, NodeId b) const {
+  return std::any_of(ids.begin(), ids.begin() + count,
+                     [&](NodeId id) { return id != a && id != b; });
+}
+
+void LogIndex::sync() {
+  const auto& log = *log_;
+  // Retention dropped a record the slabs count: they no longer describe
+  // the retained window, so re-read it from its start.
+  if (oldest_ && log.base_index() > *oldest_) {
+    reset();
+    obs::hit(obs::Hot::kLogIndexRestarts);
+  }
+  next_ = std::max(next_, log.base_index());
+  for (; next_ < log.total_appended(); ++next_) {
+    if (!index(record_at(next_), next_)) continue;
+    obs::hit(obs::Hot::kLogRecordsIndexed);
+    if (!oldest_) oldest_ = next_;
+  }
+}
+
+void LogIndex::reset() { *this = LogIndex{*log_}; }
+
+bool LogIndex::index(const logging::LogRecord& record, std::uint64_t at) {
+  if (record.event == "hello_recv") {
+    index_hello(record, at);
+  } else if (record.event == "tc_recv") {
+    index_tc(record);
+  } else if (record.event == "own_fwd_heard") {
+    const auto by = record.node_field("by");
+    slab_entry(echoes_, by) = record.time;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+void LogIndex::index_hello(const logging::LogRecord& record,
+                           std::uint64_t at) {
+  const auto from = record.node_field("from");
+  const auto list = record.field_or_throw("sym");
+  const auto newest = slab_find(hellos_, from);
+  const bool known = newest != hellos_.end() && newest->first == from;
+  // A HELLO repeating its originator's previous list names nobody new
+  // (and that list already parsed cleanly).
+  if (!known || sym(record_at(newest->second)) != list) {
+    parse_list(list, scratch_);
+    for (const auto node : scratch_) slab_entry(listers_, node).add(from);
+  }
+  if (known) {
+    newest->second = at;
+  } else {
+    hellos_.insert(newest, {from, at});
+  }
+}
+
+void LogIndex::index_tc(const logging::LogRecord& record) {
+  const auto orig = record.node_field("orig");
+  parse_list(record.field_or_throw("adv"), scratch_);
+  const auto it = std::lower_bound(tc_origins_.begin(), tc_origins_.end(), orig);
+  if (it == tc_origins_.end() || *it != orig) tc_origins_.insert(it, orig);
+  for (const auto node : scratch_) slab_entry(advertisers_, node).add(orig);
+}
+
+const logging::LogRecord* LogIndex::newest_hello(NodeId from) const {
+  const auto* at = slab_get(hellos_, from);
+  return at ? &record_at(*at) : nullptr;
+}
+
+bool LogIndex::lists(const logging::LogRecord& hello, NodeId node) {
+  return !logging::for_each_listed(sym(hello),
+                                   [node](NodeId id) { return id != node; });
+}
+
+bool LogIndex::hello_listed_by_other(NodeId node, NodeId a, NodeId b) const {
+  const auto* by = slab_get(listers_, node);
+  return by && by->any_outside(a, b);
+}
+
+bool LogIndex::tc_originated(NodeId node) const {
+  return std::binary_search(tc_origins_.begin(), tc_origins_.end(), node);
+}
+
+bool LogIndex::tc_advertised_by_other(NodeId node, NodeId except) const {
+  const auto* by = slab_get(advertisers_, node);
+  return by && by->any_outside(except, except);
+}
+
+std::optional<sim::Time> LogIndex::newest_fwd_echo(NodeId mpr) const {
+  const auto* at = slab_get(echoes_, mpr);
+  return at ? std::optional{*at} : std::nullopt;
+}
+
+}  // namespace manet::core

@@ -71,11 +71,9 @@ Signature link_omission_signature(sim::Duration window) {
     // not fire the signature.
     const auto i_sym = sym_list(from_i);
     if (std::find(i_sym.begin(), i_sym.end(), x) != i_sym.end()) return false;
-    if (auto asym = from_i.field("asym")) {
-      for (const auto& part : logging::split_list(*asym))
-        if (net::NodeId::parse(part) == x) return false;
-    }
-    return true;
+    const auto asym = from_i.field("asym");
+    return !asym || logging::for_each_listed(
+                        *asym, [x](net::NodeId n) { return n != x; });
   };
   return sig;
 }

@@ -119,6 +119,9 @@ void decode_log(CheckpointReader& r, logging::LogStore& log) {
   for (std::size_t i = 0; i < n; ++i) {
     logging::LogRecord rec;
     rec.time = r.time();
+    // The log's readers take the newest record as the freshest.
+    if (!records.empty() && rec.time < records.back().time)
+      throw CheckpointError{"log record times go backwards"};
     rec.node = r.node();
     rec.event = r.str();
     const std::size_t nf = r.count();
@@ -132,6 +135,9 @@ void decode_log(CheckpointReader& r, logging::LogStore& log) {
   }
   const auto total = r.u64();
   const auto dropped = r.u64();
+  // Otherwise base_index() wraps and every cursor reader silently stops.
+  if (total != records.size() + dropped)
+    throw CheckpointError{"log counters disagree with its records"};
   log.restore(std::move(records), total, dropped);
 }
 

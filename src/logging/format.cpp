@@ -70,7 +70,7 @@ LogRecord parse_record(std::string_view line) {
       rec.time = parse_time(value);
       have_t = true;
     } else if (key == "node") {
-      rec.node = net::NodeId::parse(std::string{value});
+      rec.node = net::NodeId::parse(value);
       have_node = true;
     } else if (key == "event") {
       rec.event = std::string{value};

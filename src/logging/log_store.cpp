@@ -25,14 +25,6 @@ std::vector<LogRecord> LogStore::records_since(sim::Time since) const {
   return {it, records_.end()};
 }
 
-std::vector<LogRecord> LogStore::records_with_event(
-    const std::string& event) const {
-  std::vector<LogRecord> out;
-  for (const auto& r : records_)
-    if (r.event == event) out.push_back(r);
-  return out;
-}
-
 std::string LogStore::text_since(sim::Time since) const {
   std::string out;
   for (const auto& r : records_since(since)) {

@@ -12,8 +12,11 @@ namespace manet::logging {
 class AuditWriter;
 
 /// Append-only audit log of one node's routing daemon, with bounded
-/// retention. The IDS reads it through `text_since` + the parser — i.e.
-/// through the same text round-trip a real log file would impose.
+/// retention. The IDS reads it in two ways: the signature scan re-reads
+/// each growth as text (`text_since` + the parser, the round-trip a real
+/// log file would impose), and cursor readers — the detector's pipeline
+/// feed and the investigations' core::LogIndex — walk the new records by
+/// absolute index (`base_index`, `at`).
 class LogStore {
  public:
   explicit LogStore(std::size_t max_records = 100'000)
@@ -26,9 +29,6 @@ class LogStore {
 
   /// Records with time >= since (they are appended in time order).
   std::vector<LogRecord> records_since(sim::Time since) const;
-
-  /// Records matching an event name, newest last.
-  std::vector<LogRecord> records_with_event(const std::string& event) const;
 
   /// The formatted text of all records with time >= since — what a log
   /// analyzer would read from disk.

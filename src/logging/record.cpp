@@ -11,12 +11,12 @@ std::optional<std::string_view> LogRecord::field(std::string_view key) const {
   return std::nullopt;
 }
 
-std::string LogRecord::field_or_throw(std::string_view key) const {
+std::string_view LogRecord::field_or_throw(std::string_view key) const {
   auto v = field(key);
   if (!v)
     throw std::invalid_argument{"log record missing field: " +
                                 std::string{key}};
-  return std::string{*v};
+  return *v;
 }
 
 net::NodeId LogRecord::node_field(std::string_view key) const {
@@ -24,20 +24,22 @@ net::NodeId LogRecord::node_field(std::string_view key) const {
 }
 
 std::int64_t LogRecord::int_field(std::string_view key) const {
-  const std::string v = field_or_throw(key);
+  const auto v = field_or_throw(key);
   std::int64_t out = 0;
   auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   if (ec != std::errc{} || ptr != v.data() + v.size())
     throw std::invalid_argument{"bad integer field " + std::string{key} + "=" +
-                                v};
+                                std::string{v}};
   return out;
 }
 
 std::vector<net::NodeId> LogRecord::node_list_field(
     std::string_view key) const {
-  const std::string v = field_or_throw(key);
   std::vector<net::NodeId> out;
-  for (const auto& part : split_list(v)) out.push_back(net::NodeId::parse(part));
+  for_each_listed(field_or_throw(key), [&out](net::NodeId id) {
+    out.push_back(id);
+    return true;
+  });
   return out;
 }
 
@@ -48,21 +50,6 @@ std::string join_node_list(const std::vector<net::NodeId>& ids) {
     out += ids[i].to_string();
   }
   return out;
-}
-
-std::vector<std::string> split_list(std::string_view value) {
-  std::vector<std::string> out;
-  if (value.empty()) return out;
-  std::size_t start = 0;
-  while (true) {
-    const auto sep = value.find('|', start);
-    if (sep == std::string_view::npos) {
-      out.emplace_back(value.substr(start));
-      return out;
-    }
-    out.emplace_back(value.substr(start, sep - start));
-    start = sep + 1;
-  }
 }
 
 }  // namespace manet::logging

@@ -38,8 +38,9 @@ struct LogRecord {
   std::optional<std::string_view> field(std::string_view key) const;
 
   /// Typed accessors; throw std::invalid_argument when the field is missing
-  /// or malformed (the IDS treats that as a corrupt log line).
-  std::string field_or_throw(std::string_view key) const;
+  /// or malformed (the IDS treats that as a corrupt log line). The view
+  /// points into this record.
+  std::string_view field_or_throw(std::string_view key) const;
   net::NodeId node_field(std::string_view key) const;
   std::int64_t int_field(std::string_view key) const;
   std::vector<net::NodeId> node_list_field(std::string_view key) const;
@@ -50,7 +51,19 @@ struct LogRecord {
 /// Builds the '|'-separated list form used in record fields.
 std::string join_node_list(const std::vector<net::NodeId>& ids);
 
-/// Splits a '|'-separated list; empty string yields an empty vector.
-std::vector<std::string> split_list(std::string_view value);
+/// Parses the entries of a '|'-separated node list in place, in order, and
+/// hands each to `visit` until it returns false; returns false iff the walk
+/// stopped early. An empty list has no entries; an empty or malformed entry
+/// throws std::invalid_argument when the walk reaches it.
+template <typename Visit>
+bool for_each_listed(std::string_view list, Visit&& visit) {
+  if (list.empty()) return true;
+  for (;;) {
+    const auto sep = list.find('|');
+    if (!visit(net::NodeId::parse(list.substr(0, sep)))) return false;
+    if (sep == std::string_view::npos) return true;
+    list.remove_prefix(sep + 1);
+  }
+}
 
 }  // namespace manet::logging

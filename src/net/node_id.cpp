@@ -14,16 +14,16 @@ std::string NodeId::to_string() const {
   return out;
 }
 
-NodeId NodeId::parse(const std::string& text) {
-  if (text.size() < 2 || text[0] != 'n')
-    throw std::invalid_argument{"bad NodeId: " + text};
+NodeId NodeId::parse(std::string_view text) {
   std::uint32_t v = 0;
-  const auto* begin = text.data() + 1;
   const auto* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc{} || ptr != end)
-    throw std::invalid_argument{"bad NodeId: " + text};
-  return NodeId{v};
+  if (text.size() >= 2 && text[0] == 'n') {
+    auto [ptr, ec] = std::from_chars(text.data() + 1, end, v);
+    if (ec == std::errc{} && ptr == end) return NodeId{v};
+  }
+  std::string message = "bad NodeId: ";
+  message += text;
+  throw std::invalid_argument{message};
 }
 
 }  // namespace manet::net

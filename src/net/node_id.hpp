@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace manet::net {
 
@@ -22,7 +23,7 @@ class NodeId {
   std::string to_string() const;
 
   /// Parses the "n7" form; throws std::invalid_argument on malformed input.
-  static NodeId parse(const std::string& text);
+  static NodeId parse(std::string_view text);
 
   static constexpr std::uint32_t kInvalid = 0xFFFFFFFFu;
 

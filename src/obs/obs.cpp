@@ -45,6 +45,10 @@ const char* hot_name(Hot h) {
       return "manet_pipeline_suppressed_convictions_total";
     case Hot::kInvestigationsOpened:
       return "manet_investigations_opened_total";
+    case Hot::kLogRecordsIndexed:
+      return "manet_log_records_indexed_total";
+    case Hot::kLogIndexRestarts:
+      return "manet_log_index_restarts_total";
     case Hot::kCheckpointSaves:
       return "manet_checkpoint_saves_total";
     case Hot::kCheckpointRestores:

@@ -46,6 +46,8 @@ enum class Hot : std::uint32_t {
   kPipelineConvictions,      ///< kIntruder verdicts emitted
   kPipelineSuppressed,       ///< convictions downgraded by the liveness gate
   kInvestigationsOpened,     ///< investigations launched by the detector
+  kLogRecordsIndexed,        ///< audit-log records parsed by a core::LogIndex
+  kLogIndexRestarts,         ///< LogIndex rebuilds after a retention drop
   kCheckpointSaves,
   kCheckpointRestores,
   kFaultEvents,              ///< fault-plan events applied by the injector

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "faults/checkpoint.hpp"
 #include "faults/fault_plan.hpp"
+#include "logging/log_store.hpp"
 #include "scenario/trust_experiment.hpp"
 
 namespace manet {
@@ -322,6 +324,50 @@ TEST(Checkpoint, RestoreRejectsInconsistentRoutingSection) {
   orphan.dist[0] = 2;
   orphan.parent[0] = net::NodeId{999};
   for (const auto& bad : {short_dist, unsorted, duplicate, far, orphan})
+    EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
+                 CheckpointError);
+}
+
+TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto bytes = exp.save_checkpoint();
+
+  const auto& log = exp.network().agent(0).log();
+  ASSERT_GE(log.records().size(), 2u);
+  const auto encode = [](std::deque<logging::LogRecord> records,
+                         std::uint64_t total, std::uint64_t dropped) {
+    logging::LogStore crafted;
+    crafted.restore(std::move(records), total, dropped);
+    CheckpointWriter w;
+    faults::encode_log(w, crafted);
+    return w.take();
+  };
+  const auto total = log.total_appended();
+  const auto dropped = log.dropped();
+  const auto section = encode(log.records(), total, dropped);
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), section.begin(), section.end());
+  ASSERT_NE(at, bytes.end());
+  const auto splice = [&](const std::vector<std::uint8_t>& crafted) {
+    std::vector<std::uint8_t> out(bytes.begin(), at);
+    out.insert(out.end(), crafted.begin(), crafted.end());
+    out.insert(out.end(), at + static_cast<std::ptrdiff_t>(section.size()),
+               bytes.end());
+    return out;
+  };
+  EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(config, splice(section)));
+
+  auto backwards = log.records();  // the newest record predates the one before
+  backwards.back().time = backwards.front().time;
+  ASSERT_LT(backwards.back().time, log.records()[log.records().size() - 2].time);
+  for (const auto& bad :
+       {encode(backwards, total, dropped),
+        encode(log.records(), total + 1, dropped),  // an unaccounted record
+        encode(log.records(), total, dropped + 1),  // base_index() wraps
+        encode(log.records(), total - 1, dropped)})
     EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
                  CheckpointError);
 }

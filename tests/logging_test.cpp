@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string_view>
 
 #include "logging/format.hpp"
@@ -50,9 +51,25 @@ TEST(Record, JoinAndSplitNodeList) {
   EXPECT_EQ(join_node_list({}), "");
   EXPECT_EQ(join_node_list({NodeId{7}}), "n7");
   EXPECT_EQ(join_node_list({NodeId{1}, NodeId{2}}), "n1|n2");
-  EXPECT_EQ(split_list(""), (std::vector<std::string>{}));
-  EXPECT_EQ(split_list("a|b|c"), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split_list("solo"), (std::vector<std::string>{"solo"}));
+  const auto split = [](std::string_view list) {
+    std::vector<NodeId> out;
+    for_each_listed(list, [&out](NodeId id) {
+      out.push_back(id);
+      return true;
+    });
+    return out;
+  };
+  EXPECT_EQ(split(""), (std::vector<NodeId>{}));
+  EXPECT_EQ(split("n1|n2|n3"),
+            (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{3}}));
+  EXPECT_EQ(split("n7"), (std::vector<NodeId>{NodeId{7}}));
+  EXPECT_THROW(split("n1|"), std::invalid_argument);  // empty last entry
+  EXPECT_THROW(split("n1|x|n3"), std::invalid_argument);
+  int visited = 0;
+  EXPECT_FALSE(for_each_listed("n1|n2|n3", [&visited](NodeId) {
+    return ++visited < 2;
+  }));
+  EXPECT_EQ(visited, 2);
 }
 
 TEST(Format, FormatsCanonicalLine) {
@@ -146,7 +163,10 @@ TEST(LogStore, AppendsInOrderAndQueries) {
   }
   EXPECT_EQ(store.size(), 5u);
   EXPECT_EQ(store.records_since(sim::Time::from_seconds(3)).size(), 2u);
-  EXPECT_EQ(store.records_with_event("even").size(), 3u);
+  EXPECT_EQ(std::ranges::count_if(
+                store.records(),
+                [](const LogRecord& r) { return r.event == "even"; }),
+            3);
   EXPECT_EQ(store.total_appended(), 5u);
 }
 

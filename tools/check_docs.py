@@ -8,7 +8,8 @@
    — when the reference is preceded by a `backticked symbol` on the same
    markdown line — the symbol's last component must appear within a few
    lines of the anchor, so the paper-equation-to-code table cannot rot
-   silently when edits shift line numbers.
+   silently when edits shift line numbers. A link written as
+   `[path:N](../path#LM)` must show the path and line it links to.
 3. Doxygen coverage: every public class/struct declared in src/net,
    src/sim and src/psim headers carries a `///` doc comment (the
    determinism-contract surface the batching and sharding work relies on).
@@ -23,7 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+CODE_SPAN_RE = re.compile(r"`[^`]*`")
 ANCHOR_RE = re.compile(r"\(((?:\.\./)?(?:src|tests|tools|bench)/[\w/.-]+\.(?:cpp|hpp))#L(\d+)\)")
+LABELLED_RE = re.compile(r"\[([\w/.-]+):(\d+)\]\((?:\.\./)?([\w/.-]+)#L(\d+)\)")
 ANCHOR_SLACK = 3  # lines of drift tolerated before a symbol anchor fails
 DOC_DIRS = ["src/net", "src/sim", "src/psim", "src/obs"]
 DECL_RE = re.compile(
@@ -41,7 +44,8 @@ def check_markdown_links(findings):
             continue
         rel = md.relative_to(ROOT)
         for lineno, line in enumerate(md.read_text().splitlines(), 1):
-            for target in LINK_RE.findall(line):
+            # A link written inside a `code span` is literal text.
+            for target in LINK_RE.findall(CODE_SPAN_RE.sub("", line)):
                 if target.startswith(("http://", "https://", "mailto:", "#")):
                     continue
                 path = target.split("#", 1)[0]
@@ -59,7 +63,13 @@ def check_architecture_anchors(findings):
         return
     text = arch.read_text()
     anchors = []
-    for md_line in text.splitlines():
+    for lineno, md_line in enumerate(text.splitlines(), 1):
+        for m in LABELLED_RE.finditer(md_line):
+            if m.group(1, 2) != m.group(3, 4):
+                fail(findings,
+                     f"docs/ARCHITECTURE.md:{lineno}: label {m.group(1)}:"
+                     f"{m.group(2)} differs from its link "
+                     f"{m.group(3)}#L{m.group(4)}")
         for m in ANCHOR_RE.finditer(md_line):
             # The symbol the anchor claims to point at is the last
             # `backticked` token before it on the same markdown line
