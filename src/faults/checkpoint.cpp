@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <string>
 #include <utility>
 
 #include "olsr/wire.hpp"
@@ -196,6 +198,19 @@ olsr::RoutingTable::Persisted decode_routes(CheckpointReader& r) {
 
 namespace {
 
+// The OLSR tables answer every lookup by binary search, and restore
+// derives the MPR reach rows from them, so each section must arrive in its
+// table's strict storage order.
+template <typename T, typename Key>
+void require_ascending(const std::vector<T>& v, Key key, const char* what) {
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    if (key(v[i - 1]) < key(v[i])) continue;
+    std::string msg{what};
+    msg += " unsorted or duplicated";
+    throw CheckpointError{msg};
+  }
+}
+
 void encode_timer(CheckpointWriter& w, const sim::PeriodicTimer& t) {
   w.boolean(t.running());
   w.time(t.next_fire());
@@ -364,6 +379,7 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   olsr::Agent::ProtocolScalars scalars;
   scalars.mprs.resize(r.count());
   for (auto& n : scalars.mprs) n = r.node();
+  require_ascending(scalars.mprs, std::identity{}, "MPR set");
   scalars.mpr_selectors.resize(r.count());
   for (auto& [n, until] : scalars.mpr_selectors) {
     n = r.node();
@@ -386,6 +402,9 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
     s.was_symmetric = r.boolean();
   }
   const auto hint = r.time();
+  require_ascending(
+      slots, [](const olsr::LinkSet::Slot& s) { return s.tuple.neighbor; },
+      "link slots");
   agent.restore_links().restore(std::move(slots), hint);
 
   std::vector<olsr::NeighborTuple> neighbors(r.count());
@@ -400,6 +419,21 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
     t.two_hop = r.node();
     t.valid_until = r.time();
   }
+  require_ascending(
+      neighbors, [](const olsr::NeighborTuple& t) { return t.id; },
+      "neighbor tuples");
+  require_ascending(
+      two_hops,
+      [](const olsr::TwoHopTuple& t) { return std::pair{t.via, t.two_hop}; },
+      "2-hop tuples");
+  // process_hello never stores the agent as its own (2-hop) neighbor.
+  const auto self = agent.id();
+  if (std::ranges::any_of(neighbors,
+                          [self](const auto& t) { return t.id == self; }) ||
+      std::ranges::any_of(two_hops, [self](const auto& t) {
+        return t.via == self || t.two_hop == self;
+      }))
+    throw CheckpointError{"neighbor table names the agent itself"};
   agent.restore_neighbors().restore(std::move(neighbors),
                                     std::move(two_hops));
 

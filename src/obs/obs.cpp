@@ -29,6 +29,8 @@ const char* hot_name(Hot h) {
       return "manet_olsr_mpr_runs_total";
     case Hot::kGraphArcUpdates:
       return "manet_olsr_graph_arc_updates_total";
+    case Hot::kMprRowUpdates:
+      return "manet_olsr_mpr_row_updates_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:

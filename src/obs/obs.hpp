@@ -36,8 +36,9 @@ enum class Hot : std::uint32_t {
   kRouteRecomputes,          ///< olsr::Agent routing recomputes that changed
   kMprRecomputes,            ///< olsr::Agent MPR-set recomputes that changed
   kRouteRuns,                ///< olsr::Agent routing BFS runs
-  kMprRuns,                  ///< olsr::Agent MPR selections run
+  kMprRuns,                  ///< §8.3.1 heuristic executions (inputs moved)
   kGraphArcUpdates,          ///< knowledge-graph arcs added/removed by patches
+  kMprRowUpdates,            ///< MPR reach rows rewritten by table patches
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed

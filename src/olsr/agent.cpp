@@ -15,6 +15,7 @@ Agent::Agent(sim::Engine& sim, net::Medium& medium, NodeId id,
       config_{std::move(config)},
       hooks_{hooks},
       log_{config_.log_capacity},
+      neighbors_{id},
       hello_timer_{sim, config_.hello_interval, config_.jitter,
                    [this] { emit_hello(); }},
       tc_timer_{sim, config_.tc_interval, config_.jitter,
@@ -569,7 +570,7 @@ void Agent::restore_pending_forward(Message message, sim::Time at) {
 
 void Agent::reset_tables() {
   links_ = LinkSet{};
-  neighbors_ = NeighborTable{};
+  neighbors_ = NeighborTable{id_};
   topology_ = TopologySet{};
   duplicates_ = DuplicateSet{};
   mid_set_ = MidSet{};
@@ -581,6 +582,7 @@ void Agent::reset_tables() {
   mpr_selectors_.clear();
   mprs_dirty_ = true;
   mprs_links_hint_ = sim::Time{};
+  mpr_rows_stamp_ = 0;
   // msg_seq_/pkt_seq_/ansn_ intentionally keep counting (see header).
   log_.append(make_record("tables_reset"));
 }
@@ -615,6 +617,7 @@ void Agent::restore_protocol_scalars(const ProtocolScalars& s) {
   mpr_selectors_.insert(s.mpr_selectors.begin(), s.mpr_selectors.end());
   mprs_dirty_ = s.mprs_dirty;
   mprs_links_hint_ = s.mprs_links_hint;
+  mpr_rows_stamp_ = 0;
   msg_seq_ = s.msg_seq;
   pkt_seq_ = s.pkt_seq;
   ansn_ = s.ansn;
@@ -759,14 +762,21 @@ void Agent::maybe_recompute_mprs() {
 }
 
 void Agent::recompute_mprs() {
-  obs::hit(obs::Hot::kMprRuns);
-  const auto now = sim_.now();
-  mpr_inputs_.neighbors.clear();
-  links_.symmetric_neighbors(now, sym_scratch_);
+  // The heuristic is a pure function of N and the reach rows: with both
+  // as at its last run, it would reproduce mprs_.
+  links_.symmetric_neighbors(sim_.now(), sym_scratch_);
+  auto& n_now = mpr_neighbors_scratch_;
+  n_now.clear();
   for (auto n : sym_scratch_)
-    mpr_inputs_.neighbors.emplace_back(n, neighbors_.willingness_of(n));
+    n_now.emplace_back(n, neighbors_.willingness_of(n));
+  if (neighbors_.rows_stamp() == mpr_rows_stamp_ &&
+      n_now == mpr_inputs_.neighbors)
+    return;
+  mpr_inputs_.neighbors.swap(n_now);
+  mpr_rows_stamp_ = neighbors_.rows_stamp();
   neighbors_.reachability(id_, mpr_inputs_.reach);
 
+  obs::hit(obs::Hot::kMprRuns);
   select_mprs(mpr_inputs_, config_.prune_redundant_mprs, mpr_scratch_,
               fresh_mprs_);
   if (fresh_mprs_ == mprs_) return;

@@ -50,11 +50,14 @@ struct AgentStats {
 /// housekeeping. Routing reads a live knowledge graph patched in place from
 /// the 2-hop and topology deltas, its self edges re-synced to the link set
 /// on every read; the BFS re-runs only when the graph's arc set changed.
-/// MPR selection is coalesced behind a dirty flag: table mutations raise
-/// it, and the selection also re-runs once a link-set symmetry timer
-/// boundary (LinkSet::next_transition) has passed, which is the one way
-/// its inputs change without an event. Skipped runs are exactly those that
-/// would have produced identical state and no log record.
+/// MPR selection is gated twice. Table mutations raise a dirty flag, and
+/// a passed link-set symmetry timer boundary (LinkSet::next_transition) —
+/// the one way the inputs change without an event — counts as dirty too.
+/// A dirty look then re-runs the §8.3.1 heuristic only when its inputs
+/// moved since its last run: the neighbor table's reach rows (their stamp)
+/// or N, the symmetric links at now with their willingness. Skipped looks
+/// and runs are exactly those that would have produced identical state
+/// and no log record.
 class Agent {
  public:
   struct Config {
@@ -292,6 +295,11 @@ class Agent {
   // last selection. Initial values force the first selection.
   bool mprs_dirty_ = true;
   sim::Time mprs_links_hint_{};
+  // Inputs of the last heuristic run: N in mpr_inputs_.neighbors and the
+  // reach-row stamp (0 = none yet; stamps start at 1). Derived state, so
+  // not checkpointed: a restore or reset forgets it.
+  std::uint64_t mpr_rows_stamp_ = 0;
+  std::vector<std::pair<NodeId, Willingness>> mpr_neighbors_scratch_;
 
   // Reusable scratch: per-HELLO/recompute work runs allocation-free in
   // steady state.

@@ -20,10 +20,8 @@ void EdgeDelta::diff(NodeId key, std::span<const NodeId> before,
   }
 }
 
-std::uint64_t KnowledgeGraph::fresh_stamp() {
-  // Process-wide so that graphs built independently (tests, benches, a
-  // restored agent) never share a stamp. Only equality is ever compared,
-  // so the values reach no output and thread interleaving is harmless.
+std::uint64_t fresh_stamp() {
+  // The values reach no output, so thread interleaving is harmless.
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }

@@ -11,6 +11,12 @@ namespace manet::olsr {
 
 using net::NodeId;
 
+/// Next value of the process-wide change-stamp sequence. The live graph
+/// and the neighbor table's reach rows draw from it, so structures built
+/// independently (tests, benches, a reset or restored agent) never share a
+/// stamp; only equality is ever compared.
+std::uint64_t fresh_stamp();
+
 /// Edge changes made by one table mutation — what the Agent patches its
 /// live knowledge graph with. Each pair is one table tuple as the table
 /// keys it ((via, two_hop) or (last_hop, dest)) and stands for both arc
@@ -85,7 +91,6 @@ class KnowledgeGraph {
   std::span<const std::uint32_t> slots_by_id() const { return by_id_; }
 
  private:
-  static std::uint64_t fresh_stamp();
   std::uint32_t slot_or_insert(NodeId id);
   /// Index of the first arc in `from_slot`'s slab not below `to`.
   std::size_t lower_arc(std::uint32_t from_slot, NodeId to) const;

@@ -1,9 +1,12 @@
 #include "olsr/mpr_selection.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 namespace manet::olsr {
 namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 Willingness will_of(const MprInputs& in, NodeId n) {
   auto it = std::lower_bound(
@@ -13,15 +16,14 @@ Willingness will_of(const MprInputs& in, NodeId n) {
                                                       : Willingness::kDefault;
 }
 
-const std::vector<NodeId>* reach_of(const MprInputs& in, NodeId via) {
+// Index of `via`'s row in in.reach, or kNone.
+std::size_t row_of(const MprInputs& in, NodeId via) {
   auto it = std::lower_bound(
       in.reach.begin(), in.reach.end(), via,
       [](const auto& p, NodeId id) { return p.first < id; });
-  return (it != in.reach.end() && it->first == via) ? &it->second : nullptr;
-}
-
-bool sorted_contains(const std::vector<NodeId>& v, NodeId n) {
-  return std::binary_search(v.begin(), v.end(), n);
+  return (it != in.reach.end() && it->first == via)
+             ? static_cast<std::size_t>(it - in.reach.begin())
+             : kNone;
 }
 
 void sorted_insert(std::vector<NodeId>& v, NodeId n) {
@@ -29,105 +31,125 @@ void sorted_insert(std::vector<NodeId>& v, NodeId n) {
   if (it == v.end() || *it != n) v.insert(it, n);
 }
 
-void all_two_hops(const MprInputs& in, std::vector<NodeId>& out) {
-  out.clear();
-  for (const auto& [via, reach] : in.reach)
-    out.insert(out.end(), reach.begin(), reach.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
-// Number of elements of `reach` still present in `uncovered` (both sorted).
-std::size_t gain_of(const std::vector<NodeId>& reach,
-                    const std::vector<NodeId>& uncovered) {
-  std::size_t gain = 0;
-  auto u = uncovered.begin();
-  for (auto th : reach) {
-    u = std::lower_bound(u, uncovered.end(), th);
-    if (u == uncovered.end()) break;
-    if (*u == th) ++gain;
+// Fills s.two_hops with the union of the rows, ascending, and s.cells /
+// s.row_at with each row's entries as indices into it. The rows are
+// already sorted, so the union is a bottom-up pairwise merge.
+void index_two_hops(const MprInputs& in, MprScratch& s) {
+  auto& ids = s.two_hops;
+  ids.clear();
+  s.runs.assign(1, 0);
+  for (const auto& [via, row] : in.reach) {
+    ids.insert(ids.end(), row.begin(), row.end());
+    s.runs.push_back(ids.size());
   }
-  return gain;
+  while (s.runs.size() > 2) {
+    // Runs 2k and 2k+1 become run k. Bound k+1 is written only after the
+    // bounds this pair and the earlier ones read.
+    s.merged.resize(ids.size());
+    auto out = s.merged.begin();
+    std::size_t w = 1;
+    for (std::size_t k = 0; k + 1 < s.runs.size(); k += 2) {
+      const auto a = ids.begin() + static_cast<std::ptrdiff_t>(s.runs[k]);
+      const auto b = ids.begin() + static_cast<std::ptrdiff_t>(s.runs[k + 1]);
+      const auto c =
+          k + 2 < s.runs.size()
+              ? ids.begin() + static_cast<std::ptrdiff_t>(s.runs[k + 2])
+              : b;
+      out = std::set_union(a, b, b, c, out);
+      s.runs[w++] = static_cast<std::size_t>(out - s.merged.begin());
+    }
+    s.merged.resize(s.runs[w - 1]);
+    s.runs.resize(w);
+    ids.swap(s.merged);
+  }
+
+  // Each row is an ascending subset of the union: one forward walk maps it.
+  s.cells.clear();
+  s.row_at.assign(1, 0);
+  for (const auto& [via, row] : in.reach) {
+    auto at = ids.begin();
+    for (const auto th : row) {
+      while (*at < th) ++at;
+      s.cells.push_back(static_cast<std::uint32_t>(at - ids.begin()));
+    }
+    s.row_at.push_back(s.cells.size());
+  }
 }
 
 }  // namespace
 
-void select_mprs(const MprInputs& in, bool prune_redundant,
-                 MprScratch& scratch, std::vector<NodeId>& out) {
+void select_mprs(const MprInputs& in, bool prune_redundant, MprScratch& s,
+                 std::vector<NodeId>& out) {
   out.clear();
-  auto& uncovered = scratch.uncovered;
-  auto& tmp = scratch.tmp;
-  all_two_hops(in, uncovered);
+  index_two_hops(in, s);
+  const std::size_t rows = in.reach.size();
+  s.providers.assign(s.two_hops.size(), 0);
+  for (const auto c : s.cells) ++s.providers[c];
+  s.uncovered.assign(s.two_hops.size(), 1);
+  s.chosen.assign(rows, 0);
+  std::size_t left = s.two_hops.size();
 
-  auto cover_with = [&](NodeId n) {
-    sorted_insert(out, n);
-    const auto* reach = reach_of(in, n);
-    if (reach == nullptr) return;
-    tmp.clear();
-    std::set_difference(uncovered.begin(), uncovered.end(), reach->begin(),
-                        reach->end(), std::back_inserter(tmp));
-    uncovered.swap(tmp);
+  auto cover = [&](std::size_t r) {
+    if (s.chosen[r]) return;
+    s.chosen[r] = 1;
+    sorted_insert(out, in.reach[r].first);
+    for (auto k = s.row_at[r]; k < s.row_at[r + 1]; ++k) {
+      left -= s.uncovered[s.cells[k]];
+      s.uncovered[s.cells[k]] = 0;
+    }
   };
 
   // Step 1: WILL_ALWAYS neighbors.
-  for (const auto& [n, will] : in.neighbors)
-    if (will == Willingness::kAlways) cover_with(n);
+  for (const auto& [n, will] : in.neighbors) {
+    if (will != Willingness::kAlways) continue;
+    const auto r = row_of(in, n);
+    if (r == kNone) {
+      sorted_insert(out, n);
+    } else {
+      cover(r);
+    }
+  }
 
   // Step 2: sole providers. A 2-hop node with exactly one reaching neighbor
   // forces that neighbor into the MPR set.
-  {
-    auto& providers = scratch.providers;
-    providers.clear();
-    for (const auto& [via, reach] : in.reach)
-      for (auto th : reach) providers.emplace_back(th, via);
-    std::sort(providers.begin(), providers.end());
-    providers.erase(std::unique(providers.begin(), providers.end()),
-                    providers.end());
-    for (std::size_t i = 0; i < providers.size();) {
-      std::size_t j = i;
-      while (j < providers.size() &&
-             providers[j].first == providers[i].first)
-        ++j;
-      if (j - i == 1 && sorted_contains(uncovered, providers[i].first))
-        cover_with(providers[i].second);
-      i = j;
-    }
-  }
+  for (std::size_t r = 0; r < rows; ++r)
+    for (auto k = s.row_at[r]; k < s.row_at[r + 1]; ++k)
+      if (s.providers[s.cells[k]] == 1) {
+        cover(r);
+        break;
+      }
 
-  // Step 3: greedy by reachability.
-  while (!uncovered.empty()) {
-    NodeId best;
-    std::size_t best_gain = 0;
-    Willingness best_will = Willingness::kNever;
-    std::size_t best_degree = 0;
-
-    for (const auto& [via, reach] : in.reach) {
-      if (sorted_contains(out, via)) continue;
-      const std::size_t gain = gain_of(reach, uncovered);
+  // Step 3: greedy by (gain, willingness, degree). Rows ascend by via, so
+  // keeping the first of equal keys breaks the last tie by lower id.
+  while (left > 0) {
+    std::size_t best = kNone;
+    std::tuple<std::size_t, int, std::size_t> best_key{};
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (s.chosen[r]) continue;
+      std::size_t gain = 0;
+      for (auto k = s.row_at[r]; k < s.row_at[r + 1]; ++k)
+        gain += s.uncovered[s.cells[k]];
       if (gain == 0) continue;
-      const auto will = will_of(in, via);
-      const std::size_t degree = reach.size();
-      const bool better =
-          gain > best_gain ||
-          (gain == best_gain &&
-           (static_cast<int>(will) > static_cast<int>(best_will) ||
-            (will == best_will &&
-             (degree > best_degree ||
-              (degree == best_degree && (!best.valid() || via < best))))));
-      if (better) {
-        best = via;
-        best_gain = gain;
-        best_will = will;
-        best_degree = degree;
+      const std::tuple key{
+          gain, static_cast<int>(will_of(in, in.reach[r].first)),
+          s.row_at[r + 1] - s.row_at[r]};
+      if (best == kNone || key > best_key) {
+        best = r;
+        best_key = key;
       }
     }
-
-    if (!best.valid()) break;  // remaining 2-hop nodes are unreachable
-    cover_with(best);
+    if (best == kNone) break;  // defensive: an uncovered node's row is open
+    cover(best);
   }
 
   if (prune_redundant) {
-    // Drop MPRs (lowest willingness first) whose removal keeps full coverage.
+    // Drop MPRs (lowest willingness first) whose every 2-hop node another
+    // MPR also covers. `providers` becomes the chosen rows' cover counts.
+    std::fill(s.providers.begin(), s.providers.end(), 0);
+    for (std::size_t r = 0; r < rows; ++r)
+      if (s.chosen[r])
+        for (auto k = s.row_at[r]; k < s.row_at[r + 1]; ++k)
+          ++s.providers[s.cells[k]];
     std::vector<NodeId> candidates = out;
     std::sort(candidates.begin(), candidates.end(), [&](NodeId a, NodeId b) {
       const auto wa = will_of(in, a);
@@ -135,12 +157,20 @@ void select_mprs(const MprInputs& in, bool prune_redundant,
       if (wa != wb) return static_cast<int>(wa) < static_cast<int>(wb);
       return a < b;
     });
-    std::vector<NodeId> trial;
     for (auto n : candidates) {
       if (will_of(in, n) == Willingness::kAlways) continue;
-      trial = out;
-      trial.erase(std::lower_bound(trial.begin(), trial.end(), n));
-      if (covers_all_two_hops(in, trial)) out = trial;
+      const auto r = row_of(in, n);
+      if (r != kNone) {
+        const auto first = s.cells.begin() +
+                           static_cast<std::ptrdiff_t>(s.row_at[r]);
+        const auto last = s.cells.begin() +
+                          static_cast<std::ptrdiff_t>(s.row_at[r + 1]);
+        if (!std::all_of(first, last,
+                         [&](std::uint32_t c) { return s.providers[c] > 1; }))
+          continue;
+        for (auto k = first; k != last; ++k) --s.providers[*k];
+      }
+      out.erase(std::lower_bound(out.begin(), out.end(), n));
     }
   }
 }
@@ -156,15 +186,17 @@ bool covers_all_two_hops(const MprInputs& in,
                          const std::vector<NodeId>& mprs) {
   std::vector<NodeId> covered;
   for (auto m : mprs) {
-    const auto* reach = reach_of(in, m);
-    if (reach == nullptr) continue;
-    covered.insert(covered.end(), reach->begin(), reach->end());
+    const auto r = row_of(in, m);
+    if (r == kNone) continue;
+    covered.insert(covered.end(), in.reach[r].second.begin(),
+                   in.reach[r].second.end());
   }
   std::sort(covered.begin(), covered.end());
   covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
-  std::vector<NodeId> all;
-  all_two_hops(in, all);
-  return std::includes(covered.begin(), covered.end(), all.begin(), all.end());
+  return std::all_of(in.reach.begin(), in.reach.end(), [&](const auto& row) {
+    return std::includes(covered.begin(), covered.end(), row.second.begin(),
+                         row.second.end());
+  });
 }
 
 }  // namespace manet::olsr

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,13 +27,20 @@ struct MprInputs {
   std::vector<std::pair<NodeId, std::vector<NodeId>>> reach;
 };
 
-/// Reusable working memory for select_mprs: the greedy cover repeatedly
-/// builds uncovered-sets and provider lists, and a per-agent scratch keeps
-/// those allocations out of the per-HELLO path.
+/// Reusable working memory for select_mprs, so the per-HELLO path does not
+/// allocate in steady state. The pass never sorts: it indexes the strict
+/// 2-hop nodes once, by merging the already-sorted rows, and then works on
+/// flat arrays — each row as 2-hop indices, a provider count per 2-hop
+/// node, and covered/chosen flags.
 struct MprScratch {
-  std::vector<NodeId> uncovered;                    // sorted
-  std::vector<NodeId> tmp;                          // set-difference staging
-  std::vector<std::pair<NodeId, NodeId>> providers; // (two_hop, via)
+  std::vector<NodeId> two_hops;          // union of the rows, ascending
+  std::vector<NodeId> merged;            // merge staging
+  std::vector<std::size_t> runs;         // merge run bounds
+  std::vector<std::uint32_t> cells;      // rows back to back, as indices
+  std::vector<std::size_t> row_at;       // row r is cells[row_at[r], row_at[r+1])
+  std::vector<std::uint32_t> providers;  // per 2-hop node: rows reaching it
+  std::vector<std::uint8_t> uncovered;   // per 2-hop node
+  std::vector<std::uint8_t> chosen;      // per row
 };
 
 /// RFC 3626 §8.3.1 heuristic:

@@ -1,38 +1,69 @@
 #include "olsr/neighbor_table.hpp"
 
 #include <algorithm>
+#include <cassert>
+
+#include "obs/obs.hpp"
 
 namespace manet::olsr {
+namespace {
+
+// §8.3.1 leaves WILL_NEVER neighbors out of MPR selection altogether.
+bool can_relay(const NeighborTuple& t) {
+  return t.symmetric && t.willingness != Willingness::kNever;
+}
+
+bool before_via(const std::pair<NodeId, std::vector<NodeId>>& row,
+                NodeId via) {
+  return row.first < via;
+}
+
+}  // namespace
+
+const NeighborTuple* NeighborTable::find(NodeId id) const {
+  auto it = std::lower_bound(
+      neighbors_.begin(), neighbors_.end(), id,
+      [](const NeighborTuple& t, NodeId n) { return t.id < n; });
+  return it != neighbors_.end() && it->id == id ? &*it : nullptr;
+}
 
 bool NeighborTable::upsert_neighbor(NodeId id, Willingness will,
                                     bool symmetric) {
   auto it = std::lower_bound(
       neighbors_.begin(), neighbors_.end(), id,
       [](const NeighborTuple& t, NodeId n) { return t.id < n; });
+  NeighborTuple before{id, Willingness::kDefault, false};  // as if absent
   if (it == neighbors_.end() || it->id != id) {
-    neighbors_.insert(it, NeighborTuple{id, will, symmetric});
-    return true;
+    it = neighbors_.insert(it, NeighborTuple{id, will, symmetric});
+  } else {
+    before = *it;
+    if (before.willingness == will && before.symmetric == symmetric)
+      return false;
+    it->willingness = will;
+    it->symmetric = symmetric;
   }
-  const bool changed = it->willingness != will || it->symmetric != symmetric;
-  it->willingness = will;
-  it->symmetric = symmetric;
-  return changed;
+  if (before.symmetric != symmetric) on_symmetry_flip(id, symmetric);
+  if (can_relay(before) != can_relay(*it)) refresh_row(id);
+  return true;
 }
 
 void NeighborTable::remove_neighbor(NodeId id, EdgeDelta* delta) {
   auto it = std::lower_bound(
       neighbors_.begin(), neighbors_.end(), id,
       [](const NeighborTuple& t, NodeId n) { return t.id < n; });
-  if (it != neighbors_.end() && it->id == id) neighbors_.erase(it);
+  bool was_symmetric = false;
+  if (it != neighbors_.end() && it->id == id) {
+    was_symmetric = it->symmetric;
+    neighbors_.erase(it);
+  }
   drop_two_hops_via(id, delta);
+  if (was_symmetric) on_symmetry_flip(id, false);
 }
 
 std::optional<NeighborTuple> NeighborTable::neighbor(NodeId id) const {
-  auto it = std::lower_bound(
-      neighbors_.begin(), neighbors_.end(), id,
-      [](const NeighborTuple& t, NodeId n) { return t.id < n; });
-  if (it == neighbors_.end() || it->id != id) return std::nullopt;
-  return *it;
+  const auto* t = find(id);
+  if (t == nullptr) return std::nullopt;
+  return *t;
 }
 
 std::vector<NodeId> NeighborTable::symmetric_neighbors() const {
@@ -43,18 +74,13 @@ std::vector<NodeId> NeighborTable::symmetric_neighbors() const {
 }
 
 Willingness NeighborTable::willingness_of(NodeId id) const {
-  auto it = std::lower_bound(
-      neighbors_.begin(), neighbors_.end(), id,
-      [](const NeighborTuple& t, NodeId n) { return t.id < n; });
-  return (it == neighbors_.end() || it->id != id) ? Willingness::kDefault
-                                                  : it->willingness;
+  const auto* t = find(id);
+  return t == nullptr ? Willingness::kDefault : t->willingness;
 }
 
 bool NeighborTable::is_symmetric_neighbor(NodeId id) const {
-  auto it = std::lower_bound(
-      neighbors_.begin(), neighbors_.end(), id,
-      [](const NeighborTuple& t, NodeId n) { return t.id < n; });
-  return it != neighbors_.end() && it->id == id && it->symmetric;
+  const auto* t = find(id);
+  return t != nullptr && t->symmetric;
 }
 
 std::pair<std::size_t, std::size_t> NeighborTable::via_range(
@@ -103,6 +129,7 @@ bool NeighborTable::set_two_hops_via(NodeId via,
   for (auto th : scratch_) fresh.push_back(TwoHopTuple{via, th, valid_until});
   auto it = two_hops_.erase(two_hops_.begin() + lo, two_hops_.begin() + hi);
   two_hops_.insert(it, fresh.begin(), fresh.end());
+  refresh_row(via);
   return true;
 }
 
@@ -112,65 +139,33 @@ void NeighborTable::drop_two_hops_via(NodeId via, EdgeDelta* delta) {
     for (std::size_t i = lo; i < hi; ++i)
       delta->removed.emplace_back(via, two_hops_[i].two_hop);
   two_hops_.erase(two_hops_.begin() + lo, two_hops_.begin() + hi);
+  refresh_row(via);
 }
 
 bool NeighborTable::expire_two_hops(sim::Time now, EdgeDelta* delta) {
-  const auto before = two_hops_.size();
-  std::erase_if(two_hops_, [now, delta](const TwoHopTuple& t) {
+  // The slab is via-ordered, so the stale vias come out ascending.
+  stale_vias_.clear();
+  std::erase_if(two_hops_, [&](const TwoHopTuple& t) {
     if (t.valid_until > now) return false;
     if (delta != nullptr) delta->removed.emplace_back(t.via, t.two_hop);
+    if (stale_vias_.empty() || stale_vias_.back() != t.via)
+      stale_vias_.push_back(t.via);
     return true;
   });
-  return two_hops_.size() != before;
+  for (const auto via : stale_vias_) refresh_row(via);
+  return !stale_vias_.empty();
 }
 
-std::vector<NodeId> NeighborTable::strict_two_hops(NodeId self) const {
-  std::vector<NodeId> out;
-  for (const auto& t : two_hops_) {
-    if (t.two_hop == self) continue;
-    if (is_symmetric_neighbor(t.two_hop)) continue;
-    // Only count 2-hop links advertised by currently-symmetric neighbors.
-    if (!is_symmetric_neighbor(t.via)) continue;
-    out.push_back(t.two_hop);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+NeighborTable::Reachability NeighborTable::reachability(
+    [[maybe_unused]] NodeId self) const {
+  assert(self == self_);
+  return rows_;
 }
 
-NeighborTable::Reachability NeighborTable::reachability(NodeId self) const {
-  Reachability out;
-  reachability(self, out);
-  return out;
-}
-
-void NeighborTable::reachability(NodeId self, Reachability& out) const {
-  out.clear();
-  const auto strict = strict_two_hops(self);
-  // two_hops_ is (via, two_hop)-sorted, so each via's entries form one run
-  // and the output comes out via-ascending with sorted inner lists — the
-  // same shape the old map<NodeId, set<NodeId>> produced.
-  for (std::size_t i = 0; i < two_hops_.size();) {
-    const NodeId via = two_hops_[i].via;
-    std::size_t j = i;
-    while (j < two_hops_.size() && two_hops_[j].via == via) ++j;
-    const auto* nb = [&]() -> const NeighborTuple* {
-      auto it = std::lower_bound(
-          neighbors_.begin(), neighbors_.end(), via,
-          [](const NeighborTuple& t, NodeId n) { return t.id < n; });
-      return (it != neighbors_.end() && it->id == via) ? &*it : nullptr;
-    }();
-    if (nb != nullptr && nb->symmetric &&
-        nb->willingness != Willingness::kNever) {
-      std::vector<NodeId> reached;
-      for (std::size_t k = i; k < j; ++k)
-        if (std::binary_search(strict.begin(), strict.end(),
-                               two_hops_[k].two_hop))
-          reached.push_back(two_hops_[k].two_hop);
-      if (!reached.empty()) out.emplace_back(via, std::move(reached));
-    }
-    i = j;
-  }
+void NeighborTable::reachability([[maybe_unused]] NodeId self,
+                                 Reachability& out) const {
+  assert(self == self_);
+  out = rows_;
 }
 
 std::vector<NodeId> NeighborTable::two_hops_via(NodeId via) const {
@@ -179,6 +174,84 @@ std::vector<NodeId> NeighborTable::two_hops_via(NodeId via) const {
   out.reserve(hi - lo);
   for (std::size_t i = lo; i < hi; ++i) out.push_back(two_hops_[i].two_hop);
   return out;
+}
+
+void NeighborTable::restore(std::vector<NeighborTuple> neighbors,
+                            std::vector<TwoHopTuple> two_hops) {
+  neighbors_ = std::move(neighbors);
+  two_hops_ = std::move(two_hops);
+  rows_.clear();
+  for (const auto& t : neighbors_) refresh_row(t.id);
+  rows_stamp_ = fresh_stamp();
+}
+
+// ------------------------------------------------------ reach-row patching
+
+void NeighborTable::refresh_row(NodeId via) {
+  scratch_.clear();
+  const auto* nb = find(via);
+  if (nb != nullptr && can_relay(*nb)) {
+    const auto [lo, hi] = via_range(via);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const NodeId th = two_hops_[i].two_hop;
+      if (th != self_ && !is_symmetric_neighbor(th)) scratch_.push_back(th);
+    }
+  }
+  auto it = std::lower_bound(rows_.begin(), rows_.end(), via, before_via);
+  const bool present = it != rows_.end() && it->first == via;
+  if (scratch_.empty()) {
+    if (!present) return;
+    rows_.erase(it);
+  } else if (!present) {
+    rows_.emplace(it, via, scratch_);
+  } else if (it->second != scratch_) {
+    it->second.swap(scratch_);
+  } else {
+    return;
+  }
+  rows_changed(1);
+}
+
+void NeighborTable::on_symmetry_flip(NodeId n, bool symmetric) {
+  if (n == self_) return;  // never in a row either way
+  std::size_t changed = 0;
+  if (symmetric) {
+    // A symmetric neighbor is no strict 2-hop: take it out of every row.
+    for (auto it = rows_.begin(); it != rows_.end();) {
+      auto& row = it->second;
+      const auto pos = std::lower_bound(row.begin(), row.end(), n);
+      if (pos == row.end() || *pos != n) {
+        ++it;
+        continue;
+      }
+      row.erase(pos);
+      ++changed;
+      it = row.empty() ? rows_.erase(it) : std::next(it);
+    }
+  } else {
+    // A strict 2-hop again wherever a relay-capable neighbor advertises it.
+    for (const auto& t : neighbors_) {
+      if (!can_relay(t)) continue;
+      const bool advertised = std::binary_search(
+          two_hops_.begin(), two_hops_.end(), TwoHopTuple{t.id, n, {}},
+          [](const TwoHopTuple& a, const TwoHopTuple& b) {
+            return std::pair{a.via, a.two_hop} < std::pair{b.via, b.two_hop};
+          });
+      if (!advertised) continue;
+      auto it = std::lower_bound(rows_.begin(), rows_.end(), t.id, before_via);
+      if (it == rows_.end() || it->first != t.id)
+        it = rows_.emplace(it, t.id, std::vector<NodeId>{});
+      auto& row = it->second;
+      row.insert(std::lower_bound(row.begin(), row.end(), n), n);
+      ++changed;
+    }
+  }
+  if (changed > 0) rows_changed(changed);
+}
+
+void NeighborTable::rows_changed(std::size_t rows) {
+  rows_stamp_ = fresh_stamp();
+  obs::hit(obs::Hot::kMprRowUpdates, rows);
 }
 
 }  // namespace manet::olsr

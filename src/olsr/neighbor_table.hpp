@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -39,8 +40,18 @@ struct TwoHopTuple {
 /// can coalesce MPR recomputation behind a dirty flag, and the ones that
 /// touch 2-hop tuples append each (via, two_hop) they removed or added to
 /// an optional EdgeDelta — the patch for the Agent's live knowledge graph.
+///
+/// The table also keeps the §8.3.1 reach rows of its owner, patched by
+/// every mutator: one row per symmetric, non-WILL_NEVER neighbor, holding
+/// the 2-hops it advertises that are neither the owner nor a symmetric
+/// neighbor (rows that would be empty are absent). `rows_stamp()` moves
+/// whenever a row does, so MPR selection re-runs only on a real change.
+/// The rows are derived state: `restore` rebuilds them.
 class NeighborTable {
  public:
+  /// `self` is the owner, whose reach rows the table keeps.
+  explicit NeighborTable(NodeId self = NodeId{}) : self_{self} {}
+
   /// Returns true when the tuple is new or its willingness/symmetry differ.
   bool upsert_neighbor(NodeId id, Willingness will, bool symmetric);
   /// Drops the neighbor and the 2-hop tuples it advertised.
@@ -59,16 +70,14 @@ class NeighborTable {
   /// Returns true when any tuple was removed.
   bool expire_two_hops(sim::Time now, EdgeDelta* delta = nullptr);
 
-  /// Strict 2-hop neighbors: advertised by some symmetric neighbor,
-  /// excluding `self` and excluding nodes that are themselves symmetric
-  /// 1-hop neighbors. Sorted ascending.
-  std::vector<NodeId> strict_two_hops(NodeId self) const;
-
   /// For MPR selection: (via neighbor, strict 2-hop nodes reachable through
-  /// it), ascending by via, inner lists sorted ascending. The scratch
-  /// overload fills caller-owned buffers so steady-state recomputes do not
-  /// allocate.
+  /// it), ascending by via, inner lists sorted ascending, WILL_NEVER and
+  /// non-symmetric vias and empty rows omitted.
   using Reachability = std::vector<std::pair<NodeId, std::vector<NodeId>>>;
+  /// Changes whenever a reach row does; equal stamps mean equal rows.
+  std::uint64_t rows_stamp() const { return rows_stamp_; }
+  /// Copies of the maintained reach rows. `self` must be the owner the
+  /// table was constructed with.
   Reachability reachability(NodeId self) const;
   void reachability(NodeId self, Reachability& out) const;
 
@@ -79,24 +88,37 @@ class NeighborTable {
   /// 2-hop neighbors advertised by a specific neighbor, sorted ascending.
   std::vector<NodeId> two_hops_via(NodeId via) const;
 
-  /// Checkpoint surface: raw slabs in their sorted storage order.
+  /// Checkpoint surface: raw slabs in their sorted storage order. Restore
+  /// expects that order (the checkpoint decoder checks it) and rebuilds the
+  /// reach rows.
   const std::vector<NeighborTuple>& neighbor_tuples() const {
     return neighbors_;
   }
   void restore(std::vector<NeighborTuple> neighbors,
-               std::vector<TwoHopTuple> two_hops) {
-    neighbors_ = std::move(neighbors);
-    two_hops_ = std::move(two_hops);
-  }
+               std::vector<TwoHopTuple> two_hops);
 
  private:
+  const NeighborTuple* find(NodeId id) const;
   bool is_symmetric_neighbor(NodeId id) const;
   // Iterator range of two_hops_ advertised by `via`.
   std::pair<std::size_t, std::size_t> via_range(NodeId via) const;
 
+  // --- reach-row patching ---
+  /// Re-derives `via`'s row from the slabs.
+  void refresh_row(NodeId via);
+  /// `n` just became (or stopped being) a symmetric neighbor: drops it from
+  /// (or adds it to) the rows of the vias advertising it.
+  void on_symmetry_flip(NodeId n, bool symmetric);
+  /// Records `rows` rewritten rows: a fresh stamp plus the work counter.
+  void rows_changed(std::size_t rows);
+
+  NodeId self_;
   std::vector<NeighborTuple> neighbors_;  // sorted by id
   std::vector<TwoHopTuple> two_hops_;     // sorted by (via, two_hop)
-  mutable std::vector<NodeId> scratch_;   // set_two_hops_via staging
+  Reachability rows_;                     // ascending by via, none empty
+  std::uint64_t rows_stamp_ = fresh_stamp();
+  std::vector<NodeId> scratch_;           // set_two_hops_via/refresh_row
+  std::vector<NodeId> stale_vias_;        // expire_two_hops
 };
 
 }  // namespace manet::olsr

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -326,6 +327,122 @@ TEST(Checkpoint, RestoreRejectsInconsistentRoutingSection) {
   for (const auto& bad : {short_dist, unsorted, duplicate, far, orphan})
     EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
                  CheckpointError);
+}
+
+TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto bytes = exp.save_checkpoint();
+
+  // Crafted sections: agent 0 is re-encoded with one table bent through
+  // the restore surfaces (which store slabs verbatim), spliced over its
+  // saved section, and put back for the next case.
+  auto& agent = exp.network().agent(0);
+  const auto encode = [&agent] {
+    CheckpointWriter w;
+    faults::encode_agent(w, agent);
+    return w.take();
+  };
+  const auto section = encode();
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), section.begin(), section.end());
+  ASSERT_NE(at, bytes.end());
+  const auto scalars = agent.protocol_scalars();
+  const auto slots = agent.links().slots();
+  const auto hint = agent.links().transition_hint();
+  const auto nbrs = agent.neighbors().neighbor_tuples();
+  const auto two_hops = agent.neighbors().two_hop_tuples();
+  ASSERT_GE(slots.size(), 2u);
+  ASSERT_GE(nbrs.size(), 2u);
+  ASSERT_GE(two_hops.size(), 2u);
+  const auto splice = [&] {
+    std::vector<std::uint8_t> out(bytes.begin(), at);
+    const auto crafted = encode();
+    out.insert(out.end(), crafted.begin(), crafted.end());
+    out.insert(out.end(), at + static_cast<std::ptrdiff_t>(section.size()),
+               bytes.end());
+    agent.restore_protocol_scalars(scalars);
+    agent.restore_links().restore(slots, hint);
+    agent.restore_neighbors().restore(nbrs, two_hops);
+    return out;
+  };
+  EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(config, splice()));
+
+  const net::NodeId self = agent.id();
+  const auto with_mprs = [&](std::vector<net::NodeId> mprs) {
+    auto s = scalars;
+    s.mprs = std::move(mprs);
+    agent.restore_protocol_scalars(s);
+  };
+  const auto with_slots = [&](auto bend) {
+    auto s = slots;
+    bend(s);
+    agent.restore_links().restore(s, hint);
+  };
+  const auto with_tables = [&](auto bend) {
+    auto n = nbrs;
+    auto t = two_hops;
+    bend(n, t);
+    agent.restore_neighbors().restore(n, t);
+  };
+  // Inserts keeping the storage order, so only the self check can fire.
+  const auto insert_sorted = [](auto& v, auto item, auto key) {
+    v.insert(std::lower_bound(v.begin(), v.end(), key(item),
+                              [&](const auto& e, const auto& k) {
+                                return key(e) < k;
+                              }),
+             item);
+  };
+  const auto nbr_key = [](const olsr::NeighborTuple& t) { return t.id; };
+  const auto two_hop_key = [](const olsr::TwoHopTuple& t) {
+    return std::pair{t.via, t.two_hop};
+  };
+  const net::NodeId far{900};  // not in any table
+  const std::vector<std::pair<const char*, std::function<void()>>> cases = {
+      {"MPR set unsorted",
+       [&] { with_mprs({net::NodeId{9}, net::NodeId{3}}); }},
+      {"MPR set duplicated",
+       [&] { with_mprs({net::NodeId{3}, net::NodeId{3}}); }},
+      {"link slots unsorted",
+       [&] { with_slots([](auto& s) { std::swap(s[0], s[1]); }); }},
+      {"link slot duplicated",
+       [&] { with_slots([](auto& s) { s[1] = s[0]; }); }},
+      {"neighbor tuples unsorted", [&] {
+         with_tables([](auto& n, auto&) { std::swap(n[0], n[1]); });
+       }},
+      {"neighbor tuple duplicated",
+       [&] { with_tables([](auto& n, auto&) { n[1] = n[0]; }); }},
+      {"2-hop tuples unsorted", [&] {
+         with_tables([](auto&, auto& t) { std::swap(t[0], t[1]); });
+       }},
+      {"2-hop tuple duplicated",
+       [&] { with_tables([](auto&, auto& t) { t[1] = t[0]; }); }},
+      {"neighbor tuple naming self", [&] {
+         with_tables([&](auto& n, auto&) {
+           insert_sorted(n, olsr::NeighborTuple{self}, nbr_key);
+         });
+       }},
+      {"2-hop tuple reaching self", [&] {
+         with_tables([&](auto&, auto& t) {
+           insert_sorted(t, olsr::TwoHopTuple{t[0].via, self, t[0].valid_until},
+                         two_hop_key);
+         });
+       }},
+      {"2-hop tuple via self", [&] {
+         with_tables([&](auto&, auto& t) {
+           insert_sorted(t, olsr::TwoHopTuple{self, far, t[0].valid_until},
+                         two_hop_key);
+         });
+       }},
+  };
+  for (const auto& [what, bend] : cases) {
+    bend();
+    EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice()),
+                 CheckpointError)
+        << what;
+  }
 }
 
 TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {

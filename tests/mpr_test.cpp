@@ -1,11 +1,13 @@
 // Tests for the RFC 3626 §8.3.1 MPR selection heuristic, including
 // randomized property sweeps over the coverage invariant — the invariant a
-// link spoofing attack exploits from the victim's side.
+// link spoofing attack exploits from the victim's side — and a randomized
+// comparison with the naive std::map/std::set model in mpr_reference.hpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "mpr_reference.hpp"
 #include "olsr/mpr_selection.hpp"
 #include "sim/rng.hpp"
 
@@ -226,6 +228,60 @@ TEST_P(MprProperty, CoverageInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MprProperty,
                          ::testing::Range<std::uint64_t>(1, 40));
+
+// select_mprs against the naive model on small random neighborhoods:
+// WILL_ALWAYS and WILL_NEVER members, vias missing from N, members reaching
+// nothing, 2-hop nodes only vias outside N reach, rows copied from their
+// predecessor (exact ties on gain, and on willingness when the level range
+// is narrow, down to the id tie-break), pruning on and off — all through
+// one MprScratch reused across every call.
+class MprReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MprReference, MatchesNaiveModel) {
+  sim::Rng rng{GetParam()};
+  const std::vector<Willingness> levels{
+      Willingness::kNever, Willingness::kLow, Willingness::kDefault,
+      Willingness::kHigh, Willingness::kAlways};
+  MprScratch scratch;
+  std::vector<NodeId> out{n(77)};  // stale content must be replaced
+  std::size_t id_ties = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto vias = static_cast<std::uint32_t>(rng.uniform_int(0, 8));
+    const auto two_hops = static_cast<std::uint32_t>(rng.uniform_int(0, 10));
+    const auto lo = rng.uniform_int(0, 4);
+    const auto hi = std::min<std::int64_t>(4, lo + rng.uniform_int(0, 2));
+    reference::Neighbors nbrs;
+    reference::Reach reach;
+    for (std::uint32_t y = 1; y <= vias; ++y) {
+      if (rng.uniform_int(0, 4) > 0)  // else a via missing from N
+        nbrs[n(y)] = levels[static_cast<std::size_t>(rng.uniform_int(lo, hi))];
+      if (rng.uniform_int(0, 4) == 0) continue;  // reaches nothing
+      auto& row = reach[n(y)];
+      if (y > 1 && reach.contains(n(y - 1)) && rng.uniform_int(0, 2) == 0) {
+        row = reach[n(y - 1)];
+        id_ties += nbrs.contains(n(y)) && nbrs.contains(n(y - 1)) &&
+                   nbrs[n(y)] == nbrs[n(y - 1)] && !row.empty();
+        continue;
+      }
+      for (std::uint32_t x = 0; x < two_hops; ++x)
+        if (rng.uniform_int(0, 2) == 0) row.insert(n(100 + x));
+    }
+    MprInputs in;
+    in.neighbors.assign(nbrs.begin(), nbrs.end());
+    in.reach = reference::flat(reach);
+    for (const bool prune : {false, true}) {
+      const auto model = reference::select(nbrs, reach, prune);
+      const std::vector<NodeId> expected(model.begin(), model.end());
+      select_mprs(in, prune, scratch, out);
+      ASSERT_EQ(out, expected) << "trial " << trial << " prune " << prune;
+      ASSERT_EQ(select_mprs(in, prune), expected) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(id_ties, 0u);  // the generator does reach the last tie-break
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MprReference,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace manet::olsr

@@ -79,8 +79,11 @@ TEST(Agent, MprCoversAllTwoHops) {
   net.run_for(sim::Duration::from_seconds(30.0));
   for (std::size_t i = 0; i < 9; ++i) {
     const auto& agent = net.agent(i);
-    const auto strict = agent.neighbors().strict_two_hops(agent.id());
-    // Every strict 2-hop node must be reachable through some selected MPR.
+    // Every strict 2-hop node (each node a reach row lists) must be
+    // reachable through some selected MPR.
+    std::set<NodeId> strict;
+    for (const auto& [via, nodes] : agent.neighbors().reachability(agent.id()))
+      strict.insert(nodes.begin(), nodes.end());
     std::set<NodeId> covered;
     for (auto mpr : agent.mpr_set()) {
       const auto via = agent.neighbors().two_hops_via(mpr);
@@ -90,6 +93,24 @@ TEST(Agent, MprCoversAllTwoHops) {
       EXPECT_TRUE(covered.contains(th))
           << "node " << i << " 2-hop " << th.to_string() << " uncovered";
   }
+}
+
+// Restoring the protocol scalars replaces the MPR set behind the
+// heuristic's back: the next look must re-run it even though its inputs
+// (N and the reach rows) did not move.
+TEST(Agent, RestoredScalarsForceMprReselection) {
+  Network net{chain_config(3)};
+  net.start_all();
+  net.run_for(sim::Duration::from_seconds(20.0));
+  auto& agent = net.agent(0);
+  const auto selected = agent.mpr_set();
+  ASSERT_EQ(selected, (std::vector<NodeId>{Network::id_of(1)}));
+  auto scalars = agent.protocol_scalars();
+  scalars.mprs.clear();
+  scalars.mprs_dirty = true;
+  agent.restore_protocol_scalars(scalars);
+  net.run_for(sim::Duration::from_seconds(1.0));
+  EXPECT_EQ(agent.mpr_set(), selected);
 }
 
 TEST(Agent, TcFloodingBuildsTopology) {

@@ -2,18 +2,20 @@
 // tables, topology set, duplicate set, MID/HNA sets, routing table.
 //
 // The flat-slab storage is additionally pinned against reference map/set
-// implementations, and routing on a real Agent against a naive §10
-// reference, by a randomized 50-seed equivalence suite at the bottom of
-// this file.
+// implementations, and routing and MPR selection on a real Agent against
+// naive §10 and §8.3.1 references, by a randomized 50-seed equivalence
+// suite at the bottom of this file.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "faults/checkpoint.hpp"
+#include "mpr_reference.hpp"
 #include "net/medium.hpp"
 #include "olsr/agent.hpp"
 #include "olsr/assoc_sets.hpp"
@@ -149,24 +151,24 @@ TEST(NeighborTable, UpsertAndRemove) {
 }
 
 TEST(NeighborTable, StrictTwoHopsExcludesSelfAndNeighbors) {
-  NeighborTable nt;
+  NeighborTable nt{NodeId{0}};
   nt.upsert_neighbor(NodeId{1}, Willingness::kDefault, true);
   nt.upsert_neighbor(NodeId{2}, Willingness::kDefault, true);
   // n1 advertises: me (n0), n2 (also my neighbor), n3 (true 2-hop).
   nt.set_two_hops_via(NodeId{1}, {NodeId{0}, NodeId{2}, NodeId{3}}, t(100));
-  const auto strict = nt.strict_two_hops(NodeId{0});
-  EXPECT_EQ(strict, (std::vector<NodeId>{NodeId{3}}));
+  EXPECT_EQ(nt.reachability(NodeId{0}),
+            (NeighborTable::Reachability{{NodeId{1}, {NodeId{3}}}}));
 }
 
 TEST(NeighborTable, TwoHopsViaNonSymmetricNeighborIgnored) {
-  NeighborTable nt;
+  NeighborTable nt{NodeId{0}};
   nt.upsert_neighbor(NodeId{1}, Willingness::kDefault, false);
   nt.set_two_hops_via(NodeId{1}, {NodeId{3}}, t(100));
-  EXPECT_TRUE(nt.strict_two_hops(NodeId{0}).empty());
+  EXPECT_TRUE(nt.reachability(NodeId{0}).empty());
 }
 
 TEST(NeighborTable, ReachabilityExcludesWillNever) {
-  NeighborTable nt;
+  NeighborTable nt{NodeId{0}};
   nt.upsert_neighbor(NodeId{1}, Willingness::kNever, true);
   nt.upsert_neighbor(NodeId{2}, Willingness::kDefault, true);
   nt.set_two_hops_via(NodeId{1}, {NodeId{5}}, t(100));
@@ -174,6 +176,21 @@ TEST(NeighborTable, ReachabilityExcludesWillNever) {
   const auto reach = nt.reachability(NodeId{0});
   EXPECT_TRUE(reach_of(reach, NodeId{1}).empty());
   EXPECT_EQ(reach_of(reach, NodeId{2}), (std::vector<NodeId>{NodeId{5}}));
+}
+
+TEST(NeighborTable, RestoreRebuildsReachRowsUnderFreshStamp) {
+  NeighborTable nt{NodeId{0}};
+  nt.upsert_neighbor(NodeId{1}, Willingness::kDefault, true);
+  nt.set_two_hops_via(NodeId{1}, {NodeId{3}}, t(100));
+  const NeighborTable::Reachability rows{{NodeId{1}, {NodeId{3}}}};
+  ASSERT_EQ(nt.reachability(NodeId{0}), rows);
+  const auto stamp = nt.rows_stamp();
+  nt.restore({}, {});
+  EXPECT_TRUE(nt.reachability(NodeId{0}).empty());
+  EXPECT_NE(nt.rows_stamp(), stamp);
+  nt.restore({NeighborTuple{NodeId{1}, Willingness::kDefault, true}},
+             {TwoHopTuple{NodeId{1}, NodeId{3}, t(100)}});
+  EXPECT_EQ(nt.reachability(NodeId{0}), rows);
 }
 
 TEST(NeighborTable, TwoHopExpiry) {
@@ -655,8 +672,10 @@ TEST_P(SlabEquivalence, NeighborTableMatchesMapReference) {
   std::map<NodeId, std::map<NodeId, sim::Time>> ref_two_hops;
 
   sim::Rng rng{GetParam()};
-  NeighborTable nt;
   const NodeId self{0};
+  NeighborTable nt{self};
+  auto prev_rows = nt.reachability(self);
+  auto prev_stamp = nt.rows_stamp();
   sim::Time now{};
   const auto wills = std::vector<Willingness>{
       Willingness::kNever, Willingness::kLow, Willingness::kDefault,
@@ -702,7 +721,7 @@ TEST_P(SlabEquivalence, NeighborTableMatchesMapReference) {
         break;
     }
 
-    // strict_two_hops against the reference definition.
+    // The strict 2-hop nodes by the reference definition.
     std::set<NodeId> ref_strict;
     for (const auto& [via, ths] : ref_two_hops) {
       const auto n_it = ref_nbrs.find(via);
@@ -714,9 +733,6 @@ TEST_P(SlabEquivalence, NeighborTableMatchesMapReference) {
         ref_strict.insert(th);
       }
     }
-    ASSERT_EQ(nt.strict_two_hops(self),
-              (std::vector<NodeId>{ref_strict.begin(), ref_strict.end()}));
-
     // reachability: strict nodes grouped by advertising via, excluding
     // WILL_NEVER and non-symmetric vias, empties omitted.
     NeighborTable::Reachability ref_reach;
@@ -729,7 +745,22 @@ TEST_P(SlabEquivalence, NeighborTableMatchesMapReference) {
         if (ref_strict.contains(th)) strict_via.push_back(th);
       if (!strict_via.empty()) ref_reach.emplace_back(via, strict_via);
     }
-    ASSERT_EQ(nt.reachability(self), ref_reach);
+
+    // The mutators patch the maintained rows; any row change moves the
+    // stamp. A table restored from the slabs rebuilds the same rows under a
+    // fresh stamp, and now and then the script carries on with it.
+    const auto rows = nt.reachability(self);
+    ASSERT_EQ(rows, ref_reach) << "step " << step;
+    if (rows != prev_rows) {
+      ASSERT_NE(nt.rows_stamp(), prev_stamp) << "step " << step;
+    }
+    NeighborTable restored{self};
+    restored.restore(nt.neighbor_tuples(), nt.two_hop_tuples());
+    ASSERT_EQ(restored.reachability(self), ref_reach) << "step " << step;
+    ASSERT_NE(restored.rows_stamp(), nt.rows_stamp());
+    if (step % 50 == 49) nt = std::move(restored);
+    prev_rows = rows;
+    prev_stamp = nt.rows_stamp();
   }
 }
 
@@ -772,19 +803,23 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
   }
 }
 
-// Routing on a real Agent against the spec (§10): a random script of
+// Shared by the agent-level suites below: a random script of
 // HELLO-driven 2-hop churn, TC ANSN churn, expiry, link lapse by time,
-// reset_tables and a checkpoint save/restore. After every step the live
-// graph must equal the §10 union rebuilt from the tables, and the routes a
-// naive std::map BFS over that union (FIFO queue, neighbors ascending):
-// same destinations, distances, and next hop = first hop of the BFS-first
-// parent chain. (The name is kept so the 50 seeded cases keep their ids.)
-TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
+// reset_tables and a checkpoint save/restore, applied to a real Agent n0
+// that five puppet transmitters feed. With `churn_willingness` the HELLOs
+// also advertise NEVER, DEFAULT or ALWAYS (drawn only then, so the routing
+// suite's seeded scripts do not depend on it). Steps start on
+// housekeeping ticks (every 500 ms from t=0, jitter-free) and end on one,
+// so the derived state `check(agent, now, step)` reads was computed at now;
+// it also runs right after each restore.
+void drive_agent(
+    std::uint64_t seed, bool churn_willingness,
+    const std::function<void(const Agent&, sim::Time, int)>& check) {
   const NodeId self{0};
   constexpr std::uint32_t kPuppets = 5;  // n1..n5 transmit; n6..n10 are far
   constexpr std::uint32_t kIds = 11;
-  sim::Rng rng{GetParam()};
-  sim::Simulator sim{GetParam()};
+  sim::Rng rng{seed};
+  sim::Simulator sim{seed};
   net::Medium medium{sim, net::RadioConfig{}};
   for (std::uint32_t p = 1; p <= kPuppets; ++p)
     medium.attach(NodeId{p}, net::Position{10.0 * p, 0.0});
@@ -813,9 +848,81 @@ TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
   auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
     return NodeId{static_cast<std::uint32_t>(rng.uniform_int(lo, hi))};
   };
+  const auto wills = std::vector<Willingness>{
+      Willingness::kNever, Willingness::kDefault, Willingness::kAlways};
 
-  auto check = [&](int step) {
-    const auto now = sim.now();
+  for (int step = 0; step < 60; ++step) {
+    const auto op = rng.uniform_int(0, 24);
+    if (op < 12) {
+      // HELLO: lists us (-> symmetric link) or not, with a random
+      // advertised symmetric set (-> 2-hop churn; n0 is skipped).
+      const NodeId from = pick(1, kPuppets);
+      HelloMessage h;
+      if (rng.uniform_int(0, 3) > 0)
+        h.add(LinkType::kSym, NeighborType::kSymNeigh, self);
+      for (const auto n : random_ids(from))
+        if (n != self) h.add(LinkType::kSym, NeighborType::kSymNeigh, n);
+      if (churn_willingness)
+        h.willingness = wills[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      Message m;
+      m.header.type = MessageType::kHello;
+      m.header.vtime = vtime();
+      m.header.originator = from;
+      m.header.ttl = 1;
+      m.body = h;
+      inject(from, std::move(m));
+    } else if (op < 22) {
+      // TC from any originator relayed by a puppet; ANSNs mostly advance,
+      // sometimes repeat or go stale (ignored).
+      const NodeId via = pick(1, kPuppets);
+      const NodeId origin = pick(1, kIds - 1);
+      auto& a = ansn[origin];
+      a = static_cast<std::uint16_t>(a + rng.uniform_int(-1, 2));
+      TcMessage tc;
+      tc.ansn = a;
+      tc.advertised = random_ids(origin);
+      Message m;
+      m.header.type = MessageType::kTc;
+      m.header.vtime = vtime();
+      m.header.originator = origin;
+      m.header.ttl = 8;
+      m.header.hop_count = origin == via ? 0 : 1;
+      m.body = tc;
+      inject(via, std::move(m));
+    } else if (op == 22) {
+      agent.stop();
+      agent.reset_tables();
+      agent.start();
+    } else {
+      // Save and restore in place: tables and routes come back from bytes
+      // and the graph and reach rows are rebuilt from the restored tables.
+      faults::CheckpointWriter w;
+      faults::encode_agent(w, agent);
+      const auto bytes = w.take();
+      faults::CheckpointReader r{bytes};
+      faults::decode_agent(r, agent);
+      ASSERT_TRUE(r.at_end());
+      check(agent, sim.now(), step);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    const auto ticks = rng.uniform_int(0, 5) == 0 ? rng.uniform_int(6, 20)
+                                                  : rng.uniform_int(1, 3);
+    sim.run_until(sim.now() + sim::Duration::from_ms(500 * ticks));
+    check(agent, sim.now(), step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Routing on a real Agent against the spec (§10). After every step the
+// live graph must equal the §10 union rebuilt from the tables, and the
+// routes a naive std::map BFS over that union (FIFO queue, neighbors
+// ascending): same destinations, distances, and next hop = first hop of
+// the BFS-first parent chain. (The name is kept so the 50 seeded cases
+// keep their ids.)
+TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
+  drive_agent(GetParam(), /*churn_willingness=*/false,
+              [](const Agent& agent, sim::Time now, int step) {
+    const NodeId self = agent.id();
     std::set<std::pair<NodeId, NodeId>> spec;
     auto edge = [&](NodeId a, NodeId b) {
       if (a == self || b == self) return;  // only links touch self
@@ -854,66 +961,37 @@ TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
       expected.push_back({dest, hop, d});
     }
     ASSERT_EQ(agent.routes().entries(), expected) << "step " << step;
-  };
+  });
+}
 
-  // Steps start on housekeeping ticks (every 500 ms from t=0, jitter-free)
-  // and end on one, so the routes the check reads were computed at now.
-  for (int step = 0; step < 60; ++step) {
-    const auto op = rng.uniform_int(0, 24);
-    if (op < 12) {
-      // HELLO: lists us (-> symmetric link) or not, with a random
-      // advertised symmetric set (-> 2-hop churn; n0 is skipped).
-      const NodeId from = pick(1, kPuppets);
-      HelloMessage h;
-      if (rng.uniform_int(0, 3) > 0)
-        h.add(LinkType::kSym, NeighborType::kSymNeigh, self);
-      for (const auto n : random_ids(from))
-        if (n != self) h.add(LinkType::kSym, NeighborType::kSymNeigh, n);
-      Message m;
-      m.header.type = MessageType::kHello;
-      m.header.vtime = vtime();
-      m.header.originator = from;
-      m.header.ttl = 1;
-      m.body = h;
-      inject(from, std::move(m));
-    } else if (op < 22) {
-      // TC from any originator relayed by a puppet; ANSNs mostly advance,
-      // sometimes repeat or go stale (ignored).
-      const NodeId via = pick(1, kPuppets);
-      const NodeId origin = pick(1, kIds - 1);
-      auto& a = ansn[origin];
-      a = static_cast<std::uint16_t>(a + rng.uniform_int(-1, 2));
-      TcMessage tc;
-      tc.ansn = a;
-      tc.advertised = random_ids(origin);
-      Message m;
-      m.header.type = MessageType::kTc;
-      m.header.vtime = vtime();
-      m.header.originator = origin;
-      m.header.ttl = 8;
-      m.header.hop_count = origin == via ? 0 : 1;
-      m.body = tc;
-      inject(via, std::move(m));
-    } else if (op == 22) {
-      agent.stop();
-      agent.reset_tables();
-      agent.start();
-    } else {
-      // Save and restore in place: tables and routes come back from bytes
-      // and the graph is rebuilt from the restored tables.
-      faults::CheckpointWriter w;
-      faults::encode_agent(w, agent);
-      const auto bytes = w.take();
-      faults::CheckpointReader r{bytes};
-      faults::decode_agent(r, agent);
-      ASSERT_TRUE(r.at_end());
-      check(step);
-    }
-    const auto ticks = rng.uniform_int(0, 5) == 0 ? rng.uniform_int(6, 20)
-                                                  : rng.uniform_int(1, 3);
-    sim.run_until(sim.now() + sim::Duration::from_ms(500 * ticks));
-    check(step);
-  }
+// MPR selection on a real Agent against the naive §8.3.1 model
+// (tests/mpr_reference.hpp), with willingness churn on top of the routing
+// suite's script. After every step the table's maintained reach rows must
+// equal the model's N2-per-neighbor derivation of its slabs, and mpr_set()
+// the model's selection on them. N is the symmetric links at now and the
+// rows key off NeighborTuple::symmetric, as the agent does, so the model
+// reproduces the agent's known deviation (an MPR set that can outlast a
+// link's symmetry; see ROADMAP).
+TEST_P(SlabEquivalence, IncrementalMprMatchesReference) {
+  drive_agent(GetParam(), /*churn_willingness=*/true,
+              [](const Agent& agent, sim::Time now, int step) {
+    const auto& nt = agent.neighbors();
+    const auto rows = reference::reach_rows(agent.id(), nt.neighbor_tuples(),
+                                            nt.two_hop_tuples());
+    ASSERT_EQ(nt.reachability(agent.id()), reference::flat(rows))
+        << "step " << step;
+
+    std::map<NodeId, Willingness> will;
+    for (const auto& t : nt.neighbor_tuples()) will[t.id] = t.willingness;
+    reference::Neighbors n;
+    for (const auto y : agent.links().symmetric_neighbors(now))
+      n[y] = will.contains(y) ? will[y] : Willingness::kDefault;
+    const auto expected =
+        reference::select(n, rows, agent.config().prune_redundant_mprs);
+    ASSERT_EQ(agent.mpr_set(),
+              std::vector<NodeId>(expected.begin(), expected.end()))
+        << "step " << step;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlabEquivalence,
