@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "byte_digest.hpp"
 #include "core/audit_event.hpp"
 #include "obs/obs.hpp"
 #include "core/detector.hpp"
@@ -445,6 +446,29 @@ TEST(AuditReplay, PrefixAtFrameBoundaryIsAValidLog) {
   twin.run_idle_round();
   EXPECT_EQ(core::verdict_csv(twin.detector().reports()), live.verdicts);
   EXPECT_EQ(core::trust_csv(twin.detector().trust_store()), live.trust);
+}
+
+// --- pinned bytes ---------------------------------------------------------
+
+// The round-trip and re-encode tests would pass a layout change made the
+// same way to the writer and the reader; these digests pin the bytes
+// themselves. They are keyed by kAuditVersion: a layout change bumps the
+// version and regenerates them (tests/fixtures/README.md).
+struct PinnedLogs {
+  std::uint32_t version;
+  std::uint64_t sample, forward_audit, recorded_spoof;
+};
+constexpr PinnedLogs kPinnedLogs{
+    2, 0x9c19143fcf194051ull, 0xd7e909ba894176fcull, 0x6b0b59f70ed77ad9ull};
+
+TEST(AuditBytes, PinnedPerVersion) {
+  ASSERT_EQ(logging::kAuditVersion, kPinnedLogs.version)
+      << "the layout changed: regenerate the digests below";
+  EXPECT_EQ(test_digest::fnv1a64(sample_log()), kPinnedLogs.sample);
+  EXPECT_EQ(test_digest::fnv1a64(forward_audit_log()),
+            kPinnedLogs.forward_audit);
+  EXPECT_EQ(test_digest::fnv1a64(record_run(7, /*rounds=*/3, /*idle=*/1).bytes),
+            kPinnedLogs.recorded_spoof);
 }
 
 TEST(AuditReplay, RestoreCheckpointRejectsRecordingConfig) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "byte_digest.hpp"
 #include "faults/checkpoint.hpp"
 #include "faults/fault_plan.hpp"
 #include "logging/log_store.hpp"
@@ -197,6 +198,46 @@ TEST(Checkpoint, ChainedCheckpointsStillMatch) {
   for (int r = 3; r < 5; ++r) actual = fingerprint(third->run_churn_round());
 
   EXPECT_EQ(actual, expected);
+}
+
+// --- pinned bytes ---------------------------------------------------------
+
+// The round-trip tests above would pass a layout change made the same way
+// to the save and the load side; these digests pin the bytes themselves.
+// They are keyed by kCheckpointVersion: a layout change bumps the version
+// and regenerates them (tests/fixtures/README.md).
+struct PinnedCheckpoints {
+  std::uint32_t version;
+  std::uint64_t pristine, faulted, grayhole;
+};
+constexpr PinnedCheckpoints kPinnedCheckpoints{
+    3, 0x3253c1b7cf44cbceull, 0x006c4a6211055e4full, 0x3bc6057009257029ull};
+
+std::uint64_t checkpoint_digest_after_two_rounds(
+    const TrustExperiment::Config& config) {
+  TrustExperiment exp{config};
+  exp.setup();
+  for (int r = 0; r < 2; ++r) {
+    if (exp.faulted())
+      exp.run_churn_round();
+    else
+      exp.run_round();
+  }
+  return test_digest::fnv1a64(exp.save_checkpoint());
+}
+
+TEST(CheckpointBytes, PinnedPerVersion) {
+  ASSERT_EQ(faults::kCheckpointVersion, kPinnedCheckpoints.version)
+      << "the layout changed: regenerate the digests below";
+  auto grayhole = checkpoint_config(/*faulted=*/false);
+  grayhole.attack = TrustExperiment::AttackKind::kGrayhole;
+  grayhole.num_liars = 0;
+  EXPECT_EQ(checkpoint_digest_after_two_rounds(checkpoint_config(false)),
+            kPinnedCheckpoints.pristine);
+  EXPECT_EQ(checkpoint_digest_after_two_rounds(checkpoint_config(true)),
+            kPinnedCheckpoints.faulted);
+  EXPECT_EQ(checkpoint_digest_after_two_rounds(grayhole),
+            kPinnedCheckpoints.grayhole);
 }
 
 // --- preconditions and error paths ---------------------------------------
