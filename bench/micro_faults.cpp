@@ -4,7 +4,7 @@
 // state (up/down, brown-out overrides, partition ids) with an in-flight
 // frame registry — at N in {256, 1024} nodes.
 //
-// The gauge drives the component codecs (faults/checkpoint.hpp) over
+// The gauge drives the section transfers (faults/checkpoint.hpp) over
 // synthetically populated state rather than a live TrustExperiment: a
 // converged dense-cluster experiment at N=256 already carries ~160 MB of
 // OLSR topology and takes minutes of CPU to set up, which would gauge
@@ -99,10 +99,11 @@ std::vector<std::uint8_t> encode_snapshot(
   faults::CheckpointWriter w;
   w.u32(faults::kCheckpointMagic);
   w.u32(faults::kCheckpointVersion);
-  faults::encode_trust(w, store);
-  w.count(cursors.size());
-  for (const auto& st : cursors) faults::encode_rng(w, st);
-  faults::encode_medium(w, medium);
+  trust::transfer_trust_snapshot(w, store.trust_rows(),
+                                 store.interaction_rows());
+  w.list(cursors, [&w](const auto& st) { faults::transfer_rng(w, st); });
+  const auto image = faults::medium_image(medium);
+  faults::transfer_medium(w, image);
   return w.take();
 }
 
@@ -152,13 +153,19 @@ static void BM_CheckpointRestore(benchmark::State& state) {
     if (r.u32() != faults::kCheckpointMagic) state.SkipWithError("bad magic");
     if (r.u32() != faults::kCheckpointVersion)
       state.SkipWithError("bad version");
-    faults::decode_trust(r, target_store);
+    std::vector<std::pair<net::NodeId, double>> rows;
+    std::vector<trust::TrustStore::Counter> counters;
+    trust::transfer_trust_snapshot(r, rows, counters);
+    target_store.restore(std::move(rows), std::move(counters));
     const auto cursor_count = r.count();
     for (std::size_t i = 0; i < cursor_count; ++i) {
-      auto st = faults::decode_rng(r);
+      sim::Rng::State st;
+      faults::transfer_rng(r, st);
       benchmark::DoNotOptimize(st);
     }
-    auto image = faults::decode_medium(r, target);
+    faults::MediumImage image;
+    faults::transfer_medium(r, image);
+    faults::restore_medium(image, target);
     benchmark::DoNotOptimize(image.flights.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(

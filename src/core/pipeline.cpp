@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
 
@@ -51,10 +52,15 @@ void DetectionPipeline::consume_line(const logging::LogRecord& line) {
   obs::hit(obs::Hot::kPipelineLines);
   // Liveness oracle: lines arrive in time order, so the running maximum per
   // peer equals a newest-first scan over the whole log.
-  if (line.event == "hello_recv") {
-    last_heard_[line.node_field("from")] = line.time;
-  } else if (line.event == "tc_recv") {
-    last_heard_[line.node_field("via")] = line.time;
+  try {
+    if (line.event == "hello_recv") {
+      last_heard_[line.node_field("from")] = line.time;
+    } else if (line.event == "tc_recv") {
+      last_heard_[line.node_field("via")] = line.time;
+    }
+  } catch (const std::invalid_argument& e) {
+    // A line this consumer cannot read is a corrupt audit log.
+    throw logging::AuditError{std::string{"unreadable log line: "} + e.what()};
   }
 }
 
@@ -232,85 +238,104 @@ void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
   if (on_report_) on_report_(report);
 }
 
-// ------------------------------------------------------------ header codec
+// ------------------------------------------------------------ audit codec
+// One transfer function per layout (see logging/binary_codec.hpp): the
+// write_* functions and AuditStreamReader run the same bodies, so the
+// header and every frame payload are defined once.
+
+namespace {
+
+constexpr logging::FormatTag kAuditTag{logging::kAuditMagic,
+                                       logging::kAuditVersion};
+
+template <typename IO, typename Tag, typename Header>
+void transfer_header(IO& io, Tag& tag, Header& header) {
+  logging::transfer_tag(io, tag);
+  auto& c = header.config;
+  io.node(c.self);
+  auto& tp = c.trust_params;
+  io.f64(tp.default_trust);
+  io.f64(tp.min_trust);
+  io.f64(tp.max_trust);
+  io.f64(tp.forgetting);
+  io.f64(tp.gravity_lie);
+  io.f64(tp.reward_honest);
+  io.f64(tp.idle_rate_from_above);
+  io.f64(tp.idle_rate_from_below);
+  io.f64(c.decision.gamma);
+  io.f64(c.decision.confidence_level);
+  io.boolean(c.decision.use_confidence_interval);
+  io.f64(c.trust_update_min_detect);
+  io.time(c.liveness_window);
+  io.boolean(c.decay_unresponsive);
+  trust::transfer_trust_snapshot(io, header.trust_rows,
+                                 header.interaction_rows);
+}
+
+template <typename IO, typename T, typename Round>
+void transfer_round(IO& io, T& time, Round& round) {
+  io.time(time);
+  io.u32(round.query.investigation_id);
+  io.u8(round.query.kind);
+  io.node(round.query.suspect);
+  io.node(round.query.subject);
+  io.boolean(round.query.claimed_up);
+  io.f64(round.own_observation);
+  io.list(round.answers, [&io](auto& a) {
+    io.node(a.responder);
+    io.f64(a.evidence);
+    io.boolean(a.answered);
+  });
+  // Plain u64, not count(): timeouts is a tally, not an element count, so
+  // the reader must not bound it by the remaining payload bytes.
+  io.u64(round.timeouts);
+  io.list(round.tags, [&io](auto& tag) { io.u8(tag); });
+}
+
+template <typename IO, typename T>
+void transfer_decay(IO& io, T& time) {
+  io.time(time);
+}
+
+template <typename IO, typename T, typename Audit>
+void transfer_forward_audit(IO& io, T& time, Audit& audit) {
+  io.time(time);
+  io.node(audit.mpr);
+  // Plain u64s, not count(): these are tallies, not element counts, so the
+  // reader must not bound them by the remaining payload bytes.
+  io.u64(audit.expected);
+  io.u64(audit.forwarded);
+}
+
+void check_round(const AuditRound& round) {
+  if (round.query.kind < QueryKind::kLinkStatus ||
+      round.query.kind > QueryKind::kForwarding)
+    throw logging::AuditError{"corrupt round frame: bad query kind"};
+  for (const auto tag : round.tags)
+    if (tag > EvidenceTag::kPeriodicCheck)
+      throw logging::AuditError{"corrupt round frame: bad evidence tag"};
+}
+
+logging::AuditFrame check_frame_kind(std::uint8_t kind) {
+  if (kind < static_cast<std::uint8_t>(logging::AuditFrame::kLine) ||
+      kind > static_cast<std::uint8_t>(logging::AuditFrame::kForwardAudit))
+    throw logging::AuditError{"unknown audit frame kind " +
+                              std::to_string(kind)};
+  return static_cast<logging::AuditFrame>(kind);
+}
+
+}  // namespace
 
 void write_audit_header(logging::AuditWriter& writer,
                         const AuditHeader& header) {
-  writer.u32(logging::kAuditMagic);
-  writer.u32(logging::kAuditVersion);
-  const auto& c = header.config;
-  writer.node(c.self);
-  const auto& tp = c.trust_params;
-  writer.f64(tp.default_trust);
-  writer.f64(tp.min_trust);
-  writer.f64(tp.max_trust);
-  writer.f64(tp.forgetting);
-  writer.f64(tp.gravity_lie);
-  writer.f64(tp.reward_honest);
-  writer.f64(tp.idle_rate_from_above);
-  writer.f64(tp.idle_rate_from_below);
-  writer.f64(c.decision.gamma);
-  writer.f64(c.decision.confidence_level);
-  writer.boolean(c.decision.use_confidence_interval);
-  writer.f64(c.trust_update_min_detect);
-  writer.time(c.liveness_window);
-  writer.boolean(c.decay_unresponsive);
-  writer.count(header.trust_rows.size());
-  for (const auto& [subject, value] : header.trust_rows) {
-    writer.node(subject);
-    writer.f64(value);
-  }
-  writer.count(header.interaction_rows.size());
-  for (const auto& row : header.interaction_rows) {
-    writer.node(row.subject);
-    writer.i64(row.positive);
-    writer.i64(row.total);
-  }
+  transfer_header(writer, kAuditTag, header);
 }
 
 AuditHeader read_audit_header(logging::AuditReader& reader) {
-  const auto magic = reader.u32();
-  if (magic != logging::kAuditMagic)
-    throw logging::AuditError{"not an audit log (bad magic)"};
-  const auto version = reader.u32();
-  if (version != logging::kAuditVersion)
-    throw logging::AuditError{"unsupported audit log version " +
-                              std::to_string(version) + " (expected " +
-                              std::to_string(logging::kAuditVersion) + ")"};
+  logging::FormatTag tag;
   AuditHeader header;
-  auto& c = header.config;
-  c.self = reader.node();
-  auto& tp = c.trust_params;
-  tp.default_trust = reader.f64();
-  tp.min_trust = reader.f64();
-  tp.max_trust = reader.f64();
-  tp.forgetting = reader.f64();
-  tp.gravity_lie = reader.f64();
-  tp.reward_honest = reader.f64();
-  tp.idle_rate_from_above = reader.f64();
-  tp.idle_rate_from_below = reader.f64();
-  c.decision.gamma = reader.f64();
-  c.decision.confidence_level = reader.f64();
-  c.decision.use_confidence_interval = reader.boolean();
-  c.trust_update_min_detect = reader.f64();
-  c.liveness_window = reader.time();
-  c.decay_unresponsive = reader.boolean();
-  const std::size_t ntrust = reader.count();
-  header.trust_rows.reserve(ntrust);
-  for (std::size_t i = 0; i < ntrust; ++i) {
-    const auto subject = reader.node();
-    const double value = reader.f64();
-    header.trust_rows.emplace_back(subject, value);
-  }
-  const std::size_t ninter = reader.count();
-  header.interaction_rows.reserve(ninter);
-  for (std::size_t i = 0; i < ninter; ++i) {
-    trust::TrustStore::Counter row;
-    row.subject = reader.node();
-    row.positive = static_cast<int>(reader.i64());
-    row.total = static_cast<int>(reader.i64());
-    header.interaction_rows.push_back(row);
-  }
+  transfer_header(reader, tag, header);
+  logging::expect_tag<logging::AuditError>(tag, kAuditTag, "audit log");
   return header;
 }
 
@@ -320,115 +345,57 @@ DetectionPipeline pipeline_from_header(const AuditHeader& header) {
   return pipeline;
 }
 
-// ------------------------------------------------------------- frame codec
-
 void write_round_frame(logging::AuditWriter& writer, sim::Time time,
                        const AuditRound& round) {
   writer.begin_frame(logging::AuditFrame::kRound);
-  writer.time(time);
-  writer.u32(round.query.investigation_id);
-  writer.u8(static_cast<std::uint8_t>(round.query.kind));
-  writer.node(round.query.suspect);
-  writer.node(round.query.subject);
-  writer.boolean(round.query.claimed_up);
-  writer.f64(round.own_observation);
-  writer.count(round.answers.size());
-  for (const auto& a : round.answers) {
-    writer.node(a.responder);
-    writer.f64(a.evidence);
-    writer.boolean(a.answered);
-  }
-  // Plain u64, not count(): timeouts is a tally, not an element count, so
-  // the reader must not bound it by the remaining payload bytes.
-  writer.u64(round.timeouts);
-  writer.count(round.tags.size());
-  for (auto tag : round.tags) writer.u8(static_cast<std::uint8_t>(tag));
+  transfer_round(writer, time, round);
   writer.end_frame();
 }
 
 void write_decay_frame(logging::AuditWriter& writer, sim::Time time) {
   writer.begin_frame(logging::AuditFrame::kDecay);
-  writer.time(time);
+  transfer_decay(writer, time);
   writer.end_frame();
 }
 
 void write_forward_audit_frame(logging::AuditWriter& writer, sim::Time time,
                                const ForwardAudit& audit) {
   writer.begin_frame(logging::AuditFrame::kForwardAudit);
-  writer.time(time);
-  writer.node(audit.mpr);
-  // Plain u64s, not count(): these are tallies, not element counts, so the
-  // reader must not bound them by the remaining payload bytes.
-  writer.u64(audit.expected);
-  writer.u64(audit.forwarded);
+  transfer_forward_audit(writer, time, audit);
   writer.end_frame();
 }
-
-namespace {
-
-AuditRound read_round_payload(logging::AuditReader& reader) {
-  AuditRound round;
-  round.query.investigation_id = reader.u32();
-  const auto kind = reader.u8();
-  if (kind < static_cast<std::uint8_t>(QueryKind::kLinkStatus) ||
-      kind > static_cast<std::uint8_t>(QueryKind::kForwarding))
-    throw logging::AuditError{"corrupt round frame: bad query kind"};
-  round.query.kind = static_cast<QueryKind>(kind);
-  round.query.suspect = reader.node();
-  round.query.subject = reader.node();
-  round.query.claimed_up = reader.boolean();
-  round.own_observation = reader.f64();
-  const std::size_t nanswers = reader.count();
-  round.answers.reserve(nanswers);
-  for (std::size_t i = 0; i < nanswers; ++i) {
-    RoundAnswer a;
-    a.responder = reader.node();
-    a.evidence = reader.f64();
-    a.answered = reader.boolean();
-    round.answers.push_back(a);
-  }
-  round.timeouts = static_cast<std::size_t>(reader.u64());
-  const std::size_t ntags = reader.count();
-  round.tags.reserve(ntags);
-  for (std::size_t i = 0; i < ntags; ++i) {
-    const auto tag = reader.u8();
-    if (tag > static_cast<std::uint8_t>(EvidenceTag::kPeriodicCheck))
-      throw logging::AuditError{"corrupt round frame: bad evidence tag"};
-    round.tags.push_back(static_cast<EvidenceTag>(tag));
-  }
-  return round;
-}
-
-}  // namespace
 
 AuditStreamReader::AuditStreamReader(const std::uint8_t* data,
                                      std::size_t size)
     : reader_{data, size}, header_{read_audit_header(reader_)} {}
 
+AuditStreamReader::AuditStreamReader(std::vector<std::uint8_t>&& data)
+    : owned_{std::move(data)},
+      reader_{owned_.data(), owned_.size()},
+      header_{read_audit_header(reader_)} {}
+
 bool AuditStreamReader::next(AuditEvent& out) {
   if (reader_.at_end()) return false;
   const auto frame = reader_.begin_frame();
-  out.kind = frame.kind;
-  out.line = {};
+  out.kind = check_frame_kind(frame.kind);
+  // A kLine frame overwrites every field of `line`, reusing its storage.
+  if (out.kind != logging::AuditFrame::kLine) out.line = {};
   out.round = {};
   out.audit = {};
-  switch (frame.kind) {
+  switch (out.kind) {
     case logging::AuditFrame::kLine:
-      out.line = reader_.line();
+      logging::transfer_record(reader_, out.line);
       out.time = out.line.time;
       break;
     case logging::AuditFrame::kRound:
-      out.time = reader_.time();
-      out.round = read_round_payload(reader_);
+      transfer_round(reader_, out.time, out.round);
+      check_round(out.round);
       break;
     case logging::AuditFrame::kDecay:
-      out.time = reader_.time();
+      transfer_decay(reader_, out.time);
       break;
     case logging::AuditFrame::kForwardAudit:
-      out.time = reader_.time();
-      out.audit.mpr = reader_.node();
-      out.audit.expected = reader_.u64();
-      out.audit.forwarded = reader_.u64();
+      transfer_forward_audit(reader_, out.time, out.audit);
       break;
   }
   reader_.end_frame(frame);

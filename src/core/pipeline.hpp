@@ -78,7 +78,9 @@ class DetectionPipeline {
   void consume(const AuditEvent& event);
 
   /// One audit-log line of the observed daemon. Maintains the liveness
-  /// oracle (latest reception per peer) that gates convictions.
+  /// oracle (latest reception per peer) that gates convictions. A
+  /// hello_recv/tc_recv line without a readable `from`/`via` throws
+  /// logging::AuditError: the log is corrupt.
   void consume_line(const logging::LogRecord& line);
 
   /// One completed investigation round: Eq. 8 aggregation, pool
@@ -167,8 +169,9 @@ struct AuditHeader {
   std::vector<trust::TrustStore::Counter> interaction_rows;
 };
 
-/// Writes the header (magic + version + config + snapshot) at the current
-/// writer position — call before the first frame.
+/// Writes the header (magic + version + config + trust snapshot, one
+/// layout shared with read_audit_header) at the current writer position —
+/// call before the first frame.
 void write_audit_header(logging::AuditWriter& writer, const AuditHeader& header);
 
 /// Reads and validates the header; throws logging::AuditError on a bad
@@ -194,9 +197,14 @@ void write_forward_audit_frame(logging::AuditWriter& writer, sim::Time time,
 /// trailing garbage — throws logging::AuditError.
 class AuditStreamReader {
  public:
+  /// Reads `data`, which must outlive the reader.
   AuditStreamReader(const std::uint8_t* data, std::size_t size);
   explicit AuditStreamReader(const std::vector<std::uint8_t>& data)
       : AuditStreamReader{data.data(), data.size()} {}
+  /// Takes ownership of a temporary log (a view of it would dangle).
+  explicit AuditStreamReader(std::vector<std::uint8_t>&& data);
+  AuditStreamReader(const AuditStreamReader&) = delete;
+  AuditStreamReader& operator=(const AuditStreamReader&) = delete;
 
   const AuditHeader& header() const { return header_; }
 
@@ -204,6 +212,7 @@ class AuditStreamReader {
   bool next(AuditEvent& out);
 
  private:
+  std::vector<std::uint8_t> owned_;  ///< empty unless built from a temporary
   logging::AuditReader reader_;
   AuditHeader header_;
 };

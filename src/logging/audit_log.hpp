@@ -2,20 +2,18 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <string>
-#include <string_view>
-#include <vector>
 
+#include "logging/binary_codec.hpp"
 #include "logging/record.hpp"
 
 namespace manet::logging {
 
 /// First bytes of every audit log ("MNTA" little-endian) and the format
-/// version. Same compatibility rule as the checkpoint codec
-/// (faults/checkpoint.hpp): a reader accepts exactly its own version —
-/// the stream is a byte-exact replay input, so any frame-layout change
-/// bumps the version and invalidates old files. Version 2 added the
-/// kForwardAudit frame kind (forwarding-audit grayhole detection).
+/// version. Same compatibility rule as the checkpoint (expect_tag): a
+/// reader accepts exactly its own version — the stream is a byte-exact
+/// replay input, so any frame-layout change bumps the version and
+/// invalidates old files. Version 2 added the kForwardAudit frame kind
+/// (forwarding-audit grayhole detection).
 inline constexpr std::uint32_t kAuditMagic = 0x41544E4Du;  // "MNTA"
 inline constexpr std::uint32_t kAuditVersion = 2;
 
@@ -24,10 +22,10 @@ struct AuditError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Frame kinds of the audit stream. kLine payloads are encoded/decoded
-/// here (they are plain LogRecords); kRound and kDecay payloads belong to
-/// the detection layer (core/audit_event.hpp) — this layer only frames
-/// them.
+/// Frame kinds of the audit stream. kLine payloads are LogRecords
+/// (transfer_record below); kRound, kDecay and kForwardAudit payloads
+/// belong to the detection layer (core/pipeline.cpp) — this layer only
+/// frames them.
 enum class AuditFrame : std::uint8_t {
   kLine = 1,   ///< one audit-log line of the node's routing daemon
   kRound = 2,  ///< one completed investigation round (core codec)
@@ -38,88 +36,31 @@ enum class AuditFrame : std::uint8_t {
   kForwardAudit = 4,
 };
 
-/// Little-endian binary writer backing the audit-log format; fixed-width
-/// fields only, mirroring the checkpoint codec conventions. Frames are
-/// length-prefixed ([u8 kind][u32 size][payload]) so a reader can validate
-/// truncation per frame.
-class AuditWriter {
+/// The one LogRecord layout: a kLine frame's payload, and each record of
+/// the checkpoint's log section (faults/checkpoint.hpp).
+template <typename IO, typename Record>
+void transfer_record(IO& io, Record& record) {
+  io.time(record.time);
+  io.node(record.node);
+  io.str(record.event);
+  io.list(record.fields, [&io](auto& field) {
+    io.str(field.first);
+    io.str(field.second);
+  });
+}
+
+/// Reader of the audit-log format; every overrun throws AuditError.
+using AuditReader = BinaryReader<AuditError>;
+
+/// Writer of the audit-log format: the shared BinaryWriter plus the kLine
+/// frame the LogStore writer mode appends on every record.
+class AuditWriter : public BinaryWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void time(sim::Time t) { i64(t.us()); }
-  void node(net::NodeId n) { u32(n.value()); }
-  void count(std::size_t n);
-  void str(std::string_view s);
-
-  /// Opens a frame: writes the kind byte and reserves the size prefix.
-  /// Frames do not nest.
-  void begin_frame(AuditFrame kind);
-  /// Closes the open frame, patching the size prefix.
-  void end_frame();
-
-  /// One whole kLine frame (the LogStore writer mode calls this on every
-  /// append).
-  void line(const LogRecord& record);
-
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  void le(std::uint64_t v, int bytes);
-
-  std::vector<std::uint8_t> buf_;
-  std::size_t frame_size_at_ = SIZE_MAX;  ///< position of the open size prefix
-};
-
-/// Bounds-checked reader over an audit log held in (possibly mmapped)
-/// memory; throws AuditError instead of reading past the end.
-class AuditReader {
- public:
-  AuditReader(const std::uint8_t* data, std::size_t size)
-      : data_{data}, size_{size} {}
-  explicit AuditReader(const std::vector<std::uint8_t>& data)
-      : AuditReader{data.data(), data.size()} {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  bool boolean() { return u8() != 0; }
-  sim::Time time() { return sim::Time::from_us(i64()); }
-  net::NodeId node() { return net::NodeId{u32()}; }
-  std::size_t count();
-  std::string str();
-
-  bool at_end() const { return pos_ == size_; }
-
-  /// One frame header. The returned `end` is the absolute position just
-  /// past the payload; a size prefix pointing past the buffer throws.
-  struct FrameHeader {
-    AuditFrame kind;
-    std::size_t end = 0;
-  };
-  FrameHeader begin_frame();
-  /// Validates the payload was consumed exactly (decode drift = corruption).
-  void end_frame(const FrameHeader& frame);
-  /// Jumps past the payload without decoding it.
-  void skip_frame(const FrameHeader& frame) { pos_ = frame.end; }
-
-  /// Decodes one kLine payload (begin_frame must have returned kLine).
-  LogRecord line();
-
- private:
-  std::uint64_t le(int bytes);
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
+  void line(const LogRecord& record) {
+    begin_frame(AuditFrame::kLine);
+    transfer_record(*this, record);
+    end_frame();
+  }
 };
 
 }  // namespace manet::logging

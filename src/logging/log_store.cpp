@@ -15,7 +15,6 @@ void LogStore::append(LogRecord record) {
     ++dropped_;
   }
   if (audit_writer_) audit_writer_->line(records_.back());
-  if (observer_) observer_(records_.back());
 }
 
 std::vector<LogRecord> LogStore::records_since(sim::Time since) const {

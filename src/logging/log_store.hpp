@@ -1,7 +1,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,11 +33,6 @@ class LogStore {
   /// analyzer would read from disk.
   std::string text_since(sim::Time since) const;
 
-  /// Observer invoked on every append (used by tests and live detectors).
-  void set_observer(std::function<void(const LogRecord&)> observer) {
-    observer_ = std::move(observer);
-  }
-
   /// Writer mode: every appended record is also emitted as a kLine frame of
   /// the binary audit-log format (logging/audit_log.hpp) — the recording
   /// half of the offline detection pipeline. The writer must outlive this
@@ -70,7 +64,6 @@ class LogStore {
  private:
   std::size_t max_records_;
   std::deque<LogRecord> records_;
-  std::function<void(const LogRecord&)> observer_;
   AuditWriter* audit_writer_ = nullptr;
   std::uint64_t total_appended_ = 0;
   std::uint64_t dropped_ = 0;

@@ -183,20 +183,24 @@ void Medium::restore_in_flight(const InFlightFrame& frame) {
   auto on_arrival = [this, token, receiver = frame.receiver,
                      packet = std::move(packet)] {
     flights_.erase(token);
-    const auto it = index_.find(receiver);
-    if (it == index_.end()) return;
-    Host& h = hosts_[it->second];
-    if (!h.up) {
-      ++stats_slot().dropped_down;
-      return;
-    }
-    ++stats_slot().deliveries;
-    if (h.handler) h.handler(packet);
+    arrive(receiver, packet);
   };
   const sim::EventId ev = sim_.schedule_at(frame.arrival, std::move(on_arrival));
   InFlightFrame tracked = frame;
   tracked.seq = ev.raw();
   flights_.emplace(token, std::move(tracked));
+}
+
+void Medium::arrive(NodeId receiver, const Packet& packet) {
+  const auto it = index_.find(receiver);
+  if (it == index_.end()) return;
+  Host& h = hosts_[it->second];
+  if (!h.up) {
+    ++stats_slot().dropped_down;
+    return;
+  }
+  ++stats_slot().deliveries;
+  if (h.handler) h.handler(packet);
 }
 
 void Medium::restore_stats(const MediumStats& stats) {
@@ -417,15 +421,7 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
     auto on_arrival = [this, token, receiver = rx.id,
                        packet = std::move(to_deliver)] {
       flights_.erase(token);
-      const auto it = index_.find(receiver);
-      if (it == index_.end()) return;
-      Host& h = hosts_[it->second];
-      if (!h.up) {
-        ++stats_slot().dropped_down;
-        return;
-      }
-      ++stats_slot().deliveries;
-      if (h.handler) h.handler(packet);
+      arrive(receiver, packet);
     };
     const sim::EventId ev = eng.schedule_at(arrival, std::move(on_arrival));
     frame.seq = ev.raw();
@@ -437,15 +433,7 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
   // so the callback needs neither — a smaller capture makes every queue
   // move of the entry cheaper on the hottest path.
   auto on_arrival = [this, receiver = rx.id, packet = std::move(to_deliver)] {
-    const auto it = index_.find(receiver);
-    if (it == index_.end()) return;
-    Host& h = hosts_[it->second];
-    if (!h.up) {
-      ++stats_slot().dropped_down;
-      return;
-    }
-    ++stats_slot().deliveries;
-    if (h.handler) h.handler(packet);
+    arrive(receiver, packet);
   };
   if (window != nullptr) {
     window->add(arrival, std::move(on_arrival));

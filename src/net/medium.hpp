@@ -222,6 +222,11 @@ class Medium {
   /// overrides of sender and receiver).
   void deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
                   double loss, DeliveryWindow* window = nullptr);
+  /// The arrival of one frame without the collision model (tracked,
+  /// untracked and restored deliveries): a detached receiver drops it, a
+  /// down one counts it as dropped_down, else it is counted and handed
+  /// to the receiver's handler.
+  void arrive(NodeId receiver, const Packet& packet);
   /// max(config loss, sender override).
   double sender_loss(const Host& tx) const {
     return tx.loss_override >= 0.0

@@ -777,7 +777,7 @@ void Agent::recompute_mprs() {
   neighbors_.reachability(id_, mpr_inputs_.reach);
 
   obs::hit(obs::Hot::kMprRuns);
-  select_mprs(mpr_inputs_, config_.prune_redundant_mprs, mpr_scratch_,
+  select_mprs(mpr_inputs_, /*prune_redundant=*/false, mpr_scratch_,
               fresh_mprs_);
   if (fresh_mprs_ == mprs_) return;
 

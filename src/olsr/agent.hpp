@@ -76,7 +76,6 @@ class Agent {
     std::vector<NodeId> extra_interfaces;
     /// External networks this node gateways for; enables HNA emission.
     std::vector<HnaMessage::Entry> hna_networks;
-    bool prune_redundant_mprs = false;
     /// Log an fwd_echo record (by/orig/seq) whenever a neighbor is heard
     /// re-broadcasting a *third-party* flood — the raw material of the
     /// forwarding audit (core/signatures_forwarding.hpp). Off by default:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,7 +12,6 @@
 #include "logging/audit_log.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
-#include "olsr/wire.hpp"
 
 namespace manet::scenario {
 
@@ -424,6 +424,113 @@ std::vector<TrustExperiment::RoundSnapshot> TrustExperiment::run_attack_rounds(
 }
 
 // ----------------------------------------------------------- checkpointing
+// The snapshot is two sections, each one transfer function (see
+// faults/checkpoint.hpp): a header checked before the body is read, and
+// the body. The rest of a TrustExperiment's state is rebuilt from its
+// config by build_network().
+
+namespace {
+
+constexpr logging::FormatTag kCheckpointTag{faults::kCheckpointMagic,
+                                            faults::kCheckpointVersion};
+
+struct SnapshotHeader {
+  logging::FormatTag tag;
+  std::uint32_t nodes = 0;
+  std::uint64_t seed = 0;
+  int round = 0;
+  std::uint64_t false_convictions = 0;
+  sim::Time now{};
+};
+
+template <typename IO, typename Header>
+void transfer_header(IO& io, Header& h) {
+  logging::transfer_tag(io, h.tag);
+  io.u32(h.nodes);
+  io.u64(h.seed);
+  io.i64(h.round);
+  io.u64(h.false_convictions);
+  io.time(h.now);
+}
+
+struct NodeImage {
+  faults::AgentImage agent;
+  faults::InvestigationImage investigations;
+};
+
+/// The attacker's state; the kind byte pins which payload follows, so a
+/// config/bytes mismatch is a clean error, not a misparse.
+struct AttackImage {
+  TrustExperiment::AttackKind kind = TrustExperiment::AttackKind::kSpoof;
+  bool active = false;
+  // kGrayhole
+  sim::Rng::State rng;
+  std::uint64_t dropped_control = 0;
+  std::uint64_t dropped_data = 0;
+  std::uint32_t duty_position = 0;
+  // kSpoof
+  std::uint64_t forged = 0;
+};
+
+template <typename IO, typename Attack>
+void transfer_attack(IO& io, Attack& a) {
+  io.u8(a.kind);
+  io.boolean(a.active);
+  if (a.kind == TrustExperiment::AttackKind::kGrayhole) {
+    faults::transfer_rng(io, a.rng);
+    io.u64(a.dropped_control);
+    io.u64(a.dropped_data);
+    io.u32(a.duty_position);
+  } else {
+    io.u64(a.forged);
+  }
+}
+
+/// The fault injector's cursor and timeline (present iff a plan is set).
+struct InjectorImage {
+  std::uint64_t cursor = 0;
+  std::vector<std::pair<NodeId, sim::Time>> down;
+  sim::Time last_disruption{};
+  sim::Time last_heal{};
+  bool armed = false;
+  sim::Time pending_at{};
+  std::uint64_t pending_seq = 0;
+};
+
+struct SnapshotBody {
+  sim::Rng::State rng;
+  faults::MediumImage medium;
+  std::vector<NodeImage> nodes;
+  faults::DetectorImage detector;
+  AttackImage attack;
+  std::optional<InjectorImage> injector;
+};
+
+template <typename IO, typename Body>
+void transfer_body(IO& io, Body& b) {
+  faults::transfer_rng(io, b.rng);
+  faults::transfer_medium(io, b.medium);
+  for (auto& node : b.nodes) {
+    faults::transfer_agent(io, node.agent);
+    faults::transfer_investigations(io, node.investigations);
+  }
+  faults::transfer_detector(io, b.detector);
+  transfer_attack(io, b.attack);
+  io.optional(b.injector, [&io](auto& inj) {
+    io.u64(inj.cursor);
+    io.list(inj.down, [&io](auto& d) {
+      io.node(d.first);
+      io.time(d.second);
+    });
+    io.time(inj.last_disruption);
+    io.time(inj.last_heal);
+    io.boolean(inj.armed);
+    io.time(inj.pending_at);
+    io.u64(inj.pending_seq);
+  });
+}
+
+}  // namespace
 
 std::vector<std::uint8_t> TrustExperiment::save_checkpoint() {
   if (!config_.checkpointable)
@@ -439,49 +546,45 @@ std::vector<std::uint8_t> TrustExperiment::save_checkpoint() {
 
   obs::hit(obs::Hot::kCheckpointSaves);
   obs::instant(obs::SpanName::kCheckpointSave, network_->now());
-  faults::CheckpointWriter w;
-  w.u32(faults::kCheckpointMagic);
-  w.u32(faults::kCheckpointVersion);
-  w.u32(static_cast<std::uint32_t>(config_.num_nodes));
-  w.u64(config_.seed);
-  w.i64(round_counter_);
-  w.u64(false_convictions_);
-  w.time(network_->now());
-  faults::encode_rng(w, network_->sim().rng().state());
-  faults::encode_medium(w, network_->medium());
+  const SnapshotHeader header{kCheckpointTag,
+                              static_cast<std::uint32_t>(config_.num_nodes),
+                              config_.seed,
+                              round_counter_,
+                              false_convictions_,
+                              network_->now()};
+  SnapshotBody body;
+  body.rng = network_->sim().rng().state();
+  body.medium = faults::medium_image(network_->medium());
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
-    faults::encode_agent(w, network_->agent(i));
-    faults::encode_investigations(w, network_->investigations(i));
+    const auto& inv = network_->investigations(i);
+    body.nodes.push_back({faults::agent_image(network_->agent(i)),
+                          {inv.next_id(), inv.stats()}});
   }
-  faults::encode_detector(w, *detector_);
-  // Per-attack-kind payload (checkpoint v2): the kind byte pins the layout
-  // so a config/bytes mismatch is a clean error, not a misparse.
-  w.u8(static_cast<std::uint8_t>(config_.attack));
+  body.detector = faults::detector_image(*detector_);
+  body.attack.kind = config_.attack;
   if (drop_) {
-    w.boolean(drop_->active());
-    faults::encode_rng(w, drop_->rng_state());
-    w.u64(drop_->dropped_control());
-    w.u64(drop_->dropped_data());
-    w.u32(drop_->duty_position());
+    body.attack.active = drop_->active();
+    body.attack.rng = drop_->rng_state();
+    body.attack.dropped_control = drop_->dropped_control();
+    body.attack.dropped_data = drop_->dropped_data();
+    body.attack.duty_position = drop_->duty_position();
   } else {
-    w.boolean(spoof_->active());
-    w.u64(spoof_->forged_count());
+    body.attack.active = spoof_->active();
+    body.attack.forged = spoof_->forged_count();
   }
-  w.boolean(injector_ != nullptr);
   if (injector_) {
-    w.u64(injector_->cursor());
-    const auto down = injector_->down_nodes();
-    w.count(down.size());
-    for (const auto& [id, since] : down) {
-      w.node(id);
-      w.time(since);
-    }
-    w.time(injector_->last_disruption());
-    w.time(injector_->last_heal());
-    w.boolean(injector_->armed());
-    w.time(injector_->pending_at());
-    w.u64(injector_->pending_seq());
+    body.injector = InjectorImage{injector_->cursor(),
+                                  injector_->down_nodes(),
+                                  injector_->last_disruption(),
+                                  injector_->last_heal(),
+                                  injector_->armed(),
+                                  injector_->pending_at(),
+                                  injector_->pending_seq()};
   }
+
+  faults::CheckpointWriter w;
+  transfer_header(w, header);
+  transfer_body(w, std::as_const(body));
   return w.take();
 }
 
@@ -498,6 +601,7 @@ std::vector<std::uint8_t> TrustExperiment::audit_log() const {
 }
 
 void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
+  using faults::CheckpointError;
   if (!config_.checkpointable)
     throw std::invalid_argument{"restore requires a checkpointable config"};
   if (config_.record_audit)
@@ -510,22 +614,39 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
   build_network();
 
   faults::CheckpointReader r{bytes};
-  if (r.u32() != faults::kCheckpointMagic)
-    throw faults::CheckpointError{"bad checkpoint magic"};
-  if (const auto v = r.u32(); v != faults::kCheckpointVersion)
-    throw faults::CheckpointError{"unsupported checkpoint version " +
-                                  std::to_string(v)};
-  if (r.u32() != config_.num_nodes)
-    throw faults::CheckpointError{"checkpoint node count mismatch"};
-  if (r.u64() != config_.seed)
-    throw faults::CheckpointError{"checkpoint seed mismatch"};
-  round_counter_ = static_cast<int>(r.i64());
-  false_convictions_ = r.u64();
-  const sim::Time now = r.time();
+  SnapshotHeader header;
+  transfer_header(r, header);
+  logging::expect_tag<CheckpointError>(header.tag, kCheckpointTag,
+                                       "checkpoint");
+  if (header.nodes != config_.num_nodes)
+    throw CheckpointError{"checkpoint node count mismatch"};
+  if (header.seed != config_.seed)
+    throw CheckpointError{"checkpoint seed mismatch"};
+  if (header.now < network_->now())
+    throw CheckpointError{"checkpoint time before the start of the run"};
+  SnapshotBody body;
+  body.nodes.resize(config_.num_nodes);
+  transfer_body(r, body);
+  if (!r.at_end()) throw CheckpointError{"trailing bytes after checkpoint"};
+  if (body.attack.kind != config_.attack)
+    throw CheckpointError{"checkpoint attack kind mismatch"};
+  if (body.injector.has_value() != (injector_ != nullptr))
+    throw CheckpointError{"fault plan presence mismatch"};
+  if (const auto& inj = body.injector) {
+    const auto& events = injector_->plan().events;
+    // arm() schedules the plan event at the cursor, so an armed cursor
+    // must name the event the saving run had pending.
+    if (inj->cursor > events.size() ||
+        (inj->armed && (inj->cursor == events.size() ||
+                        events[inj->cursor].at != inj->pending_at)))
+      throw CheckpointError{"fault injector cursor disagrees with the plan"};
+  }
 
+  round_counter_ = header.round;
+  false_convictions_ = header.false_convictions;
   auto& sim = network_->sim();
-  sim.restore_now(now);
-  sim.rng().set_state(faults::decode_rng(r));
+  sim.restore_now(header.now);
+  sim.rng().set_state(body.rng);
 
   // Pending-event re-arm protocol: collect everything that was in the
   // queue at save time, sort by (time, original seq), arm in that order.
@@ -537,83 +658,64 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
   };
   std::vector<ResumeItem> items;
 
-  const faults::MediumImage medium_img =
-      faults::decode_medium(r, network_->medium());
-  for (const auto& f : medium_img.flights)
+  faults::restore_medium(body.medium, network_->medium());
+  for (const auto& f : body.medium.flights)
     items.push_back({f.arrival, f.seq,
                      [this, f] { network_->medium().restore_in_flight(f); }});
 
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
     auto& agent = network_->agent(i);
-    const faults::AgentImage img = faults::decode_agent(r, agent);
-    if (img.running) agent.resume_running();
+    auto& node = body.nodes[i];
+    auto events = faults::restore_agent(std::move(node.agent), agent);
+    if (events.running) agent.resume_running();
     const auto arm_timer = [&items](sim::PeriodicTimer& t,
                                     const faults::TimerImage& ti) {
       if (!ti.running) return;
       items.push_back(
           {ti.next_fire, ti.seq, [&t, at = ti.next_fire] { t.resume_at(at); }});
     };
-    arm_timer(agent.hello_timer(), img.hello);
-    arm_timer(agent.tc_timer(), img.tc);
-    arm_timer(agent.mid_timer(), img.mid);
-    arm_timer(agent.housekeeping_timer(), img.housekeeping);
-    for (const auto& fwd : img.forwards) {
-      auto packet = olsr::parse_packet(fwd.message);
-      if (packet.messages.size() != 1)
-        throw faults::CheckpointError{"corrupt pending-forward message"};
+    arm_timer(agent.hello_timer(), events.hello);
+    arm_timer(agent.tc_timer(), events.tc);
+    arm_timer(agent.mid_timer(), events.mid);
+    arm_timer(agent.housekeeping_timer(), events.housekeeping);
+    for (auto& fwd : events.forwards)
       items.push_back({fwd.at, fwd.seq,
-                       [&agent, msg = std::move(packet.messages.front()),
-                        at = fwd.at] { agent.restore_pending_forward(msg, at); }});
-    }
-    faults::decode_investigations(r, network_->investigations(i));
+                       [&agent, msg = std::move(fwd.message), at = fwd.at] {
+                         agent.restore_pending_forward(msg, at);
+                       }});
+    network_->investigations(i).restore_ids(node.investigations.next_id,
+                                            node.investigations.stats);
   }
 
-  faults::decode_detector(r, *detector_);
-  if (r.u8() != static_cast<std::uint8_t>(config_.attack))
-    throw faults::CheckpointError{"checkpoint attack kind mismatch"};
+  faults::restore_detector(std::move(body.detector), *detector_);
+  const auto& attack = body.attack;
   if (drop_) {
-    const bool active = r.boolean();
-    const auto rng = faults::decode_rng(r);
-    const auto dropped_control = r.u64();
-    const auto dropped_data = r.u64();
-    const auto duty_pos = r.u32();
-    drop_->restore(rng, active, dropped_control, dropped_data, duty_pos);
+    drop_->restore(attack.rng, attack.active, attack.dropped_control,
+                   attack.dropped_data, attack.duty_position);
   } else {
-    spoof_->set_active(r.boolean());
-    spoof_->restore_forged(r.u64());
+    spoof_->set_active(attack.active);
+    spoof_->restore_forged(attack.forged);
   }
 
-  const bool has_injector = r.boolean();
-  if (has_injector != (injector_ != nullptr))
-    throw faults::CheckpointError{"fault plan presence mismatch"};
-  if (injector_) {
-    const auto cursor = static_cast<std::size_t>(r.u64());
-    const std::size_t ndown = r.count();
-    std::vector<std::pair<NodeId, sim::Time>> down;
-    down.reserve(ndown);
-    for (std::size_t k = 0; k < ndown; ++k) {
-      const auto id = r.node();
-      const auto since = r.time();
-      down.emplace_back(id, since);
-    }
-    const auto last_disruption = r.time();
-    const auto last_heal = r.time();
-    injector_->restore(cursor, std::move(down), last_disruption, last_heal);
-    const bool armed = r.boolean();
-    const auto at = r.time();
-    const auto seq = r.u64();
-    if (armed) items.push_back({at, seq, [this] { injector_->arm(); }});
+  if (auto& inj = body.injector) {
+    injector_->restore(static_cast<std::size_t>(inj->cursor),
+                       std::move(inj->down), inj->last_disruption,
+                       inj->last_heal);
+    if (inj->armed)
+      items.push_back(
+          {inj->pending_at, inj->pending_seq, [this] { injector_->arm(); }});
   }
-  if (!r.at_end())
-    throw faults::CheckpointError{"trailing bytes after checkpoint"};
 
+  for (const auto& item : items)
+    if (item.at < header.now)
+      throw CheckpointError{"pending event before the checkpoint time"};
   std::stable_sort(items.begin(), items.end(),
                    [](const ResumeItem& a, const ResumeItem& b) {
                      return a.at != b.at ? a.at < b.at : a.seq < b.seq;
                    });
   for (const auto& item : items) item.fn();
   obs::hit(obs::Hot::kCheckpointRestores);
-  obs::instant(obs::SpanName::kCheckpointRestore, now);
+  obs::instant(obs::SpanName::kCheckpointRestore, header.now);
 }
 
 }  // namespace manet::scenario

@@ -103,4 +103,21 @@ class TrustStore {
   std::vector<Counter> interactions_;  // sorted by subject
 };
 
+/// The one binary layout of a trust snapshot (both slabs of a TrustStore),
+/// shared by the audit-log header's initial trust and the checkpoint's
+/// trust section. A transfer function over logging::BinaryWriter/Reader.
+template <typename IO, typename Rows, typename Counters>
+void transfer_trust_snapshot(IO& io, Rows& trust_rows,
+                             Counters& interaction_rows) {
+  io.list(trust_rows, [&io](auto& row) {
+    io.node(row.first);
+    io.f64(row.second);
+  });
+  io.list(interaction_rows, [&io](auto& c) {
+    io.node(c.subject);
+    io.i64(c.positive);
+    io.i64(c.total);
+  });
+}
+
 }  // namespace manet::trust

@@ -202,6 +202,28 @@ TEST(AuditWire, RejectsPayloadSizeMismatch) {
   expect_whole_stream_throws(log);
 }
 
+TEST(AuditWire, UnreadableLineIsACorruptLog) {
+  // The frame decodes, but the pipeline cannot read the hello_recv's
+  // sender: that is a corrupt log (manet_detect exits 2), not a bad
+  // argument.
+  AuditWriter w;
+  AuditHeader header;
+  header.config = sample_config();
+  core::write_audit_header(w, header);
+  logging::LogRecord rec;
+  rec.time = sim::Time::from_ms(1500);
+  rec.node = NodeId{0};
+  rec.event = "hello_recv";
+  rec.with("from", "x2");
+  w.line(rec);
+  const auto bytes = w.take();
+  AuditStreamReader stream{bytes};
+  auto pipeline = core::pipeline_from_header(stream.header());
+  AuditEvent event;
+  ASSERT_TRUE(stream.next(event));
+  EXPECT_THROW(pipeline.consume(event), AuditError);
+}
+
 // --- kForwardAudit frame (format version 2) -------------------------------
 
 std::vector<std::uint8_t> forward_audit_log() {

@@ -19,6 +19,7 @@
 #include "faults/checkpoint.hpp"
 #include "faults/fault_plan.hpp"
 #include "logging/log_store.hpp"
+#include "olsr/wire.hpp"
 #include "scenario/trust_experiment.hpp"
 
 namespace manet {
@@ -44,12 +45,10 @@ TEST(CheckpointWire, PrimitivesRoundTrip) {
   w.node(net::NodeId{7});
   w.count(3);
   w.str("hello");
-  // blob() is written as count + raw bytes (the writer half is raw so
-  // containers can prefix their own element counts); the reader half is
-  // length-prefixed.
+  // A blob is count + raw bytes; written here in its two halves.
   const std::vector<std::uint8_t> blob{9, 8, 7};
   w.count(blob.size());
-  w.blob(blob.data(), blob.size());
+  w.raw(blob.data(), blob.size());
 
   const auto bytes = w.take();
   CheckpointReader r{bytes};
@@ -320,6 +319,66 @@ TEST(Checkpoint, RestoreRejectsTruncationAndTrailingGarbage) {
                CheckpointError);
 }
 
+// Single-bit corruption anywhere in a snapshot: restore either succeeds or
+// throws CheckpointError, never another exception type. The snapshot is a
+// small faulted run saved mid-plan, so it carries a down host, pending
+// forwards, in-flight frames and the injector cursor.
+TEST(Checkpoint, RestoreThrowsOnlyCheckpointErrorUnderBitFlips) {
+  auto config = checkpoint_config(/*faulted=*/true);
+  config.num_nodes = 8;
+  config.num_liars = 2;
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_churn_round();
+  const auto bytes = exp.save_checkpoint();
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at < bytes.size(); at += 97) {
+    for (const std::uint8_t mask : {0x01, 0x40}) {
+      auto bent = bytes;
+      bent[at] ^= mask;
+      try {
+        TrustExperiment::restore_checkpoint(config, bent);
+      } catch (const CheckpointError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "flip of byte " << at << " (mask " << int{mask}
+                      << ") escaped as: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+// A pending forward is saved as an OLSR packet in wire form. Bytes that no
+// longer parse are a corrupt snapshot: CheckpointError, not olsr::WireError.
+TEST(Checkpoint, RestoreRejectsUnparsableForwardBytes) {
+  const auto config = checkpoint_config(/*faulted=*/false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  // Round boundaries are quiet, so park one jittered TC forward by hand.
+  olsr::Message tc;
+  tc.header.type = olsr::MessageType::kTc;
+  tc.header.originator = net::NodeId{5};
+  tc.header.seq_num = 4242;
+  tc.body = olsr::TcMessage{7, {net::NodeId{2}, net::NodeId{3}}};
+  exp.network().agent(3).restore_pending_forward(
+      tc, exp.network().now() + sim::Duration::from_ms(20));
+  const auto bytes = exp.save_checkpoint();
+
+  const auto wire = olsr::serialize_packet(olsr::OlsrPacket{0, {tc}});
+  const auto at = std::search(bytes.begin(), bytes.end(), wire.begin(),
+                              wire.end()) -
+                  bytes.begin();
+  ASSERT_LT(static_cast<std::size_t>(at), bytes.size());
+  EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(config, bytes));
+  auto bent = bytes;
+  // The packet's length field (network order) stops matching its bytes.
+  bent[static_cast<std::size_t>(at) + 1] ^= 0x01;
+  EXPECT_THROW(TrustExperiment::restore_checkpoint(config, bent),
+               CheckpointError);
+}
+
 // The routing section is the one whose entries index each other: route_to
 // walks parent chains by binary search over the destinations. A crafted
 // section with mismatched lengths, unsorted or duplicate destinations, or
@@ -337,7 +396,7 @@ TEST(Checkpoint, RestoreRejectsInconsistentRoutingSection) {
   ASSERT_GE(good.dests.size(), 2u);
   const auto encode = [](const olsr::RoutingTable::Persisted& p) {
     CheckpointWriter w;
-    faults::encode_routes(w, p);
+    faults::transfer_routes(w, p);
     return w.take();
   };
   const auto section = encode(good);

@@ -198,15 +198,6 @@ TEST(LogStore, TextSinceIsParseable) {
   EXPECT_EQ(parsed[0].time, sim::Time::from_seconds(2));
 }
 
-TEST(LogStore, ObserverSeesEveryAppend) {
-  LogStore store;
-  int seen = 0;
-  store.set_observer([&](const LogRecord&) { ++seen; });
-  store.append(sample_record());
-  store.append(sample_record());
-  EXPECT_EQ(seen, 2);
-}
-
 // Property: format/parse round-trip over a variety of field shapes.
 class FormatRoundTrip : public ::testing::TestWithParam<int> {};
 

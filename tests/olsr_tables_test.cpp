@@ -987,7 +987,7 @@ TEST_P(SlabEquivalence, IncrementalMprMatchesReference) {
     for (const auto y : agent.links().symmetric_neighbors(now))
       n[y] = will.contains(y) ? will[y] : Willingness::kDefault;
     const auto expected =
-        reference::select(n, rows, agent.config().prune_redundant_mprs);
+        reference::select(n, rows, /*prune_redundant=*/false);
     ASSERT_EQ(agent.mpr_set(),
               std::vector<NodeId>(expected.begin(), expected.end()))
         << "step " << step;
