@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "stats/normal.hpp"
 
 namespace manet::core {
 
@@ -336,6 +337,16 @@ AuditHeader read_audit_header(logging::AuditReader& reader) {
   AuditHeader header;
   transfer_header(reader, tag, header);
   logging::expect_tag<logging::AuditError>(tag, kAuditTag, "audit log");
+  // A config the consumer would refuse (its TrustStore's parameters, the
+  // Eq. 9 confidence level) is a corrupt header, checked by the consumer's
+  // own validators.
+  try {
+    trust::TrustStore{header.config.trust_params};
+    stats::z_for_confidence(header.config.decision.confidence_level);
+  } catch (const std::invalid_argument& e) {
+    throw logging::AuditError{std::string{"corrupt audit header: "} +
+                              e.what()};
+  }
   return header;
 }
 

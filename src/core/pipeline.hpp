@@ -175,7 +175,8 @@ struct AuditHeader {
 void write_audit_header(logging::AuditWriter& writer, const AuditHeader& header);
 
 /// Reads and validates the header; throws logging::AuditError on a bad
-/// magic, a version other than kAuditVersion, or truncation.
+/// magic, a version other than kAuditVersion, truncation, or a config the
+/// pipeline would refuse.
 AuditHeader read_audit_header(logging::AuditReader& reader);
 
 /// Builds the replay-side pipeline a header describes: config applied,

@@ -224,6 +224,23 @@ TEST(AuditWire, UnreadableLineIsACorruptLog) {
   EXPECT_THROW(pipeline.consume(event), AuditError);
 }
 
+TEST(AuditWire, RejectsHeaderConfigThePipelineRefuses) {
+  // Each field decodes, but the pipeline could not be built from it or
+  // would throw at its first decision: a corrupt header, not a bad
+  // argument (manet_detect exits 2).
+  auto bad_trust = sample_config();
+  bad_trust.trust_params.min_trust = bad_trust.trust_params.max_trust;
+  auto bad_level = sample_config();
+  bad_level.decision.confidence_level = 1.5;
+  for (const auto& config : {bad_trust, bad_level}) {
+    AuditWriter w;
+    AuditHeader header;
+    header.config = config;
+    core::write_audit_header(w, header);
+    expect_whole_stream_throws(w.take());
+  }
+}
+
 // --- kForwardAudit frame (format version 2) -------------------------------
 
 std::vector<std::uint8_t> forward_audit_log() {
