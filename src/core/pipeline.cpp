@@ -325,13 +325,6 @@ logging::AuditFrame check_frame_kind(std::uint8_t kind) {
   return static_cast<logging::AuditFrame>(kind);
 }
 
-}  // namespace
-
-void write_audit_header(logging::AuditWriter& writer,
-                        const AuditHeader& header) {
-  transfer_header(writer, kAuditTag, header);
-}
-
 AuditHeader read_audit_header(logging::AuditReader& reader) {
   logging::FormatTag tag;
   AuditHeader header;
@@ -348,6 +341,13 @@ AuditHeader read_audit_header(logging::AuditReader& reader) {
                               e.what()};
   }
   return header;
+}
+
+}  // namespace
+
+void write_audit_header(logging::AuditWriter& writer,
+                        const AuditHeader& header) {
+  transfer_header(writer, kAuditTag, header);
 }
 
 DetectionPipeline pipeline_from_header(const AuditHeader& header) {

@@ -170,14 +170,9 @@ struct AuditHeader {
 };
 
 /// Writes the header (magic + version + config + trust snapshot, one
-/// layout shared with read_audit_header) at the current writer position —
+/// layout shared with AuditStreamReader) at the current writer position —
 /// call before the first frame.
 void write_audit_header(logging::AuditWriter& writer, const AuditHeader& header);
-
-/// Reads and validates the header; throws logging::AuditError on a bad
-/// magic, a version other than kAuditVersion, truncation, or a config the
-/// pipeline would refuse.
-AuditHeader read_audit_header(logging::AuditReader& reader);
 
 /// Builds the replay-side pipeline a header describes: config applied,
 /// trust snapshot restored.
@@ -193,9 +188,10 @@ void write_forward_audit_frame(logging::AuditWriter& writer, sim::Time time,
                                const ForwardAudit& audit);
 
 /// Streaming decoder over a complete audit log (header + frames), e.g. an
-/// mmapped file. Every read is bounds-checked; corruption anywhere —
-/// unknown frame kind, size prefix past the buffer, payload drift,
-/// trailing garbage — throws logging::AuditError.
+/// mmapped file. Every read is bounds-checked; corruption anywhere — bad
+/// magic, a version other than kAuditVersion, a header config the
+/// pipeline would refuse, unknown frame kind, size prefix past the buffer,
+/// payload drift, trailing garbage — throws logging::AuditError.
 class AuditStreamReader {
  public:
   /// Reads `data`, which must outlive the reader.
