@@ -332,7 +332,7 @@ TEST(Checkpoint, RestoreThrowsOnlyCheckpointErrorUnderBitFlips) {
   exp.run_churn_round();
   const auto bytes = exp.save_checkpoint();
   std::size_t rejected = 0;
-  for (std::size_t at = 0; at < bytes.size(); at += 97) {
+  for (std::size_t at = 0; at < bytes.size(); at += 193) {
     for (const std::uint8_t mask : {0x01, 0x40}) {
       auto bent = bytes;
       bent[at] ^= mask;
