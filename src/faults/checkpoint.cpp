@@ -106,9 +106,9 @@ void check_log(const LogImage& log) {
     throw CheckpointError{"log counters disagree with its records"};
 }
 
-// The OLSR tables answer every lookup by binary search, and restore
-// derives the MPR reach rows from them, so each section must arrive in its
-// table's strict storage order.
+// The OLSR tables answer lookups by binary search or, in the duplicate
+// set, hold one tuple per key, and restore derives the MPR reach rows from
+// them, so each section must arrive in the strict order save writes.
 template <typename T, typename Key>
 void require_ascending(const std::vector<T>& v, Key key, const char* what) {
   for (std::size_t i = 1; i < v.size(); ++i) {
@@ -142,6 +142,30 @@ AgentEvents restore_agent(AgentImage a, olsr::Agent& agent) {
       a.two_hops,
       [](const olsr::TwoHopTuple& t) { return std::pair{t.via, t.two_hop}; },
       "2-hop tuples");
+  require_ascending(
+      a.topology,
+      [](const olsr::TopologyTuple& t) {
+        return std::pair{t.last_hop, t.dest};
+      },
+      "topology tuples");
+  require_ascending(
+      a.latest_ansn, [](const auto& row) { return row.first; },
+      "latest-ANSN rows");
+  require_ascending(
+      a.duplicates,
+      [](const olsr::DuplicateSet::Entry& e) {
+        return std::pair{e.originator, e.seq};
+      },
+      "duplicate entries");
+  require_ascending(
+      a.mid, [](const olsr::MidSet::Tuple& t) { return t.iface; },
+      "MID tuples");
+  require_ascending(
+      a.hna, [](const auto& entry) { return entry.first; }, "HNA tuples");
+  // expire() pops the ring's due prefix, so it must be in expiry order.
+  for (std::size_t i = 1; i < a.duplicate_ring.size(); ++i)
+    if (a.duplicate_ring[i].expiry < a.duplicate_ring[i - 1].expiry)
+      throw CheckpointError{"duplicate ring expiry times go backwards"};
   // process_hello never stores the agent as its own (2-hop) neighbor.
   const auto self = agent.id();
   if (std::ranges::any_of(a.neighbors,

@@ -343,9 +343,10 @@ struct AgentEvents {
 };
 
 /// Validates an agent image and installs its state; returns its events.
-/// Rejected: unsorted or duplicated tables, self entries, routes whose
-/// parent chains route_to could not walk, log times that go backwards or
-/// counters that disagree with the records, unparsable forwards.
+/// Rejected: unsorted or duplicated tables, self entries, a duplicate ring
+/// whose expiry times go backwards, routes whose parent chains route_to
+/// could not walk, log times that go backwards or counters that disagree
+/// with the records, unparsable forwards.
 AgentEvents restore_agent(AgentImage image, olsr::Agent& agent);
 
 /// Applies counters and per-host radio state (every host must be

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,10 @@ using Bytes = std::vector<std::uint8_t>;
 /// hottest allocation-adjacent path in the system — two lock-prefixed ops
 /// per delivery are measurable at N=1024. Do not hand payloads to another
 /// thread; share the serialized Bytes instead.
+///
+/// Next to the bytes sits one lazily filled, type-erased decode slot (see
+/// decoded()), so all receivers of a frame share one decode of it. It
+/// follows the refcount's rule: only the owning thread fills or reads it.
 class PayloadPtr {
  public:
   PayloadPtr() noexcept = default;
@@ -42,13 +47,36 @@ class PayloadPtr {
   const Bytes* operator->() const noexcept { return &rep_->bytes; }
   explicit operator bool() const noexcept { return rep_ != nullptr; }
 
+  /// The payload's bytes decoded once: the first call, through any copy of
+  /// this pointer, stores `decode(bytes)` in the slot, and every later call
+  /// returns that object. The bytes never change, so neither does the
+  /// decode. One slot per payload: every caller must ask for the same T.
+  template <typename T, typename Decode>
+  const T& decoded(Decode&& decode) const {
+    if (rep_->decoded == nullptr) {
+      rep_->decoded = new T(std::forward<Decode>(decode)(rep_->bytes));
+      rep_->destroy = &destroy<T>;
+    } else if (rep_->destroy != &destroy<T>) {
+      throw std::logic_error{"payload decoded as two types"};
+    }
+    return *static_cast<const T*>(rep_->decoded);
+  }
+
  private:
   struct Rep {
     Bytes bytes;
     std::uint32_t refs;
+    const void* decoded = nullptr;
+    void (*destroy)(const void*) = nullptr;
   };
+  template <typename T>
+  static void destroy(const void* p) {
+    delete static_cast<const T*>(p);
+  }
   void release() noexcept {
-    if (rep_ != nullptr && --rep_->refs == 0) delete rep_;
+    if (rep_ == nullptr || --rep_->refs != 0) return;
+    if (rep_->decoded != nullptr) rep_->destroy(rep_->decoded);
+    delete rep_;
   }
   Rep* rep_ = nullptr;
 };

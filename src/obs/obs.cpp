@@ -31,6 +31,8 @@ const char* hot_name(Hot h) {
       return "manet_olsr_graph_arc_updates_total";
     case Hot::kMprRowUpdates:
       return "manet_olsr_mpr_row_updates_total";
+    case Hot::kFramesDecoded:
+      return "manet_olsr_frames_decoded_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:

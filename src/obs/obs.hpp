@@ -39,6 +39,7 @@ enum class Hot : std::uint32_t {
   kMprRuns,                  ///< §8.3.1 heuristic executions (inputs moved)
   kGraphArcUpdates,          ///< knowledge-graph arcs added/removed by patches
   kMprRowUpdates,            ///< MPR reach rows rewritten by table patches
+  kFramesDecoded,            ///< received OLSR frames parsed (once per frame)
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed

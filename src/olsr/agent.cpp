@@ -1,11 +1,33 @@
 #include "olsr/agent.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/obs.hpp"
 #include "olsr/wire.hpp"
 
 namespace manet::olsr {
+namespace {
+
+/// A received frame's parse; nullopt for bytes that do not parse.
+using DecodedFrame = std::optional<OlsrPacket>;
+
+/// Every receiver of a frame gets the same bytes (a collision drops a
+/// frame, it never alters it), so the first receiver parses them into the
+/// payload's decode slot and the others read that parse.
+const DecodedFrame& decode_frame(const net::Packet& packet) {
+  return packet.data.decoded<DecodedFrame>(
+      [](const net::Bytes& bytes) -> DecodedFrame {
+        obs::hit(obs::Hot::kFramesDecoded);
+        try {
+          return parse_packet(bytes);
+        } catch (const WireError&) {
+          return std::nullopt;
+        }
+      });
+}
+
+}  // namespace
 
 Agent::Agent(sim::Engine& sim, net::Medium& medium, NodeId id,
              Config config, AgentHooks* hooks)
@@ -271,10 +293,8 @@ void Agent::broadcast_message(Message message) {
 // ---------------------------------------------------------------- reception
 
 void Agent::handle_packet(const net::Packet& packet) {
-  OlsrPacket parsed;
-  try {
-    parsed = parse_packet(packet.payload());
-  } catch (const WireError&) {
+  const auto& parsed = decode_frame(packet);
+  if (!parsed) {
     ++stats_.parse_errors;
     auto rec = make_record("packet_parse_error");
     rec.with("from", packet.transmitter);
@@ -282,7 +302,7 @@ void Agent::handle_packet(const net::Packet& packet) {
     return;
   }
 
-  for (const auto& m : parsed.messages) {
+  for (const auto& m : parsed->messages) {
     if (hooks_) hooks_->on_receive(m);
     if (m.header.originator == id_) {
       // A retransmission of our own message: evidence that the transmitter
@@ -434,8 +454,11 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
         .with("seq", static_cast<std::int64_t>(m.header.seq_num));
     log_.append(std::move(echo));
   }
-  if (duplicates_.seen(m.header.originator, m.header.seq_num)) {
-    maybe_forward(m, transmitter);
+  // The one duplicate lookup of this copy. Nothing below touches the
+  // duplicate set before maybe_forward records into it.
+  auto* dup = duplicates_.find(m.header.originator, m.header.seq_num);
+  if (dup != nullptr) {
+    maybe_forward(m, transmitter, dup);
     return;
   }
   ++stats_.tc_recv;
@@ -454,14 +477,15 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   log_.append(std::move(rec));
 
   update_routes();
-  maybe_forward(m, transmitter);
+  maybe_forward(m, transmitter, nullptr);
 }
 
 void Agent::process_mid(const Message& m, NodeId transmitter) {
   const auto* mid = m.as_mid();
   if (!mid) return;
   if (!links_.is_symmetric(sim_.now(), transmitter)) return;
-  if (!duplicates_.seen(m.header.originator, m.header.seq_num)) {
+  auto* dup = duplicates_.find(m.header.originator, m.header.seq_num);
+  if (dup == nullptr) {
     mid_set_.on_mid(sim_.now(), m.header.originator, mid->interfaces,
                     m.header.vtime);
     auto rec = make_record("mid_recv");
@@ -469,14 +493,15 @@ void Agent::process_mid(const Message& m, NodeId transmitter) {
         .with("ifaces", logging::join_node_list(mid->interfaces));
     log_.append(std::move(rec));
   }
-  maybe_forward(m, transmitter);
+  maybe_forward(m, transmitter, dup);
 }
 
 void Agent::process_hna(const Message& m, NodeId transmitter) {
   const auto* hna = m.as_hna();
   if (!hna) return;
   if (!links_.is_symmetric(sim_.now(), transmitter)) return;
-  if (!duplicates_.seen(m.header.originator, m.header.seq_num)) {
+  auto* dup = duplicates_.find(m.header.originator, m.header.seq_num);
+  if (dup == nullptr) {
     hna_set_.on_hna(sim_.now(), m.header.originator, hna->entries,
                     m.header.vtime);
     auto rec = make_record("hna_recv");
@@ -484,13 +509,16 @@ void Agent::process_hna(const Message& m, NodeId transmitter) {
         .with("count", static_cast<std::int64_t>(hna->entries.size()));
     log_.append(std::move(rec));
   }
-  maybe_forward(m, transmitter);
+  maybe_forward(m, transmitter, dup);
 }
 
-void Agent::maybe_forward(const Message& m, NodeId transmitter) {
-  // Default forwarding algorithm (§3.4.1).
+void Agent::maybe_forward(const Message& m, NodeId transmitter,
+                          DuplicateSet::Tuple* dup) {
+  // Default forwarding algorithm (§3.4.1). A copy seen before but not
+  // retransmitted is considered again, a departure from §3.4 step 4.1
+  // recorded in ROADMAP.md (Agent.ReconsidersSeenCopyFromAnotherSelector).
   if (!links_.is_symmetric(sim_.now(), transmitter)) return;
-  if (duplicates_.forwarded(m.header.originator, m.header.seq_num)) return;
+  if (dup != nullptr && dup->forwarded) return;
 
   const bool transmitter_selected_us = [&] {
     auto it = mpr_selectors_.find(transmitter);
@@ -500,7 +528,7 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter) {
   const bool forward =
       transmitter_selected_us && m.header.ttl > 1;
   duplicates_.record(sim_.now(), m.header.originator, m.header.seq_num,
-                     forward, config_.dup_hold);
+                     forward, config_.dup_hold, dup);
   if (!forward) return;
 
   Message copy = m;
@@ -529,35 +557,35 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter) {
 }
 
 void Agent::arm_forward(Message copy, sim::Time at) {
-  // schedule_at(now + delay) is what both engines' schedule(delay) resolves
-  // to, so routing everything through here is trace-neutral. The untracked
-  // branch is the original closure verbatim.
-  if (!track_pending_forwards_) {
-    sim_.schedule_at(at, [this, copy = std::move(copy)]() mutable {
-      if (running_) broadcast_message(std::move(copy));
-    });
-    return;
+  std::uint32_t slot;
+  if (free_forwards_.empty()) {
+    slot = static_cast<std::uint32_t>(forwards_.size());
+    forwards_.emplace_back();
+  } else {
+    slot = free_forwards_.back();
+    free_forwards_.pop_back();
   }
-  const std::uint64_t token = next_forward_token_++;
-  PendingForward pf{copy, at, 0};
-  const sim::EventId ev =
-      sim_.schedule_at(at, [this, token, copy = std::move(copy)]() mutable {
-        pending_forwards_reg_.erase(token);
-        if (running_) broadcast_message(std::move(copy));
-      });
-  pf.seq = ev.raw();
-  pending_forwards_reg_.emplace(token, std::move(pf));
+  auto& f = forwards_[slot];
+  f.live = true;
+  f.pending.message = std::move(copy);
+  f.pending.at = at;
+  // schedule_at(now + delay) is what both engines' schedule(delay) resolves
+  // to, so routing every forward through here is trace-neutral.
+  f.pending.seq =
+      sim_.schedule_at(at, [this, slot] { fire_forward(slot); }).raw();
 }
 
-void Agent::set_track_pending_forwards(bool on) {
-  track_pending_forwards_ = on;
-  if (!on) pending_forwards_reg_.clear();
+void Agent::fire_forward(std::uint32_t slot) {
+  auto& f = forwards_[slot];
+  f.live = false;
+  free_forwards_.push_back(slot);
+  if (running_) broadcast_message(std::move(f.pending.message));
 }
 
 std::vector<Agent::PendingForward> Agent::pending_forwards() const {
   std::vector<PendingForward> out;
-  out.reserve(pending_forwards_reg_.size());
-  for (const auto& [token, pf] : pending_forwards_reg_) out.push_back(pf);
+  for (const auto& f : forwards_)
+    if (f.live) out.push_back(f.pending);
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   });

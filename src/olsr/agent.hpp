@@ -5,7 +5,6 @@
 #include <initializer_list>
 #include <map>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -158,23 +157,17 @@ class Agent {
 
   /// One jittered §3.4.1 re-broadcast still in flight: the already-mutated
   /// message copy, its scheduled emission time and the engine sequence
-  /// number of the pending event (checkpoint ordering key). Only populated
-  /// while pending-forward tracking is enabled.
+  /// number of the pending event (checkpoint ordering key).
   struct PendingForward {
     Message message;
     sim::Time at{};
     std::uint64_t seq = 0;
   };
 
-  /// Enables/disables registry bookkeeping for jittered forwards. Enabling
-  /// changes only which closure wraps the identical schedule call — draws
-  /// and event ordering are untouched. Disabling clears the registry.
-  void set_track_pending_forwards(bool on);
-  bool track_pending_forwards() const { return track_pending_forwards_; }
   /// Pending jittered forwards, sorted ascending by (at, seq).
   std::vector<PendingForward> pending_forwards() const;
   /// Re-schedules one persisted forward at its original emission time.
-  /// Exactly one schedule, zero RNG draws; requires tracking enabled.
+  /// Exactly one schedule, zero RNG draws.
   void restore_pending_forward(Message message, sim::Time at);
 
   /// Amnesia rejoin: drops every protocol table and all derived state, but
@@ -235,7 +228,10 @@ class Agent {
   }
 
  private:
+  /// Parks `copy` in a forward slot and schedules its emission at `at`.
   void arm_forward(Message copy, sim::Time at);
+  /// The event of one forward slot: frees it and broadcasts its message.
+  void fire_forward(std::uint32_t slot);
 
   void handle_packet(const net::Packet& packet);
   void process_hello(const Message& m, NodeId transmitter);
@@ -243,7 +239,10 @@ class Agent {
   void process_mid(const Message& m, NodeId transmitter);
   void process_hna(const Message& m, NodeId transmitter);
   void process_data(const Message& m, NodeId transmitter);
-  void maybe_forward(const Message& m, NodeId transmitter);
+  /// `dup` is the duplicate tuple the caller looked up for m (nullptr when
+  /// m is new).
+  void maybe_forward(const Message& m, NodeId transmitter,
+                     DuplicateSet::Tuple* dup);
 
   void emit_hello();
   void emit_tc();
@@ -313,11 +312,15 @@ class Agent {
   std::uint16_t ansn_ = 1;
   bool running_ = false;
 
-  // Pending-forward registry (checkpoint support). Tokens are internal
-  // handles; ordering for persistence comes from the event seq.
-  bool track_pending_forwards_ = false;
-  std::uint64_t next_forward_token_ = 1;
-  std::unordered_map<std::uint64_t, PendingForward> pending_forwards_reg_;
+  // Pending forwards: a slot table with a free list. Each forward's event
+  // captures only (this, slot), which fits the callback's inline buffer;
+  // the live slots are also what a checkpoint saves.
+  struct ForwardSlot {
+    PendingForward pending;
+    bool live = false;
+  };
+  std::vector<ForwardSlot> forwards_;
+  std::vector<std::uint32_t> free_forwards_;
 
   sim::PeriodicTimer hello_timer_;
   sim::PeriodicTimer tc_timer_;

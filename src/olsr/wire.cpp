@@ -1,7 +1,8 @@
 #include "olsr/wire.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
-#include <cmath>
 #include <type_traits>
 
 namespace manet::olsr {
@@ -79,6 +80,18 @@ class ByteReader {
 };
 
 constexpr double kVtimeScale = 1.0 / 16.0;  // C in seconds
+
+/// Every vtime value C * (1 + a/16) * 2^b, listed in (b, a) order: index
+/// 16b + a. The values rise strictly in that order, since 1.9375 * 2^b <
+/// 2^(b+1), so encoding is a binary search and decoding an index.
+constexpr std::array<double, 256> kVtimeSeconds = [] {
+  std::array<double, 256> t{};
+  for (int b = 0; b <= 15; ++b)
+    for (int a = 0; a <= 15; ++a)
+      t[static_cast<std::size_t>(16 * b + a)] =
+          kVtimeScale * (1.0 + a / 16.0) * static_cast<double>(1 << b);
+  return t;
+}();
 
 /// type + vtime + size + originator + ttl + hop count + seq num (§3.3).
 constexpr std::size_t kMessageHeaderSize = 12;
@@ -219,22 +232,18 @@ DataMessage read_data(ByteReader& r, std::size_t body_end) {
 std::uint8_t encode_vtime(sim::Duration d) {
   const double seconds = d.seconds();
   if (seconds <= 0.0) return 0;
-  // Find the smallest b such that seconds fits C*(1+a/16)*2^b with a in 0..15.
-  for (int b = 0; b <= 15; ++b) {
-    for (int a = 0; a <= 15; ++a) {
-      const double v = kVtimeScale * (1.0 + a / 16.0) * std::pow(2.0, b);
-      if (v + 1e-9 >= seconds)
-        return static_cast<std::uint8_t>((a << 4) | b);
-    }
-  }
-  return 0xFF;  // maximum representable
+  // The smallest value, in (b, a) order, that covers `seconds`.
+  const auto it = std::partition_point(
+      kVtimeSeconds.begin(), kVtimeSeconds.end(),
+      [seconds](double v) { return v + 1e-9 < seconds; });
+  if (it == kVtimeSeconds.end()) return 0xFF;  // maximum representable
+  const auto i = static_cast<unsigned>(it - kVtimeSeconds.begin());
+  return static_cast<std::uint8_t>(((i % 16) << 4) | (i / 16));
 }
 
 sim::Duration decode_vtime(std::uint8_t encoded) {
-  const int a = (encoded >> 4) & 0x0F;
-  const int b = encoded & 0x0F;
-  return sim::Duration::from_seconds(kVtimeScale * (1.0 + a / 16.0) *
-                                     std::pow(2.0, b));
+  return sim::Duration::from_seconds(
+      kVtimeSeconds[16 * (encoded & 0x0F) + (encoded >> 4)]);
 }
 
 namespace {

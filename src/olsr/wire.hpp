@@ -18,7 +18,9 @@ struct WireError : std::runtime_error {
 };
 
 /// Vtime/Htime 8-bit encoding: value = C * (1 + a/16) * 2^b seconds with
-/// C = 1/16 s, a = high nibble, b = low nibble.
+/// C = 1/16 s, a = high nibble, b = low nibble. Both directions read one
+/// 256-entry table. Encoding picks the smallest value that covers `d`
+/// (within 1 ns); 0 for d <= 0, 0xFF beyond the largest value.
 std::uint8_t encode_vtime(sim::Duration d);
 sim::Duration decode_vtime(std::uint8_t encoded);
 

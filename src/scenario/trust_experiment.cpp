@@ -162,11 +162,7 @@ void TrustExperiment::build_network() {
     detector_->pipeline().set_recorder(audit_writer_.get());
   }
 
-  if (config_.checkpointable) {
-    network_->medium().set_track_in_flight(true);
-    for (std::size_t i = 0; i < config_.num_nodes; ++i)
-      network_->agent(i).set_track_pending_forwards(true);
-  }
+  if (config_.checkpointable) network_->medium().set_track_in_flight(true);
 
   if (faulted()) {
     injector_ = std::make_unique<faults::FaultInjector>(

@@ -71,8 +71,8 @@ class TrustExperiment {
     /// lane is quiescent — either way the run is byte-stable in the seed
     /// and independent of engine_threads.
     faults::FaultPlan fault_plan;
-    /// Opt in to checkpoint/restore: turns on in-flight and pending-forward
-    /// tracking (trace-identical bookkeeping). Sequential engine only.
+    /// Opt in to checkpoint/restore: turns on in-flight frame tracking
+    /// (trace-identical bookkeeping). Sequential engine only.
     bool checkpointable = false;
     /// Detector fault tolerance, applied only when fault_plan is non-empty
     /// (keeps the pristine golden traces untouched): convictions of nodes

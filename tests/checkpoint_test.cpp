@@ -457,12 +457,15 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   ASSERT_GE(slots.size(), 2u);
   ASSERT_GE(nbrs.size(), 2u);
   ASSERT_GE(two_hops.size(), 2u);
-  const auto splice = [&] {
+  const auto splice_section = [&](const std::vector<std::uint8_t>& crafted) {
     std::vector<std::uint8_t> out(bytes.begin(), at);
-    const auto crafted = encode();
     out.insert(out.end(), crafted.begin(), crafted.end());
     out.insert(out.end(), at + static_cast<std::ptrdiff_t>(section.size()),
                bytes.end());
+    return out;
+  };
+  const auto splice = [&] {
+    auto out = splice_section(encode());
     agent.restore_protocol_scalars(scalars);
     agent.restore_links().restore(slots, hint);
     agent.restore_neighbors().restore(nbrs, two_hops);
@@ -543,6 +546,70 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
                  CheckpointError)
         << what;
   }
+
+  // The remaining sections are bent in agent 0's image: their tables
+  // export in storage order whatever order a restore handed them.
+  const auto image = faults::agent_image(agent);
+  ASSERT_GE(image.topology.size(), 2u);
+  ASSERT_GE(image.latest_ansn.size(), 2u);
+  ASSERT_GE(image.duplicates.size(), 2u);
+  ASSERT_GE(image.duplicate_ring.size(), 2u);
+  ASSERT_LT(image.duplicate_ring.front().expiry,
+            image.duplicate_ring.back().expiry);
+  const auto splice_image = [&](const faults::AgentImage& a) {
+    CheckpointWriter w;
+    faults::transfer_agent(w, a);
+    return splice_section(w.take());
+  };
+  EXPECT_NO_THROW(
+      TrustExperiment::restore_checkpoint(config, splice_image(image)));
+  const auto swap_ends = [](auto& v) { std::swap(v.front(), v.back()); };
+  const auto repeat_first = [](auto& v) { v[1] = v[0]; };
+  const sim::Time until = exp.network().now() + sim::Duration::from_seconds(5);
+  const net::NodeId far2{901};
+  using Image = faults::AgentImage;
+  using Hna = olsr::HnaSet::Key;
+  const std::vector<std::pair<const char*, std::function<void(Image&)>>>
+      image_cases = {
+          {"topology tuples unsorted",
+           [&](Image& a) { swap_ends(a.topology); }},
+          {"topology tuple duplicated",
+           [&](Image& a) { repeat_first(a.topology); }},
+          {"latest-ANSN rows unsorted",
+           [&](Image& a) { swap_ends(a.latest_ansn); }},
+          {"latest-ANSN row duplicated",
+           [&](Image& a) { repeat_first(a.latest_ansn); }},
+          {"duplicate entries unsorted",
+           [&](Image& a) { swap_ends(a.duplicates); }},
+          {"duplicate entry duplicated",
+           [&](Image& a) { repeat_first(a.duplicates); }},
+          {"duplicate ring going backwards",
+           [&](Image& a) { swap_ends(a.duplicate_ring); }},
+          {"MID tuples unsorted",
+           [&](Image& a) { a.mid = {{far2, far, until}, {far, far, until}}; }},
+          {"MID tuple duplicated",
+           [&](Image& a) { a.mid = {{far, far, until}, {far, far, until}}; }},
+          {"HNA tuples unsorted", [&](Image& a) {
+             a.hna = {{Hna{far, 2, 24}, until}, {Hna{far, 1, 24}, until}};
+           }},
+          {"HNA tuple duplicated", [&](Image& a) {
+             a.hna = {{Hna{far, 1, 24}, until}, {Hna{far, 1, 24}, until}};
+           }},
+      };
+  for (const auto& [what, bend] : image_cases) {
+    auto bent = image;
+    bend(bent);
+    EXPECT_THROW(
+        TrustExperiment::restore_checkpoint(config, splice_image(bent)),
+        CheckpointError)
+        << what;
+  }
+  // The same rows in storage order restore.
+  auto ordered = image;
+  ordered.mid = {{far, far, until}, {far2, far, until}};
+  ordered.hna = {{Hna{far, 1, 24}, until}, {Hna{far, 2, 24}, until}};
+  EXPECT_NO_THROW(
+      TrustExperiment::restore_checkpoint(config, splice_image(ordered)));
 }
 
 TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {

@@ -71,11 +71,7 @@ void run_flood_equivalence(std::uint64_t seed) {
     // so TCs are emitted and forwarded (a full mesh has no MPRs at all).
     nc.positions = net::grid_layout(24, 150.0);
     auto net = std::make_unique<scenario::Network>(std::move(nc));
-    if (tracked) {
-      net->medium().set_track_in_flight(true);
-      for (std::size_t i = 0; i < net->size(); ++i)
-        net->agent(i).set_track_pending_forwards(true);
-    }
+    if (tracked) net->medium().set_track_in_flight(true);
     return net;
   };
 

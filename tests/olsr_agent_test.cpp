@@ -9,7 +9,10 @@
 
 #include "logging/format.hpp"
 #include "net/topology.hpp"
+#include "obs/obs.hpp"
+#include "olsr/wire.hpp"
 #include "scenario/network.hpp"
+#include "sim/simulator.hpp"
 
 namespace manet::olsr {
 namespace {
@@ -278,6 +281,108 @@ TEST(Agent, StatsCountTraffic) {
   EXPECT_GT(s.hello_recv, 20u);     // two neighbors
   EXPECT_GT(s.msgs_forwarded, 0u);  // n2 floods n1's TCs toward n3
   EXPECT_EQ(s.parse_errors, 0u);
+}
+
+// A hand-driven cell: agents n0..n{count-1} listen (handlers installed,
+// no timers, so they send nothing of their own) and bare hosts transmit
+// crafted frames.
+struct Cell {
+  sim::Simulator sim{1};
+  net::Medium medium{sim, net::RadioConfig{}};
+  std::vector<std::unique_ptr<Agent>> agents;
+
+  Cell(std::uint32_t count, std::initializer_list<std::uint32_t> puppets) {
+    for (const auto p : puppets)
+      medium.attach(NodeId{p}, net::Position{1.0 * p, 1.0});
+    for (std::uint32_t i = 0; i < count; ++i) {
+      medium.attach(NodeId{i}, net::Position{1.0 * i, 0.0});
+      agents.push_back(
+          std::make_unique<Agent>(sim, medium, NodeId{i}, Agent::Config{}));
+      agents.back()->resume_running();
+    }
+  }
+  void send(NodeId transmitter, net::Bytes bytes) {
+    medium.broadcast(transmitter, std::move(bytes));
+    sim.run_all();
+  }
+  void send(NodeId transmitter, Message m) {
+    send(transmitter, serialize_packet(OlsrPacket{1, {std::move(m)}}));
+  }
+};
+
+/// A HELLO from `from` that lists every agent of the cell with `type`.
+Message hello_listing(NodeId from, std::uint32_t agents, NeighborType type) {
+  HelloMessage h;
+  h.htime = sim::Duration::from_seconds(2.0);
+  for (std::uint32_t i = 0; i < agents; ++i)
+    h.add(LinkType::kSym, type, NodeId{i});
+  Message m;
+  m.header.type = MessageType::kHello;
+  m.header.vtime = sim::Duration::from_seconds(6.0);
+  m.header.originator = from;
+  m.header.ttl = 1;
+  m.header.seq_num = 1;
+  m.body = h;
+  return m;
+}
+
+TEST(Agent, EachFrameIsDecodedOnceForAllReceivers) {
+  obs::Context ctx;
+  obs::Scope scope{&ctx};
+  const auto decoded = [&ctx] {
+    return ctx.snapshot().counter_value(
+        obs::hot_name(obs::Hot::kFramesDecoded));
+  };
+  Cell cell{4, {9}};
+  const NodeId puppet{9};
+  cell.send(puppet, hello_listing(puppet, 4, NeighborType::kSymNeigh));
+  EXPECT_EQ(decoded(), 1u);
+  for (const auto& a : cell.agents) EXPECT_EQ(a->stats().hello_recv, 1u);
+
+  // A corrupt frame is decoded (and refused) once too, yet every receiver
+  // counts and logs its own parse error.
+  cell.send(puppet, net::Bytes{0x00, 0x09, 0x00});
+  EXPECT_EQ(decoded(), 2u);
+  for (const auto& a : cell.agents) {
+    EXPECT_EQ(a->stats().parse_errors, 1u);
+    const auto& records = a->log().records();
+    const auto errors = std::ranges::count_if(records, [&](const auto& r) {
+      return r.event == "packet_parse_error" &&
+             r.node_field("from") == puppet;
+    });
+    EXPECT_EQ(errors, 1) << "n" << a->id().value();
+  }
+}
+
+// Pins a departure from RFC 3626 §3.4 step 4.1 (see ROADMAP.md): with one
+// interface per node, a copy of a message already in the duplicate set
+// arrives on an interface already in D_iface_list and SHOULD NOT be
+// retransmitted. This daemon reconsiders every later copy of a message it
+// did not retransmit, so a copy from an MPR selector, after a first copy
+// from a non-selector, is forwarded. The RFC fix flips this test.
+TEST(Agent, ReconsidersSeenCopyFromAnotherSelector) {
+  Cell cell{1, {1, 2}};
+  const NodeId plain{1}, selector{2}, origin{5};
+  cell.send(plain, hello_listing(plain, 1, NeighborType::kSymNeigh));
+  cell.send(selector, hello_listing(selector, 1, NeighborType::kMprNeigh));
+  const auto& agent = *cell.agents.front();
+  ASSERT_TRUE(agent.is_symmetric_neighbor(plain));
+  ASSERT_EQ(agent.mpr_selectors(), std::vector<NodeId>{selector});
+
+  Message tc;
+  tc.header.type = MessageType::kTc;
+  tc.header.vtime = sim::Duration::from_seconds(15.0);
+  tc.header.originator = origin;
+  tc.header.ttl = 8;
+  tc.header.hop_count = 2;
+  tc.header.seq_num = 77;
+  tc.body = TcMessage{3, {NodeId{6}}};
+  cell.send(plain, tc);
+  EXPECT_EQ(agent.stats().tc_recv, 1u);
+  EXPECT_EQ(agent.stats().msgs_forwarded, 0u);  // not from a selector
+  cell.send(selector, tc);
+  EXPECT_EQ(agent.stats().tc_recv, 1u);  // a duplicate: not processed again
+  EXPECT_EQ(agent.stats().msgs_forwarded, 1u);  // but retransmitted
 }
 
 // Property sweep: convergence holds across seeds and packet-loss levels.

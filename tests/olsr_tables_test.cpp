@@ -771,6 +771,20 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
   };
   std::map<std::pair<NodeId, std::uint16_t>, RefEntry> ref;
 
+  // Originators in and far outside the dense range; seqs that include a
+  // band across the uint16 wrap.
+  std::vector<NodeId> origins;
+  for (std::uint32_t o = 1; o <= 5; ++o) origins.emplace_back(o);
+  for (std::uint32_t o : {0x00FFFF00u, 0x00FFFF01u, 0xFFFFFFFEu})
+    origins.emplace_back(o);
+  std::vector<std::uint16_t> seqs;
+  for (std::uint16_t s = 0; s < 16; ++s) seqs.push_back(s);
+  for (std::uint16_t s = 65530; s != 0; ++s) seqs.push_back(s);
+  const auto draw = [](sim::Rng& rng, const auto& pool) {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  };
+
   sim::Rng rng{GetParam()};
   DuplicateSet ds;
   sim::Time now{};
@@ -779,8 +793,8 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
   const auto hold = sim::Duration::from_seconds(3.0);
   for (int step = 0; step < 400; ++step) {
     now = now + sim::Duration::from_ms(rng.uniform_int(0, 900));
-    const NodeId orig{static_cast<std::uint32_t>(rng.uniform_int(1, 5))};
-    const auto seq = static_cast<std::uint16_t>(rng.uniform_int(0, 15));
+    const NodeId orig = draw(rng, origins);
+    const std::uint16_t seq = draw(rng, seqs);
     if (rng.uniform_int(0, 4) == 0) {
       ds.expire(now);
       for (auto it = ref.begin(); it != ref.end();)
@@ -792,11 +806,28 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
       e.valid_until = now + hold;
       e.forwarded = e.forwarded || fwd;
     }
-    for (std::uint32_t o = 1; o <= 5; ++o) {
-      for (std::uint16_t s = 0; s < 16; ++s) {
-        const auto it = ref.find({NodeId{o}, s});
-        ASSERT_EQ(ds.seen(NodeId{o}, s), it != ref.end());
-        ASSERT_EQ(ds.forwarded(NodeId{o}, s),
+    if (step % 50 == 49) {
+      // Checkpoint round trip: the export is the model in key order, and
+      // the run continues on the restored set.
+      const auto entries = ds.entries();
+      ASSERT_EQ(entries.size(), ref.size());
+      auto it = ref.begin();
+      for (const auto& e : entries) {
+        ASSERT_EQ(std::pair(e.originator, e.seq), it->first);
+        ASSERT_EQ(e.valid_until, it->second.valid_until);
+        ASSERT_EQ(e.forwarded, it->second.forwarded);
+        ++it;
+      }
+      DuplicateSet restored;
+      restored.restore(entries, ds.ring());
+      ds = std::move(restored);
+    }
+    ASSERT_EQ(ds.size(), ref.size()) << "step " << step;
+    for (const auto o : origins) {
+      for (const auto s : seqs) {
+        const auto it = ref.find({o, s});
+        ASSERT_EQ(ds.seen(o, s), it != ref.end());
+        ASSERT_EQ(ds.forwarded(o, s),
                   it != ref.end() && it->second.forwarded);
       }
     }

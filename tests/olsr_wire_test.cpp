@@ -3,11 +3,55 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "olsr/wire.hpp"
 #include "sim/rng.hpp"
 
 namespace manet::olsr {
 namespace {
+
+// RFC 3626 §18.3 as a reference: the value C * (1 + a/16) * 2^b of a code,
+// and the encoder's search for the first (b, a) whose value covers d,
+// with the std::pow evaluation the codec used before it read a table.
+double reference_vtime_seconds(int code) {
+  const int a = code >> 4;
+  const int b = code & 0x0F;
+  return (1.0 / 16.0) * (1.0 + a / 16.0) * std::pow(2.0, b);
+}
+
+std::uint8_t reference_encode_vtime(sim::Duration d) {
+  const double seconds = d.seconds();
+  if (seconds <= 0.0) return 0;
+  for (int b = 0; b <= 15; ++b)
+    for (int a = 0; a <= 15; ++a)
+      if (reference_vtime_seconds((a << 4) | b) + 1e-9 >= seconds)
+        return static_cast<std::uint8_t>((a << 4) | b);
+  return 0xFF;
+}
+
+TEST(Vtime, TableMatchesRfcFormulaReference) {
+  for (int code = 0; code < 256; ++code)
+    ASSERT_EQ(decode_vtime(static_cast<std::uint8_t>(code)),
+              sim::Duration::from_seconds(reference_vtime_seconds(code)))
+        << "code " << code;
+  const auto check = [](sim::Duration d) {
+    ASSERT_EQ(encode_vtime(d), reference_encode_vtime(d)) << d.us() << " us";
+  };
+  check(sim::Duration{});
+  for (const std::int64_t us : {-1, -62'500, -30'000'000})
+    check(sim::Duration::from_us(us));
+  const auto us = sim::Duration::from_us(1);
+  for (int code = 0; code < 256; ++code) {
+    const auto v = sim::Duration::from_seconds(reference_vtime_seconds(code));
+    check(v - us);
+    check(v);
+    check(v + us);
+  }
+  // Beyond the largest value (0xFF, 3,968 s).
+  EXPECT_EQ(encode_vtime(decode_vtime(0xFF) + us), 0xFF);
+  check(sim::Duration::from_seconds(1e7));
+}
 
 TEST(Vtime, EncodeDecodeMonotone) {
   // The encoding rounds UP to the next representable value, never down
