@@ -557,9 +557,8 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter,
 }
 
 void Agent::arm_forward(Message copy, sim::Time at) {
-  std::uint32_t slot;
+  auto slot = static_cast<std::uint32_t>(forwards_.size());
   if (free_forwards_.empty()) {
-    slot = static_cast<std::uint32_t>(forwards_.size());
     forwards_.emplace_back();
   } else {
     slot = free_forwards_.back();
