@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <string_view>
 
+#include "byte_digest.hpp"
 #include "logging/format.hpp"
 #include "logging/log_store.hpp"
 #include "logging/record.hpp"
@@ -295,6 +296,42 @@ TEST(FormatIdentity, HoldsOnEveryRecordOfAGoldenRun) {
     }
   }
   EXPECT_GT(checked, 1000u);
+}
+
+// The text every record of two pristine runs renders to, pinned as one
+// FNV-1a digest: the golden 16-node spoof replication above and a 36-node
+// grayhole grid (seed 1, 6 rounds). A change to how records are held in
+// memory must leave this text byte for byte as it is.
+std::uint64_t text_digest(const runtime::ReplicationTask& task) {
+  scenario::TrustExperiment experiment{task.to_config()};
+  experiment.setup();
+  experiment.run_attack_rounds(task.rounds);
+  std::vector<std::uint8_t> text;
+  auto& network = experiment.network();
+  for (std::size_t i = 0; i < network.size(); ++i)
+    for (const auto& record : network.agent(i).log().records()) {
+      const auto line = format_record(record);
+      text.insert(text.end(), line.begin(), line.end());
+      text.push_back('\n');
+    }
+  return test_digest::fnv1a64(text);
+}
+
+TEST(FormatIdentity, TextMatchesParentDigest) {
+  runtime::ReplicationTask spoof;
+  spoof.point.num_nodes = 16;
+  spoof.point.attacker_fraction = 0.29;
+  spoof.seed = 2024;
+  spoof.rounds = 6;
+  EXPECT_EQ(text_digest(spoof), 0x07c102f8e843fff3ull);
+
+  runtime::ReplicationTask grayhole;
+  grayhole.point.num_nodes = 36;
+  grayhole.point.attacker_fraction = 0.0;
+  grayhole.seed = 1;
+  grayhole.rounds = 6;
+  grayhole.attack = scenario::TrustExperiment::AttackKind::kGrayhole;
+  EXPECT_EQ(text_digest(grayhole), 0x987920acc8a72c00ull);
 }
 
 TEST(FormatIdentity, OutsideTheDomainIsNotIdentity) {
