@@ -33,14 +33,13 @@ std::vector<core::AuditEvent> synth_events(std::uint32_t peers,
       core::AuditEvent e;
       e.kind = logging::AuditFrame::kLine;
       e.time = sim::Time::from_us(t_us);
-      e.line.time = e.time;
-      e.line.node = net::NodeId{0};
+      const std::vector<net::NodeId> none;
       if (k % 4 == 0) {
-        e.line.event = "tc_recv";
-        e.line.with("orig", from).with("via", from);
+        e.line = {e.time, net::NodeId{0}, logging::Event::kTcRecv, from, from,
+                  0, 0, none, 1};
       } else {
-        e.line.event = "hello_recv";
-        e.line.with("from", from).with("sym", std::string{});
+        e.line = {e.time, net::NodeId{0}, logging::Event::kHelloRecv, from, 0,
+                  none, none, 1, 3};
       }
       events.push_back(std::move(e));
     }

@@ -195,11 +195,11 @@ BENCHMARK(BM_HelloSerializeParse);
 static void BM_LogParse(benchmark::State& state) {
   std::string text;
   for (int i = 0; i < 1000; ++i) {
-    logging::LogRecord r;
-    r.time = sim::Time::from_us(i * 1000);
-    r.node = net::NodeId{3};
-    r.event = "hello_recv";
-    r.with("from", net::NodeId{5}).with("sym", "n1|n2|n4|n7");
+    const std::vector<net::NodeId> sym{net::NodeId{1}, net::NodeId{2},
+                                       net::NodeId{4}, net::NodeId{7}};
+    const logging::LogRecord r{sim::Time::from_us(i * 1000), net::NodeId{3},
+                               logging::Event::kHelloRecv, net::NodeId{5},
+                               i, sym, std::vector<net::NodeId>{}, 1, 3};
     text += logging::format_record(r);
     text += '\n';
   }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/signatures_olsr.hpp"
-#include "logging/format.hpp"
 
 namespace manet::core {
 
@@ -115,11 +114,10 @@ std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
   // is also a believed neighbor.
   const auto& index = investigations_.log_index();
   std::vector<NodeId> out;
-  if (const auto* claim = index.newest_hello(suspect))
-    logging::for_each_listed(LogIndex::sym(*claim), [&out](NodeId n) {
-      out.push_back(n);
-      return true;
-    });
+  if (const auto* claim = index.newest_hello(suspect)) {
+    const auto sym = LogIndex::sym(*claim);
+    out.assign(sym.begin(), sym.end());
+  }
   index.for_each_newest_hello(
       [&](NodeId from, const logging::LogRecord& hello) {
         if (from != suspect && LogIndex::lists(hello, suspect))
@@ -135,26 +133,31 @@ std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
 std::size_t Detector::scan_once() {
   // The new log growth reaches the pipeline first (kLine events keep its
   // liveness oracle exactly as fresh as the log), then the IDS reads the
-  // same growth as *text*, like a real log analyzer.
+  // same growth: every retained record stamped at or after the previous
+  // scan, in place, followed by the records this scan synthesizes.
   feed_log_growth();
-  const auto text = agent_.log().text_since(last_scan_);
+  const auto growth = agent_.log().records_since(last_scan_);
   last_scan_ = sim_.now();
-  auto records = logging::parse_log(text);
 
   // Synthesize mpr_fwd_timeout records for E2 (drop) detection before
   // feeding the matcher, so the drop signature can fire.
-  check_forward_timeouts(records);
+  std::vector<logging::LogRecord> synthesized;
+  check_forward_timeouts(growth, synthesized);
 
   // Forwarding audit (grayhole path): close expired flood windows, stream
   // the tallies (observability frames), and synthesize fwd_audit_fail
   // records so the matcher can fire on failing MPRs.
   if (config_.forwarding_audit) {
-    for (const auto& tally : auditor_.sweep(sim_.now(), records))
+    for (const auto& tally : auditor_.sweep(sim_.now(), growth, synthesized))
       pipeline_.consume_forward_audit(sim_.now(), tally);
   }
 
+  auto matches = matcher_.feed_all(growth);
+  auto more = matcher_.feed_all(synthesized);
+  matches.insert(matches.end(), std::make_move_iterator(more.begin()),
+                 std::make_move_iterator(more.end()));
   std::size_t launched = 0;
-  process_records(records, launched);
+  process_matches(matches, launched);
 
   // Periodic MPR audit (§III-B: non-event-driven cases are "handled by
   // launching periodical/random checks"): cross-check every currently
@@ -171,20 +174,23 @@ std::size_t Detector::scan_once() {
 }
 
 void Detector::check_forward_timeouts(
+    const logging::LogStore::Growth& growth,
     std::vector<logging::LogRecord>& synthesized) {
+  using logging::Event;
+  using logging::Key;
   // Track our own TC emissions and which MPRs echoed them, purely from the
   // log records that arrive.
-  for (const auto& rec : synthesized) {
-    if (rec.event == "mpr_changed") {
-      const auto mprs = rec.node_list_field("mprs");
+  for (const auto& rec : growth) {
+    if (rec.event() == Event::kMprChanged) {
+      const auto mprs = rec.ids(Key::kMprs);
       current_mprs_ = {mprs.begin(), mprs.end()};
-    } else if (rec.event == "tc_sent") {
+    } else if (rec.event() == Event::kTcSent) {
       pending_tcs_.push_back(
-          SentTc{rec.time, rec.int_field("seq"), current_mprs_, {}});
-    } else if (rec.event == "own_fwd_heard") {
-      const auto seq = rec.int_field("seq");
+          SentTc{rec.time, rec.integer(Key::kSeq), current_mprs_, {}});
+    } else if (rec.event() == Event::kOwnFwdHeard) {
+      const auto seq = rec.integer(Key::kSeq);
       for (auto& tc : pending_tcs_)
-        if (tc.seq == seq) tc.heard_from.insert(rec.node_field("by"));
+        if (tc.seq == seq) tc.heard_from.insert(rec.id(Key::kBy));
     }
   }
 
@@ -195,45 +201,40 @@ void Detector::check_forward_timeouts(
     pending_tcs_.pop_front();
     for (auto mpr : tc.mprs_then) {
       if (tc.heard_from.contains(mpr)) continue;
-      logging::LogRecord r;
-      r.time = now;
-      r.node = agent_.id();
-      r.event = "mpr_fwd_timeout";
-      r.with("mpr", mpr).with("seq", tc.seq);
-      synthesized.push_back(std::move(r));
+      synthesized.emplace_back(now, agent_.id(), Event::kMprFwdTimeout, mpr,
+                               tc.seq);
     }
   }
 }
 
-void Detector::process_records(const std::vector<logging::LogRecord>& records,
+void Detector::process_matches(const std::vector<SignatureMatch>& matches,
                                std::size_t& launched) {
-  const auto matches = matcher_.feed_all(records);
-
+  using logging::Key;
   for (const auto& m : matches) {
     if (m.signature == "link_spoofing_claim") {
       // Records: [0] HELLO from suspect I claiming I-X, [1] HELLO from X.
-      const auto suspect = m.records[0].node_field("from");
-      const auto subject = m.records[1].node_field("from");
+      const auto suspect = m.records[0].id(Key::kFrom);
+      const auto subject = m.records[1].id(Key::kFrom);
       if (in_cooldown(suspect, subject)) continue;
       investigate_claim(suspect, subject, /*claimed_up=*/true,
                         {EvidenceTag::kSignatureMatch});
       ++launched;
     } else if (m.signature == "link_omission") {
-      const auto subject = m.records[0].node_field("from");  // claims link
-      const auto suspect = m.records[1].node_field("from");  // omits it
+      const auto subject = m.records[0].id(Key::kFrom);  // claims link
+      const auto suspect = m.records[1].id(Key::kFrom);  // omits it
       if (in_cooldown(suspect, subject)) continue;
       investigate_claim(suspect, subject, /*claimed_up=*/false,
                         {EvidenceTag::kSignatureMatch});
       ++launched;
     } else if (m.signature == "broadcast_storm") {
-      const auto suspect = net::NodeId::parse(m.correlated_value);
+      const auto suspect = m.correlated;
       if (in_cooldown(suspect, agent_.id())) continue;
       investigate_claim(suspect, agent_.id(), /*claimed_up=*/true,
                         {EvidenceTag::kE2MprMisbehaving,
                          EvidenceTag::kSignatureMatch});
       ++launched;
     } else if (m.signature == "mpr_drop") {
-      const auto suspect = m.records[1].node_field("mpr");
+      const auto suspect = m.records[1].id(Key::kMpr);
       if (in_cooldown(suspect, agent_.id())) continue;
       LinkQuery q;
       q.kind = QueryKind::kForwarding;
@@ -253,7 +254,7 @@ void Detector::process_records(const std::vector<logging::LogRecord>& records,
       // Grayhole: an audited WILL_ALWAYS MPR failed its forwarded/expected
       // window. Same round shape as mpr_drop — the MPR implicitly claims it
       // forwards — so the trust pipeline is reused verbatim.
-      const auto suspect = m.records[0].node_field("mpr");
+      const auto suspect = m.records[0].id(Key::kMpr);
       if (in_cooldown(suspect, agent_.id())) continue;
       LinkQuery q;
       q.kind = QueryKind::kForwarding;
@@ -276,7 +277,7 @@ void Detector::process_records(const std::vector<logging::LogRecord>& records,
       // a suspicious initial selection. Each added MPR's advertised links
       // are cross-checked against *independent* local knowledge; only
       // uncorroborated or contradicted links go to investigation.
-      const auto added = m.records[0].node_list_field("added");
+      const auto added = m.records[0].ids(Key::kAdded);
       for (auto suspect : added) {
         for (auto x : find_disputed_links(suspect)) {
           if (in_cooldown(suspect, x)) continue;
@@ -309,16 +310,15 @@ std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
   };
 
   std::vector<NodeId> disputed;
-  logging::for_each_listed(LogIndex::sym(*claim), [&](NodeId x) {
-    if (disputed.size() >= max_links) return false;
-    if (x == agent_.id()) return true;
+  for (const auto x : LogIndex::sym(*claim)) {
+    if (disputed.size() >= max_links) break;
+    if (x == agent_.id()) continue;
     const auto* own = index.newest_hello(x);
     // Contradicted neighbor: x's own freshest HELLO omits the suspect.
     // Uncorroborated neighbor: nobody but the suspect has mentioned x.
     if (own ? !LogIndex::lists(*own, suspect) : !independent(x))
       disputed.push_back(x);
-    return true;
-  });
+  }
   return disputed;
 }
 

@@ -61,8 +61,8 @@ struct DetectorConfig {
 PipelineConfig pipeline_config(NodeId self, const DetectorConfig& config);
 
 /// The paper's distributed, log- and signature-based intrusion detector,
-/// one instance per participating node. It periodically re-reads the
-/// node's audit log **as text** (never touching protocol state), matches it
+/// one instance per participating node. It periodically reads the growth
+/// of the node's audit log (never touching protocol state), matches it
 /// against the OLSR attack signatures, derives the E1-E3 triggers of
 /// Expression 4, and launches cooperative investigations.
 ///
@@ -177,9 +177,12 @@ class Detector {
  private:
   void on_round_complete(const RoundResult& result,
                          std::vector<EvidenceTag> tags);
-  void process_records(const std::vector<logging::LogRecord>& records,
+  void process_matches(const std::vector<SignatureMatch>& matches,
                        std::size_t& launched);
-  void check_forward_timeouts(std::vector<logging::LogRecord>& synthesized);
+  /// Follows our TC emissions and their MPR echoes through `growth`, and
+  /// appends an mpr_fwd_timeout record per MPR that never echoed one.
+  void check_forward_timeouts(const logging::LogStore::Growth& growth,
+                              std::vector<logging::LogRecord>& synthesized);
   bool in_cooldown(NodeId suspect, NodeId subject) const;
 
   sim::Engine& sim_;

@@ -29,14 +29,6 @@ const auto* slab_get(const Slab& slab, NodeId node) {
   return it == slab.end() || it->first != node ? nullptr : &it->second;
 }
 
-void parse_list(std::string_view list, std::vector<NodeId>& out) {
-  out.clear();
-  logging::for_each_listed(list, [&out](NodeId id) {
-    out.push_back(id);
-    return true;
-  });
-}
-
 }  // namespace
 
 template <std::size_t K>
@@ -72,13 +64,13 @@ void LogIndex::sync() {
 void LogIndex::reset() { *this = LogIndex{*log_}; }
 
 bool LogIndex::index(const logging::LogRecord& record, std::uint64_t at) {
-  if (record.event == "hello_recv") {
+  using logging::Event;
+  if (record.event() == Event::kHelloRecv) {
     index_hello(record, at);
-  } else if (record.event == "tc_recv") {
+  } else if (record.event() == Event::kTcRecv) {
     index_tc(record);
-  } else if (record.event == "own_fwd_heard") {
-    const auto by = record.node_field("by");
-    slab_entry(echoes_, by) = record.time;
+  } else if (record.event() == Event::kOwnFwdHeard) {
+    slab_entry(echoes_, record.id(logging::Key::kBy)) = record.time;
   } else {
     return false;
   }
@@ -87,16 +79,13 @@ bool LogIndex::index(const logging::LogRecord& record, std::uint64_t at) {
 
 void LogIndex::index_hello(const logging::LogRecord& record,
                            std::uint64_t at) {
-  const auto from = record.node_field("from");
-  const auto list = record.field_or_throw("sym");
+  const auto from = record.id(logging::Key::kFrom);
+  const auto list = sym(record);
   const auto newest = slab_find(hellos_, from);
   const bool known = newest != hellos_.end() && newest->first == from;
-  // A HELLO repeating its originator's previous list names nobody new
-  // (and that list already parsed cleanly).
-  if (!known || sym(record_at(newest->second)) != list) {
-    parse_list(list, scratch_);
-    for (const auto node : scratch_) slab_entry(listers_, node).add(from);
-  }
+  // A HELLO repeating its originator's previous list names nobody new.
+  if (!known || !std::ranges::equal(sym(record_at(newest->second)), list))
+    for (const auto node : list) slab_entry(listers_, node).add(from);
   if (known) {
     newest->second = at;
   } else {
@@ -105,11 +94,11 @@ void LogIndex::index_hello(const logging::LogRecord& record,
 }
 
 void LogIndex::index_tc(const logging::LogRecord& record) {
-  const auto orig = record.node_field("orig");
-  parse_list(record.field_or_throw("adv"), scratch_);
+  const auto orig = record.id(logging::Key::kOrig);
   const auto it = std::lower_bound(tc_origins_.begin(), tc_origins_.end(), orig);
   if (it == tc_origins_.end() || *it != orig) tc_origins_.insert(it, orig);
-  for (const auto node : scratch_) slab_entry(advertisers_, node).add(orig);
+  for (const auto node : record.ids(logging::Key::kAdv))
+    slab_entry(advertisers_, node).add(orig);
 }
 
 const logging::LogRecord* LogIndex::newest_hello(NodeId from) const {
@@ -118,8 +107,8 @@ const logging::LogRecord* LogIndex::newest_hello(NodeId from) const {
 }
 
 bool LogIndex::lists(const logging::LogRecord& hello, NodeId node) {
-  return !logging::for_each_listed(sym(hello),
-                                   [node](NodeId id) { return id != node; });
+  const auto list = sym(hello);
+  return std::ranges::find(list, node) != list.end();
 }
 
 bool LogIndex::hello_listed_by_other(NodeId node, NodeId a, NodeId b) const {

@@ -3,7 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <string_view>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,9 +16,9 @@ using net::NodeId;
 /// One node's index of the audit-log facts its investigation queries read
 /// (InvestigationManager::honest_observation, Detector::believed_neighbors_of
 /// and Detector::find_disputed_links). It reads the node's LogStore through
-/// an absolute-index cursor and parses each hello_recv, tc_recv and
+/// an absolute-index cursor and indexes each hello_recv, tc_recv and
 /// own_fwd_heard record once, into sorted flat slabs, so a query costs a
-/// few binary searches instead of a copy and re-parse of the whole log.
+/// few binary searches instead of a scan of the whole log.
 ///
 /// Every answer equals a scan of the retained window: when retention drops
 /// a record the index has counted, the index restarts from the oldest
@@ -29,10 +29,7 @@ class LogIndex {
  public:
   explicit LogIndex(const logging::LogStore& log) : log_{&log} {}
 
-  /// Indexes the records appended since the previous call. A malformed
-  /// indexed record (bad from/sym, orig/adv or by field) throws
-  /// std::invalid_argument and stays under the cursor, so every later call
-  /// throws too, as every scan reaching it did.
+  /// Indexes the records appended since the previous call.
   void sync();
 
   /// Forgets everything; the next sync() re-reads the retained window.
@@ -51,8 +48,8 @@ class LogIndex {
   }
 
   /// The sym list of an indexed HELLO, read in place.
-  static std::string_view sym(const logging::LogRecord& hello) {
-    return *hello.field("sym");
+  static std::span<const NodeId> sym(const logging::LogRecord& hello) {
+    return hello.ids(logging::Key::kSym);
   }
   /// Whether an indexed HELLO's sym list names `node`.
   static bool lists(const logging::LogRecord& hello, NodeId node);
@@ -101,7 +98,6 @@ class LogIndex {
   std::vector<std::pair<NodeId, Witnesses<2>>> advertisers_;
   /// Newest own_fwd_heard time of each forwarder.
   std::vector<std::pair<NodeId, sim::Time>> echoes_;
-  std::vector<NodeId> scratch_;  ///< the list being indexed
 };
 
 }  // namespace manet::core

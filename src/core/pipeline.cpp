@@ -53,16 +53,20 @@ void DetectionPipeline::consume_line(const logging::LogRecord& line) {
   obs::hit(obs::Hot::kPipelineLines);
   // Liveness oracle: lines arrive in time order, so the running maximum per
   // peer equals a newest-first scan over the whole log.
-  try {
-    if (line.event == "hello_recv") {
-      last_heard_[line.node_field("from")] = line.time;
-    } else if (line.event == "tc_recv") {
-      last_heard_[line.node_field("via")] = line.time;
-    }
-  } catch (const std::invalid_argument& e) {
-    // A line this consumer cannot read is a corrupt audit log.
-    throw logging::AuditError{std::string{"unreadable log line: "} + e.what()};
+  if (line.event() == logging::Event::kHelloRecv) {
+    last_heard_[line.id(logging::Key::kFrom)] = line.time;
+  } else if (line.event() == logging::Event::kTcRecv) {
+    last_heard_[line.id(logging::Key::kVia)] = line.time;
   }
+}
+
+double DetectionPipeline::round_trust(NodeId responder) {
+  const auto id = responder.value();
+  if (id >= kMemoIds) return trust_.trust(responder);
+  if (id >= trust_memo_.size()) trust_memo_.resize(id + 1);
+  auto& memo = trust_memo_[id];
+  if (memo.round != memo_round_) memo = {memo_round_, trust_.trust(responder)};
+  return memo.trust;
 }
 
 sim::Time DetectionPipeline::last_heard_of(NodeId node) const {
@@ -96,6 +100,9 @@ void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
   obs::instant(obs::SpanName::kPipelineRound, time,
                round.query.investigation_id);
   if (recorder_) write_round_frame(*recorder_, time, round);
+  // Trust moves only after the decision below, so each responder's weight
+  // is looked up once for the whole aggregation (round_trust).
+  ++memo_round_;
 
   // First-hand evidence of the investigator itself enters the aggregate at
   // full trust (Property 5: first-hand evidence is privileged over
@@ -120,7 +127,7 @@ void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
   for (const auto& a : round.answers) {
     if (!usable(a)) continue;
     round_weighted.push_back(trust::WeightedAnswer{
-        a.responder, trust_.trust(a.responder), a.evidence});
+        a.responder, round_trust(a.responder), a.evidence});
   }
   const double round_detect = trust::aggregate_detection(round_weighted);
 
@@ -142,7 +149,7 @@ void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
   pooled.reserve(pool.size());
   for (const auto& p : pool) {
     const double w =
-        p.responder == config_.self ? 1.0 : trust_.trust(p.responder);
+        p.responder == config_.self ? 1.0 : round_trust(p.responder);
     pooled.push_back(trust::WeightedAnswer{p.responder, w, p.evidence});
   }
   const auto decision = trust::decide(pooled, config_.decision);

@@ -78,9 +78,7 @@ class DetectionPipeline {
   void consume(const AuditEvent& event);
 
   /// One audit-log line of the observed daemon. Maintains the liveness
-  /// oracle (latest reception per peer) that gates convictions. A
-  /// hello_recv/tc_recv line without a readable `from`/`via` throws
-  /// logging::AuditError: the log is corrupt.
+  /// oracle (latest reception per peer) that gates convictions.
   void consume_line(const logging::LogRecord& line);
 
   /// One completed investigation round: Eq. 8 aggregation, pool
@@ -146,8 +144,21 @@ class DetectionPipeline {
   void restore(AnswerPool pool, DetectorDegradation degradation);
 
  private:
+  /// The responder's current trust, looked up once per consume_round: a
+  /// memo indexed by node id, valid while its round stamp is current. Ids
+  /// from kMemoIds up (never seen in this simulator, but a replayed log may
+  /// carry any) go to the store every time.
+  double round_trust(NodeId responder);
+  static constexpr std::uint32_t kMemoIds = 4096;
+  struct TrustMemo {
+    std::uint64_t round = 0;
+    double trust = 0.0;
+  };
+
   PipelineConfig config_;
   trust::TrustStore trust_;
+  std::vector<TrustMemo> trust_memo_;
+  std::uint64_t memo_round_ = 0;
   // Accumulated answers per disputed (suspect, subject) link. Evidence
   // values are stored raw; weights use the *current* trust at decision
   // time, so a liar's early answers lose influence as its trust fades.

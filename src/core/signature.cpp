@@ -24,15 +24,13 @@ bool SignatureMatcher::try_extend(Partial& partial,
     if (!deps_met) continue;
     if (!step.pattern.match(record)) continue;
 
-    const bool correlation_was_set = partial.has_correlated_value;
+    const bool correlation_was_set = partial.correlated.has_value();
     if (sig.correlate_field) {
-      const auto v = record.field(*sig.correlate_field);
-      if (!v) continue;
-      if (partial.has_correlated_value) {
-        if (partial.correlated_value != *v) continue;
-      } else {
-        partial.correlated_value = std::string{*v};
-        partial.has_correlated_value = true;
+      const auto v = record.id(*sig.correlate_field);
+      if (!partial.correlated) {
+        partial.correlated = v;
+      } else if (*partial.correlated != v) {
+        continue;
       }
     }
 
@@ -44,7 +42,7 @@ bool SignatureMatcher::try_extend(Partial& partial,
     if (sig.constraint && is_complete_except_constraint(partial) &&
         !constraint_passes(partial)) {
       partial.matched[i].reset();
-      if (!correlation_was_set) partial.has_correlated_value = false;
+      if (!correlation_was_set) partial.correlated.reset();
       continue;
     }
     return true;
@@ -91,7 +89,7 @@ std::vector<SignatureMatch> SignatureMatcher::feed(
       m.signature = sig.name;
       m.first_event = partial.first_event;
       m.last_event = record.time;
-      m.correlated_value = partial.correlated_value;
+      m.correlated = partial.correlated.value_or(net::NodeId{});
       for (auto& rec : partial.matched)
         if (rec.has_value()) m.records.push_back(*rec);
       completed.push_back(std::move(m));
@@ -113,7 +111,7 @@ std::vector<SignatureMatch> SignatureMatcher::feed(
         m.signature = signatures_[s].name;
         m.first_event = fresh.first_event;
         m.last_event = record.time;
-        m.correlated_value = fresh.correlated_value;
+        m.correlated = fresh.correlated.value_or(net::NodeId{});
         for (auto& rec : fresh.matched)
           if (rec.has_value()) m.records.push_back(*rec);
         completed.push_back(std::move(m));
@@ -123,17 +121,6 @@ std::vector<SignatureMatch> SignatureMatcher::feed(
     }
   }
   return completed;
-}
-
-std::vector<SignatureMatch> SignatureMatcher::feed_all(
-    const std::vector<logging::LogRecord>& records) {
-  std::vector<SignatureMatch> out;
-  for (const auto& r : records) {
-    auto matches = feed(r);
-    out.insert(out.end(), std::make_move_iterator(matches.begin()),
-               std::make_move_iterator(matches.end()));
-  }
-  return out;
 }
 
 }  // namespace manet::core

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,9 +32,9 @@ struct Signature {
   /// All matched records must fall within this window.
   sim::Duration window = sim::Duration::from_seconds(10.0);
   std::vector<SignatureStep> steps;
-  /// When set, every matched record must carry this field with one shared
-  /// value (e.g. correlate "from" to tie a burst to one originator).
-  std::optional<std::string> correlate_field;
+  /// When set, every matched record must carry this id field with one
+  /// shared value (e.g. correlate kOrig to tie a burst to one originator).
+  std::optional<logging::Key> correlate_field;
   /// Cross-record constraint evaluated on completion (records indexed by
   /// step; optional unmatched steps hold nullptr).
   std::function<bool(const std::vector<const logging::LogRecord*>&)> constraint;
@@ -45,10 +46,10 @@ struct SignatureMatch {
   std::vector<logging::LogRecord> records;  ///< in match order
   sim::Time first_event;
   sim::Time last_event;
-  std::string correlated_value;  ///< value of correlate_field, if any
+  net::NodeId correlated;  ///< value of correlate_field, if any
 };
 
-/// Streaming matcher: feed parsed log records in time order; completed
+/// Streaming matcher: feed log records in time order; completed
 /// matches accumulate and can be drained. Partial matches expire once their
 /// window passes, so memory stays bounded.
 class SignatureMatcher {
@@ -58,9 +59,17 @@ class SignatureMatcher {
   /// Feeds one record; returns matches completed by this record.
   std::vector<SignatureMatch> feed(const logging::LogRecord& record);
 
-  /// Feeds a batch (convenience for scan-based detectors).
-  std::vector<SignatureMatch> feed_all(
-      const std::vector<logging::LogRecord>& records);
+  /// Feeds a batch in order (convenience for scan-based detectors).
+  template <typename Records>
+  std::vector<SignatureMatch> feed_all(const Records& records) {
+    std::vector<SignatureMatch> out;
+    for (const logging::LogRecord& r : records) {
+      auto matches = feed(r);
+      out.insert(out.end(), std::make_move_iterator(matches.begin()),
+                 std::make_move_iterator(matches.end()));
+    }
+    return out;
+  }
 
   std::size_t signature_count() const { return signatures_.size(); }
   std::size_t partial_count() const;
@@ -71,8 +80,7 @@ class SignatureMatcher {
     /// Matched record per step (nullopt until the step matches).
     std::vector<std::optional<logging::LogRecord>> matched;
     sim::Time first_event;
-    std::string correlated_value;
-    bool has_correlated_value = false;
+    std::optional<net::NodeId> correlated;
   };
 
   bool try_extend(Partial& partial, const logging::LogRecord& record);

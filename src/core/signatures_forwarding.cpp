@@ -17,22 +17,24 @@ void insert_sorted(std::vector<NodeId>& sorted, NodeId id) {
 }  // namespace
 
 void ForwardingAuditor::ingest(const logging::LogRecord& record) {
-  if (record.event == "hello_recv") {
+  using logging::Event;
+  using logging::Key;
+  if (record.event() == Event::kHelloRecv) {
     // WILL_ALWAYS advertisement (§18.8 constant 7) marks the neighbor
     // auditable: it is selected MPR unconditionally, so every fresh flood
     // it hears obliges a re-broadcast.
-    const auto from = record.node_field("from");
-    if (record.int_field("will") == 7)
+    const auto from = record.id(Key::kFrom);
+    if (record.integer(Key::kWill) == 7)
       always_.insert(from);
     else
       always_.erase(from);
-  } else if (record.event == "mpr_changed") {
-    const auto mprs = record.node_list_field("mprs");
+  } else if (record.event() == Event::kMprChanged) {
+    const auto mprs = record.ids(Key::kMprs);
     current_mprs_ = {mprs.begin(), mprs.end()};
-  } else if (record.event == "tc_recv") {
-    const auto orig = record.node_field("orig");
-    const auto via = record.node_field("via");
-    const auto seq = record.int_field("seq");
+  } else if (record.event() == Event::kTcRecv) {
+    const auto orig = record.id(Key::kOrig);
+    const auto via = record.id(Key::kVia);
+    const auto seq = record.integer(Key::kSeq);
     // First hearing of this flood opens a pending entry; any hearing
     // credits the relaying transmitter.
     bool known = false;
@@ -54,11 +56,11 @@ void ForwardingAuditor::ingest(const logging::LogRecord& record) {
       pending_.push_back(std::move(flood));
     }
     if (via != orig) credit(orig, seq, via);
-  } else if (record.event == "fwd_echo") {
+  } else if (record.event() == Event::kFwdEcho) {
     // Direct overhear of a neighbor re-broadcasting a third-party flood
     // (olsr/agent logs these when Config::log_fwd_echo is set).
-    credit(record.node_field("orig"), record.int_field("seq"),
-           record.node_field("by"));
+    credit(record.id(Key::kOrig), record.integer(Key::kSeq),
+           record.id(Key::kBy));
   }
 }
 
@@ -70,10 +72,8 @@ void ForwardingAuditor::credit(NodeId orig, std::int64_t seq, NodeId by) {
     }
 }
 
-std::vector<ForwardAudit> ForwardingAuditor::sweep(
-    sim::Time now, std::vector<logging::LogRecord>& records) {
-  for (const auto& record : records) ingest(record);
-
+std::vector<ForwardAudit> ForwardingAuditor::close_window(
+    sim::Time now, std::vector<logging::LogRecord>& synthesized) {
   // Close every pending flood whose timeout has passed into the window
   // counters (pending_ is in first-heard order, so the prefix suffices).
   while (!pending_.empty() &&
@@ -97,14 +97,8 @@ std::vector<ForwardAudit> ForwardingAuditor::sweep(
     if (expected >= config_.min_expected &&
         static_cast<double>(forwarded) <
             config_.fail_ratio * static_cast<double>(expected)) {
-      logging::LogRecord fail;
-      fail.time = now;
-      fail.node = self_;
-      fail.event = "fwd_audit_fail";
-      fail.with("mpr", mpr)
-          .with("expected", static_cast<std::int64_t>(expected))
-          .with("forwarded", static_cast<std::int64_t>(forwarded));
-      records.push_back(std::move(fail));
+      synthesized.emplace_back(now, self_, logging::Event::kFwdAuditFail, mpr,
+                               expected, forwarded);
     }
   }
   window_.clear();
@@ -137,7 +131,7 @@ Signature forwarding_audit_signature() {
   sig.window = sim::Duration::from_seconds(1.0);
   sig.steps.resize(1);
   sig.steps[0].pattern = {"fwd_audit_fail", [](const logging::LogRecord& r) {
-                            return r.event == "fwd_audit_fail";
+                            return r.event() == logging::Event::kFwdAuditFail;
                           }};
   return sig;
 }

@@ -45,7 +45,7 @@ struct ForwardAudit {
   std::uint64_t forwarded = 0;
 };
 
-/// Streaming auditor over one node's parsed log records. Scope: only MPRs
+/// Streaming auditor over one node's log records. Scope: only MPRs
 /// that advertise WILL_ALWAYS are audited on third-party floods — a
 /// WILL_ALWAYS node is selected MPR by *every* neighbor (RFC 3626 §8.3.1
 /// step 1), so it is obliged to re-forward any fresh flood it hears,
@@ -63,10 +63,15 @@ class ForwardingAuditor {
   /// flood entries older than flood_timeout into the window counters,
   /// evaluates the window, and resets it. Failing MPRs get a synthesized
   /// `fwd_audit_fail` record (mpr/expected/forwarded fields) appended to
-  /// `records` so the signature matcher can fire on them uniformly.
+  /// `synthesized` so the signature matcher can fire on them uniformly.
   /// Returns every non-empty tally of the closed window, sorted by MPR.
-  std::vector<ForwardAudit> sweep(sim::Time now,
-                                  std::vector<logging::LogRecord>& records);
+  template <typename Records>
+  std::vector<ForwardAudit> sweep(
+      sim::Time now, const Records& records,
+      std::vector<logging::LogRecord>& synthesized) {
+    for (const logging::LogRecord& record : records) ingest(record);
+    return close_window(now, synthesized);
+  }
 
   /// One flood awaiting the audited MPRs' re-broadcasts (public for
   /// checkpointing).
@@ -91,6 +96,8 @@ class ForwardingAuditor {
 
  private:
   void ingest(const logging::LogRecord& record);
+  std::vector<ForwardAudit> close_window(
+      sim::Time now, std::vector<logging::LogRecord>& synthesized);
   void credit(NodeId orig, std::int64_t seq, NodeId by);
 
   NodeId self_;

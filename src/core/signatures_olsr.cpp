@@ -5,12 +5,15 @@
 namespace manet::core {
 namespace {
 
-bool is_event(const logging::LogRecord& r, std::string_view name) {
-  return r.event == name;
+using logging::Event;
+using logging::Key;
+
+bool is_event(const logging::LogRecord& r, Event event) {
+  return r.event() == event;
 }
 
-std::vector<net::NodeId> sym_list(const logging::LogRecord& r) {
-  return r.node_list_field("sym");
+bool lists(std::span<const net::NodeId> list, net::NodeId node) {
+  return std::ranges::find(list, node) != list.end();
 }
 
 }  // namespace
@@ -22,26 +25,22 @@ Signature link_spoofing_claim_signature(sim::Duration window) {
   sig.steps.resize(2);
   // Step 0: HELLO from the suspect I (any hello_recv).
   sig.steps[0].pattern = {"hello_from_suspect", [](const logging::LogRecord& r) {
-                            return is_event(r, "hello_recv");
+                            return is_event(r, Event::kHelloRecv);
                           }};
   // Step 1: HELLO from some X, unordered relative to step 0 (the paper's
   // |t'-t| < delta-t with no ordering), hence no `after` dependency.
   sig.steps[1].pattern = {"hello_from_subject", [](const logging::LogRecord& r) {
-                            return is_event(r, "hello_recv");
+                            return is_event(r, Event::kHelloRecv);
                           }};
   sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
     if (recs[0] == nullptr || recs[1] == nullptr) return false;
     const auto& from_i = *recs[0];
     const auto& from_x = *recs[1];
-    const auto i = from_i.node_field("from");
-    const auto x = from_x.node_field("from");
+    const auto i = from_i.id(Key::kFrom);
+    const auto x = from_x.id(Key::kFrom);
     if (i == x) return false;
-    // I claims X symmetric...
-    const auto i_sym = sym_list(from_i);
-    if (std::find(i_sym.begin(), i_sym.end(), x) == i_sym.end()) return false;
-    // ...but X's own HELLO does not list I.
-    const auto x_sym = sym_list(from_x);
-    return std::find(x_sym.begin(), x_sym.end(), i) == x_sym.end();
+    // I claims X symmetric, but X's own HELLO does not list I.
+    return lists(from_i.ids(Key::kSym), x) && !lists(from_x.ids(Key::kSym), i);
   };
   return sig;
 }
@@ -52,28 +51,24 @@ Signature link_omission_signature(sim::Duration window) {
   sig.window = window;
   sig.steps.resize(2);
   sig.steps[0].pattern = {"hello_from_claimer", [](const logging::LogRecord& r) {
-                            return is_event(r, "hello_recv");
+                            return is_event(r, Event::kHelloRecv);
                           }};
   sig.steps[1].pattern = {"hello_from_omitter", [](const logging::LogRecord& r) {
-                            return is_event(r, "hello_recv");
+                            return is_event(r, Event::kHelloRecv);
                           }};
   sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
     if (recs[0] == nullptr || recs[1] == nullptr) return false;
     const auto& from_x = *recs[0];  // X claims the link
     const auto& from_i = *recs[1];  // I omits it
-    const auto x = from_x.node_field("from");
-    const auto i = from_i.node_field("from");
+    const auto x = from_x.id(Key::kFrom);
+    const auto i = from_i.id(Key::kFrom);
     if (i == x) return false;
-    const auto x_sym = sym_list(from_x);
-    if (std::find(x_sym.begin(), x_sym.end(), i) == x_sym.end()) return false;
     // A true omission lists X neither as symmetric nor as a heard (ASYM)
     // link; transitional link-sensing states advertise X as ASYM and must
     // not fire the signature.
-    const auto i_sym = sym_list(from_i);
-    if (std::find(i_sym.begin(), i_sym.end(), x) != i_sym.end()) return false;
-    const auto asym = from_i.field("asym");
-    return !asym || logging::for_each_listed(
-                        *asym, [x](net::NodeId n) { return n != x; });
+    return lists(from_x.ids(Key::kSym), i) &&
+           !lists(from_i.ids(Key::kSym), x) &&
+           !lists(from_i.ids(Key::kAsym), x);
   };
   return sig;
 }
@@ -82,11 +77,11 @@ Signature storm_signature(std::size_t burst, sim::Duration window) {
   Signature sig;
   sig.name = "broadcast_storm";
   sig.window = window;
-  sig.correlate_field = "orig";
+  sig.correlate_field = Key::kOrig;
   sig.steps.resize(burst);
   for (std::size_t i = 0; i < burst; ++i) {
     sig.steps[i].pattern = {"tc_recv", [](const logging::LogRecord& r) {
-                              return is_event(r, "tc_recv");
+                              return is_event(r, Event::kTcRecv);
                             }};
     if (i > 0) sig.steps[i].after = {i - 1};
   }
@@ -99,15 +94,15 @@ Signature drop_signature(sim::Duration window) {
   sig.window = window;
   sig.steps.resize(2);
   sig.steps[0].pattern = {"tc_sent", [](const logging::LogRecord& r) {
-                            return is_event(r, "tc_sent");
+                            return is_event(r, Event::kTcSent);
                           }};
   sig.steps[1].pattern = {"mpr_fwd_timeout", [](const logging::LogRecord& r) {
-                            return is_event(r, "mpr_fwd_timeout");
+                            return is_event(r, Event::kMprFwdTimeout);
                           }};
   sig.steps[1].after = {0};
   sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
     if (recs[0] == nullptr || recs[1] == nullptr) return false;
-    return recs[0]->field_or_throw("seq") == recs[1]->field_or_throw("seq");
+    return recs[0]->integer(Key::kSeq) == recs[1]->integer(Key::kSeq);
   };
   return sig;
 }
@@ -123,9 +118,8 @@ Signature mpr_replacement_signature() {
   // downstream — the detector only investigates when the new MPR's
   // advertised links cannot be corroborated independently.
   sig.steps[0].pattern = {"mpr_changed", [](const logging::LogRecord& r) {
-                            if (!is_event(r, "mpr_changed")) return false;
-                            const auto added = r.field("added");
-                            return added && !added->empty();
+                            return is_event(r, Event::kMprChanged) &&
+                                   !r.ids(Key::kAdded).empty();
                           }};
   return sig;
 }

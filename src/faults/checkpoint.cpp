@@ -211,11 +211,7 @@ void restore_medium(const MediumImage& m, net::Medium& medium) {
 }
 
 void restore_detector(DetectorImage d, core::Detector& detector) {
-  try {
-    detector.restore(std::move(d.state));
-  } catch (const logging::AuditError& e) {
-    throw CheckpointError{e.what()};
-  }
+  detector.restore(std::move(d.state));
   detector.trust_store().restore(std::move(d.trust_rows),
                                  std::move(d.interaction_rows));
 }

@@ -25,9 +25,10 @@ namespace manet::faults {
 /// checkpoints are short-lived run artifacts, not archival data. Version 2
 /// added the detector's forwarding-audit state and the per-attack-kind
 /// experiment payload; version 3 replaced the routing snapshot with the
-/// routes alone (the knowledge graph is rebuilt from the restored tables).
+/// routes alone (the knowledge graph is rebuilt from the restored tables);
+/// version 4 stores log records typed (logging::transfer_record).
 inline constexpr std::uint32_t kCheckpointMagic = 0x43544E4Du;  // "MNTC"
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Thrown on malformed, truncated or version-mismatched snapshots.
 struct CheckpointError : std::runtime_error {
@@ -346,7 +347,9 @@ struct AgentEvents {
 /// Rejected: unsorted or duplicated tables, self entries, a duplicate ring
 /// whose expiry times go backwards, routes whose parent chains route_to
 /// could not walk, log times that go backwards or counters that disagree
-/// with the records, unparsable forwards.
+/// with the records, unparsable forwards. (A log record with an unknown
+/// event code, or values short of its schema, fails earlier, in the
+/// section's decode.)
 AgentEvents restore_agent(AgentImage image, olsr::Agent& agent);
 
 /// Applies counters and per-host radio state (every host must be
@@ -354,8 +357,7 @@ AgentEvents restore_agent(AgentImage image, olsr::Agent& agent);
 void restore_medium(const MediumImage& image, net::Medium& medium);
 
 /// Installs detector and trust state. The detector re-reads its agent's
-/// restored log, so restore that agent first; an unreadable record throws
-/// CheckpointError.
+/// restored log, so restore that agent first.
 void restore_detector(DetectorImage image, core::Detector& detector);
 
 /// One section on its own (tests craft and splice sections with these):

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "logging/binary_codec.hpp"
 #include "logging/record.hpp"
@@ -13,9 +16,10 @@ namespace manet::logging {
 /// reader accepts exactly its own version — the stream is a byte-exact
 /// replay input, so any frame-layout change bumps the version and
 /// invalidates old files. Version 2 added the kForwardAudit frame kind
-/// (forwarding-audit grayhole detection).
+/// (forwarding-audit grayhole detection); version 3 made kLine frames
+/// typed (an event code and schema-ordered values, no key strings).
 inline constexpr std::uint32_t kAuditMagic = 0x41544E4Du;  // "MNTA"
-inline constexpr std::uint32_t kAuditVersion = 2;
+inline constexpr std::uint32_t kAuditVersion = 3;
 
 /// Thrown on malformed, truncated or version-mismatched audit logs.
 struct AuditError : std::runtime_error {
@@ -37,16 +41,59 @@ enum class AuditFrame : std::uint8_t {
 };
 
 /// The one LogRecord layout: a kLine frame's payload, and each record of
-/// the checkpoint's log section (faults/checkpoint.hpp).
-template <typename IO, typename Record>
-void transfer_record(IO& io, Record& record) {
+/// the checkpoint's log section (faults/checkpoint.hpp). Time, node, the
+/// u8 event code, then the values in schema order: an id as u32, an
+/// integer as i64, a list as its count and u32 ids; data_drop's fixed
+/// reason takes no bytes. One overload per direction, both walking the
+/// schema table.
+inline void transfer_record(BinaryWriter& io, const LogRecord& record) {
   io.time(record.time);
   io.node(record.node);
-  io.str(record.event);
-  io.list(record.fields, [&io](auto& field) {
-    io.str(field.first);
-    io.str(field.second);
+  io.u8(record.event());
+  record.for_each_value([&io](const FieldSpec&, const auto& value) {
+    using Value = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<Value, net::NodeId>) {
+      io.node(value);
+    } else if constexpr (std::is_same_v<Value, std::int64_t>) {
+      io.i64(value);
+    } else if constexpr (!std::is_same_v<Value, std::nullopt_t>) {
+      io.list(value, [&io](net::NodeId id) { io.node(id); });
+    }
   });
+}
+
+/// The load direction: an unknown event code throws `Error`, and so does
+/// any value the bytes cannot fill (the reader's overrun and count checks;
+/// a kLine frame also checks it consumed its payload exactly).
+template <typename Error>
+void transfer_record(BinaryReader<Error>& io, LogRecord& record) {
+  io.time(record.time);
+  io.node(record.node);
+  const std::uint8_t code = io.u8();
+  if (code >= kEventCount)
+    throw Error{"unknown log event code " + std::to_string(code)};
+  const auto event = static_cast<Event>(code);
+  record.reset();
+  for (const auto& field : schema(event).fields) {
+    switch (field.kind) {
+      case FieldKind::kId:
+        record.push_id(io.node());
+        break;
+      case FieldKind::kInt:
+        record.push_int(io.i64());
+        break;
+      case FieldKind::kIdList: {
+        const std::size_t n = io.count();
+        if (n > UINT32_MAX) throw Error{"log record list too long"};
+        record.push_count(static_cast<std::uint32_t>(n));
+        for (std::size_t i = 0; i < n; ++i) record.push_id(io.node());
+        break;
+      }
+      case FieldKind::kRouteExhausted:
+        break;
+    }
+  }
+  record.finish(event);
 }
 
 /// Reader of the audit-log format; every overrun throws AuditError.

@@ -1,7 +1,11 @@
 #include "logging/format.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
+#include <type_traits>
+
+#include "obs/obs.hpp"
 
 namespace manet::logging {
 namespace {
@@ -30,25 +34,27 @@ sim::Time parse_time(std::string_view v) {
   return sim::Time::from_us(secs * 1'000'000 + micros);
 }
 
-}  // namespace
-
-std::string format_record(const LogRecord& record) {
-  std::string out = "t=" + record.time.to_string() +
-                    " node=" + record.node.to_string() +
-                    " event=" + record.event;
-  for (const auto& [k, v] : record.fields) {
-    out += ' ';
-    out += k;
-    out += '=';
-    out += v.empty() ? "-" : v;
-  }
+std::int64_t parse_int(std::string_view v) {
+  std::int64_t out = 0;
+  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || ptr != v.data() + v.size())
+    throw std::invalid_argument{"bad integer: " + std::string{v}};
   return out;
 }
 
-LogRecord parse_record(std::string_view line) {
-  LogRecord rec;
-  bool have_t = false, have_node = false, have_event = false;
+constexpr std::string_view kRouteExhausted = "route_exhausted";
 
+[[noreturn]] void bad_field(const char* what, std::string_view line) {
+  std::string message = what;
+  message += ": ";
+  message += line;
+  throw std::invalid_argument{message};
+}
+
+/// Hands each space-separated `key=value` token of `line` to
+/// `visit(key, value)`, in order.
+template <typename Visit>
+void for_each_token(std::string_view line, Visit&& visit) {
   std::size_t pos = 0;
   while (pos < line.size()) {
     while (pos < line.size() && line[pos] == ' ') ++pos;
@@ -62,10 +68,52 @@ LogRecord parse_record(std::string_view line) {
     const auto eq = token.find('=');
     if (eq == std::string_view::npos || eq == 0)
       throw std::invalid_argument{"bad log token: " + std::string{token}};
-    const auto key = token.substr(0, eq);
-    auto value = token.substr(eq + 1);
-    if (value == "-") value = "";
+    visit(token.substr(0, eq), token.substr(eq + 1));
+  }
+}
 
+bool is_header(std::string_view key) {
+  return key == "t" || key == "node" || key == "event";
+}
+
+}  // namespace
+
+std::string format_record(const LogRecord& record) {
+  obs::hit(obs::Hot::kLogTextRecords);
+  std::string out = "t=" + record.time.to_string() +
+                    " node=" + record.node.to_string() + " event=";
+  out += schema(record.event()).name;
+  record.for_each_value([&out](const FieldSpec& field, const auto& value) {
+    using Value = std::decay_t<decltype(value)>;
+    out += ' ';
+    out += key_name(field.key);
+    out += '=';
+    if constexpr (std::is_same_v<Value, net::NodeId>) {
+      out += value.to_string();
+    } else if constexpr (std::is_same_v<Value, std::int64_t>) {
+      out += std::to_string(value);
+    } else if constexpr (std::is_same_v<Value, std::nullopt_t>) {
+      out += kRouteExhausted;
+    } else if (value.empty()) {
+      out += '-';
+    } else {
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        if (i > 0) out += '|';
+        out += value[i].to_string();
+      }
+    }
+  });
+  return out;
+}
+
+LogRecord parse_record(std::string_view line) {
+  obs::hit(obs::Hot::kLogTextRecords);
+  // The header tokens first, wherever they sit; then the fields, which
+  // must follow the event's schema in order.
+  LogRecord rec;
+  bool have_t = false, have_node = false;
+  std::optional<Event> event;
+  for_each_token(line, [&](std::string_view key, std::string_view value) {
     if (key == "t") {
       rec.time = parse_time(value);
       have_t = true;
@@ -73,16 +121,55 @@ LogRecord parse_record(std::string_view line) {
       rec.node = net::NodeId::parse(value);
       have_node = true;
     } else if (key == "event") {
-      rec.event = std::string{value};
-      have_event = true;
-    } else {
-      rec.fields.emplace_back(std::string{key}, std::string{value});
+      event = event_named(value);
+      if (!event) bad_field("unknown log event", line);
+    } else if (!key_named(key)) {
+      bad_field("unknown log field", line);
     }
-  }
-
-  if (!have_t || !have_node || !have_event)
+  });
+  if (!have_t || !have_node || !event)
     throw std::invalid_argument{"log line missing t/node/event: " +
                                 std::string{line}};
+
+  const auto fields = schema(*event).fields;
+  std::size_t next = 0;
+  rec.reset();
+  for_each_token(line, [&](std::string_view key, std::string_view value) {
+    if (is_header(key)) return;
+    if (next == fields.size()) bad_field("extra log field", line);
+    const auto field = fields[next++];
+    if (key != key_name(field.key)) bad_field("unexpected log field", line);
+    switch (field.kind) {
+      case FieldKind::kId:
+        rec.push_id(net::NodeId::parse(value));
+        break;
+      case FieldKind::kInt:
+        rec.push_int(parse_int(value));
+        break;
+      case FieldKind::kIdList: {
+        // "-" is the empty list; otherwise '|'-separated ids.
+        if (value == "-") {
+          rec.push_count(0);
+          break;
+        }
+        rec.push_count(
+            static_cast<std::uint32_t>(1 + std::ranges::count(value, '|')));
+        std::size_t start = 0;
+        for (;;) {
+          const auto sep = value.find('|', start);
+          rec.push_id(net::NodeId::parse(value.substr(start, sep - start)));
+          if (sep == std::string_view::npos) break;
+          start = sep + 1;
+        }
+        break;
+      }
+      case FieldKind::kRouteExhausted:
+        if (value != kRouteExhausted) bad_field("bad log reason", line);
+        break;
+    }
+  });
+  if (next < fields.size()) bad_field("missing log field", line);
+  rec.finish(*event);
   return rec;
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
-#include <string>
-#include <vector>
+#include <ranges>
 
 #include "logging/record.hpp"
 
@@ -11,11 +12,11 @@ namespace manet::logging {
 class AuditWriter;
 
 /// Append-only audit log of one node's routing daemon, with bounded
-/// retention. The IDS reads it in two ways: the signature scan re-reads
-/// each growth as text (`text_since` + the parser, the round-trip a real
-/// log file would impose), and cursor readers — the detector's pipeline
-/// feed and the investigations' core::LogIndex — walk the new records by
-/// absolute index (`base_index`, `at`).
+/// retention. The IDS reads the typed records in place, in two ways: the
+/// signature scan walks each growth by time (`records_since`), and cursor
+/// readers — the detector's pipeline feed and the investigations'
+/// core::LogIndex — walk the new records by absolute index (`base_index`,
+/// `at`).
 class LogStore {
  public:
   explicit LogStore(std::size_t max_records = 100'000)
@@ -26,12 +27,13 @@ class LogStore {
   std::size_t size() const { return records_.size(); }
   const LogRecord& at(std::size_t i) const { return records_.at(i); }
 
-  /// Records with time >= since (they are appended in time order).
-  std::vector<LogRecord> records_since(sim::Time since) const;
-
-  /// The formatted text of all records with time >= since — what a log
-  /// analyzer would read from disk.
-  std::string text_since(sim::Time since) const;
+  /// The retained records with time >= since, in place (they are appended
+  /// in time order). The view lasts until the next append or restore.
+  using Growth = std::ranges::subrange<std::deque<LogRecord>::const_iterator>;
+  Growth records_since(sim::Time since) const {
+    return {std::ranges::lower_bound(records_, since, {}, &LogRecord::time),
+            records_.end()};
+  }
 
   /// Writer mode: every appended record is also emitted as a kLine frame of
   /// the binary audit-log format (logging/audit_log.hpp) — the recording

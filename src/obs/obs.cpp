@@ -49,6 +49,10 @@ const char* hot_name(Hot h) {
       return "manet_pipeline_suppressed_convictions_total";
     case Hot::kInvestigationsOpened:
       return "manet_investigations_opened_total";
+    case Hot::kLogRecords:
+      return "manet_logging_records_total";
+    case Hot::kLogTextRecords:
+      return "manet_logging_text_records_total";
     case Hot::kLogRecordsIndexed:
       return "manet_log_records_indexed_total";
     case Hot::kLogIndexRestarts:

@@ -48,7 +48,10 @@ enum class Hot : std::uint32_t {
   kPipelineConvictions,      ///< kIntruder verdicts emitted
   kPipelineSuppressed,       ///< convictions downgraded by the liveness gate
   kInvestigationsOpened,     ///< investigations launched by the detector
-  kLogRecordsIndexed,        ///< audit-log records parsed by a core::LogIndex
+  kLogRecords,               ///< audit-log records appended to a LogStore
+  /// audit-log records rendered by format_record or parsed by parse_record
+  kLogTextRecords,
+  kLogRecordsIndexed,        ///< audit-log records read by a core::LogIndex
   kLogIndexRestarts,         ///< LogIndex rebuilds after a retention drop
   kCheckpointSaves,
   kCheckpointRestores,

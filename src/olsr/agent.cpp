@@ -66,7 +66,7 @@ void Agent::start() {
   if (!config_.extra_interfaces.empty() || !config_.hna_networks.empty())
     mid_timer_.start();
   housekeeping_timer_.start();
-  log_.append(make_record("daemon_start"));
+  log_.append(make_record(logging::Event::kDaemonStart));
 }
 
 void Agent::stop() {
@@ -77,15 +77,7 @@ void Agent::stop() {
   mid_timer_.stop();
   housekeeping_timer_.stop();
   if (medium_.attached(id_)) medium_.set_handler(id_, {});
-  log_.append(make_record("daemon_stop"));
-}
-
-logging::LogRecord Agent::make_record(std::string event) const {
-  logging::LogRecord r;
-  r.time = sim_.now();
-  r.node = id_;
-  r.event = std::move(event);
-  return r;
+  log_.append(make_record(logging::Event::kDaemonStop));
 }
 
 std::vector<NodeId> Agent::mpr_selectors() const {
@@ -197,12 +189,9 @@ void Agent::emit_hello() {
   m.header.seq_num = next_msg_seq();
   m.body = h;
 
-  auto rec = make_record("hello_sent");
-  rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("neigh", logging::join_node_list(h.symmetric_neighbors()))
-      .with("asym", logging::join_node_list(asym_scratch_))
-      .with("will", static_cast<std::int64_t>(h.willingness));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kHelloSent, m.header.seq_num,
+                          h.symmetric_neighbors(), asym_scratch_,
+                          h.willingness));
 
   ++stats_.hello_sent;
   broadcast_message(std::move(m));
@@ -225,11 +214,8 @@ void Agent::emit_tc() {
   m.header.seq_num = next_msg_seq();
   m.body = tc;
 
-  auto rec = make_record("tc_sent");
-  rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("ansn", static_cast<std::int64_t>(tc.ansn))
-      .with("adv", logging::join_node_list(tc.advertised));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kTcSent, m.header.seq_num, tc.ansn,
+                          tc.advertised));
 
   ++stats_.tc_sent;
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
@@ -250,10 +236,8 @@ void Agent::emit_mid() {
   m.header.seq_num = next_msg_seq();
   m.body = mid;
 
-  auto rec = make_record("mid_sent");
-  rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("ifaces", logging::join_node_list(mid.interfaces));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kMidSent, m.header.seq_num,
+                          mid.interfaces));
 
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
                      config_.dup_hold);
@@ -273,10 +257,8 @@ void Agent::emit_hna() {
   m.header.seq_num = next_msg_seq();
   m.body = hna;
 
-  auto rec = make_record("hna_sent");
-  rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("count", static_cast<std::int64_t>(hna.entries.size()));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kHnaSent, m.header.seq_num,
+                          hna.entries.size()));
 
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
                      config_.dup_hold);
@@ -296,9 +278,8 @@ void Agent::handle_packet(const net::Packet& packet) {
   const auto& parsed = decode_frame(packet);
   if (!parsed) {
     ++stats_.parse_errors;
-    auto rec = make_record("packet_parse_error");
-    rec.with("from", packet.transmitter);
-    log_.append(std::move(rec));
+    log_.append(
+        make_record(logging::Event::kPacketParseError, packet.transmitter));
     return;
   }
 
@@ -308,12 +289,9 @@ void Agent::handle_packet(const net::Packet& packet) {
       // A retransmission of our own message: evidence that the transmitter
       // actually forwards our traffic (used by E2 drop detection).
       if (m.header.hop_count > 0) {
-        auto rec = make_record("own_fwd_heard");
-        rec.with("by", packet.transmitter)
-            .with("seq", static_cast<std::int64_t>(m.header.seq_num))
-            .with("type",
-                  static_cast<std::int64_t>(static_cast<int>(m.header.type)));
-        log_.append(std::move(rec));
+        log_.append(make_record(logging::Event::kOwnFwdHeard,
+                                packet.transmitter, m.header.seq_num,
+                                m.header.type));
       }
       continue;
     }
@@ -376,23 +354,14 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
       advertised_asym.insert(advertised_asym.end(), addrs.begin(),
                              addrs.end());
   }
-  auto rec = make_record("hello_recv");
-  rec.with("from", from)
-      .with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("sym", logging::join_node_list(advertised_sym))
-      .with("asym", logging::join_node_list(advertised_asym))
-      .with("lists_us", lists_us ? "1" : "0")
-      .with("will", static_cast<std::int64_t>(hello->willingness));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kHelloRecv, from, m.header.seq_num,
+                          advertised_sym, advertised_asym, lists_us,
+                          hello->willingness));
 
   if (change == LinkSet::Change::kBecameSym) {
-    auto r = make_record("link_sym");
-    r.with("nbr", from);
-    log_.append(std::move(r));
+    log_.append(make_record(logging::Event::kLinkSym, from));
   } else if (change == LinkSet::Change::kLost) {
-    auto r = make_record("link_lost");
-    r.with("nbr", from);
-    log_.append(std::move(r));
+    log_.append(make_record(logging::Event::kLinkLost, from));
   }
 
   // 2-hop set (§8.1.1): symmetric neighbors advertised by a symmetric
@@ -404,11 +373,8 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
     if (neighbors_.set_two_hops_via(from, two_hops,
                                     sim_.now() + m.header.vtime, &delta_)) {
       tables_changed = true;
-      auto r = make_record("two_hop_update");
-      r.with("via", from)
-          .with("nodes",
-                logging::join_node_list(neighbors_.two_hops_via(from)));
-      log_.append(std::move(r));
+      log_.append(make_record(logging::Event::kTwoHopUpdate, from,
+                              neighbors_.two_hops_via(from)));
     }
   }
 
@@ -419,16 +385,12 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
     mpr_selectors_[from] = sim_.now() + m.header.vtime;
     if (!was_selector) {
       ++ansn_;
-      auto r = make_record("mpr_selector_add");
-      r.with("nbr", from);
-      log_.append(std::move(r));
+      log_.append(make_record(logging::Event::kMprSelectorAdd, from));
     }
   } else if (was_selector && lists_us && !selects_us_mpr) {
     mpr_selectors_.erase(from);
     ++ansn_;
-    auto r = make_record("mpr_selector_del");
-    r.with("nbr", from);
-    log_.append(std::move(r));
+    log_.append(make_record(logging::Event::kMprSelectorDel, from));
   }
 
   // MPR selector changes do not feed MPR selection or routing, so they do
@@ -448,11 +410,8 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   // check — re-hearings of an already-seen flood are exactly the MPR
   // re-broadcasts the audit credits, and they produce no tc_recv record.
   if (config_.log_fwd_echo && transmitter != m.header.originator) {
-    auto echo = make_record("fwd_echo");
-    echo.with("by", transmitter)
-        .with("orig", m.header.originator)
-        .with("seq", static_cast<std::int64_t>(m.header.seq_num));
-    log_.append(std::move(echo));
+    log_.append(make_record(logging::Event::kFwdEcho, transmitter,
+                            m.header.originator, m.header.seq_num));
   }
   // The one duplicate lookup of this copy. Nothing below touches the
   // duplicate set before maybe_forward records into it.
@@ -467,14 +426,9 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   const bool applied = topology_.on_tc(sim_.now(), origin, tc->ansn,
                                        tc->advertised, m.header.vtime,
                                        &delta_);
-  auto rec = make_record("tc_recv");
-  rec.with("orig", origin)
-      .with("via", transmitter)
-      .with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("ansn", static_cast<std::int64_t>(tc->ansn))
-      .with("adv", logging::join_node_list(tc->advertised))
-      .with("applied", applied ? "1" : "0");
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kTcRecv, origin, transmitter,
+                          m.header.seq_num, tc->ansn, tc->advertised,
+                          applied));
 
   update_routes();
   maybe_forward(m, transmitter, nullptr);
@@ -488,10 +442,8 @@ void Agent::process_mid(const Message& m, NodeId transmitter) {
   if (dup == nullptr) {
     mid_set_.on_mid(sim_.now(), m.header.originator, mid->interfaces,
                     m.header.vtime);
-    auto rec = make_record("mid_recv");
-    rec.with("orig", m.header.originator)
-        .with("ifaces", logging::join_node_list(mid->interfaces));
-    log_.append(std::move(rec));
+    log_.append(make_record(logging::Event::kMidRecv, m.header.originator,
+                            mid->interfaces));
   }
   maybe_forward(m, transmitter, dup);
 }
@@ -504,10 +456,8 @@ void Agent::process_hna(const Message& m, NodeId transmitter) {
   if (dup == nullptr) {
     hna_set_.on_hna(sim_.now(), m.header.originator, hna->entries,
                     m.header.vtime);
-    auto rec = make_record("hna_recv");
-    rec.with("orig", m.header.originator)
-        .with("count", static_cast<std::int64_t>(hna->entries.size()));
-    log_.append(std::move(rec));
+    log_.append(make_record(logging::Event::kHnaRecv, m.header.originator,
+                            hna->entries.size()));
   }
   maybe_forward(m, transmitter, dup);
 }
@@ -545,11 +495,8 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter,
   }
 
   ++stats_.msgs_forwarded;
-  auto rec = make_record("msg_fwd");
-  rec.with("type", static_cast<std::int64_t>(static_cast<int>(m.header.type)))
-      .with("orig", m.header.originator)
-      .with("seq", static_cast<std::int64_t>(m.header.seq_num));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kMsgFwd, m.header.type,
+                          m.header.originator, m.header.seq_num));
 
   // Small forwarding jitter (§3.4.1 note).
   const auto delay = sim::Duration::from_us(sim_.rng().uniform_int(0, 100'000));
@@ -611,7 +558,7 @@ void Agent::reset_tables() {
   mprs_links_hint_ = sim::Time{};
   mpr_rows_stamp_ = 0;
   // msg_seq_/pkt_seq_/ansn_ intentionally keep counting (see header).
-  log_.append(make_record("tables_reset"));
+  log_.append(make_record(logging::Event::kTablesReset));
 }
 
 void Agent::resume_running() {
@@ -659,9 +606,7 @@ Agent::SendStatus Agent::send_data(NodeId dest, std::uint16_t protocol,
   refresh_graph();
   auto path = RoutingTable::shortest_path(graph_, id_, dest, avoid);
   if (!path) {
-    auto rec = make_record("data_no_route");
-    rec.with("dest", dest);
-    log_.append(std::move(rec));
+    log_.append(make_record(logging::Event::kDataNoRoute, dest));
     return SendStatus::kNoRoute;
   }
   send_data_via(std::move(*path), protocol, std::move(payload));
@@ -686,11 +631,8 @@ void Agent::send_data_via(std::vector<NodeId> route, std::uint16_t protocol,
   m.header.ttl = kDefaultTtl;
   m.header.seq_num = next_msg_seq();
 
-  auto rec = make_record("data_sent");
-  rec.with("dest", d.destination)
-      .with("proto", static_cast<std::int64_t>(protocol))
-      .with("route", logging::join_node_list(route));
-  log_.append(std::move(rec));
+  log_.append(
+      make_record(logging::Event::kDataSent, d.destination, protocol, route));
 
   m.body = std::move(d);
   ++stats_.data_sent;
@@ -706,20 +648,15 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
 
   if (data->destination == id_) {
     ++stats_.data_delivered;
-    auto rec = make_record("data_recv");
-    rec.with("src", data->source)
-        .with("proto", static_cast<std::int64_t>(data->protocol))
-        .with("via", transmitter);
-    log_.append(std::move(rec));
+    log_.append(make_record(logging::Event::kDataRecv, data->source,
+                            data->protocol, transmitter));
     if (data_handler_) data_handler_(*data);
     return;
   }
 
   if (data->route.empty() || m.header.ttl <= 1) {
     ++stats_.data_dropped;
-    auto rec = make_record("data_drop");
-    rec.with("src", data->source).with("reason", "route_exhausted");
-    log_.append(std::move(rec));
+    log_.append(make_record(logging::Event::kDataDrop, data->source));
     return;
   }
 
@@ -738,9 +675,8 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
   copy.header.hop_count = static_cast<std::uint8_t>(copy.header.hop_count + 1);
 
   ++stats_.data_relayed;
-  auto rec = make_record("data_fwd");
-  rec.with("src", d.source).with("dest", d.destination).with("next", next);
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kDataFwd, d.source, d.destination,
+                          next));
 
   OlsrPacket p;
   p.seq_num = next_pkt_seq();
@@ -756,9 +692,7 @@ void Agent::housekeep() {
   if (!lost.empty()) mprs_dirty_ = true;
   for (auto n : lost) {
     neighbors_.remove_neighbor(n, &delta_);
-    auto rec = make_record("link_lost");
-    rec.with("nbr", n);
-    log_.append(std::move(rec));
+    log_.append(make_record(logging::Event::kLinkLost, n));
   }
   if (neighbors_.expire_two_hops(now, &delta_)) mprs_dirty_ = true;
   topology_.expire(now, &delta_);
@@ -767,9 +701,7 @@ void Agent::housekeep() {
   hna_set_.expire(now);
   for (auto it = mpr_selectors_.begin(); it != mpr_selectors_.end();) {
     if (it->second <= now) {
-      auto rec = make_record("mpr_selector_del");
-      rec.with("nbr", it->first);
-      log_.append(std::move(rec));
+      log_.append(make_record(logging::Event::kMprSelectorDel, it->first));
       it = mpr_selectors_.erase(it);
       ++ansn_;
     } else {
@@ -816,11 +748,7 @@ void Agent::recompute_mprs() {
 
   mprs_ = fresh_mprs_;
   obs::hit(obs::Hot::kMprRecomputes);
-  auto rec = make_record("mpr_changed");
-  rec.with("mprs", logging::join_node_list(mprs_))
-      .with("added", logging::join_node_list(added))
-      .with("removed", logging::join_node_list(removed));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kMprChanged, mprs_, added, removed));
 }
 
 void Agent::update_routes() {
@@ -831,11 +759,8 @@ void Agent::update_routes() {
   if (added.empty() && removed.empty()) return;
   obs::hit(obs::Hot::kRouteRecomputes);
   obs::instant(obs::SpanName::kRoutingRecompute, sim_.now(), id_.value());
-  auto rec = make_record("routes_changed");
-  rec.with("added", logging::join_node_list(added))
-      .with("removed", logging::join_node_list(removed))
-      .with("size", static_cast<std::int64_t>(routing_.size()));
-  log_.append(std::move(rec));
+  log_.append(make_record(logging::Event::kRoutesChanged, added, removed,
+                          routing_.size()));
 }
 
 }  // namespace manet::olsr

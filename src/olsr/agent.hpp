@@ -267,7 +267,13 @@ class Agent {
   std::uint16_t next_msg_seq() { return msg_seq_++; }
   std::uint16_t next_pkt_seq() { return pkt_seq_++; }
 
-  logging::LogRecord make_record(std::string event) const;
+  /// A record stamped with now and this agent, its values in the event's
+  /// schema order (logging/record.hpp).
+  template <typename... Values>
+  logging::LogRecord make_record(logging::Event event,
+                                 const Values&... values) const {
+    return {sim_.now(), id_, event, values...};
+  }
 
   sim::Engine& sim_;
   net::Medium& medium_;

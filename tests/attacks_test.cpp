@@ -136,7 +136,9 @@ TEST(Storm, FloodsForgedTcs) {
   // The victim's log shows the burst of TC receptions.
   EXPECT_GT(std::ranges::count_if(
                 net.agent(0).log().records(),
-                [](const auto& r) { return r.event == "tc_recv"; }),
+                [](const auto& r) {
+                  return r.event() == logging::Event::kTcRecv;
+                }),
             15);
 }
 
@@ -153,8 +155,10 @@ TEST(IdentitySpoofing, VictimIdentityMasqueraded) {
   // n0 believes it heard HELLOs from the non-attached identity n7.
   EXPECT_GT(std::ranges::count_if(net.agent(0).log().records(),
                                   [](const auto& r) {
-                                    return r.event == "hello_recv" &&
-                                           r.node_field("from") == NodeId{7};
+                                    return r.event() ==
+                                               logging::Event::kHelloRecv &&
+                                           r.id(logging::Key::kFrom) ==
+                                               NodeId{7};
                                   }),
             0);
 }
@@ -215,9 +219,9 @@ TEST(Wormhole, ReplaysCapturedTrafficAtRemoteEnd) {
   EXPECT_GT(std::ranges::count_if(
                 net.agent(3).log().records(),
                 [](const auto& r) {
-                  return r.event == "hello_recv" &&
-                         (r.node_field("from") == Network::id_of(0) ||
-                          r.node_field("from") == Network::id_of(1));
+                  return r.event() == logging::Event::kHelloRecv &&
+                         (r.id(logging::Key::kFrom) == Network::id_of(0) ||
+                          r.id(logging::Key::kFrom) == Network::id_of(1));
                 }),
             0);
 }

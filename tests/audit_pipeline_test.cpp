@@ -45,6 +45,13 @@ core::PipelineConfig sample_config() {
   return c;
 }
 
+/// The sample log's one kLine record: a HELLO from n2 listing n1 and n3.
+logging::LogRecord hello_line() {
+  return {sim::Time::from_ms(1500), NodeId{0}, logging::Event::kHelloRecv,
+          NodeId{2}, 7, std::vector<NodeId>{NodeId{1}, NodeId{3}},
+          std::vector<NodeId>{}, 1, 3};
+}
+
 std::vector<std::uint8_t> sample_log() {
   AuditWriter w;
   AuditHeader header;
@@ -52,12 +59,7 @@ std::vector<std::uint8_t> sample_log() {
   header.trust_rows = {{NodeId{1}, 0.25}, {NodeId{2}, 0.7}};
   core::write_audit_header(w, header);
 
-  logging::LogRecord rec;
-  rec.time = sim::Time::from_ms(1500);
-  rec.node = NodeId{0};
-  rec.event = "hello_recv";
-  rec.with("from", NodeId{2}).with("seq", std::int64_t{7});
-  w.line(rec);
+  w.line(hello_line());
 
   core::AuditRound round;
   round.query.investigation_id = 3;
@@ -91,9 +93,10 @@ TEST(AuditWire, HeaderAndFramesRoundTrip) {
   AuditEvent event;
   ASSERT_TRUE(stream.next(event));
   EXPECT_EQ(event.kind, AuditFrame::kLine);
-  EXPECT_EQ(event.line.event, "hello_recv");
-  EXPECT_EQ(event.line.node_field("from"), NodeId{2});
-  EXPECT_EQ(event.line.int_field("seq"), 7);
+  EXPECT_EQ(event.line.event(), logging::Event::kHelloRecv);
+  EXPECT_EQ(event.line.id(logging::Key::kFrom), NodeId{2});
+  EXPECT_EQ(event.line.integer(logging::Key::kSeq), 7);
+  EXPECT_EQ(event.line, hello_line());
 
   ASSERT_TRUE(stream.next(event));
   EXPECT_EQ(event.kind, AuditFrame::kRound);
@@ -203,25 +206,41 @@ TEST(AuditWire, RejectsPayloadSizeMismatch) {
 }
 
 TEST(AuditWire, UnreadableLineIsACorruptLog) {
-  // The frame decodes, but the pipeline cannot read the hello_recv's
-  // sender: that is a corrupt log (manet_detect exits 2), not a bad
-  // argument.
+  // A kLine frame whose record cannot be read is a corrupt log (manet_detect
+  // exits 2): the decoder refuses it before any consumer sees it.
   AuditWriter w;
   AuditHeader header;
   header.config = sample_config();
   core::write_audit_header(w, header);
-  logging::LogRecord rec;
-  rec.time = sim::Time::from_ms(1500);
-  rec.node = NodeId{0};
-  rec.event = "hello_recv";
-  rec.with("from", "x2");
-  w.line(rec);
-  const auto bytes = w.take();
-  AuditStreamReader stream{bytes};
-  auto pipeline = core::pipeline_from_header(stream.header());
-  AuditEvent event;
-  ASSERT_TRUE(stream.next(event));
-  EXPECT_THROW(pipeline.consume(event), AuditError);
+  const auto frame = w.buffer().size();
+  w.line(hello_line());
+  const auto good = w.take();
+  {
+    // The untouched frame decodes and its line is consumed.
+    AuditStreamReader stream{good};
+    auto pipeline = core::pipeline_from_header(stream.header());
+    AuditEvent event;
+    ASSERT_TRUE(stream.next(event));
+    ASSERT_EQ(event.kind, AuditFrame::kLine);
+    EXPECT_NO_THROW(pipeline.consume(event));
+  }
+  // Payload: time (8), node (4), event code (1), then hello_recv's from
+  // (4) and seq (8) before the sym list's count (8).
+  const std::size_t payload = frame + 5;
+  const std::size_t code = payload + 12;
+  const std::size_t sym_count = code + 1 + 4 + 8;
+  ASSERT_EQ(good[code], static_cast<std::uint8_t>(logging::Event::kHelloRecv));
+  ASSERT_EQ(good[sym_count], 2u);
+
+  auto unknown = good;  // an event code past the schema table
+  unknown[code] = static_cast<std::uint8_t>(logging::kEventCount);
+  expect_whole_stream_throws(unknown);
+  unknown[code] = 0xFF;
+  expect_whole_stream_throws(unknown);
+
+  auto overlong = good;  // the sym list runs past the end of the frame
+  overlong[sym_count] = 200;
+  expect_whole_stream_throws(overlong);
 }
 
 TEST(AuditWire, RejectsHeaderConfigThePipelineRefuses) {
@@ -498,7 +517,7 @@ struct PinnedLogs {
   std::uint64_t sample, forward_audit, recorded_spoof;
 };
 constexpr PinnedLogs kPinnedLogs{
-    2, 0x9c19143fcf194051ull, 0xd7e909ba894176fcull, 0x6b0b59f70ed77ad9ull};
+    3, 0x29d6344f7dc802c3ull, 0xfae229eed4271e51ull, 0x58b6cdfa7afe1955ull};
 
 TEST(AuditBytes, PinnedPerVersion) {
   ASSERT_EQ(logging::kAuditVersion, kPinnedLogs.version)

@@ -210,7 +210,7 @@ struct PinnedCheckpoints {
   std::uint64_t pristine, faulted, grayhole;
 };
 constexpr PinnedCheckpoints kPinnedCheckpoints{
-    3, 0x3253c1b7cf44cbceull, 0x006c4a6211055e4full, 0x3bc6057009257029ull};
+    4, 0x5579f124a8799ceaull, 0x3c3348176385c3ebull, 0xc7bea45b8bd617e8ull};
 
 std::uint64_t checkpoint_digest_after_two_rounds(
     const TrustExperiment::Config& config) {
@@ -654,6 +654,69 @@ TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {
         encode(log.records(), total - 1, dropped)})
     EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
                  CheckpointError);
+}
+
+TEST(Checkpoint, RestoreRejectsUnreadableLogRecords) {
+  // The log section is read typed: a record the detector could not read
+  // later is refused at restore, not met mid-run.
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto bytes = exp.save_checkpoint();
+
+  const auto& log = exp.network().agent(0).log();
+  const auto& records = log.records();
+  ASSERT_GE(records.size(), 2u);
+  CheckpointWriter whole;
+  faults::encode_log(whole, log);
+  const auto section = whole.take();
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), section.begin(), section.end());
+  ASSERT_NE(at, bytes.end());
+  // The section again, its newest record written by `last` instead.
+  const auto splice = [&](const auto& last) {
+    CheckpointWriter w;
+    w.count(records.size());
+    for (std::size_t i = 0; i + 1 < records.size(); ++i)
+      logging::transfer_record(w, records[i]);
+    w.time(records.back().time);
+    w.node(records.back().node);
+    last(w);
+    w.u64(log.total_appended());
+    w.u64(log.dropped());
+    std::vector<std::uint8_t> out(bytes.begin(), at);
+    const auto& crafted = w.buffer();
+    out.insert(out.end(), crafted.begin(), crafted.end());
+    out.insert(out.end(), at + static_cast<std::ptrdiff_t>(section.size()),
+               bytes.end());
+    return out;
+  };
+
+  // The splice itself is sound: the newest record written as it was.
+  EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(
+      config, splice([&](CheckpointWriter& w) {
+        const auto whole_record = [&] {
+          CheckpointWriter one;
+          logging::transfer_record(one, records.back());
+          return one.take();
+        }();
+        w.raw(whole_record.data() + 12, whole_record.size() - 12);
+      })));
+  // An event code past the schema table.
+  EXPECT_THROW(TrustExperiment::restore_checkpoint(
+                   config, splice([](CheckpointWriter& w) {
+                     w.u8(logging::kEventCount);
+                   })),
+               CheckpointError);
+  // A hello_recv whose values stop before its sym list.
+  EXPECT_THROW(TrustExperiment::restore_checkpoint(
+                   config, splice([](CheckpointWriter& w) {
+                     w.u8(logging::Event::kHelloRecv);
+                     w.node(net::NodeId{3});
+                     w.i64(7);
+                   })),
+               CheckpointError);
 }
 
 }  // namespace

@@ -37,40 +37,40 @@ using scenario::TrustExperiment;
 
 // --- ForwardingAuditor unit tests -----------------------------------------
 
-logging::LogRecord record_at(double seconds, const std::string& event) {
-  logging::LogRecord r;
-  r.time = sim::Time::from_seconds(seconds);
-  r.node = NodeId{0};
-  r.event = event;
-  return r;
+using logging::Event;
+using Ids = std::vector<NodeId>;
+
+template <typename... Values>
+logging::LogRecord record_at(double seconds, Event event,
+                             const Values&... values) {
+  return {sim::Time::from_seconds(seconds), NodeId{0}, event, values...};
+}
+
+logging::LogRecord hello_from_n1(std::int64_t willingness) {
+  return record_at(1.0, Event::kHelloRecv, NodeId{1}, 1, Ids{}, Ids{}, 1,
+                   willingness);
+}
+
+logging::LogRecord n1_selected_mpr() {
+  return record_at(1.1, Event::kMprChanged, Ids{NodeId{1}}, Ids{NodeId{1}},
+                   Ids{});
 }
 
 /// A neighborhood where n1 advertises WILL_ALWAYS and is our MPR, so it is
 /// audited on third-party floods.
 std::vector<logging::LogRecord> audited_mpr_prelude() {
-  std::vector<logging::LogRecord> records;
-  auto hello = record_at(1.0, "hello_recv");
-  hello.with("from", NodeId{1}).with("seq", std::int64_t{1})
-      .with("will", std::int64_t{7});
-  records.push_back(hello);
-  auto mpr = record_at(1.1, "mpr_changed");
-  mpr.with("mprs", logging::join_node_list({NodeId{1}}));
-  records.push_back(mpr);
-  return records;
+  return {hello_from_n1(7), n1_selected_mpr()};
 }
 
 void add_flood(std::vector<logging::LogRecord>& records, double seconds,
                NodeId orig, std::int64_t seq) {
-  auto tc = record_at(seconds, "tc_recv");
-  tc.with("orig", orig).with("via", orig).with("seq", seq);
-  records.push_back(tc);
+  records.push_back(
+      record_at(seconds, Event::kTcRecv, orig, orig, seq, 0, Ids{}, 1));
 }
 
 void add_echo(std::vector<logging::LogRecord>& records, double seconds,
               NodeId by, NodeId orig, std::int64_t seq) {
-  auto echo = record_at(seconds, "fwd_echo");
-  echo.with("by", by).with("orig", orig).with("seq", seq);
-  records.push_back(echo);
+  records.push_back(record_at(seconds, Event::kFwdEcho, by, orig, seq));
 }
 
 TEST(ForwardingAuditor, SilentAlwaysMprFailsTheWindow) {
@@ -81,15 +81,18 @@ TEST(ForwardingAuditor, SilentAlwaysMprFailsTheWindow) {
 
   // n1 never re-forwards: after the flood timeout the window tallies
   // expected=3 forwarded=0 and synthesizes a fwd_audit_fail record.
-  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
+  std::vector<logging::LogRecord> failures;
+  const auto tallies =
+      auditor.sweep(sim::Time::from_seconds(10.0), records, failures);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].mpr, NodeId{1});
   EXPECT_EQ(tallies[0].expected, 3u);
   EXPECT_EQ(tallies[0].forwarded, 0u);
-  ASSERT_EQ(records.back().event, "fwd_audit_fail");
-  EXPECT_EQ(records.back().node_field("mpr"), NodeId{1});
-  EXPECT_EQ(records.back().int_field("expected"), 3);
-  EXPECT_EQ(records.back().int_field("forwarded"), 0);
+  ASSERT_EQ(failures.size(), 1u);
+  ASSERT_EQ(failures.back().event(), Event::kFwdAuditFail);
+  EXPECT_EQ(failures.back().id(logging::Key::kMpr), NodeId{1});
+  EXPECT_EQ(failures.back().integer(logging::Key::kExpected), 3);
+  EXPECT_EQ(failures.back().integer(logging::Key::kForwarded), 0);
 }
 
 TEST(ForwardingAuditor, CreditedMprPassesTheWindow) {
@@ -101,12 +104,13 @@ TEST(ForwardingAuditor, CreditedMprPassesTheWindow) {
     add_echo(records, at + 0.05, NodeId{1}, NodeId{5}, seq);
   }
 
-  const auto before = records.size();
-  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
+  std::vector<logging::LogRecord> failures;
+  const auto tallies =
+      auditor.sweep(sim::Time::from_seconds(10.0), records, failures);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].expected, 4u);
   EXPECT_EQ(tallies[0].forwarded, 4u);
-  EXPECT_EQ(records.size(), before) << "no failure record for a forwarder";
+  EXPECT_TRUE(failures.empty()) << "no failure record for a forwarder";
 }
 
 TEST(ForwardingAuditor, MinExpectedGatesTheFailure) {
@@ -117,31 +121,26 @@ TEST(ForwardingAuditor, MinExpectedGatesTheFailure) {
   add_flood(records, 2.0, NodeId{5}, 1);
   add_flood(records, 2.1, NodeId{5}, 2);
 
-  const auto before = records.size();
-  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
+  std::vector<logging::LogRecord> failures;
+  const auto tallies =
+      auditor.sweep(sim::Time::from_seconds(10.0), records, failures);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].expected, 2u);
-  EXPECT_EQ(records.size(), before);
+  EXPECT_TRUE(failures.empty());
 }
 
 TEST(ForwardingAuditor, DefaultWillingnessMprIsNeverAudited) {
   // Same floods, but n1 advertises default willingness: the audited set is
   // empty, so no tally and no possible false conviction.
   core::ForwardingAuditor auditor{NodeId{0}};
-  std::vector<logging::LogRecord> records;
-  auto hello = record_at(1.0, "hello_recv");
-  hello.with("from", NodeId{1}).with("seq", std::int64_t{1})
-      .with("will", std::int64_t{3});
-  records.push_back(hello);
-  auto mpr = record_at(1.1, "mpr_changed");
-  mpr.with("mprs", logging::join_node_list({NodeId{1}}));
-  records.push_back(mpr);
+  std::vector<logging::LogRecord> records{hello_from_n1(3), n1_selected_mpr()};
   for (std::int64_t seq = 1; seq <= 5; ++seq)
     add_flood(records, 2.0 + 0.1 * static_cast<double>(seq), NodeId{5}, seq);
 
-  const auto before = records.size();
-  EXPECT_TRUE(auditor.sweep(sim::Time::from_seconds(10.0), records).empty());
-  EXPECT_EQ(records.size(), before);
+  std::vector<logging::LogRecord> failures;
+  EXPECT_TRUE(
+      auditor.sweep(sim::Time::from_seconds(10.0), records, failures).empty());
+  EXPECT_TRUE(failures.empty());
 }
 
 TEST(ForwardingAuditor, OriginatorIsExemptFromItsOwnFlood) {
@@ -150,7 +149,9 @@ TEST(ForwardingAuditor, OriginatorIsExemptFromItsOwnFlood) {
   // n1 originates the flood itself: its own emission is not a forward, so
   // the audited set for this flood is empty.
   add_flood(records, 2.0, NodeId{1}, 1);
-  EXPECT_TRUE(auditor.sweep(sim::Time::from_seconds(10.0), records).empty());
+  std::vector<logging::LogRecord> failures;
+  EXPECT_TRUE(
+      auditor.sweep(sim::Time::from_seconds(10.0), records, failures).empty());
 }
 
 TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
@@ -163,7 +164,9 @@ TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
   add_flood(records, 2.1, NodeId{5}, 2);
   add_flood(records, 8.0, NodeId{5}, 3);
   add_echo(records, 8.1, NodeId{1}, NodeId{5}, 3);
-  const auto first = auditor.sweep(sim::Time::from_seconds(9.0), records);
+  std::vector<logging::LogRecord> failures;
+  const auto first =
+      auditor.sweep(sim::Time::from_seconds(9.0), records, failures);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].expected, 2u);  // floods 1 and 2, never forwarded
   EXPECT_EQ(first[0].forwarded, 0u);
@@ -171,9 +174,10 @@ TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
   core::ForwardingAuditor twin{NodeId{0}};
   twin.restore(auditor.persist());
 
+  const std::vector<logging::LogRecord> nothing;
   std::vector<logging::LogRecord> none, none2;
-  const auto a = auditor.sweep(sim::Time::from_seconds(20.0), none);
-  const auto b = twin.sweep(sim::Time::from_seconds(20.0), none2);
+  const auto a = auditor.sweep(sim::Time::from_seconds(20.0), nothing, none);
+  const auto b = twin.sweep(sim::Time::from_seconds(20.0), nothing, none2);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].expected, 1u);  // flood 3, credited via the echo

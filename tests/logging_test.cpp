@@ -1,16 +1,20 @@
-// Unit tests for the audit-log substrate: record fields, text format
-// round-trip (including the format <-> parse identity property), log store
-// retention and queries.
+// Unit tests for the audit-log substrate: typed records and their schema,
+// the text format at the I/O edge (including the format <-> parse identity
+// property), log store retention and queries, and the logging work
+// counters.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <string_view>
 
 #include "byte_digest.hpp"
 #include "logging/format.hpp"
 #include "logging/log_store.hpp"
 #include "logging/record.hpp"
+#include "obs/obs.hpp"
 #include "runtime/experiment_spec.hpp"
 #include "scenario/trust_experiment.hpp"
 #include "sim/rng.hpp"
@@ -19,75 +23,89 @@ namespace manet::logging {
 namespace {
 
 using net::NodeId;
+using Ids = std::vector<NodeId>;
 
 LogRecord sample_record() {
-  LogRecord r;
-  r.time = sim::Time::from_us(1'234'567);
-  r.node = NodeId{3};
-  r.event = "hello_recv";
-  r.with("from", NodeId{5})
-      .with("sym", join_node_list({NodeId{1}, NodeId{2}}))
-      .with("seq", std::int64_t{42});
-  return r;
+  return {sim::Time::from_us(1'234'567), NodeId{3}, Event::kHelloRecv,
+          NodeId{5}, std::int64_t{42}, Ids{NodeId{1}, NodeId{2}}, Ids{},
+          true, 3};
 }
 
 TEST(Record, FieldAccessors) {
   const auto r = sample_record();
-  EXPECT_EQ(r.field("from"), "n5");
-  EXPECT_FALSE(r.field("missing").has_value());
-  EXPECT_EQ(r.node_field("from"), NodeId{5});
-  EXPECT_EQ(r.int_field("seq"), 42);
-  EXPECT_EQ(r.node_list_field("sym"),
-            (std::vector<NodeId>{NodeId{1}, NodeId{2}}));
+  EXPECT_EQ(r.event(), Event::kHelloRecv);
+  EXPECT_EQ(r.id(Key::kFrom), NodeId{5});
+  EXPECT_EQ(r.integer(Key::kSeq), 42);
+  EXPECT_TRUE(std::ranges::equal(r.ids(Key::kSym), Ids{NodeId{1}, NodeId{2}}));
+  EXPECT_TRUE(r.ids(Key::kAsym).empty());
+  EXPECT_EQ(r.integer(Key::kListsUs), 1);
+  EXPECT_EQ(r.integer(Key::kWill), 3);
+  EXPECT_EQ(schema(Event::kHelloRecv).name, "hello_recv");
+  EXPECT_EQ(key_name(Key::kListsUs), "lists_us");
 }
 
 TEST(Record, MissingFieldThrows) {
   const auto r = sample_record();
-  EXPECT_THROW(r.field_or_throw("nope"), std::invalid_argument);
-  EXPECT_THROW(r.node_field("nope"), std::invalid_argument);
-  EXPECT_THROW(r.int_field("from"), std::invalid_argument);
+  // A key the schema lacks, or holds as another kind, is a programming
+  // error.
+  EXPECT_THROW(r.id(Key::kMpr), std::invalid_argument);
+  EXPECT_THROW(r.integer(Key::kFrom), std::invalid_argument);
+  EXPECT_THROW(r.ids(Key::kSeq), std::invalid_argument);
+  // So are values that do not fill the schema.
+  EXPECT_THROW(
+      (LogRecord{sim::Time{}, NodeId{0}, Event::kHelloRecv, NodeId{1}}),
+      std::invalid_argument);
+  EXPECT_THROW((LogRecord{sim::Time{}, NodeId{0}, Event::kLinkSym, 7}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (LogRecord{sim::Time{}, NodeId{0}, Event::kLinkSym, NodeId{1}, 7}),
+      std::invalid_argument);
 }
 
 TEST(Record, JoinAndSplitNodeList) {
-  EXPECT_EQ(join_node_list({}), "");
-  EXPECT_EQ(join_node_list({NodeId{7}}), "n7");
-  EXPECT_EQ(join_node_list({NodeId{1}, NodeId{2}}), "n1|n2");
-  const auto split = [](std::string_view list) {
-    std::vector<NodeId> out;
-    for_each_listed(list, [&out](NodeId id) {
-      out.push_back(id);
-      return true;
-    });
-    return out;
+  // The text form of an id list: '|'-joined, "-" when empty.
+  const auto line = [](Ids mprs) {
+    return format_record(LogRecord{sim::Time{}, NodeId{0}, Event::kMprChanged,
+                                   mprs, Ids{}, Ids{}});
   };
-  EXPECT_EQ(split(""), (std::vector<NodeId>{}));
-  EXPECT_EQ(split("n1|n2|n3"),
-            (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{3}}));
-  EXPECT_EQ(split("n7"), (std::vector<NodeId>{NodeId{7}}));
+  EXPECT_NE(line({}).find(" mprs=- "), std::string::npos);
+  EXPECT_NE(line({NodeId{7}}).find(" mprs=n7 "), std::string::npos);
+  EXPECT_NE(line({NodeId{1}, NodeId{2}}).find(" mprs=n1|n2 "),
+            std::string::npos);
+  const auto split = [](std::string_view list) {
+    std::string text = "t=0.000000s node=n0 event=two_hop_update via=n1 nodes=";
+    text += list;
+    const auto record = parse_record(text);
+    const auto ids = record.ids(Key::kNodes);
+    return Ids(ids.begin(), ids.end());
+  };
+  EXPECT_EQ(split("-"), Ids{});
+  EXPECT_EQ(split("n1|n2|n3"), (Ids{NodeId{1}, NodeId{2}, NodeId{3}}));
+  EXPECT_EQ(split("n7"), Ids{NodeId{7}});
   EXPECT_THROW(split("n1|"), std::invalid_argument);  // empty last entry
   EXPECT_THROW(split("n1|x|n3"), std::invalid_argument);
-  int visited = 0;
-  EXPECT_FALSE(for_each_listed("n1|n2|n3", [&visited](NodeId) {
-    return ++visited < 2;
-  }));
-  EXPECT_EQ(visited, 2);
+  EXPECT_THROW(split(""), std::invalid_argument);  // the empty list is "-"
 }
 
 TEST(Format, FormatsCanonicalLine) {
   const auto line = format_record(sample_record());
-  EXPECT_EQ(line, "t=1.234567s node=n3 event=hello_recv from=n5 sym=n1|n2 seq=42");
+  EXPECT_EQ(line,
+            "t=1.234567s node=n3 event=hello_recv from=n5 seq=42 sym=n1|n2 "
+            "asym=- lists_us=1 will=3");
+  EXPECT_EQ(format_record(LogRecord{sim::Time::from_us(5), NodeId{2},
+                                    Event::kDataDrop, NodeId{9}}),
+            "t=0.000005s node=n2 event=data_drop src=n9 "
+            "reason=route_exhausted");
 }
 
 TEST(Format, EmptyValueUsesDashPlaceholder) {
-  LogRecord r;
-  r.time = sim::Time{};
-  r.node = NodeId{0};
-  r.event = "mpr_changed";
-  r.with("added", "");
+  const LogRecord r{sim::Time{}, NodeId{0}, Event::kMprChanged,
+                    Ids{NodeId{1}}, Ids{}, Ids{}};
   const auto line = format_record(r);
   EXPECT_NE(line.find("added=-"), std::string::npos);
   const auto back = parse_record(line);
-  EXPECT_EQ(back.field("added"), "");
+  EXPECT_TRUE(back.ids(Key::kAdded).empty());
+  EXPECT_EQ(back, r);
 }
 
 TEST(Format, RoundTripPreservesEverything) {
@@ -95,19 +113,32 @@ TEST(Format, RoundTripPreservesEverything) {
   const auto back = parse_record(format_record(original));
   EXPECT_EQ(back.time, original.time);
   EXPECT_EQ(back.node, original.node);
-  EXPECT_EQ(back.event, original.event);
-  EXPECT_EQ(back.fields, original.fields);
+  EXPECT_EQ(back.event(), original.event());
+  EXPECT_EQ(back, original);
 }
 
 TEST(Format, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_record(""), std::invalid_argument);
-  EXPECT_THROW(parse_record("node=n1 event=x"), std::invalid_argument);
-  EXPECT_THROW(parse_record("t=1.000000s event=x"), std::invalid_argument);
-  EXPECT_THROW(parse_record("t=1.000000s node=n1"), std::invalid_argument);
-  EXPECT_THROW(parse_record("t=bogus node=n1 event=x"), std::invalid_argument);
-  EXPECT_THROW(parse_record("t=1.0s node=n1 event=x"), std::invalid_argument);
-  EXPECT_THROW(parse_record("t=1.000000s node=n1 event=x ="),
+  EXPECT_THROW(parse_record("node=n1 event=daemon_start"),
                std::invalid_argument);
+  EXPECT_THROW(parse_record("t=1.000000s event=daemon_start"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record("t=1.000000s node=n1"), std::invalid_argument);
+  EXPECT_THROW(parse_record("t=bogus node=n1 event=daemon_start"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record("t=1.0s node=n1 event=daemon_start"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record("t=1.000000s node=n1 event=daemon_start ="),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record("t=1.000000s node=n1 event=link_sym nbr=5"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      parse_record("t=1.000000s node=n1 event=hna_recv orig=n2 count=x"),
+      std::invalid_argument);
+  EXPECT_THROW(parse_record("t=1.000000s node=n1 event=data_drop src=n2 "
+                            "reason=no_route"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_record("t=1.000000s node=n1 event=daemon_start"));
 }
 
 TEST(Format, ParseLogSkipsBlankLines) {
@@ -121,69 +152,54 @@ TEST(Format, ForwardingAuditRecordsRoundTrip) {
   // The forwarding-audit records introduced with audit-log version 2:
   // fwd_echo (agent overhears an MPR re-broadcast) and fwd_audit_fail
   // (synthesized by the auditor's sweep). Both must survive the canonical
-  // text format, since manet_parse replays logs through it.
-  LogRecord echo;
-  echo.time = sim::Time::from_seconds(21.5);
-  echo.node = NodeId{0};
-  echo.event = "fwd_echo";
-  echo.with("by", NodeId{1}).with("orig", NodeId{5}).with("seq",
-                                                          std::int64_t{1040});
+  // text format, the form tools and dumps read.
+  const LogRecord echo{sim::Time::from_seconds(21.5), NodeId{0},
+                       Event::kFwdEcho, NodeId{1}, NodeId{5},
+                       std::int64_t{1040}};
   auto back = parse_record(format_record(echo));
-  EXPECT_EQ(back.node_field("by"), NodeId{1});
-  EXPECT_EQ(back.node_field("orig"), NodeId{5});
-  EXPECT_EQ(back.int_field("seq"), 1040);
+  EXPECT_EQ(back.id(Key::kBy), NodeId{1});
+  EXPECT_EQ(back.id(Key::kOrig), NodeId{5});
+  EXPECT_EQ(back.integer(Key::kSeq), 1040);
 
-  LogRecord fail;
-  fail.time = sim::Time::from_seconds(25.0);
-  fail.node = NodeId{0};
-  fail.event = "fwd_audit_fail";
-  fail.with("mpr", NodeId{1})
-      .with("expected", std::int64_t{6})
-      .with("forwarded", std::int64_t{0});
+  const LogRecord fail{sim::Time::from_seconds(25.0), NodeId{0},
+                       Event::kFwdAuditFail, NodeId{1}, std::int64_t{6},
+                       std::int64_t{0}};
   back = parse_record(format_record(fail));
-  EXPECT_EQ(back.event, "fwd_audit_fail");
-  EXPECT_EQ(back.node_field("mpr"), NodeId{1});
-  EXPECT_EQ(back.int_field("expected"), 6);
-  EXPECT_EQ(back.int_field("forwarded"), 0);
+  EXPECT_EQ(back.event(), Event::kFwdAuditFail);
+  EXPECT_EQ(back.id(Key::kMpr), NodeId{1});
+  EXPECT_EQ(back.integer(Key::kExpected), 6);
+  EXPECT_EQ(back.integer(Key::kForwarded), 0);
 }
 
 TEST(Format, NegativeTimeRejected) {
   // Times are since simulation start; "-1.000000s" must not parse.
-  EXPECT_THROW(parse_record("t=-1.000000s node=n1 event=x"),
+  EXPECT_THROW(parse_record("t=-1.000000s node=n1 event=daemon_start"),
                std::invalid_argument);
 }
 
 TEST(LogStore, AppendsInOrderAndQueries) {
   LogStore store;
-  for (int i = 0; i < 5; ++i) {
-    LogRecord r;
-    r.time = sim::Time::from_seconds(i);
-    r.node = NodeId{0};
-    r.event = i % 2 ? "odd" : "even";
-    store.append(std::move(r));
-  }
+  for (int i = 0; i < 5; ++i)
+    store.append({sim::Time::from_seconds(i), NodeId{0},
+                  i % 2 ? Event::kDaemonStop : Event::kDaemonStart});
   EXPECT_EQ(store.size(), 5u);
   EXPECT_EQ(store.records_since(sim::Time::from_seconds(3)).size(), 2u);
-  EXPECT_EQ(std::ranges::count_if(
-                store.records(),
-                [](const LogRecord& r) { return r.event == "even"; }),
+  EXPECT_EQ(std::ranges::count_if(store.records(),
+                                  [](const LogRecord& r) {
+                                    return r.event() == Event::kDaemonStart;
+                                  }),
             3);
   EXPECT_EQ(store.total_appended(), 5u);
 }
 
 TEST(LogStore, BoundedRetentionDropsOldest) {
   LogStore store{3};
-  for (int i = 0; i < 10; ++i) {
-    LogRecord r;
-    r.time = sim::Time::from_seconds(i);
-    r.node = NodeId{0};
-    r.event = "e";  // += dodges GCC 12's -Wrestrict false positive
-    r.event += std::to_string(i);
-    store.append(std::move(r));
-  }
+  for (std::uint32_t i = 0; i < 10; ++i)
+    store.append({sim::Time::from_seconds(i), NodeId{0}, Event::kLinkSym,
+                  NodeId{i}});
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.dropped(), 7u);
-  EXPECT_EQ(store.at(0).event, "e7");
+  EXPECT_EQ(store.at(0).id(Key::kNbr), NodeId{7});
 }
 
 TEST(LogStore, TextSinceIsParseable) {
@@ -193,27 +209,63 @@ TEST(LogStore, TextSinceIsParseable) {
     r.time = sim::Time::from_seconds(i);
     store.append(std::move(r));
   }
-  const auto text = store.text_since(sim::Time::from_seconds(2));
+  std::string text;
+  for (const auto& r : store.records_since(sim::Time::from_seconds(2))) {
+    text += format_record(r);
+    text += '\n';
+  }
   const auto parsed = parse_log(text);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].time, sim::Time::from_seconds(2));
 }
 
-// Property: format/parse round-trip over a variety of field shapes.
+// A record of `event` whose values are drawn by `id`, `integer` and
+// `list_size`, built through the decoder surface.
+template <typename Id, typename Int, typename Size>
+LogRecord typed_record(sim::Time time, NodeId node, Event event, Id&& id,
+                       Int&& integer, Size&& list_size) {
+  LogRecord r;
+  r.time = time;
+  r.node = node;
+  r.reset();
+  for (const auto& field : schema(event).fields) {
+    switch (field.kind) {
+      case FieldKind::kId:
+        r.push_id(id());
+        break;
+      case FieldKind::kInt:
+        r.push_int(integer());
+        break;
+      case FieldKind::kIdList: {
+        const auto n = list_size();
+        r.push_count(n);
+        for (std::uint32_t i = 0; i < n; ++i) r.push_id(id());
+        break;
+      }
+      case FieldKind::kRouteExhausted:
+        break;
+    }
+  }
+  r.finish(event);
+  return r;
+}
+
+// Property: format/parse round-trip over a variety of record shapes.
 class FormatRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(FormatRoundTrip, Holds) {
-  LogRecord r;
-  r.time = sim::Time::from_us(GetParam() * 997);
-  r.node = NodeId{static_cast<std::uint32_t>(GetParam())};
-  r.event = "event_" + std::to_string(GetParam());
-  for (int f = 0; f < GetParam() % 7; ++f)
-    r.with("k" + std::to_string(f), std::int64_t{f * 13});
+  const auto p = static_cast<std::uint32_t>(GetParam());
+  std::uint32_t next = p;
+  std::int64_t f = 0;
+  const auto r = typed_record(
+      sim::Time::from_us(GetParam() * 997), NodeId{p},
+      static_cast<Event>(p % kEventCount), [&] { return NodeId{next++}; },
+      [&] { return 13 * f++; }, [&] { return p % 7; });
   const auto back = parse_record(format_record(r));
   EXPECT_EQ(back.time, r.time);
   EXPECT_EQ(back.node, r.node);
-  EXPECT_EQ(back.event, r.event);
-  EXPECT_EQ(back.fields, r.fields);
+  EXPECT_EQ(back.event(), r.event());
+  EXPECT_EQ(back, r);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FormatRoundTrip,
@@ -221,54 +273,59 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FormatRoundTrip,
 
 // --- format <-> parse identity --------------------------------------------
 // parse_record(format_record(r)) == r for every record inside the format's
-// domain: a valid node, no spaces anywhere, keys free of '=' and not one of
-// the header keys t/node/event. Two shapes fall outside it and are pinned
-// below: a value that is literally "-" (the empty-value placeholder) and an
-// invalid node id.
-
-std::string random_token(sim::Rng& rng, std::string_view alphabet,
-                         std::int64_t min_len, std::int64_t max_len) {
-  std::string out(static_cast<std::size_t>(rng.uniform_int(min_len, max_len)),
-                  ' ');
-  for (auto& c : out)
-    c = alphabet[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
-  return out;
-}
+// domain: every id valid (not NodeId::kInvalid). Outside it, an invalid id
+// renders as "n?", which does not parse (pinned below).
 
 LogRecord random_record(sim::Rng& rng) {
-  constexpr std::string_view kKeyChars = "abcdefghijklmnopqrstuvwxyz_0123456789";
-  constexpr std::string_view kValueChars =
-      "abcdefghijklmnopqrstuvwxyz_0123456789|.-=?";
-  LogRecord r;
-  r.time = sim::Time::from_us(rng.uniform_int(0, 1'000'000'000'000));
-  r.node = NodeId{static_cast<std::uint32_t>(
-      rng.uniform_int(0, NodeId::kInvalid - 1))};
-  do {
-    r.event = random_token(rng, kValueChars, 0, 16);
-  } while (r.event == "-");
-  const auto fields = rng.uniform_int(0, 8);
-  for (std::int64_t f = 0; f < fields; ++f) {
-    std::string key;
-    do {
-      key = random_token(rng, kKeyChars, 1, 12);
-    } while (key == "t" || key == "node" || key == "event");
-    std::string value;
-    do {
-      value = random_token(rng, kValueChars, 0, 24);
-    } while (value == "-");
-    r.with(std::move(key), std::move(value));
-  }
-  return r;
+  constexpr std::int64_t kInts[] = {std::numeric_limits<std::int64_t>::min(),
+                                    std::numeric_limits<std::int64_t>::max(),
+                                    -1, 0, 1};
+  const auto id = [&rng] {
+    const auto pick = rng.uniform_int(0, 3);
+    return NodeId{static_cast<std::uint32_t>(
+        pick == 0   ? 0
+        : pick == 1 ? NodeId::kInvalid - 1
+                    : rng.uniform_int(0, NodeId::kInvalid - 1))};
+  };
+  const auto integer = [&rng, &kInts] {
+    const auto pick = rng.uniform_int(0, 6);
+    return pick < 5 ? kInts[pick] : static_cast<std::int64_t>(rng.next_u64());
+  };
+  const auto time = sim::Time::from_us(rng.uniform_int(0, 1'000'000'000'000));
+  const auto node = id();
+  const auto event = static_cast<Event>(
+      rng.uniform_int(0, static_cast<std::int64_t>(kEventCount) - 1));
+  return typed_record(time, node, event, id, integer, [&rng] {
+    return static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+  });
 }
 
 TEST(FormatIdentity, HoldsOnRandomRecords) {
   sim::Rng rng{2024};
+  std::array<int, kEventCount> kinds{};
+  int empty_lists = 0, top_ids = 0, int_extremes = 0;
   for (int i = 0; i < 5000; ++i) {
     const auto r = random_record(rng);
+    ++kinds[static_cast<std::size_t>(r.event())];
+    r.for_each_value([&](const FieldSpec&, const auto& value) {
+      using Value = std::decay_t<decltype(value)>;
+      if constexpr (std::is_same_v<Value, NodeId>) {
+        top_ids += value.value() == NodeId::kInvalid - 1;
+      } else if constexpr (std::is_same_v<Value, std::int64_t>) {
+        int_extremes += value == std::numeric_limits<std::int64_t>::min() ||
+                        value == std::numeric_limits<std::int64_t>::max();
+      } else if constexpr (std::is_same_v<Value, std::span<const NodeId>>) {
+        empty_lists += value.empty();
+      }
+    });
     const auto line = format_record(r);
     ASSERT_EQ(parse_record(line), r) << line;
   }
+  for (std::size_t k = 0; k < kEventCount; ++k)
+    EXPECT_GT(kinds[k], 0) << schema(static_cast<Event>(k)).name;
+  EXPECT_GT(empty_lists, 0);
+  EXPECT_GT(top_ids, 0);
+  EXPECT_GT(int_extremes, 0);
 }
 
 TEST(FormatIdentity, HoldsOnEveryRecordOfAGoldenRun) {
@@ -335,15 +392,75 @@ TEST(FormatIdentity, TextMatchesParentDigest) {
 }
 
 TEST(FormatIdentity, OutsideTheDomainIsNotIdentity) {
-  LogRecord dash = sample_record();
-  dash.with("note", "-");  // reads back as the empty value
-  auto back = parse_record(format_record(dash));
-  EXPECT_NE(back, dash);
-  EXPECT_EQ(back.field("note"), "");
+  // "-" is the empty list's text, not a value of its own: where an id or
+  // an integer belongs it does not parse.
+  EXPECT_THROW(parse_record("t=0.000000s node=n0 event=link_sym nbr=-"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record("t=0.000000s node=n0 event=hna_recv orig=n1 "
+                            "count=-"),
+               std::invalid_argument);
 
   LogRecord invalid = sample_record();
   invalid.node = net::kInvalidNode;  // formats as "n?"
   EXPECT_THROW(parse_record(format_record(invalid)), std::invalid_argument);
+  const LogRecord listed{sim::Time{}, NodeId{0}, Event::kTwoHopUpdate,
+                         NodeId{1}, Ids{NodeId{2}, net::kInvalidNode}};
+  EXPECT_THROW(parse_record(format_record(listed)), std::invalid_argument);
+
+  // Text no record renders to: an unknown event, an unknown key, a missing
+  // field and an extra field.
+  const std::string good = format_record(sample_record());
+  ASSERT_EQ(parse_record(good), sample_record());
+  const auto bent = [&good](std::string_view from, std::string_view to) {
+    auto text = good;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  EXPECT_THROW(parse_record(bent("event=hello_recv", "event=hello_lost")),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record(bent("lists_us=1", "listed_us=1")),
+               std::invalid_argument);
+  EXPECT_THROW(parse_record(bent(" lists_us=1", "")), std::invalid_argument);
+  EXPECT_THROW(parse_record(good + " via=n4"), std::invalid_argument);
+}
+
+// ------------------------------------------------------- work counters
+
+std::uint64_t hot(const obs::Context& ctx, obs::Hot h) {
+  return ctx.snapshot().counter_value(obs::hot_name(h));
+}
+
+TEST(LogCounters, PristineRunsAppendEveryRecordAndRenderNone) {
+  // The live path appends typed records and never touches their text; the
+  // text counter moves only at the I/O edge.
+  for (const auto attack : {scenario::TrustExperiment::AttackKind::kSpoof,
+                            scenario::TrustExperiment::AttackKind::kGrayhole}) {
+    runtime::ReplicationTask task;
+    task.point.num_nodes = 16;
+    task.point.attacker_fraction =
+        attack == scenario::TrustExperiment::AttackKind::kSpoof ? 0.25 : 0.0;
+    task.seed = 3;
+    task.attack = attack;
+    obs::Context ctx;
+    obs::Scope scope{&ctx};
+    scenario::TrustExperiment exp{task.to_config()};
+    exp.setup();
+    for (int r = 0; r < 3; ++r) exp.run_round();
+    std::uint64_t held = 0;
+    for (std::size_t i = 0; i < exp.network().size(); ++i) {
+      const auto& log = exp.network().agent(i).log();
+      ASSERT_EQ(log.dropped(), 0u);
+      held += log.size();
+    }
+    ASSERT_GT(held, 0u);
+    EXPECT_EQ(hot(ctx, obs::Hot::kLogRecords), held);
+    EXPECT_EQ(hot(ctx, obs::Hot::kLogTextRecords), 0u);
+
+    const auto& first = exp.network().agent(0).log().at(0);
+    EXPECT_EQ(parse_record(format_record(first)), first);
+    EXPECT_EQ(hot(ctx, obs::Hot::kLogTextRecords), 2u);
+    EXPECT_EQ(hot(ctx, obs::Hot::kLogRecords), held);
+  }
 }
 
 }  // namespace

@@ -199,27 +199,32 @@ TEST(Agent, AuditLogContainsProtocolEvents) {
   Network net{chain_config(3)};
   net.start_all();
   net.run_for(sim::Duration::from_seconds(30.0));
-  const auto count = [&net](std::string_view event) {
+  const auto count = [&net](logging::Event event) {
     return std::ranges::count_if(
         net.agent(0).log().records(),
-        [event](const logging::LogRecord& r) { return r.event == event; });
+        [event](const logging::LogRecord& r) { return r.event() == event; });
   };
-  EXPECT_GT(count("hello_sent"), 0);
-  EXPECT_GT(count("hello_recv"), 0);
-  EXPECT_GT(count("link_sym"), 0);
-  EXPECT_GT(count("mpr_changed"), 0);
-  EXPECT_GT(count("tc_recv"), 0);
-  EXPECT_GT(count("routes_changed"), 0);
+  EXPECT_GT(count(logging::Event::kHelloSent), 0);
+  EXPECT_GT(count(logging::Event::kHelloRecv), 0);
+  EXPECT_GT(count(logging::Event::kLinkSym), 0);
+  EXPECT_GT(count(logging::Event::kMprChanged), 0);
+  EXPECT_GT(count(logging::Event::kTcRecv), 0);
+  EXPECT_GT(count(logging::Event::kRoutesChanged), 0);
 }
 
 TEST(Agent, AuditLogTextRoundTrips) {
   Network net{chain_config(3)};
   net.start_all();
   net.run_for(sim::Duration::from_seconds(20.0));
-  const auto text = net.agent(1).log().text_since(sim::Time{});
+  std::string text;
+  for (const auto& rec : net.agent(1).log().records()) {
+    text += logging::format_record(rec);
+    text += '\n';
+  }
   const auto parsed = logging::parse_log(text);
   EXPECT_EQ(parsed.size(), net.agent(1).log().size());
   for (const auto& rec : parsed) EXPECT_EQ(rec.node, Network::id_of(1));
+  EXPECT_TRUE(std::ranges::equal(parsed, net.agent(1).log().records()));
 }
 
 TEST(Agent, OwnForwardHeardLogged) {
@@ -230,9 +235,11 @@ TEST(Agent, OwnForwardHeardLogged) {
   net.run_for(sim::Duration::from_seconds(40.0));
   const auto& records = net.agent(1).log().records();
   const auto heard = std::ranges::find_if(
-      records, [](const auto& r) { return r.event == "own_fwd_heard"; });
+      records, [](const auto& r) {
+        return r.event() == logging::Event::kOwnFwdHeard;
+      });
   ASSERT_NE(heard, records.end());
-  EXPECT_EQ(heard->node_field("by"), Network::id_of(2));
+  EXPECT_EQ(heard->id(logging::Key::kBy), Network::id_of(2));
 }
 
 TEST(Agent, MidMessagesAdvertiseExtraInterfaces) {
@@ -347,8 +354,8 @@ TEST(Agent, EachFrameIsDecodedOnceForAllReceivers) {
     EXPECT_EQ(a->stats().parse_errors, 1u);
     const auto& records = a->log().records();
     const auto errors = std::ranges::count_if(records, [&](const auto& r) {
-      return r.event == "packet_parse_error" &&
-             r.node_field("from") == puppet;
+      return r.event() == logging::Event::kPacketParseError &&
+             r.id(logging::Key::kFrom) == puppet;
     });
     EXPECT_EQ(errors, 1) << "n" << a->id().value();
   }

@@ -9,34 +9,41 @@
 namespace manet::core {
 namespace {
 
+using logging::Event;
+using logging::Key;
 using logging::LogRecord;
 using net::NodeId;
+using Ids = std::vector<NodeId>;
 
-LogRecord rec(double t, const std::string& event) {
-  LogRecord r;
-  r.time = sim::Time::from_seconds(t);
-  r.node = NodeId{0};
-  r.event = event;
-  return r;
+template <typename... Values>
+LogRecord rec(double t, Event event, const Values&... values) {
+  return {sim::Time::from_seconds(t), NodeId{0}, event, values...};
 }
 
-EventPattern on_event(const std::string& name) {
-  return {name, [name](const LogRecord& r) { return r.event == name; }};
+EventPattern on_event(Event event) {
+  return {std::string{logging::schema(event).name},
+          [event](const LogRecord& r) { return r.event() == event; }};
 }
+
+// Stand-ins for the abstract events of the matcher tests.
+constexpr Event kA = Event::kDaemonStart;
+constexpr Event kB = Event::kDaemonStop;
+constexpr Event kX = Event::kTablesReset;
+constexpr Event kY = Event::kDaemonStop;
 
 TEST(SignatureMatcher, SimpleOrderedSequence) {
   Signature sig;
   sig.name = "ab";
   sig.window = sim::Duration::from_seconds(10);
   sig.steps.resize(2);
-  sig.steps[0].pattern = on_event("a");
-  sig.steps[1].pattern = on_event("b");
+  sig.steps[0].pattern = on_event(kA);
+  sig.steps[1].pattern = on_event(kB);
   sig.steps[1].after = {0};
 
   SignatureMatcher m;
   m.add_signature(sig);
-  EXPECT_TRUE(m.feed(rec(1, "a")).empty());
-  const auto matches = m.feed(rec(2, "b"));
+  EXPECT_TRUE(m.feed(rec(1, kA)).empty());
+  const auto matches = m.feed(rec(2, kB));
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].signature, "ab");
   EXPECT_EQ(matches[0].records.size(), 2u);
@@ -46,32 +53,32 @@ TEST(SignatureMatcher, OrderingEnforced) {
   Signature sig;
   sig.name = "ab";
   sig.steps.resize(2);
-  sig.steps[0].pattern = on_event("a");
-  sig.steps[1].pattern = on_event("b");
+  sig.steps[0].pattern = on_event(kA);
+  sig.steps[1].pattern = on_event(kB);
   sig.steps[1].after = {0};
 
   SignatureMatcher m;
   m.add_signature(sig);
   // b before a: the b cannot match step 1 (dependency unmet), and a alone
   // is incomplete.
-  EXPECT_TRUE(m.feed(rec(1, "b")).empty());
-  EXPECT_TRUE(m.feed(rec(2, "a")).empty());
+  EXPECT_TRUE(m.feed(rec(1, kB)).empty());
+  EXPECT_TRUE(m.feed(rec(2, kA)).empty());
   // now a fresh b completes the partial opened by the a.
-  EXPECT_EQ(m.feed(rec(3, "b")).size(), 1u);
+  EXPECT_EQ(m.feed(rec(3, kB)).size(), 1u);
 }
 
 TEST(SignatureMatcher, UnorderedStepsMatchEitherWay) {
   Signature sig;
   sig.name = "xy";
   sig.steps.resize(2);
-  sig.steps[0].pattern = on_event("x");
-  sig.steps[1].pattern = on_event("y");
+  sig.steps[0].pattern = on_event(kX);
+  sig.steps[1].pattern = on_event(kY);
   // no `after`: partial order allows any interleaving
 
   SignatureMatcher m;
   m.add_signature(sig);
-  EXPECT_TRUE(m.feed(rec(1, "y")).empty());
-  EXPECT_EQ(m.feed(rec(2, "x")).size(), 1u);
+  EXPECT_TRUE(m.feed(rec(1, kY)).empty());
+  EXPECT_EQ(m.feed(rec(2, kX)).size(), 1u);
 }
 
 TEST(SignatureMatcher, WindowExpiresPartials) {
@@ -79,71 +86,64 @@ TEST(SignatureMatcher, WindowExpiresPartials) {
   sig.name = "ab";
   sig.window = sim::Duration::from_seconds(5);
   sig.steps.resize(2);
-  sig.steps[0].pattern = on_event("a");
-  sig.steps[1].pattern = on_event("b");
+  sig.steps[0].pattern = on_event(kA);
+  sig.steps[1].pattern = on_event(kB);
   sig.steps[1].after = {0};
 
   SignatureMatcher m;
   m.add_signature(sig);
-  m.feed(rec(1, "a"));
+  m.feed(rec(1, kA));
   // 10 s later: the partial is stale, b must not complete it.
-  EXPECT_TRUE(m.feed(rec(11, "b")).empty());
+  EXPECT_TRUE(m.feed(rec(11, kB)).empty());
 }
 
 TEST(SignatureMatcher, OptionalStepNotRequired) {
   Signature sig;
   sig.name = "a-opt-b";
   sig.steps.resize(2);
-  sig.steps[0].pattern = on_event("a");
-  sig.steps[1].pattern = on_event("b");
+  sig.steps[0].pattern = on_event(kA);
+  sig.steps[1].pattern = on_event(kB);
   sig.steps[1].optional = true;
 
   SignatureMatcher m;
   m.add_signature(sig);
-  EXPECT_EQ(m.feed(rec(1, "a")).size(), 1u);
+  EXPECT_EQ(m.feed(rec(1, kA)).size(), 1u);
 }
 
 TEST(SignatureMatcher, CorrelationFieldTiesRecords) {
   Signature sig;
   sig.name = "two_from_same";
-  sig.correlate_field = "from";
+  sig.correlate_field = Key::kFrom;
   sig.steps.resize(2);
-  sig.steps[0].pattern = on_event("e");
-  sig.steps[1].pattern = on_event("e");
+  sig.steps[0].pattern = on_event(Event::kPacketParseError);
+  sig.steps[1].pattern = on_event(Event::kPacketParseError);
   sig.steps[1].after = {0};
 
   SignatureMatcher m;
   m.add_signature(sig);
-  auto r1 = rec(1, "e");
-  r1.with("from", "n1");
-  auto r2 = rec(2, "e");
-  r2.with("from", "n2");
-  auto r3 = rec(3, "e");
-  r3.with("from", "n1");
+  const auto r1 = rec(1, Event::kPacketParseError, NodeId{1});
+  const auto r2 = rec(2, Event::kPacketParseError, NodeId{2});
+  const auto r3 = rec(3, Event::kPacketParseError, NodeId{1});
   EXPECT_TRUE(m.feed(r1).empty());
   EXPECT_TRUE(m.feed(r2).empty());  // different correlation value
   const auto matches = m.feed(r3);
   ASSERT_GE(matches.size(), 1u);
-  EXPECT_EQ(matches[0].correlated_value, "n1");
+  EXPECT_EQ(matches[0].correlated, NodeId{1});
 }
 
 TEST(SignatureMatcher, ConstraintVetoesCompletion) {
   Signature sig;
   sig.name = "constrained";
   sig.steps.resize(1);
-  sig.steps[0].pattern = on_event("e");
+  sig.steps[0].pattern = on_event(Event::kHnaRecv);
   sig.constraint = [](const std::vector<const LogRecord*>& recs) {
-    return recs[0]->field("ok").value_or("") == "1";
+    return recs[0]->integer(Key::kCount) == 1;
   };
 
   SignatureMatcher m;
   m.add_signature(sig);
-  auto bad = rec(1, "e");
-  bad.with("ok", "0");
-  EXPECT_TRUE(m.feed(bad).empty());
-  auto good = rec(2, "e");
-  good.with("ok", "1");
-  EXPECT_EQ(m.feed(good).size(), 1u);
+  EXPECT_TRUE(m.feed(rec(1, Event::kHnaRecv, NodeId{4}, 0)).empty());
+  EXPECT_EQ(m.feed(rec(2, Event::kHnaRecv, NodeId{4}, 1)).size(), 1u);
 }
 
 TEST(SignatureMatcher, MultipleSignaturesIndependent) {
@@ -151,26 +151,26 @@ TEST(SignatureMatcher, MultipleSignaturesIndependent) {
   Signature s1;
   s1.name = "s1";
   s1.steps.resize(1);
-  s1.steps[0].pattern = on_event("a");
+  s1.steps[0].pattern = on_event(kA);
   Signature s2;
   s2.name = "s2";
   s2.steps.resize(1);
-  s2.steps[0].pattern = on_event("b");
+  s2.steps[0].pattern = on_event(kB);
   m.add_signature(s1);
   m.add_signature(s2);
-  EXPECT_EQ(m.feed(rec(1, "a"))[0].signature, "s1");
-  EXPECT_EQ(m.feed(rec(2, "b"))[0].signature, "s2");
+  EXPECT_EQ(m.feed(rec(1, kA))[0].signature, "s1");
+  EXPECT_EQ(m.feed(rec(2, kB))[0].signature, "s2");
 }
 
 // --- predefined OLSR signatures ---
 
-LogRecord hello_recv(double t, NodeId from, const std::vector<NodeId>& sym,
-                     const std::vector<NodeId>& asym = {}) {
-  auto r = rec(t, "hello_recv");
-  r.with("from", from)
-      .with("sym", logging::join_node_list(sym))
-      .with("asym", logging::join_node_list(asym));
-  return r;
+LogRecord hello_recv(double t, NodeId from, const Ids& sym,
+                     const Ids& asym = {}) {
+  return rec(t, Event::kHelloRecv, from, 0, sym, asym, 1, 3);
+}
+
+LogRecord tc_recv(double t, NodeId orig) {
+  return rec(t, Event::kTcRecv, orig, orig, 0, 0, Ids{}, 1);
 }
 
 TEST(OlsrSignatures, LinkSpoofingClaimFires) {
@@ -215,37 +215,30 @@ TEST(OlsrSignatures, StormFiresOnBurstFromOneOriginator) {
   m.add_signature(storm_signature(5, sim::Duration::from_seconds(5)));
   std::vector<SignatureMatch> all;
   for (int i = 0; i < 5; ++i) {
-    auto r = rec(1.0 + i * 0.1, "tc_recv");
-    r.with("orig", "n9");
-    auto got = m.feed(r);
+    auto got = m.feed(tc_recv(1.0 + i * 0.1, NodeId{9}));
     all.insert(all.end(), got.begin(), got.end());
   }
   ASSERT_GE(all.size(), 1u);
   EXPECT_EQ(all[0].signature, "broadcast_storm");
-  EXPECT_EQ(all[0].correlated_value, "n9");
+  EXPECT_EQ(all[0].correlated, NodeId{9});
 }
 
 TEST(OlsrSignatures, StormIgnoresMixedOriginators) {
   SignatureMatcher m;
   m.add_signature(storm_signature(5, sim::Duration::from_seconds(5)));
   for (int i = 0; i < 8; ++i) {
-    auto r = rec(1.0 + i * 0.1, "tc_recv");
-    std::string orig = "n";  // += dodges GCC 12's -Wrestrict false positive
-    orig += std::to_string(i);
-    r.with("orig", orig);  // all different
-    EXPECT_TRUE(m.feed(r).empty());
+    // all different
+    EXPECT_TRUE(
+        m.feed(tc_recv(1.0 + i * 0.1, NodeId{static_cast<std::uint32_t>(i)}))
+            .empty());
   }
 }
 
 TEST(OlsrSignatures, DropSignatureMatchesSeqPair) {
   SignatureMatcher m;
   m.add_signature(drop_signature(sim::Duration::from_seconds(10)));
-  auto sent = rec(1, "tc_sent");
-  sent.with("seq", std::int64_t{42});
-  m.feed(sent);
-  auto timeout = rec(4, "mpr_fwd_timeout");
-  timeout.with("mpr", "n3").with("seq", std::int64_t{42});
-  const auto matches = m.feed(timeout);
+  m.feed(rec(1, Event::kTcSent, 42, 0, Ids{}));
+  const auto matches = m.feed(rec(4, Event::kMprFwdTimeout, NodeId{3}, 42));
   ASSERT_GE(matches.size(), 1u);
   EXPECT_EQ(matches[0].signature, "mpr_drop");
 }
@@ -253,22 +246,18 @@ TEST(OlsrSignatures, DropSignatureMatchesSeqPair) {
 TEST(OlsrSignatures, DropSignatureRejectsSeqMismatch) {
   SignatureMatcher m;
   m.add_signature(drop_signature(sim::Duration::from_seconds(10)));
-  auto sent = rec(1, "tc_sent");
-  sent.with("seq", std::int64_t{42});
-  m.feed(sent);
-  auto timeout = rec(4, "mpr_fwd_timeout");
-  timeout.with("mpr", "n3").with("seq", std::int64_t{43});
-  EXPECT_TRUE(m.feed(timeout).empty());
+  m.feed(rec(1, Event::kTcSent, 42, 0, Ids{}));
+  EXPECT_TRUE(m.feed(rec(4, Event::kMprFwdTimeout, NodeId{3}, 43)).empty());
 }
 
 TEST(OlsrSignatures, MprReplacementFiresOnAddition) {
   SignatureMatcher m;
   m.add_signature(mpr_replacement_signature());
-  auto change = rec(1, "mpr_changed");
-  change.with("mprs", "n1|n2").with("added", "n2").with("removed", "n3");
+  const auto change = rec(1, Event::kMprChanged, Ids{NodeId{1}, NodeId{2}},
+                          Ids{NodeId{2}}, Ids{NodeId{3}});
   EXPECT_EQ(m.feed(change).size(), 1u);
-  auto pure_removal = rec(2, "mpr_changed");
-  pure_removal.with("mprs", "n1").with("added", "").with("removed", "n2");
+  const auto pure_removal = rec(2, Event::kMprChanged, Ids{NodeId{1}}, Ids{},
+                                Ids{NodeId{2}});
   EXPECT_TRUE(m.feed(pure_removal).empty());
 }
 
