@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -78,6 +81,33 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
 TEST(Rng, UniformIntSingleton) {
   Rng r{13};
   for (int i = 0; i < 10; ++i) EXPECT_EQ(r.uniform_int(5, 5), 5);
+}
+
+// The draw sequence is part of the determinism contract (every golden
+// fixture rests on it): these values were taken from the signed-span
+// implementation over ranges it handles without overflow, spans up to 2^63
+// included, and any rewrite of uniform_int must reproduce them.
+TEST(Rng, UniformIntPinnedSequence) {
+  using L = std::numeric_limits<std::int64_t>;
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 100'000},
+      {-1, 2},
+      {1500, 7000},
+      {5, 5},
+      {-1'000'000'000'000, 1'000'000'000'000},
+      {L::min() / 2, L::max() / 2},
+      {L::min(), -1},
+      {0, L::max()}};
+  const std::int64_t expected[] = {
+      94724, 0, 1864, 5, -258336360202, -94592607814986507,
+      -1949160658001041496, 4740947161906248556,
+      4517, -1, 3398, 5, -743950686919, 2145813767037329269,
+      -5720219049799833339, 790500823250529545};
+  Rng r{2024};
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const auto& [lo, hi] = ranges[i % std::size(ranges)];
+    EXPECT_EQ(r.uniform_int(lo, hi), expected[i]) << "draw " << i;
+  }
 }
 
 TEST(Rng, BernoulliEdges) {
