@@ -38,9 +38,12 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   /// Determinism contract: consumes next_u64 draws via rejection sampling
   /// (no modulo bias); the number of draws and the result depend only on
-  /// the stream state and the span, never on caching below.
+  /// the stream state and the span, never on caching below. The span and
+  /// the offset from lo are computed modulo 2^64, so ranges wider than
+  /// INT64_MAX (up to the full int64 range) are defined too.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
     if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
     // Rejection sampling to avoid modulo bias. The rejection limit is a
     // pure function of the span; hot callers (frame delivery jitter, timer
@@ -57,7 +60,7 @@ class Rng {
     do {
       v = next_u64();
     } while (v >= limit);
-    return lo + static_cast<std::int64_t>(v % span);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + v % span);
   }
 
   /// Uniform real in [lo, hi).

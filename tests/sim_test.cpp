@@ -110,6 +110,27 @@ TEST(Rng, UniformIntPinnedSequence) {
   }
 }
 
+// Spans past INT64_MAX: the full range takes next_u64 as is, and ranges
+// one short of it at either end stay inside their bounds and reach both
+// signs. Under UBSan this also checks that no signed arithmetic overflows.
+TEST(Rng, UniformIntWiderThanInt64Max) {
+  using L = std::numeric_limits<std::int64_t>;
+  Rng r{29}, raw{29};
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(r.uniform_int(L::min(), L::max()),
+              static_cast<std::int64_t>(raw.next_u64()));
+  int negative = 0;
+  for (int i = 0; i < 100; ++i) {
+    const auto low = r.uniform_int(L::min(), L::max() - 1);
+    const auto high = r.uniform_int(L::min() + 1, L::max());
+    EXPECT_LT(low, L::max());
+    EXPECT_GT(high, L::min());
+    negative += (low < 0) + (high < 0);
+  }
+  EXPECT_GT(negative, 0);
+  EXPECT_LT(negative, 200);
+}
+
 TEST(Rng, BernoulliEdges) {
   Rng r{17};
   for (int i = 0; i < 100; ++i) {
