@@ -162,6 +162,12 @@ AgentEvents restore_agent(AgentImage a, olsr::Agent& agent) {
       "MID tuples");
   require_ascending(
       a.hna, [](const auto& entry) { return entry.first; }, "HNA tuples");
+  // One HELLO sets every 2-hop tuple of its via (§8.2.1), and the table
+  // keeps that N_time once per via.
+  for (std::size_t i = 1; i < a.two_hops.size(); ++i)
+    if (a.two_hops[i].via == a.two_hops[i - 1].via &&
+        a.two_hops[i].valid_until != a.two_hops[i - 1].valid_until)
+      throw CheckpointError{"2-hop tuples of one via disagree on N_time"};
   // expire() pops the ring's due prefix, so it must be in expiry order.
   for (std::size_t i = 1; i < a.duplicate_ring.size(); ++i)
     if (a.duplicate_ring[i].expiry < a.duplicate_ring[i - 1].expiry)

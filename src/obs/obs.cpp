@@ -25,6 +25,8 @@ const char* hot_name(Hot h) {
       return "manet_olsr_mpr_recomputes_total";
     case Hot::kRouteRuns:
       return "manet_olsr_route_runs_total";
+    case Hot::kRouteSkips:
+      return "manet_olsr_route_skips_total";
     case Hot::kMprRuns:
       return "manet_olsr_mpr_runs_total";
     case Hot::kGraphArcUpdates:
@@ -33,6 +35,8 @@ const char* hot_name(Hot h) {
       return "manet_olsr_mpr_row_updates_total";
     case Hot::kFramesDecoded:
       return "manet_olsr_frames_decoded_total";
+    case Hot::kHelloEntries:
+      return "manet_olsr_hello_entries_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:

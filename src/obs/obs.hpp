@@ -35,11 +35,13 @@ enum class Hot : std::uint32_t {
   kMediumUnicasts,           ///< routed unicast frames
   kRouteRecomputes,          ///< olsr::Agent routing recomputes that changed
   kMprRecomputes,            ///< olsr::Agent MPR-set recomputes that changed
-  kRouteRuns,                ///< olsr::Agent routing BFS runs
+  kRouteRuns,                ///< routing BFS executions (skips excluded)
+  kRouteSkips,               ///< routing updates settled without a BFS
   kMprRuns,                  ///< §8.3.1 heuristic executions (inputs moved)
   kGraphArcUpdates,          ///< knowledge-graph arcs added/removed by patches
   kMprRowUpdates,            ///< MPR reach rows rewritten by table patches
   kFramesDecoded,            ///< received OLSR frames parsed (once per frame)
+  kHelloEntries,             ///< addresses listed in received HELLOs
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed

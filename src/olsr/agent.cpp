@@ -9,8 +9,13 @@
 namespace manet::olsr {
 namespace {
 
-/// A received frame's parse; nullopt for bytes that do not parse.
-using DecodedFrame = std::optional<OlsrPacket>;
+/// A received frame's parse, with per message the lists its receivers
+/// read (empty for all but HELLOs); nullopt for bytes that do not parse.
+struct Frame {
+  OlsrPacket packet;
+  std::vector<HelloLists> hellos;
+};
+using DecodedFrame = std::optional<Frame>;
 
 /// Every receiver of a frame gets the same bytes (a collision drops a
 /// frame, it never alters it), so the first receiver parses them into the
@@ -19,11 +24,17 @@ const DecodedFrame& decode_frame(const net::Packet& packet) {
   return packet.data.decoded<DecodedFrame>(
       [](const net::Bytes& bytes) -> DecodedFrame {
         obs::hit(obs::Hot::kFramesDecoded);
+        Frame frame;
         try {
-          return parse_packet(bytes);
+          frame.packet = parse_packet(bytes);
         } catch (const WireError&) {
           return std::nullopt;
         }
+        for (const auto& m : frame.packet.messages) {
+          const auto* hello = m.as_hello();
+          frame.hellos.push_back(hello ? HelloLists{*hello} : HelloLists{});
+        }
+        return frame;
       });
 }
 
@@ -137,13 +148,23 @@ std::size_t Agent::sync_self_edges(KnowledgeGraph& g) const {
 }
 
 void Agent::refresh_graph() {
-  const auto changed = apply_delta() + sync_self_edges(graph_);
+  auto changed = apply_delta();
+  const auto now = sim_.now();
+  if (self_edges_stale_ || now >= self_edges_lapse_) {
+    changed += sync_self_edges(graph_);
+    self_edges_stale_ = false;
+    self_edges_lapse_ = LinkSet::kNoTransition;
+    for (const auto& s : links_.slots())
+      if (s.tuple.symmetric(now))
+        self_edges_lapse_ = std::min(self_edges_lapse_, s.tuple.sym_until);
+  }
   if (changed > 0) obs::hit(obs::Hot::kGraphArcUpdates, changed);
 }
 
 void Agent::rebuild_knowledge_graph() {
   graph_.clear();
   delta_.clear();
+  self_edges_stale_ = true;
   for (const auto& t : neighbors_.two_hop_tuples())
     delta_.added.emplace_back(t.via, t.two_hop);
   for (const auto& t : topology_.tuples())
@@ -283,7 +304,8 @@ void Agent::handle_packet(const net::Packet& packet) {
     return;
   }
 
-  for (const auto& m : parsed->messages) {
+  for (std::size_t i = 0; i < parsed->packet.messages.size(); ++i) {
+    const auto& m = parsed->packet.messages[i];
     if (hooks_) hooks_->on_receive(m);
     if (m.header.originator == id_) {
       // A retransmission of our own message: evidence that the transmitter
@@ -297,7 +319,7 @@ void Agent::handle_packet(const net::Packet& packet) {
     }
     switch (m.header.type) {
       case MessageType::kHello:
-        process_hello(m, packet.transmitter);
+        process_hello(m, parsed->hellos[i]);
         break;
       case MessageType::kTc:
         process_tc(m, packet.transmitter);
@@ -315,13 +337,15 @@ void Agent::handle_packet(const net::Packet& packet) {
   }
 }
 
-void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
+void Agent::process_hello(const Message& m, const HelloLists& lists) {
   const auto* hello = m.as_hello();
   if (!hello) return;
   // HELLOs are link-local (never forwarded), so the originator IS the
   // transmitter; link sensing keys off the originator address.
   const NodeId from = m.header.originator;
+  const auto now = sim_.now();
   ++stats_.hello_recv;
+  obs::hit(obs::Hot::kHelloEntries, lists.entries);
 
   // Link sensing: does the HELLO list us, and with which code?
   bool lists_us = false;
@@ -340,22 +364,21 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
   }
 
   const auto change =
-      links_.on_hello(sim_.now(), from, lists_us, lost_us, m.header.vtime);
-  const bool now_sym = links_.is_symmetric(sim_.now(), from);
+      links_.on_hello(now, from, lists_us, lost_us, m.header.vtime);
+  const auto link = links_.get(from);
+  const bool now_sym = link && link->symmetric(now);
+  // A flip moves the symmetric set; a refresh can still shorten L_SYM_time
+  // (a shorter vtime) without one.
+  if (change == LinkSet::Change::kBecameSym || change == LinkSet::Change::kLost)
+    self_edges_stale_ = true;
+  if (now_sym)
+    self_edges_lapse_ = std::min(self_edges_lapse_, link->sym_until);
   bool tables_changed = change != LinkSet::Change::kNone;
   if (neighbors_.upsert_neighbor(from, hello->willingness, now_sym))
     tables_changed = true;
 
-  const auto advertised_sym = hello->symmetric_neighbors();
-  std::vector<NodeId> advertised_asym;
-  for (const auto& [code, addrs] : hello->link_groups) {
-    if (link_type_of(code) == LinkType::kAsym &&
-        neighbor_type_of(code) == NeighborType::kNotNeigh)
-      advertised_asym.insert(advertised_asym.end(), addrs.begin(),
-                             addrs.end());
-  }
   log_.append(make_record(logging::Event::kHelloRecv, from, m.header.seq_num,
-                          advertised_sym, advertised_asym, lists_us,
+                          lists.sym, lists.asym, lists_us,
                           hello->willingness));
 
   if (change == LinkSet::Change::kBecameSym) {
@@ -365,13 +388,14 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
   }
 
   // 2-hop set (§8.1.1): symmetric neighbors advertised by a symmetric
-  // neighbor, ourselves excluded.
+  // neighbor, ourselves excluded. The list goes in ascending, so a repeat
+  // of the previous advertisement matches the held row as it stands.
   if (now_sym) {
-    std::vector<NodeId> two_hops;
-    for (auto n : advertised_sym)
-      if (n != id_) two_hops.push_back(n);
-    if (neighbors_.set_two_hops_via(from, two_hops,
-                                    sim_.now() + m.header.vtime, &delta_)) {
+    two_hop_scratch_.clear();
+    for (auto n : lists.sym_sorted)
+      if (n != id_) two_hop_scratch_.push_back(n);
+    if (neighbors_.set_two_hops_via(from, two_hop_scratch_,
+                                    now + m.header.vtime, &delta_)) {
       tables_changed = true;
       log_.append(make_record(logging::Event::kTwoHopUpdate, from,
                               neighbors_.two_hops_via(from)));
@@ -557,6 +581,7 @@ void Agent::reset_tables() {
   mprs_dirty_ = true;
   mprs_links_hint_ = sim::Time{};
   mpr_rows_stamp_ = 0;
+  self_edges_stale_ = true;
   // msg_seq_/pkt_seq_/ansn_ intentionally keep counting (see header).
   log_.append(make_record(logging::Event::kTablesReset));
 }
@@ -689,7 +714,10 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
 void Agent::housekeep() {
   const auto now = sim_.now();
   const auto lost = links_.expire(now);
-  if (!lost.empty()) mprs_dirty_ = true;
+  if (!lost.empty()) {
+    mprs_dirty_ = true;
+    self_edges_stale_ = true;
+  }
   for (auto n : lost) {
     neighbors_.remove_neighbor(n, &delta_);
     log_.append(make_record(logging::Event::kLinkLost, n));
@@ -754,8 +782,8 @@ void Agent::recompute_mprs() {
 void Agent::update_routes() {
   refresh_graph();
   if (routing_.current(id_, graph_)) return;
-  obs::hit(obs::Hot::kRouteRuns);
   const auto [added, removed] = routing_.recompute(id_, graph_);
+  graph_.restart_log();  // the next recompute reads changes from here
   if (added.empty() && removed.empty()) return;
   obs::hit(obs::Hot::kRouteRecomputes);
   obs::instant(obs::SpanName::kRoutingRecompute, sim_.now(), id_.value());

@@ -47,8 +47,12 @@ struct AgentStats {
 ///
 /// Derived state is kept current at the end of HELLO/TC processing and
 /// housekeeping. Routing reads a live knowledge graph patched in place from
-/// the 2-hop and topology deltas, its self edges re-synced to the link set
-/// on every read; the BFS re-runs only when the graph's arc set changed.
+/// the 2-hop and topology deltas. Its self edges are re-synced to the
+/// symmetric links at now only when that set can have moved: after a HELLO
+/// flipped a link or an expiry dropped a symmetric one, and once now
+/// reaches the earliest L_SYM_time among the symmetric links (a bound every
+/// HELLO may lower). The BFS re-runs only when the graph's arc set changed
+/// in a way that can move a route (RoutingTable).
 /// MPR selection is gated twice. Table mutations raise a dirty flag, and
 /// a passed link-set symmetry timer boundary (LinkSet::next_transition) —
 /// the one way the inputs change without an event — counts as dirty too.
@@ -234,7 +238,8 @@ class Agent {
   void fire_forward(std::uint32_t slot);
 
   void handle_packet(const net::Packet& packet);
-  void process_hello(const Message& m, NodeId transmitter);
+  /// `lists` is the frame's one derivation of the HELLO's lists.
+  void process_hello(const Message& m, const HelloLists& lists);
   void process_tc(const Message& m, NodeId transmitter);
   void process_mid(const Message& m, NodeId transmitter);
   void process_hna(const Message& m, NodeId transmitter);
@@ -255,7 +260,8 @@ class Agent {
   /// Brings the live graph up to date, then re-runs routing if its arc
   /// set moved and logs any change of the reachable set.
   void update_routes();
-  /// Applies the pending table delta and re-syncs the self edges.
+  /// Applies the pending table delta and, when the symmetric links may
+  /// have moved, re-syncs the self edges.
   void refresh_graph();
   /// Patches the graph with delta_ minus arcs touching self; returns the
   /// arc-set changes.
@@ -305,10 +311,18 @@ class Agent {
   std::uint64_t mpr_rows_stamp_ = 0;
   std::vector<std::pair<NodeId, Willingness>> mpr_neighbors_scratch_;
 
+  // Self-edge sync gate: a sync is due when a link flipped since the last
+  // one, or at self_edges_lapse_, the earliest L_SYM_time among the
+  // symmetric links then (lowered by every HELLO). Derived state, so not
+  // checkpointed: a restore or reset forces the next sync.
+  bool self_edges_stale_ = true;
+  sim::Time self_edges_lapse_{};
+
   // Reusable scratch: per-HELLO/recompute work runs allocation-free in
   // steady state.
   mutable std::vector<NodeId> sym_scratch_;
   mutable std::vector<NodeId> asym_scratch_;
+  std::vector<NodeId> two_hop_scratch_;
   MprInputs mpr_inputs_;
   MprScratch mpr_scratch_;
   std::vector<NodeId> fresh_mprs_;

@@ -27,6 +27,8 @@ std::uint64_t fresh_stamp() {
 }
 
 std::uint32_t KnowledgeGraph::slot_of(NodeId id) const {
+  const auto v = id.value();
+  if (v < kDenseIds) return v < dense_.size() ? dense_[v] : kNpos;
   const auto it = std::lower_bound(
       by_id_.begin(), by_id_.end(), id,
       [this](std::uint32_t slot, NodeId n) { return ids_[slot] < n; });
@@ -35,14 +37,19 @@ std::uint32_t KnowledgeGraph::slot_of(NodeId id) const {
 }
 
 std::uint32_t KnowledgeGraph::slot_or_insert(NodeId id) {
-  const auto it = std::lower_bound(
-      by_id_.begin(), by_id_.end(), id,
-      [this](std::uint32_t slot, NodeId n) { return ids_[slot] < n; });
-  if (it != by_id_.end() && ids_[*it] == id) return *it;
+  if (const auto slot = slot_of(id); slot != kNpos) return slot;
   const auto slot = static_cast<std::uint32_t>(ids_.size());
-  by_id_.insert(it, slot);
+  by_id_.insert(
+      std::lower_bound(
+          by_id_.begin(), by_id_.end(), id,
+          [this](std::uint32_t s, NodeId n) { return ids_[s] < n; }),
+      slot);
   ids_.push_back(id);
   out_.emplace_back();
+  if (const auto v = id.value(); v < kDenseIds) {
+    if (v >= dense_.size()) dense_.resize(v + 1, kNpos);
+    dense_[v] = slot;
+  }
   return slot;
 }
 
@@ -67,7 +74,7 @@ bool KnowledgeGraph::add_arc(NodeId from, NodeId to) {
   }
   adj.insert(adj.begin() + static_cast<std::ptrdiff_t>(i), Arc{to_slot, 1});
   ++arc_count_;
-  stamp_ = fresh_stamp();
+  changed(from_slot, to_slot, true);
   return true;
 }
 
@@ -78,18 +85,34 @@ bool KnowledgeGraph::remove_arc(NodeId from, NodeId to) {
   const auto i = lower_arc(from_slot, to);
   if (i == adj.size() || ids_[adj[i].to] != to) return false;
   if (--adj[i].refs > 0) return false;
+  const auto to_slot = adj[i].to;
   adj.erase(adj.begin() + static_cast<std::ptrdiff_t>(i));
   --arc_count_;
-  stamp_ = fresh_stamp();
+  changed(from_slot, to_slot, false);
   return true;
+}
+
+void KnowledgeGraph::changed(std::uint32_t from, std::uint32_t to,
+                             bool added) {
+  stamp_ = fresh_stamp();
+  if (!log_known_) return;
+  if (log_.size() == kLogCapacity) {
+    log_known_ = false;
+    log_.clear();
+    return;
+  }
+  log_.push_back(ArcChange{from, to, added});
 }
 
 void KnowledgeGraph::clear() {
   ids_.clear();
   out_.clear();
   by_id_.clear();
+  dense_.clear();
   arc_count_ = 0;
   stamp_ = fresh_stamp();
+  log_.clear();
+  log_known_ = false;
 }
 
 std::uint32_t KnowledgeGraph::refs(NodeId from, NodeId to) const {

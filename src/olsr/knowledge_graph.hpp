@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -40,12 +41,19 @@ struct EdgeDelta {
 /// The graph is patched in place, never rebuilt: every arc carries a
 /// reference count because one edge can come from several tuples (the link
 /// set, either 2-hop direction, a TC tuple), and it leaves the graph only
-/// when its last source does. Nodes get dense slots in first-seen order;
-/// each slot's adjacency is a slab ascending by *target id* — the order the
+/// when its last source does. Nodes get dense slots in first-seen order,
+/// found through a direct id index for ids below kDenseIds (a binary
+/// search over the id-sorted slots for any other id); each slot's
+/// adjacency is a slab ascending by *target id* — the order the
 /// trace-pinned BFS tie-breaks rely on. `stamp()` changes whenever the arc
 /// set does and is drawn from one process-wide sequence, so equal stamps
 /// mean equal arc sets (a copy shares its source's stamp until either is
 /// patched); routing re-runs its BFS only when the stamp moved.
+///
+/// The graph also logs the arcs that entered or left the arc set since
+/// the log last restarted, up to kLogCapacity of them: routing restarts it
+/// after each run and reads it on the next to tell whether any change can
+/// move a route. A full log, or one cleared with the graph, cannot tell.
 class KnowledgeGraph {
  public:
   static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
@@ -55,6 +63,15 @@ class KnowledgeGraph {
     std::uint32_t to;
     std::uint32_t refs;
   };
+
+  /// One arc that entered (`added`) or left the arc set, by slot.
+  struct ArcChange {
+    std::uint32_t from;
+    std::uint32_t to;
+    bool added;
+  };
+  /// Changes the log holds at most before it stops telling.
+  static constexpr std::size_t kLogCapacity = 128;
 
   /// Adds one reference to from -> to; true when the arc is new.
   bool add_arc(NodeId from, NodeId to);
@@ -90,16 +107,39 @@ class KnowledgeGraph {
   /// Every slot, ascending by node id.
   std::span<const std::uint32_t> slots_by_id() const { return by_id_; }
 
+  /// The arc changes since the log restarted at `stamp`, oldest first, or
+  /// nullopt when the log cannot tell: it restarted at another stamp (or
+  /// never), overflowed, or the graph was cleared since.
+  std::optional<std::span<const ArcChange>> changes_since(
+      std::uint64_t stamp) const {
+    if (!log_known_ || stamp != log_base_) return std::nullopt;
+    return std::span<const ArcChange>{log_};
+  }
+  /// Empties the change log and restarts it at the current stamp.
+  void restart_log() {
+    log_.clear();
+    log_known_ = true;
+    log_base_ = stamp_;
+  }
+
  private:
+  /// Node ids below this index their slot directly.
+  static constexpr std::uint32_t kDenseIds = 4096;
   std::uint32_t slot_or_insert(NodeId id);
   /// Index of the first arc in `from_slot`'s slab not below `to`.
   std::size_t lower_arc(std::uint32_t from_slot, NodeId to) const;
+  /// Records one arc-set change: a fresh stamp and a log entry.
+  void changed(std::uint32_t from, std::uint32_t to, bool added);
 
   std::vector<NodeId> ids_;             // slot -> node id
   std::vector<std::vector<Arc>> out_;   // slot -> arcs ascending by id
   std::vector<std::uint32_t> by_id_;    // slots sorted by node id
+  std::vector<std::uint32_t> dense_;    // id -> slot (kNpos), ids < kDenseIds
   std::size_t arc_count_ = 0;
   std::uint64_t stamp_ = fresh_stamp();
+  std::vector<ArcChange> log_;  // since log_base_, at most kLogCapacity
+  std::uint64_t log_base_ = 0;
+  bool log_known_ = false;      // log_ holds every change since log_base_
 };
 
 }  // namespace manet::olsr

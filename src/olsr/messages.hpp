@@ -35,10 +35,28 @@ struct HelloMessage {
     link_groups[make_link_code(lt, nt)].push_back(neighbor);
   }
   /// All neighbors advertised with SYM link or SYM/MPR neighbor type — the
-  /// "symmetric neighbor set" a receiver derives (used by the IDS too).
+  /// "symmetric neighbor set" a receiver derives (used by the IDS too), in
+  /// wire order, each address at its first occurrence.
   std::vector<NodeId> symmetric_neighbors() const;
+  /// The same list into `in_order`, and its addresses ascending into
+  /// `ascending`, from one sort (the buffers are replaced).
+  void symmetric_neighbors(std::vector<NodeId>& in_order,
+                           std::vector<NodeId>& ascending) const;
   /// All addresses regardless of code.
   std::vector<NodeId> all_neighbors() const;
+};
+
+/// What every receiver reads from one HELLO, derived once for all the
+/// receivers of its frame.
+struct HelloLists {
+  HelloLists() = default;
+  explicit HelloLists(const HelloMessage& hello);
+
+  std::vector<NodeId> sym;         ///< HelloMessage::symmetric_neighbors()
+  std::vector<NodeId> sym_sorted;  ///< the same addresses, ascending
+  /// Addresses advertised ASYM_LINK with NOT_NEIGH, in wire order.
+  std::vector<NodeId> asym;
+  std::uint64_t entries = 0;       ///< addresses listed under any code
 };
 
 /// TC (§9.1): advertised neighbor sequence number + advertised selectors.

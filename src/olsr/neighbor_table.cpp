@@ -18,6 +18,13 @@ bool before_via(const std::pair<NodeId, std::vector<NodeId>>& row,
   return row.first < via;
 }
 
+/// First 2-hop row of `rows` whose via is not below `via`.
+template <typename Rows>
+auto lower_row(Rows& rows, NodeId via) {
+  return std::lower_bound(rows.begin(), rows.end(), via,
+                          [](const auto& r, NodeId v) { return r.via < v; });
+}
+
 }  // namespace
 
 const NeighborTuple* NeighborTable::find(NodeId id) const {
@@ -83,73 +90,66 @@ bool NeighborTable::is_symmetric_neighbor(NodeId id) const {
   return t != nullptr && t->symmetric;
 }
 
-std::pair<std::size_t, std::size_t> NeighborTable::via_range(
-    NodeId via) const {
-  const auto lo = std::lower_bound(
-      two_hops_.begin(), two_hops_.end(), via,
-      [](const TwoHopTuple& t, NodeId v) { return t.via < v; });
-  auto hi = lo;
-  while (hi != two_hops_.end() && hi->via == via) ++hi;
-  return {static_cast<std::size_t>(lo - two_hops_.begin()),
-          static_cast<std::size_t>(hi - two_hops_.begin())};
+std::span<const NodeId> NeighborTable::two_hop_ids(NodeId via) const {
+  const auto it = lower_row(two_hops_, via);
+  if (it == two_hops_.end() || it->via != via) return {};
+  return it->two_hops;
 }
 
 bool NeighborTable::set_two_hops_via(NodeId via,
                                      const std::vector<NodeId>& two_hops,
                                      sim::Time valid_until,
                                      EdgeDelta* delta) {
+  auto it = lower_row(two_hops_, via);
+  const bool held = it != two_hops_.end() && it->via == via;
+  // A repeated HELLO lists what the row holds in the row's own order.
+  if (held ? two_hops == it->two_hops : two_hops.empty()) {
+    if (held) it->valid_until = valid_until;
+    return false;
+  }
+
   scratch_.assign(two_hops.begin(), two_hops.end());
   std::sort(scratch_.begin(), scratch_.end());
   scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
                  scratch_.end());
-
-  const auto [lo, hi] = via_range(via);
-  const bool same_membership =
-      hi - lo == scratch_.size() &&
-      std::equal(scratch_.begin(), scratch_.end(), two_hops_.begin() + lo,
-                 [](NodeId n, const TwoHopTuple& t) { return n == t.two_hop; });
-  if (same_membership) {
-    for (std::size_t i = lo; i < hi; ++i)
-      two_hops_[i].valid_until = valid_until;
+  const auto before = held ? std::span<const NodeId>{it->two_hops}
+                           : std::span<const NodeId>{};
+  if (std::ranges::equal(scratch_, before)) {
+    if (held) it->valid_until = valid_until;
     return false;
   }
+  if (delta != nullptr) delta->diff(via, before, scratch_);
 
-  if (delta != nullptr) {
-    std::vector<NodeId> before;
-    before.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i)
-      before.push_back(two_hops_[i].two_hop);
-    delta->diff(via, before, scratch_);
+  if (scratch_.empty()) {
+    two_hops_.erase(it);
+  } else if (held) {
+    it->valid_until = valid_until;
+    it->two_hops.swap(scratch_);
+  } else {
+    two_hops_.insert(it, TwoHopRow{via, valid_until, scratch_});
   }
-
-  // Replace the contiguous per-via range wholesale; the staged list is
-  // sorted, so the slab stays ordered by (via, two_hop).
-  std::vector<TwoHopTuple> fresh;
-  fresh.reserve(scratch_.size());
-  for (auto th : scratch_) fresh.push_back(TwoHopTuple{via, th, valid_until});
-  auto it = two_hops_.erase(two_hops_.begin() + lo, two_hops_.begin() + hi);
-  two_hops_.insert(it, fresh.begin(), fresh.end());
   refresh_row(via);
   return true;
 }
 
 void NeighborTable::drop_two_hops_via(NodeId via, EdgeDelta* delta) {
-  const auto [lo, hi] = via_range(via);
-  if (delta != nullptr)
-    for (std::size_t i = lo; i < hi; ++i)
-      delta->removed.emplace_back(via, two_hops_[i].two_hop);
-  two_hops_.erase(two_hops_.begin() + lo, two_hops_.begin() + hi);
+  const auto it = lower_row(two_hops_, via);
+  if (it != two_hops_.end() && it->via == via) {
+    if (delta != nullptr)
+      for (const auto th : it->two_hops) delta->removed.emplace_back(via, th);
+    two_hops_.erase(it);
+  }
   refresh_row(via);
 }
 
 bool NeighborTable::expire_two_hops(sim::Time now, EdgeDelta* delta) {
-  // The slab is via-ordered, so the stale vias come out ascending.
+  // Rows ascend by via, so the stale vias come out ascending.
   stale_vias_.clear();
-  std::erase_if(two_hops_, [&](const TwoHopTuple& t) {
-    if (t.valid_until > now) return false;
-    if (delta != nullptr) delta->removed.emplace_back(t.via, t.two_hop);
-    if (stale_vias_.empty() || stale_vias_.back() != t.via)
-      stale_vias_.push_back(t.via);
+  std::erase_if(two_hops_, [&](const TwoHopRow& r) {
+    if (r.valid_until > now) return false;
+    if (delta != nullptr)
+      for (const auto th : r.two_hops) delta->removed.emplace_back(r.via, th);
+    stale_vias_.push_back(r.via);
     return true;
   });
   for (const auto via : stale_vias_) refresh_row(via);
@@ -168,18 +168,27 @@ void NeighborTable::reachability([[maybe_unused]] NodeId self,
   out = rows_;
 }
 
-std::vector<NodeId> NeighborTable::two_hops_via(NodeId via) const {
-  const auto [lo, hi] = via_range(via);
-  std::vector<NodeId> out;
-  out.reserve(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) out.push_back(two_hops_[i].two_hop);
+std::vector<TwoHopTuple> NeighborTable::two_hop_tuples() const {
+  std::vector<TwoHopTuple> out;
+  for (const auto& r : two_hops_)
+    for (const auto th : r.two_hops) out.push_back({r.via, th, r.valid_until});
   return out;
 }
 
+std::vector<NodeId> NeighborTable::two_hops_via(NodeId via) const {
+  const auto ids = two_hop_ids(via);
+  return {ids.begin(), ids.end()};
+}
+
 void NeighborTable::restore(std::vector<NeighborTuple> neighbors,
-                            std::vector<TwoHopTuple> two_hops) {
+                            const std::vector<TwoHopTuple>& two_hops) {
   neighbors_ = std::move(neighbors);
-  two_hops_ = std::move(two_hops);
+  two_hops_.clear();
+  for (const auto& t : two_hops) {
+    if (two_hops_.empty() || two_hops_.back().via != t.via)
+      two_hops_.push_back(TwoHopRow{t.via, t.valid_until, {}});
+    two_hops_.back().two_hops.push_back(t.two_hop);
+  }
   rows_.clear();
   for (const auto& t : neighbors_) refresh_row(t.id);
   rows_stamp_ = fresh_stamp();
@@ -191,11 +200,8 @@ void NeighborTable::refresh_row(NodeId via) {
   scratch_.clear();
   const auto* nb = find(via);
   if (nb != nullptr && can_relay(*nb)) {
-    const auto [lo, hi] = via_range(via);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId th = two_hops_[i].two_hop;
+    for (const auto th : two_hop_ids(via))
       if (th != self_ && !is_symmetric_neighbor(th)) scratch_.push_back(th);
-    }
   }
   auto it = std::lower_bound(rows_.begin(), rows_.end(), via, before_via);
   const bool present = it != rows_.end() && it->first == via;
@@ -232,12 +238,8 @@ void NeighborTable::on_symmetry_flip(NodeId n, bool symmetric) {
     // A strict 2-hop again wherever a relay-capable neighbor advertises it.
     for (const auto& t : neighbors_) {
       if (!can_relay(t)) continue;
-      const bool advertised = std::binary_search(
-          two_hops_.begin(), two_hops_.end(), TwoHopTuple{t.id, n, {}},
-          [](const TwoHopTuple& a, const TwoHopTuple& b) {
-            return std::pair{a.via, a.two_hop} < std::pair{b.via, b.two_hop};
-          });
-      if (!advertised) continue;
+      const auto ids = two_hop_ids(t.id);
+      if (!std::binary_search(ids.begin(), ids.end(), n)) continue;
       auto it = std::lower_bound(rows_.begin(), rows_.end(), t.id, before_via);
       if (it == rows_.end() || it->first != t.id)
         it = rows_.emplace(it, t.id, std::vector<NodeId>{});

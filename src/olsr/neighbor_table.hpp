@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,9 @@ struct NeighborTuple {
 };
 
 /// 2-hop tuple (§4.4): `via` is the symmetric 1-hop neighbor that advertised
-/// `two_hop` as one of its own symmetric neighbors.
+/// `two_hop` as one of its own symmetric neighbors. The table keeps tuples
+/// as per-via rows; this flat form is what the checkpoint and inspection
+/// see.
 struct TwoHopTuple {
   NodeId via;
   NodeId two_hop;
@@ -32,10 +35,14 @@ struct TwoHopTuple {
 
 /// 1-hop and 2-hop neighborhood repository. Fed by the Agent from HELLOs.
 ///
-/// Both tables are flat sorted slabs: neighbors ascending by id, 2-hop
-/// tuples ascending by (via, two_hop). All lookups are binary searches, the
-/// per-via 2-hop set is one contiguous range, and iteration order matches
-/// the previous std::map layout exactly (the audit log depends on it).
+/// Neighbors are a flat slab ascending by id. The 2-hop set is one row per
+/// advertising neighbor, ascending by via: RFC 3626 §8.2.1 gives every
+/// tuple one HELLO creates the same N_time, so a row holds that time once
+/// beside its 2-hop ids (ascending). A HELLO that repeats its predecessor
+/// is one compare and one time write, a membership change rewrites one
+/// row, and expiry walks the vias. All lookups are binary searches, and
+/// flattened rows iterate in the (via, two_hop) order the audit log and
+/// the checkpoint rely on.
 /// Mutators report whether they materially changed the table so the Agent
 /// can coalesce MPR recomputation behind a dirty flag, and the ones that
 /// touch 2-hop tuples append each (via, two_hop) they removed or added to
@@ -61,13 +68,17 @@ class NeighborTable {
   Willingness willingness_of(NodeId id) const;
 
   /// Replaces the set of 2-hop neighbors advertised by `via` (the
-  /// paper-relevant part: this is exactly the content an attacker forges).
-  /// Returns true when the *membership* changed — a pure validity refresh
-  /// (same nodes, newer expiry) returns false.
+  /// paper-relevant part: this is exactly the content an attacker forges),
+  /// all valid until `valid_until`. `two_hops` may hold repeats in any
+  /// order; a list equal to the held row (so ascending, without repeats)
+  /// is recognised before any sort. Returns true when the *membership*
+  /// changed — a pure validity refresh (same nodes, new expiry) returns
+  /// false.
   bool set_two_hops_via(NodeId via, const std::vector<NodeId>& two_hops,
                         sim::Time valid_until, EdgeDelta* delta = nullptr);
   void drop_two_hops_via(NodeId via, EdgeDelta* delta = nullptr);
-  /// Returns true when any tuple was removed.
+  /// Drops the rows valid until `now` or earlier; returns true when any
+  /// tuple was removed.
   bool expire_two_hops(sim::Time now, EdgeDelta* delta = nullptr);
 
   /// For MPR selection: (via neighbor, strict 2-hop nodes reachable through
@@ -81,27 +92,35 @@ class NeighborTable {
   Reachability reachability(NodeId self) const;
   void reachability(NodeId self, Reachability& out) const;
 
-  /// All (via, two_hop) pairs currently valid (for logging/inspection),
-  /// ascending by (via, two_hop).
-  const std::vector<TwoHopTuple>& two_hop_tuples() const { return two_hops_; }
+  /// All (via, two_hop) pairs currently held (for logging, inspection and
+  /// the checkpoint), ascending by (via, two_hop).
+  std::vector<TwoHopTuple> two_hop_tuples() const;
 
   /// 2-hop neighbors advertised by a specific neighbor, sorted ascending.
   std::vector<NodeId> two_hops_via(NodeId via) const;
 
-  /// Checkpoint surface: raw slabs in their sorted storage order. Restore
-  /// expects that order (the checkpoint decoder checks it) and rebuilds the
-  /// reach rows.
+  /// Checkpoint surface: the neighbor slab in its sorted storage order and
+  /// the 2-hop tuples as two_hop_tuples() lists them. Restore expects both
+  /// orders and one valid_until per via (the checkpoint decoder checks
+  /// all three), and rebuilds the reach rows.
   const std::vector<NeighborTuple>& neighbor_tuples() const {
     return neighbors_;
   }
   void restore(std::vector<NeighborTuple> neighbors,
-               std::vector<TwoHopTuple> two_hops);
+               const std::vector<TwoHopTuple>& two_hops);
 
  private:
+  /// The 2-hop tuples of one via: one N_time, 2-hop ids ascending.
+  struct TwoHopRow {
+    NodeId via;
+    sim::Time valid_until{};
+    std::vector<NodeId> two_hops;
+  };
+
   const NeighborTuple* find(NodeId id) const;
   bool is_symmetric_neighbor(NodeId id) const;
-  // Iterator range of two_hops_ advertised by `via`.
-  std::pair<std::size_t, std::size_t> via_range(NodeId via) const;
+  /// The 2-hop ids `via` advertises (empty when it has no row).
+  std::span<const NodeId> two_hop_ids(NodeId via) const;
 
   // --- reach-row patching ---
   /// Re-derives `via`'s row from the slabs.
@@ -114,7 +133,7 @@ class NeighborTable {
 
   NodeId self_;
   std::vector<NeighborTuple> neighbors_;  // sorted by id
-  std::vector<TwoHopTuple> two_hops_;     // sorted by (via, two_hop)
+  std::vector<TwoHopRow> two_hops_;       // ascending by via, none empty
   Reachability rows_;                     // ascending by via, none empty
   std::uint64_t rows_stamp_ = fresh_stamp();
   std::vector<NodeId> scratch_;           // set_two_hops_via/refresh_row

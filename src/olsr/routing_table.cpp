@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
+
 namespace manet::olsr {
 
 std::size_t RoutingTable::index_of(NodeId dest) const {
@@ -10,26 +12,62 @@ std::size_t RoutingTable::index_of(NodeId dest) const {
   return static_cast<std::size_t>(it - dests_.begin());
 }
 
+bool RoutingTable::routes_unmoved(const KnowledgeGraph& graph) const {
+  if (root_ == KnowledgeGraph::kNpos) return false;
+  const auto changes = graph.changes_since(stamp_);
+  if (!changes) return false;
+  // Slots added since the last BFS lie past its arrays: unreached.
+  const auto reached = [this](std::uint32_t slot) {
+    return slot < slot_dist_.size() && slot_dist_[slot] >= 0;
+  };
+  for (const auto& c : *changes) {
+    if (!reached(c.from)) continue;  // never dequeued, its arcs never read
+    if (!c.added) {
+      if (reached(c.to) && slot_parent_[c.to] == c.from) return false;
+      continue;
+    }
+    if (!reached(c.to)) return false;
+    const auto via = slot_dist_[c.from] + 1;
+    const auto dist = slot_dist_[c.to];
+    if (via < dist) return false;
+    if (via == dist && slot_rank_[c.from] < slot_rank_[slot_parent_[c.to]])
+      return false;
+  }
+  return true;
+}
+
 std::pair<std::vector<NodeId>, std::vector<NodeId>> RoutingTable::recompute(
     NodeId self, const KnowledgeGraph& graph) {
   if (current(self, graph)) return {{}, {}};
+  const bool unmoved = self == self_ && routes_unmoved(graph);
   self_ = self;
   stamp_ = graph.stamp();
+  if (unmoved) {
+    obs::hit(obs::Hot::kRouteSkips);
+    return {{}, {}};
+  }
 
+  obs::hit(obs::Hot::kRouteRuns);
   const std::size_t n = graph.slot_count();
   slot_dist_.assign(n, -1);
   slot_parent_.assign(n, KnowledgeGraph::kNpos);
+  slot_rank_.resize(n);
   queue_.clear();
-  const auto root = graph.slot_of(self);
-  if (root != KnowledgeGraph::kNpos) {
-    slot_dist_[root] = 0;
-    queue_.push_back(root);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
+  root_ = graph.slot_of(self);
+  if (root_ != KnowledgeGraph::kNpos) {
+    slot_dist_[root_] = 0;
+    slot_rank_[root_] = 0;
+    queue_.push_back(root_);
+    // The queue holds every discovered slot, so once it holds them all no
+    // arc left to read can discover one.
+    for (std::size_t head = 0; head < queue_.size() && queue_.size() < n;
+         ++head) {
       const auto u = queue_[head];
       for (const auto& arc : graph.arcs_from(u)) {
         if (slot_dist_[arc.to] >= 0) continue;  // self has dist 0
         slot_dist_[arc.to] = slot_dist_[u] + 1;
         slot_parent_[arc.to] = u;
+        slot_rank_[arc.to] = static_cast<std::uint32_t>(queue_.size());
         queue_.push_back(arc.to);
       }
     }

@@ -17,9 +17,19 @@ using net::NodeId;
 ///
 /// One path: a BFS from `self` over the graph's adjacency (ascending by
 /// node id, FIFO queue), run only when the graph's stamp or `self` moved
-/// since the last run. Routes are kept by destination id — sorted
-/// destinations with a parallel hop count and BFS-first parent — so they
-/// outlive the graph they came from and persist without it.
+/// since the last run, and stopped once every slot is discovered. Routes
+/// are kept by destination id — sorted destinations with a parallel hop
+/// count and BFS-first parent — so they outlive the graph they came from
+/// and persist without it.
+///
+/// The table also keeps the last BFS per graph slot (distance, BFS-first
+/// parent, dequeue rank) and skips the BFS when the graph's change log
+/// proves every arc change since that run a no-op for it. With `u`
+/// reached, an added arc u->v moves a route only if v is unreached,
+/// dist(u)+1 < dist(v), or dist(u)+1 = dist(v) and u is dequeued before
+/// v's parent; a removed arc only if it is v's parent arc. An arc out of
+/// an unreached node never moves one. Anything the log cannot tell runs
+/// the BFS.
 class RoutingTable {
  public:
   struct Entry {
@@ -35,11 +45,16 @@ class RoutingTable {
     return self == self_ && graph.stamp() == stamp_;
   }
 
-  /// Re-runs the BFS from `self` unless current(). Returns (added, removed)
-  /// destination sets relative to the previous table — the agent logs these.
+  /// Brings the table up to `graph` from `self`: nothing when current(),
+  /// no BFS when the graph's change log since the last run (restarted by
+  /// the caller after each call) proves the routes unmoved, else one BFS.
+  /// Returns (added, removed) destination sets relative to the previous
+  /// table — the agent logs these.
   std::pair<std::vector<NodeId>, std::vector<NodeId>> recompute(
       NodeId self, const KnowledgeGraph& graph);
 
+  /// True when `dest` has a route (one binary search).
+  bool reaches(NodeId dest) const { return index_of(dest) < dests_.size(); }
   std::optional<Entry> route_to(NodeId dest) const;
   std::vector<Entry> entries() const;
   std::size_t size() const { return dests_.size(); }
@@ -78,20 +93,28 @@ class RoutingTable {
     dests_ = std::move(p.dests);
     dist_ = std::move(p.dist);
     parent_ = std::move(p.parent);
-    stamp_ = 0;  // stamps start at 1: the next recompute runs
+    stamp_ = 0;  // stamps start at 1: the next recompute runs a BFS
+    root_ = KnowledgeGraph::kNpos;
   }
 
  private:
   std::size_t index_of(NodeId dest) const;  // into dests_; size() if absent
+  /// True when the graph's logged changes since the last BFS (from the
+  /// same self) provably move no route.
+  bool routes_unmoved(const KnowledgeGraph& graph) const;
 
   NodeId self_;
   std::uint64_t stamp_ = 0;  // graph stamp of the last run; 0 = none
   std::vector<NodeId> dests_;        // reachable destinations (≠ self)
   std::vector<std::int32_t> dist_;   // per dest
   std::vector<NodeId> parent_;       // per dest
-  // BFS scratch, per graph slot.
+  // The last BFS, per graph slot: distance (-1 unreached), BFS-first
+  // parent and dequeue rank (position in the FIFO queue), plus self's slot
+  // (kNpos when the graph had none, which never skips).
+  std::uint32_t root_ = KnowledgeGraph::kNpos;
   std::vector<std::int32_t> slot_dist_;
   std::vector<std::uint32_t> slot_parent_;
+  std::vector<std::uint32_t> slot_rank_;
   std::vector<std::uint32_t> queue_;
 };
 

@@ -124,7 +124,7 @@ bool Network::converged() const {
       // routes among the nodes that *can* talk.
       if (!medium_.is_up(b) || medium_.partition(a) != medium_.partition(b))
         continue;
-      if (!agents_[i]->routes().route_to(b)) return false;
+      if (!agents_[i]->routes().reaches(b)) return false;
     }
   }
   return true;

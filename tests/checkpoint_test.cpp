@@ -556,6 +556,9 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   ASSERT_GE(image.duplicate_ring.size(), 2u);
   ASSERT_LT(image.duplicate_ring.front().expiry,
             image.duplicate_ring.back().expiry);
+  ASSERT_NE(std::ranges::adjacent_find(image.two_hops, {},
+                                       &olsr::TwoHopTuple::via),
+            image.two_hops.end());
   const auto splice_image = [&](const faults::AgentImage& a) {
     CheckpointWriter w;
     faults::transfer_agent(w, a);
@@ -594,6 +597,11 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
            }},
           {"HNA tuple duplicated", [&](Image& a) {
              a.hna = {{Hna{far, 1, 24}, until}, {Hna{far, 1, 24}, until}};
+           }},
+          {"2-hop tuples of one via disagreeing on N_time", [&](Image& a) {
+             const auto i = std::ranges::adjacent_find(
+                 a.two_hops, {}, &olsr::TwoHopTuple::via);
+             i[1].valid_until = i[1].valid_until + sim::Duration::from_ms(1);
            }},
       };
   for (const auto& [what, bend] : image_cases) {

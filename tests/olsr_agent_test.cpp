@@ -361,6 +361,39 @@ TEST(Agent, EachFrameIsDecodedOnceForAllReceivers) {
   }
 }
 
+// A HELLO that shortens a symmetric link's L_SYM_time flips nothing, yet
+// the link now lapses earlier than the last self-edge sync expected. The
+// agent must re-sync its self edges from that earlier instant on: here the
+// next HELLO, after the lapse, no longer lists the agent, so it reports no
+// flip either (the link was already asymmetric), and nothing but the
+// lowered lapse time can take the direct route away. The cell runs no
+// housekeeping.
+TEST(Agent, ShorterHelloVtimeResyncsSelfEdges) {
+  Cell cell{1, {1}};
+  const NodeId peer{1};
+  const auto& agent = *cell.agents.front();
+  const auto at = [&](double s) {
+    cell.sim.run_until(sim::Time::from_seconds(s));
+  };
+  at(0.1);
+  cell.send(peer, hello_listing(peer, 1, NeighborType::kSymNeigh));  // 6 s
+  ASSERT_TRUE(agent.routes().reaches(peer));
+
+  at(1.1);
+  auto shorter = hello_listing(peer, 1, NeighborType::kSymNeigh);
+  shorter.header.vtime = sim::Duration::from_seconds(1.0);
+  cell.send(peer, shorter);
+  ASSERT_TRUE(agent.is_symmetric_neighbor(peer));
+  ASSERT_TRUE(agent.routes().reaches(peer));
+
+  at(2.5);  // past the shortened L_SYM_time, long before the first one
+  ASSERT_FALSE(agent.is_symmetric_neighbor(peer));
+  cell.send(peer, hello_listing(peer, 0, NeighborType::kSymNeigh));
+  EXPECT_FALSE(agent.is_symmetric_neighbor(peer));
+  EXPECT_FALSE(agent.routes().reaches(peer));
+  EXPECT_EQ(agent.routes().size(), 0u);
+}
+
 // Pins a departure from RFC 3626 §3.4 step 4.1 (see ROADMAP.md): with one
 // interface per node, a copy of a message already in the duplicate set
 // arrives on an interface already in D_iface_list and SHOULD NOT be

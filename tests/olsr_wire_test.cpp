@@ -116,6 +116,36 @@ TEST(Wire, HelloRoundTrip) {
   EXPECT_EQ(h->all_neighbors().size(), 4u);
 }
 
+// A forged or careless HELLO may list one address under several codes: the
+// symmetric list keeps its first occurrence in wire order (ascending code,
+// then insertion), and the ascending copy holds each address once.
+TEST(Wire, SymmetricNeighborsKeepFirstOccurrence) {
+  HelloMessage h;
+  h.add(LinkType::kSym, NeighborType::kSymNeigh, NodeId{5});
+  h.add(LinkType::kSym, NeighborType::kSymNeigh, NodeId{3});
+  h.add(LinkType::kSym, NeighborType::kSymNeigh, NodeId{5});
+  h.add(LinkType::kSym, NeighborType::kMprNeigh, NodeId{9});
+  h.add(LinkType::kSym, NeighborType::kMprNeigh, NodeId{3});
+  h.add(LinkType::kAsym, NeighborType::kNotNeigh, NodeId{1});
+  h.add(LinkType::kSym, NeighborType::kMprNeigh, NodeId{2});
+  const std::vector<NodeId> first_seen{NodeId{5}, NodeId{3}, NodeId{9},
+                                       NodeId{2}};
+  EXPECT_EQ(h.symmetric_neighbors(), first_seen);
+  std::vector<NodeId> in_order, ascending;
+  h.symmetric_neighbors(in_order, ascending);
+  EXPECT_EQ(in_order, first_seen);
+  EXPECT_EQ(ascending,
+            (std::vector<NodeId>{NodeId{2}, NodeId{3}, NodeId{5}, NodeId{9}}));
+
+  // Without repeats the list is the groups concatenated, untouched.
+  HelloMessage plain;
+  plain.add(LinkType::kSym, NeighborType::kMprNeigh, NodeId{1});
+  plain.add(LinkType::kSym, NeighborType::kSymNeigh, NodeId{8});
+  plain.add(LinkType::kSym, NeighborType::kSymNeigh, NodeId{4});
+  EXPECT_EQ(plain.symmetric_neighbors(),
+            (std::vector<NodeId>{NodeId{8}, NodeId{4}, NodeId{1}}));
+}
+
 TEST(Wire, TcRoundTrip) {
   TcMessage tc;
   tc.ansn = 999;

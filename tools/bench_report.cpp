@@ -11,7 +11,7 @@
 // grayhole detection round), and the observability-layer gauges (disabled
 // and enabled counter record, span record, registry snapshot) — with
 // repeated runs and median aggregates, and
-// writes the results to BENCH_19.json: the current point of this repo's
+// writes the results to BENCH_20.json: the current point of this repo's
 // recorded perf trajectory (see docs/BENCHMARKING.md for the whole series
 // and its comparability rules; tools/bench_diff.py prints median deltas
 // between consecutive BENCH_N files).
@@ -28,7 +28,7 @@
 int main(int argc, char** argv) {
   std::vector<std::string> args = {
       argv[0],
-      "--benchmark_out=BENCH_19.json",
+      "--benchmark_out=BENCH_20.json",
       "--benchmark_out_format=json",
       "--benchmark_repetitions=5",
       "--benchmark_report_aggregates_only=true",

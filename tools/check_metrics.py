@@ -18,8 +18,15 @@ Validates a metrics file emitted by `manet_experiments --metrics` or
    `*_recomputes_total` outcome counter it pairs with (only a run can
    change a result), e.g. manet_olsr_route_runs_total >=
    manet_olsr_route_recomputes_total.
+6. Work ceilings (--ceilings only): every counter the ceilings file names
+   is present and at most its committed value. Work counts of a seeded
+   run are exact, so this gates on work done without timing noise; a
+   change that means to do more work raises the committed value.
 
 Usage:  check_metrics.py FILE...       lint one or more exposition files
+        check_metrics.py --ceilings CEIL FILE...
+                                       lint, then hold FILE's counters to
+                                       the values in CEIL
         check_metrics.py --selftest    run the built-in fixture checks
 
 Exit code 0 = clean, 1 = findings (printed one per line).
@@ -178,6 +185,36 @@ def lint_text(text, where="metrics"):
     return findings
 
 
+def parse_ceilings(text):
+    """{counter name: ceiling} from `name value` lines; `#` lines are
+    comments."""
+    ceilings = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, value = line.split()
+        ceilings[name] = float(value)
+    return ceilings
+
+
+def check_ceilings(text, ceilings, where="metrics"):
+    """Findings for counters of `text` missing or above their ceiling."""
+    values = {}
+    for line in text.splitlines():
+        m = SAMPLE_RE.match(line)
+        if m and not m.group(2):
+            values[m.group(1)] = float(m.group(3))
+    findings = []
+    for name, ceiling in sorted(ceilings.items()):
+        if name not in values:
+            findings.append(f"{where}: {name} missing (ceiling {ceiling:g})")
+        elif values[name] > ceiling:
+            findings.append(
+                f"{where}: {name} {values[name]:g} above its ceiling "
+                f"{ceiling:g}")
+    return findings
+
+
 GOOD = """\
 # manifest tool=selftest
 # manifest version=unknown
@@ -234,11 +271,34 @@ BAD_CASES = [
 ]
 
 
+CEILINGS = """\
+# route BFS runs of the GOOD fixture
+manet_olsr_route_runs_total 5875
+manet_olsr_graph_arc_updates_total 41020
+"""
+
+CEILING_CASES = [
+    ("at the ceiling", CEILINGS, None),
+    ("above the ceiling",
+     "manet_olsr_route_runs_total 5874\n"
+     "manet_olsr_graph_arc_updates_total 41020\n", "above its ceiling"),
+    ("counter gone", "manet_olsr_mpr_runs_total 9999\n", "missing"),
+]
+
+
 def selftest():
     failures = []
     good = lint_text(GOOD, "GOOD")
     if good:
         failures.append(f"clean fixture flagged: {good}")
+    for label, ceilings, expect in CEILING_CASES:
+        found = check_ceilings(GOOD, parse_ceilings(ceilings), label)
+        if expect is None and found:
+            failures.append(f"ceilings {label!r} flagged: {found}")
+        if expect is not None and not any(expect in f for f in found):
+            failures.append(
+                f"ceilings {label!r}: expected a finding matching "
+                f"{expect!r}, got {found}")
     for label, text, expect in BAD_CASES:
         found = lint_text(text, label)
         if not any(expect in f for f in found):
@@ -247,7 +307,7 @@ def selftest():
                 f"got {found}")
     for f in failures:
         print(f"selftest: {f}")
-    print(f"selftest: {len(BAD_CASES) + 1} fixtures, "
+    print(f"selftest: {len(BAD_CASES) + len(CEILING_CASES) + 1} fixtures, "
           f"{len(failures)} failures")
     return 1 if failures else 0
 
@@ -258,17 +318,34 @@ def main(argv):
         return 0 if len(argv) >= 2 else 1
     if argv[1] == "--selftest":
         return selftest()
+    ceilings = None
+    paths = argv[1:]
+    if paths[0] == "--ceilings":
+        if len(paths) < 3:
+            print(__doc__)
+            return 1
+        try:
+            with open(paths[1], encoding="utf-8") as fh:
+                ceilings = parse_ceilings(fh.read())
+        except (OSError, ValueError) as e:
+            print(f"{paths[1]}: {e}")
+            return 1
+        paths = paths[2:]
     findings = []
-    for path in argv[1:]:
+    for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
-                findings.extend(lint_text(fh.read(), path))
+                text = fh.read()
         except OSError as e:
             findings.append(f"{path}: {e}")
+            continue
+        findings.extend(lint_text(text, path))
+        if ceilings is not None:
+            findings.extend(check_ceilings(text, ceilings, path))
     for f in findings:
         print(f)
     if not findings:
-        print(f"check_metrics: {len(argv) - 1} file(s) clean")
+        print(f"check_metrics: {len(paths)} file(s) clean")
     return 1 if findings else 0
 
 
