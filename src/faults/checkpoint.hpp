@@ -344,12 +344,13 @@ struct AgentEvents {
 };
 
 /// Validates an agent image and installs its state; returns its events.
-/// Rejected: unsorted or duplicated tables, self entries, a duplicate ring
-/// whose expiry times go backwards, routes whose parent chains route_to
-/// could not walk, log times that go backwards or counters that disagree
-/// with the records, unparsable forwards. (A log record with an unknown
-/// event code, or values short of its schema, fails earlier, in the
-/// section's decode.)
+/// Rejected: unsorted or duplicated tables, self entries, 2-hop tuples of
+/// one via with different N_times (the table keeps one per via), a
+/// duplicate ring whose expiry times go backwards, routes whose parent
+/// chains route_to could not walk, log times that go backwards or counters
+/// that disagree with the records, unparsable forwards. (A log record with
+/// an unknown event code, or values short of its schema, fails earlier, in
+/// the section's decode.)
 AgentEvents restore_agent(AgentImage image, olsr::Agent& agent);
 
 /// Applies counters and per-host radio state (every host must be

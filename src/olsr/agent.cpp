@@ -150,13 +150,12 @@ std::size_t Agent::sync_self_edges(KnowledgeGraph& g) const {
 void Agent::refresh_graph() {
   auto changed = apply_delta();
   const auto now = sim_.now();
-  if (self_edges_stale_ || now >= self_edges_lapse_) {
+  if (now >= self_edges_due_) {
     changed += sync_self_edges(graph_);
-    self_edges_stale_ = false;
-    self_edges_lapse_ = LinkSet::kNoTransition;
+    self_edges_due_ = LinkSet::kNoTransition;
     for (const auto& s : links_.slots())
       if (s.tuple.symmetric(now))
-        self_edges_lapse_ = std::min(self_edges_lapse_, s.tuple.sym_until);
+        self_edges_due_ = std::min(self_edges_due_, s.tuple.sym_until);
   }
   if (changed > 0) obs::hit(obs::Hot::kGraphArcUpdates, changed);
 }
@@ -164,7 +163,7 @@ void Agent::refresh_graph() {
 void Agent::rebuild_knowledge_graph() {
   graph_.clear();
   delta_.clear();
-  self_edges_stale_ = true;
+  self_edges_due_ = sim::Time{};
   for (const auto& t : neighbors_.two_hop_tuples())
     delta_.added.emplace_back(t.via, t.two_hop);
   for (const auto& t : topology_.tuples())
@@ -370,9 +369,8 @@ void Agent::process_hello(const Message& m, const HelloLists& lists) {
   // A flip moves the symmetric set; a refresh can still shorten L_SYM_time
   // (a shorter vtime) without one.
   if (change == LinkSet::Change::kBecameSym || change == LinkSet::Change::kLost)
-    self_edges_stale_ = true;
-  if (now_sym)
-    self_edges_lapse_ = std::min(self_edges_lapse_, link->sym_until);
+    self_edges_due_ = sim::Time{};
+  if (now_sym) self_edges_due_ = std::min(self_edges_due_, link->sym_until);
   bool tables_changed = change != LinkSet::Change::kNone;
   if (neighbors_.upsert_neighbor(from, hello->willingness, now_sym))
     tables_changed = true;
@@ -581,7 +579,7 @@ void Agent::reset_tables() {
   mprs_dirty_ = true;
   mprs_links_hint_ = sim::Time{};
   mpr_rows_stamp_ = 0;
-  self_edges_stale_ = true;
+  self_edges_due_ = sim::Time{};
   // msg_seq_/pkt_seq_/ansn_ intentionally keep counting (see header).
   log_.append(make_record(logging::Event::kTablesReset));
 }
@@ -716,7 +714,7 @@ void Agent::housekeep() {
   const auto lost = links_.expire(now);
   if (!lost.empty()) {
     mprs_dirty_ = true;
-    self_edges_stale_ = true;
+    self_edges_due_ = sim::Time{};
   }
   for (auto n : lost) {
     neighbors_.remove_neighbor(n, &delta_);

@@ -311,12 +311,11 @@ class Agent {
   std::uint64_t mpr_rows_stamp_ = 0;
   std::vector<std::pair<NodeId, Willingness>> mpr_neighbors_scratch_;
 
-  // Self-edge sync gate: a sync is due when a link flipped since the last
-  // one, or at self_edges_lapse_, the earliest L_SYM_time among the
-  // symmetric links then (lowered by every HELLO). Derived state, so not
-  // checkpointed: a restore or reset forces the next sync.
-  bool self_edges_stale_ = true;
-  sim::Time self_edges_lapse_{};
+  // When the next self-edge sync is due: the earliest L_SYM_time among the
+  // symmetric links at the last sync, lowered by every HELLO, and zero
+  // (now) once a link flipped. Derived state, so not checkpointed: a
+  // restore or reset makes the next sync due at once.
+  sim::Time self_edges_due_{};
 
   // Reusable scratch: per-HELLO/recompute work runs allocation-free in
   // steady state.

@@ -102,9 +102,9 @@ bool NeighborTable::set_two_hops_via(NodeId via,
                                      EdgeDelta* delta) {
   auto it = lower_row(two_hops_, via);
   const bool held = it != two_hops_.end() && it->via == via;
-  // A repeated HELLO lists what the row holds in the row's own order.
-  if (held ? two_hops == it->two_hops : two_hops.empty()) {
-    if (held) it->valid_until = valid_until;
+  // A repeated HELLO lists what the row holds, in the row's own order.
+  if (held && two_hops == it->two_hops) {
+    it->valid_until = valid_until;
     return false;
   }
 

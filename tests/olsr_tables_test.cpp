@@ -1005,8 +1005,6 @@ TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
   drive_agent(GetParam(), /*churn_willingness=*/false,
               [](const Agent& agent, sim::Time now, int step) {
     const NodeId self = agent.id();
-    const auto graph = agent.knowledge_graph();
-
     std::set<std::pair<NodeId, NodeId>> spec;
     auto edge = [&](NodeId a, NodeId b) {
       if (a == self || b == self) return;  // only links touch self
@@ -1020,7 +1018,8 @@ TEST_P(SlabEquivalence, IncrementalRoutingMatchesFullRebuild) {
     for (const auto& t : agent.neighbors().two_hop_tuples())
       edge(t.via, t.two_hop);
     for (const auto& t : agent.topology().tuples()) edge(t.last_hop, t.dest);
-    ASSERT_EQ(graph.arcs(), Arcs(spec.begin(), spec.end())) << "step " << step;
+    ASSERT_EQ(agent.knowledge_graph().arcs(), Arcs(spec.begin(), spec.end()))
+        << "step " << step;
 
     std::map<NodeId, std::set<NodeId>> adj;
     for (const auto& [a, b] : spec) adj[a].insert(b);
