@@ -68,7 +68,6 @@ std::unique_ptr<net::Medium> make_medium(sim::Simulator& sim, std::size_t n) {
   // the only traffic and the registry size is exactly what we set.
   const auto layout = net::grid_layout(n, 300.0);
   auto medium = std::make_unique<net::Medium>(sim, rc);
-  medium->set_track_in_flight(true);
   for (std::size_t i = 0; i < n; ++i)
     medium->attach(net::NodeId{static_cast<std::uint32_t>(i)}, layout[i]);
   for (std::size_t i = 0; i < n; ++i) {

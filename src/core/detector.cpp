@@ -336,10 +336,8 @@ void Detector::investigate_claim(NodeId suspect, NodeId subject,
   // E3 check: a suspect that is the sole provider toward some node makes
   // independent verification impossible; tag it so the report reflects the
   // lower confidence (the paper deliberately does not trigger on E3 alone).
-  const auto graph = agent_.knowledge_graph();
-  const auto path_without = olsr::RoutingTable::shortest_path(
-      graph, agent_.id(), subject, {suspect});
-  if (!path_without && subject != agent_.id())
+  const NodeId avoid[] = {suspect};
+  if (subject != agent_.id() && !agent_.path_avoiding(subject, avoid))
     tags.push_back(EvidenceTag::kE3SoleProvider);
 
   last_investigated_[{suspect, subject}] = sim_.now();

@@ -291,9 +291,7 @@ void InvestigationManager::on_timeout(std::uint32_t id) {
       // Algorithm 1: try the next covering path — grow the avoid set with
       // the first relay of the previous attempt so a different route is
       // chosen, then fall back to any multi-hop alternative.
-      const auto graph = agent_.knowledge_graph();
-      auto prev = olsr::RoutingTable::shortest_path(graph, agent_.id(), v,
-                                                    p.avoid);
+      const auto prev = agent_.path_avoiding(v, p.avoid);
       if (prev && prev->size() > 1) {
         const auto hop = prev->front();
         auto pos = std::lower_bound(p.avoid.begin(), p.avoid.end(), hop);

@@ -151,21 +151,22 @@ std::uint32_t Medium::partition(NodeId id) const {
   return host(id).partition;
 }
 
-void Medium::set_track_in_flight(bool on) {
-  if (on && router_ != nullptr)
+void Medium::require_flight_slots() const {
+  if (router_ != nullptr || config_.collision_window > sim::Duration{})
     throw std::logic_error{
-        "in-flight tracking requires the sequential engine"};
-  if (on && config_.collision_window > sim::Duration{})
-    throw std::logic_error{
-        "in-flight tracking does not support the collision model"};
-  track_in_flight_ = on;
-  if (!on) flights_.clear();
+        "in-flight frames are kept only by the sequential engine without "
+        "the collision model"};
 }
 
 std::vector<InFlightFrame> Medium::in_flight() const {
+  require_flight_slots();
   std::vector<InFlightFrame> out;
-  out.reserve(flights_.size());
-  for (const auto& [token, frame] : flights_) out.push_back(frame);
+  for (const auto& f : flights_) {
+    if (!f.live) continue;
+    out.push_back(InFlightFrame{f.receiver, f.packet.transmitter,
+                                f.packet.link_dest, f.packet.payload(),
+                                f.packet.sent_at, f.arrival, f.seq});
+  }
   std::sort(out.begin(), out.end(),
             [](const InFlightFrame& a, const InFlightFrame& b) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
@@ -175,20 +176,42 @@ std::vector<InFlightFrame> Medium::in_flight() const {
 }
 
 void Medium::restore_in_flight(const InFlightFrame& frame) {
-  if (!track_in_flight_)
-    throw std::logic_error{"restore_in_flight without tracking enabled"};
-  Packet packet{frame.transmitter, frame.link_dest,
-                make_payload(Bytes{frame.payload}), frame.sent_at};
-  const std::uint64_t token = next_flight_token_++;
-  auto on_arrival = [this, token, receiver = frame.receiver,
-                     packet = std::move(packet)] {
-    flights_.erase(token);
-    arrive(receiver, packet);
-  };
-  const sim::EventId ev = sim_.schedule_at(frame.arrival, std::move(on_arrival));
-  InFlightFrame tracked = frame;
-  tracked.seq = ev.raw();
-  flights_.emplace(token, std::move(tracked));
+  require_flight_slots();
+  const auto slot = park(frame.receiver,
+                         Packet{frame.transmitter, frame.link_dest,
+                                make_payload(Bytes{frame.payload}),
+                                frame.sent_at},
+                         frame.arrival);
+  flights_[slot].seq =
+      sim_.schedule_at(frame.arrival, [this, slot] { land(slot); }).raw();
+}
+
+std::uint32_t Medium::park(NodeId receiver, Packet packet,
+                           sim::Time arrival) {
+  auto slot = static_cast<std::uint32_t>(flights_.size());
+  if (free_flights_.empty()) {
+    flights_.emplace_back();
+  } else {
+    slot = free_flights_.back();
+    free_flights_.pop_back();
+  }
+  auto& f = flights_[slot];
+  f.receiver = receiver;
+  f.packet = std::move(packet);
+  f.arrival = arrival;
+  f.live = true;
+  return slot;
+}
+
+void Medium::land(std::uint32_t slot) {
+  auto& f = flights_[slot];
+  f.live = false;
+  free_flights_.push_back(slot);
+  // Out of the slot first: the handler may transmit, and a new delivery
+  // can take this very slot or grow the table.
+  const NodeId receiver = f.receiver;
+  const Packet packet = std::move(f.packet);
+  arrive(receiver, packet);
 }
 
 void Medium::arrive(NodeId receiver, const Packet& packet) {
@@ -291,11 +314,10 @@ void Medium::broadcast(NodeId sender, PayloadPtr payload) {
   // coalesced-insertion window (each event built in place in the queue's
   // heap storage, sifted on close). A shard router schedules per receiver
   // instead, because the receivers of one broadcast may live in different
-  // shards' queues; so does in-flight tracking, which needs each event's
-  // id and cannot schedule while a window is open.
+  // shards' queues.
   const double tx_loss = sender_loss(tx);
   std::optional<DeliveryWindow> window;
-  if (seq_sim_ != nullptr && router_ == nullptr && !track_in_flight_)
+  if (seq_sim_ != nullptr && router_ == nullptr)
     window.emplace(seq_sim_->open_window());
   for (const auto& c : snap.candidates) {
     if (c.id == sender) continue;
@@ -356,12 +378,13 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
   }
   const sim::Time arrival = eng.now() + delay;
 
-  // The corruption flag is shared with later overlapping arrivals; only
-  // allocated when the collision model is on (set_shard_router rejects the
-  // collision model, so this whole branch is sequential-only).
-  std::shared_ptr<bool> corrupted;
   if (config_.collision_window > sim::Duration{}) {
-    corrupted = std::make_shared<bool>(false);
+    // The corruption flag is shared with later overlapping arrivals
+    // (set_shard_router rejects the collision model, so this whole branch
+    // is sequential-only). It keeps its closure: an `arrivals` entry can
+    // outlive a landing dropped at a down host, so a flight slot named
+    // there could be reused by another frame.
+    auto corrupted = std::make_shared<bool>(false);
     // Purge stale entries, then collide with any overlapping arrival.
     std::erase_if(rx.arrivals, [&](const auto& a) {
       return a.first + config_.collision_window < eng.now();
@@ -374,9 +397,7 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
       }
     }
     rx.arrivals.emplace_back(arrival, corrupted);
-  }
 
-  if (config_.collision_window > sim::Duration{}) {
     auto on_arrival = [this, receiver = rx.id, corrupted, packet, arrival] {
       const auto it = index_.find(receiver);
       if (it == index_.end()) return;
@@ -402,46 +423,32 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
     return;
   }
 
-  // A cross-shard arrival carries its own deep copy of the payload: the
-  // intrusive PayloadPtr refcount is non-atomic (thread-confined by
-  // design), so a frame handed to another shard's mailbox must not share
-  // the sender-side refcount. Local and sequential deliveries keep the
-  // zero-copy sharing.
-  Packet to_deliver = packet;
-  if (router_ != nullptr && !router_->is_local(rx.id))
-    to_deliver.data = make_payload(Bytes{packet.payload()});
-
-  // Tracked (checkpointable) mode: same delivery semantics, plus the
-  // flight-registry bookkeeping. Split out so the hot untracked path below
-  // keeps its minimal capture.
-  if (track_in_flight_) {
-    const std::uint64_t token = next_flight_token_++;
-    InFlightFrame frame{rx.id,          packet.transmitter, packet.link_dest,
-                        Bytes{packet.payload()}, packet.sent_at, arrival, 0};
-    auto on_arrival = [this, token, receiver = rx.id,
-                       packet = std::move(to_deliver)] {
-      flights_.erase(token);
-      arrive(receiver, packet);
-    };
-    const sim::EventId ev = eng.schedule_at(arrival, std::move(on_arrival));
-    frame.seq = ev.raw();
-    flights_.emplace(token, std::move(frame));
+  if (router_ != nullptr) {
+    // A cross-shard arrival carries its own deep copy of the payload: the
+    // intrusive PayloadPtr refcount is non-atomic (thread-confined by
+    // design), so a frame handed to another shard's mailbox must not share
+    // the sender-side refcount. Local deliveries keep the zero-copy
+    // sharing.
+    Packet to_deliver = packet;
+    if (!router_->is_local(rx.id))
+      to_deliver.data = make_payload(Bytes{packet.payload()});
+    router_->schedule_delivery(
+        rx.id, arrival,
+        [this, receiver = rx.id, packet = std::move(to_deliver)] {
+          arrive(receiver, packet);
+        });
     return;
   }
 
-  // No collision model: `arrivals` stays empty and `corrupted` stays null,
-  // so the callback needs neither — a smaller capture makes every queue
-  // move of the entry cheaper on the hottest path.
-  auto on_arrival = [this, receiver = rx.id, packet = std::move(to_deliver)] {
-    arrive(receiver, packet);
-  };
-  if (window != nullptr) {
-    window->add(arrival, std::move(on_arrival));
-  } else if (router_ != nullptr) {
-    router_->schedule_delivery(rx.id, arrival, std::move(on_arrival));
-  } else {
-    eng.schedule_at(arrival, std::move(on_arrival));
-  }
+  // No collision model, no router: the delivery waits in a flight slot
+  // (sharing the payload), and its event names only the slot, which keeps
+  // the callback small on the hottest path.
+  const auto slot = park(rx.id, packet, arrival);
+  const auto on_arrival = [this, slot] { land(slot); };
+  const sim::EventId ev = window != nullptr
+                              ? window->add(arrival, on_arrival)
+                              : eng.schedule_at(arrival, on_arrival);
+  flights_[slot].seq = ev.raw();
 }
 
 std::vector<NodeId> Medium::neighbors_in_range(NodeId id) const {

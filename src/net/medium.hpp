@@ -43,11 +43,12 @@ struct MediumStats {
   std::uint64_t dropped_down = 0;
 };
 
-/// One tracked in-flight delivery (see Medium::set_track_in_flight): the
-/// full reconstruction recipe for a frame that has been transmitted (all
-/// its loss/jitter draws consumed) but has not yet arrived. `seq` is the
-/// event queue insertion sequence — the checkpoint machinery sorts pending
-/// work by (arrival, seq) to re-arm it in the original order.
+/// One in-flight delivery as Medium::in_flight lists it: the full
+/// reconstruction recipe for a frame that has been transmitted (all its
+/// loss/jitter draws consumed) but has not yet arrived, with its own copy
+/// of the payload bytes. `seq` is the event queue insertion sequence — the
+/// checkpoint machinery sorts pending work by (arrival, seq) to re-arm it
+/// in the original order.
 struct InFlightFrame {
   NodeId receiver;
   NodeId transmitter;
@@ -89,6 +90,11 @@ struct BatchStats {
 /// mutation (attach, detach, set_position, set_up) and are therefore always
 /// equal to what a fresh gather would produce; partition and loss
 /// overrides are read from the live host entries, never from a snapshot.
+///
+/// Under the sequential engine without the collision model, every delivery
+/// waits in a slot the medium owns (receiver, frame, arrival, event seq)
+/// and its arrival event names only the slot, so the live slots are
+/// exactly the frames on the air: what a checkpoint saves.
 class Medium {
  public:
   using ReceiveHandler = std::function<void(const Packet&)>;
@@ -139,21 +145,18 @@ class Medium {
   void set_partition(NodeId id, std::uint32_t partition);
   std::uint32_t partition(NodeId id) const;
 
-  /// Opt-in registry of transmitted-but-not-yet-arrived frames, the
-  /// checkpoint machinery's view of the air. Off by default (zero cost on
-  /// the golden paths); requires the sequential engine and no collision
-  /// model. While on, broadcasts schedule each delivery individually instead
-  /// of through one coalesced insertion window (same event order).
-  void set_track_in_flight(bool on);
-  bool track_in_flight() const { return track_in_flight_; }
-
-  /// Tracked in-flight frames in ascending (arrival, seq) order.
+  /// The transmitted-but-not-yet-arrived frames, the checkpoint
+  /// machinery's view of the air, in ascending (arrival, seq) order. The
+  /// payload bytes are copied here, not while the frames fly. Throws
+  /// std::logic_error under a shard router or the collision model, whose
+  /// deliveries wait in closures the medium cannot list.
   std::vector<InFlightFrame> in_flight() const;
 
-  /// Checkpoint restore: re-schedules one saved in-flight frame. Draws
-  /// nothing — the frame's loss/jitter draws were consumed before the
+  /// Checkpoint restore: re-schedules one saved in-flight frame in a slot.
+  /// Draws nothing — the frame's loss/jitter draws were consumed before the
   /// snapshot. Must be called in ascending saved (arrival, seq) order so
   /// the re-issued sequence numbers preserve the original tie-break order.
+  /// Refuses what in_flight() refuses.
   void restore_in_flight(const InFlightFrame& frame);
 
   /// Checkpoint restore of the traffic counters (sequential engine only).
@@ -214,19 +217,26 @@ class Medium {
   using DeliveryWindow = sim::EventQueue::Window;
 
   /// Draws loss + jitter for one receiver (from `eng`, the executing
-  /// context) and either schedules the delivery (window == nullptr), adds
-  /// it to the caller's coalesced-insertion window, or — with a shard
-  /// router installed — hands it to the router in the receiver's node
-  /// context. Identical draws and event order for the first two. `loss`
-  /// is the effective loss probability (config merged with any brown-out
-  /// overrides of sender and receiver).
+  /// context) and either parks the delivery in a flight slot, scheduled on
+  /// its own (window == nullptr) or added to the caller's
+  /// coalesced-insertion window, or — with a shard router installed —
+  /// hands it to the router in the receiver's node context. Identical
+  /// draws and event order for the first two. `loss` is the effective loss
+  /// probability (config merged with any brown-out overrides of sender and
+  /// receiver).
   void deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
                   double loss, DeliveryWindow* window = nullptr);
-  /// The arrival of one frame without the collision model (tracked,
-  /// untracked and restored deliveries): a detached receiver drops it, a
-  /// down one counts it as dropped_down, else it is counted and handed
-  /// to the receiver's handler.
+  /// The arrival of one frame without the collision model (slot, router
+  /// and restored deliveries): a detached receiver drops it, a down one
+  /// counts it as dropped_down, else it is counted and handed to the
+  /// receiver's handler.
   void arrive(NodeId receiver, const Packet& packet);
+  /// Takes a free flight slot (or grows the table) for one delivery.
+  std::uint32_t park(NodeId receiver, Packet packet, sim::Time arrival);
+  /// The arrival event of one flight slot: frees it, then arrive().
+  void land(std::uint32_t slot);
+  /// Throws unless the deliveries wait in flight slots (see in_flight).
+  void require_flight_slots() const;
   /// max(config loss, sender override).
   double sender_loss(const Host& tx) const {
     return tx.loss_override >= 0.0
@@ -277,11 +287,18 @@ class Medium {
   std::vector<BatchStats> batch_stats_shards_;
   mutable BatchStats batch_stats_fold_;
 
-  /// In-flight tracking (checkpoint support): token -> frame. Tokens are
-  /// minted in schedule order, so they order identically to event seqs.
-  bool track_in_flight_ = false;
-  std::uint64_t next_flight_token_ = 1;
-  std::unordered_map<std::uint64_t, InFlightFrame> flights_;
+  /// Deliveries on the air: a slot table with a free list. Each arrival
+  /// event captures only (this, slot), and the frame shares its payload
+  /// with the other receivers until it lands.
+  struct FlightSlot {
+    NodeId receiver;
+    Packet packet;
+    sim::Time arrival;
+    std::uint64_t seq = 0;
+    bool live = false;
+  };
+  std::vector<FlightSlot> flights_;
+  std::vector<std::uint32_t> free_flights_;
 };
 
 }  // namespace manet::net

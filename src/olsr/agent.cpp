@@ -177,6 +177,13 @@ KnowledgeGraph Agent::knowledge_graph() const {
   return g;
 }
 
+std::optional<std::vector<NodeId>> Agent::path_avoiding(
+    NodeId dest, std::span<const NodeId> avoid) const {
+  links_.symmetric_neighbors(sim_.now(), sym_scratch_);
+  return RoutingTable::shortest_path(graph_, id_, dest, avoid, sym_scratch_,
+                                     path_scratch_);
+}
+
 // ---------------------------------------------------------------- emission
 
 void Agent::emit_hello() {
@@ -627,7 +634,7 @@ Agent::SendStatus Agent::send_data(NodeId dest, std::uint16_t protocol,
                                    std::vector<std::uint8_t> payload,
                                    std::span<const NodeId> avoid) {
   refresh_graph();
-  auto path = RoutingTable::shortest_path(graph_, id_, dest, avoid);
+  auto path = path_avoiding(dest, avoid);
   if (!path) {
     log_.append(make_record(logging::Event::kDataNoRoute, dest));
     return SendStatus::kNoRoute;

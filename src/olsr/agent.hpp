@@ -126,6 +126,13 @@ class Agent {
   /// A copy of the adjacency this node believes in (link set + 2-hop + TC
   /// topology, §10), self edges synced to the symmetric links at now.
   KnowledgeGraph knowledge_graph() const;
+  /// Shortest hop path to `dest` over that adjacency (next hop first,
+  /// `dest` last; nullopt if unreachable), relaying through no node of
+  /// `avoid` (sorted ascending; `dest` itself may be in it). One BFS over
+  /// the live graph with the symmetric links at now as first hops, on
+  /// reused scratch: no graph copy, and the graph is left as it is.
+  std::optional<std::vector<NodeId>> path_avoiding(
+      NodeId dest, std::span<const NodeId> avoid) const;
 
   // --- audit log (the IDS's only window into the daemon) ---
   logging::LogStore& log() { return log_; }
@@ -320,6 +327,7 @@ class Agent {
   // Reusable scratch: per-HELLO/recompute work runs allocation-free in
   // steady state.
   mutable std::vector<NodeId> sym_scratch_;
+  mutable RoutingTable::PathScratch path_scratch_;
   mutable std::vector<NodeId> asym_scratch_;
   std::vector<NodeId> two_hop_scratch_;
   MprInputs mpr_inputs_;

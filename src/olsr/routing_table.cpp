@@ -122,39 +122,56 @@ std::optional<std::vector<NodeId>> RoutingTable::path_to(NodeId dest) const {
 std::optional<std::vector<NodeId>> RoutingTable::shortest_path(
     const KnowledgeGraph& graph, NodeId from, NodeId to,
     std::span<const NodeId> avoid) {
-  if (from == to) return std::vector<NodeId>{};
-  const auto from_slot = graph.slot_of(from);
-  const auto to_slot = graph.slot_of(to);
-  if (from_slot == KnowledgeGraph::kNpos || to_slot == KnowledgeGraph::kNpos)
-    return std::nullopt;
+  std::vector<NodeId> first_hops;
+  if (const auto slot = graph.slot_of(from); slot != KnowledgeGraph::kNpos)
+    for (const auto& arc : graph.arcs_from(slot))
+      first_hops.push_back(graph.id_at(arc.to));
+  PathScratch scratch;
+  return shortest_path(graph, from, to, avoid, first_hops, scratch);
+}
 
-  const std::size_t n = graph.slot_count();
-  std::vector<std::uint32_t> parent(n, KnowledgeGraph::kNpos);
-  std::vector<char> seen(n, 0);
-  std::vector<std::uint32_t> queue{from_slot};
-  seen[from_slot] = 1;
+std::optional<std::vector<NodeId>> RoutingTable::shortest_path(
+    const KnowledgeGraph& graph, NodeId from, NodeId to,
+    std::span<const NodeId> avoid, std::span<const NodeId> first_hops,
+    PathScratch& scratch) {
+  if (from == to) return std::vector<NodeId>{};
+  // Avoided nodes cannot relay; they may only terminate the path.
+  const auto relays = [&](NodeId id) {
+    return id == to || !std::binary_search(avoid.begin(), avoid.end(), id);
+  };
+  constexpr auto kUnseen = KnowledgeGraph::kNpos;
+  constexpr auto kFrom = KnowledgeGraph::kNpos - 1;  // parent of first hops
+  auto& parent = scratch.parent;
+  auto& queue = scratch.queue;
+  parent.assign(graph.slot_count(), kUnseen);
+  queue.clear();
+  if (const auto slot = graph.slot_of(from); slot != KnowledgeGraph::kNpos)
+    parent[slot] = kFrom;
+
+  for (const auto hop : first_hops) {
+    if (hop == to) return std::vector<NodeId>{to};
+    if (!relays(hop)) continue;
+    // A hop the graph never saw has no arcs onward: a dead end.
+    const auto v = graph.slot_of(hop);
+    if (v == KnowledgeGraph::kNpos || parent[v] != kUnseen) continue;
+    parent[v] = kFrom;
+    queue.push_back(v);
+  }
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const auto u = queue[head];
     for (const auto& arc : graph.arcs_from(u)) {
       const auto v = arc.to;
-      if (seen[v]) continue;
-      // Avoided nodes cannot relay; they may only terminate the path.
-      if (v != to_slot &&
-          std::binary_search(avoid.begin(), avoid.end(), graph.id_at(v)))
-        continue;
+      if (parent[v] != kUnseen || !relays(graph.id_at(v))) continue;
       parent[v] = u;
-      if (v == to_slot) {
-        std::vector<NodeId> reversed{to};
-        std::uint32_t cur = to_slot;
-        while (parent[cur] != from_slot) {
-          cur = parent[cur];
-          reversed.push_back(graph.id_at(cur));
-        }
-        std::reverse(reversed.begin(), reversed.end());
-        return reversed;
+      if (graph.id_at(v) != to) {
+        queue.push_back(v);
+        continue;
       }
-      seen[v] = 1;
-      queue.push_back(v);
+      std::vector<NodeId> reversed{to};
+      for (auto cur = u; cur != kFrom; cur = parent[cur])
+        reversed.push_back(graph.id_at(cur));
+      std::reverse(reversed.begin(), reversed.end());
+      return reversed;
     }
   }
   return std::nullopt;

@@ -64,10 +64,10 @@ class RoutingTable {
   std::optional<std::vector<NodeId>> path_to(NodeId dest) const;
 
   /// Shortest path over an arbitrary graph with nodes to avoid as relays
-  /// (the destination itself may not be avoided). Used by the cooperative
-  /// investigation to route around the suspicious MPR and colluders.
-  /// `avoid` must be sorted ascending; the span view replaces the old
-  /// std::set default argument that allocated a temporary per call.
+  /// (the destination itself may not be avoided): next hop first, `to`
+  /// last; empty when from == to, nullopt if unreachable. A FIFO BFS over
+  /// arcs ascending by target id, so equal-length paths resolve the same
+  /// way on every run. `avoid` must be sorted ascending.
   static std::optional<std::vector<NodeId>> shortest_path(
       const KnowledgeGraph& graph, NodeId from, NodeId to,
       std::span<const NodeId> avoid = {});
@@ -77,6 +77,22 @@ class RoutingTable {
     return shortest_path(graph, from, to,
                          std::span<const NodeId>{avoid.begin(), avoid.size()});
   }
+
+  /// The BFS state of shortest_path, kept by a caller that searches often
+  /// so that a search allocates nothing but the path it returns.
+  struct PathScratch {
+    std::vector<std::uint32_t> parent;  // per slot
+    std::vector<std::uint32_t> queue;
+  };
+  /// The same search with `from`'s out-arcs given as `first_hops`
+  /// (ascending ids; `from` and the hops need not be in the graph) in
+  /// place of the graph's: an agent searches its live graph this way,
+  /// with its symmetric links at now as the first hops, since its own
+  /// arcs follow the link set only at the next sync.
+  static std::optional<std::vector<NodeId>> shortest_path(
+      const KnowledgeGraph& graph, NodeId from, NodeId to,
+      std::span<const NodeId> avoid, std::span<const NodeId> first_hops,
+      PathScratch& scratch);
 
   /// Checkpoint image: the routes, which is all the table needs until its
   /// next run. A restored table is never current(), so that run is a BFS

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
-#include <vector>
+#include <utility>
 
 #include "sim/callback.hpp"
+#include "sim/lazy_heap.hpp"
 #include "sim/time.hpp"
 
 namespace manet::psim {
@@ -25,7 +25,8 @@ namespace manet::psim {
 /// node state is only coupled through lookahead-delayed deliveries, so
 /// those interleavings are unobservable.
 ///
-/// Cancellation is O(1) lazy via a hash set, as in sim::EventQueue.
+/// The heap and its O(1) lazy cancellation are sim::LazyHeap, as in
+/// sim::EventQueue; only the key differs.
 class ShardQueue {
  public:
   /// One pending event: the global ordering key, the node whose context
@@ -39,31 +40,28 @@ class ShardQueue {
     sim::Callback cb;
   };
 
-  void push(Entry entry);
-  void cancel(std::uint64_t id);
+  void push(Entry entry) { heap_.push(std::move(entry)); }
+  void cancel(std::uint64_t id) { heap_.cancel(id); }
 
-  bool empty() const;
-  sim::Time next_time() const;  ///< requires !empty()
-  Entry pop();                  ///< requires !empty()
+  bool empty() const { return heap_.empty(); }
+  /// Both throw std::logic_error when empty().
+  sim::Time next_time() const { return heap_.top().at; }
+  Entry pop() { return heap_.pop(); }
 
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return heap_.live(); }
 
  private:
-  static bool earlier(const Entry& a, const Entry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.origin_node != b.origin_node) return a.origin_node < b.origin_node;
-    return a.origin_seq < b.origin_seq;
-  }
-  // Mirrors sim::EventQueue: empty()/next_time() discard cancelled entries,
-  // so heap_ and cancelled_ are mutable caches of the same logical queue.
-  void sift_up(std::size_t i) const;
-  void sift_down(std::size_t i) const;
-  void pop_top() const;
-  void drop_cancelled() const;
+  struct Order {
+    static bool earlier(const Entry& a, const Entry& b) {
+      if (a.at != b.at) return a.at < b.at;
+      if (a.origin_node != b.origin_node)
+        return a.origin_node < b.origin_node;
+      return a.origin_seq < b.origin_seq;
+    }
+    static std::uint64_t id(const Entry& e) { return e.id; }
+  };
 
-  mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  std::size_t live_ = 0;
+  sim::LazyHeap<Entry, Order> heap_;
 };
 
 }  // namespace manet::psim

@@ -1,52 +1,12 @@
 #include "runtime/runner.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 namespace manet::runtime {
-namespace {
-
-/// Per-worker task deque. The owner pops from the front; thieves take from
-/// the back, so a victim keeps the cache-warm head of its own run while
-/// surrendering the work it is furthest from reaching.
-class WorkDeque {
- public:
-  void push_back(std::size_t task) {
-    std::lock_guard lock{mutex_};
-    tasks_.push_back(task);
-  }
-
-  std::optional<std::size_t> pop_front() {
-    std::lock_guard lock{mutex_};
-    if (tasks_.empty()) return std::nullopt;
-    auto t = tasks_.front();
-    tasks_.pop_front();
-    return t;
-  }
-
-  std::optional<std::size_t> steal_back() {
-    std::lock_guard lock{mutex_};
-    if (tasks_.empty()) return std::nullopt;
-    auto t = tasks_.back();
-    tasks_.pop_back();
-    return t;
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock{mutex_};
-    return tasks_.size();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::deque<std::size_t> tasks_;
-};
-
-}  // namespace
 
 unsigned Runner::effective_threads(std::size_t task_count) const {
   unsigned threads = config_.threads;
@@ -88,66 +48,44 @@ std::vector<ReplicationResult> Runner::run(
     }
   }
 
-  const unsigned threads = effective_threads(tasks.size());
-  if (threads == 1) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      results[i] = run_replication(tasks[i], trust_params, decision);
-      if (progress_) progress_(i + 1, tasks.size());
-    }
-    return results;
-  }
-
-  // Round-robin initial shards; stealing rebalances from there.
-  std::vector<WorkDeque> deques(threads);
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    deques[i % threads].push_back(i);
-
-  std::mutex progress_mutex;
+  // Every replication is independent and writes only its own result
+  // slot, so one shared cursor hands tasks out as dynamically as any
+  // scheduler could; the one-thread case runs the same worker inline.
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;  // guards `done`, the progress calls and `first_error`
   std::size_t done = 0;
-  std::mutex error_mutex;
   std::exception_ptr first_error;
 
-  auto worker = [&](unsigned self) {
+  auto worker = [&] {
     for (;;) {
-      {
-        std::lock_guard lock{error_mutex};
-        if (first_error) return;  // some replication failed: drain and stop
-      }
-      auto task_index = deques[self].pop_front();
-      if (!task_index) {
-        // Steal from the victim with the most queued work.
-        std::size_t best = 0, best_size = 0;
-        for (unsigned v = 0; v < threads; ++v) {
-          if (v == self) continue;
-          const auto size = deques[v].size();
-          if (size > best_size) {
-            best_size = size;
-            best = v;
-          }
-        }
-        if (best_size == 0) return;  // everything is taken: we are done
-        task_index = deques[best].steal_back();
-        if (!task_index) continue;  // lost the race; look again
-      }
+      const std::size_t i = next.fetch_add(1);
+      if (i >= tasks.size()) return;
       try {
-        results[*task_index] =
-            run_replication(tasks[*task_index], trust_params, decision);
+        results[i] = run_replication(tasks[i], trust_params, decision);
       } catch (...) {
-        std::lock_guard lock{error_mutex};
+        // Some replication failed: move the cursor past the end so every
+        // worker stops after its current task.
+        next.store(tasks.size());
+        std::lock_guard lock{mutex};
         if (!first_error) first_error = std::current_exception();
         return;
       }
       if (progress_) {
-        std::lock_guard lock{progress_mutex};
+        std::lock_guard lock{mutex};
         progress_(++done, tasks.size());
       }
     }
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-  for (auto& t : pool) t.join();
+  const unsigned threads = effective_threads(tasks.size());
+  if (threads == 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
 
   if (first_error) std::rethrow_exception(first_error);
   return results;

@@ -11,9 +11,8 @@ namespace manet::runtime {
 /// Parallel replication executor over two orthogonal axes.
 ///
 /// Inter-replication: every ReplicationTask owns a private engine stack and
-/// RNG streams, and the Runner shards the task list across worker threads
-/// with work stealing (each worker drains its own deque front-to-back and
-/// steals from the back of the fullest victim when it runs dry).
+/// RNG streams, and worker threads take the next task index from one
+/// shared atomic cursor until the list runs out.
 ///
 /// Intra-replication: tasks that select the psim sharded engine can spend
 /// several workers *inside* one replication. Because sharded results are

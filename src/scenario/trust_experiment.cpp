@@ -56,10 +56,6 @@ faults::FaultInjector::NodeOps TrustExperiment::node_ops() {
 }
 
 void TrustExperiment::build_network() {
-  if (config_.checkpointable && config_.engine != sim::EngineKind::kSequential)
-    throw std::invalid_argument{
-        "checkpointable runs require the sequential engine"};
-
   const bool grayhole = config_.attack == AttackKind::kGrayhole;
 
   Network::Config nc;
@@ -161,8 +157,6 @@ void TrustExperiment::build_network() {
     network_->agent(0).log().set_audit_writer(audit_writer_.get());
     detector_->pipeline().set_recorder(audit_writer_.get());
   }
-
-  if (config_.checkpointable) network_->medium().set_track_in_flight(true);
 
   if (faulted()) {
     injector_ = std::make_unique<faults::FaultInjector>(
@@ -529,8 +523,6 @@ void transfer_body(IO& io, Body& b) {
 }  // namespace
 
 std::vector<std::uint8_t> TrustExperiment::save_checkpoint() {
-  if (!config_.checkpointable)
-    throw std::logic_error{"save_checkpoint requires checkpointable mode"};
   if (network_ == nullptr || network_->sharded() != nullptr)
     throw std::logic_error{"save_checkpoint requires the sequential engine"};
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
@@ -598,8 +590,8 @@ std::vector<std::uint8_t> TrustExperiment::audit_log() const {
 
 void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
   using faults::CheckpointError;
-  if (!config_.checkpointable)
-    throw std::invalid_argument{"restore requires a checkpointable config"};
+  if (config_.engine != sim::EngineKind::kSequential)
+    throw std::invalid_argument{"restore requires the sequential engine"};
   if (config_.record_audit)
     throw std::invalid_argument{
         "record_audit cannot resume from a checkpoint: the recorded stream "

@@ -71,9 +71,6 @@ class TrustExperiment {
     /// lane is quiescent — either way the run is byte-stable in the seed
     /// and independent of engine_threads.
     faults::FaultPlan fault_plan;
-    /// Opt in to checkpoint/restore: turns on in-flight frame tracking
-    /// (trace-identical bookkeeping). Sequential engine only.
-    bool checkpointable = false;
     /// Detector fault tolerance, applied only when fault_plan is non-empty
     /// (keeps the pristine golden traces untouched): convictions of nodes
     /// not heard from within this window are downgraded, and unresponsive
@@ -176,8 +173,8 @@ class TrustExperiment {
   }
 
   /// Serializes the complete run state at a round boundary (versioned
-  /// binary format, see faults/checkpoint.hpp). Requires checkpointable
-  /// mode and no outstanding investigations; restore_checkpoint on the
+  /// binary format, see faults/checkpoint.hpp). Requires the sequential
+  /// engine and no outstanding investigations; restore_checkpoint on the
   /// bytes continues the run byte-identically to never having stopped.
   std::vector<std::uint8_t> save_checkpoint();
 
@@ -185,7 +182,8 @@ class TrustExperiment {
   /// from `config` (which must match the saving run's), overwrites every
   /// component's state from the snapshot, and re-arms all pending events
   /// sorted by (time, original seq) so the event queue replays the
-  /// uninterrupted run's tie-breaks. Throws faults::CheckpointError on
+  /// uninterrupted run's tie-breaks. Throws std::invalid_argument for a
+  /// sharded or recording config and faults::CheckpointError on
   /// magic/version/config mismatch or corruption.
   static std::unique_ptr<TrustExperiment> restore_checkpoint(
       Config config, const std::vector<std::uint8_t>& bytes);

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -14,86 +13,29 @@ void EventQueue::require_no_window() const {
 EventId EventQueue::schedule(Time at, Callback cb) {
   require_no_window();
   const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Entry{at, seq, std::move(cb)});
-  sift_up(heap_.size() - 1);
-  ++live_;
+  heap_.push(Entry{at, seq, std::move(cb)});
   return EventId{seq};
 }
 
 void EventQueue::cancel(EventId id) {
   require_no_window();
-  if (!id.valid()) return;
-  if (cancelled_.insert(id.id_).second && live_ > 0) --live_;
-}
-
-void EventQueue::sift_up(std::size_t i) const {
-  // Fast path for the dominant case (timer rearms and frame deliveries are
-  // scheduled in near-ascending time order): the new entry already sits
-  // below its parent, so no 112-byte Entry moves happen at all.
-  if (i == 0 || !earlier(heap_[i], heap_[(i - 1) / 2])) return;
-  Entry e = std::move(heap_[i]);
-  do {
-    const std::size_t parent = (i - 1) / 2;
-    heap_[i] = std::move(heap_[parent]);
-    i = parent;
-  } while (i > 0 && earlier(e, heap_[(i - 1) / 2]));
-  heap_[i] = std::move(e);
-}
-
-void EventQueue::sift_down(std::size_t i) const {
-  const std::size_t n = heap_.size();
-  Entry e = std::move(heap_[i]);
-  while (true) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!earlier(heap_[child], e)) break;
-    heap_[i] = std::move(heap_[child]);
-    i = child;
-  }
-  heap_[i] = std::move(e);
-}
-
-void EventQueue::pop_top() const {
-  if (heap_.size() > 1) {
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    sift_down(0);
-  } else {
-    heap_.pop_back();
-  }
-}
-
-void EventQueue::drop_cancelled() const {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().seq);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    pop_top();
-  }
+  heap_.cancel(id.id_);
 }
 
 bool EventQueue::empty() const {
   require_no_window();
-  drop_cancelled();
   return heap_.empty();
 }
 
 Time EventQueue::next_time() const {
   require_no_window();
-  drop_cancelled();
-  if (heap_.empty()) throw std::logic_error{"EventQueue::next_time on empty"};
-  return heap_.front().at;
+  return heap_.top().at;
 }
 
 Time EventQueue::run_next() {
   require_no_window();
-  drop_cancelled();
-  if (heap_.empty()) throw std::logic_error{"EventQueue::run_next on empty"};
   // Move the entry out before running: the callback may schedule/cancel.
-  Entry e = std::move(heap_.front());
-  pop_top();
-  if (live_ > 0) --live_;
+  Entry e = heap_.pop();
   e.cb();
   return e.at;
 }

@@ -2,11 +2,10 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/lazy_heap.hpp"
 #include "sim/time.hpp"
 
 namespace manet::psim {
@@ -36,15 +35,14 @@ class EventId {
 
 /// Time-ordered queue of callbacks. Ties are broken by insertion order so a
 /// run is deterministic regardless of the heap implementation. Entries hold
-/// their callback inline (sim::Callback small-buffer storage) in a manual
-/// binary heap, so steady-state scheduling performs no per-event heap
-/// allocation. Cancellation is O(1) lazy: cancelled ids go into a hash set
-/// and matching entries are discarded when they surface at the heap top.
+/// their callback inline (sim::Callback small-buffer storage) in a
+/// sim::LazyHeap, so steady-state scheduling performs no per-event heap
+/// allocation, and cancellation is O(1) lazy.
 ///
 /// Determinism contract: events run in ascending (time, insertion sequence)
-/// order. `schedule_window` assigns the same sequence numbers as the
-/// equivalent series of `schedule` calls, so coalesced insertion never
-/// changes the execution order of anything.
+/// order. A Window assigns the same sequence numbers as the equivalent
+/// series of `schedule` calls, so coalesced insertion never changes the
+/// execution order of anything.
 class EventQueue {
  public:
   using Callback = sim::Callback;
@@ -80,20 +78,21 @@ class EventQueue {
     ~Window() { close(); }
 
     /// Appends one event; the callback is constructed in place inside the
-    /// queue's storage from `f`.
+    /// queue's storage from `f`. Returns the id schedule() would have.
     template <typename F>
-    void add(Time at, F&& f) {
+    EventId add(Time at, F&& f) {
       if (at < floor_)
         throw std::invalid_argument{"EventQueue::Window::add in the past"};
-      q_->heap_.emplace_back(at, q_->next_seq_++, std::forward<F>(f));
-      ++q_->live_;
+      const std::uint64_t seq = q_->next_seq_++;
+      q_->heap_.append(at, seq, std::forward<F>(f));
+      return EventId{seq};
     }
 
     /// Restores the heap invariant over the added entries. Idempotent;
     /// also run by the destructor.
     void close() {
       if (q_ == nullptr) return;
-      for (std::size_t i = first_; i < q_->heap_.size(); ++i) q_->sift_up(i);
+      q_->heap_.sift_from(first_);
       q_->window_open_ = false;
       q_ = nullptr;
     }
@@ -101,7 +100,7 @@ class EventQueue {
    private:
     friend class EventQueue;
     Window(EventQueue* q, Time floor)
-        : q_{q}, floor_{floor}, first_{q->heap_.size()} {
+        : q_{q}, floor_{floor}, first_{q->heap_.stored()} {
       q->window_open_ = true;
     }
     EventQueue* q_;
@@ -123,7 +122,7 @@ class EventQueue {
   /// Pops and runs the earliest event; returns its time.
   Time run_next();
 
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return heap_.live(); }
 
  private:
   struct Entry {
@@ -131,23 +130,17 @@ class EventQueue {
     std::uint64_t seq;
     Callback cb;
   };
-  static bool earlier(const Entry& a, const Entry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
-  // The heap mutators are const so that empty()/next_time() can discard
-  // cancelled entries; heap_ and cancelled_ are mutable caches of the same
-  // logical queue (as in the previous priority_queue implementation).
-  void sift_up(std::size_t i) const;
-  void sift_down(std::size_t i) const;
-  void pop_top() const;
-  void drop_cancelled() const;
+  struct Order {
+    static bool earlier(const Entry& a, const Entry& b) {
+      if (a.at != b.at) return a.at < b.at;
+      return a.seq < b.seq;
+    }
+    static std::uint64_t id(const Entry& e) { return e.seq; }
+  };
   void require_no_window() const;
 
-  mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
+  LazyHeap<Entry, Order> heap_;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;
   bool window_open_ = false;
 };
 

@@ -534,7 +534,6 @@ TEST(AuditReplay, RestoreCheckpointRejectsRecordingConfig) {
   // declared incompatible rather than silently producing a broken stream.
   TrustExperiment::Config config;
   config.seed = 3;
-  config.checkpointable = true;
   TrustExperiment exp{config};
   exp.setup();
   exp.run_round();

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,6 @@ TrustExperiment::Config checkpoint_config(bool faulted) {
   c.seed = 29;
   c.num_nodes = 16;
   c.num_liars = 4;
-  c.checkpointable = true;
   if (faulted) {
     // The plan straddles every save point: node 6 is down across the
     // mid-run checkpoint, so the snapshot must carry a mid-fault world
@@ -241,12 +241,22 @@ TEST(CheckpointBytes, PinnedPerVersion) {
 
 // --- preconditions and error paths ---------------------------------------
 
-TEST(Checkpoint, SaveRequiresCheckpointableMode) {
+// The sharded engine's deliveries wait in shard mailboxes and lane queues
+// that no checkpoint section holds, so both directions refuse it up front.
+TEST(Checkpoint, SaveRefusesTheShardedEngine) {
   auto config = checkpoint_config(false);
-  config.checkpointable = false;
+  config.engine = sim::EngineKind::kSharded;
+  config.engine_threads = 1;
+  config.shards = 2;
   TrustExperiment exp{config};
   exp.setup();
   EXPECT_THROW(exp.save_checkpoint(), std::logic_error);
+
+  TrustExperiment sequential{checkpoint_config(false)};
+  sequential.setup();
+  const auto bytes = sequential.save_checkpoint();
+  EXPECT_THROW(TrustExperiment::restore_checkpoint(config, bytes),
+               std::invalid_argument);
 }
 
 TEST(Checkpoint, RestoreRejectsCorruptMagic) {

@@ -325,8 +325,7 @@ TEST(GrayholeEquivalence, CheckpointRestoreContinuesByteIdentically) {
   // checkpoint_test pins it: post-restore round fingerprints plus the
   // final trust CSV.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    auto config = grayhole_config(seed, /*rounds=*/6);
-    config.checkpointable = true;
+    const auto config = grayhole_config(seed, /*rounds=*/6);
 
     TrustExperiment pristine{config};
     pristine.setup();

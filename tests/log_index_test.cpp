@@ -396,8 +396,7 @@ TEST(LogIndexEquivalence, GrayholeGridForwardingQueriesAndScans) {
 
 TEST(LogIndexEquivalence, CheckpointRestoreRebuildsTheIndex) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto config = spoof_mesh(seed);
-    config.checkpointable = true;
+    const auto config = spoof_mesh(seed);
     TrustExperiment exp{config};
     exp.setup();
     run_checked(exp, 2, seed);

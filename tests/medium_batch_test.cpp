@@ -1,9 +1,8 @@
 // Per-cell receiver snapshots shared by every Medium::broadcast: how often
-// they are built and reused, when they are invalidated, and that the
-// in-flight tracking used by checkpoints (which schedules each delivery
-// individually instead of through one coalesced window) leaves a full OLSR
-// flood trace unchanged. Trace equivalence against the per-sender
-// full-scan reference lives in tests/medium_index_test.cpp.
+// they are built and reused and when they are invalidated; and the flight
+// slots every delivery waits in, whose listing mid-flood must match what
+// lands. Trace equivalence against the per-sender full-scan reference
+// lives in tests/medium_index_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -56,58 +55,68 @@ TEST(MediumBatch, StaticRoundSharesSnapshotsPerCell) {
   EXPECT_EQ(m.batch_stats().snapshot_builds, 4u);
 }
 
-// Checkpointable runs track every in-flight frame, so their broadcasts
-// schedule each delivery on its own instead of through the coalesced
-// insertion window. A full OLSR network over a multi-hop grid — MPR
-// selection, TC emission, duplicate-window forwarding storms — must produce
-// byte-identical audit logs on every node either way: timestamps, sequence
-// numbers, receiver sets and forwarding decisions all pinned at once.
-void run_flood_equivalence(std::uint64_t seed) {
-  auto build = [&](bool tracked) {
-    scenario::Network::Config nc;
-    nc.seed = seed + 11;
-    nc.radio.range_m = 250.0;
-    // A 150 m grid spacing makes the 24-node network genuinely multi-hop,
-    // so TCs are emitted and forwarded (a full mesh has no MPRs at all).
-    nc.positions = net::grid_layout(24, 150.0);
-    auto net = std::make_unique<scenario::Network>(std::move(nc));
-    if (tracked) net->medium().set_track_in_flight(true);
-    return net;
-  };
+// Every delivery waits in a slot the medium owns until it lands, and
+// in_flight() lists the live slots. Over a full OLSR network on a
+// multi-hop grid (MPR selection, TC emission, duplicate-window forwarding
+// storms), the frames listed at an instant mid-flood must be exactly the
+// frames sent by then that land afterwards: each at the receiver and time
+// it records, with its transmitter, link destination, send time and bytes,
+// in the listed (arrival, seq) order.
+void check_listed_frames_land(std::uint64_t seed) {
+  scenario::Network::Config nc;
+  nc.seed = seed + 11;
+  nc.radio.range_m = 250.0;
+  // A 150 m grid spacing makes the 24-node network genuinely multi-hop,
+  // so TCs are emitted and forwarded (a full mesh has no MPRs at all).
+  nc.positions = net::grid_layout(24, 150.0);
+  scenario::Network net{std::move(nc)};
+  net.start_all();
+  net.run_for(sim::Duration::from_seconds(12.0 + 0.7 * static_cast<double>(seed)));
+  // Cut where the deliveries of several transmissions overlap.
+  for (int i = 0; i < 200'000 && net.medium().in_flight().size() < 12; ++i)
+    ASSERT_TRUE(net.sim().step());
+  const sim::Time cut = net.now();
+  const auto listed = net.medium().in_flight();
+  ASSERT_GE(listed.size(), 12u) << "seed " << seed;
 
-  auto untracked = build(false);
-  auto tracked = build(true);
-  untracked->start_all();
-  tracked->start_all();
-  untracked->run_for(sim::Duration::from_seconds(20.0));
-  tracked->run_for(sim::Duration::from_seconds(20.0));
-
-  for (std::size_t i = 0; i < untracked->size(); ++i) {
-    ASSERT_TRUE(untracked->agent(i).log().records() ==
-                tracked->agent(i).log().records())
-        << "seed " << seed << " node " << i;
-    const auto& a = untracked->agent(i).stats();
-    const auto& b = tracked->agent(i).stats();
-    EXPECT_EQ(a.tc_sent, b.tc_sent) << "seed " << seed << " node " << i;
-    EXPECT_EQ(a.tc_recv, b.tc_recv) << "seed " << seed << " node " << i;
-    EXPECT_EQ(a.msgs_forwarded, b.msgs_forwarded)
-        << "seed " << seed << " node " << i;
+  // From the cut on, record every landing instead of handing it to the
+  // agents; the frames sent by then must be the listed ones.
+  std::vector<net::InFlightFrame> landed;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const NodeId id = scenario::Network::id_of(i);
+    net.medium().set_handler(id, [&, id](const net::Packet& p) {
+      if (p.sent_at > cut) return;
+      landed.push_back({id, p.transmitter, p.link_dest, p.payload(),
+                        p.sent_at, net.now(), 0});
+    });
   }
-  EXPECT_EQ(untracked->medium().stats().deliveries,
-            tracked->medium().stats().deliveries);
-  EXPECT_EQ(untracked->medium().stats().frames_sent,
-            tracked->medium().stats().frames_sent);
-  EXPECT_GT(tracked->medium().batch_stats().snapshot_hits, 0u);
+  net.run_for(sim::Duration::from_ms(10));  // every delay is below 1 ms
+
+  ASSERT_EQ(landed.size(), listed.size()) << "seed " << seed;
+  for (std::size_t k = 0; k < listed.size(); ++k) {
+    const auto& want = listed[k];
+    const auto& got = landed[k];
+    EXPECT_EQ(got.receiver, want.receiver) << "seed " << seed << " #" << k;
+    EXPECT_EQ(got.transmitter, want.transmitter) << "seed " << seed;
+    EXPECT_EQ(got.link_dest, want.link_dest) << "seed " << seed;
+    EXPECT_EQ(got.sent_at, want.sent_at) << "seed " << seed;
+    EXPECT_EQ(got.arrival, want.arrival) << "seed " << seed << " #" << k;
+    EXPECT_EQ(got.payload, want.payload) << "seed " << seed;
+    if (k > 0 && want.arrival == listed[k - 1].arrival) {
+      EXPECT_LT(listed[k - 1].seq, want.seq) << "seed " << seed;
+    }
+  }
+  for (const auto& f : net.medium().in_flight())
+    EXPECT_GT(f.sent_at, cut) << "seed " << seed;
 }
 
-class FloodTrackingEquivalence
-    : public ::testing::TestWithParam<std::uint64_t> {};
+class FloodInFlight : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FloodTrackingEquivalence, TcAndForwardsMatchUntrackedRun) {
-  run_flood_equivalence(GetParam());
+TEST_P(FloodInFlight, ListedFramesLandAsRecorded) {
+  check_listed_frames_land(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(TenSeeds, FloodTrackingEquivalence,
+INSTANTIATE_TEST_SUITE_P(TenSeeds, FloodInFlight,
                          ::testing::Range<std::uint64_t>(0, 10));
 
 // Radio state is baked into the snapshot, so set_up must invalidate it:

@@ -3,13 +3,14 @@
 // against frames already in flight), brown-out loss overrides (max over
 // config, sender and receiver), netsplit partitions (decided at transmit
 // time, before any RNG draw), both applied through per-cell receiver
-// snapshots built before the fault was set, and the opt-in in-flight
-// registry the checkpoint machinery reads. Pins the contract documented in
+// snapshots built before the fault was set, and the in-flight frames the
+// checkpoint machinery reads. Pins the contract documented in
 // ARCHITECTURE.md, "Fault model & checkpoint format".
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "net/medium.hpp"
@@ -252,12 +253,9 @@ TEST_F(MediumFaultsTest, FaultsApplyThroughALiveSnapshot) {
   EXPECT_EQ(sim.rng().next_u64(), twin.rng().next_u64());
 }
 
-// --- in-flight tracking (checkpoint support) -----------------------------
+// --- in-flight frames (checkpoint support) -------------------------------
 
 TEST_F(MediumFaultsTest, InFlightRegistryTracksAirborneFramesOnly) {
-  medium_.set_track_in_flight(true);
-  EXPECT_TRUE(medium_.track_in_flight());
-
   medium_.broadcast(NodeId{0}, Bytes{1, 2});
   const auto airborne = medium_.in_flight();
   ASSERT_EQ(airborne.size(), 2u);  // receivers 1 and 2
@@ -276,7 +274,6 @@ TEST_F(MediumFaultsTest, InFlightRegistryTracksAirborneFramesOnly) {
 }
 
 TEST_F(MediumFaultsTest, RestoredFlightDeliversAtItsRecordedArrival) {
-  medium_.set_track_in_flight(true);
   medium_.broadcast(NodeId{0}, Bytes{5});
   auto flights = medium_.in_flight();
   ASSERT_FALSE(flights.empty());
@@ -285,7 +282,6 @@ TEST_F(MediumFaultsTest, RestoredFlightDeliversAtItsRecordedArrival) {
   // re-arming the saved frames instead of re-broadcasting.
   sim::Simulator sim{7};
   Medium fresh{sim, radio()};
-  fresh.set_track_in_flight(true);
   std::map<NodeId, sim::Time> arrivals;
   for (std::uint32_t i = 0; i < 3; ++i) {
     const NodeId id{i};
@@ -301,6 +297,27 @@ TEST_F(MediumFaultsTest, RestoredFlightDeliversAtItsRecordedArrival) {
     ASSERT_TRUE(arrivals.count(f.receiver)) << f.receiver.to_string();
     EXPECT_EQ(arrivals[f.receiver].us(), f.arrival.us());
   }
+}
+
+// Under the collision model a delivery keeps its closure (its collision
+// entry can outlive a landing dropped at a down host), so the medium
+// cannot list what is on the air and refuses rather than answer empty.
+TEST(MediumInFlight, CollisionModelRefusesToListOrRestore) {
+  sim::Simulator sim{7};
+  RadioConfig rc;
+  rc.collision_window = sim::Duration::from_us(100);
+  Medium m{sim, rc};
+  m.attach(NodeId{0}, Position{0.0, 0.0});
+  m.attach(NodeId{1}, Position{50.0, 0.0});
+  m.broadcast(NodeId{0}, Bytes{1});
+  EXPECT_THROW(m.in_flight(), std::logic_error);
+  InFlightFrame f;
+  f.receiver = NodeId{1};
+  f.transmitter = NodeId{0};
+  f.arrival = sim.now() + sim::Duration::from_ms(1);
+  EXPECT_THROW(m.restore_in_flight(f), std::logic_error);
+  sim.run_all();
+  EXPECT_EQ(m.stats().deliveries, 1u);
 }
 
 }  // namespace

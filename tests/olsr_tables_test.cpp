@@ -874,9 +874,16 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
 // suite's seeded scripts do not depend on it). Steps start on
 // housekeeping ticks (every 500 ms from t=0, jitter-free) and end on one,
 // so the derived state `check(agent, now, step)` reads was computed at now;
-// it also runs right after each restore. Some steps also send data at a
-// random instant between ticks: that refreshes the live graph (self edges
+// it also runs right after each restore. HELLOs arrive between ticks. Some
+// steps shorten a symmetric link's L_SYM_time so that it lapses after a
+// tick, and a HELLO that no longer lists us follows before the next one:
+// neither HELLO flips the link and the next tick's expiry no longer sees
+// it as symmetric, so only the lapse time the first HELLO lowered makes
+// the agent re-sync its self edges. Some steps also send data at a random
+// instant between ticks: that refreshes the live graph (self edges
 // included) without a routing run, which the next run must account for.
+// Just before, the agent's path query must answer as a search over the
+// synced graph copy does, for every destination and avoided relay.
 void drive_agent(
     std::uint64_t seed, bool churn_willingness,
     const std::function<void(const Agent&, sim::Time, int)>& check) {
@@ -907,35 +914,40 @@ void drive_agent(
     packet.messages.push_back(std::move(m));
     medium.broadcast(transmitter, serialize_packet(packet));
   };
-  auto vtime = [&] {
-    return sim::Duration::from_ms(rng.uniform_int(1500, 7000));
-  };
+  const auto ms = [](std::int64_t n) { return sim::Duration::from_ms(n); };
+  auto vtime = [&] { return ms(rng.uniform_int(1500, 7000)); };
   auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
     return NodeId{static_cast<std::uint32_t>(rng.uniform_int(lo, hi))};
   };
   const auto wills = std::vector<Willingness>{
       Willingness::kNever, Willingness::kDefault, Willingness::kAlways};
+  // A HELLO from `from` that lists us (-> symmetric link) or not, with a
+  // random advertised symmetric set (-> 2-hop churn; n0 is skipped).
+  auto hello = [&](NodeId from, bool lists_us, sim::Duration valid) {
+    HelloMessage h;
+    if (lists_us) h.add(LinkType::kSym, NeighborType::kSymNeigh, self);
+    for (const auto n : random_ids(from))
+      if (n != self) h.add(LinkType::kSym, NeighborType::kSymNeigh, n);
+    if (churn_willingness)
+      h.willingness = wills[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    Message m;
+    m.header.type = MessageType::kHello;
+    m.header.vtime = valid;
+    m.header.originator = from;
+    m.header.ttl = 1;
+    m.body = h;
+    inject(from, std::move(m));
+  };
 
   for (int step = 0; step < 60; ++step) {
-    const auto op = rng.uniform_int(0, 24);
+    const auto tick = sim.now();
+    std::int64_t min_ticks = 1;
+    const auto op = rng.uniform_int(0, 26);
     if (op < 12) {
-      // HELLO: lists us (-> symmetric link) or not, with a random
-      // advertised symmetric set (-> 2-hop churn; n0 is skipped).
+      sim.run_until(tick + ms(rng.uniform_int(1, 499)));
       const NodeId from = pick(1, kPuppets);
-      HelloMessage h;
-      if (rng.uniform_int(0, 3) > 0)
-        h.add(LinkType::kSym, NeighborType::kSymNeigh, self);
-      for (const auto n : random_ids(from))
-        if (n != self) h.add(LinkType::kSym, NeighborType::kSymNeigh, n);
-      if (churn_willingness)
-        h.willingness = wills[static_cast<std::size_t>(rng.uniform_int(0, 2))];
-      Message m;
-      m.header.type = MessageType::kHello;
-      m.header.vtime = vtime();
-      m.header.originator = from;
-      m.header.ttl = 1;
-      m.body = h;
-      inject(from, std::move(m));
+      const bool lists_us = rng.uniform_int(0, 3) > 0;
+      hello(from, lists_us, vtime());
     } else if (op < 22) {
       // TC from any originator relayed by a puppet; ANSNs mostly advance,
       // sometimes repeat or go stale (ignored).
@@ -958,7 +970,7 @@ void drive_agent(
       agent.stop();
       agent.reset_tables();
       agent.start();
-    } else {
+    } else if (op < 25) {
       // Save and restore in place: tables and routes come back from bytes
       // and the graph and reach rows are rebuilt from the restored tables.
       faults::CheckpointWriter w;
@@ -969,13 +981,38 @@ void drive_agent(
       ASSERT_TRUE(r.at_end());
       check(agent, sim.now(), step);
       if (::testing::Test::HasFatalFailure()) return;
+    } else if (const auto sym = agent.links().symmetric_neighbors(tick);
+               !sym.empty()) {
+      // Refresh a symmetric link at tick + `at` with a 1 s vtime (exact in
+      // the wire format), so it lapses 1 s later, past the tick at
+      // tick + 1000 ms; then the same neighbor's HELLO without us, before
+      // the tick at tick + 1500 ms.
+      const auto i = rng.uniform_int(0, static_cast<std::int64_t>(sym.size()) - 1);
+      const NodeId from = sym[static_cast<std::size_t>(i)];
+      const auto at = rng.uniform_int(1, 400);
+      sim.run_until(tick + ms(at));
+      hello(from, /*lists_us=*/true, ms(1000));
+      sim.run_until(tick + ms(1000 + at + rng.uniform_int(2, 498 - at)));
+      hello(from, /*lists_us=*/false, vtime());
+      min_ticks = 3;
     }
-    const auto ticks = rng.uniform_int(0, 5) == 0 ? rng.uniform_int(6, 20)
-                                                  : rng.uniform_int(1, 3);
-    const auto end = sim.now() + sim::Duration::from_ms(500 * ticks);
+    const auto ticks =
+        std::max(min_ticks, rng.uniform_int(0, 5) == 0 ? rng.uniform_int(6, 20)
+                                                       : rng.uniform_int(1, 3));
+    const auto end = tick + ms(500 * ticks);
     if (rng.uniform_int(0, 2) == 0) {
-      sim.run_until(sim.now() +
-                    sim::Duration::from_ms(rng.uniform_int(1, 500 * ticks - 1)));
+      sim.run_until(
+          std::max(sim.now(), tick + ms(rng.uniform_int(1, 500 * ticks - 1))));
+      const auto copy = agent.knowledge_graph();
+      for (std::uint32_t d = 0; d < kIds; ++d) {
+        for (std::uint32_t a = 0; a <= kIds; ++a) {
+          std::vector<NodeId> avoid;
+          if (a < kIds) avoid.push_back(NodeId{a});
+          ASSERT_EQ(agent.path_avoiding(NodeId{d}, avoid),
+                    RoutingTable::shortest_path(copy, self, NodeId{d}, avoid))
+              << "step " << step << " dest " << d << " avoid " << a;
+        }
+      }
       agent.send_data(pick(1, kIds - 1), 0, {});
     }
     sim.run_until(end);

@@ -1,5 +1,5 @@
 // Unit tests for the runtime layer: ExperimentSpec grid expansion, the
-// work-stealing Runner (determinism for a fixed seed grid, identical
+// parallel Runner (determinism for a fixed seed grid, identical
 // aggregates for 1-thread vs N-thread runs) and the Aggregator's
 // confidence-interval arithmetic against stats/confidence directly.
 
