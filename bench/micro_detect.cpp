@@ -1,9 +1,9 @@
-// Micro-benchmarks of the audit-event detection pipeline: in-memory
-// consumption throughput (records/s into Eq. 8-10 + trust updates),
-// end-to-end offline replay (binary decode + consume) over the recorded
-// audit-log format — the gauges behind the manet_detect offline path —
-// plus the forwarding-audit frame path and the end-to-end grayhole round
-// (flood accumulation + drop + scan + pooled investigation).
+// Micro-benchmarks of the audit-event detection pipeline, split at the
+// replay's seam: in-memory consumption throughput (records/s into Eq. 8-10
+// + trust updates) and decode-only throughput of the recorded audit-log
+// format, plus the forwarding-audit frame path. The end-to-end replay and
+// grayhole round are timed by benchmark/ (the replay-corpus and
+// grid-grayhole workloads).
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 
 #include "core/pipeline.hpp"
 #include "logging/audit_log.hpp"
-#include "scenario/trust_experiment.hpp"
 
 using namespace manet;
 
@@ -106,31 +105,6 @@ static void BM_DetectConsume(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectConsume)->Arg(256)->Arg(1024);
 
-// Offline replay: decode the binary log (header + frames) and consume, the
-// manet_detect replay path minus the mmap.
-static void BM_AuditReplay(benchmark::State& state) {
-  const auto peers = static_cast<std::uint32_t>(state.range(0));
-  constexpr std::size_t kRounds = 64;
-  const auto bytes = synth_log(peers, kRounds);
-  std::size_t frames = 0;
-  for (auto _ : state) {
-    core::AuditStreamReader stream{bytes};
-    auto pipeline = core::pipeline_from_header(stream.header());
-    core::AuditEvent event;
-    frames = 0;
-    while (stream.next(event)) {
-      pipeline.consume(event);
-      ++frames;
-    }
-    benchmark::DoNotOptimize(pipeline.reports().size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(frames));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_AuditReplay)->Arg(256)->Arg(1024);
-
 // Forwarding-audit frame consumption: the kForwardAudit path is recorder
 // write + bounded telemetry append, deliberately touching no trust state —
 // this gauge keeps it honest (it should sit far above the kRound rate).
@@ -156,25 +130,6 @@ static void BM_ForwardAuditConsume(benchmark::State& state) {
                           static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_ForwardAuditConsume)->Arg(256)->Arg(1024);
-
-// End-to-end grayhole detection round: 5 s of simulated flood traffic on
-// the 16-node grid (the attacker dropping everything it attracted), one
-// detector scan and the pooled investigations it launches — the wall-clock
-// unit of manet_experiments --sweep grayhole.
-static void BM_GrayholeRound(benchmark::State& state) {
-  scenario::TrustExperiment::Config config;
-  config.attack = scenario::TrustExperiment::AttackKind::kGrayhole;
-  config.seed = 1;
-  config.num_nodes = 16;
-  config.num_liars = 0;
-  scenario::TrustExperiment exp{config};
-  exp.setup();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exp.run_round().at.us());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GrayholeRound)->Unit(benchmark::kMillisecond);
 
 // Decode-only: frame walk + payload decode with no pipeline behind it —
 // isolates the codec cost from the detection math.

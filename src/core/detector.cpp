@@ -77,8 +77,7 @@ Detector::Persisted Detector::persist() const {
   p.pending_tcs.assign(pending_tcs_.begin(), pending_tcs_.end());
   p.last_investigated.assign(last_investigated_.begin(),
                              last_investigated_.end());
-  const auto& pool = pipeline_.answer_pool();
-  p.answer_pool.assign(pool.begin(), pool.end());
+  p.answer_pool = pipeline_.answer_pool();
   p.degradation = pipeline_.degradation();
   p.auditor = auditor_.persist();
   return p;
@@ -92,9 +91,7 @@ void Detector::restore(Persisted p) {
   last_investigated_.clear();
   last_investigated_.insert(p.last_investigated.begin(),
                             p.last_investigated.end());
-  DetectionPipeline::AnswerPool pool;
-  pool.insert(p.answer_pool.begin(), p.answer_pool.end());
-  pipeline_.restore(std::move(pool), p.degradation);
+  pipeline_.restore(std::move(p.answer_pool), p.degradation);
   auditor_.restore(p.auditor);
   // Rebuild the pipeline's liveness oracle from the restored log's retained
   // window — the same records the pre-checkpoint newest-first scan saw.

@@ -135,8 +135,6 @@ class Detector {
     return pipeline_.degradation();
   }
 
-  /// One pooled second-hand answer (public for checkpointing).
-  using PooledAnswer = DetectionPipeline::PooledAnswer;
   /// One TC awaiting MPR retransmission (E2 bookkeeping; public for
   /// checkpointing).
   struct SentTc {
@@ -156,8 +154,8 @@ class Detector {
     std::vector<SentTc> pending_tcs;
     std::vector<std::pair<std::pair<NodeId, NodeId>, sim::Time>>
         last_investigated;
-    std::vector<std::pair<std::pair<NodeId, NodeId>, std::vector<PooledAnswer>>>
-        answer_pool;
+    /// In ascending link order (the checkpoint decoder checks).
+    std::vector<DetectionPipeline::PooledLink> answer_pool;
     DetectorDegradation degradation;
     ForwardingAuditor::Persisted auditor;
   };

@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -53,16 +54,26 @@ void DetectionPipeline::consume_line(const logging::LogRecord& line) {
   obs::hit(obs::Hot::kPipelineLines);
   // Liveness oracle: lines arrive in time order, so the running maximum per
   // peer equals a newest-first scan over the whole log.
+  NodeId peer;
   if (line.event() == logging::Event::kHelloRecv) {
-    last_heard_[line.id(logging::Key::kFrom)] = line.time;
+    peer = line.id(logging::Key::kFrom);
   } else if (line.event() == logging::Event::kTcRecv) {
-    last_heard_[line.id(logging::Key::kVia)] = line.time;
+    peer = line.id(logging::Key::kVia);
+  } else {
+    return;
   }
+  const auto id = peer.value();
+  if (id >= kDenseIds) {
+    last_heard_far_[peer] = line.time;
+    return;
+  }
+  if (id >= last_heard_.size()) last_heard_.resize(id + 1);
+  last_heard_[id] = line.time;
 }
 
 double DetectionPipeline::round_trust(NodeId responder) {
   const auto id = responder.value();
-  if (id >= kMemoIds) return trust_.trust(responder);
+  if (id >= kDenseIds) return trust_.trust(responder);
   if (id >= trust_memo_.size()) trust_memo_.resize(id + 1);
   auto& memo = trust_memo_[id];
   if (memo.round != memo_round_) memo = {memo_round_, trust_.trust(responder)};
@@ -70,8 +81,11 @@ double DetectionPipeline::round_trust(NodeId responder) {
 }
 
 sim::Time DetectionPipeline::last_heard_of(NodeId node) const {
-  auto it = last_heard_.find(node);
-  return it == last_heard_.end() ? sim::Time{} : it->second;
+  const auto id = node.value();
+  if (id < last_heard_.size()) return last_heard_[id];
+  if (id < kDenseIds) return sim::Time{};
+  auto it = last_heard_far_.find(node);
+  return it == last_heard_far_.end() ? sim::Time{} : it->second;
 }
 
 void DetectionPipeline::consume_decay(sim::Time time) {
@@ -88,11 +102,54 @@ void DetectionPipeline::consume_forward_audit(sim::Time time,
   if (forward_audits_.size() > 10'000) forward_audits_.pop_front();
 }
 
-void DetectionPipeline::restore(AnswerPool pool,
+std::vector<DetectionPipeline::PooledLink> DetectionPipeline::answer_pool()
+    const {
+  std::vector<PooledLink> out;
+  out.reserve(pools_.size());
+  for (const auto& pool : pools_) out.emplace_back(pool.link, pool.answers);
+  return out;
+}
+
+void DetectionPipeline::restore(std::vector<PooledLink> pool,
                                 DetectorDegradation degradation) {
-  answer_pool_ = std::move(pool);
+  pools_.clear();
+  pools_.reserve(pool.size());
+  for (auto& [link, answers] : pool) {
+    pools_.push_back(Pool{link, std::move(answers), {}});
+    pools_.back().rebuild();
+  }
   degradation_ = degradation;
   last_heard_.clear();
+  last_heard_far_.clear();
+}
+
+DetectionPipeline::Pool& DetectionPipeline::pool_for(NodeId suspect,
+                                                     NodeId subject) {
+  const std::pair link{suspect, subject};
+  auto it = std::lower_bound(
+      pools_.begin(), pools_.end(), link,
+      [](const Pool& pool, const auto& key) { return pool.link < key; });
+  if (it == pools_.end() || it->link != link)
+    it = pools_.insert(it, Pool{link, {}, {}});
+  return *it;
+}
+
+void DetectionPipeline::Pool::appended(std::size_t from) {
+  constexpr std::size_t kMaxPool = 500;
+  if (answers.size() > kMaxPool) {
+    answers.erase(answers.begin(),
+                  answers.begin() +
+                      static_cast<std::ptrdiff_t>(answers.size() - kMaxPool));
+    rebuild();
+    return;
+  }
+  for (std::size_t i = from; i < answers.size(); ++i)
+    evidence.add(answers[i].evidence);
+}
+
+void DetectionPipeline::Pool::rebuild() {
+  evidence.reset();
+  for (const auto& a : answers) evidence.add(a.evidence);
 }
 
 void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
@@ -119,52 +176,54 @@ void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
   auto usable = [](const RoundAnswer& a) {
     return !(a.answered && a.evidence == 0.0);
   };
-  std::vector<trust::WeightedAnswer> round_weighted;
-  round_weighted.reserve(round.answers.size() + 1);
-  if (own_evidence != 0.0)
-    round_weighted.push_back(
-        trust::WeightedAnswer{config_.self, 1.0, own_evidence});
-  for (const auto& a : round.answers) {
-    if (!usable(a)) continue;
-    round_weighted.push_back(trust::WeightedAnswer{
-        a.responder, round_trust(a.responder), a.evidence});
-  }
-  const double round_detect = trust::aggregate_detection(round_weighted);
+  trust::DetectionSum round_sum;
+  if (own_evidence != 0.0) round_sum.add(1.0, own_evidence);
+  for (const auto& a : round.answers)
+    if (usable(a)) round_sum.add(round_trust(a.responder), a.evidence);
+  const double round_detect = round_sum.value();
 
   // Accumulate into the per-link pool and decide over the whole pool
   // (§IV-C: an unrecognized outcome demands more evidence; successive
-  // rounds shrink the Eq. 9 margin as n grows).
-  auto& pool = answer_pool_[{round.query.suspect, round.query.subject}];
+  // rounds shrink the Eq. 9 margin as n grows). The pool's accumulator
+  // pays for this round's answers only; Eq. 8 reweighs every pooled answer
+  // by current trust.
+  auto& pool = pool_for(round.query.suspect, round.query.subject);
+  const std::size_t kept = pool.answers.size();
   if (own_evidence != 0.0)
-    pool.push_back(PooledAnswer{config_.self, own_evidence, true});
+    pool.answers.push_back(PooledAnswer{config_.self, own_evidence, true});
   for (const auto& a : round.answers)
-    if (usable(a)) pool.push_back(PooledAnswer{a.responder, a.evidence,
-                                               a.answered});
-  constexpr std::size_t kMaxPool = 500;
-  if (pool.size() > kMaxPool)
-    pool.erase(pool.begin(),
-               pool.begin() + static_cast<std::ptrdiff_t>(pool.size() - kMaxPool));
+    if (usable(a))
+      pool.answers.push_back(PooledAnswer{a.responder, a.evidence,
+                                          a.answered});
+  pool.appended(kept);
 
-  std::vector<trust::WeightedAnswer> pooled;
-  pooled.reserve(pool.size());
-  for (const auto& p : pool) {
-    const double w =
-        p.responder == config_.self ? 1.0 : round_trust(p.responder);
-    pooled.push_back(trust::WeightedAnswer{p.responder, w, p.evidence});
-  }
-  const auto decision = trust::decide(pooled, config_.decision);
+  trust::DetectionSum pool_sum;
+  for (const auto& p : pool.answers)
+    pool_sum.add(p.responder == config_.self ? 1.0 : round_trust(p.responder),
+                 p.evidence);
+  const double cumulative_detect = pool_sum.value();
+  const auto interval = stats::confidence_interval(
+      pool.evidence, config_.decision.confidence_level);
+  trust::Verdict verdict =
+      trust::classify(cumulative_detect, interval.margin, config_.decision);
 
   // Liveness gate (faulted runs): convicting a node the stream has not
   // heard from recently would brand a crashed bystander a liar — its
   // silence during the investigation is exactly what a guilty verdict
   // feeds on. Downgrade to kUnrecognized and count the suppression; the
   // pooled evidence stays, so a live-again suspect can still be convicted.
-  trust::Verdict verdict = decision.verdict;
   bool suppressed = false;
   if (verdict == trust::Verdict::kIntruder &&
       config_.liveness_window > sim::Duration{}) {
     const sim::Time heard = last_heard_of(round.query.suspect);
-    if (heard == sim::Time{} || time - heard > config_.liveness_window) {
+    // The silence is measured in uint64, so a crafted log's far-apart times
+    // cannot overflow; a reception stamped after the round is fresh.
+    const auto silence = static_cast<std::uint64_t>(time.us()) -
+                         static_cast<std::uint64_t>(heard.us());
+    const bool stale =
+        heard < time &&
+        silence > static_cast<std::uint64_t>(config_.liveness_window.us());
+    if (heard == sim::Time{} || stale) {
       verdict = trust::Verdict::kUnrecognized;
       suppressed = true;
       ++degradation_.suppressed_convictions;
@@ -185,12 +244,12 @@ void DetectionPipeline::consume_round(sim::Time time, const AuditRound& round) {
   report.claimed_up = round.query.claimed_up;
   report.verdict = verdict;
   report.detect = round_detect;
-  report.cumulative_detect = decision.detect;
-  report.interval = decision.interval;
+  report.cumulative_detect = cumulative_detect;
+  report.interval = interval;
   report.tags = round.tags;
   report.answers = round.answers.size();
   report.timeouts = round.timeouts;
-  report.cumulative_answers = pool.size();
+  report.cumulative_answers = pool.answers.size();
   report.suppressed = suppressed;
 
   // Confirmed verdicts add the E4/E5 evidence of Expression 4.
@@ -324,6 +383,15 @@ void check_round(const AuditRound& round) {
       throw logging::AuditError{"corrupt round frame: bad evidence tag"};
 }
 
+/// Empties a round, keeping the storage of its answers and tags.
+void clear_round(AuditRound& round) {
+  round.query = {};
+  round.own_observation = 0.0;
+  round.answers.clear();
+  round.timeouts = 0;
+  round.tags.clear();
+}
+
 logging::AuditFrame check_frame_kind(std::uint8_t kind) {
   if (kind < static_cast<std::uint8_t>(logging::AuditFrame::kLine) ||
       kind > static_cast<std::uint8_t>(logging::AuditFrame::kForwardAudit))
@@ -396,9 +464,11 @@ bool AuditStreamReader::next(AuditEvent& out) {
   if (reader_.at_end()) return false;
   const auto frame = reader_.begin_frame();
   out.kind = check_frame_kind(frame.kind);
-  // A kLine frame overwrites every field of `line`, reusing its storage.
-  if (out.kind != logging::AuditFrame::kLine) out.line = {};
-  out.round = {};
+  // Each frame fills its own payload and empties the others, keeping their
+  // storage: a line's word block and a round's answers and tags are reused
+  // by the next frame of their kind.
+  if (out.kind != logging::AuditFrame::kLine) out.line.reset();
+  clear_round(out.round);
   out.audit = {};
   switch (out.kind) {
     case logging::AuditFrame::kLine:

@@ -133,23 +133,47 @@ class DetectionPipeline {
     double evidence = 0.0;
     bool answered = false;
   };
-  using AnswerPool =
-      std::map<std::pair<NodeId, NodeId>, std::vector<PooledAnswer>>;
+  /// One disputed (suspect, subject) link and its pooled answers, oldest
+  /// first: the checkpoint's form of a pool.
+  using PooledLink =
+      std::pair<std::pair<NodeId, NodeId>, std::vector<PooledAnswer>>;
 
   /// Checkpoint surface (the Detector persists this inside its own image;
   /// the report ring is skipped — nothing trace-relevant reads old
-  /// reports). Restoring clears the liveness map: the owner re-feeds the
-  /// retained log window through consume_line.
-  const AnswerPool& answer_pool() const { return answer_pool_; }
-  void restore(AnswerPool pool, DetectorDegradation degradation);
+  /// reports). The pools export in ascending link order. Restoring takes
+  /// them in that order (strictly ascending links), rebuilds each pool's
+  /// Eq. 9 accumulator, and clears the liveness oracle: the owner re-feeds
+  /// the retained log window through consume_line.
+  std::vector<PooledLink> answer_pool() const;
+  void restore(std::vector<PooledLink> pool, DetectorDegradation degradation);
 
  private:
+  /// Accumulated answers of one disputed link, with Eq. 9's accumulator
+  /// over their raw evidence in pool order. The accumulator is derived
+  /// state: appends add to it, and since Welford has no exact removal, a
+  /// trim of the oldest answers or a restore rebuilds it from the kept
+  /// answers, so it always equals a from-scratch pass over the pool.
+  struct Pool {
+    std::pair<NodeId, NodeId> link;
+    std::vector<PooledAnswer> answers;
+    stats::RunningStats evidence;
+
+    /// Settles an append of answers[from..]: trims the pool to its cap
+    /// and rebuilds the accumulator, or adds just the new answers.
+    void appended(std::size_t from);
+    void rebuild();
+  };
+  /// The link's pool, created empty on first use.
+  Pool& pool_for(NodeId suspect, NodeId subject);
+
   /// The responder's current trust, looked up once per consume_round: a
   /// memo indexed by node id, valid while its round stamp is current. Ids
-  /// from kMemoIds up (never seen in this simulator, but a replayed log may
-  /// carry any) go to the store every time.
+  /// from kDenseIds up (never seen in this simulator, but a replayed log
+  /// may carry any) go to the store every time.
   double round_trust(NodeId responder);
-  static constexpr std::uint32_t kMemoIds = 4096;
+  /// Ids below this index dense per-id slabs (the trust memo, the liveness
+  /// oracle); larger ones take a slower path.
+  static constexpr std::uint32_t kDenseIds = 4096;
   struct TrustMemo {
     std::uint64_t round = 0;
     double trust = 0.0;
@@ -159,11 +183,15 @@ class DetectionPipeline {
   trust::TrustStore trust_;
   std::vector<TrustMemo> trust_memo_;
   std::uint64_t memo_round_ = 0;
-  // Accumulated answers per disputed (suspect, subject) link. Evidence
-  // values are stored raw; weights use the *current* trust at decision
-  // time, so a liar's early answers lose influence as its trust fades.
-  AnswerPool answer_pool_;
-  std::map<NodeId, sim::Time> last_heard_;
+  // Accumulated answers per disputed link, sorted by (suspect, subject).
+  // Evidence values are stored raw; weights use the *current* trust at
+  // decision time, so a liar's early answers lose influence as its trust
+  // fades.
+  std::vector<Pool> pools_;
+  // Liveness oracle: the latest reception per peer, Time{} when never
+  // heard. Indexed by id below kDenseIds; a map holds the larger ids.
+  std::vector<sim::Time> last_heard_;
+  std::map<NodeId, sim::Time> last_heard_far_;
   std::deque<DetectionReport> reports_;
   std::deque<TimedForwardAudit> forward_audits_;
   ReportCallback on_report_;

@@ -217,6 +217,10 @@ void restore_medium(const MediumImage& m, net::Medium& medium) {
 }
 
 void restore_detector(DetectorImage d, core::Detector& detector) {
+  // The pipeline finds a disputed link's pool by binary search.
+  require_ascending(
+      d.state.answer_pool, [](const auto& pool) { return pool.first; },
+      "answer pools");
   detector.restore(std::move(d.state));
   detector.trust_store().restore(std::move(d.trust_rows),
                                  std::move(d.interaction_rows));

@@ -57,7 +57,8 @@ inline void transfer_record(BinaryWriter& io, const LogRecord& record) {
     } else if constexpr (std::is_same_v<Value, std::int64_t>) {
       io.i64(value);
     } else if constexpr (!std::is_same_v<Value, std::nullopt_t>) {
-      io.list(value, [&io](net::NodeId id) { io.node(id); });
+      io.count(value.size());
+      io.nodes(value);
     }
   });
 }
@@ -83,10 +84,12 @@ void transfer_record(BinaryReader<Error>& io, LogRecord& record) {
         record.push_int(io.i64());
         break;
       case FieldKind::kIdList: {
-        const std::size_t n = io.count();
+        // Bounded once for the whole list (4 bytes an id), then copied
+        // into the record's word block in bulk.
+        const std::size_t n = io.count(4);
         if (n > UINT32_MAX) throw Error{"log record list too long"};
         record.push_count(static_cast<std::uint32_t>(n));
-        for (std::size_t i = 0; i < n; ++i) record.push_id(io.node());
+        io.nodes(record.push_ids(n));
         break;
       }
       case FieldKind::kRouteExhausted:

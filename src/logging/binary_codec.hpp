@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -32,16 +35,16 @@ concept WireInt = std::is_integral_v<T> || std::is_enum_v<T>;
 class BinaryWriter {
  public:
   template <WireInt T>
-  void u8(T v) { put(static_cast<std::uint8_t>(v), 1); }
+  void u8(T v) { put(static_cast<std::uint8_t>(v)); }
   template <WireInt T>
-  void u16(T v) { put(static_cast<std::uint16_t>(v), 2); }
+  void u16(T v) { put(static_cast<std::uint16_t>(v)); }
   template <WireInt T>
-  void u32(T v) { put(static_cast<std::uint32_t>(v), 4); }
+  void u32(T v) { put(static_cast<std::uint32_t>(v)); }
   template <WireInt T>
-  void u64(T v) { put(static_cast<std::uint64_t>(v), 8); }
+  void u64(T v) { put(static_cast<std::uint64_t>(v)); }
   template <WireInt T>
   void i64(T v) {
-    put(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)), 8);
+    put(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
@@ -63,6 +66,16 @@ class BinaryWriter {
   void raw(const void* data, std::size_t size) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + size);
+  }
+  /// Node ids with no count, a u32 each: the bytes of `node` per id.
+  void nodes(std::span<const net::NodeId> ids) {
+    if constexpr (std::endian::native == std::endian::little) {
+      static_assert(sizeof(net::NodeId) == 4 &&
+                    std::is_trivially_copyable_v<net::NodeId>);
+      raw(ids.data(), ids.size_bytes());
+    } else {
+      for (const net::NodeId id : ids) node(id);
+    }
   }
 
   /// count, then `elem(e)` for each element in order.
@@ -103,9 +116,17 @@ class BinaryWriter {
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
 
-  void put(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// Appends one fixed-width field, little-endian, in one insert.
+  template <typename U>
+  void put(U v) {
+    std::array<std::uint8_t, sizeof v> bytes;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(bytes.data(), &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i)
+        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
   std::vector<std::uint8_t> buf_;
@@ -126,20 +147,21 @@ class BinaryReader {
   explicit BinaryReader(const std::vector<std::uint8_t>& data)
       : BinaryReader{data.data(), data.size()} {}
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
-  std::uint64_t u64() { return get(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(get(8)); }
-  double f64() { return std::bit_cast<double>(get(8)); }
+  std::uint8_t u8() { return load<std::uint8_t>(); }
+  std::uint16_t u16() { return load<std::uint16_t>(); }
+  std::uint32_t u32() { return load<std::uint32_t>(); }
+  std::uint64_t u64() { return load<std::uint64_t>(); }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
   sim::Time time() { return sim::Time::from_us(i64()); }
   net::NodeId node() { return net::NodeId{u32()}; }
-  std::size_t count() {
-    const std::uint64_t n = get(8);
-    // Every element is >= 1 byte, so a count beyond the remaining bytes
-    // is corrupt: rejecting it here turns bad lengths into clean errors.
-    if (n > size_ - pos_) fail("count exceeds the remaining bytes");
+  /// A count of elements that take at least `width` bytes each (1 unless
+  /// the caller knows better), so a count the remaining bytes cannot hold
+  /// is corrupt: rejecting it here turns bad lengths into clean errors.
+  std::size_t count(std::size_t width = 1) {
+    const std::uint64_t n = u64();
+    if (n > (size_ - pos_) / width) fail("count exceeds the remaining bytes");
     return static_cast<std::size_t>(n);
   }
   std::string str() {
@@ -176,6 +198,19 @@ class BinaryReader {
     const std::size_t n = count();
     b.assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
+  }
+  /// Fills `out` with node ids (no count), a u32 each: one bounds check
+  /// for the whole run, and one copy on little-endian hosts.
+  void nodes(std::span<net::NodeId> out) {
+    if (out.size() > (size_ - pos_) / 4) fail("truncated");
+    if constexpr (std::endian::native == std::endian::little) {
+      static_assert(sizeof(net::NodeId) == 4 &&
+                    std::is_trivially_copyable_v<net::NodeId>);
+      std::memcpy(out.data(), data_ + pos_, out.size_bytes());
+      pos_ += out.size_bytes();
+    } else {
+      for (auto& id : out) id = node();
+    }
   }
 
   /// Replaces `seq` with a counted list, filling each new element through
@@ -227,12 +262,19 @@ class BinaryReader {
     throw Error{what};
   }
 
-  std::uint64_t get(std::size_t bytes) {
-    if (size_ - pos_ < bytes) fail("truncated");
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < bytes; ++i)
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += bytes;
+  /// One fixed-width little-endian field: one bounds check, and one copy
+  /// on little-endian hosts.
+  template <typename U>
+  U load() {
+    if (size_ - pos_ < sizeof(U)) fail("truncated");
+    U v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_ + pos_, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i)
+        v |= static_cast<U>(static_cast<U>(data_[pos_ + i]) << (8 * i));
+    }
+    pos_ += sizeof v;
     return v;
   }
 

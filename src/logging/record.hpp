@@ -215,6 +215,12 @@ class LogRecord {
     words_.push_back(net::NodeId{static_cast<std::uint32_t>(u >> 32)});
   }
   void push_count(std::uint32_t n) { words_.push_back(net::NodeId{n}); }
+  /// Appends `n` id words at once and returns them for the decoder to
+  /// fill: a list's ids after its push_count.
+  std::span<net::NodeId> push_ids(std::size_t n) {
+    words_.resize(words_.size() + n);
+    return std::span{words_}.last(n);
+  }
 
   friend bool operator==(const LogRecord&, const LogRecord&) = default;
 

@@ -177,10 +177,24 @@ std::vector<InFlightFrame> Medium::in_flight() const {
 
 void Medium::restore_in_flight(const InFlightFrame& frame) {
   require_flight_slots();
+  // The frames of one transmission share one payload again, as they did on
+  // the air, so its receivers read one decode of it. Restored frames stay
+  // live until the run resumes, so an earlier one of the same
+  // transmission is in a slot.
+  PayloadPtr payload;
+  for (const auto& f : flights_) {
+    if (f.live && f.packet.sent_at == frame.sent_at &&
+        f.packet.transmitter == frame.transmitter &&
+        f.packet.link_dest == frame.link_dest &&
+        f.packet.payload() == frame.payload) {
+      payload = f.packet.data;
+      break;
+    }
+  }
+  if (!payload) payload = make_payload(Bytes{frame.payload});
   const auto slot = park(frame.receiver,
                          Packet{frame.transmitter, frame.link_dest,
-                                make_payload(Bytes{frame.payload}),
-                                frame.sent_at},
+                                std::move(payload), frame.sent_at},
                          frame.arrival);
   flights_[slot].seq =
       sim_.schedule_at(frame.arrival, [this, slot] { land(slot); }).raw();

@@ -156,7 +156,9 @@ class Medium {
   /// Draws nothing — the frame's loss/jitter draws were consumed before the
   /// snapshot. Must be called in ascending saved (arrival, seq) order so
   /// the re-issued sequence numbers preserve the original tie-break order.
-  /// Refuses what in_flight() refuses.
+  /// A frame whose transmitter, link destination, send time and bytes
+  /// match a frame already on the air shares its payload (one
+  /// transmission, parsed once). Refuses what in_flight() refuses.
   void restore_in_flight(const InFlightFrame& frame);
 
   /// Checkpoint restore of the traffic counters (sequential engine only).

@@ -3,12 +3,9 @@
 namespace manet::trust {
 
 double aggregate_detection(std::span<const WeightedAnswer> answers) {
-  double denom = 0.0;
-  for (const auto& a : answers) denom += a.trust;
-  if (denom <= 0.0) return 0.0;
-  double sum = 0.0;
-  for (const auto& a : answers) sum += a.trust * a.evidence;
-  return sum / denom;
+  DetectionSum sum;
+  for (const auto& a : answers) sum.add(a.trust, a.evidence);
+  return sum.value();
 }
 
 std::string to_string(Verdict v) {
@@ -23,25 +20,24 @@ std::string to_string(Verdict v) {
   return "?";
 }
 
+Verdict classify(double detect, double margin, const DecisionConfig& config) {
+  const double eps = config.use_confidence_interval ? margin : 0.0;
+  if (detect - eps >= config.gamma && detect - eps <= 1.0)
+    return Verdict::kWellBehaving;
+  if (detect + eps <= -config.gamma && detect + eps >= -1.0)
+    return Verdict::kIntruder;
+  return Verdict::kUnrecognized;
+}
+
 Decision decide(std::span<const WeightedAnswer> answers,
                 const DecisionConfig& config) {
   Decision d;
   d.answers_used = answers.size();
   d.detect = aggregate_detection(answers);
-
-  std::vector<double> samples;
-  samples.reserve(answers.size());
-  for (const auto& a : answers) samples.push_back(a.evidence);
-  d.interval = stats::confidence_interval(samples, config.confidence_level);
-
-  const double eps = config.use_confidence_interval ? d.interval.margin : 0.0;
-  if (d.detect - eps >= config.gamma && d.detect - eps <= 1.0) {
-    d.verdict = Verdict::kWellBehaving;
-  } else if (d.detect + eps <= -config.gamma && d.detect + eps >= -1.0) {
-    d.verdict = Verdict::kIntruder;
-  } else {
-    d.verdict = Verdict::kUnrecognized;
-  }
+  stats::RunningStats evidence;
+  for (const auto& a : answers) evidence.add(a.evidence);
+  d.interval = stats::confidence_interval(evidence, config.confidence_level);
+  d.verdict = classify(d.detect, d.interval.margin, config);
   return d;
 }
 

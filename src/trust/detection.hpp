@@ -20,9 +20,27 @@ struct WeightedAnswer {
 };
 
 /// Eq. 8: Detect^{A,I} = sum_i w_i T^{A,Si} e^{Si,I} with
-/// w_i = 1 / sum_j T^{A,Sj}. Result lies in [-1, 1]; near -1 means the
-/// suspect falsified the link. Returns 0 when total trust is not positive
-/// (no usable opinions).
+/// w_i = 1 / sum_j T^{A,Sj}, accumulated in one pass: `add` each answer's
+/// trust and evidence in answer order, then read `value`. The one Eq. 8
+/// rule; aggregate_detection and the pipeline's round and pooled
+/// aggregates all sum through it.
+class DetectionSum {
+ public:
+  void add(double trust, double evidence) {
+    trust_ += trust;
+    weighted_ += trust * evidence;
+  }
+  /// In [-1, 1] for non-negative trust and evidence in [-1, 1]; near -1
+  /// means the suspect falsified the link. 0 when total trust is not
+  /// positive (no usable opinions).
+  double value() const { return trust_ <= 0.0 ? 0.0 : weighted_ / trust_; }
+
+ private:
+  double trust_ = 0.0;     ///< sum_j T^{A,Sj}
+  double weighted_ = 0.0;  ///< sum_i T^{A,Si} e^{Si,I}
+};
+
+/// Eq. 8 over answers that carry their own trust.
 double aggregate_detection(std::span<const WeightedAnswer> answers);
 
 /// Verdict of the decision rule (Eq. 10).
@@ -43,6 +61,13 @@ struct DecisionConfig {
   bool use_confidence_interval = true;
 };
 
+/// Eq. 10, the one decision rule: with eps the Eq. 9 `margin` (0 when the
+/// config turns the interval gate off),
+///   well-behaving  if  gamma <= Detect - eps <= 1
+///   intruder       if  -1 <= Detect + eps <= -gamma
+///   unrecognized   otherwise.
+Verdict classify(double detect, double margin, const DecisionConfig& config);
+
 /// Full outcome of one detection decision.
 struct Decision {
   Verdict verdict = Verdict::kUnrecognized;
@@ -51,12 +76,11 @@ struct Decision {
   std::size_t answers_used = 0;
 };
 
-/// Applies Eqs. 8-10: aggregates the answers, computes the confidence
-/// interval over the raw evidence samples (their count and spread determine
-/// the margin, per §IV-C), and classifies:
-///   well-behaving  if  gamma <= Detect - eps <= 1
-///   intruder       if  -1 <= Detect + eps <= -gamma
-///   unrecognized   otherwise.
+/// Eqs. 8-10 in spec form, from scratch over one answer set: aggregates
+/// the answers (Eq. 8), computes the confidence interval over the raw
+/// evidence samples (Eq. 9; their count and spread determine the margin,
+/// per §IV-C), and classifies (Eq. 10, `classify`). The pipeline reaches
+/// the same values incrementally; tests hold it to this form.
 Decision decide(std::span<const WeightedAnswer> answers,
                 const DecisionConfig& config);
 

@@ -32,14 +32,7 @@ double TrustStore::trust(NodeId subject) const {
 }
 
 void TrustStore::set_trust(NodeId subject, double value) {
-  const double clamped =
-      std::clamp(value, params_.min_trust, params_.max_trust);
-  auto it = slab_find(trust_, subject);
-  if (it != trust_.end() && it->first == subject) {
-    it->second = clamped;
-  } else {
-    trust_.insert(it, {subject, clamped});
-  }
+  slot(subject) = std::clamp(value, params_.min_trust, params_.max_trust);
 }
 
 bool TrustStore::known(NodeId subject) const {
@@ -52,30 +45,41 @@ double TrustStore::apply_evidence(NodeId subject,
   // Eq. 5: T_t = sum_j alpha_j e_j + beta T_{t-1}.
   double sum = 0.0;
   for (const auto& e : evidences) sum += e.weight * e.value;
-  const double updated = sum + params_.forgetting * trust(subject);
-  set_trust(subject, updated);
-  return trust(subject);
+  double& value = slot(subject);
+  value = std::clamp(sum + params_.forgetting * value, params_.min_trust,
+                     params_.max_trust);
+  return value;
 }
 
 double TrustStore::decay_idle(NodeId subject) {
-  const double current = trust(subject);
-  const double target = params_.default_trust;
-  const double rate = current > target ? params_.idle_rate_from_above
-                                       : params_.idle_rate_from_below;
-  set_trust(subject, current + rate * (target - current));
-  return trust(subject);
+  double& value = slot(subject);
+  value = relaxed(value);
+  return value;
 }
 
 void TrustStore::decay_all_idle() {
   // In-place sweep: every entry already exists, so decay never inserts and
   // the slab stays sorted while we mutate values only.
-  for (auto& [subject, value] : trust_) {
-    const double target = params_.default_trust;
-    const double rate = value > target ? params_.idle_rate_from_above
-                                       : params_.idle_rate_from_below;
-    value = std::clamp(value + rate * (target - value), params_.min_trust,
-                       params_.max_trust);
-  }
+  for (auto& [subject, value] : trust_) value = relaxed(value);
+}
+
+double& TrustStore::slot(NodeId subject) {
+  auto it = slab_find(trust_, subject);
+  if (it == trust_.end() || it->first != subject)
+    it = trust_.insert(it, {subject, params_.default_trust});
+  return it->second;
+}
+
+double TrustStore::relaxed(double value) const {
+  const double target = params_.default_trust;
+  const bool above = value > target;
+  const double rate =
+      above ? params_.idle_rate_from_above : params_.idle_rate_from_below;
+  // With a rate near 1 the rounded step can overshoot the default by an
+  // ulp; an idle slot moves toward it and never across.
+  const double step = value + rate * (target - value);
+  return std::clamp(above ? std::max(step, target) : std::min(step, target),
+                    params_.min_trust, params_.max_trust);
 }
 
 void TrustStore::record_interaction(NodeId subject, bool positive) {

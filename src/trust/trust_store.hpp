@@ -52,7 +52,7 @@ class TrustStore {
   bool known(NodeId subject) const;
 
   /// Eq. 5 for one slot: T <- sum_j alpha_j e_j + beta T_prev, clamped to
-  /// [min_trust, max_trust].
+  /// [min_trust, max_trust]; returns the new T (one slab lookup).
   double apply_evidence(NodeId subject, std::span<const Evidence> evidences);
   double apply_evidence(NodeId subject, const Evidence& evidence) {
     return apply_evidence(subject, std::span<const Evidence>{&evidence, 1});
@@ -98,6 +98,11 @@ class TrustStore {
   }
 
  private:
+  /// The subject's entry, inserted at default_trust when unknown.
+  double& slot(NodeId subject);
+  /// One idle slot's relaxation of `value` toward default_trust, clamped.
+  double relaxed(double value) const;
+
   TrustParams params_;
   std::vector<std::pair<NodeId, double>> trust_;  // sorted by subject
   std::vector<Counter> interactions_;  // sorted by subject

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +23,8 @@
 #include "faults/fault_plan.hpp"
 #include "logging/audit_log.hpp"
 #include "scenario/trust_experiment.hpp"
+#include "sim/rng.hpp"
+#include "trust/detection.hpp"
 
 namespace manet {
 namespace {
@@ -365,6 +371,302 @@ TEST(AuditWire, PipelineFromHeaderRestoresTrustSnapshot) {
   auto pipeline = core::pipeline_from_header(header);
   EXPECT_DOUBLE_EQ(pipeline.trust_store().trust(NodeId{3}), 0.42);
   EXPECT_EQ(pipeline.config().self, NodeId{0});
+}
+
+// --- mutation sweep ---------------------------------------------------------
+
+/// A short recorded run of one attack family: the header, kLine frames of
+/// every kind the run writes, kRound and kDecay frames and, for the
+/// grayhole run, kForwardAudit frames.
+std::vector<std::uint8_t> short_recorded_log(TrustExperiment::AttackKind attack) {
+  TrustExperiment::Config config;
+  config.seed = 3;
+  config.num_nodes = 9;
+  config.num_liars = attack == TrustExperiment::AttackKind::kSpoof ? 2 : 0;
+  config.rounds = 2;
+  config.attack = attack;
+  config.record_audit = true;
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  exp.run_round();
+  exp.cease_attack();
+  exp.run_idle_round();
+  exp.detector().feed_log_growth();
+  return exp.audit_log();
+}
+
+/// Byte offsets of a log's element counts (u64) and frame size prefixes
+/// (u32), found by walking the layouts of core/pipeline.cpp (header,
+/// kRound) and logging/audit_log.hpp (kLine).
+struct LogLayout {
+  std::vector<std::size_t> counts;
+  std::vector<std::size_t> sizes;
+};
+
+LogLayout walk_layout(const std::vector<std::uint8_t>& log) {
+  const auto le = [&log](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) v |= std::uint64_t{log[at + i]} << (8 * i);
+    return v;
+  };
+  LogLayout layout;
+  // The tag (8), then the config: self (4), the eight trust parameters
+  // (64), gamma and level (16), the interval flag (1), the minimum detect
+  // (8), the liveness window (8), the decay flag (1). Then the trust
+  // snapshot: (node, f64) rows and (node, i64, i64) rows.
+  std::size_t pos = 8 + 4 + 64 + 16 + 1 + 8 + 8 + 1;
+  layout.counts.push_back(pos);
+  pos += 8 + le(pos, 8) * 12;
+  layout.counts.push_back(pos);
+  pos += 8 + le(pos, 8) * 20;
+  while (pos < log.size()) {
+    const auto kind = static_cast<AuditFrame>(log[pos]);
+    layout.sizes.push_back(pos + 1);
+    const std::size_t payload = pos + 5;
+    if (kind == AuditFrame::kLine) {
+      std::size_t at = payload + 12;  // time, node
+      const auto event = static_cast<logging::Event>(log[at++]);
+      for (const auto& field : logging::schema(event).fields) {
+        if (field.kind == logging::FieldKind::kId) at += 4;
+        if (field.kind == logging::FieldKind::kInt) at += 8;
+        if (field.kind == logging::FieldKind::kIdList) {
+          layout.counts.push_back(at);
+          at += 8 + 4 * le(at, 8);
+        }
+      }
+    } else if (kind == AuditFrame::kRound) {
+      // time, id, kind, suspect, subject, claim, own observation
+      std::size_t at = payload + 8 + 4 + 1 + 4 + 4 + 1 + 8;
+      layout.counts.push_back(at);  // answers: responder, f64, flag
+      at += 8 + 13 * le(at, 8) + 8;  // then the timeouts tally
+      layout.counts.push_back(at);  // tags
+    }
+    pos = payload + le(pos + 1, 4);
+  }
+  return layout;
+}
+
+/// Replays a mutant log to its end: the reader and the pipeline may refuse
+/// it only with AuditError. Returns whether it was refused.
+bool replay_mutant(const std::vector<std::uint8_t>& bytes,
+                   const std::string& what) {
+  try {
+    AuditStreamReader stream{bytes};
+    auto pipeline = core::pipeline_from_header(stream.header());
+    AuditEvent event;
+    while (stream.next(event)) pipeline.consume(event);
+  } catch (const AuditError&) {
+    return true;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+  }
+  return false;
+}
+
+TEST(AuditFuzz, MutantsOfRecordedLogsThrowOnlyAuditError) {
+  // Bit flips over a stride of bytes with a few masks, then every list
+  // count and frame size moved by one and set to large values. Each
+  // mutant runs through the reader, pipeline_from_header and consume;
+  // under ASan/UBSan this is also the decoder's memory-safety sweep.
+  for (const auto attack : {TrustExperiment::AttackKind::kSpoof,
+                            TrustExperiment::AttackKind::kGrayhole}) {
+    const auto log = short_recorded_log(attack);
+    const auto layout = walk_layout(log);
+    ASSERT_FALSE(replay_mutant(log, "the unmutated log"));
+    const std::string name =
+        attack == TrustExperiment::AttackKind::kSpoof ? "spoof" : "grayhole";
+    std::size_t mutants = 0, refused = 0;
+    const auto run = [&](std::vector<std::uint8_t> bytes, std::string what) {
+      ++mutants;
+      if (replay_mutant(bytes, name + " " + what)) ++refused;
+    };
+
+    const std::uint8_t masks[] = {0x01, 0x10, 0x80, 0xFF};
+    const std::size_t stride = log.size() / 1000 + 1;
+    for (std::size_t m = 0; m < std::size(masks); ++m) {
+      for (std::size_t at = m * stride / std::size(masks); at < log.size();
+           at += stride) {
+        auto bytes = log;
+        bytes[at] ^= masks[m];
+        run(std::move(bytes), "flip " + std::to_string(masks[m]) + " at " +
+                                  std::to_string(at));
+      }
+    }
+
+    const auto set = [](std::vector<std::uint8_t>& bytes, std::size_t at,
+                        int width, std::uint64_t v) {
+      for (int i = 0; i < width; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    const auto get = [&log](std::size_t at, int width) {
+      std::uint64_t v = 0;
+      for (int i = 0; i < width; ++i) v |= std::uint64_t{log[at + i]} << (8 * i);
+      return v;
+    };
+    const auto perturb = [&](const std::vector<std::size_t>& fields, int width,
+                             const char* what) {
+      for (const auto at : fields) {
+        const auto v = get(at, width);
+        const std::uint64_t top = width == 4 ? UINT32_MAX : UINT64_MAX;
+        for (const std::uint64_t to : {v + 1, v - 1, top, top / 2 + 1}) {
+          auto bytes = log;
+          set(bytes, at, width, to);
+          run(std::move(bytes), std::string{what} + " at " +
+                                    std::to_string(at) + " -> " +
+                                    std::to_string(to));
+        }
+      }
+    };
+    perturb(layout.counts, 8, "count");
+    perturb(layout.sizes, 4, "frame size");
+
+    EXPECT_GT(refused, 0u) << name;
+    EXPECT_LT(refused, mutants) << name;  // some mutants still decode
+  }
+}
+
+TEST(AuditFuzz, FarApartTimesDoNotOverflowTheLivenessGate) {
+  // A crafted log may stamp a reception near the bottom of the time range;
+  // the gap to a later round exceeds int64, and the gate must still read
+  // it as a long silence (the UBSan job would flag a signed overflow).
+  auto config = sample_config();  // liveness window 10 s
+  core::DetectionPipeline pipeline{config};
+  pipeline.consume_line({sim::Time::from_us(INT64_MIN + 5), NodeId{0},
+                         logging::Event::kHelloRecv, NodeId{1}, 1,
+                         std::vector<NodeId>{}, std::vector<NodeId>{}, 0, 3});
+  core::AuditRound round;
+  round.query.suspect = NodeId{1};
+  round.query.subject = NodeId{5};
+  round.own_observation = -1.0;  // the claim is up; we see it down
+  for (std::uint32_t id = 2; id < 40; ++id)
+    round.answers.push_back({NodeId{id}, -1.0, true});
+  pipeline.consume_round(sim::Time::from_seconds(30.0), round);
+  const auto& report = pipeline.reports().back();
+  EXPECT_TRUE(report.suppressed);
+  EXPECT_EQ(report.verdict, trust::Verdict::kUnrecognized);
+}
+
+// --- pooled decision: fast path vs spec form ------------------------------
+
+/// Bit-for-bit equality of two doubles (EXPECT_EQ would equate -0 and +0).
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(PooledDecision, MatchesSpecFormEveryRound) {
+  // The pipeline keeps one Eq. 9 accumulator per disputed link and reweighs
+  // the pool in one pass. Every report must equal trust::decide over the
+  // pool after the round's append, weighted by trust before the round's
+  // updates: through pools that cross the 500-answer cap (one round even
+  // brings more than 500 answers at once), a restore into a fresh pipeline
+  // mid-stream, and responder ids beyond the dense 4096-id slabs.
+  using Pooled = core::DetectionPipeline::PooledAnswer;
+  core::PipelineConfig config;
+  config.self = NodeId{0};
+  config.trust_update_min_detect = 0.05;
+  config.decay_unresponsive = true;
+  auto pipeline = std::make_unique<core::DetectionPipeline>(config);
+
+  const std::vector<std::pair<NodeId, NodeId>> links{
+      {NodeId{1}, NodeId{2}},
+      {NodeId{3}, NodeId{4}},
+      {NodeId{5000}, NodeId{6}},
+      {NodeId{7}, NodeId{4097}}};
+  std::vector<NodeId> responders;
+  for (std::uint32_t id = 1; id <= 40; ++id) responders.push_back(NodeId{id});
+  for (std::uint32_t id : {4095u, 4096u, 4100u, 0xFFFFFFF0u})
+    responders.push_back(NodeId{id});
+  responders.push_back(config.self);  // a crafted log may name the investigator
+
+  std::map<std::pair<NodeId, NodeId>, std::vector<Pooled>> spec;
+  sim::Rng rng{2024};
+  constexpr int kRounds = 400;
+  constexpr int kRestoreAt = 230;
+  bool trimmed = false;
+  for (int r = 0; r < kRounds; ++r) {
+    if (r == kRestoreAt) {
+      // The restore lands on capped pools and on one still filling up.
+      ASSERT_TRUE(trimmed);
+      ASSERT_LT(spec[links.back()].size(), 500u);
+      auto fresh = std::make_unique<core::DetectionPipeline>(config);
+      fresh->trust_store().restore(pipeline->trust_store().trust_rows(),
+                                   pipeline->trust_store().interaction_rows());
+      fresh->restore(pipeline->answer_pool(), pipeline->degradation());
+      pipeline = std::move(fresh);
+    }
+    // The last link is investigated every 25th round only.
+    const auto link =
+        r % 25 == 0 ? links.back()
+                    : links[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(links.size()) - 2))];
+    core::AuditRound round;
+    round.query.investigation_id = static_cast<std::uint32_t>(r);
+    round.query.suspect = link.first;
+    round.query.subject = link.second;
+    round.query.claimed_up = rng.bernoulli(0.5);
+    round.own_observation = static_cast<double>(rng.uniform_int(-1, 1));
+    const auto count = r == 151 ? 520 : rng.bernoulli(0.2) ? 63 : rng.uniform_int(0, 20);
+    const double lean = rng.bernoulli(0.5) ? -1.0 : 1.0;
+    for (std::int64_t i = 0; i < count; ++i) {
+      core::RoundAnswer a;
+      a.responder = responders[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(responders.size()) - 1))];
+      a.answered = !rng.bernoulli(0.1);
+      a.evidence = !a.answered       ? 0.0
+                   : rng.bernoulli(0.1) ? 0.0  // an abstention
+                   : rng.bernoulli(0.8) ? lean
+                                        : -lean;
+      round.answers.push_back(a);
+      if (!a.answered) ++round.timeouts;
+    }
+
+    // The spec form: append as §IV-C says, trim to the newest 500, and
+    // decide from scratch with the investigator's own answer at weight 1.
+    auto& pool = spec[link];
+    const double claim = round.query.claimed_up ? 1.0 : -1.0;
+    if (round.own_observation != 0.0)
+      pool.push_back({config.self, round.own_observation == claim ? 1.0 : -1.0,
+                      true});
+    for (const auto& a : round.answers)
+      if (!(a.answered && a.evidence == 0.0))
+        pool.push_back({a.responder, a.evidence, a.answered});
+    if (pool.size() > 500) {
+      pool.erase(pool.begin(), pool.end() - 500);
+      trimmed = true;
+    }
+    std::vector<trust::WeightedAnswer> weighted;
+    for (const auto& p : pool)
+      weighted.push_back(
+          {p.responder,
+           p.responder == config.self
+               ? 1.0
+               : pipeline->trust_store().trust(p.responder),
+           p.evidence});
+    const auto want = trust::decide(weighted, config.decision);
+
+    pipeline->consume_round(sim::Time::from_ms(1000 + 500 * r), round);
+    const auto& got = pipeline->reports().back();
+    ASSERT_EQ(got.cumulative_answers, pool.size()) << "round " << r;
+    ASSERT_EQ(bits(got.cumulative_detect), bits(want.detect)) << "round " << r;
+    ASSERT_EQ(bits(got.interval.mean), bits(want.interval.mean))
+        << "round " << r;
+    ASSERT_EQ(bits(got.interval.margin), bits(want.interval.margin))
+        << "round " << r;
+    ASSERT_EQ(got.verdict, want.verdict) << "round " << r;
+  }
+  // The checkpoint surface exports the spec's pools, in link order.
+  const auto exported = pipeline->answer_pool();
+  ASSERT_EQ(exported.size(), spec.size());
+  auto it = spec.begin();
+  for (const auto& [link, answers] : exported) {
+    EXPECT_EQ(link, it->first);
+    ASSERT_EQ(answers.size(), it->second.size());
+    for (std::size_t i = 0; i < answers.size(); ++i) {
+      EXPECT_EQ(answers[i].responder, it->second[i].responder);
+      EXPECT_EQ(bits(answers[i].evidence), bits(it->second[i].evidence));
+      EXPECT_EQ(answers[i].answered, it->second[i].answered);
+    }
+    ++it;
+  }
 }
 
 // --- live-vs-replay equivalence -------------------------------------------

@@ -12,14 +12,17 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "byte_digest.hpp"
 #include "faults/checkpoint.hpp"
 #include "faults/fault_plan.hpp"
 #include "logging/log_store.hpp"
+#include "obs/obs.hpp"
 #include "olsr/wire.hpp"
 #include "scenario/trust_experiment.hpp"
 
@@ -197,6 +200,73 @@ TEST(Checkpoint, ChainedCheckpointsStillMatch) {
   for (int r = 3; r < 5; ++r) actual = fingerprint(third->run_churn_round());
 
   EXPECT_EQ(actual, expected);
+}
+
+// A broadcast still on the air at the save point is one transmission with
+// a frame per receiver. Restored, its frames share one payload again, so
+// its receivers parse it once (manet_olsr_frames_decoded_total counts one
+// decode per payload), and the run continues as if it never stopped.
+TEST(Checkpoint, RestoredBroadcastIsDecodedOncePerTransmission) {
+  using Frame = net::InFlightFrame;
+  const auto transmissions = [](const std::vector<Frame>& frames) {
+    std::set<std::tuple<net::NodeId, net::NodeId, sim::Time, net::Bytes>>
+        distinct;
+    for (const auto& f : frames)
+      distinct.emplace(f.transmitter, f.link_dest, f.sent_at, f.payload);
+    return distinct.size();
+  };
+
+  auto config = checkpoint_config(/*faulted=*/false);
+  config.attack = TrustExperiment::AttackKind::kGrayhole;
+  config.num_nodes = 49;
+  config.num_liars = 0;
+  TrustExperiment original{config};
+  original.setup();
+  // Save at a round boundary where a transmission has several frames on
+  // the air.
+  for (int r = 0; r < 8; ++r) {
+    original.run_round();
+    const auto listed = original.network().medium().in_flight();
+    if (transmissions(listed) < listed.size()) break;
+  }
+  const auto bytes = original.save_checkpoint();
+  const sim::Time cut = original.network().now();
+  const auto expected = fingerprint(original.run_round());
+
+  obs::Context ctx;
+  obs::Scope scope{&ctx};
+  const auto decoded = [&ctx] {
+    return ctx.snapshot().counter_value(
+        obs::hot_name(obs::Hot::kFramesDecoded));
+  };
+  auto restored = TrustExperiment::restore_checkpoint(config, bytes);
+  auto& medium = restored->network().medium();
+  const auto restored_on_air = [cut](const std::vector<Frame>& air) {
+    return std::ranges::count_if(
+        air, [cut](const Frame& f) { return f.sent_at <= cut; });
+  };
+  auto air = medium.in_flight();
+  const auto restored_count = restored_on_air(air);
+  ASSERT_LT(transmissions(air), air.size());
+
+  // Step until every restored frame has landed, collecting what each step
+  // takes off the air. New transmissions land in the window too; every
+  // transmission with a landed frame is decoded once.
+  const auto decoded_before = decoded();
+  std::vector<Frame> landed;
+  while (restored_on_air(air) > 0) {
+    ASSERT_TRUE(restored->network().sim().step());
+    auto now = medium.in_flight();
+    std::set<std::uint64_t> still;
+    for (const auto& f : now) still.insert(f.seq);
+    for (auto& f : air)
+      if (!still.count(f.seq)) landed.push_back(std::move(f));
+    air = std::move(now);
+  }
+  ASSERT_GE(restored_on_air(landed), restored_count);
+  EXPECT_EQ(decoded() - decoded_before, transmissions(landed));
+
+  EXPECT_EQ(fingerprint(restored->run_round()), expected);
 }
 
 // --- pinned bytes ---------------------------------------------------------
@@ -437,6 +507,35 @@ TEST(Checkpoint, RestoreRejectsInconsistentRoutingSection) {
   for (const auto& bad : {short_dist, unsorted, duplicate, far, orphan})
     EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
                  CheckpointError);
+}
+
+TEST(Checkpoint, RestoreRejectsUnorderedAnswerPools) {
+  // The pipeline finds a disputed link's pool by binary search, so the
+  // detector section must hold its pools in strictly ascending link order.
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto image = faults::detector_image(exp.detector());
+  const core::DetectionPipeline::PooledAnswer answer{net::NodeId{3}, -1.0,
+                                                     true};
+  const auto with_pools =
+      [&](std::vector<std::pair<net::NodeId, net::NodeId>> links) {
+        auto crafted = image;
+        crafted.state.answer_pool.clear();
+        for (const auto& link : links)
+          crafted.state.answer_pool.push_back({link, {answer}});
+        return crafted;
+      };
+  const net::NodeId a{1}, b{2}, c{5};
+  EXPECT_NO_THROW(faults::restore_detector(with_pools({{a, b}, {a, c}, {b, a}}),
+                                           exp.detector()));
+  EXPECT_THROW(
+      faults::restore_detector(with_pools({{a, c}, {a, b}}), exp.detector()),
+      CheckpointError);
+  EXPECT_THROW(
+      faults::restore_detector(with_pools({{a, b}, {a, b}}), exp.detector()),
+      CheckpointError);
 }
 
 TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {

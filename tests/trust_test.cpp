@@ -298,5 +298,159 @@ TEST_P(DecisionSymmetry, FlippingEvidenceFlipsVerdict) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecisionSymmetry, ::testing::Range(1, 15));
 
+// --- properties over random calibrations -----------------------------------
+// The bounds Sen's trust frameworks (arXiv:1010.5176, 1012.2519) state for
+// this class of update, checked for random TrustParams / DecisionConfig
+// rather than only the calibration of the figures.
+
+/// A random calibration: bounds anywhere around [0, 1], the default inside
+/// them, every rate and weight in [0, 1] (the endpoints included).
+TrustParams random_params(sim::Rng& rng) {
+  const auto unit = [&rng] {
+    const auto pick = rng.uniform_int(0, 9);
+    return pick == 0 ? 0.0 : pick == 1 ? 1.0 : rng.uniform_real(0.0, 1.0);
+  };
+  TrustParams p;
+  p.min_trust = rng.uniform_real(-0.5, 0.5);
+  p.max_trust = p.min_trust + rng.uniform_real(0.01, 1.5);
+  p.default_trust = rng.uniform_real(p.min_trust, p.max_trust);
+  p.forgetting = unit();
+  p.gravity_lie = unit();
+  p.reward_honest = unit();
+  p.idle_rate_from_above = unit();
+  p.idle_rate_from_below = unit();
+  return p;
+}
+
+DecisionConfig random_decision(sim::Rng& rng) {
+  DecisionConfig c;
+  c.gamma = rng.uniform_real(0.01, 1.0);
+  c.confidence_level = rng.uniform_real(0.5, 0.9999);
+  c.use_confidence_interval = rng.bernoulli(0.8);
+  return c;
+}
+
+/// Random answers: trust in [0, 1] (sometimes exactly 0), evidence in
+/// [-1, 1] (mostly the protocol's -1, 0, +1).
+std::vector<WeightedAnswer> random_answers(sim::Rng& rng, int count) {
+  std::vector<WeightedAnswer> out;
+  for (int i = 0; i < count; ++i) {
+    const double trust = rng.bernoulli(0.1) ? 0.0 : rng.uniform_real(0.0, 1.0);
+    const double evidence =
+        rng.bernoulli(0.3) ? rng.uniform_real(-1.0, 1.0)
+                           : static_cast<double>(rng.uniform_int(-1, 1));
+    out.push_back({n(static_cast<std::uint32_t>(i)), trust, evidence});
+  }
+  return out;
+}
+
+TEST(TrustProperties, Eq5KeepsTrustWithinItsBounds) {
+  sim::Rng rng{501};
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto p = random_params(rng);
+    TrustStore store{p};
+    for (int slot = 0; slot < 50; ++slot) {
+      const NodeId subject = n(static_cast<std::uint32_t>(rng.uniform_int(0, 4)));
+      std::vector<Evidence> evs;
+      for (auto k = rng.uniform_int(0, 3); k > 0; --k)
+        evs.push_back({rng.uniform_real(-1.0, 1.0), rng.uniform_real(0.0, 2.0),
+                       true, ""});
+      const double t = store.apply_evidence(subject, evs);
+      ASSERT_GE(t, p.min_trust) << "trial " << trial;
+      ASSERT_LE(t, p.max_trust) << "trial " << trial;
+      ASSERT_EQ(t, store.trust(subject)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(TrustProperties, IdleSlotsMoveTowardDefaultWithoutCrossingIt) {
+  sim::Rng rng{502};
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto p = random_params(rng);
+    const double d = p.default_trust;
+    TrustStore store{p};
+    std::vector<double> before;
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      // Some subjects start exactly at the default or at a bound.
+      const auto pick = rng.uniform_int(0, 5);
+      const double t = pick == 0   ? d
+                       : pick == 1 ? p.min_trust
+                       : pick == 2 ? p.max_trust
+                                   : rng.uniform_real(p.min_trust, p.max_trust);
+      store.set_trust(n(s), t);
+      before.push_back(store.trust(n(s)));
+    }
+    const auto between = [d](double was, double now) {
+      return was >= d ? d <= now && now <= was : was <= now && now <= d;
+    };
+    for (int slot = 0; slot < 20; ++slot) {
+      const bool sweep = rng.bernoulli(0.5);
+      const NodeId one = n(static_cast<std::uint32_t>(rng.uniform_int(0, 7)));
+      if (sweep)
+        store.decay_all_idle();
+      else
+        store.decay_idle(one);
+      for (std::uint32_t s = 0; s < 8; ++s) {
+        const double now = store.trust(n(s));
+        ASSERT_TRUE(between(before[s], now))
+            << "trial " << trial << " subject " << s << ": " << before[s]
+            << " -> " << now << " with default " << d;
+        before[s] = now;
+      }
+    }
+  }
+}
+
+TEST(TrustProperties, Eq8StaysInTheUnitRange) {
+  sim::Rng rng{503};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto answers =
+        random_answers(rng, static_cast<int>(rng.uniform_int(0, 40)));
+    const double detect = aggregate_detection(answers);
+    ASSERT_GE(detect, -1.0) << "trial " << trial;
+    ASSERT_LE(detect, 1.0) << "trial " << trial;
+  }
+}
+
+TEST(TrustProperties, Eq10LeavesFewerThanTwoAnswersUnrecognized) {
+  // With one sample or none the spread is unknown, so eps = 2 and no
+  // Detect in [-1, 1] clears a positive gamma.
+  sim::Rng rng{504};
+  for (int trial = 0; trial < 500; ++trial) {
+    auto config = random_decision(rng);
+    config.use_confidence_interval = true;
+    const auto d = decide(
+        random_answers(rng, static_cast<int>(rng.uniform_int(0, 1))), config);
+    ASSERT_EQ(d.interval.margin, 2.0) << "trial " << trial;
+    ASSERT_EQ(d.verdict, Verdict::kUnrecognized) << "trial " << trial;
+  }
+}
+
+TEST(TrustProperties, Eq10DecidesOnlyBeyondTheMargin) {
+  sim::Rng rng{505};
+  int decided = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto config = random_decision(rng);
+    // Lean the answers one way now and then, so verdicts do occur.
+    auto answers = random_answers(rng, static_cast<int>(rng.uniform_int(2, 60)));
+    if (rng.bernoulli(0.5)) {
+      const double side = rng.bernoulli(0.5) ? 1.0 : -1.0;
+      for (auto& a : answers)
+        if (rng.bernoulli(0.9)) a.evidence = side;
+    }
+    const auto d = decide(answers, config);
+    const double eps = config.use_confidence_interval ? d.interval.margin : 0.0;
+    if (d.verdict == Verdict::kIntruder) {
+      ++decided;
+      ASSERT_LE(d.detect + eps, -config.gamma) << "trial " << trial;
+    } else if (d.verdict == Verdict::kWellBehaving) {
+      ++decided;
+      ASSERT_GE(d.detect - eps, config.gamma) << "trial " << trial;
+    }
+    ASSERT_EQ(d.verdict, classify(d.detect, d.interval.margin, config));
+  }
+  EXPECT_GT(decided, 200);  // the property was exercised, not vacuous
+}
+
 }  // namespace
 }  // namespace manet::trust

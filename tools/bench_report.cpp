@@ -6,12 +6,13 @@
 // sharded-engine gauges (full-stack slabs, synthetic window throughput,
 // serial-fraction counters), and the fault-subsystem checkpoint codec
 // (save/restore throughput at 256 and 1024 nodes), plus the audit-event
-// detection pipeline (in-memory consume and binary-log replay at 256 and
-// 1024 peer streams, the kForwardAudit frame path, and the end-to-end
-// grayhole detection round), and the observability-layer gauges (disabled
-// and enabled counter record, span record, registry snapshot) — with
-// repeated runs and median aggregates, and
-// writes the results to BENCH_20.json: the current point of this repo's
+// detection pipeline (in-memory consume at 256 and 1024 peer streams,
+// decode-only throughput of the recorded format, and the kForwardAudit
+// frame path; the end-to-end replay and grayhole round are benchmark/
+// workloads), and the observability-layer gauges (disabled and enabled
+// counter record, span record, registry snapshot) — with repeated runs and
+// median aggregates, and
+// writes the results to BENCH_22.json: the current point of this repo's
 // recorded perf trajectory (see docs/BENCHMARKING.md for the whole series
 // and its comparability rules; tools/bench_diff.py prints median deltas
 // between consecutive BENCH_N files).
@@ -28,7 +29,7 @@
 int main(int argc, char** argv) {
   std::vector<std::string> args = {
       argv[0],
-      "--benchmark_out=BENCH_20.json",
+      "--benchmark_out=BENCH_22.json",
       "--benchmark_out_format=json",
       "--benchmark_repetitions=5",
       "--benchmark_report_aggregates_only=true",
@@ -39,8 +40,7 @@ int main(int argc, char** argv) {
       "BM_SequentialWindows|BM_ShardedWindows|"
       "BM_TrustUpdateLarge|BM_TrustDecayAllLarge|"
       "BM_CheckpointSave|BM_CheckpointRestore|"
-      "BM_DetectConsume|BM_AuditReplay|BM_AuditDecode|"
-      "BM_ForwardAuditConsume|BM_GrayholeRound|"
+      "BM_DetectConsume|BM_AuditDecode|BM_ForwardAuditConsume|"
       "BM_CounterInc|BM_SpanEnterExit|BM_SpanDisabled|BM_RegistrySnapshot",
   };
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
