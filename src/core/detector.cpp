@@ -56,11 +56,9 @@ void Detector::feed_log_growth() {
   const auto& log = agent_.log();
   // Retention may have dropped records past the cursor; they are gone for
   // the live pipeline exactly as they were for the old full-log rescan.
-  std::uint64_t next = std::max(next_feed_, log.base_index());
-  for (; next < log.total_appended(); ++next)
-    pipeline_.consume_line(
-        log.at(static_cast<std::size_t>(next - log.base_index())));
-  next_feed_ = next;
+  for (const auto& line : log.records_from(next_feed_))
+    pipeline_.consume_line(line);
+  next_feed_ = log.total_appended();
 }
 
 sim::Time Detector::last_heard_of(NodeId node) {
@@ -111,12 +109,12 @@ std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
   // is also a believed neighbor.
   const auto& index = investigations_.log_index();
   std::vector<NodeId> out;
-  if (const auto* claim = index.newest_hello(suspect)) {
+  if (const auto claim = index.newest_hello(suspect)) {
     const auto sym = LogIndex::sym(*claim);
     out.assign(sym.begin(), sym.end());
   }
   index.for_each_newest_hello(
-      [&](NodeId from, const logging::LogRecord& hello) {
+      [&](NodeId from, const logging::RecordView& hello) {
         if (from != suspect && LogIndex::lists(hello, suspect))
           out.push_back(from);
         return true;
@@ -171,7 +169,7 @@ std::size_t Detector::scan_once() {
 }
 
 void Detector::check_forward_timeouts(
-    const logging::LogStore::Growth& growth,
+    const logging::LogStore::Records& growth,
     std::vector<logging::LogRecord>& synthesized) {
   using logging::Event;
   using logging::Key;
@@ -292,7 +290,7 @@ std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
   // The suspect's freshest advertised neighbor list, checked against the
   // other originators' freshest HELLOs and the TCs — all from the local log.
   const auto& index = investigations_.log_index();
-  const auto* claim = index.newest_hello(suspect);
+  const auto claim = index.newest_hello(suspect);
   if (!claim) return {};
 
   // Evidence for a node never heard directly: it originated a TC, was
@@ -301,7 +299,7 @@ std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
   const auto independent = [&](NodeId x) {
     return index.tc_originated(x) || index.tc_advertised_by_other(x, suspect) ||
            !index.for_each_newest_hello(
-               [&](NodeId from, const logging::LogRecord& hello) {
+               [&](NodeId from, const logging::RecordView& hello) {
                  return from == suspect || !LogIndex::lists(hello, x);
                });
   };
@@ -310,7 +308,7 @@ std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
   for (const auto x : LogIndex::sym(*claim)) {
     if (disputed.size() >= max_links) break;
     if (x == agent_.id()) continue;
-    const auto* own = index.newest_hello(x);
+    const auto own = index.newest_hello(x);
     // Contradicted neighbor: x's own freshest HELLO omits the suspect.
     // Uncorroborated neighbor: nobody but the suspect has mentioned x.
     if (own ? !LogIndex::lists(*own, suspect) : !independent(x))

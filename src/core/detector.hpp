@@ -179,7 +179,7 @@ class Detector {
                        std::size_t& launched);
   /// Follows our TC emissions and their MPR echoes through `growth`, and
   /// appends an mpr_fwd_timeout record per MPR that never echoed one.
-  void check_forward_timeouts(const logging::LogStore::Growth& growth,
+  void check_forward_timeouts(const logging::LogStore::Records& growth,
                               std::vector<logging::LogRecord>& synthesized);
   bool in_cooldown(NodeId suspect, NodeId subject) const;
 

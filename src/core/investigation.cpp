@@ -149,10 +149,10 @@ double InvestigationManager::honest_observation(const LinkQuery& query) {
   // subject tells us whether it considers the suspect a neighbor; if it
   // does, the suspect's freshest HELLO must reciprocate for the link to be
   // symmetric (a one-sided listing is not an up link).
-  const auto* subject_hello = index.newest_hello(query.subject);
+  const auto subject_hello = index.newest_hello(query.subject);
   if (subject_hello && fresh(subject_hello->time)) {
     if (!LogIndex::lists(*subject_hello, query.suspect)) return -1.0;
-    const auto* suspect_hello = index.newest_hello(query.suspect);
+    const auto suspect_hello = index.newest_hello(query.suspect);
     if (!suspect_hello || !fresh(suspect_hello->time))
       return +1.0;  // subject vouches; suspect unheard locally
     return LogIndex::lists(*suspect_hello, query.subject) ? +1.0 : -1.0;

@@ -54,16 +54,18 @@ void LogIndex::sync() {
     obs::hit(obs::Hot::kLogIndexRestarts);
   }
   next_ = std::max(next_, log.base_index());
-  for (; next_ < log.total_appended(); ++next_) {
-    if (!index(record_at(next_), next_)) continue;
-    obs::hit(obs::Hot::kLogRecordsIndexed);
-    if (!oldest_) oldest_ = next_;
+  for (const auto& record : log.records_from(next_)) {
+    if (index(record, next_)) {
+      obs::hit(obs::Hot::kLogRecordsIndexed);
+      if (!oldest_) oldest_ = next_;
+    }
+    ++next_;
   }
 }
 
 void LogIndex::reset() { *this = LogIndex{*log_}; }
 
-bool LogIndex::index(const logging::LogRecord& record, std::uint64_t at) {
+bool LogIndex::index(const logging::RecordView& record, std::uint64_t at) {
   using logging::Event;
   if (record.event() == Event::kHelloRecv) {
     index_hello(record, at);
@@ -77,7 +79,7 @@ bool LogIndex::index(const logging::LogRecord& record, std::uint64_t at) {
   return true;
 }
 
-void LogIndex::index_hello(const logging::LogRecord& record,
+void LogIndex::index_hello(const logging::RecordView& record,
                            std::uint64_t at) {
   const auto from = record.id(logging::Key::kFrom);
   const auto list = sym(record);
@@ -93,7 +95,7 @@ void LogIndex::index_hello(const logging::LogRecord& record,
   }
 }
 
-void LogIndex::index_tc(const logging::LogRecord& record) {
+void LogIndex::index_tc(const logging::RecordView& record) {
   const auto orig = record.id(logging::Key::kOrig);
   const auto it = std::lower_bound(tc_origins_.begin(), tc_origins_.end(), orig);
   if (it == tc_origins_.end() || *it != orig) tc_origins_.insert(it, orig);
@@ -101,12 +103,12 @@ void LogIndex::index_tc(const logging::LogRecord& record) {
     slab_entry(advertisers_, node).add(orig);
 }
 
-const logging::LogRecord* LogIndex::newest_hello(NodeId from) const {
+std::optional<logging::RecordView> LogIndex::newest_hello(NodeId from) const {
   const auto* at = slab_get(hellos_, from);
-  return at ? &record_at(*at) : nullptr;
+  return at ? std::optional{record_at(*at)} : std::nullopt;
 }
 
-bool LogIndex::lists(const logging::LogRecord& hello, NodeId node) {
+bool LogIndex::lists(const logging::RecordView& hello, NodeId node) {
   const auto list = sym(hello);
   return std::ranges::find(list, node) != list.end();
 }

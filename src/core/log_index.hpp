@@ -35,8 +35,9 @@ class LogIndex {
   /// Forgets everything; the next sync() re-reads the retained window.
   void reset();
 
-  /// The newest retained HELLO heard from `from`; nullptr when none.
-  const logging::LogRecord* newest_hello(NodeId from) const;
+  /// The newest retained HELLO heard from `from`, read in place (valid
+  /// until the log's next append); nullopt when none.
+  std::optional<logging::RecordView> newest_hello(NodeId from) const;
 
   /// Visits each originator's newest HELLO, ascending by originator, until
   /// `visit(from, hello)` returns false; returns false iff it stopped early.
@@ -48,11 +49,11 @@ class LogIndex {
   }
 
   /// The sym list of an indexed HELLO, read in place.
-  static std::span<const NodeId> sym(const logging::LogRecord& hello) {
+  static std::span<const NodeId> sym(const logging::RecordView& hello) {
     return hello.ids(logging::Key::kSym);
   }
   /// Whether an indexed HELLO's sym list names `node`.
-  static bool lists(const logging::LogRecord& hello, NodeId node);
+  static bool lists(const logging::RecordView& hello, NodeId node);
 
   /// Whether a retained HELLO from an originator other than `a` and `b`
   /// lists `node` (any retained HELLO, not only the newest).
@@ -77,13 +78,13 @@ class LogIndex {
     bool any_outside(NodeId a, NodeId b) const;
   };
 
-  const logging::LogRecord& record_at(std::uint64_t at) const {
+  logging::RecordView record_at(std::uint64_t at) const {
     return log_->at(static_cast<std::size_t>(at - log_->base_index()));
   }
   /// Returns whether the record was one of the indexed kinds.
-  bool index(const logging::LogRecord& record, std::uint64_t at);
-  void index_hello(const logging::LogRecord& record, std::uint64_t at);
-  void index_tc(const logging::LogRecord& record);
+  bool index(const logging::RecordView& record, std::uint64_t at);
+  void index_hello(const logging::RecordView& record, std::uint64_t at);
+  void index_tc(const logging::RecordView& record);
 
   const logging::LogStore* log_;
   std::uint64_t next_ = 0;  ///< absolute index of the next record to read

@@ -50,7 +50,7 @@ void DetectionPipeline::consume(const AuditEvent& event) {
   }
 }
 
-void DetectionPipeline::consume_line(const logging::LogRecord& line) {
+void DetectionPipeline::consume_line(const logging::RecordView& line) {
   obs::hit(obs::Hot::kPipelineLines);
   // Liveness oracle: lines arrive in time order, so the running maximum per
   // peer equals a newest-first scan over the whole log.
@@ -415,6 +415,10 @@ AuditHeader read_audit_header(logging::AuditReader& reader) {
     throw logging::AuditError{std::string{"corrupt audit header: "} +
                               e.what()};
   }
+  if (const char* slab = trust::TrustStore::unordered_slab(
+          header.trust_rows, header.interaction_rows))
+    throw logging::AuditError{std::string{"corrupt audit header: "} + slab +
+                              " unsorted or duplicated"};
   return header;
 }
 

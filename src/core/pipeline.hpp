@@ -79,7 +79,7 @@ class DetectionPipeline {
 
   /// One audit-log line of the observed daemon. Maintains the liveness
   /// oracle (latest reception per peer) that gates convictions.
-  void consume_line(const logging::LogRecord& line);
+  void consume_line(const logging::RecordView& line);
 
   /// One completed investigation round: Eq. 8 aggregation, pool
   /// accumulation, Eq. 9-10 decision, liveness gate, trust updates, report

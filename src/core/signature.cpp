@@ -11,7 +11,7 @@ void SignatureMatcher::add_signature(Signature signature) {
 std::size_t SignatureMatcher::partial_count() const { return partials_.size(); }
 
 bool SignatureMatcher::try_extend(Partial& partial,
-                                  const logging::LogRecord& record) {
+                                  const logging::RecordView& record) {
   const Signature& sig = signatures_[partial.signature_index];
 
   for (std::size_t i = 0; i < sig.steps.size(); ++i) {
@@ -34,7 +34,7 @@ bool SignatureMatcher::try_extend(Partial& partial,
       }
     }
 
-    partial.matched[i] = record;
+    partial.matched[i].emplace(record);
     // The cross-record constraint gates the assignment: if accepting this
     // record would complete the signature but fail the constraint, reject
     // it and keep waiting — another record may satisfy the step later
@@ -60,11 +60,7 @@ bool SignatureMatcher::is_complete_except_constraint(
 
 bool SignatureMatcher::constraint_passes(const Partial& partial) const {
   const Signature& sig = signatures_[partial.signature_index];
-  if (!sig.constraint) return true;
-  std::vector<const logging::LogRecord*> view(sig.steps.size(), nullptr);
-  for (std::size_t i = 0; i < sig.steps.size(); ++i)
-    if (partial.matched[i].has_value()) view[i] = &*partial.matched[i];
-  return sig.constraint(view);
+  return !sig.constraint || sig.constraint(partial.matched);
 }
 
 bool SignatureMatcher::is_complete(const Partial& partial) const {
@@ -72,7 +68,7 @@ bool SignatureMatcher::is_complete(const Partial& partial) const {
 }
 
 std::vector<SignatureMatch> SignatureMatcher::feed(
-    const logging::LogRecord& record) {
+    const logging::RecordView& record) {
   std::vector<SignatureMatch> completed;
 
   // Expire partials whose window has passed.

@@ -3,6 +3,7 @@
 #include <functional>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -11,10 +12,10 @@
 
 namespace manet::core {
 
-/// Predicate over one audit-log record.
+/// Predicate over one audit-log record, read in place.
 struct EventPattern {
   std::string name;
-  std::function<bool(const logging::LogRecord&)> match;
+  std::function<bool(const logging::RecordView&)> match;
 };
 
 /// One step of a signature. `after` lists indices of steps that must have
@@ -35,9 +36,12 @@ struct Signature {
   /// When set, every matched record must carry this id field with one
   /// shared value (e.g. correlate kOrig to tie a burst to one originator).
   std::optional<logging::Key> correlate_field;
-  /// Cross-record constraint evaluated on completion (records indexed by
-  /// step; optional unmatched steps hold nullptr).
-  std::function<bool(const std::vector<const logging::LogRecord*>&)> constraint;
+  /// The records a partial match holds, indexed by step; unmatched steps
+  /// are empty. A partial outlives the scan that fed its records, so it
+  /// keeps owning copies of them.
+  using Matched = std::span<const std::optional<logging::LogRecord>>;
+  /// Cross-record constraint evaluated on completion.
+  std::function<bool(Matched)> constraint;
 };
 
 /// A completed signature match.
@@ -57,13 +61,14 @@ class SignatureMatcher {
   void add_signature(Signature signature);
 
   /// Feeds one record; returns matches completed by this record.
-  std::vector<SignatureMatch> feed(const logging::LogRecord& record);
+  std::vector<SignatureMatch> feed(const logging::RecordView& record);
 
-  /// Feeds a batch in order (convenience for scan-based detectors).
+  /// Feeds a batch in order (convenience for scan-based detectors): a
+  /// LogStore's records in place, or owned records.
   template <typename Records>
   std::vector<SignatureMatch> feed_all(const Records& records) {
     std::vector<SignatureMatch> out;
-    for (const logging::LogRecord& r : records) {
+    for (const logging::RecordView r : records) {
       auto matches = feed(r);
       out.insert(out.end(), std::make_move_iterator(matches.begin()),
                  std::make_move_iterator(matches.end()));
@@ -83,7 +88,7 @@ class SignatureMatcher {
     std::optional<net::NodeId> correlated;
   };
 
-  bool try_extend(Partial& partial, const logging::LogRecord& record);
+  bool try_extend(Partial& partial, const logging::RecordView& record);
   bool is_complete(const Partial& partial) const;
   bool is_complete_except_constraint(const Partial& partial) const;
   bool constraint_passes(const Partial& partial) const;

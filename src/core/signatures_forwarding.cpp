@@ -16,7 +16,7 @@ void insert_sorted(std::vector<NodeId>& sorted, NodeId id) {
 
 }  // namespace
 
-void ForwardingAuditor::ingest(const logging::LogRecord& record) {
+void ForwardingAuditor::ingest(const logging::RecordView& record) {
   using logging::Event;
   using logging::Key;
   if (record.event() == Event::kHelloRecv) {
@@ -130,7 +130,7 @@ Signature forwarding_audit_signature() {
   sig.name = "forwarding_audit";
   sig.window = sim::Duration::from_seconds(1.0);
   sig.steps.resize(1);
-  sig.steps[0].pattern = {"fwd_audit_fail", [](const logging::LogRecord& r) {
+  sig.steps[0].pattern = {"fwd_audit_fail", [](const logging::RecordView& r) {
                             return r.event() == logging::Event::kFwdAuditFail;
                           }};
   return sig;

@@ -69,7 +69,7 @@ class ForwardingAuditor {
   std::vector<ForwardAudit> sweep(
       sim::Time now, const Records& records,
       std::vector<logging::LogRecord>& synthesized) {
-    for (const logging::LogRecord& record : records) ingest(record);
+    for (const logging::RecordView record : records) ingest(record);
     return close_window(now, synthesized);
   }
 
@@ -95,7 +95,7 @@ class ForwardingAuditor {
   void restore(const Persisted& p);
 
  private:
-  void ingest(const logging::LogRecord& record);
+  void ingest(const logging::RecordView& record);
   std::vector<ForwardAudit> close_window(
       sim::Time now, std::vector<logging::LogRecord>& synthesized);
   void credit(NodeId orig, std::int64_t seq, NodeId by);

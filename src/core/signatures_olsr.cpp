@@ -7,8 +7,9 @@ namespace {
 
 using logging::Event;
 using logging::Key;
+using logging::RecordView;
 
-bool is_event(const logging::LogRecord& r, Event event) {
+bool is_event(const RecordView& r, Event event) {
   return r.event() == event;
 }
 
@@ -24,16 +25,16 @@ Signature link_spoofing_claim_signature(sim::Duration window) {
   sig.window = window;
   sig.steps.resize(2);
   // Step 0: HELLO from the suspect I (any hello_recv).
-  sig.steps[0].pattern = {"hello_from_suspect", [](const logging::LogRecord& r) {
+  sig.steps[0].pattern = {"hello_from_suspect", [](const RecordView& r) {
                             return is_event(r, Event::kHelloRecv);
                           }};
   // Step 1: HELLO from some X, unordered relative to step 0 (the paper's
   // |t'-t| < delta-t with no ordering), hence no `after` dependency.
-  sig.steps[1].pattern = {"hello_from_subject", [](const logging::LogRecord& r) {
+  sig.steps[1].pattern = {"hello_from_subject", [](const RecordView& r) {
                             return is_event(r, Event::kHelloRecv);
                           }};
-  sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
-    if (recs[0] == nullptr || recs[1] == nullptr) return false;
+  sig.constraint = [](Signature::Matched recs) {
+    if (!recs[0] || !recs[1]) return false;
     const auto& from_i = *recs[0];
     const auto& from_x = *recs[1];
     const auto i = from_i.id(Key::kFrom);
@@ -50,14 +51,14 @@ Signature link_omission_signature(sim::Duration window) {
   sig.name = "link_omission";
   sig.window = window;
   sig.steps.resize(2);
-  sig.steps[0].pattern = {"hello_from_claimer", [](const logging::LogRecord& r) {
+  sig.steps[0].pattern = {"hello_from_claimer", [](const RecordView& r) {
                             return is_event(r, Event::kHelloRecv);
                           }};
-  sig.steps[1].pattern = {"hello_from_omitter", [](const logging::LogRecord& r) {
+  sig.steps[1].pattern = {"hello_from_omitter", [](const RecordView& r) {
                             return is_event(r, Event::kHelloRecv);
                           }};
-  sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
-    if (recs[0] == nullptr || recs[1] == nullptr) return false;
+  sig.constraint = [](Signature::Matched recs) {
+    if (!recs[0] || !recs[1]) return false;
     const auto& from_x = *recs[0];  // X claims the link
     const auto& from_i = *recs[1];  // I omits it
     const auto x = from_x.id(Key::kFrom);
@@ -80,7 +81,7 @@ Signature storm_signature(std::size_t burst, sim::Duration window) {
   sig.correlate_field = Key::kOrig;
   sig.steps.resize(burst);
   for (std::size_t i = 0; i < burst; ++i) {
-    sig.steps[i].pattern = {"tc_recv", [](const logging::LogRecord& r) {
+    sig.steps[i].pattern = {"tc_recv", [](const RecordView& r) {
                               return is_event(r, Event::kTcRecv);
                             }};
     if (i > 0) sig.steps[i].after = {i - 1};
@@ -93,15 +94,15 @@ Signature drop_signature(sim::Duration window) {
   sig.name = "mpr_drop";
   sig.window = window;
   sig.steps.resize(2);
-  sig.steps[0].pattern = {"tc_sent", [](const logging::LogRecord& r) {
+  sig.steps[0].pattern = {"tc_sent", [](const RecordView& r) {
                             return is_event(r, Event::kTcSent);
                           }};
-  sig.steps[1].pattern = {"mpr_fwd_timeout", [](const logging::LogRecord& r) {
+  sig.steps[1].pattern = {"mpr_fwd_timeout", [](const RecordView& r) {
                             return is_event(r, Event::kMprFwdTimeout);
                           }};
   sig.steps[1].after = {0};
-  sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
-    if (recs[0] == nullptr || recs[1] == nullptr) return false;
+  sig.constraint = [](Signature::Matched recs) {
+    if (!recs[0] || !recs[1]) return false;
     return recs[0]->integer(Key::kSeq) == recs[1]->integer(Key::kSeq);
   };
   return sig;
@@ -117,7 +118,7 @@ Signature mpr_replacement_signature() {
   // itself into an initial selection. Legitimate additions are filtered
   // downstream — the detector only investigates when the new MPR's
   // advertised links cannot be corroborated independently.
-  sig.steps[0].pattern = {"mpr_changed", [](const logging::LogRecord& r) {
+  sig.steps[0].pattern = {"mpr_changed", [](const RecordView& r) {
                             return is_event(r, Event::kMprChanged) &&
                                    !r.ids(Key::kAdded).empty();
                           }};

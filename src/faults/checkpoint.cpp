@@ -13,7 +13,8 @@ namespace manet::faults {
 
 namespace {
 
-LogImage log_image(const logging::LogStore& log) {
+LogImageOf<logging::LogStore::Records> log_image(
+    const logging::LogStore& log) {
   return {log.records(), log.total_appended(), log.dropped()};
 }
 
@@ -23,8 +24,8 @@ TimerImage timer_image(const sim::PeriodicTimer& t) {
 
 }  // namespace
 
-AgentImage agent_image(const olsr::Agent& agent) {
-  AgentImage a;
+AgentSnapshot agent_image(const olsr::Agent& agent) {
+  AgentSnapshot a;
   a.running = agent.running();
   a.scalars = agent.protocol_scalars();
   a.links = agent.links().slots();
@@ -199,8 +200,7 @@ AgentEvents restore_agent(AgentImage a, olsr::Agent& agent) {
   agent.rebuild_knowledge_graph();
   agent.restore_mid_set().restore(std::move(a.mid));
   agent.restore_hna_set().restore(std::move(a.hna));
-  agent.log().restore(std::move(a.log.records), a.log.total_appended,
-                      a.log.dropped);
+  agent.log().restore(a.log.records, a.log.total_appended, a.log.dropped);
   return events;
 }
 
@@ -221,6 +221,10 @@ void restore_detector(DetectorImage d, core::Detector& detector) {
   require_ascending(
       d.state.answer_pool, [](const auto& pool) { return pool.first; },
       "answer pools");
+  // So does the trust store, in both of its slabs.
+  if (const char* slab = trust::TrustStore::unordered_slab(
+          d.trust_rows, d.interaction_rows))
+    throw CheckpointError{std::string{slab} + " unsorted or duplicated"};
   detector.restore(std::move(d.state));
   detector.trust_store().restore(std::move(d.trust_rows),
                                  std::move(d.interaction_rows));

@@ -64,15 +64,20 @@ struct ForwardImage {
   std::uint64_t seq = 0;
 };
 
-/// A LogStore's retained window and lifetime counters.
-struct LogImage {
-  std::deque<logging::LogRecord> records;
+/// A LogStore's retained window and lifetime counters. A save reads the
+/// records in place (`Records` is logging::LogStore::Records); a load
+/// decodes them into owning records.
+template <typename Records>
+struct LogImageOf {
+  Records records;
   std::uint64_t total_appended = 0;
   std::uint64_t dropped = 0;
 };
+using LogImage = LogImageOf<std::vector<logging::LogRecord>>;
 
 /// One agent: protocol state, audit log and pending events.
-struct AgentImage {
+template <typename Log>
+struct AgentImageOf {
   bool running = false;
   olsr::Agent::ProtocolScalars scalars;
   std::vector<olsr::LinkSet::Slot> links;
@@ -86,10 +91,15 @@ struct AgentImage {
   olsr::RoutingTable::Persisted routes;
   std::vector<olsr::MidSet::Tuple> mid;
   std::vector<std::pair<olsr::HnaSet::Key, sim::Time>> hna;
-  LogImage log;
+  Log log;
   TimerImage hello, tc, mid_timer, housekeeping;
   std::vector<ForwardImage> forwards;
 };
+/// What a load decodes (and what tests craft).
+using AgentImage = AgentImageOf<LogImage>;
+/// What a save gathers: the agent's log is read in place, so the snapshot
+/// lasts until that log next changes.
+using AgentSnapshot = AgentImageOf<LogImageOf<logging::LogStore::Records>>;
 
 /// Medium counters, per-host radio state and the in-flight frames.
 struct MediumImage {
@@ -330,7 +340,7 @@ void transfer_investigations(IO& io, Image& inv) {
 
 // ------------------------------------------------------- save-side gathers
 
-AgentImage agent_image(const olsr::Agent& agent);
+AgentSnapshot agent_image(const olsr::Agent& agent);
 MediumImage medium_image(const net::Medium& medium);
 DetectorImage detector_image(const core::Detector& detector);
 

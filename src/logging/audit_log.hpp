@@ -45,8 +45,8 @@ enum class AuditFrame : std::uint8_t {
 /// u8 event code, then the values in schema order: an id as u32, an
 /// integer as i64, a list as its count and u32 ids; data_drop's fixed
 /// reason takes no bytes. One overload per direction, both walking the
-/// schema table.
-inline void transfer_record(BinaryWriter& io, const LogRecord& record) {
+/// schema table: save reads the record in place, load fills an owning one.
+inline void transfer_record(BinaryWriter& io, const RecordView& record) {
   io.time(record.time);
   io.node(record.node);
   io.u8(record.event());
@@ -106,7 +106,7 @@ using AuditReader = BinaryReader<AuditError>;
 /// frame the LogStore writer mode appends on every record.
 class AuditWriter : public BinaryWriter {
  public:
-  void line(const LogRecord& record) {
+  void line(const RecordView& record) {
     begin_frame(AuditFrame::kLine);
     transfer_record(*this, record);
     end_frame();

@@ -78,7 +78,7 @@ bool is_header(std::string_view key) {
 
 }  // namespace
 
-std::string format_record(const LogRecord& record) {
+std::string format_record(const RecordView& record) {
   obs::hit(obs::Hot::kLogTextRecords);
   std::string out = "t=" + record.time.to_string() +
                     " node=" + record.node.to_string() + " event=";

@@ -13,7 +13,7 @@ namespace manet::logging {
 ///   t=12.345678s node=n3 event=hello_recv from=n5 seq=9 sym=n1|n2 ...
 /// The text exists only at the I/O edge (dumps, tools, tests): no
 /// detection path renders or parses it.
-std::string format_record(const LogRecord& record);
+std::string format_record(const RecordView& record);
 
 /// Parses one line produced by format_record. Throws std::invalid_argument
 /// on malformed input: missing t/node/event, bad tokens or values, an

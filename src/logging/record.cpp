@@ -108,6 +108,21 @@ static_assert(std::size(kKeyNames) ==
   throw std::invalid_argument{what};
 }
 
+/// Words the field of `kind` starting at `at` takes.
+std::size_t width_at(FieldKind kind, const net::NodeId* at) {
+  switch (kind) {
+    case FieldKind::kId:
+      return 1;
+    case FieldKind::kInt:
+      return 2;
+    case FieldKind::kIdList:
+      return 1 + at->value();
+    case FieldKind::kRouteExhausted:
+      break;
+  }
+  return 0;
+}
+
 }  // namespace
 
 const EventSchema& schema(Event event) {
@@ -130,55 +145,46 @@ std::optional<Key> key_named(std::string_view name) {
   return static_cast<Key>(it - std::begin(kKeyNames));
 }
 
-std::uint32_t LogRecord::list_size(std::size_t n) {
+namespace values {
+
+std::uint32_t list_size(std::size_t n) {
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument{"log record list too long"};
   return static_cast<std::uint32_t>(n);
 }
 
-void LogRecord::check_kinds(std::initializer_list<FieldKind> kinds) const {
+void check_kinds(Event event, std::initializer_list<FieldKind> kinds) {
   auto given = kinds.begin();
-  for (const auto& field : schema(event_).fields) {
+  for (const auto& field : schema(event).fields) {
     if (field.kind == FieldKind::kRouteExhausted) continue;
-    if (given == kinds.end() || *given != field.kind) bad_values(event_);
+    if (given == kinds.end() || *given != field.kind) bad_values(event);
     ++given;
   }
-  if (given != kinds.end()) bad_values(event_);
+  if (given != kinds.end()) bad_values(event);
 }
 
-std::size_t LogRecord::width_at(FieldKind kind, std::size_t at) const {
-  switch (kind) {
-    case FieldKind::kId:
-      return 1;
-    case FieldKind::kInt:
-      return 2;
-    case FieldKind::kIdList:
-      return 1 + words_[at].value();
-    case FieldKind::kRouteExhausted:
-      break;
-  }
-  return 0;
-}
+}  // namespace values
 
-void LogRecord::finish(Event event) {
+std::span<const net::NodeId> RecordView::words() const {
   std::size_t at = 0;
-  for (const auto& field : schema(event).fields) {
-    if (field.kind == FieldKind::kIdList && at >= words_.size())
-      bad_values(event);
-    at += width_at(field.kind, at);
-  }
-  if (at != words_.size()) bad_values(event);
-  event_ = event;
+  for (const auto& field : schema(event_).fields)
+    at += width_at(field.kind, words_ + at);
+  return {words_, at};
 }
 
-std::size_t LogRecord::offset_of(Key key, FieldKind kind) const {
+bool operator==(const RecordView& a, const RecordView& b) {
+  return a.time == b.time && a.node == b.node && a.event_ == b.event_ &&
+         std::ranges::equal(a.words(), b.words());
+}
+
+std::size_t RecordView::offset_of(Key key, FieldKind kind) const {
   std::size_t at = 0;
   for (const auto& field : schema(event_).fields) {
     if (field.key == key) {
       if (field.kind != kind) break;
       return at;
     }
-    at += width_at(field.kind, at);
+    at += width_at(field.kind, words_ + at);
   }
   std::string what{schema(event_).name};
   what += " has no ";
@@ -188,6 +194,17 @@ std::size_t LogRecord::offset_of(Key key, FieldKind kind) const {
   what += " field ";
   what += key_name(key);
   throw std::invalid_argument{what};
+}
+
+void LogRecord::finish(Event event) {
+  std::size_t at = 0;
+  for (const auto& field : schema(event).fields) {
+    if (field.kind == FieldKind::kIdList && at >= words_.size())
+      bad_values(event);
+    at += width_at(field.kind, words_.data() + at);
+  }
+  if (at != words_.size()) bad_values(event);
+  event_ = event;
 }
 
 }  // namespace manet::logging

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -69,28 +70,40 @@ void Medium::reset_stats() {
             BatchStats{});
 }
 
+void Medium::set_slot(NodeId id, std::uint32_t slot) {
+  const auto v = id.value();
+  if (v >= kDenseIds) {
+    if (slot == kNoSlot)
+      far_.erase(id);
+    else
+      far_[id] = slot;
+    return;
+  }
+  if (v >= dense_.size()) dense_.resize(v + 1, kNoSlot);
+  dense_[v] = slot;
+}
+
 void Medium::attach(NodeId id, Position pos, ReceiveHandler handler) {
-  if (index_.contains(id))
+  if (attached(id))
     throw std::logic_error{"host already attached: " + id.to_string()};
   const auto slot = static_cast<std::uint32_t>(hosts_.size());
   hosts_.push_back(Host{id, pos, std::move(handler), true, -1.0, 0, {}});
-  index_.emplace(id, slot);
+  set_slot(id, slot);
   grid_.insert(slot, pos);
   bump_generation();
 }
 
 void Medium::detach(NodeId id) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNoSlot) return;
   grid_.erase(slot, hosts_[slot].pos);
-  index_.erase(it);
+  set_slot(id, kNoSlot);
   // Keep storage dense: move the last host into the freed slot.
   const auto last = static_cast<std::uint32_t>(hosts_.size() - 1);
   if (slot != last) {
     grid_.replace(last, slot, hosts_[last].pos);
     hosts_[slot] = std::move(hosts_[last]);
-    index_[hosts_[slot].id] = slot;
+    set_slot(hosts_[slot].id, slot);
   }
   hosts_.pop_back();
   bump_generation();
@@ -100,7 +113,7 @@ void Medium::set_handler(NodeId id, ReceiveHandler handler) {
   host(id).handler = std::move(handler);
 }
 
-bool Medium::attached(NodeId id) const { return index_.contains(id); }
+bool Medium::attached(NodeId id) const { return slot_of(id) != kNoSlot; }
 
 std::vector<NodeId> Medium::attached_ids() const {
   std::vector<NodeId> ids;
@@ -111,11 +124,11 @@ std::vector<NodeId> Medium::attached_ids() const {
 }
 
 void Medium::set_position(NodeId id, Position pos) {
-  const auto it = index_.find(id);
-  if (it == index_.end())
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNoSlot)
     throw std::out_of_range{"unknown host: " + id.to_string()};
-  Host& h = hosts_[it->second];
-  grid_.relocate(it->second, h.pos, pos);
+  Host& h = hosts_[slot];
+  grid_.relocate(slot, h.pos, pos);
   h.pos = pos;
   bump_generation();
 }
@@ -229,9 +242,9 @@ void Medium::land(std::uint32_t slot) {
 }
 
 void Medium::arrive(NodeId receiver, const Packet& packet) {
-  const auto it = index_.find(receiver);
-  if (it == index_.end()) return;
-  Host& h = hosts_[it->second];
+  const std::uint32_t slot = slot_of(receiver);
+  if (slot == kNoSlot) return;
+  Host& h = hosts_[slot];
   if (!h.up) {
     ++stats_slot().dropped_down;
     return;
@@ -247,17 +260,14 @@ void Medium::restore_stats(const MediumStats& stats) {
 }
 
 Medium::Host& Medium::host(NodeId id) {
-  const auto it = index_.find(id);
-  if (it == index_.end())
-    throw std::out_of_range{"unknown host: " + id.to_string()};
-  return hosts_[it->second];
+  return const_cast<Host&>(std::as_const(*this).host(id));
 }
 
 const Medium::Host& Medium::host(NodeId id) const {
-  const auto it = index_.find(id);
-  if (it == index_.end())
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNoSlot)
     throw std::out_of_range{"unknown host: " + id.to_string()};
-  return hosts_[it->second];
+  return hosts_[slot];
 }
 
 void Medium::broadcast(NodeId sender, Bytes payload) {
@@ -366,9 +376,9 @@ void Medium::unicast(NodeId sender, NodeId next_hop, PayloadPtr payload) {
   // At most one receiver, no scan at all.
   obs::hit(obs::Hot::kMediumUnicasts);
   if (next_hop == sender) return;
-  const auto it = index_.find(next_hop);
-  if (it == index_.end()) return;
-  Host& rx = hosts_[it->second];
+  const std::uint32_t rx_slot = slot_of(next_hop);
+  if (rx_slot == kNoSlot) return;
+  Host& rx = hosts_[rx_slot];
   if (!rx.up || rx.partition != tx.partition) return;
   if (distance(tx.pos, rx.pos) > config_.range_m) return;
   const Packet packet{sender, next_hop, std::move(payload), eng.now()};
@@ -413,9 +423,9 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
     rx.arrivals.emplace_back(arrival, corrupted);
 
     auto on_arrival = [this, receiver = rx.id, corrupted, packet, arrival] {
-      const auto it = index_.find(receiver);
-      if (it == index_.end()) return;
-      Host& h = hosts_[it->second];
+      const std::uint32_t slot = slot_of(receiver);
+      if (slot == kNoSlot) return;
+      Host& h = hosts_[slot];
       if (!h.up) {
         ++stats_slot().dropped_down;
         return;

@@ -256,6 +256,16 @@ class Medium {
   void bump_generation() { ++topo_generation_; }
   Host& host(NodeId id);
   const Host& host(NodeId id) const;
+  /// The slot of an attached host, kNoSlot otherwise: ids below kDenseIds
+  /// index `dense_`, larger ones go through `far_`.
+  std::uint32_t slot_of(NodeId id) const {
+    const auto v = id.value();
+    if (v < kDenseIds) return v < dense_.size() ? dense_[v] : kNoSlot;
+    const auto it = far_.find(id);
+    return it == far_.end() ? kNoSlot : it->second;
+  }
+  /// Points `id` at `slot`; kNoSlot forgets it.
+  void set_slot(NodeId id, std::uint32_t slot);
 
   /// Execution context of the current call: the shard engine under psim,
   /// else the sequential simulator the Medium was built on.
@@ -276,7 +286,10 @@ class Medium {
   ShardRouter* router_ = nullptr;
   RadioConfig config_;
   std::vector<Host> hosts_;
-  std::unordered_map<NodeId, std::uint32_t> index_;
+  static constexpr std::uint32_t kDenseIds = 4096;
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  std::vector<std::uint32_t> dense_;  ///< id -> slot, ids < kDenseIds
+  std::unordered_map<NodeId, std::uint32_t> far_;  ///< larger ids
   SpatialGrid grid_;
   /// Per-shard traffic counters, folded on demand by stats().
   std::vector<MediumStats> stats_shards_;

@@ -77,7 +77,7 @@ void Agent::start() {
   if (!config_.extra_interfaces.empty() || !config_.hna_networks.empty())
     mid_timer_.start();
   housekeeping_timer_.start();
-  log_.append(make_record(logging::Event::kDaemonStart));
+  write_log(logging::Event::kDaemonStart);
 }
 
 void Agent::stop() {
@@ -88,7 +88,7 @@ void Agent::stop() {
   mid_timer_.stop();
   housekeeping_timer_.stop();
   if (medium_.attached(id_)) medium_.set_handler(id_, {});
-  log_.append(make_record(logging::Event::kDaemonStop));
+  write_log(logging::Event::kDaemonStop);
 }
 
 std::vector<NodeId> Agent::mpr_selectors() const {
@@ -216,9 +216,8 @@ void Agent::emit_hello() {
   m.header.seq_num = next_msg_seq();
   m.body = h;
 
-  log_.append(make_record(logging::Event::kHelloSent, m.header.seq_num,
-                          h.symmetric_neighbors(), asym_scratch_,
-                          h.willingness));
+  write_log(logging::Event::kHelloSent, m.header.seq_num,
+            h.symmetric_neighbors(), asym_scratch_, h.willingness);
 
   ++stats_.hello_sent;
   broadcast_message(std::move(m));
@@ -241,8 +240,7 @@ void Agent::emit_tc() {
   m.header.seq_num = next_msg_seq();
   m.body = tc;
 
-  log_.append(make_record(logging::Event::kTcSent, m.header.seq_num, tc.ansn,
-                          tc.advertised));
+  write_log(logging::Event::kTcSent, m.header.seq_num, tc.ansn, tc.advertised);
 
   ++stats_.tc_sent;
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
@@ -263,8 +261,7 @@ void Agent::emit_mid() {
   m.header.seq_num = next_msg_seq();
   m.body = mid;
 
-  log_.append(make_record(logging::Event::kMidSent, m.header.seq_num,
-                          mid.interfaces));
+  write_log(logging::Event::kMidSent, m.header.seq_num, mid.interfaces);
 
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
                      config_.dup_hold);
@@ -284,8 +281,7 @@ void Agent::emit_hna() {
   m.header.seq_num = next_msg_seq();
   m.body = hna;
 
-  log_.append(make_record(logging::Event::kHnaSent, m.header.seq_num,
-                          hna.entries.size()));
+  write_log(logging::Event::kHnaSent, m.header.seq_num, hna.entries.size());
 
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
                      config_.dup_hold);
@@ -305,8 +301,7 @@ void Agent::handle_packet(const net::Packet& packet) {
   const auto& parsed = decode_frame(packet);
   if (!parsed) {
     ++stats_.parse_errors;
-    log_.append(
-        make_record(logging::Event::kPacketParseError, packet.transmitter));
+    write_log(logging::Event::kPacketParseError, packet.transmitter);
     return;
   }
 
@@ -317,9 +312,8 @@ void Agent::handle_packet(const net::Packet& packet) {
       // A retransmission of our own message: evidence that the transmitter
       // actually forwards our traffic (used by E2 drop detection).
       if (m.header.hop_count > 0) {
-        log_.append(make_record(logging::Event::kOwnFwdHeard,
-                                packet.transmitter, m.header.seq_num,
-                                m.header.type));
+        write_log(logging::Event::kOwnFwdHeard, packet.transmitter,
+                  m.header.seq_num, m.header.type);
       }
       continue;
     }
@@ -382,14 +376,13 @@ void Agent::process_hello(const Message& m, const HelloLists& lists) {
   if (neighbors_.upsert_neighbor(from, hello->willingness, now_sym))
     tables_changed = true;
 
-  log_.append(make_record(logging::Event::kHelloRecv, from, m.header.seq_num,
-                          lists.sym, lists.asym, lists_us,
-                          hello->willingness));
+  write_log(logging::Event::kHelloRecv, from, m.header.seq_num, lists.sym,
+            lists.asym, lists_us, hello->willingness);
 
   if (change == LinkSet::Change::kBecameSym) {
-    log_.append(make_record(logging::Event::kLinkSym, from));
+    write_log(logging::Event::kLinkSym, from);
   } else if (change == LinkSet::Change::kLost) {
-    log_.append(make_record(logging::Event::kLinkLost, from));
+    write_log(logging::Event::kLinkLost, from);
   }
 
   // 2-hop set (§8.1.1): symmetric neighbors advertised by a symmetric
@@ -402,8 +395,8 @@ void Agent::process_hello(const Message& m, const HelloLists& lists) {
     if (neighbors_.set_two_hops_via(from, two_hop_scratch_,
                                     now + m.header.vtime, &delta_)) {
       tables_changed = true;
-      log_.append(make_record(logging::Event::kTwoHopUpdate, from,
-                              neighbors_.two_hops_via(from)));
+      write_log(logging::Event::kTwoHopUpdate, from,
+                neighbors_.two_hops_via(from));
     }
   }
 
@@ -414,12 +407,12 @@ void Agent::process_hello(const Message& m, const HelloLists& lists) {
     mpr_selectors_[from] = sim_.now() + m.header.vtime;
     if (!was_selector) {
       ++ansn_;
-      log_.append(make_record(logging::Event::kMprSelectorAdd, from));
+      write_log(logging::Event::kMprSelectorAdd, from);
     }
   } else if (was_selector && lists_us && !selects_us_mpr) {
     mpr_selectors_.erase(from);
     ++ansn_;
-    log_.append(make_record(logging::Event::kMprSelectorDel, from));
+    write_log(logging::Event::kMprSelectorDel, from);
   }
 
   // MPR selector changes do not feed MPR selection or routing, so they do
@@ -439,8 +432,8 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   // check — re-hearings of an already-seen flood are exactly the MPR
   // re-broadcasts the audit credits, and they produce no tc_recv record.
   if (config_.log_fwd_echo && transmitter != m.header.originator) {
-    log_.append(make_record(logging::Event::kFwdEcho, transmitter,
-                            m.header.originator, m.header.seq_num));
+    write_log(logging::Event::kFwdEcho, transmitter, m.header.originator,
+              m.header.seq_num);
   }
   // The one duplicate lookup of this copy. Nothing below touches the
   // duplicate set before maybe_forward records into it.
@@ -455,9 +448,8 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   const bool applied = topology_.on_tc(sim_.now(), origin, tc->ansn,
                                        tc->advertised, m.header.vtime,
                                        &delta_);
-  log_.append(make_record(logging::Event::kTcRecv, origin, transmitter,
-                          m.header.seq_num, tc->ansn, tc->advertised,
-                          applied));
+  write_log(logging::Event::kTcRecv, origin, transmitter, m.header.seq_num,
+            tc->ansn, tc->advertised, applied);
 
   update_routes();
   maybe_forward(m, transmitter, nullptr);
@@ -471,8 +463,7 @@ void Agent::process_mid(const Message& m, NodeId transmitter) {
   if (dup == nullptr) {
     mid_set_.on_mid(sim_.now(), m.header.originator, mid->interfaces,
                     m.header.vtime);
-    log_.append(make_record(logging::Event::kMidRecv, m.header.originator,
-                            mid->interfaces));
+    write_log(logging::Event::kMidRecv, m.header.originator, mid->interfaces);
   }
   maybe_forward(m, transmitter, dup);
 }
@@ -485,8 +476,8 @@ void Agent::process_hna(const Message& m, NodeId transmitter) {
   if (dup == nullptr) {
     hna_set_.on_hna(sim_.now(), m.header.originator, hna->entries,
                     m.header.vtime);
-    log_.append(make_record(logging::Event::kHnaRecv, m.header.originator,
-                            hna->entries.size()));
+    write_log(logging::Event::kHnaRecv, m.header.originator,
+              hna->entries.size());
   }
   maybe_forward(m, transmitter, dup);
 }
@@ -496,7 +487,8 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter,
   // Default forwarding algorithm (§3.4.1). A copy seen before but not
   // retransmitted is considered again, a departure from §3.4 step 4.1
   // recorded in ROADMAP.md (Agent.ReconsidersSeenCopyFromAnotherSelector).
-  if (!links_.is_symmetric(sim_.now(), transmitter)) return;
+  // Step 1, a transmitter that is no symmetric neighbor, is every
+  // caller's first check.
   if (dup != nullptr && dup->forwarded) return;
 
   const bool transmitter_selected_us = [&] {
@@ -524,8 +516,8 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter,
   }
 
   ++stats_.msgs_forwarded;
-  log_.append(make_record(logging::Event::kMsgFwd, m.header.type,
-                          m.header.originator, m.header.seq_num));
+  write_log(logging::Event::kMsgFwd, m.header.type, m.header.originator,
+            m.header.seq_num);
 
   // Small forwarding jitter (§3.4.1 note).
   const auto delay = sim::Duration::from_us(sim_.rng().uniform_int(0, 100'000));
@@ -588,7 +580,7 @@ void Agent::reset_tables() {
   mpr_rows_stamp_ = 0;
   self_edges_due_ = sim::Time{};
   // msg_seq_/pkt_seq_/ansn_ intentionally keep counting (see header).
-  log_.append(make_record(logging::Event::kTablesReset));
+  write_log(logging::Event::kTablesReset);
 }
 
 void Agent::resume_running() {
@@ -636,7 +628,7 @@ Agent::SendStatus Agent::send_data(NodeId dest, std::uint16_t protocol,
   refresh_graph();
   auto path = path_avoiding(dest, avoid);
   if (!path) {
-    log_.append(make_record(logging::Event::kDataNoRoute, dest));
+    write_log(logging::Event::kDataNoRoute, dest);
     return SendStatus::kNoRoute;
   }
   send_data_via(std::move(*path), protocol, std::move(payload));
@@ -661,8 +653,7 @@ void Agent::send_data_via(std::vector<NodeId> route, std::uint16_t protocol,
   m.header.ttl = kDefaultTtl;
   m.header.seq_num = next_msg_seq();
 
-  log_.append(
-      make_record(logging::Event::kDataSent, d.destination, protocol, route));
+  write_log(logging::Event::kDataSent, d.destination, protocol, route);
 
   m.body = std::move(d);
   ++stats_.data_sent;
@@ -678,15 +669,15 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
 
   if (data->destination == id_) {
     ++stats_.data_delivered;
-    log_.append(make_record(logging::Event::kDataRecv, data->source,
-                            data->protocol, transmitter));
+    write_log(logging::Event::kDataRecv, data->source, data->protocol,
+              transmitter);
     if (data_handler_) data_handler_(*data);
     return;
   }
 
   if (data->route.empty() || m.header.ttl <= 1) {
     ++stats_.data_dropped;
-    log_.append(make_record(logging::Event::kDataDrop, data->source));
+    write_log(logging::Event::kDataDrop, data->source);
     return;
   }
 
@@ -705,8 +696,7 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
   copy.header.hop_count = static_cast<std::uint8_t>(copy.header.hop_count + 1);
 
   ++stats_.data_relayed;
-  log_.append(make_record(logging::Event::kDataFwd, d.source, d.destination,
-                          next));
+  write_log(logging::Event::kDataFwd, d.source, d.destination, next);
 
   OlsrPacket p;
   p.seq_num = next_pkt_seq();
@@ -725,7 +715,7 @@ void Agent::housekeep() {
   }
   for (auto n : lost) {
     neighbors_.remove_neighbor(n, &delta_);
-    log_.append(make_record(logging::Event::kLinkLost, n));
+    write_log(logging::Event::kLinkLost, n);
   }
   if (neighbors_.expire_two_hops(now, &delta_)) mprs_dirty_ = true;
   topology_.expire(now, &delta_);
@@ -734,7 +724,7 @@ void Agent::housekeep() {
   hna_set_.expire(now);
   for (auto it = mpr_selectors_.begin(); it != mpr_selectors_.end();) {
     if (it->second <= now) {
-      log_.append(make_record(logging::Event::kMprSelectorDel, it->first));
+      write_log(logging::Event::kMprSelectorDel, it->first);
       it = mpr_selectors_.erase(it);
       ++ansn_;
     } else {
@@ -761,16 +751,14 @@ void Agent::recompute_mprs() {
   n_now.clear();
   for (auto n : sym_scratch_)
     n_now.emplace_back(n, neighbors_.willingness_of(n));
-  if (neighbors_.rows_stamp() == mpr_rows_stamp_ &&
-      n_now == mpr_inputs_.neighbors)
+  if (neighbors_.rows_stamp() == mpr_rows_stamp_ && n_now == mpr_neighbors_)
     return;
-  mpr_inputs_.neighbors.swap(n_now);
+  mpr_neighbors_.swap(n_now);
   mpr_rows_stamp_ = neighbors_.rows_stamp();
-  neighbors_.reachability(id_, mpr_inputs_.reach);
 
   obs::hit(obs::Hot::kMprRuns);
-  select_mprs(mpr_inputs_, /*prune_redundant=*/false, mpr_scratch_,
-              fresh_mprs_);
+  select_mprs(mpr_neighbors_, neighbors_.reach_rows(),
+              /*prune_redundant=*/false, mpr_scratch_, fresh_mprs_);
   if (fresh_mprs_ == mprs_) return;
 
   std::vector<NodeId> added, removed;
@@ -781,7 +769,7 @@ void Agent::recompute_mprs() {
 
   mprs_ = fresh_mprs_;
   obs::hit(obs::Hot::kMprRecomputes);
-  log_.append(make_record(logging::Event::kMprChanged, mprs_, added, removed));
+  write_log(logging::Event::kMprChanged, mprs_, added, removed);
 }
 
 void Agent::update_routes() {
@@ -792,8 +780,7 @@ void Agent::update_routes() {
   if (added.empty() && removed.empty()) return;
   obs::hit(obs::Hot::kRouteRecomputes);
   obs::instant(obs::SpanName::kRoutingRecompute, sim_.now(), id_.value());
-  log_.append(make_record(logging::Event::kRoutesChanged, added, removed,
-                          routing_.size()));
+  write_log(logging::Event::kRoutesChanged, added, removed, routing_.size());
 }
 
 }  // namespace manet::olsr

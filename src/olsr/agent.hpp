@@ -252,7 +252,8 @@ class Agent {
   void process_hna(const Message& m, NodeId transmitter);
   void process_data(const Message& m, NodeId transmitter);
   /// `dup` is the duplicate tuple the caller looked up for m (nullptr when
-  /// m is new).
+  /// m is new); the caller has checked that `transmitter` is a symmetric
+  /// neighbor.
   void maybe_forward(const Message& m, NodeId transmitter,
                      DuplicateSet::Tuple* dup);
 
@@ -280,12 +281,11 @@ class Agent {
   std::uint16_t next_msg_seq() { return msg_seq_++; }
   std::uint16_t next_pkt_seq() { return pkt_seq_++; }
 
-  /// A record stamped with now and this agent, its values in the event's
-  /// schema order (logging/record.hpp).
+  /// Appends a record stamped with now and this agent, its values in the
+  /// event's schema order (logging/record.hpp), straight into the log.
   template <typename... Values>
-  logging::LogRecord make_record(logging::Event event,
-                                 const Values&... values) const {
-    return {sim_.now(), id_, event, values...};
+  void write_log(logging::Event event, const Values&... values) {
+    log_.append(sim_.now(), id_, event, values...);
   }
 
   sim::Engine& sim_;
@@ -312,11 +312,12 @@ class Agent {
   // last selection. Initial values force the first selection.
   bool mprs_dirty_ = true;
   sim::Time mprs_links_hint_{};
-  // Inputs of the last heuristic run: N in mpr_inputs_.neighbors and the
-  // reach-row stamp (0 = none yet; stamps start at 1). Derived state, so
-  // not checkpointed: a restore or reset forgets it.
+  // Inputs of the last heuristic run: N in mpr_neighbors_ and the reach-row
+  // stamp (0 = none yet; stamps start at 1). Derived state, so not
+  // checkpointed: a restore or reset forgets it.
   std::uint64_t mpr_rows_stamp_ = 0;
-  std::vector<std::pair<NodeId, Willingness>> mpr_neighbors_scratch_;
+  std::vector<MprNeighbor> mpr_neighbors_;
+  std::vector<MprNeighbor> mpr_neighbors_scratch_;
 
   // When the next self-edge sync is due: the earliest L_SYM_time among the
   // symmetric links at the last sync, lowered by every HELLO, and zero
@@ -330,7 +331,6 @@ class Agent {
   mutable RoutingTable::PathScratch path_scratch_;
   mutable std::vector<NodeId> asym_scratch_;
   std::vector<NodeId> two_hop_scratch_;
-  MprInputs mpr_inputs_;
   MprScratch mpr_scratch_;
   std::vector<NodeId> fresh_mprs_;
 

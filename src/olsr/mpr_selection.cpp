@@ -8,7 +8,13 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-Willingness will_of(const MprInputs& in, NodeId n) {
+/// Both inputs, read in place.
+struct Inputs {
+  std::span<const MprNeighbor> neighbors;
+  std::span<const ReachRow> reach;
+};
+
+Willingness will_of(const Inputs& in, NodeId n) {
   auto it = std::lower_bound(
       in.neighbors.begin(), in.neighbors.end(), n,
       [](const auto& p, NodeId id) { return p.first < id; });
@@ -17,7 +23,7 @@ Willingness will_of(const MprInputs& in, NodeId n) {
 }
 
 // Index of `via`'s row in in.reach, or kNone.
-std::size_t row_of(const MprInputs& in, NodeId via) {
+std::size_t row_of(const Inputs& in, NodeId via) {
   auto it = std::lower_bound(
       in.reach.begin(), in.reach.end(), via,
       [](const auto& p, NodeId id) { return p.first < id; });
@@ -34,7 +40,7 @@ void sorted_insert(std::vector<NodeId>& v, NodeId n) {
 // Fills s.two_hops with the union of the rows, ascending, and s.cells /
 // s.row_at with each row's entries as indices into it. The rows are
 // already sorted, so the union is a bottom-up pairwise merge.
-void index_two_hops(const MprInputs& in, MprScratch& s) {
+void index_two_hops(const Inputs& in, MprScratch& s) {
   auto& ids = s.two_hops;
   ids.clear();
   s.runs.assign(1, 0);
@@ -80,6 +86,13 @@ void index_two_hops(const MprInputs& in, MprScratch& s) {
 
 void select_mprs(const MprInputs& in, bool prune_redundant, MprScratch& s,
                  std::vector<NodeId>& out) {
+  select_mprs(in.neighbors, in.reach, prune_redundant, s, out);
+}
+
+void select_mprs(std::span<const MprNeighbor> neighbors,
+                 std::span<const ReachRow> reach, bool prune_redundant,
+                 MprScratch& s, std::vector<NodeId>& out) {
+  const Inputs in{neighbors, reach};
   out.clear();
   index_two_hops(in, s);
   const std::size_t rows = in.reach.size();
@@ -182,8 +195,9 @@ std::vector<NodeId> select_mprs(const MprInputs& in, bool prune_redundant) {
   return out;
 }
 
-bool covers_all_two_hops(const MprInputs& in,
+bool covers_all_two_hops(const MprInputs& inputs,
                          const std::vector<NodeId>& mprs) {
+  const Inputs in{inputs.neighbors, inputs.reach};
   std::vector<NodeId> covered;
   for (auto m : mprs) {
     const auto r = row_of(in, m);

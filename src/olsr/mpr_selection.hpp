@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,20 +12,25 @@ namespace manet::olsr {
 
 using net::NodeId;
 
+/// One neighbor of N and its willingness.
+using MprNeighbor = std::pair<NodeId, Willingness>;
+/// One reach row: a 1-hop neighbor and the strict 2-hop nodes reachable
+/// through it, ascending.
+using ReachRow = std::pair<NodeId, std::vector<NodeId>>;
+
 /// Inputs to MPR selection (RFC 3626 §8.3.1), decoupled from the tables so
 /// the heuristic is a pure, property-testable function. Both lists are flat
 /// sorted slabs (ascending by id / by via, inner lists ascending) so the
-/// selection runs on contiguous memory and the Agent can reuse the buffers
-/// across recomputes.
+/// selection runs on contiguous memory.
 struct MprInputs {
   /// Symmetric 1-hop neighbors and their willingness (N in the RFC),
   /// ascending by id.
-  std::vector<std::pair<NodeId, Willingness>> neighbors;
+  std::vector<MprNeighbor> neighbors;
   /// For each 1-hop neighbor, the strict 2-hop nodes reachable through it
   /// (derived from N2), ascending by via with sorted inner lists. Neighbors
   /// with willingness NEVER must be excluded by the caller
   /// (NeighborTable::reachability already does).
-  std::vector<std::pair<NodeId, std::vector<NodeId>>> reach;
+  std::vector<ReachRow> reach;
 };
 
 /// Reusable working memory for select_mprs, so the per-HELLO path does not
@@ -57,6 +63,11 @@ std::vector<NodeId> select_mprs(const MprInputs& inputs,
 
 /// Scratch-buffer variant: `out` is replaced with the selected set.
 void select_mprs(const MprInputs& inputs, bool prune_redundant,
+                 MprScratch& scratch, std::vector<NodeId>& out);
+/// The same over both lists read in place (the Agent passes
+/// NeighborTable's maintained reach rows, uncopied).
+void select_mprs(std::span<const MprNeighbor> neighbors,
+                 std::span<const ReachRow> reach, bool prune_redundant,
                  MprScratch& scratch, std::vector<NodeId>& out);
 
 /// True if `mprs` (sorted ascending) covers every strict 2-hop node of

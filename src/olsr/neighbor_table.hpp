@@ -87,6 +87,8 @@ class NeighborTable {
   using Reachability = std::vector<std::pair<NodeId, std::vector<NodeId>>>;
   /// Changes whenever a reach row does; equal stamps mean equal rows.
   std::uint64_t rows_stamp() const { return rows_stamp_; }
+  /// The maintained reach rows of the owner, in place.
+  const Reachability& reach_rows() const { return rows_; }
   /// Copies of the maintained reach rows. `self` must be the owner the
   /// table was constructed with.
   Reachability reachability(NodeId self) const;

@@ -443,8 +443,10 @@ void transfer_header(IO& io, Header& h) {
   io.time(h.now);
 }
 
+/// `Agent` is faults::AgentSnapshot on save, faults::AgentImage on load.
+template <typename Agent>
 struct NodeImage {
-  faults::AgentImage agent;
+  Agent agent;
   faults::InvestigationImage investigations;
 };
 
@@ -487,10 +489,11 @@ struct InjectorImage {
   std::uint64_t pending_seq = 0;
 };
 
+template <typename Agent>
 struct SnapshotBody {
   sim::Rng::State rng;
   faults::MediumImage medium;
-  std::vector<NodeImage> nodes;
+  std::vector<NodeImage<Agent>> nodes;
   faults::DetectorImage detector;
   AttackImage attack;
   std::optional<InjectorImage> injector;
@@ -540,7 +543,7 @@ std::vector<std::uint8_t> TrustExperiment::save_checkpoint() {
                               round_counter_,
                               false_convictions_,
                               network_->now()};
-  SnapshotBody body;
+  SnapshotBody<faults::AgentSnapshot> body;
   body.rng = network_->sim().rng().state();
   body.medium = faults::medium_image(network_->medium());
   for (std::size_t i = 0; i < config_.num_nodes; ++i) {
@@ -612,7 +615,7 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
     throw CheckpointError{"checkpoint seed mismatch"};
   if (header.now < network_->now())
     throw CheckpointError{"checkpoint time before the start of the run"};
-  SnapshotBody body;
+  SnapshotBody<faults::AgentImage> body;
   body.nodes.resize(config_.num_nodes);
   transfer_body(r, body);
   if (!r.at_end()) throw CheckpointError{"trailing bytes after checkpoint"};

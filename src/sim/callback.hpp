@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <new>
@@ -14,12 +15,15 @@ namespace manet::sim {
 /// timer ticks); storing their captures inline in the event-queue entries
 /// avoids one heap allocation per event, which std::function cannot
 /// guarantee. Captures larger than kInlineSize (or not nothrow-movable) fall
-/// back to the heap transparently.
+/// back to the heap transparently. Trivially copyable targets (and the
+/// pointer of a heap-stored one) move by memcpy, with no indirect call.
 class Callback {
  public:
-  /// Sized for the largest hot-path lambda: the Medium frame delivery
-  /// closure (this + receiver id + corruption flag + Packet + arrival time).
-  static constexpr std::size_t kInlineSize = 96;
+  /// Sized for the hot-path lambdas, which capture a few words: a frame
+  /// arrival is (this, flight slot), a timer tick (this), a jittered
+  /// forward (this, slot). An event-queue entry (time, sequence, callback)
+  /// then fills one 64-byte line.
+  static constexpr std::size_t kInlineSize = 40;
 
   Callback() noexcept = default;
 
@@ -65,8 +69,9 @@ class Callback {
  private:
   struct Ops {
     void (*invoke)(void*);
-    /// Move-constructs into `to` and destroys `from` (trivial pointer copy
-    /// for heap-stored targets).
+    /// Move-constructs into `to` and destroys `from`; null when a memcpy
+    /// of the buffer does both (trivially copyable and heap-stored
+    /// targets).
     void (*relocate)(void* from, void* to) noexcept;
     void (*destroy)(void*) noexcept;
   };
@@ -75,11 +80,13 @@ class Callback {
   static const Ops* inline_ops() noexcept {
     static constexpr Ops ops{
         [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* from, void* to) noexcept {
-          Fn* f = static_cast<Fn*>(from);
-          ::new (to) Fn(std::move(*f));
-          f->~Fn();
-        },
+        std::is_trivially_copyable_v<Fn>
+            ? nullptr
+            : +[](void* from, void* to) noexcept {
+                Fn* f = static_cast<Fn*>(from);
+                ::new (to) Fn(std::move(*f));
+                f->~Fn();
+              },
         [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
     };
     return &ops;
@@ -89,9 +96,7 @@ class Callback {
   static const Ops* heap_ops() noexcept {
     static constexpr Ops ops{
         [](void* p) { (**static_cast<Fn**>(p))(); },
-        [](void* from, void* to) noexcept {
-          ::new (to) Fn*(*static_cast<Fn**>(from));
-        },
+        nullptr,
         [](void* p) noexcept { delete *static_cast<Fn**>(p); },
     };
     return &ops;
@@ -100,7 +105,10 @@ class Callback {
   void take(Callback& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(other.buf_, buf_);
+      if (ops_->relocate != nullptr)
+        ops_->relocate(other.buf_, buf_);
+      else
+        std::memcpy(buf_, other.buf_, kInlineSize);
       other.ops_ = nullptr;
     }
   }

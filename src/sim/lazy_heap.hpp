@@ -83,32 +83,28 @@ template <typename Entry, typename Order> class LazyHeap {
     heap_[i] = std::move(e);
   }
 
-  void sift_down(std::size_t i) const {
-    const std::size_t n = heap_.size();
-    Entry e = std::move(heap_[i]);
-    while (true) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
+  /// Removes the root: its hole sinks to a leaf along the earlier child
+  /// (one comparison a level), the last entry fills the hole and sifts up
+  /// (it came from the bottom, so it rarely moves). Keys are unique, so
+  /// the heap ends as a classic sift-down would leave it.
+  void pop_top() const {
+    const std::size_t n = heap_.size() - 1;  // entries once the root is gone
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
       if (child + 1 < n && Order::earlier(heap_[child + 1], heap_[child]))
         ++child;
-      if (!Order::earlier(heap_[child], e)) break;
-      heap_[i] = std::move(heap_[child]);
-      i = child;
+      heap_[hole] = std::move(heap_[child]);
+      hole = child;
     }
-    heap_[i] = std::move(e);
-  }
-
-  void pop_top() const {
-    if (heap_.size() > 1) {
-      heap_.front() = std::move(heap_.back());
-      heap_.pop_back();
-      sift_down(0);
-    } else {
-      heap_.pop_back();
+    if (hole != n) {
+      heap_[hole] = std::move(heap_[n]);
+      sift_up(hole);
     }
+    heap_.pop_back();
   }
 
   void drop_cancelled() const {
+    if (cancelled_.empty()) return;  // nothing to probe for
     while (!heap_.empty()) {
       auto it = cancelled_.find(Order::id(heap_.front()));
       if (it == cancelled_.end()) return;

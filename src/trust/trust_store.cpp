@@ -106,6 +106,20 @@ double TrustStore::recommendation_trust(NodeId subject) const {
   return stats::entropy_trust(p);
 }
 
+const char* TrustStore::unordered_slab(
+    const std::vector<std::pair<NodeId, double>>& trust,
+    const std::vector<Counter>& interactions) {
+  const auto strictly_ascending = [](const auto& rows, auto subject) {
+    return std::ranges::adjacent_find(rows, std::ranges::greater_equal{},
+                                      subject) == rows.end();
+  };
+  if (!strictly_ascending(trust, &std::pair<NodeId, double>::first))
+    return "trust rows";
+  if (!strictly_ascending(interactions, &Counter::subject))
+    return "interaction rows";
+  return nullptr;
+}
+
 std::vector<NodeId> TrustStore::subjects() const {
   std::vector<NodeId> out;
   out.reserve(trust_.size());

@@ -84,7 +84,8 @@ class TrustStore {
   };
 
   /// Checkpoint surface: both slabs verbatim (params are reproduced from
-  /// the experiment config, not persisted).
+  /// the experiment config, not persisted). Restore takes them verbatim
+  /// too; a decoder first checks them with unordered_slab.
   const std::vector<std::pair<NodeId, double>>& trust_rows() const {
     return trust_;
   }
@@ -96,6 +97,12 @@ class TrustStore {
     trust_ = std::move(trust);
     interactions_ = std::move(interactions);
   }
+  /// Restore's precondition: a lookup binary-searches both slabs, so each
+  /// must ascend strictly by subject. Names the first slab that does not
+  /// ("trust rows" or "interaction rows"); nullptr when both do.
+  static const char* unordered_slab(
+      const std::vector<std::pair<NodeId, double>>& trust,
+      const std::vector<Counter>& interactions);
 
  private:
   /// The subject's entry, inserted at default_trust when unknown.

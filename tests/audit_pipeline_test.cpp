@@ -266,6 +266,32 @@ TEST(AuditWire, RejectsHeaderConfigThePipelineRefuses) {
   }
 }
 
+TEST(AuditWire, RejectsUnorderedTrustRows) {
+  // TrustStore finds a subject by binary search, so a header whose trust
+  // or interaction rows are out of strictly ascending subject order would
+  // replay with wrong trust values: (n5, 0.9), (n1, 0.2) read both as 0.4.
+  using Counter = trust::TrustStore::Counter;
+  const auto header_with = [](std::vector<std::pair<NodeId, double>> trust,
+                              std::vector<Counter> interactions) {
+    AuditWriter w;
+    AuditHeader header;
+    header.config = sample_config();
+    header.trust_rows = std::move(trust);
+    header.interaction_rows = std::move(interactions);
+    core::write_audit_header(w, header);
+    return w.take();
+  };
+  EXPECT_NO_THROW(AuditStreamReader{header_with(
+      {{NodeId{1}, 0.2}, {NodeId{5}, 0.9}},
+      {{NodeId{1}, 1, 2}, {NodeId{5}, 0, 1}})});
+  for (const auto& bad :
+       {header_with({{NodeId{5}, 0.9}, {NodeId{1}, 0.2}}, {}),
+        header_with({{NodeId{5}, 0.9}, {NodeId{5}, 0.2}}, {}),
+        header_with({}, {{NodeId{5}, 0, 1}, {NodeId{1}, 1, 2}}),
+        header_with({}, {{NodeId{5}, 0, 1}, {NodeId{5}, 1, 2}})})
+    expect_whole_stream_throws(bad);
+}
+
 // --- kForwardAudit frame (format version 2) -------------------------------
 
 std::vector<std::uint8_t> forward_audit_log() {
@@ -532,9 +558,9 @@ TEST(AuditFuzz, FarApartTimesDoNotOverflowTheLivenessGate) {
   // it as a long silence (the UBSan job would flag a signed overflow).
   auto config = sample_config();  // liveness window 10 s
   core::DetectionPipeline pipeline{config};
-  pipeline.consume_line({sim::Time::from_us(INT64_MIN + 5), NodeId{0},
-                         logging::Event::kHelloRecv, NodeId{1}, 1,
-                         std::vector<NodeId>{}, std::vector<NodeId>{}, 0, 3});
+  pipeline.consume_line(logging::LogRecord{
+      sim::Time::from_us(INT64_MIN + 5), NodeId{0}, logging::Event::kHelloRecv,
+      NodeId{1}, 1, std::vector<NodeId>{}, std::vector<NodeId>{}, 0, 3});
   core::AuditRound round;
   round.query.suspect = NodeId{1};
   round.query.subject = NodeId{5};

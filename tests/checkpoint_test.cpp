@@ -538,6 +538,38 @@ TEST(Checkpoint, RestoreRejectsUnorderedAnswerPools) {
       CheckpointError);
 }
 
+TEST(Checkpoint, RestoreRejectsUnorderedTrustRows) {
+  // TrustStore finds a subject by binary search, so both slabs of the
+  // trust section must ascend strictly by subject: rows (n5, 0.9),
+  // (n1, 0.2) would otherwise read trust(n1) = trust(n5) = 0.4.
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto image = faults::detector_image(exp.detector());
+  using Counter = trust::TrustStore::Counter;
+  const auto with_rows = [&](std::vector<std::pair<net::NodeId, double>> trust,
+                             std::vector<Counter> interactions) {
+    auto crafted = image;
+    crafted.trust_rows = std::move(trust);
+    crafted.interaction_rows = std::move(interactions);
+    return crafted;
+  };
+  const net::NodeId n1{1}, n5{5};
+  faults::restore_detector(with_rows({{n1, 0.2}, {n5, 0.9}},
+                                     {{n1, 1, 2}, {n5, 0, 1}}),
+                           exp.detector());
+  EXPECT_DOUBLE_EQ(exp.detector().trust_store().trust(n1), 0.2);
+  EXPECT_DOUBLE_EQ(exp.detector().trust_store().trust(n5), 0.9);
+  for (const auto& bad :
+       {with_rows({{n5, 0.9}, {n1, 0.2}}, {}),
+        with_rows({{n5, 0.9}, {n5, 0.2}}, {}),
+        with_rows({}, {{n5, 0, 1}, {n1, 1, 2}}),
+        with_rows({}, {{n5, 0, 1}, {n5, 1, 2}})})
+    EXPECT_THROW(faults::restore_detector(bad, exp.detector()),
+                 CheckpointError);
+}
+
 TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   const auto config = checkpoint_config(false);
   TrustExperiment exp{config};
@@ -668,7 +700,7 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   ASSERT_NE(std::ranges::adjacent_find(image.two_hops, {},
                                        &olsr::TwoHopTuple::via),
             image.two_hops.end());
-  const auto splice_image = [&](const faults::AgentImage& a) {
+  const auto splice_image = [&](const faults::AgentSnapshot& a) {
     CheckpointWriter w;
     faults::transfer_agent(w, a);
     return splice_section(w.take());
@@ -679,7 +711,7 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   const auto repeat_first = [](auto& v) { v[1] = v[0]; };
   const sim::Time until = exp.network().now() + sim::Duration::from_seconds(5);
   const net::NodeId far2{901};
-  using Image = faults::AgentImage;
+  using Image = faults::AgentSnapshot;
   using Hna = olsr::HnaSet::Key;
   const std::vector<std::pair<const char*, std::function<void(Image&)>>>
       image_cases = {
@@ -738,17 +770,19 @@ TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {
 
   const auto& log = exp.network().agent(0).log();
   ASSERT_GE(log.records().size(), 2u);
-  const auto encode = [](std::deque<logging::LogRecord> records,
+  const auto encode = [](const std::vector<logging::LogRecord>& records,
                          std::uint64_t total, std::uint64_t dropped) {
     logging::LogStore crafted;
-    crafted.restore(std::move(records), total, dropped);
+    crafted.restore(records, total, dropped);
     CheckpointWriter w;
     faults::encode_log(w, crafted);
     return w.take();
   };
   const auto total = log.total_appended();
   const auto dropped = log.dropped();
-  const auto section = encode(log.records(), total, dropped);
+  std::vector<logging::LogRecord> records;
+  for (const auto& r : log.records()) records.emplace_back(r);
+  const auto section = encode(records, total, dropped);
   const auto at =
       std::search(bytes.begin(), bytes.end(), section.begin(), section.end());
   ASSERT_NE(at, bytes.end());
@@ -761,14 +795,14 @@ TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {
   };
   EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(config, splice(section)));
 
-  auto backwards = log.records();  // the newest record predates the one before
+  auto backwards = records;  // the newest record predates the one before
   backwards.back().time = backwards.front().time;
-  ASSERT_LT(backwards.back().time, log.records()[log.records().size() - 2].time);
+  ASSERT_LT(backwards.back().time, records[records.size() - 2].time);
   for (const auto& bad :
        {encode(backwards, total, dropped),
-        encode(log.records(), total + 1, dropped),  // an unaccounted record
-        encode(log.records(), total, dropped + 1),  // base_index() wraps
-        encode(log.records(), total - 1, dropped)})
+        encode(records, total + 1, dropped),  // an unaccounted record
+        encode(records, total, dropped + 1),  // base_index() wraps
+        encode(records, total - 1, dropped)})
     EXPECT_THROW(TrustExperiment::restore_checkpoint(config, splice(bad)),
                  CheckpointError);
 }

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "scenario/network.hpp"
 #include "scenario/trust_experiment.hpp"
+#include "sim/rng.hpp"
 
 namespace manet::core {
 namespace {
@@ -32,6 +34,7 @@ namespace {
 using logging::Event;
 using logging::Key;
 using logging::LogRecord;
+using logging::RecordView;
 using Ids = std::vector<NodeId>;
 using logging::LogStore;
 using scenario::Network;
@@ -50,9 +53,9 @@ bool has(const Ids& ids, NodeId id) {
 struct LogCopy {
   explicit LogCopy(const LogStore& log) {
     for (const auto& r : log.records()) {
-      if (r.event() == Event::kHelloRecv) hellos.push_back(r);
-      if (r.event() == Event::kTcRecv) tcs.push_back(r);
-      if (r.event() == Event::kOwnFwdHeard) echoes.push_back(r);
+      if (r.event() == Event::kHelloRecv) hellos.emplace_back(r);
+      if (r.event() == Event::kTcRecv) tcs.emplace_back(r);
+      if (r.event() == Event::kOwnFwdHeard) echoes.emplace_back(r);
     }
     for (const auto& rec : hellos) {
       const auto sym = rec.ids(Key::kSym);
@@ -473,7 +476,7 @@ TEST(LogIndexCounters, PristineRunParsesEachRecordOnce) {
       const auto& log = exp.network().agent(i).log();
       ASSERT_EQ(log.dropped(), 0u);
       indexable += static_cast<std::uint64_t>(
-          std::ranges::count_if(log.records(), [](const LogRecord& r) {
+          std::ranges::count_if(log.records(), [](const RecordView& r) {
             return r.event() == Event::kHelloRecv ||
                    r.event() == Event::kTcRecv ||
                    r.event() == Event::kOwnFwdHeard;
@@ -506,13 +509,12 @@ class LogIndexHandBuilt : public ::testing::Test {
   }
 
   void hello(double at_s, NodeId from, Ids sym) {
-    net_.agent(0).log().append({sim::Time::from_seconds(at_s), kSelf,
-                                Event::kHelloRecv, from, 0, sym, Ids{}, 1,
-                                3});
+    net_.agent(0).log().append(sim::Time::from_seconds(at_s), kSelf,
+                               Event::kHelloRecv, from, 0, sym, Ids{}, 1, 3);
   }
   void tc(double at_s, NodeId orig, Ids adv) {
-    net_.agent(0).log().append({sim::Time::from_seconds(at_s), kSelf,
-                                Event::kTcRecv, orig, orig, 0, 0, adv, 1});
+    net_.agent(0).log().append(sim::Time::from_seconds(at_s), kSelf,
+                               Event::kTcRecv, orig, orig, 0, 0, adv, 1);
   }
 
   double observe(NodeId suspect, NodeId subject) {
@@ -586,8 +588,8 @@ TEST(LogIndex, RetentionDropRestartsFromTheRetainedWindow) {
   LogIndex index{log};
   const NodeId listed{7};
   const auto append = [&log, listed](std::uint32_t from) {
-    log.append({sim::Time{}, NodeId{0}, Event::kHelloRecv, NodeId{from}, 0,
-                Ids{listed}, Ids{}, 1, 3});
+    log.append(sim::Time{}, NodeId{0}, Event::kHelloRecv, NodeId{from}, 0,
+               Ids{listed}, Ids{}, 1, 3);
   };
   append(3);
   index.sync();
@@ -597,8 +599,103 @@ TEST(LogIndex, RetentionDropRestartsFromTheRetainedWindow) {
   append(1);  // drops n3's HELLO, the only third-party listing
   index.sync();
   EXPECT_FALSE(index.hello_listed_by_other(listed, NodeId{1}, NodeId{2}));
-  ASSERT_NE(index.newest_hello(NodeId{1}), nullptr);
-  EXPECT_EQ(index.newest_hello(NodeId{3}), nullptr);
+  ASSERT_TRUE(index.newest_hello(NodeId{1}).has_value());
+  EXPECT_FALSE(index.newest_hello(NodeId{3}).has_value());
+}
+
+TEST(LogIndex, SmallStoreAcrossPagesMatchesNaiveScan) {
+  // A store of a page and a bit, filled past many page boundaries with
+  // HELLOs, TCs, forward echoes and filler over a few ids: after every
+  // sync, each query answers as a scan of the retained window does.
+  constexpr std::uint32_t kIds = 7;
+  LogStore log{LogStore::kPageRows + 100};
+  LogIndex index{log};
+  sim::Rng rng{11};
+  const auto id = [&rng] {
+    return NodeId{static_cast<std::uint32_t>(rng.uniform_int(0, kIds - 1))};
+  };
+  const auto ids = [&] {
+    Ids out;
+    for (std::uint32_t n = 0; n < kIds; ++n)
+      if (rng.uniform_int(0, 2) == 0) out.push_back(NodeId{n});
+    return out;
+  };
+  const auto check = [&] {
+    index.sync();
+    std::vector<LogRecord> window;
+    for (const auto& r : log.records()) window.emplace_back(r);
+    const auto newest = [&](Event event, Key key, NodeId who) {
+      const LogRecord* found = nullptr;
+      for (const auto& r : window)
+        if (r.event() == event && r.id(key) == who) found = &r;
+      return found;
+    };
+    const auto lists = [](std::span<const NodeId> list, NodeId node) {
+      return std::ranges::find(list, node) != list.end();
+    };
+    std::vector<std::pair<NodeId, LogRecord>> newest_hellos;
+    for (std::uint32_t n = 0; n < kIds; ++n) {
+      const NodeId node{n};
+      const auto* hello = newest(Event::kHelloRecv, Key::kFrom, node);
+      const auto got = index.newest_hello(node);
+      ASSERT_EQ(got.has_value(), hello != nullptr) << n;
+      if (hello) {
+        EXPECT_EQ(*got, *hello);
+        newest_hellos.emplace_back(node, *hello);
+      }
+      const auto* echo = newest(Event::kOwnFwdHeard, Key::kBy, node);
+      EXPECT_EQ(index.newest_fwd_echo(node),
+                echo ? std::optional{echo->time} : std::nullopt);
+      EXPECT_EQ(index.tc_originated(node),
+                newest(Event::kTcRecv, Key::kOrig, node) != nullptr);
+      for (std::uint32_t a = 0; a < kIds; ++a) {
+        const NodeId other{a};
+        EXPECT_EQ(index.tc_advertised_by_other(node, other),
+                  std::ranges::any_of(window, [&](const LogRecord& r) {
+                    return r.event() == Event::kTcRecv &&
+                           r.id(Key::kOrig) != other &&
+                           lists(r.ids(Key::kAdv), node);
+                  }));
+        for (std::uint32_t b = 0; b < kIds; ++b)
+          EXPECT_EQ(index.hello_listed_by_other(node, other, NodeId{b}),
+                    std::ranges::any_of(window, [&](const LogRecord& r) {
+                      return r.event() == Event::kHelloRecv &&
+                             r.id(Key::kFrom) != other &&
+                             r.id(Key::kFrom) != NodeId{b} &&
+                             lists(r.ids(Key::kSym), node);
+                    }));
+      }
+    }
+    std::vector<std::pair<NodeId, LogRecord>> visited;
+    index.for_each_newest_hello([&](NodeId from, const RecordView& hello) {
+      visited.emplace_back(from, LogRecord{hello});
+      return true;
+    });
+    EXPECT_EQ(visited, newest_hellos);
+  };
+  sim::Time t{};
+  for (std::size_t step = 0; step < 6 * LogStore::kPageRows; ++step) {
+    t = t + sim::Time::from_us(rng.uniform_int(0, 2));
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+      case 1:
+        log.append(t, NodeId{99}, Event::kHelloRecv, id(), 0, ids(), ids(), 1,
+                   3);
+        break;
+      case 2:
+        log.append(t, NodeId{99}, Event::kTcRecv, id(), id(), 0, 0, ids(), 1);
+        break;
+      case 3:
+        log.append(t, NodeId{99}, Event::kOwnFwdHeard, id(), 0, 2);
+        break;
+      default:
+        log.append(t, NodeId{99}, Event::kDataRecv, id(), 0, id());
+        break;
+    }
+    if (step % 37 == 0) check();
+  }
+  ASSERT_GT(log.dropped(), 3 * LogStore::kPageRows);
+  check();
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <limits>
+#include <ranges>
 #include <string_view>
 
 #include "byte_digest.hpp"
@@ -180,12 +184,12 @@ TEST(Format, NegativeTimeRejected) {
 TEST(LogStore, AppendsInOrderAndQueries) {
   LogStore store;
   for (int i = 0; i < 5; ++i)
-    store.append({sim::Time::from_seconds(i), NodeId{0},
-                  i % 2 ? Event::kDaemonStop : Event::kDaemonStart});
+    store.append(sim::Time::from_seconds(i), NodeId{0},
+                 i % 2 ? Event::kDaemonStop : Event::kDaemonStart);
   EXPECT_EQ(store.size(), 5u);
   EXPECT_EQ(store.records_since(sim::Time::from_seconds(3)).size(), 2u);
   EXPECT_EQ(std::ranges::count_if(store.records(),
-                                  [](const LogRecord& r) {
+                                  [](const RecordView& r) {
                                     return r.event() == Event::kDaemonStart;
                                   }),
             3);
@@ -195,8 +199,8 @@ TEST(LogStore, AppendsInOrderAndQueries) {
 TEST(LogStore, BoundedRetentionDropsOldest) {
   LogStore store{3};
   for (std::uint32_t i = 0; i < 10; ++i)
-    store.append({sim::Time::from_seconds(i), NodeId{0}, Event::kLinkSym,
-                  NodeId{i}});
+    store.append(sim::Time::from_seconds(i), NodeId{0}, Event::kLinkSym,
+                 NodeId{i});
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.dropped(), 7u);
   EXPECT_EQ(store.at(0).id(Key::kNbr), NodeId{7});
@@ -207,7 +211,7 @@ TEST(LogStore, TextSinceIsParseable) {
   for (int i = 0; i < 4; ++i) {
     auto r = sample_record();
     r.time = sim::Time::from_seconds(i);
-    store.append(std::move(r));
+    store.append(r);
   }
   std::string text;
   for (const auto& r : store.records_since(sim::Time::from_seconds(2))) {
@@ -461,6 +465,157 @@ TEST(LogCounters, PristineRunsAppendEveryRecordAndRenderNone) {
     EXPECT_EQ(hot(ctx, obs::Hot::kLogTextRecords), 2u);
     EXPECT_EQ(hot(ctx, obs::Hot::kLogRecords), held);
   }
+}
+
+// --- records read in place ----------------------------------------------
+
+/// Every reading `view` offers, as tokens: header, each key under each
+/// accessor (its value, or a marker when the accessor throws) and the
+/// for_each_value walk.
+template <typename Record>
+std::vector<std::int64_t> readings(const Record& record) {
+  std::vector<std::int64_t> out{record.time.us(), record.node.value(),
+                                static_cast<std::int64_t>(record.event())};
+  constexpr std::int64_t kThrew = -7'777;
+  for (std::size_t k = 0; k <= static_cast<std::size_t>(Key::kWill); ++k) {
+    const auto key = static_cast<Key>(k);
+    try {
+      out.push_back(record.id(key).value());
+    } catch (const std::invalid_argument&) {
+      out.push_back(kThrew);
+    }
+    try {
+      out.push_back(record.integer(key));
+    } catch (const std::invalid_argument&) {
+      out.push_back(kThrew);
+    }
+    try {
+      const auto ids = record.ids(key);
+      out.push_back(static_cast<std::int64_t>(ids.size()));
+      for (const auto id : ids) out.push_back(id.value());
+    } catch (const std::invalid_argument&) {
+      out.push_back(kThrew);
+    }
+  }
+  record.for_each_value([&out](const FieldSpec& field, const auto& value) {
+    using Value = std::decay_t<decltype(value)>;
+    out.push_back(static_cast<std::int64_t>(field.key));
+    if constexpr (std::is_same_v<Value, NodeId>) {
+      out.push_back(value.value());
+    } else if constexpr (std::is_same_v<Value, std::int64_t>) {
+      out.push_back(value);
+    } else if constexpr (!std::is_same_v<Value, std::nullopt_t>) {
+      for (const auto id : value) out.push_back(id.value());
+    }
+  });
+  return out;
+}
+
+TEST(RecordView, MatchesLogRecordOnEveryAccessor) {
+  // Random records of every schema, each read as the owning record and as
+  // the view of its copy in a store.
+  sim::Rng rng{23};
+  LogStore store;
+  std::vector<LogRecord> records;
+  std::array<int, kEventCount> kinds{};
+  for (int i = 0; i < 600; ++i) {
+    records.push_back(random_record(rng));
+    ++kinds[static_cast<std::size_t>(records.back().event())];
+    store.append(records.back());
+  }
+  for (std::size_t k = 0; k < kEventCount; ++k)
+    EXPECT_GT(kinds[k], 0) << schema(static_cast<Event>(k)).name;
+  ASSERT_EQ(store.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& record = records[i];
+    const RecordView stored = store.at(i);
+    EXPECT_EQ(readings(stored), readings(record)) << i;
+    EXPECT_TRUE(std::ranges::equal(stored.words(), record.view().words()));
+    EXPECT_EQ(stored, record);
+    EXPECT_EQ(LogRecord{stored}, record);
+  }
+}
+
+TEST(LogStore, RetainedWindowAcrossPagesMatchesNaiveScan) {
+  // A store holding a page and a bit, filled past several page boundaries:
+  // at, records() and records_since/records_from answer as a plain copy
+  // of the last `kCapacity` records does.
+  constexpr std::size_t kCapacity = LogStore::kPageRows + 300;
+  LogStore store{kCapacity};
+  std::deque<LogRecord> naive;
+  sim::Rng rng{7};
+  sim::Time t{};
+  std::uint64_t total = 0;
+  const auto check = [&] {
+    ASSERT_EQ(store.size(), naive.size());
+    ASSERT_EQ(store.total_appended(), total);
+    ASSERT_EQ(store.base_index(), total - naive.size());
+    ASSERT_EQ(store.dropped(), total - naive.size());
+    for (std::size_t i = 0; i < naive.size(); ++i)
+      ASSERT_EQ(store.at(i), naive[i]) << i;
+    EXPECT_THROW(store.at(naive.size()), std::out_of_range);
+    ASSERT_TRUE(std::ranges::equal(store.records(), naive));
+    const auto pick = naive[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(naive.size()) - 1))];
+    for (const auto since : {pick.time, pick.time + sim::Time::from_us(1),
+                             sim::Time{}, t + sim::Time::from_us(1)}) {
+      const auto from = std::ranges::lower_bound(naive, since, {},
+                                                 &LogRecord::time);
+      ASSERT_TRUE(std::ranges::equal(store.records_since(since),
+                                     std::ranges::subrange{from, naive.end()}));
+    }
+    const auto base = store.base_index();
+    for (const std::uint64_t index :
+         {std::uint64_t{0}, base, base + naive.size() / 2, total, total + 5}) {
+      const auto skip = std::min<std::uint64_t>(
+          index > base ? index - base : 0, naive.size());
+      ASSERT_TRUE(std::ranges::equal(
+          store.records_from(index),
+          naive | std::views::drop(static_cast<std::ptrdiff_t>(skip))));
+    }
+  };
+  for (std::size_t step = 0; step < 6 * LogStore::kPageRows; ++step) {
+    auto record = random_record(rng);
+    t = t + sim::Time::from_us(rng.uniform_int(0, 2));  // ties included
+    record.time = t;
+    store.append(record);
+    naive.push_back(record);
+    if (naive.size() > kCapacity) naive.pop_front();
+    ++total;
+    if (step % 211 == 0 || step % LogStore::kPageRows < 2) check();
+  }
+  check();
+}
+
+TEST(LogStore, HeapIsRowsAndWordsPlusOnePage) {
+  // A record costs one 16-byte row and its value words: no container
+  // element or heap block of its own. The store's heap is bounded by that
+  // plus one page (the open page's rows and reserved words) and a few
+  // malloc headers a page.
+  constexpr std::size_t kRecords = 20'000;
+  constexpr std::size_t kMaxWords = 1 + 2 + (1 + 6) + (1 + 2) + 2 + 2;
+  std::vector<Ids> lists;
+  for (std::uint32_t n = 0; n <= 6; ++n) lists.emplace_back(n, NodeId{n});
+  const Ids asym{NodeId{9}};
+  std::size_t words = 0;
+  const auto before = mallinfo2().uordblks;
+  LogStore store;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    const auto& sym = lists[i % lists.size()];
+    const auto& heard = i % 3 ? asym : lists[0];
+    store.append(sim::Time::from_us(static_cast<std::int64_t>(i)), NodeId{0},
+                 Event::kHelloRecv, NodeId{1}, i, sym, heard, 1, 3);
+    words += 1 + 2 + (1 + sym.size()) + (1 + heard.size()) + 2 + 2;
+  }
+  const auto heap = mallinfo2().uordblks - before;
+  if (heap == 0) GTEST_SKIP() << "the allocator does not report mallinfo2";
+  const std::size_t pages = kRecords / LogStore::kPageRows + 1;
+  const std::size_t bound = 16 * kRecords + 4 * words +
+                            LogStore::kPageRows * (16 + 4 * kMaxWords) +
+                            128 * pages + 4096;
+  EXPECT_LE(heap, bound);
+  EXPECT_LT(static_cast<double>(heap) / kRecords,
+            16.0 + 4.0 * static_cast<double>(words) / kRecords + 8.0);
 }
 
 }  // namespace

@@ -202,7 +202,7 @@ TEST(Agent, AuditLogContainsProtocolEvents) {
   const auto count = [&net](logging::Event event) {
     return std::ranges::count_if(
         net.agent(0).log().records(),
-        [event](const logging::LogRecord& r) { return r.event() == event; });
+        [event](const logging::RecordView& r) { return r.event() == event; });
   };
   EXPECT_GT(count(logging::Event::kHelloSent), 0);
   EXPECT_GT(count(logging::Event::kHelloRecv), 0);
@@ -239,7 +239,7 @@ TEST(Agent, OwnForwardHeardLogged) {
         return r.event() == logging::Event::kOwnFwdHeard;
       });
   ASSERT_NE(heard, records.end());
-  EXPECT_EQ(heard->id(logging::Key::kBy), Network::id_of(2));
+  EXPECT_EQ((*heard).id(logging::Key::kBy), Network::id_of(2));
 }
 
 TEST(Agent, MidMessagesAdvertiseExtraInterfaces) {

@@ -12,6 +12,7 @@ namespace {
 using logging::Event;
 using logging::Key;
 using logging::LogRecord;
+using logging::RecordView;
 using net::NodeId;
 using Ids = std::vector<NodeId>;
 
@@ -22,7 +23,7 @@ LogRecord rec(double t, Event event, const Values&... values) {
 
 EventPattern on_event(Event event) {
   return {std::string{logging::schema(event).name},
-          [event](const LogRecord& r) { return r.event() == event; }};
+          [event](const RecordView& r) { return r.event() == event; }};
 }
 
 // Stand-ins for the abstract events of the matcher tests.
@@ -136,7 +137,7 @@ TEST(SignatureMatcher, ConstraintVetoesCompletion) {
   sig.name = "constrained";
   sig.steps.resize(1);
   sig.steps[0].pattern = on_event(Event::kHnaRecv);
-  sig.constraint = [](const std::vector<const LogRecord*>& recs) {
+  sig.constraint = [](Signature::Matched recs) {
     return recs[0]->integer(Key::kCount) == 1;
   };
 
