@@ -1,8 +1,8 @@
 // Blackhole (drop attack) scenario: a relay silently discards the control
-// traffic it should flood. The E2 evidence path fires — the victim notices
-// its own TCs are never retransmitted by the selected MPR, synthesizes an
-// mpr_fwd_timeout, matches the drop signature, and investigates with a
-// kForwarding query.
+// traffic it should flood. The E2 evidence path fires — the victim's scan
+// sees that a TC it sent timed out with the selected MPR never heard
+// retransmitting it, raises a drop trigger against that MPR, and
+// investigates with a kForwarding query.
 
 #include <cstdio>
 #include <cstdlib>
@@ -15,8 +15,8 @@ using namespace manet;
 using scenario::Network;
 
 int main(int argc, char** argv) {
-  // argv[1] scales the simulated durations (CTest smoke runs pass 0.2; the
-  // detection outcome is only asserted at full scale).
+  // argv[1] scales the simulated durations; the detection outcome is only
+  // asserted at full scale, the default, which is how CTest runs it.
   double scale = 1.0;
   if (argc > 1) {
     char* rest = nullptr;

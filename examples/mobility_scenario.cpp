@@ -15,8 +15,8 @@ using namespace manet;
 using scenario::Network;
 
 int main(int argc, char** argv) {
-  // argv[1] scales the simulated durations (CTest smoke runs pass 0.2; the
-  // detection outcome is only asserted at full scale).
+  // argv[1] scales the simulated durations; the detection outcome is only
+  // asserted at full scale, the default, which is how CTest runs it.
   double scale = 1.0;
   if (argc > 1) {
     char* rest = nullptr;

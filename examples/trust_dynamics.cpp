@@ -11,7 +11,7 @@
 using namespace manet;
 
 int main(int argc, char** argv) {
-  // argv[1] scales the number of rounds (CTest smoke runs pass 0.2).
+  // argv[1] scales the number of rounds (CTest runs the full count).
   double scale = 1.0;
   if (argc > 1) {
     char* rest = nullptr;

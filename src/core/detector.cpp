@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/signatures_olsr.hpp"
-
 namespace manet::core {
 
 PipelineConfig pipeline_config(NodeId self, const DetectorConfig& config) {
@@ -25,20 +23,11 @@ Detector::Detector(sim::Engine& sim, olsr::Agent& agent,
       config_{config},
       pipeline_{pipeline_config(agent.id(), config)},
       investigations_{investigations},
-      auditor_{agent.id(), config.audit},
+      log_triggers_{agent.id(), config.hello_window, config.storm_burst,
+                    config.storm_window},
+      auditor_{config.audit},
       scan_timer_{sim, config.scan_interval, sim::Duration::from_ms(100),
-                  [this] { scan_once(); }} {
-  matcher_.add_signature(link_spoofing_claim_signature(config_.hello_window));
-  matcher_.add_signature(link_omission_signature(config_.hello_window));
-  matcher_.add_signature(
-      storm_signature(config_.storm_burst, config_.storm_window));
-  matcher_.add_signature(drop_signature(config_.fwd_timeout +
-                                        config_.scan_interval));
-  matcher_.add_signature(mpr_replacement_signature());
-  // Gated so the spoofing suites' pinned signature set stays untouched.
-  if (config_.forwarding_audit)
-    matcher_.add_signature(forwarding_audit_signature());
-}
+                  [this] { scan_once(); }} {}
 
 void Detector::start() {
   if (running_) return;
@@ -71,7 +60,7 @@ Detector::Persisted Detector::persist() const {
     throw std::logic_error{"cannot checkpoint a detector with a live scan timer"};
   Persisted p;
   p.last_scan = last_scan_;
-  p.current_mprs.assign(current_mprs_.begin(), current_mprs_.end());
+  p.current_mprs = current_mprs_;
   p.pending_tcs.assign(pending_tcs_.begin(), pending_tcs_.end());
   p.last_investigated.assign(last_investigated_.begin(),
                              last_investigated_.end());
@@ -83,8 +72,7 @@ Detector::Persisted Detector::persist() const {
 
 void Detector::restore(Persisted p) {
   last_scan_ = p.last_scan;
-  current_mprs_ = std::set<NodeId>(p.current_mprs.begin(),
-                                   p.current_mprs.end());
+  current_mprs_ = std::move(p.current_mprs);
   pending_tcs_.assign(p.pending_tcs.begin(), p.pending_tcs.end());
   last_investigated_.clear();
   last_investigated_.insert(p.last_investigated.begin(),
@@ -128,161 +116,127 @@ std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
 std::size_t Detector::scan_once() {
   // The new log growth reaches the pipeline first (kLine events keep its
   // liveness oracle exactly as fresh as the log), then the IDS reads the
-  // same growth: every retained record stamped at or after the previous
-  // scan, in place, followed by the records this scan synthesizes.
+  // same growth in place: every retained record stamped at or after the
+  // previous scan.
   feed_log_growth();
   const auto growth = agent_.log().records_since(last_scan_);
   last_scan_ = sim_.now();
 
-  // Synthesize mpr_fwd_timeout records for E2 (drop) detection before
-  // feeding the matcher, so the drop signature can fire.
-  std::vector<logging::LogRecord> synthesized;
-  check_forward_timeouts(growth, synthesized);
-
-  // Forwarding audit (grayhole path): close expired flood windows, stream
-  // the tallies (observability frames), and synthesize fwd_audit_fail
-  // records so the matcher can fire on failing MPRs.
+  // Every trigger is raised before the first round launches (a launch
+  // appends to the log): the records' own in log order, then the E2 drops
+  // of our TCs, then the failing forwarding-audit windows.
+  std::vector<Trigger> triggers;
+  for (const auto& record : growth) log_triggers_.feed(record, triggers);
+  check_forward_timeouts(growth, triggers);
   if (config_.forwarding_audit) {
-    for (const auto& tally : auditor_.sweep(sim_.now(), growth, synthesized))
+    // Grayhole path: close expired flood windows and stream every tally
+    // (observability frames) before any round of this scan completes.
+    for (const auto& tally : auditor_.sweep(sim_.now(), growth)) {
       pipeline_.consume_forward_audit(sim_.now(), tally);
+      if (auditor_.fails(tally))
+        triggers.push_back({TriggerKind::kAuditFail, tally.mpr, agent_.id()});
+    }
   }
 
-  auto matches = matcher_.feed_all(growth);
-  auto more = matcher_.feed_all(synthesized);
-  matches.insert(matches.end(), std::make_move_iterator(more.begin()),
-                 std::make_move_iterator(more.end()));
   std::size_t launched = 0;
-  process_matches(matches, launched);
+  for (const auto& trigger : triggers) launched += launch(trigger);
 
   // Periodic MPR audit (§III-B: non-event-driven cases are "handled by
   // launching periodical/random checks"): cross-check every currently
   // selected MPR's advertised links against independent local knowledge.
-  for (auto mpr : current_mprs_) {
-    for (auto x : find_disputed_links(mpr)) {
-      if (in_cooldown(mpr, x)) continue;
-      investigate_claim(mpr, x, /*claimed_up=*/true,
-                        {EvidenceTag::kPeriodicCheck});
-      ++launched;
-    }
-  }
+  for (auto mpr : current_mprs_)
+    for (auto x : find_disputed_links(mpr))
+      launched += launch_round(QueryKind::kLinkStatus, mpr, x, true,
+                               {EvidenceTag::kPeriodicCheck});
   return launched;
 }
 
-void Detector::check_forward_timeouts(
-    const logging::LogStore::Records& growth,
-    std::vector<logging::LogRecord>& synthesized) {
+void Detector::check_forward_timeouts(const logging::LogStore::Records& growth,
+                                      std::vector<Trigger>& triggers) {
   using logging::Event;
   using logging::Key;
   // Track our own TC emissions and which MPRs echoed them, purely from the
   // log records that arrive.
   for (const auto& rec : growth) {
     if (rec.event() == Event::kMprChanged) {
+      // The agent logs its MPR set ascending.
       const auto mprs = rec.ids(Key::kMprs);
-      current_mprs_ = {mprs.begin(), mprs.end()};
+      current_mprs_.assign(mprs.begin(), mprs.end());
     } else if (rec.event() == Event::kTcSent) {
       pending_tcs_.push_back(
           SentTc{rec.time, rec.integer(Key::kSeq), current_mprs_, {}});
     } else if (rec.event() == Event::kOwnFwdHeard) {
       const auto seq = rec.integer(Key::kSeq);
-      for (auto& tc : pending_tcs_)
-        if (tc.seq == seq) tc.heard_from.insert(rec.id(Key::kBy));
-    }
-  }
-
-  const auto now = sim_.now();
-  while (!pending_tcs_.empty() &&
-         now - pending_tcs_.front().at >= config_.fwd_timeout) {
-    const auto tc = pending_tcs_.front();
-    pending_tcs_.pop_front();
-    for (auto mpr : tc.mprs_then) {
-      if (tc.heard_from.contains(mpr)) continue;
-      synthesized.emplace_back(now, agent_.id(), Event::kMprFwdTimeout, mpr,
-                               tc.seq);
-    }
-  }
-}
-
-void Detector::process_matches(const std::vector<SignatureMatch>& matches,
-                               std::size_t& launched) {
-  using logging::Key;
-  for (const auto& m : matches) {
-    if (m.signature == "link_spoofing_claim") {
-      // Records: [0] HELLO from suspect I claiming I-X, [1] HELLO from X.
-      const auto suspect = m.records[0].id(Key::kFrom);
-      const auto subject = m.records[1].id(Key::kFrom);
-      if (in_cooldown(suspect, subject)) continue;
-      investigate_claim(suspect, subject, /*claimed_up=*/true,
-                        {EvidenceTag::kSignatureMatch});
-      ++launched;
-    } else if (m.signature == "link_omission") {
-      const auto subject = m.records[0].id(Key::kFrom);  // claims link
-      const auto suspect = m.records[1].id(Key::kFrom);  // omits it
-      if (in_cooldown(suspect, subject)) continue;
-      investigate_claim(suspect, subject, /*claimed_up=*/false,
-                        {EvidenceTag::kSignatureMatch});
-      ++launched;
-    } else if (m.signature == "broadcast_storm") {
-      const auto suspect = m.correlated;
-      if (in_cooldown(suspect, agent_.id())) continue;
-      investigate_claim(suspect, agent_.id(), /*claimed_up=*/true,
-                        {EvidenceTag::kE2MprMisbehaving,
-                         EvidenceTag::kSignatureMatch});
-      ++launched;
-    } else if (m.signature == "mpr_drop") {
-      const auto suspect = m.records[1].id(Key::kMpr);
-      if (in_cooldown(suspect, agent_.id())) continue;
-      LinkQuery q;
-      q.kind = QueryKind::kForwarding;
-      q.suspect = suspect;
-      q.subject = agent_.id();
-      q.claimed_up = true;  // an MPR implicitly claims it forwards
-      auto verifiers = believed_neighbors_of(suspect);
-      last_investigated_[{suspect, agent_.id()}] = sim_.now();
-      investigations_.investigate(
-          q, std::move(verifiers),
-          [this, tags = std::vector<EvidenceTag>{
-                     EvidenceTag::kE2MprMisbehaving}](const RoundResult& r) {
-            on_round_complete(r, tags);
-          });
-      ++launched;
-    } else if (m.signature == "forwarding_audit") {
-      // Grayhole: an audited WILL_ALWAYS MPR failed its forwarded/expected
-      // window. Same round shape as mpr_drop — the MPR implicitly claims it
-      // forwards — so the trust pipeline is reused verbatim.
-      const auto suspect = m.records[0].id(Key::kMpr);
-      if (in_cooldown(suspect, agent_.id())) continue;
-      LinkQuery q;
-      q.kind = QueryKind::kForwarding;
-      q.suspect = suspect;
-      q.subject = agent_.id();
-      q.claimed_up = true;
-      auto verifiers = believed_neighbors_of(suspect);
-      last_investigated_[{suspect, agent_.id()}] = sim_.now();
-      investigations_.investigate(
-          q, std::move(verifiers),
-          [this, tags = std::vector<EvidenceTag>{
-                     EvidenceTag::kE2MprMisbehaving,
-                     EvidenceTag::kSignatureMatch}](const RoundResult& r) {
-            on_round_complete(r, tags);
-          });
-      ++launched;
-    } else if (m.signature == "mpr_replacement") {
-      // E1: the MPR set gained a member — either a true replacement (the
-      // new MPR grew its coverage to the detriment of the replaced one) or
-      // a suspicious initial selection. Each added MPR's advertised links
-      // are cross-checked against *independent* local knowledge; only
-      // uncorroborated or contradicted links go to investigation.
-      const auto added = m.records[0].ids(Key::kAdded);
-      for (auto suspect : added) {
-        for (auto x : find_disputed_links(suspect)) {
-          if (in_cooldown(suspect, x)) continue;
-          investigate_claim(suspect, x, /*claimed_up=*/true,
-                            {EvidenceTag::kE1MprReplaced});
-          ++launched;
-        }
+      const auto by = rec.id(Key::kBy);
+      for (auto& tc : pending_tcs_) {
+        if (tc.seq != seq) continue;
+        const auto at = std::ranges::lower_bound(tc.heard_from, by);
+        if (at == tc.heard_from.end() || *at != by)
+          tc.heard_from.insert(at, by);
       }
     }
   }
+
+  // A TC that times out in this scan accuses its lowest unheard MPR once,
+  // unless it was sent more than one scan interval before its timeout.
+  const auto now = sim_.now();
+  while (!pending_tcs_.empty() &&
+         now - pending_tcs_.front().at >= config_.fwd_timeout) {
+    const auto& tc = pending_tcs_.front();
+    if (now - tc.at <= config_.fwd_timeout + config_.scan_interval) {
+      const auto unheard =
+          std::ranges::find_if(tc.mprs_then, [&tc](NodeId mpr) {
+            return !std::ranges::binary_search(tc.heard_from, mpr);
+          });
+      if (unheard != tc.mprs_then.end())
+        triggers.push_back({TriggerKind::kDrop, *unheard, agent_.id()});
+    }
+    pending_tcs_.pop_front();
+  }
+}
+
+std::size_t Detector::launch(const Trigger& t) {
+  using Tag = EvidenceTag;
+  switch (t.kind) {
+    case TriggerKind::kClaim:
+    case TriggerKind::kOmission:
+      return launch_round(QueryKind::kLinkStatus, t.suspect, t.subject,
+                          t.kind == TriggerKind::kClaim,
+                          {Tag::kSignatureMatch});
+    case TriggerKind::kStorm:
+      return launch_round(QueryKind::kLinkStatus, t.suspect, t.subject, true,
+                          {Tag::kE2MprMisbehaving, Tag::kSignatureMatch});
+    case TriggerKind::kDrop:
+      // An MPR implicitly claims that it forwards.
+      return launch_round(QueryKind::kForwarding, t.suspect, t.subject, true,
+                          {Tag::kE2MprMisbehaving});
+    case TriggerKind::kAuditFail:
+      // Grayhole: the same round shape as a drop, so the trust pipeline is
+      // reused verbatim.
+      return launch_round(QueryKind::kForwarding, t.suspect, t.subject, true,
+                          {Tag::kE2MprMisbehaving, Tag::kSignatureMatch});
+    case TriggerKind::kMprAdded: {
+      // E1: the MPR set gained the suspect, either a true replacement (the
+      // new MPR grew its coverage to the detriment of the replaced one) or
+      // a suspicious initial selection. Only the suspect's advertised links
+      // that independent local knowledge cannot corroborate, or that it
+      // contradicts, go to investigation.
+      std::size_t launched = 0;
+      for (auto x : find_disputed_links(t.suspect))
+        launched += launch_round(QueryKind::kLinkStatus, t.suspect, x, true,
+                                 {Tag::kE1MprReplaced});
+      return launched;
+    }
+  }
+  return 0;
+}
+
+std::size_t Detector::launch_round(QueryKind kind, NodeId suspect,
+                                   NodeId subject, bool claimed_up,
+                                   std::vector<EvidenceTag> tags) {
+  if (in_cooldown(suspect, subject)) return 0;
+  investigate(kind, suspect, subject, claimed_up, std::move(tags), {});
+  return 1;
 }
 
 std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
@@ -321,8 +275,15 @@ void Detector::investigate_claim(NodeId suspect, NodeId subject,
                                  bool claimed_up,
                                  std::vector<EvidenceTag> tags,
                                  std::vector<NodeId> verifiers) {
+  investigate(QueryKind::kLinkStatus, suspect, subject, claimed_up,
+              std::move(tags), std::move(verifiers));
+}
+
+void Detector::investigate(QueryKind kind, NodeId suspect, NodeId subject,
+                           bool claimed_up, std::vector<EvidenceTag> tags,
+                           std::vector<NodeId> verifiers) {
   LinkQuery q;
-  q.kind = QueryKind::kLinkStatus;
+  q.kind = kind;
   q.suspect = suspect;
   q.subject = subject;
   q.claimed_up = claimed_up;

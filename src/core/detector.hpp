@@ -1,15 +1,14 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <set>
-#include <string>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/investigation.hpp"
 #include "core/pipeline.hpp"
-#include "core/signature.hpp"
 #include "core/signatures_forwarding.hpp"
+#include "core/signatures_olsr.hpp"
 #include "sim/timer.hpp"
 #include "trust/detection.hpp"
 #include "trust/trust_store.hpp"
@@ -22,7 +21,7 @@ struct DetectorConfig {
   InvestigationConfig investigation;
   /// Period of the autonomous log scan.
   sim::Duration scan_interval = sim::Duration::from_seconds(5.0);
-  /// Window for contradictory-HELLO signatures (the paper's delta-t).
+  /// Window for contradictory HELLO pairs (the paper's delta-t).
   sim::Duration hello_window = sim::Duration::from_seconds(6.0);
   /// An MPR that has not retransmitted our TC after this long is E2-suspect.
   sim::Duration fwd_timeout = sim::Duration::from_seconds(4.0);
@@ -50,8 +49,7 @@ struct DetectorConfig {
   /// Grayhole path: audit whether WILL_ALWAYS MPRs re-forward third-party
   /// floods (core/signatures_forwarding.hpp) and investigate failures
   /// through the ordinary kForwarding round. Off by default so legacy
-  /// traces — and the signature set the spoofing suites pin — are
-  /// untouched.
+  /// traces are untouched.
   bool forwarding_audit = false;
   ForwardingAuditConfig audit;
 };
@@ -62,9 +60,10 @@ PipelineConfig pipeline_config(NodeId self, const DetectorConfig& config);
 
 /// The paper's distributed, log- and signature-based intrusion detector,
 /// one instance per participating node. It periodically reads the growth
-/// of the node's audit log (never touching protocol state), matches it
-/// against the OLSR attack signatures, derives the E1-E3 triggers of
-/// Expression 4, and launches cooperative investigations.
+/// of the node's audit log (never touching protocol state), raises the
+/// typed triggers of the OLSR attack patterns and the E1-E3 evidence of
+/// Expression 4 (LogTriggers, its own TCs, the forwarding audit), and
+/// launches cooperative investigations.
 ///
 /// The detector is the *producer* half of the detection stack: everything
 /// downstream of a completed round — Eq. 8 aggregation, the Eq. 9-10
@@ -136,12 +135,12 @@ class Detector {
   }
 
   /// One TC awaiting MPR retransmission (E2 bookkeeping; public for
-  /// checkpointing).
+  /// checkpointing). Both lists ascend (the checkpoint decoder checks).
   struct SentTc {
     sim::Time at;
     std::int64_t seq;
-    std::set<NodeId> mprs_then;
-    std::set<NodeId> heard_from;
+    std::vector<NodeId> mprs_then;
+    std::vector<NodeId> heard_from;
   };
 
   /// Checkpoint image of the detector's log-derived state. The trust store
@@ -150,7 +149,7 @@ class Detector {
   /// timer is stopped — the experiment harness drives rounds manually.
   struct Persisted {
     sim::Time last_scan{};
-    std::vector<NodeId> current_mprs;
+    std::vector<NodeId> current_mprs;  ///< ascending
     std::vector<SentTc> pending_tcs;
     std::vector<std::pair<std::pair<NodeId, NodeId>, sim::Time>>
         last_investigated;
@@ -175,12 +174,18 @@ class Detector {
  private:
   void on_round_complete(const RoundResult& result,
                          std::vector<EvidenceTag> tags);
-  void process_matches(const std::vector<SignatureMatch>& matches,
-                       std::size_t& launched);
   /// Follows our TC emissions and their MPR echoes through `growth`, and
-  /// appends an mpr_fwd_timeout record per MPR that never echoed one.
+  /// appends a kDrop trigger per TC that times out in this scan.
   void check_forward_timeouts(const logging::LogStore::Records& growth,
-                              std::vector<logging::LogRecord>& synthesized);
+                              std::vector<Trigger>& triggers);
+  /// Launches the rounds one trigger raises; returns how many.
+  std::size_t launch(const Trigger& trigger);
+  /// Launches one round unless its link is in cooldown; returns 1 if so.
+  std::size_t launch_round(QueryKind kind, NodeId suspect, NodeId subject,
+                           bool claimed_up, std::vector<EvidenceTag> tags);
+  void investigate(QueryKind kind, NodeId suspect, NodeId subject,
+                   bool claimed_up, std::vector<EvidenceTag> tags,
+                   std::vector<NodeId> verifiers);
   bool in_cooldown(NodeId suspect, NodeId subject) const;
 
   sim::Engine& sim_;
@@ -188,13 +193,13 @@ class Detector {
   DetectorConfig config_;
   DetectionPipeline pipeline_;
   InvestigationManager& investigations_;
-  SignatureMatcher matcher_;
+  LogTriggers log_triggers_;
   ForwardingAuditor auditor_;
   sim::PeriodicTimer scan_timer_;
 
   sim::Time last_scan_{};
   // State reconstructed purely from the log.
-  std::set<NodeId> current_mprs_;
+  std::vector<NodeId> current_mprs_;  ///< ascending, from mpr_changed
   std::deque<SentTc> pending_tcs_;
   std::map<std::pair<NodeId, NodeId>, sim::Time> last_investigated_;
   /// Absolute index of the next agent-log record to stream into the

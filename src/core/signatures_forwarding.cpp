@@ -72,8 +72,7 @@ void ForwardingAuditor::credit(NodeId orig, std::int64_t seq, NodeId by) {
     }
 }
 
-std::vector<ForwardAudit> ForwardingAuditor::close_window(
-    sim::Time now, std::vector<logging::LogRecord>& synthesized) {
+std::vector<ForwardAudit> ForwardingAuditor::close_window(sim::Time now) {
   // Close every pending flood whose timeout has passed into the window
   // counters (pending_ is in first-heard order, so the prefix suffices).
   while (!pending_.empty() &&
@@ -87,20 +86,12 @@ std::vector<ForwardAudit> ForwardingAuditor::close_window(
     pending_.pop_front();
   }
 
-  // Evaluate and reset the window; std::map iteration keeps the output
-  // MPR-sorted, which the determinism suites rely on.
+  // Reset the window; std::map iteration keeps the output MPR-sorted,
+  // which the determinism suites rely on.
   std::vector<ForwardAudit> tallies;
   tallies.reserve(window_.size());
-  for (const auto& [mpr, counters] : window_) {
-    const auto [expected, forwarded] = counters;
-    tallies.push_back(ForwardAudit{mpr, expected, forwarded});
-    if (expected >= config_.min_expected &&
-        static_cast<double>(forwarded) <
-            config_.fail_ratio * static_cast<double>(expected)) {
-      synthesized.emplace_back(now, self_, logging::Event::kFwdAuditFail, mpr,
-                               expected, forwarded);
-    }
-  }
+  for (const auto& [mpr, counters] : window_)
+    tallies.push_back(ForwardAudit{mpr, counters.first, counters.second});
   window_.clear();
   return tallies;
 }
@@ -123,17 +114,6 @@ void ForwardingAuditor::restore(const Persisted& p) {
   window_.clear();
   for (const auto& audit : p.window)
     window_[audit.mpr] = {audit.expected, audit.forwarded};
-}
-
-Signature forwarding_audit_signature() {
-  Signature sig;
-  sig.name = "forwarding_audit";
-  sig.window = sim::Duration::from_seconds(1.0);
-  sig.steps.resize(1);
-  sig.steps[0].pattern = {"fwd_audit_fail", [](const logging::RecordView& r) {
-                            return r.event() == logging::Event::kFwdAuditFail;
-                          }};
-  return sig;
 }
 
 }  // namespace manet::core

@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "core/signature.hpp"
 #include "logging/record.hpp"
 #include "net/node_id.hpp"
 #include "sim/time.hpp"
@@ -29,8 +28,8 @@ struct ForwardingAuditConfig {
   /// audited MPR's jittered re-broadcast (<= 100 ms) must have landed by
   /// then, with margin for a multi-hop detour.
   sim::Duration flood_timeout = sim::Duration::from_seconds(2.0);
-  /// Minimum closed-entry count before a window can synthesize a failure
-  /// (transitional MPR-selector windows must not convict).
+  /// Minimum closed-entry count before a window can fail (transitional
+  /// MPR-selector windows must not convict).
   std::size_t min_expected = 3;
   /// A window fails when forwarded < fail_ratio * expected.
   double fail_ratio = 0.5;
@@ -50,27 +49,32 @@ struct ForwardAudit {
 /// WILL_ALWAYS node is selected MPR by *every* neighbor (RFC 3626 §8.3.1
 /// step 1), so it is obliged to re-forward any fresh flood it hears,
 /// which is exactly the inference a local log can make soundly. Default-
-/// willingness MPRs keep the existing own-TC E2 path (drop_signature);
+/// willingness MPRs keep the detector's own-TC E2 path (TriggerKind::kDrop);
 /// they are never audited here, so honest bystanders cannot fail a window.
 class ForwardingAuditor {
  public:
-  explicit ForwardingAuditor(NodeId self, ForwardingAuditConfig config = {})
-      : self_{self}, config_{config} {}
+  explicit ForwardingAuditor(ForwardingAuditConfig config = {})
+      : config_{config} {}
 
   const ForwardingAuditConfig& config() const { return config_; }
 
   /// One scan sweep: ingests `records` (in time order), closes pending
-  /// flood entries older than flood_timeout into the window counters,
-  /// evaluates the window, and resets it. Failing MPRs get a synthesized
-  /// `fwd_audit_fail` record (mpr/expected/forwarded fields) appended to
-  /// `synthesized` so the signature matcher can fire on them uniformly.
-  /// Returns every non-empty tally of the closed window, sorted by MPR.
+  /// flood entries older than flood_timeout into the window counters, and
+  /// returns every non-empty tally of the closed window, sorted by MPR. The
+  /// window resets each sweep, so one borderline round cannot bleed into
+  /// the next.
   template <typename Records>
-  std::vector<ForwardAudit> sweep(
-      sim::Time now, const Records& records,
-      std::vector<logging::LogRecord>& synthesized) {
+  std::vector<ForwardAudit> sweep(sim::Time now, const Records& records) {
     for (const logging::RecordView record : records) ingest(record);
-    return close_window(now, synthesized);
+    return close_window(now);
+  }
+
+  /// Whether a closed tally fails: at least min_expected floods, of which
+  /// fewer than fail_ratio were heard re-forwarded.
+  bool fails(const ForwardAudit& tally) const {
+    return tally.expected >= config_.min_expected &&
+           static_cast<double>(tally.forwarded) <
+               config_.fail_ratio * static_cast<double>(tally.expected);
   }
 
   /// One flood awaiting the audited MPRs' re-broadcasts (public for
@@ -96,11 +100,9 @@ class ForwardingAuditor {
 
  private:
   void ingest(const logging::RecordView& record);
-  std::vector<ForwardAudit> close_window(
-      sim::Time now, std::vector<logging::LogRecord>& synthesized);
+  std::vector<ForwardAudit> close_window(sim::Time now);
   void credit(NodeId orig, std::int64_t seq, NodeId by);
 
-  NodeId self_;
   ForwardingAuditConfig config_;
   std::set<NodeId> always_;        ///< neighbors advertising WILL_ALWAYS
   std::set<NodeId> current_mprs_;  ///< our MPR set, from mpr_changed
@@ -108,10 +110,5 @@ class ForwardingAuditor {
   /// Window counters per audited MPR: {expected, forwarded}.
   std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> window_;
 };
-
-/// One-step signature over the synthesized fwd_audit_fail records, so
-/// forwarding-audit failures are matched uniformly with the other attack
-/// signatures (mirrors how drop_signature consumes mpr_fwd_timeout).
-Signature forwarding_audit_signature();
 
 }  // namespace manet::core

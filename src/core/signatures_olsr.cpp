@@ -9,120 +9,72 @@ using logging::Event;
 using logging::Key;
 using logging::RecordView;
 
-bool is_event(const RecordView& r, Event event) {
-  return r.event() == event;
-}
-
-bool lists(std::span<const net::NodeId> list, net::NodeId node) {
+bool lists(std::span<const NodeId> list, NodeId node) {
   return std::ranges::find(list, node) != list.end();
 }
 
 }  // namespace
 
-Signature link_spoofing_claim_signature(sim::Duration window) {
-  Signature sig;
-  sig.name = "link_spoofing_claim";
-  sig.window = window;
-  sig.steps.resize(2);
-  // Step 0: HELLO from the suspect I (any hello_recv).
-  sig.steps[0].pattern = {"hello_from_suspect", [](const RecordView& r) {
-                            return is_event(r, Event::kHelloRecv);
-                          }};
-  // Step 1: HELLO from some X, unordered relative to step 0 (the paper's
-  // |t'-t| < delta-t with no ordering), hence no `after` dependency.
-  sig.steps[1].pattern = {"hello_from_subject", [](const RecordView& r) {
-                            return is_event(r, Event::kHelloRecv);
-                          }};
-  sig.constraint = [](Signature::Matched recs) {
-    if (!recs[0] || !recs[1]) return false;
-    const auto& from_i = *recs[0];
-    const auto& from_x = *recs[1];
-    const auto i = from_i.id(Key::kFrom);
-    const auto x = from_x.id(Key::kFrom);
-    if (i == x) return false;
-    // I claims X symmetric, but X's own HELLO does not list I.
-    return lists(from_i.ids(Key::kSym), x) && !lists(from_x.ids(Key::kSym), i);
-  };
-  return sig;
-}
-
-Signature link_omission_signature(sim::Duration window) {
-  Signature sig;
-  sig.name = "link_omission";
-  sig.window = window;
-  sig.steps.resize(2);
-  sig.steps[0].pattern = {"hello_from_claimer", [](const RecordView& r) {
-                            return is_event(r, Event::kHelloRecv);
-                          }};
-  sig.steps[1].pattern = {"hello_from_omitter", [](const RecordView& r) {
-                            return is_event(r, Event::kHelloRecv);
-                          }};
-  sig.constraint = [](Signature::Matched recs) {
-    if (!recs[0] || !recs[1]) return false;
-    const auto& from_x = *recs[0];  // X claims the link
-    const auto& from_i = *recs[1];  // I omits it
-    const auto x = from_x.id(Key::kFrom);
-    const auto i = from_i.id(Key::kFrom);
-    if (i == x) return false;
-    // A true omission lists X neither as symmetric nor as a heard (ASYM)
-    // link; transitional link-sensing states advertise X as ASYM and must
-    // not fire the signature.
-    return lists(from_x.ids(Key::kSym), i) &&
-           !lists(from_i.ids(Key::kSym), x) &&
-           !lists(from_i.ids(Key::kAsym), x);
-  };
-  return sig;
-}
-
-Signature storm_signature(std::size_t burst, sim::Duration window) {
-  Signature sig;
-  sig.name = "broadcast_storm";
-  sig.window = window;
-  sig.correlate_field = Key::kOrig;
-  sig.steps.resize(burst);
-  for (std::size_t i = 0; i < burst; ++i) {
-    sig.steps[i].pattern = {"tc_recv", [](const RecordView& r) {
-                              return is_event(r, Event::kTcRecv);
-                            }};
-    if (i > 0) sig.steps[i].after = {i - 1};
+void LogTriggers::feed(const RecordView& record, std::vector<Trigger>& out) {
+  switch (record.event()) {
+    case Event::kHelloRecv:
+      hello(record, out);
+      break;
+    case Event::kTcRecv:
+      tc(record, out);
+      break;
+    case Event::kMprChanged:
+      // E1 fires whenever the MPR set gains a member: a strict replacement
+      // or a spoofer forcing itself into an initial selection. The detector
+      // investigates only the added MPR's links it cannot corroborate.
+      for (const auto added : record.ids(Key::kAdded))
+        out.push_back({TriggerKind::kMprAdded, added, NodeId{}});
+      break;
+    default:
+      break;
   }
-  return sig;
 }
 
-Signature drop_signature(sim::Duration window) {
-  Signature sig;
-  sig.name = "mpr_drop";
-  sig.window = window;
-  sig.steps.resize(2);
-  sig.steps[0].pattern = {"tc_sent", [](const RecordView& r) {
-                            return is_event(r, Event::kTcSent);
-                          }};
-  sig.steps[1].pattern = {"mpr_fwd_timeout", [](const RecordView& r) {
-                            return is_event(r, Event::kMprFwdTimeout);
-                          }};
-  sig.steps[1].after = {0};
-  sig.constraint = [](Signature::Matched recs) {
-    if (!recs[0] || !recs[1]) return false;
-    return recs[0]->integer(Key::kSeq) == recs[1]->integer(Key::kSeq);
-  };
-  return sig;
+void LogTriggers::hello(const RecordView& record, std::vector<Trigger>& out) {
+  // The pair need not be ordered (the paper's |t' - t| < delta-t): each
+  // HELLO opens two slots that any later HELLO within the window may close.
+  std::erase_if(hellos_, [&](const OpenHello& h) {
+    return record.time - h.at > hello_window_;
+  });
+  const auto from = record.id(Key::kFrom);
+  const auto sym = record.ids(Key::kSym);
+  const auto asym = record.ids(Key::kAsym);
+  for (auto& h : hellos_) {
+    // h.from claims `from` symmetric, but `from` does not list h.from.
+    if (h.from == from || !lists(h.sym, from) || lists(sym, h.from)) continue;
+    if (h.claim_open) {
+      out.push_back({TriggerKind::kClaim, h.from, from});
+      h.claim_open = false;
+    }
+    // A true omission lists h.from not even as heard: link sensing in
+    // transition advertises it ASYM and must not fire.
+    if (h.omission_open && !lists(asym, h.from)) {
+      out.push_back({TriggerKind::kOmission, from, h.from});
+      h.omission_open = false;
+    }
+  }
+  std::erase_if(hellos_, [](const OpenHello& h) {
+    return !h.claim_open && !h.omission_open;
+  });
+  hellos_.push_back({record.time, from, {sym.begin(), sym.end()}});
 }
 
-Signature mpr_replacement_signature() {
-  Signature sig;
-  sig.name = "mpr_replacement";
-  sig.window = sim::Duration::from_seconds(1.0);
-  sig.steps.resize(1);
-  // E1 fires whenever the MPR set gains a member: a strict replacement
-  // (added+removed) or the degenerate case where a spoofing node forces
-  // itself into an initial selection. Legitimate additions are filtered
-  // downstream — the detector only investigates when the new MPR's
-  // advertised links cannot be corroborated independently.
-  sig.steps[0].pattern = {"mpr_changed", [](const RecordView& r) {
-                            return is_event(r, Event::kMprChanged) &&
-                                   !r.ids(Key::kAdded).empty();
-                          }};
-  return sig;
+void LogTriggers::tc(const RecordView& record, std::vector<Trigger>& out) {
+  while (!tcs_.empty() && record.time - tcs_.front().first > storm_window_)
+    tcs_.pop_front();
+  const auto orig = record.id(Key::kOrig);
+  // This reception completes a burst when the storm_burst - 1 receptions
+  // from the same originator before it all lie within the window.
+  const auto earlier = static_cast<std::size_t>(std::ranges::count(
+      tcs_, orig, &std::pair<sim::Time, NodeId>::second));
+  if (storm_burst_ > 0 && earlier + 1 >= storm_burst_)
+    out.push_back({TriggerKind::kStorm, orig, self_});
+  tcs_.emplace_back(record.time, orig);
 }
 
 }  // namespace manet::core

@@ -16,7 +16,7 @@ class AuditWriter;
 
 /// Append-only audit log of one node's routing daemon, with bounded
 /// retention. The IDS reads the typed records in place, as RecordViews, in
-/// two ways: the signature scan walks each growth by time
+/// two ways: the detector's scan walks each growth by time
 /// (`records_since`), and cursor readers — the detector's pipeline feed
 /// and the investigations' core::LogIndex — walk the new records by
 /// absolute index (`base_index`, `records_from`).
@@ -46,8 +46,8 @@ class LogStore {
     ((out = values::put(out, vals)), ...);
     close_record();
   }
-  /// Appends a copy of a record held elsewhere (a decoded or synthesized
-  /// one, or another store's).
+  /// Appends a copy of a record held elsewhere (a decoded one, or another
+  /// store's).
   void append(const RecordView& record);
 
   class Records;

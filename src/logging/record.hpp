@@ -18,7 +18,9 @@
 namespace manet::logging {
 
 /// The closed set of audit-log record kinds: the 27 the routing daemon
-/// (olsr::Agent) writes, then the two the detection layer synthesizes.
+/// (olsr::Agent) writes, then two the detection layer once synthesized.
+/// Nothing writes those two any more, but their codes stay: they are audit
+/// log v3 and checkpoint v4 codes.
 /// The value is the event code of the binary formats, so appending a kind
 /// is a format change and reordering one is a silent corruption.
 enum class Event : std::uint8_t {
@@ -49,8 +51,8 @@ enum class Event : std::uint8_t {
   kDataFwd,
   kMprChanged,
   kRoutesChanged,
-  kMprFwdTimeout,  ///< core::Detector: a selected MPR never echoed our TC
-  kFwdAuditFail,   ///< core::ForwardingAuditor: a failing audit window
+  kMprFwdTimeout,  ///< unwritten: a selected MPR never echoed our TC
+  kFwdAuditFail,   ///< unwritten: a failing forwarding-audit window
 };
 inline constexpr std::size_t kEventCount =
     static_cast<std::size_t>(Event::kFwdAuditFail) + 1;
@@ -179,8 +181,7 @@ net::NodeId* put(net::NodeId* out, const T& value) {
 
 }  // namespace values
 
-/// One audit-log record of a node's routing daemon (or one the detector
-/// synthesizes), read in place. The paper's IDS is log-based: it never
+/// One audit-log record of a node's routing daemon, read in place. The paper's IDS is log-based: it never
 /// inspects protocol state directly, only these records, read through the
 /// typed accessors below. Text exists only at the I/O edge
 /// (logging/format.hpp).
@@ -268,7 +269,7 @@ class RecordView {
 static_assert(std::is_trivially_copyable_v<RecordView>);
 
 /// An owning record: what decoders fill (the text parser, the binary
-/// codec), the detector synthesizes and tests build. It reads through its
+/// codec) and tests build. It reads through its
 /// view (the same accessors as RecordView) and converts to one wherever a
 /// reader takes a RecordView.
 class LogRecord {

@@ -74,7 +74,7 @@ enum class SpanName : std::uint32_t {
   kSetupConverge,       ///< build_network + OLSR warm-up drive
   kRound,               ///< one investigation round (attack active)
   kIdleRound,           ///< one idle forgetting round
-  kInvestigation,       ///< async: signature fired -> query -> verdict
+  kInvestigation,       ///< async: trigger fired -> query -> verdict
   kConviction,          ///< instant: kIntruder verdict emitted
   kSuppressed,          ///< instant: conviction downgraded (liveness gate)
   kRoutingRecompute,    ///< instant: routing table changed

@@ -570,6 +570,58 @@ TEST(Checkpoint, RestoreRejectsUnorderedTrustRows) {
                  CheckpointError);
 }
 
+TEST(Checkpoint, RestoreRejectsUnorderedAuditorLists) {
+  // The forwarding auditor credits a re-broadcast by binary search over a
+  // pending flood's audited and credited MPRs: with audited = [n5, n2],
+  // n2's re-broadcasts would never be credited and its window would count
+  // floods it forwarded as missed. The detector's E2 bookkeeping keeps its
+  // MPR lists ascending the same way.
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto image = faults::detector_image(exp.detector());
+  using Ids = std::vector<net::NodeId>;
+  using State = core::Detector::Persisted;
+  const auto with = [&image](const std::function<void(State&)>& bend) {
+    auto crafted = image;
+    bend(crafted.state);
+    return crafted;
+  };
+  const auto tc = [](Ids mprs, Ids heard) {
+    return core::Detector::SentTc{sim::Time{}, 1, std::move(mprs),
+                                  std::move(heard)};
+  };
+  const auto flood = [](Ids audited, Ids credited) {
+    core::ForwardingAuditor::PendingFlood f;
+    f.orig = net::NodeId{9};
+    f.audited = std::move(audited);
+    f.credited = std::move(credited);
+    return f;
+  };
+  const net::NodeId n2{2}, n5{5};
+  const auto ordered = with([&](State& s) {
+    s.current_mprs = {n2, n5};
+    s.pending_tcs = {tc({n2, n5}, {n5})};
+    s.auditor.pending = {flood({n2, n5}, {n2})};
+  });
+  EXPECT_NO_THROW(faults::restore_detector(ordered, exp.detector()));
+  for (const auto& bad : {
+           with([&](State& s) { s.current_mprs = {n5, n2}; }),
+           with([&](State& s) { s.current_mprs = {n2, n2}; }),
+           with([&](State& s) { s.pending_tcs = {tc({n5, n2}, {})}; }),
+           with([&](State& s) { s.pending_tcs = {tc({n2, n5}, {n5, n2})}; }),
+           with([&](State& s) { s.pending_tcs = {tc({n2}, {n2, n2})}; }),
+           with([&](State& s) { s.auditor.pending = {flood({n5, n2}, {})}; }),
+           with([&](State& s) { s.auditor.pending = {flood({n2, n2}, {})}; }),
+           with([&](State& s) {
+             s.auditor.pending = {flood({n2, n5}, {n5, n2})};
+           }),
+       })
+    EXPECT_THROW(faults::restore_detector(bad, exp.detector()),
+                 CheckpointError);
+}
+
 TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   const auto config = checkpoint_config(false);
   TrustExperiment exp{config};

@@ -74,29 +74,23 @@ void add_echo(std::vector<logging::LogRecord>& records, double seconds,
 }
 
 TEST(ForwardingAuditor, SilentAlwaysMprFailsTheWindow) {
-  core::ForwardingAuditor auditor{NodeId{0}};
+  core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
   for (std::int64_t seq = 1; seq <= 3; ++seq)
     add_flood(records, 2.0 + 0.1 * static_cast<double>(seq), NodeId{5}, seq);
 
   // n1 never re-forwards: after the flood timeout the window tallies
-  // expected=3 forwarded=0 and synthesizes a fwd_audit_fail record.
-  std::vector<logging::LogRecord> failures;
-  const auto tallies =
-      auditor.sweep(sim::Time::from_seconds(10.0), records, failures);
+  // expected=3 forwarded=0, and that tally fails.
+  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].mpr, NodeId{1});
   EXPECT_EQ(tallies[0].expected, 3u);
   EXPECT_EQ(tallies[0].forwarded, 0u);
-  ASSERT_EQ(failures.size(), 1u);
-  ASSERT_EQ(failures.back().event(), Event::kFwdAuditFail);
-  EXPECT_EQ(failures.back().id(logging::Key::kMpr), NodeId{1});
-  EXPECT_EQ(failures.back().integer(logging::Key::kExpected), 3);
-  EXPECT_EQ(failures.back().integer(logging::Key::kForwarded), 0);
+  EXPECT_TRUE(auditor.fails(tallies[0]));
 }
 
 TEST(ForwardingAuditor, CreditedMprPassesTheWindow) {
-  core::ForwardingAuditor auditor{NodeId{0}};
+  core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
   for (std::int64_t seq = 1; seq <= 4; ++seq) {
     const double at = 2.0 + 0.5 * static_cast<double>(seq);
@@ -104,87 +98,75 @@ TEST(ForwardingAuditor, CreditedMprPassesTheWindow) {
     add_echo(records, at + 0.05, NodeId{1}, NodeId{5}, seq);
   }
 
-  std::vector<logging::LogRecord> failures;
-  const auto tallies =
-      auditor.sweep(sim::Time::from_seconds(10.0), records, failures);
+  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].expected, 4u);
   EXPECT_EQ(tallies[0].forwarded, 4u);
-  EXPECT_TRUE(failures.empty()) << "no failure record for a forwarder";
+  EXPECT_FALSE(auditor.fails(tallies[0])) << "a forwarder passes";
 }
 
 TEST(ForwardingAuditor, MinExpectedGatesTheFailure) {
   // Two closed floods are below min_expected (3): tallied, never flagged —
   // transitional MPR-selector windows must not convict.
-  core::ForwardingAuditor auditor{NodeId{0}};
+  core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
   add_flood(records, 2.0, NodeId{5}, 1);
   add_flood(records, 2.1, NodeId{5}, 2);
 
-  std::vector<logging::LogRecord> failures;
-  const auto tallies =
-      auditor.sweep(sim::Time::from_seconds(10.0), records, failures);
+  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].expected, 2u);
-  EXPECT_TRUE(failures.empty());
+  EXPECT_FALSE(auditor.fails(tallies[0]));
 }
 
 TEST(ForwardingAuditor, DefaultWillingnessMprIsNeverAudited) {
   // Same floods, but n1 advertises default willingness: the audited set is
   // empty, so no tally and no possible false conviction.
-  core::ForwardingAuditor auditor{NodeId{0}};
+  core::ForwardingAuditor auditor;
   std::vector<logging::LogRecord> records{hello_from_n1(3), n1_selected_mpr()};
   for (std::int64_t seq = 1; seq <= 5; ++seq)
     add_flood(records, 2.0 + 0.1 * static_cast<double>(seq), NodeId{5}, seq);
 
-  std::vector<logging::LogRecord> failures;
-  EXPECT_TRUE(
-      auditor.sweep(sim::Time::from_seconds(10.0), records, failures).empty());
-  EXPECT_TRUE(failures.empty());
+  EXPECT_TRUE(auditor.sweep(sim::Time::from_seconds(10.0), records).empty());
 }
 
 TEST(ForwardingAuditor, OriginatorIsExemptFromItsOwnFlood) {
-  core::ForwardingAuditor auditor{NodeId{0}};
+  core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
   // n1 originates the flood itself: its own emission is not a forward, so
   // the audited set for this flood is empty.
   add_flood(records, 2.0, NodeId{1}, 1);
-  std::vector<logging::LogRecord> failures;
-  EXPECT_TRUE(
-      auditor.sweep(sim::Time::from_seconds(10.0), records, failures).empty());
+  EXPECT_TRUE(auditor.sweep(sim::Time::from_seconds(10.0), records).empty());
 }
 
 TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
   // Persist mid-stream: floods 1/2 are already closed and flushed, flood 3
   // is still pending with one credit. The restored twin must tally flood 3
   // exactly as the original does.
-  core::ForwardingAuditor auditor{NodeId{0}};
+  core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
   add_flood(records, 2.0, NodeId{5}, 1);
   add_flood(records, 2.1, NodeId{5}, 2);
   add_flood(records, 8.0, NodeId{5}, 3);
   add_echo(records, 8.1, NodeId{1}, NodeId{5}, 3);
-  std::vector<logging::LogRecord> failures;
-  const auto first =
-      auditor.sweep(sim::Time::from_seconds(9.0), records, failures);
+  const auto first = auditor.sweep(sim::Time::from_seconds(9.0), records);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].expected, 2u);  // floods 1 and 2, never forwarded
   EXPECT_EQ(first[0].forwarded, 0u);
 
-  core::ForwardingAuditor twin{NodeId{0}};
+  core::ForwardingAuditor twin;
   twin.restore(auditor.persist());
 
   const std::vector<logging::LogRecord> nothing;
-  std::vector<logging::LogRecord> none, none2;
-  const auto a = auditor.sweep(sim::Time::from_seconds(20.0), nothing, none);
-  const auto b = twin.sweep(sim::Time::from_seconds(20.0), nothing, none2);
+  const auto a = auditor.sweep(sim::Time::from_seconds(20.0), nothing);
+  const auto b = twin.sweep(sim::Time::from_seconds(20.0), nothing);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].expected, 1u);  // flood 3, credited via the echo
   EXPECT_EQ(a[0].forwarded, 1u);
   EXPECT_EQ(b[0].expected, a[0].expected);
   EXPECT_EQ(b[0].forwarded, a[0].forwarded);
-  EXPECT_EQ(none.size(), none2.size());
+  EXPECT_EQ(twin.fails(b[0]), auditor.fails(a[0]));
 }
 
 // --- grayhole behavioural equivalence -------------------------------------

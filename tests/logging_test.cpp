@@ -154,9 +154,10 @@ TEST(Format, ParseLogSkipsBlankLines) {
 
 TEST(Format, ForwardingAuditRecordsRoundTrip) {
   // The forwarding-audit records introduced with audit-log version 2:
-  // fwd_echo (agent overhears an MPR re-broadcast) and fwd_audit_fail
-  // (synthesized by the auditor's sweep). Both must survive the canonical
-  // text format, the form tools and dumps read.
+  // fwd_echo (agent overhears an MPR re-broadcast) and fwd_audit_fail (a
+  // schema code no current path writes, which recorded logs may carry).
+  // Both must survive the canonical text format, the form tools and dumps
+  // read.
   const LogRecord echo{sim::Time::from_seconds(21.5), NodeId{0},
                        Event::kFwdEcho, NodeId{1}, NodeId{5},
                        std::int64_t{1040}};
