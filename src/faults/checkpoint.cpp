@@ -221,21 +221,24 @@ void restore_detector(DetectorImage d, core::Detector& detector) {
   require_ascending(
       d.state.answer_pool, [](const auto& pool) { return pool.first; },
       "answer pools");
-  // So do the E2 bookkeeping and the forwarding auditor in their id lists:
-  // with audited = [n5, n2], n2's re-broadcasts would never be credited.
-  require_ascending(d.state.current_mprs, std::identity{}, "detector MPR set");
-  for (const auto& tc : d.state.pending_tcs) {
-    require_ascending(tc.mprs_then, std::identity{}, "pending-TC MPRs");
-    require_ascending(tc.heard_from, std::identity{}, "pending-TC echoes");
-  }
-  for (const auto& flood : d.state.auditor.pending) {
-    require_ascending(flood.audited, std::identity{}, "audited MPRs");
-    require_ascending(flood.credited, std::identity{}, "credited MPRs");
-  }
   // So does the trust store, in both of its slabs.
   if (const char* slab = trust::TrustStore::unordered_slab(
           d.trust_rows, d.interaction_rows))
     throw CheckpointError{std::string{slab} + " unsorted or duplicated"};
+  // And so do the auditor, over a flood's audited and credited MPRs (with
+  // audited = [n5, n2], n2's re-broadcasts would never be credited), and
+  // the E2 bookkeeping over a TC's echoes; a timed-out TC accuses its first
+  // unheard MPR as the lowest, and the periodic audit walks the MPR set in
+  // ascending order.
+  for (const auto& flood : d.state.auditor.pending) {
+    require_ascending(flood.audited, std::identity{}, "audited MPRs");
+    require_ascending(flood.credited, std::identity{}, "credited MPRs");
+  }
+  for (const auto& tc : d.state.pending_tcs) {
+    require_ascending(tc.mprs_then, std::identity{}, "pending-TC MPRs");
+    require_ascending(tc.heard_from, std::identity{}, "pending-TC echoes");
+  }
+  require_ascending(d.state.current_mprs, std::identity{}, "detector MPR set");
   detector.restore(std::move(d.state));
   detector.trust_store().restore(std::move(d.trust_rows),
                                  std::move(d.interaction_rows));
