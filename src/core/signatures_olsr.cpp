@@ -39,7 +39,8 @@ void LogTriggers::hello(const RecordView& record, std::vector<Trigger>& out) {
   // The pair need not be ordered (the paper's |t' - t| < delta-t): each
   // HELLO opens two slots that any later HELLO within the window may close.
   std::erase_if(hellos_, [&](const OpenHello& h) {
-    return record.time - h.at > hello_window_;
+    return record.time - h.at > hello_window_ ||
+           (!h.claim_open && !h.omission_open);
   });
   const auto from = record.id(Key::kFrom);
   const auto sym = record.ids(Key::kSym);
@@ -58,9 +59,6 @@ void LogTriggers::hello(const RecordView& record, std::vector<Trigger>& out) {
       h.omission_open = false;
     }
   }
-  std::erase_if(hellos_, [](const OpenHello& h) {
-    return !h.claim_open && !h.omission_open;
-  });
   hellos_.push_back({record.time, from, {sym.begin(), sym.end()}});
 }
 
