@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/slab.hpp"
+
 namespace manet::core {
 
 PipelineConfig pipeline_config(NodeId self, const DetectorConfig& config) {
@@ -59,11 +61,10 @@ Detector::Persisted Detector::persist() const {
   if (running_)
     throw std::logic_error{"cannot checkpoint a detector with a live scan timer"};
   Persisted p;
-  p.last_scan = last_scan_;
+  p.next_scan = next_scan_;
   p.current_mprs = current_mprs_;
   p.pending_tcs.assign(pending_tcs_.begin(), pending_tcs_.end());
-  p.last_investigated.assign(last_investigated_.begin(),
-                             last_investigated_.end());
+  p.last_investigated = last_investigated_;
   p.answer_pool = pipeline_.answer_pool();
   p.degradation = pipeline_.degradation();
   p.auditor = auditor_.persist();
@@ -71,12 +72,10 @@ Detector::Persisted Detector::persist() const {
 }
 
 void Detector::restore(Persisted p) {
-  last_scan_ = p.last_scan;
+  next_scan_ = p.next_scan;
   current_mprs_ = std::move(p.current_mprs);
   pending_tcs_.assign(p.pending_tcs.begin(), p.pending_tcs.end());
-  last_investigated_.clear();
-  last_investigated_.insert(p.last_investigated.begin(),
-                            p.last_investigated.end());
+  last_investigated_ = std::move(p.last_investigated);
   pipeline_.restore(std::move(p.answer_pool), p.degradation);
   auditor_.restore(p.auditor);
   // Rebuild the pipeline's liveness oracle from the restored log's retained
@@ -86,9 +85,9 @@ void Detector::restore(Persisted p) {
 }
 
 bool Detector::in_cooldown(NodeId suspect, NodeId subject) const {
-  auto it = last_investigated_.find({suspect, subject});
-  return it != last_investigated_.end() &&
-         sim_.now() - it->second < config_.suspect_cooldown;
+  const auto* at =
+      sim::slab_get(last_investigated_, std::pair{suspect, subject});
+  return at && sim_.now() - *at < config_.suspect_cooldown;
 }
 
 std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
@@ -115,23 +114,26 @@ std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
 
 std::size_t Detector::scan_once() {
   // The new log growth reaches the pipeline first (kLine events keep its
-  // liveness oracle exactly as fresh as the log), then the IDS reads the
-  // same growth in place: every retained record stamped at or after the
-  // previous scan.
+  // liveness oracle exactly as fresh as the log), then the IDS reads each
+  // record appended since the previous scan once, in place, in one pass.
   feed_log_growth();
-  const auto growth = agent_.log().records_since(last_scan_);
-  last_scan_ = sim_.now();
+  const auto& log = agent_.log();
+  std::vector<Trigger> triggers;
+  for (const auto& record : log.records_from(next_scan_)) {
+    log_triggers_.feed(record, triggers);
+    track_own_tcs(record);
+    if (config_.forwarding_audit) auditor_.read(record, current_mprs_);
+  }
+  next_scan_ = log.total_appended();
 
   // Every trigger is raised before the first round launches (a launch
   // appends to the log): the records' own in log order, then the E2 drops
-  // of our TCs, then the failing forwarding-audit windows.
-  std::vector<Trigger> triggers;
-  for (const auto& record : growth) log_triggers_.feed(record, triggers);
-  check_forward_timeouts(growth, triggers);
+  // of our TCs, then the failing forwarding-audit tallies.
+  check_forward_timeouts(triggers);
   if (config_.forwarding_audit) {
-    // Grayhole path: close expired flood windows and stream every tally
+    // Grayhole path: close expired flood entries and stream every tally
     // (observability frames) before any round of this scan completes.
-    for (const auto& tally : auditor_.sweep(sim_.now(), growth)) {
+    for (const auto& tally : auditor_.close(sim_.now())) {
       pipeline_.consume_forward_audit(sim_.now(), tally);
       if (auditor_.fails(tally))
         triggers.push_back({TriggerKind::kAuditFail, tally.mpr, agent_.id()});
@@ -151,32 +153,28 @@ std::size_t Detector::scan_once() {
   return launched;
 }
 
-void Detector::check_forward_timeouts(const logging::LogStore::Records& growth,
-                                      std::vector<Trigger>& triggers) {
+void Detector::track_own_tcs(const logging::RecordView& record) {
   using logging::Event;
   using logging::Key;
-  // Track our own TC emissions and which MPRs echoed them, purely from the
-  // log records that arrive.
-  for (const auto& rec : growth) {
-    if (rec.event() == Event::kMprChanged) {
-      // The agent logs its MPR set ascending.
-      const auto mprs = rec.ids(Key::kMprs);
-      current_mprs_.assign(mprs.begin(), mprs.end());
-    } else if (rec.event() == Event::kTcSent) {
-      pending_tcs_.push_back(
-          SentTc{rec.time, rec.integer(Key::kSeq), current_mprs_, {}});
-    } else if (rec.event() == Event::kOwnFwdHeard) {
-      const auto seq = rec.integer(Key::kSeq);
-      const auto by = rec.id(Key::kBy);
-      for (auto& tc : pending_tcs_) {
-        if (tc.seq != seq) continue;
-        const auto at = std::ranges::lower_bound(tc.heard_from, by);
-        if (at == tc.heard_from.end() || *at != by)
-          tc.heard_from.insert(at, by);
-      }
+  if (record.event() == Event::kMprChanged) {
+    // The agent logs its MPR set ascending.
+    const auto mprs = record.ids(Key::kMprs);
+    current_mprs_.assign(mprs.begin(), mprs.end());
+  } else if (record.event() == Event::kTcSent) {
+    pending_tcs_.push_back(
+        SentTc{record.time, record.integer(Key::kSeq), current_mprs_, {}});
+  } else if (record.event() == Event::kOwnFwdHeard) {
+    const auto seq = record.integer(Key::kSeq);
+    const auto by = record.id(Key::kBy);
+    for (auto& tc : pending_tcs_) {
+      if (tc.seq != seq) continue;
+      const auto at = std::ranges::lower_bound(tc.heard_from, by);
+      if (at == tc.heard_from.end() || *at != by) tc.heard_from.insert(at, by);
     }
   }
+}
 
+void Detector::check_forward_timeouts(std::vector<Trigger>& triggers) {
   // A TC that times out in this scan accuses its lowest unheard MPR once,
   // unless it was sent more than one scan interval before its timeout.
   const auto now = sim_.now();
@@ -296,7 +294,8 @@ void Detector::investigate(QueryKind kind, NodeId suspect, NodeId subject,
   if (subject != agent_.id() && !agent_.path_avoiding(subject, avoid))
     tags.push_back(EvidenceTag::kE3SoleProvider);
 
-  last_investigated_[{suspect, subject}] = sim_.now();
+  sim::slab_entry(last_investigated_, std::pair{suspect, subject}) =
+      sim_.now();
   investigations_.investigate(
       q, std::move(verifiers),
       [this, tags = std::move(tags)](const RoundResult& r) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -82,8 +81,8 @@ class Detector {
   void start();
   void stop();
 
-  /// One scan pass over the log growth since the previous scan. Returns the
-  /// number of investigations launched.
+  /// One scan pass over the records appended since the previous scan, each
+  /// read once. Returns the number of investigations launched.
   std::size_t scan_once();
 
   /// Directly investigates a claim (round-driven experiments, §V): verifiers
@@ -122,6 +121,8 @@ class Detector {
                                           std::size_t max_links = 3) const;
 
   const DetectorConfig& config() const { return config_; }
+  /// The audit log this detector reads (its agent's).
+  const logging::LogStore& log() const { return agent_.log(); }
 
   /// Latest time this node's own log records a reception (HELLO or TC
   /// relay) from `node`; Time{} when the log never heard it. This is the
@@ -148,9 +149,13 @@ class Detector {
   /// (nothing trace-relevant reads old reports). Only valid while the scan
   /// timer is stopped — the experiment harness drives rounds manually.
   struct Persisted {
-    sim::Time last_scan{};
+    /// Absolute log index of the next record the scan reads (at most the
+    /// log's total_appended; the checkpoint decoder checks).
+    std::uint64_t next_scan = 0;
     std::vector<NodeId> current_mprs;  ///< ascending
     std::vector<SentTc> pending_tcs;
+    /// When each (suspect, subject) link was last investigated, in
+    /// ascending link order (the checkpoint decoder checks).
     std::vector<std::pair<std::pair<NodeId, NodeId>, sim::Time>>
         last_investigated;
     /// In ascending link order (the checkpoint decoder checks).
@@ -174,10 +179,11 @@ class Detector {
  private:
   void on_round_complete(const RoundResult& result,
                          std::vector<EvidenceTag> tags);
-  /// Follows our TC emissions and their MPR echoes through `growth`, and
-  /// appends a kDrop trigger per TC that times out in this scan.
-  void check_forward_timeouts(const logging::LogStore::Records& growth,
-                              std::vector<Trigger>& triggers);
+  /// E2 bookkeeping of one record: follows our MPR set, our TC emissions
+  /// and their MPR echoes.
+  void track_own_tcs(const logging::RecordView& record);
+  /// Appends a kDrop trigger per TC that times out in this scan.
+  void check_forward_timeouts(std::vector<Trigger>& triggers);
   /// Launches the rounds one trigger raises; returns how many.
   std::size_t launch(const Trigger& trigger);
   /// Launches one round unless its link is in cooldown; returns 1 if so.
@@ -197,14 +203,18 @@ class Detector {
   ForwardingAuditor auditor_;
   sim::PeriodicTimer scan_timer_;
 
-  sim::Time last_scan_{};
-  // State reconstructed purely from the log.
-  std::vector<NodeId> current_mprs_;  ///< ascending, from mpr_changed
-  std::deque<SentTc> pending_tcs_;
-  std::map<std::pair<NodeId, NodeId>, sim::Time> last_investigated_;
-  /// Absolute index of the next agent-log record to stream into the
-  /// pipeline (clamped up if retention already dropped it).
+  // Absolute indexes of the next agent-log record the scan reads and the
+  // next one streamed into the pipeline (each clamped up if retention
+  // already dropped it).
+  std::uint64_t next_scan_ = 0;
   std::uint64_t next_feed_ = 0;
+  // State reconstructed purely from the log.
+  /// Our MPR set, ascending, from mpr_changed; the auditor reads it too.
+  std::vector<NodeId> current_mprs_;
+  std::deque<SentTc> pending_tcs_;
+  /// Ascending by link, as Persisted::last_investigated.
+  std::vector<std::pair<std::pair<NodeId, NodeId>, sim::Time>>
+      last_investigated_;
   bool running_ = false;
 };
 

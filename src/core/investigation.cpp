@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
+#include "sim/slab.hpp"
 
 namespace manet::core {
 namespace {
@@ -225,7 +226,7 @@ void InvestigationManager::investigate(const LinkQuery& query,
   obs::hit(obs::Hot::kInvestigationsOpened);
   obs::async_begin(obs::SpanName::kInvestigation, sim_.now(),
                    span_id(agent_.id().value(), id));
-  auto& inv = outstanding_[id];
+  auto& inv = outstanding_.emplace_back(id, Outstanding{}).second;
   inv.query = query;
   inv.query.investigation_id = id;
   inv.result.id = id;
@@ -233,11 +234,13 @@ void InvestigationManager::investigate(const LinkQuery& query,
   inv.done = std::move(done);
   inv.timer = std::make_unique<sim::OneShotTimer>(sim_);
 
+  // Queries go out in ascending verifier order.
+  std::ranges::sort(verifiers);
+  verifiers.erase(std::ranges::unique(verifiers).begin(), verifiers.end());
   for (auto v : verifiers) {
     if (v == agent_.id() || v == query.suspect) continue;
-    inv.pending[v] = PendingVerifier{config_.max_retries,
-                                     {query.suspect},
-                                     false};
+    inv.pending.emplace_back(
+        v, PendingVerifier{config_.max_retries, {query.suspect}, false});
   }
   if (inv.pending.empty()) {
     finalize(id);
@@ -248,7 +251,7 @@ void InvestigationManager::investigate(const LinkQuery& query,
 }
 
 void InvestigationManager::send_query_to(Outstanding& inv, NodeId verifier) {
-  auto& p = inv.pending.at(verifier);
+  auto& p = *sim::slab_get(inv.pending, verifier);
   ++stats_.queries_sent;
   const auto status = agent_.send_data(
       verifier, kInvestigationProtocol, encode_query(inv.query), p.avoid);
@@ -260,27 +263,26 @@ void InvestigationManager::send_query_to(Outstanding& inv, NodeId verifier) {
 }
 
 void InvestigationManager::handle_answer(const LinkAnswer& answer) {
-  auto it = outstanding_.find(answer.investigation_id);
-  if (it == outstanding_.end()) return;
-  auto& inv = it->second;
-  auto p = inv.pending.find(answer.responder);
-  if (p == inv.pending.end() || p->second.done) return;
+  auto* inv = sim::slab_get(outstanding_, answer.investigation_id);
+  if (!inv) return;
+  auto* p = sim::slab_get(inv->pending, answer.responder);
+  if (!p || p->done) return;
 
-  p->second.done = true;
+  p->done = true;
   ++stats_.answers_received;
-  inv.result.answers.push_back(
+  inv->result.answers.push_back(
       RoundAnswer{answer.responder, answer.evidence, true});
 
   const bool all_done =
-      std::all_of(inv.pending.begin(), inv.pending.end(),
+      std::all_of(inv->pending.begin(), inv->pending.end(),
                   [](const auto& kv) { return kv.second.done; });
   if (all_done) finalize(answer.investigation_id);
 }
 
 void InvestigationManager::on_timeout(std::uint32_t id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
-  auto& inv = it->second;
+  auto* found = sim::slab_get(outstanding_, id);
+  if (!found) return;
+  auto& inv = *found;
 
   bool any_retry = false;
   for (auto& [v, p] : inv.pending) {
@@ -314,19 +316,19 @@ void InvestigationManager::on_timeout(std::uint32_t id) {
 }
 
 void InvestigationManager::finalize(std::uint32_t id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
+  auto* inv = sim::slab_get(outstanding_, id);
+  if (!inv) return;
   // Collect any still-pending verifiers as unanswered.
-  for (auto& [v, p] : it->second.pending) {
+  for (auto& [v, p] : inv->pending) {
     if (!p.done) {
-      it->second.result.answers.push_back(RoundAnswer{v, 0.0, false});
-      ++it->second.result.timeouts;
+      inv->result.answers.push_back(RoundAnswer{v, 0.0, false});
+      ++inv->result.timeouts;
       p.done = true;
     }
   }
-  auto done = std::move(it->second.done);
-  auto result = std::move(it->second.result);
-  outstanding_.erase(it);
+  auto done = std::move(inv->done);
+  auto result = std::move(inv->result);
+  sim::slab_erase(outstanding_, id);
   obs::async_end(obs::SpanName::kInvestigation, sim_.now(),
                  span_id(agent_.id().value(), id));
   if (done) done(result);

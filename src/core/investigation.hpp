@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -155,7 +154,8 @@ class InvestigationManager {
   };
   struct Outstanding {
     LinkQuery query;
-    std::map<NodeId, PendingVerifier> pending;
+    /// Ascending by verifier, never this node or the suspect.
+    std::vector<std::pair<NodeId, PendingVerifier>> pending;
     RoundResult result;
     RoundCallback done;
     std::unique_ptr<sim::OneShotTimer> timer;
@@ -174,7 +174,8 @@ class InvestigationManager {
   InvestigationConfig config_;
   AnswerPolicy policy_;
   std::uint32_t next_id_ = 1;
-  std::map<std::uint32_t, Outstanding> outstanding_;
+  /// Ascending by id (ids are issued in order).
+  std::vector<std::pair<std::uint32_t, Outstanding>> outstanding_;
   InvestigationStats stats_;
   Fallback fallback_;
   LogIndex index_;

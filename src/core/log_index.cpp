@@ -3,33 +3,9 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
+#include "sim/slab.hpp"
 
 namespace manet::core {
-namespace {
-
-/// lower_bound over a slab of node-keyed pairs.
-template <typename Slab>
-auto slab_find(Slab& slab, NodeId node) {
-  return std::lower_bound(
-      slab.begin(), slab.end(), node,
-      [](const auto& entry, NodeId n) { return entry.first < n; });
-}
-
-/// The entry of `node`, inserted value-initialized when absent.
-template <typename Slab>
-auto& slab_entry(Slab& slab, NodeId node) {
-  auto it = slab_find(slab, node);
-  if (it == slab.end() || it->first != node) it = slab.insert(it, {node, {}});
-  return it->second;
-}
-
-template <typename Slab>
-const auto* slab_get(const Slab& slab, NodeId node) {
-  const auto it = slab_find(slab, node);
-  return it == slab.end() || it->first != node ? nullptr : &it->second;
-}
-
-}  // namespace
 
 template <std::size_t K>
 void LogIndex::Witnesses<K>::add(NodeId id) {
@@ -72,7 +48,7 @@ bool LogIndex::index(const logging::RecordView& record, std::uint64_t at) {
   } else if (record.event() == Event::kTcRecv) {
     index_tc(record);
   } else if (record.event() == Event::kOwnFwdHeard) {
-    slab_entry(echoes_, record.id(logging::Key::kBy)) = record.time;
+    sim::slab_entry(echoes_, record.id(logging::Key::kBy)) = record.time;
   } else {
     return false;
   }
@@ -83,11 +59,11 @@ void LogIndex::index_hello(const logging::RecordView& record,
                            std::uint64_t at) {
   const auto from = record.id(logging::Key::kFrom);
   const auto list = sym(record);
-  const auto newest = slab_find(hellos_, from);
+  const auto newest = sim::slab_find(hellos_, from);
   const bool known = newest != hellos_.end() && newest->first == from;
   // A HELLO repeating its originator's previous list names nobody new.
   if (!known || !std::ranges::equal(sym(record_at(newest->second)), list))
-    for (const auto node : list) slab_entry(listers_, node).add(from);
+    for (const auto node : list) sim::slab_entry(listers_, node).add(from);
   if (known) {
     newest->second = at;
   } else {
@@ -100,11 +76,11 @@ void LogIndex::index_tc(const logging::RecordView& record) {
   const auto it = std::lower_bound(tc_origins_.begin(), tc_origins_.end(), orig);
   if (it == tc_origins_.end() || *it != orig) tc_origins_.insert(it, orig);
   for (const auto node : record.ids(logging::Key::kAdv))
-    slab_entry(advertisers_, node).add(orig);
+    sim::slab_entry(advertisers_, node).add(orig);
 }
 
 std::optional<logging::RecordView> LogIndex::newest_hello(NodeId from) const {
-  const auto* at = slab_get(hellos_, from);
+  const auto* at = sim::slab_get(hellos_, from);
   return at ? std::optional{record_at(*at)} : std::nullopt;
 }
 
@@ -114,7 +90,7 @@ bool LogIndex::lists(const logging::RecordView& hello, NodeId node) {
 }
 
 bool LogIndex::hello_listed_by_other(NodeId node, NodeId a, NodeId b) const {
-  const auto* by = slab_get(listers_, node);
+  const auto* by = sim::slab_get(listers_, node);
   return by && by->any_outside(a, b);
 }
 
@@ -123,12 +99,12 @@ bool LogIndex::tc_originated(NodeId node) const {
 }
 
 bool LogIndex::tc_advertised_by_other(NodeId node, NodeId except) const {
-  const auto* by = slab_get(advertisers_, node);
+  const auto* by = sim::slab_get(advertisers_, node);
   return by && by->any_outside(except, except);
 }
 
 std::optional<sim::Time> LogIndex::newest_fwd_echo(NodeId mpr) const {
-  const auto* at = slab_get(echoes_, mpr);
+  const auto* at = sim::slab_get(echoes_, mpr);
   return at ? std::optional{*at} : std::nullopt;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "sim/slab.hpp"
 #include "trust/propagation.hpp"
 
 namespace manet::core {
@@ -96,7 +97,7 @@ void RecommendationExchange::bootstrap(
     const std::vector<net::NodeId>& recommenders, sim::Duration timeout,
     Done done) {
   const auto id = next_id_++;
-  auto& pending = outstanding_[id];
+  auto& pending = outstanding_.emplace_back(id, Pending{}).second;
   pending.subjects = subjects;
   pending.done = std::move(done);
   pending.timer = std::make_unique<sim::OneShotTimer>(sim_);
@@ -128,16 +129,16 @@ bool RecommendationExchange::on_data(const olsr::DataMessage& message) {
 
   const auto reply = decode_recommendation_reply(message.payload);
   if (!reply) return true;
-  auto it = outstanding_.find(reply->request_id);
-  if (it != outstanding_.end()) it->second.replies.push_back(*reply);
+  if (auto* pending = sim::slab_get(outstanding_, reply->request_id))
+    pending->replies.push_back(*reply);
   return true;
 }
 
 void RecommendationExchange::finalize(std::uint32_t id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
-  auto pending = std::move(it->second);
-  outstanding_.erase(it);
+  auto* found = sim::slab_get(outstanding_, id);
+  if (!found) return;
+  auto pending = std::move(*found);
+  sim::slab_erase(outstanding_, id);
 
   // Eq. 7: Tm^{A,I} = sum_i w_i R^{A,Si} T^{Si,I}, w_i = 1 / sum_j R^{A,Sj},
   // with R from the entropy-based recommendation history. Results land in

@@ -78,7 +78,8 @@ class RecommendationExchange {
   olsr::Agent& agent_;
   trust::TrustStore& store_;
   std::uint32_t next_id_ = 1;
-  std::map<std::uint32_t, Pending> outstanding_;
+  /// Ascending by id (ids are issued in order).
+  std::vector<std::pair<std::uint32_t, Pending>> outstanding_;
 };
 
 }  // namespace manet::core

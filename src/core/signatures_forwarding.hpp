@@ -2,8 +2,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "logging/record.hpp"
@@ -19,8 +18,8 @@ using net::NodeId;
 /// packet-dropping nodes): each node audits whether its MPR-selected
 /// WILL_ALWAYS neighbors actually re-forward the floods they accepted.
 /// The audit is log-derived like everything else the IDS consumes — it
-/// reads tc_recv / fwd_echo / mpr_changed / hello_recv records, never
-/// protocol state.
+/// reads tc_recv / fwd_echo / hello_recv records and the MPR set the
+/// detector follows from mpr_changed, never protocol state.
 
 /// Knobs of the per-window forwarded/expected audit.
 struct ForwardingAuditConfig {
@@ -58,16 +57,16 @@ class ForwardingAuditor {
 
   const ForwardingAuditConfig& config() const { return config_; }
 
-  /// One scan sweep: ingests `records` (in time order), closes pending
-  /// flood entries older than flood_timeout into the window counters, and
-  /// returns every non-empty tally of the closed window, sorted by MPR. The
-  /// window resets each sweep, so one borderline round cannot bleed into
-  /// the next.
-  template <typename Records>
-  std::vector<ForwardAudit> sweep(sim::Time now, const Records& records) {
-    for (const logging::RecordView record : records) ingest(record);
-    return close_window(now);
-  }
+  /// Reads one record, later than every record read before. `mprs` is our
+  /// MPR set (ascending) as of that record; a fresh flood audits its
+  /// WILL_ALWAYS members.
+  void read(const logging::RecordView& record, std::span<const NodeId> mprs);
+
+  /// Closes every pending flood older than flood_timeout at `now` and
+  /// returns each audited MPR's tally over them, sorted by MPR. Nothing
+  /// carries over to the next close, so one borderline round cannot bleed
+  /// into the next.
+  std::vector<ForwardAudit> close(sim::Time now);
 
   /// Whether a closed tally fails: at least min_expected floods, of which
   /// fewer than fail_ratio were heard re-forwarded.
@@ -90,25 +89,18 @@ class ForwardingAuditor {
   /// Checkpoint image: everything the log-derived audit state needs to
   /// continue byte-identically after a restore.
   struct Persisted {
-    std::vector<NodeId> always;
-    std::vector<NodeId> current_mprs;
+    std::vector<NodeId> always;  ///< ascending (the checkpoint decoder checks)
     std::vector<PendingFlood> pending;
-    std::vector<ForwardAudit> window;
   };
   Persisted persist() const;
   void restore(const Persisted& p);
 
  private:
-  void ingest(const logging::RecordView& record);
-  std::vector<ForwardAudit> close_window(sim::Time now);
   void credit(NodeId orig, std::int64_t seq, NodeId by);
 
   ForwardingAuditConfig config_;
-  std::set<NodeId> always_;        ///< neighbors advertising WILL_ALWAYS
-  std::set<NodeId> current_mprs_;  ///< our MPR set, from mpr_changed
-  std::deque<PendingFlood> pending_;
-  /// Window counters per audited MPR: {expected, forwarded}.
-  std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> window_;
+  std::vector<NodeId> always_;  ///< WILL_ALWAYS advertisers, ascending
+  std::deque<PendingFlood> pending_;  ///< in first-heard order
 };
 
 }  // namespace manet::core

@@ -107,19 +107,6 @@ void check_log(const LogImage& log) {
     throw CheckpointError{"log counters disagree with its records"};
 }
 
-// The OLSR tables answer lookups by binary search or, in the duplicate
-// set, hold one tuple per key, and restore derives the MPR reach rows from
-// them, so each section must arrive in the strict order save writes.
-template <typename T, typename Key>
-void require_ascending(const std::vector<T>& v, Key key, const char* what) {
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (key(v[i - 1]) < key(v[i])) continue;
-    std::string msg{what};
-    msg += " unsorted or duplicated";
-    throw CheckpointError{msg};
-  }
-}
-
 olsr::Message parse_forward(const ForwardImage& f) {
   try {
     auto packet = olsr::parse_packet(f.message);
@@ -132,7 +119,13 @@ olsr::Message parse_forward(const ForwardImage& f) {
 }  // namespace
 
 AgentEvents restore_agent(AgentImage a, olsr::Agent& agent) {
+  // The OLSR tables answer lookups by binary search or, in the duplicate
+  // set, hold one tuple per key, and restore derives the MPR reach rows
+  // from them, so each section must arrive in the strict order save writes.
   require_ascending(a.scalars.mprs, std::identity{}, "MPR set");
+  require_ascending(
+      a.scalars.mpr_selectors, [](const auto& sel) { return sel.first; },
+      "MPR selectors");
   require_ascending(
       a.links, [](const olsr::LinkSet::Slot& s) { return s.tuple.neighbor; },
       "link slots");
@@ -217,19 +210,29 @@ void restore_medium(const MediumImage& m, net::Medium& medium) {
 }
 
 void restore_detector(DetectorImage d, core::Detector& detector) {
-  // The pipeline finds a disputed link's pool by binary search.
+  // The next scan reads the records from its cursor on; a cursor past the
+  // log's end would skip every record appended until the log caught up.
+  if (d.state.next_scan > detector.log().total_appended())
+    throw CheckpointError{"scan cursor past the end of the log"};
+  // The pipeline finds a disputed link's pool by binary search, and the
+  // cooldown check a link's last investigation.
   require_ascending(
       d.state.answer_pool, [](const auto& pool) { return pool.first; },
       "answer pools");
+  require_ascending(
+      d.state.last_investigated, [](const auto& link) { return link.first; },
+      "last-investigated links");
   // So does the trust store, in both of its slabs.
   if (const char* slab = trust::TrustStore::unordered_slab(
           d.trust_rows, d.interaction_rows))
     throw CheckpointError{std::string{slab} + " unsorted or duplicated"};
-  // And so do the auditor, over a flood's audited and credited MPRs (with
-  // audited = [n5, n2], n2's re-broadcasts would never be credited), and
-  // the E2 bookkeeping over a TC's echoes; a timed-out TC accuses its first
-  // unheard MPR as the lowest, and the periodic audit walks the MPR set in
-  // ascending order.
+  // And so do the auditor, over its WILL_ALWAYS neighbors and a flood's
+  // audited and credited MPRs (with audited = [n5, n2], n2's re-broadcasts
+  // would never be credited), and the E2 bookkeeping over a TC's echoes; a
+  // timed-out TC accuses its first unheard MPR as the lowest, and the
+  // periodic audit walks the MPR set in ascending order.
+  require_ascending(d.state.auditor.always, std::identity{},
+                    "WILL_ALWAYS neighbors");
   for (const auto& flood : d.state.auditor.pending) {
     require_ascending(flood.audited, std::identity{}, "audited MPRs");
     require_ascending(flood.credited, std::identity{}, "credited MPRs");

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,9 +27,12 @@ namespace manet::faults {
 /// added the detector's forwarding-audit state and the per-attack-kind
 /// experiment payload; version 3 replaced the routing snapshot with the
 /// routes alone (the knowledge graph is rebuilt from the restored tables);
-/// version 4 stores log records typed (logging::transfer_record).
+/// version 4 stores log records typed (logging::transfer_record); version
+/// 5 stores the detector's scan cursor (an absolute log index) instead of
+/// its last scan time, and drops the forwarding auditor's MPR set (it
+/// reads the detector's) and its window (empty between scans).
 inline constexpr std::uint32_t kCheckpointMagic = 0x43544E4Du;  // "MNTC"
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Thrown on malformed, truncated or version-mismatched snapshots.
 struct CheckpointError : std::runtime_error {
@@ -287,7 +291,7 @@ void transfer_detector(IO& io, Image& d) {
     io.list(list, [&io](auto& n) { io.node(n); });
   };
   auto& p = d.state;
-  io.time(p.last_scan);
+  io.u64(p.next_scan);
   nodes(p.current_mprs);
   io.list(p.pending_tcs, [&](auto& tc) {
     io.time(tc.at);
@@ -312,18 +316,12 @@ void transfer_detector(IO& io, Image& d) {
   io.u64(p.degradation.suppressed_convictions);
   auto& auditor = p.auditor;
   nodes(auditor.always);
-  nodes(auditor.current_mprs);
   io.list(auditor.pending, [&](auto& flood) {
     io.node(flood.orig);
     io.i64(flood.seq);
     io.time(flood.first_heard);
     nodes(flood.audited);
     nodes(flood.credited);
-  });
-  io.list(auditor.window, [&io](auto& tally) {
-    io.node(tally.mpr);
-    io.u64(tally.expected);
-    io.u64(tally.forwarded);
   });
   trust::transfer_trust_snapshot(io, d.trust_rows, d.interaction_rows);
 }
@@ -346,6 +344,19 @@ DetectorImage detector_image(const core::Detector& detector);
 
 // ------------------------------------------ load-side validation and apply
 
+/// Throws CheckpointError ("<what> unsorted or duplicated") unless the
+/// keys of `v` ascend strictly: the slabs a section restores are searched
+/// by binary search and hold one entry per key.
+template <typename T, typename Key>
+void require_ascending(const std::vector<T>& v, Key key, const char* what) {
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    if (key(v[i - 1]) < key(v[i])) continue;
+    std::string msg{what};
+    msg += " unsorted or duplicated";
+    throw CheckpointError{msg};
+  }
+}
+
 /// The part of an agent that is events, not state.
 struct AgentEvents {
   bool running = false;
@@ -354,7 +365,8 @@ struct AgentEvents {
 };
 
 /// Validates an agent image and installs its state; returns its events.
-/// Rejected: unsorted or duplicated tables, self entries, 2-hop tuples of
+/// Rejected: unsorted or duplicated tables (the MPR and MPR selector sets
+/// among them), self entries, 2-hop tuples of
 /// one via with different N_times (the table keeps one per via), a
 /// duplicate ring whose expiry times go backwards, routes whose parent
 /// chains route_to could not walk, log times that go backwards or counters
@@ -367,8 +379,10 @@ AgentEvents restore_agent(AgentImage image, olsr::Agent& agent);
 /// attached). The in-flight frames stay in the image for the re-arm.
 void restore_medium(const MediumImage& image, net::Medium& medium);
 
-/// Installs detector and trust state. The detector re-reads its agent's
-/// restored log, so restore that agent first.
+/// Validates and installs detector and trust state. Rejected: a scan
+/// cursor past the end of the detector's log, and slabs or id lists out of
+/// strictly ascending order. The detector re-reads its agent's restored
+/// log, so restore that agent first.
 void restore_detector(DetectorImage image, core::Detector& detector);
 
 /// One section on its own (tests craft and splice sections with these):

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "sim/slab.hpp"
 
 namespace manet::faults {
 
@@ -42,19 +43,18 @@ void FaultInjector::restore(
   if (cursor > plan_.events.size())
     throw std::invalid_argument{"fault cursor past the plan"};
   cursor_ = cursor;
-  down_since_.clear();
-  down_since_.insert(down_since.begin(), down_since.end());
+  down_since_ = std::move(down_since);
   last_disruption_ = last_disruption;
   last_heal_ = last_heal;
 }
 
-sim::Time FaultInjector::down_since(NodeId node) const {
-  const auto it = down_since_.find(node);
-  return it == down_since_.end() ? sim::Time{} : it->second;
+bool FaultInjector::is_down(NodeId node) const {
+  return sim::slab_get(down_since_, node) != nullptr;
 }
 
-std::vector<std::pair<NodeId, sim::Time>> FaultInjector::down_nodes() const {
-  return {down_since_.begin(), down_since_.end()};
+sim::Time FaultInjector::down_since(NodeId node) const {
+  const auto* since = sim::slab_get(down_since_, node);
+  return since ? *since : sim::Time{};
 }
 
 void FaultInjector::apply_rect_override(const FaultEvent& e, double loss) {
@@ -74,19 +74,20 @@ void FaultInjector::execute(const FaultEvent& e) {
       // while the radio is still nominally on), then kill the radio.
       if (ops_.crash) ops_.crash(e.node);
       medium_.set_up(e.node, false);
-      down_since_.emplace(e.node, e.at);
+      // A node already down keeps the instant it first went down.
+      if (!is_down(e.node)) sim::slab_entry(down_since_, e.node) = e.at;
       last_disruption_ = e.at;
       break;
     case FaultKind::kRestart:
       medium_.set_up(e.node, true);
       if (ops_.restart) ops_.restart(e.node);
-      down_since_.erase(e.node);
+      sim::slab_erase(down_since_, e.node);
       last_heal_ = e.at;
       break;
     case FaultKind::kRestartAmnesia:
       medium_.set_up(e.node, true);
       if (ops_.restart_amnesia) ops_.restart_amnesia(e.node);
-      down_since_.erase(e.node);
+      sim::slab_erase(down_since_, e.node);
       last_heal_ = e.at;
       break;
     case FaultKind::kBrownout:

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -58,15 +57,19 @@ class FaultInjector {
 
   /// Checkpoint restore: rewinds the cursor and the timeline state without
   /// touching the queue; call arm() afterwards (in re-arm order).
+  /// `down_since` ascends strictly by node, as down_nodes() returns it.
   void restore(std::size_t cursor,
                std::vector<std::pair<NodeId, sim::Time>> down_since,
                sim::Time last_disruption, sim::Time last_heal);
 
   // --- timeline queries (metrics & invariant checker) ---
-  bool is_down(NodeId node) const { return down_since_.count(node) > 0; }
+  bool is_down(NodeId node) const;
   /// Instant the node went down; Time{} when it is up.
   sim::Time down_since(NodeId node) const;
-  std::vector<std::pair<NodeId, sim::Time>> down_nodes() const;
+  /// (node, down since) of every down node, ascending by node.
+  const std::vector<std::pair<NodeId, sim::Time>>& down_nodes() const {
+    return down_since_;
+  }
   std::size_t down_count() const { return down_since_.size(); }
   /// Time of the last connectivity-degrading event (crash, brown-out,
   /// partition); Time{} when none has fired yet.
@@ -86,7 +89,7 @@ class FaultInjector {
   bool armed_ = false;
   sim::Time pending_at_{};
   std::uint64_t pending_seq_ = 0;
-  std::map<NodeId, sim::Time> down_since_;
+  std::vector<std::pair<NodeId, sim::Time>> down_since_;  ///< ascending
   sim::Time last_disruption_{};
   sim::Time last_heal_{};
 };

@@ -18,13 +18,6 @@ RecordView LogStore::at(std::size_t i) const {
   return view_at(begin_ + i);
 }
 
-LogStore::Records LogStore::records_since(sim::Time since) const {
-  const auto all = records();
-  const auto first =
-      std::ranges::lower_bound(all, since, {}, &RecordView::time);
-  return {this, first.slot_, end_};
-}
-
 net::NodeId* LogStore::open_record(sim::Time at, net::NodeId by, Event event,
                                    std::size_t width) {
   if (pages_.empty() || pages_.back().rows.size() == kPageRows) {

@@ -15,11 +15,10 @@ namespace manet::logging {
 class AuditWriter;
 
 /// Append-only audit log of one node's routing daemon, with bounded
-/// retention. The IDS reads the typed records in place, as RecordViews, in
-/// two ways: the detector's scan walks each growth by time
-/// (`records_since`), and cursor readers — the detector's pipeline feed
-/// and the investigations' core::LogIndex — walk the new records by
-/// absolute index (`base_index`, `records_from`).
+/// retention. The IDS reads the typed records in place, as RecordViews,
+/// through absolute-index cursors (`base_index`, `records_from`): the
+/// detector's scan and pipeline feed and the investigations'
+/// core::LogIndex each walk the records appended since their last read.
 ///
 /// Storage is a table of 16-byte rows (time, node, and the event packed
 /// with the offset of the record's first value word) over an arena of
@@ -60,9 +59,6 @@ class LogStore {
   /// Every retained record, oldest first. Views and iterators last until
   /// the next append or restore.
   Records records() const;
-  /// The retained records with time >= since (they are appended in time
-  /// order).
-  Records records_since(sim::Time since) const;
   /// The retained records whose absolute index is >= `index`.
   Records records_from(std::uint64_t index) const;
 
@@ -76,7 +72,7 @@ class LogStore {
 
   /// Absolute index of the oldest retained record: at(i) is the
   /// (base_index() + i)-th record ever appended. Lets cursor-based readers
-  /// (the detector's pipeline feed) survive retention drops.
+  /// survive retention drops.
   std::uint64_t base_index() const { return total_appended_ - size(); }
 
   std::uint64_t total_appended() const { return total_appended_; }
@@ -204,7 +200,6 @@ class LogStore::Records : public std::ranges::view_interface<Records> {
     }
 
    private:
-    friend class LogStore;
     friend class Records;
     iterator(const LogStore* store, std::uint64_t slot)
         : store_{store}, slot_{slot} {}

@@ -5,6 +5,7 @@
 
 #include "obs/obs.hpp"
 #include "olsr/wire.hpp"
+#include "sim/slab.hpp"
 
 namespace manet::olsr {
 namespace {
@@ -401,16 +402,16 @@ void Agent::process_hello(const Message& m, const HelloLists& lists) {
   }
 
   // MPR selector set (§8.4.1).
-  const bool was_selector =
-      mpr_selectors_.contains(from) && mpr_selectors_[from] > sim_.now();
+  const auto* until = sim::slab_get(mpr_selectors_, from);
+  const bool was_selector = until && *until > sim_.now();
   if (selects_us_mpr && now_sym) {
-    mpr_selectors_[from] = sim_.now() + m.header.vtime;
+    sim::slab_entry(mpr_selectors_, from) = sim_.now() + m.header.vtime;
     if (!was_selector) {
       ++ansn_;
       write_log(logging::Event::kMprSelectorAdd, from);
     }
   } else if (was_selector && lists_us && !selects_us_mpr) {
-    mpr_selectors_.erase(from);
+    sim::slab_erase(mpr_selectors_, from);
     ++ansn_;
     write_log(logging::Event::kMprSelectorDel, from);
   }
@@ -491,10 +492,8 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter,
   // caller's first check.
   if (dup != nullptr && dup->forwarded) return;
 
-  const bool transmitter_selected_us = [&] {
-    auto it = mpr_selectors_.find(transmitter);
-    return it != mpr_selectors_.end() && it->second > sim_.now();
-  }();
+  const auto* until = sim::slab_get(mpr_selectors_, transmitter);
+  const bool transmitter_selected_us = until && *until > sim_.now();
 
   const bool forward =
       transmitter_selected_us && m.header.ttl > 1;
@@ -597,7 +596,7 @@ void Agent::resume_running() {
 Agent::ProtocolScalars Agent::protocol_scalars() const {
   ProtocolScalars s;
   s.mprs = mprs_;
-  s.mpr_selectors.assign(mpr_selectors_.begin(), mpr_selectors_.end());
+  s.mpr_selectors = mpr_selectors_;
   s.mprs_dirty = mprs_dirty_;
   s.mprs_links_hint = mprs_links_hint_;
   s.msg_seq = msg_seq_;
@@ -609,8 +608,7 @@ Agent::ProtocolScalars Agent::protocol_scalars() const {
 
 void Agent::restore_protocol_scalars(const ProtocolScalars& s) {
   mprs_ = s.mprs;
-  mpr_selectors_.clear();
-  mpr_selectors_.insert(s.mpr_selectors.begin(), s.mpr_selectors.end());
+  mpr_selectors_ = s.mpr_selectors;
   mprs_dirty_ = s.mprs_dirty;
   mprs_links_hint_ = s.mprs_links_hint;
   mpr_rows_stamp_ = 0;

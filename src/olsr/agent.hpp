@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -305,7 +304,8 @@ class Agent {
   EdgeDelta delta_;       // table changes not yet applied to graph_
   RoutingTable routing_;
   std::vector<NodeId> mprs_;  // sorted ascending
-  std::map<NodeId, sim::Time> mpr_selectors_;  // -> valid_until
+  // (selector, valid_until) ascending: expiry logs the selectors in order.
+  std::vector<std::pair<NodeId, sim::Time>> mpr_selectors_;
 
   // MPR recompute coalescing: a dirty flag raised by table mutations, plus
   // a snapshot of the link set's next symmetry-timer boundary taken at the

@@ -631,6 +631,10 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
         (inj->armed && (inj->cursor == events.size() ||
                         events[inj->cursor].at != inj->pending_at)))
       throw CheckpointError{"fault injector cursor disagrees with the plan"};
+    // The injector finds a down node by binary search.
+    faults::require_ascending(
+        inj->down, [](const auto& down) { return down.first; },
+        "fault injector down nodes");
   }
 
   round_counter_ = header.round;

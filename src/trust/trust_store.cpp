@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/slab.hpp"
 #include "stats/entropy.hpp"
 
 namespace manet::trust {
-namespace {
-
-/// lower_bound over a slab of subject-keyed pairs.
-template <typename Slab>
-auto slab_find(Slab& slab, NodeId subject) {
-  return std::lower_bound(
-      slab.begin(), slab.end(), subject,
-      [](const auto& entry, NodeId s) { return entry.first < s; });
-}
-
-}  // namespace
 
 TrustStore::TrustStore(TrustParams params) : params_{params} {
   if (params_.min_trust >= params_.max_trust)
@@ -26,9 +16,8 @@ TrustStore::TrustStore(TrustParams params) : params_{params} {
 }
 
 double TrustStore::trust(NodeId subject) const {
-  auto it = slab_find(trust_, subject);
-  return it == trust_.end() || it->first != subject ? params_.default_trust
-                                                    : it->second;
+  const auto* value = sim::slab_get(trust_, subject);
+  return value ? *value : params_.default_trust;
 }
 
 void TrustStore::set_trust(NodeId subject, double value) {
@@ -36,8 +25,7 @@ void TrustStore::set_trust(NodeId subject, double value) {
 }
 
 bool TrustStore::known(NodeId subject) const {
-  auto it = slab_find(trust_, subject);
-  return it != trust_.end() && it->first == subject;
+  return sim::slab_get(trust_, subject) != nullptr;
 }
 
 double TrustStore::apply_evidence(NodeId subject,
@@ -64,7 +52,7 @@ void TrustStore::decay_all_idle() {
 }
 
 double& TrustStore::slot(NodeId subject) {
-  auto it = slab_find(trust_, subject);
+  auto it = sim::slab_find(trust_, subject);
   if (it == trust_.end() || it->first != subject)
     it = trust_.insert(it, {subject, params_.default_trust});
   return it->second;

@@ -280,7 +280,7 @@ struct PinnedCheckpoints {
   std::uint64_t pristine, faulted, grayhole;
 };
 constexpr PinnedCheckpoints kPinnedCheckpoints{
-    4, 0x5579f124a8799ceaull, 0x3c3348176385c3ebull, 0xc7bea45b8bd617e8ull};
+    5, 0x95048de5ed6b6b77ull, 0x7164f1987a99457cull, 0xe8ffcb447600b342ull};
 
 std::uint64_t checkpoint_digest_after_two_rounds(
     const TrustExperiment::Config& config) {
@@ -574,8 +574,9 @@ TEST(Checkpoint, RestoreRejectsUnorderedAuditorLists) {
   // The forwarding auditor credits a re-broadcast by binary search over a
   // pending flood's audited and credited MPRs: with audited = [n5, n2],
   // n2's re-broadcasts would never be credited and its window would count
-  // floods it forwarded as missed. The detector's E2 bookkeeping keeps its
-  // MPR lists ascending the same way.
+  // floods it forwarded as missed. Its WILL_ALWAYS neighbors, the
+  // detector's E2 bookkeeping and its cooldown links are kept ascending
+  // the same way, and the scan cursor may not pass the end of the log.
   const auto config = checkpoint_config(false);
   TrustExperiment exp{config};
   exp.setup();
@@ -600,13 +601,27 @@ TEST(Checkpoint, RestoreRejectsUnorderedAuditorLists) {
     return f;
   };
   const net::NodeId n2{2}, n5{5};
+  const auto end_of_log = exp.detector().log().total_appended();
+  const sim::Time at{};
   const auto ordered = with([&](State& s) {
+    s.next_scan = end_of_log;
     s.current_mprs = {n2, n5};
     s.pending_tcs = {tc({n2, n5}, {n5})};
+    s.last_investigated = {{{n2, n5}, at}, {{n5, n2}, at}};
+    s.auditor.always = {n2, n5};
     s.auditor.pending = {flood({n2, n5}, {n2})};
   });
   EXPECT_NO_THROW(faults::restore_detector(ordered, exp.detector()));
   for (const auto& bad : {
+           with([&](State& s) { s.next_scan = end_of_log + 1; }),
+           with([&](State& s) {
+             s.last_investigated = {{{n5, n2}, at}, {{n2, n5}, at}};
+           }),
+           with([&](State& s) {
+             s.last_investigated = {{{n2, n5}, at}, {{n2, n5}, at}};
+           }),
+           with([&](State& s) { s.auditor.always = {n5, n2}; }),
+           with([&](State& s) { s.auditor.always = {n2, n2}; }),
            with([&](State& s) { s.current_mprs = {n5, n2}; }),
            with([&](State& s) { s.current_mprs = {n2, n2}; }),
            with([&](State& s) { s.pending_tcs = {tc({n5, n2}, {})}; }),
@@ -791,6 +806,12 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
           {"HNA tuple duplicated", [&](Image& a) {
              a.hna = {{Hna{far, 1, 24}, until}, {Hna{far, 1, 24}, until}};
            }},
+          {"MPR selectors unsorted", [&](Image& a) {
+             a.scalars.mpr_selectors = {{far2, until}, {far, until}};
+           }},
+          {"MPR selector duplicated", [&](Image& a) {
+             a.scalars.mpr_selectors = {{far, until}, {far, until}};
+           }},
           {"2-hop tuples of one via disagreeing on N_time", [&](Image& a) {
              const auto i = std::ranges::adjacent_find(
                  a.two_hops, {}, &olsr::TwoHopTuple::via);
@@ -807,10 +828,58 @@ TEST(Checkpoint, RestoreRejectsUnorderedOlsrTables) {
   }
   // The same rows in storage order restore.
   auto ordered = image;
+  ordered.scalars.mpr_selectors = {{far, until}, {far2, until}};
   ordered.mid = {{far, far, until}, {far2, far, until}};
   ordered.hna = {{Hna{far, 1, 24}, until}, {Hna{far, 2, 24}, until}};
   EXPECT_NO_THROW(
       TrustExperiment::restore_checkpoint(config, splice_image(ordered)));
+}
+
+TEST(Checkpoint, RestoreRejectsUnorderedFaultInjectorNodes) {
+  // The injector finds a down node by binary search, so its section lists
+  // the down nodes strictly ascending. That list and the fixed fields
+  // after it end the checkpoint; each case re-encodes them from the live
+  // injector with the list bent.
+  const auto config = checkpoint_config(true);
+  TrustExperiment exp{config};
+  exp.setup();
+  const auto& injector = *exp.injector();
+  for (int r = 0; r < 8 && injector.down_count() == 0; ++r)
+    exp.run_churn_round();
+  ASSERT_EQ(injector.down_count(), 1u);
+  const auto bytes = exp.save_checkpoint();
+  using Down = std::vector<std::pair<net::NodeId, sim::Time>>;
+  const auto tail = [&injector](const Down& down) {
+    CheckpointWriter w;
+    w.list(down, [&w](const auto& d) {
+      w.node(d.first);
+      w.time(d.second);
+    });
+    w.time(injector.last_disruption());
+    w.time(injector.last_heal());
+    w.boolean(injector.armed());
+    w.time(injector.pending_at());
+    w.u64(injector.pending_seq());
+    return w.take();
+  };
+  const auto saved = tail(injector.down_nodes());
+  ASSERT_GE(bytes.size(), saved.size());
+  const auto head = bytes.end() - static_cast<std::ptrdiff_t>(saved.size());
+  ASSERT_TRUE(std::equal(saved.begin(), saved.end(), head));
+  const auto with_down = [&](const Down& down) {
+    std::vector<std::uint8_t> out(bytes.begin(), head);
+    const auto crafted = tail(down);
+    out.insert(out.end(), crafted.begin(), crafted.end());
+    return out;
+  };
+  const auto [n6, since] = injector.down_nodes().front();
+  const net::NodeId n3{3};
+  EXPECT_NO_THROW(TrustExperiment::restore_checkpoint(
+      config, with_down({{n3, since}, {n6, since}})));
+  for (const auto& bad : {Down{{n6, since}, {n3, since}},
+                          Down{{n6, since}, {n6, since}}})
+    EXPECT_THROW(TrustExperiment::restore_checkpoint(config, with_down(bad)),
+                 CheckpointError);
 }
 
 TEST(Checkpoint, RestoreRejectsInconsistentLogSection) {

@@ -51,15 +51,10 @@ logging::LogRecord hello_from_n1(std::int64_t willingness) {
                    willingness);
 }
 
-logging::LogRecord n1_selected_mpr() {
-  return record_at(1.1, Event::kMprChanged, Ids{NodeId{1}}, Ids{NodeId{1}},
-                   Ids{});
-}
-
-/// A neighborhood where n1 advertises WILL_ALWAYS and is our MPR, so it is
-/// audited on third-party floods.
+/// A neighborhood where n1 advertises WILL_ALWAYS; with n1 our MPR (the
+/// default set of read_and_close), it is audited on third-party floods.
 std::vector<logging::LogRecord> audited_mpr_prelude() {
-  return {hello_from_n1(7), n1_selected_mpr()};
+  return {hello_from_n1(7)};
 }
 
 void add_flood(std::vector<logging::LogRecord>& records, double seconds,
@@ -73,6 +68,15 @@ void add_echo(std::vector<logging::LogRecord>& records, double seconds,
   records.push_back(record_at(seconds, Event::kFwdEcho, by, orig, seq));
 }
 
+/// Reads `records` with our MPR set `mprs`, then closes at `seconds`.
+std::vector<core::ForwardAudit> read_and_close(
+    core::ForwardingAuditor& auditor, double seconds,
+    const std::vector<logging::LogRecord>& records,
+    const Ids& mprs = {NodeId{1}}) {
+  for (const auto& record : records) auditor.read(record, mprs);
+  return auditor.close(sim::Time::from_seconds(seconds));
+}
+
 TEST(ForwardingAuditor, SilentAlwaysMprFailsTheWindow) {
   core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
@@ -81,7 +85,7 @@ TEST(ForwardingAuditor, SilentAlwaysMprFailsTheWindow) {
 
   // n1 never re-forwards: after the flood timeout the window tallies
   // expected=3 forwarded=0, and that tally fails.
-  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
+  const auto tallies = read_and_close(auditor, 10.0, records);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].mpr, NodeId{1});
   EXPECT_EQ(tallies[0].expected, 3u);
@@ -98,7 +102,7 @@ TEST(ForwardingAuditor, CreditedMprPassesTheWindow) {
     add_echo(records, at + 0.05, NodeId{1}, NodeId{5}, seq);
   }
 
-  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
+  const auto tallies = read_and_close(auditor, 10.0, records);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].expected, 4u);
   EXPECT_EQ(tallies[0].forwarded, 4u);
@@ -113,7 +117,7 @@ TEST(ForwardingAuditor, MinExpectedGatesTheFailure) {
   add_flood(records, 2.0, NodeId{5}, 1);
   add_flood(records, 2.1, NodeId{5}, 2);
 
-  const auto tallies = auditor.sweep(sim::Time::from_seconds(10.0), records);
+  const auto tallies = read_and_close(auditor, 10.0, records);
   ASSERT_EQ(tallies.size(), 1u);
   EXPECT_EQ(tallies[0].expected, 2u);
   EXPECT_FALSE(auditor.fails(tallies[0]));
@@ -123,11 +127,11 @@ TEST(ForwardingAuditor, DefaultWillingnessMprIsNeverAudited) {
   // Same floods, but n1 advertises default willingness: the audited set is
   // empty, so no tally and no possible false conviction.
   core::ForwardingAuditor auditor;
-  std::vector<logging::LogRecord> records{hello_from_n1(3), n1_selected_mpr()};
+  std::vector<logging::LogRecord> records{hello_from_n1(3)};
   for (std::int64_t seq = 1; seq <= 5; ++seq)
     add_flood(records, 2.0 + 0.1 * static_cast<double>(seq), NodeId{5}, seq);
 
-  EXPECT_TRUE(auditor.sweep(sim::Time::from_seconds(10.0), records).empty());
+  EXPECT_TRUE(read_and_close(auditor, 10.0, records).empty());
 }
 
 TEST(ForwardingAuditor, OriginatorIsExemptFromItsOwnFlood) {
@@ -136,7 +140,7 @@ TEST(ForwardingAuditor, OriginatorIsExemptFromItsOwnFlood) {
   // n1 originates the flood itself: its own emission is not a forward, so
   // the audited set for this flood is empty.
   add_flood(records, 2.0, NodeId{1}, 1);
-  EXPECT_TRUE(auditor.sweep(sim::Time::from_seconds(10.0), records).empty());
+  EXPECT_TRUE(read_and_close(auditor, 10.0, records).empty());
 }
 
 TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
@@ -149,7 +153,7 @@ TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
   add_flood(records, 2.1, NodeId{5}, 2);
   add_flood(records, 8.0, NodeId{5}, 3);
   add_echo(records, 8.1, NodeId{1}, NodeId{5}, 3);
-  const auto first = auditor.sweep(sim::Time::from_seconds(9.0), records);
+  const auto first = read_and_close(auditor, 9.0, records);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].expected, 2u);  // floods 1 and 2, never forwarded
   EXPECT_EQ(first[0].forwarded, 0u);
@@ -157,9 +161,8 @@ TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
   core::ForwardingAuditor twin;
   twin.restore(auditor.persist());
 
-  const std::vector<logging::LogRecord> nothing;
-  const auto a = auditor.sweep(sim::Time::from_seconds(20.0), nothing);
-  const auto b = twin.sweep(sim::Time::from_seconds(20.0), nothing);
+  const auto a = auditor.close(sim::Time::from_seconds(20.0));
+  const auto b = twin.close(sim::Time::from_seconds(20.0));
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].expected, 1u);  // flood 3, credited via the echo

@@ -79,10 +79,23 @@ TEST(Investigation, HonestRoundCollectsDenialsForPhantom) {
   q.subject = phantom;
   q.claimed_up = true;
 
+  // Verifiers given out of order, repeated, and with the investigator and
+  // the suspect among them: each other verifier is queried once, in
+  // ascending order.
+  const auto& log = net.agent(0).log();
+  const auto first_new = log.total_appended();
   std::optional<RoundResult> result;
   net.investigations(0).investigate(
-      q, {Network::id_of(2), Network::id_of(3), Network::id_of(4)},
+      q,
+      {Network::id_of(4), Network::id_of(2), Network::id_of(0),
+       Network::id_of(3), Network::id_of(1), Network::id_of(2)},
       [&](const RoundResult& r) { result = r; });
+  std::vector<NodeId> queried;
+  for (const auto& record : log.records_from(first_new))
+    if (record.event() == logging::Event::kDataSent)
+      queried.push_back(record.id(logging::Key::kDest));
+  EXPECT_EQ(queried, (std::vector<NodeId>{Network::id_of(2), Network::id_of(3),
+                                          Network::id_of(4)}));
   net.run_for(sim::Duration::from_seconds(10.0));
 
   ASSERT_TRUE(result.has_value());

@@ -263,6 +263,18 @@ TEST(OlsrSignatures, DropFiresOnlyWithinOneScanIntervalOfTheTimeout) {
   EXPECT_EQ(late.scan_at(sim::Time::from_us(10'000'001)), 0u);
 }
 
+TEST(OlsrSignatures, ScanReadsARecordAtTheScanInstantOnce) {
+  // A record stamped at the scan instant is read by that scan and by no
+  // later one: with storm_burst 2, one TC reception from n1 is no storm,
+  // however many scans follow.
+  DetectorConfig dc;
+  dc.storm_burst = 2;
+  ScanRig rig{dc};
+  rig.log(tc_recv(3.0, n1));
+  EXPECT_EQ(rig.scan_at(3.0), 0u);
+  EXPECT_EQ(rig.scan_at(4.0), 0u);
+}
+
 TEST(OlsrSignatures, ScanLaunchesLogTriggersThenDropsThenAuditFailures) {
   // One scan raises all three: storms (burst 1, so every TC reception
   // from n5 fires), a drop of our TC 42 that n1 echoed and n2 did not,
