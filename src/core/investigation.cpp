@@ -226,7 +226,7 @@ void InvestigationManager::investigate(const LinkQuery& query,
   obs::hit(obs::Hot::kInvestigationsOpened);
   obs::async_begin(obs::SpanName::kInvestigation, sim_.now(),
                    span_id(agent_.id().value(), id));
-  auto& inv = outstanding_.emplace_back(id, Outstanding{}).second;
+  auto& inv = sim::slab_entry(outstanding_, id);
   inv.query = query;
   inv.query.investigation_id = id;
   inv.result.id = id;

@@ -174,7 +174,7 @@ class InvestigationManager {
   InvestigationConfig config_;
   AnswerPolicy policy_;
   std::uint32_t next_id_ = 1;
-  /// Ascending by id (ids are issued in order).
+  /// Ascending by id.
   std::vector<std::pair<std::uint32_t, Outstanding>> outstanding_;
   InvestigationStats stats_;
   Fallback fallback_;

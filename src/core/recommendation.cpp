@@ -97,7 +97,7 @@ void RecommendationExchange::bootstrap(
     const std::vector<net::NodeId>& recommenders, sim::Duration timeout,
     Done done) {
   const auto id = next_id_++;
-  auto& pending = outstanding_.emplace_back(id, Pending{}).second;
+  auto& pending = sim::slab_entry(outstanding_, id);
   pending.subjects = subjects;
   pending.done = std::move(done);
   pending.timer = std::make_unique<sim::OneShotTimer>(sim_);

@@ -78,7 +78,7 @@ class RecommendationExchange {
   olsr::Agent& agent_;
   trust::TrustStore& store_;
   std::uint32_t next_id_ = 1;
-  /// Ascending by id (ids are issued in order).
+  /// Ascending by id.
   std::vector<std::pair<std::uint32_t, Pending>> outstanding_;
 };
 

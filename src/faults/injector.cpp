@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "sim/slab.hpp"
 
 namespace manet::faults {
 
@@ -46,10 +45,6 @@ void FaultInjector::restore(
   down_since_ = std::move(down_since);
   last_disruption_ = last_disruption;
   last_heal_ = last_heal;
-}
-
-bool FaultInjector::is_down(NodeId node) const {
-  return sim::slab_get(down_since_, node) != nullptr;
 }
 
 sim::Time FaultInjector::down_since(NodeId node) const {

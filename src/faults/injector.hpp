@@ -7,6 +7,7 @@
 #include "faults/fault_plan.hpp"
 #include "net/medium.hpp"
 #include "sim/engine.hpp"
+#include "sim/slab.hpp"
 
 namespace manet::faults {
 
@@ -63,7 +64,7 @@ class FaultInjector {
                sim::Time last_disruption, sim::Time last_heal);
 
   // --- timeline queries (metrics & invariant checker) ---
-  bool is_down(NodeId node) const;
+  bool is_down(NodeId node) const { return sim::slab_get(down_since_, node); }
   /// Instant the node went down; Time{} when it is up.
   sim::Time down_since(NodeId node) const;
   /// (node, down since) of every down node, ascending by node.

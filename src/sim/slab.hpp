@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 namespace manet::sim {
 
@@ -26,7 +28,9 @@ auto* slab_get(Slab& slab, const Key& key) {
 template <typename Slab, typename Key>
 auto& slab_entry(Slab& slab, const Key& key) {
   auto it = slab_find(slab, key);
-  if (it == slab.end() || it->first != key) it = slab.insert(it, {key, {}});
+  if (it == slab.end() || it->first != key)
+    it = slab.emplace(it, std::piecewise_construct, std::forward_as_tuple(key),
+                      std::forward_as_tuple());
   return it->second;
 }
 
