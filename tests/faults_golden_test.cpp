@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "byte_digest.hpp"
 #include "runtime/aggregator.hpp"
 #include "runtime/runner.hpp"
 #include "scenario/trust_experiment.hpp"
@@ -91,6 +92,38 @@ TEST(FaultsGolden, FiftySeedFaultedSweepIsThreadInvariant) {
            runtime::Aggregator::degradation_csv(aggregator.degradation(results));
   };
   EXPECT_EQ(run_with(1), run_with(4));
+}
+
+// The one faulted grayhole pin: the per-round and degradation CSVs of
+// `manet_experiments --sweep grayhole --faults chaos --seeds 2 --rounds 6`,
+// digested. Only here do the scan-driven round and the churn probe run
+// together (the grayhole checkpoint and matrix runs are pristine). Like the
+// CLI, no replication may record a false conviction or an invariant
+// violation. Regenerate the digest only for an intentional trace change,
+// from this test's failure output.
+TEST(FaultsGolden, ChaosGrayholeSweepMatchesDigest) {
+  runtime::ExperimentSpec spec;
+  spec.seeds = runtime::ExperimentSpec::seed_range(42, 2);
+  spec.node_counts = {16};
+  spec.attacker_fractions = {0.0, 0.25};
+  spec.rounds = 6;
+  spec.attack = scenario::TrustExperiment::AttackKind::kGrayhole;
+  spec.chaos = true;
+  for (const unsigned threads : {1u, 4u}) {
+    runtime::Runner runner{runtime::Runner::Config{threads}};
+    const auto results = runner.run(spec);
+    for (const auto& r : results) {
+      EXPECT_EQ(r.false_convictions, 0u) << "seed " << r.seed;
+      EXPECT_EQ(r.invariant_violations, 0u) << "seed " << r.seed;
+    }
+    const runtime::Aggregator aggregator{0.95};
+    const auto csv =
+        runtime::Aggregator::per_round_csv(aggregator.per_round(results)) +
+        runtime::Aggregator::degradation_csv(aggregator.degradation(results));
+    EXPECT_EQ(test_digest::fnv1a64({csv.begin(), csv.end()}),
+              5455733211052581678ull)
+        << "threads " << threads;
+  }
 }
 
 // The psim sharded engine steps fault events at quiescent 250 ms window
