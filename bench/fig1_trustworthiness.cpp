@@ -16,7 +16,6 @@ int main() {
   cfg.seed = 3;
   cfg.num_nodes = 16;
   cfg.num_liars = 4;  // the paper's 26.3%
-  cfg.rounds = 25;
   scenario::TrustExperiment exp{cfg};
   exp.setup();
 
@@ -52,7 +51,8 @@ int main() {
       series.add(name, 0, store.trust(id));
   }
 
-  for (int round = 1; round <= cfg.rounds; ++round) {
+  const int rounds = 25;
+  for (int round = 1; round <= rounds; ++round) {
     const auto snap = exp.run_round();
     for (const auto& [id, name] : tracked)
       series.add(name, round, snap.trust.at(id));

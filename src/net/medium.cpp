@@ -50,6 +50,7 @@ const MediumStats& Medium::stats() const {
     stats_fold_.losses += s.losses;
     stats_fold_.collisions += s.collisions;
     stats_fold_.bytes_sent += s.bytes_sent;
+    stats_fold_.dropped_down += s.dropped_down;
   }
   return stats_fold_;
 }

@@ -257,7 +257,6 @@ Scope::Scope(Context* ctx, std::uint32_t lane) : saved_{detail::tls} {
     next.shard = &ctx->bind_thread();
     next.lane = lane;
     next.tracing = ctx->config().tracing;
-    next.wallclock = ctx->config().wallclock;
   }
   detail::tls = next;
 }
@@ -267,14 +266,13 @@ Scope::~Scope() { detail::tls = saved_; }
 namespace detail {
 
 void record_event(SpanName name, EventPhase phase, sim::Time begin,
-                  sim::Time end, std::uint64_t id, std::uint64_t wall_ns) {
+                  sim::Time end, std::uint64_t id) {
   Shard* shard = tls.shard;
   if (shard == nullptr) return;
   TraceEvent event;
   event.begin_us = begin.us();
   event.end_us = end.us();
   event.id = id;
-  event.wall_ns = tls.wallclock ? wall_ns : 0;
   event.name = name;
   event.phase = phase;
   event.lane = tls.lane;
@@ -442,17 +440,11 @@ void append_event_json(std::string& out, const TraceEvent& e,
                e.begin_us, pid, e.lane);
       break;
   }
-  // One args object at most: the free id (except async phases, where the
-  // id is already a top-level field) and the wall-clock profiling overlay.
-  const bool want_id = e.id != 0 && e.phase != EventPhase::kAsyncBegin &&
-                       e.phase != EventPhase::kAsyncEnd;
-  if (want_id || e.wall_ns != 0) {
-    out += ",\"args\":{";
-    if (want_id) append_f(out, "\"id\":%" PRIu64, e.id);
-    if (e.wall_ns != 0)
-      append_f(out, "%s\"wall_ns\":%" PRIu64, want_id ? "," : "", e.wall_ns);
-    out += "}";
-  }
+  // The free id goes into an args object (async phases carry it as a
+  // top-level field already).
+  if (e.id != 0 && e.phase != EventPhase::kAsyncBegin &&
+      e.phase != EventPhase::kAsyncEnd)
+    append_f(out, ",\"args\":{\"id\":%" PRIu64 "}", e.id);
   out += "}";
 }
 

@@ -18,10 +18,8 @@
 /// Context bound — compiles down to one predicted-not-taken branch per
 /// record site (pinned by bench/micro_obs.cpp's BM_CounterInc/disabled).
 ///
-/// Determinism contract: everything recorded on a deterministic path is a
-/// pure function of the run (sim-time stamps, integer counts). Wall-clock
-/// is confined to the opt-in profiling overlay (Config::wallclock), which
-/// annotates trace events without changing their deterministic identity.
+/// Determinism contract: everything recorded is a pure function of the run
+/// (sim-time stamps, integer counts); no wall-clock time is recorded.
 /// Counters merge by sum, gauges by max, histograms bin-wise — all
 /// commutative, so the merged snapshot is identical for any worker-thread
 /// or shard-lane interleaving of the same run.
@@ -99,13 +97,11 @@ enum class EventPhase : std::uint8_t {
 };
 
 /// One flight-recorder entry. All timestamps are sim-time microseconds
-/// (deterministic); wall_ns is the optional profiling overlay and is zero
-/// unless Config::wallclock is on.
+/// (deterministic).
 struct TraceEvent {
   std::int64_t begin_us = 0;
   std::int64_t end_us = 0;
-  std::uint64_t id = 0;       ///< async correlation id / free argument
-  std::uint64_t wall_ns = 0;  ///< profiling overlay; 0 in deterministic mode
+  std::uint64_t id = 0;  ///< async correlation id / free argument
   SpanName name = SpanName::kCount;
   EventPhase phase = EventPhase::kInstant;
   std::uint32_t lane = 0;  ///< shard lane (deterministic), 0 sequential
@@ -216,9 +212,6 @@ class Context {
     bool tracing = false;  ///< record flight-recorder events
     /// Flight-recorder ring capacity per recording thread.
     std::size_t ring_capacity = 8192;
-    /// Profiling overlay: stamp wall-clock durations on spans. Never
-    /// deterministic — off everywhere a golden trace is compared.
-    bool wallclock = false;
   };
 
   Context() : Context(Config{}) {}
@@ -262,7 +255,6 @@ struct TlsBinding {
   Shard* shard = nullptr;
   std::uint32_t lane = 0;
   bool tracing = false;
-  bool wallclock = false;
 };
 
 namespace detail {
@@ -295,32 +287,32 @@ inline void hit(Hot h, std::uint64_t n = 1) {
 
 namespace detail {
 void record_event(SpanName name, EventPhase phase, sim::Time begin,
-                  sim::Time end, std::uint64_t id, std::uint64_t wall_ns);
+                  sim::Time end, std::uint64_t id);
 }
 
 /// Records a completed [begin, end] sim-time span.
 inline void span(SpanName name, sim::Time begin, sim::Time end,
-                 std::uint64_t id = 0, std::uint64_t wall_ns = 0) {
+                 std::uint64_t id = 0) {
   if (detail::tls.tracing)
-    detail::record_event(name, EventPhase::kComplete, begin, end, id, wall_ns);
+    detail::record_event(name, EventPhase::kComplete, begin, end, id);
 }
 
 /// Records an instant event at sim-time `at`.
 inline void instant(SpanName name, sim::Time at, std::uint64_t id = 0) {
   if (detail::tls.tracing)
-    detail::record_event(name, EventPhase::kInstant, at, at, id, 0);
+    detail::record_event(name, EventPhase::kInstant, at, at, id);
 }
 
 /// Opens an id-correlated async span (e.g. one investigation lifecycle).
 inline void async_begin(SpanName name, sim::Time at, std::uint64_t id) {
   if (detail::tls.tracing)
-    detail::record_event(name, EventPhase::kAsyncBegin, at, at, id, 0);
+    detail::record_event(name, EventPhase::kAsyncBegin, at, at, id);
 }
 
 /// Closes the async span opened under (name, id).
 inline void async_end(SpanName name, sim::Time at, std::uint64_t id) {
   if (detail::tls.tracing)
-    detail::record_event(name, EventPhase::kAsyncEnd, at, at, id, 0);
+    detail::record_event(name, EventPhase::kAsyncEnd, at, at, id);
 }
 
 /// Named counter handle bound to the interning Context. Safe to copy;

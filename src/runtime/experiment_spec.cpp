@@ -59,7 +59,6 @@ scenario::TrustExperiment::Config ReplicationTask::to_config() const {
   cfg.num_nodes = point.num_nodes;
   cfg.num_liars = point.num_liars();
   cfg.seed = seed;
-  cfg.rounds = rounds;
   cfg.attack = attack;
   cfg.drop_fraction = drop_fraction;
   cfg.radio_loss = preset_loss_probability(point.mobility);
@@ -114,7 +113,6 @@ std::vector<ReplicationTask> ExperimentSpec::expand() const {
       task.fault_plan = fault_plan;
       task.metrics = metrics;
       task.tracing = tracing;
-      task.trace_wallclock = trace_wallclock;
       tasks.push_back(task);
     }
   }
@@ -139,17 +137,13 @@ std::vector<std::uint64_t> ExperimentSpec::seed_range(std::uint64_t base,
   return out;
 }
 
-ReplicationResult run_replication(const ReplicationTask& task,
-                                  const trust::TrustParams& trust_params,
-                                  const trust::DecisionConfig& decision) {
+ReplicationResult run_replication(const ReplicationTask& task) {
   // Zero rounds would yield an all-default result indistinguishable from a
   // legitimate "no conviction" run; fail loudly like TrustExperiment does
   // for an unconstructible topology.
   if (task.rounds <= 0)
     throw std::invalid_argument{"replication needs at least one round"};
-  auto cfg = task.to_config();
-  cfg.trust_params = trust_params;
-  cfg.decision = decision;
+  const auto cfg = task.to_config();
 
   // Observability arena for this replication: created only on request, and
   // bound to this thread (psim worker lanes inherit it at each window) for
@@ -159,7 +153,6 @@ ReplicationResult run_replication(const ReplicationTask& task,
   if (task.observed()) {
     obs::Context::Config oc;
     oc.tracing = task.tracing;
-    oc.wallclock = task.trace_wallclock;
     obs_ctx = std::make_unique<obs::Context>(oc);
   }
   obs::Scope obs_scope{obs_ctx.get()};
@@ -183,7 +176,7 @@ ReplicationResult run_replication(const ReplicationTask& task,
   scenario::TrustExperiment::RoundSnapshot last;
   sim::Time prev_at = exp.network().now();
   for (int r = 0; r < task.rounds; ++r) {
-    last = faulted ? exp.run_churn_round() : exp.run_round();
+    last = exp.run_round();
     detect_hist.observe(last.detect);
     round_sim_s.observe((last.at - prev_at).seconds());
     prev_at = last.at;

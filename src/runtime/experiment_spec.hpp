@@ -73,9 +73,6 @@ struct ReplicationTask {
   bool metrics = false;
   /// Record flight-recorder trace spans (implies a bound obs::Context).
   bool tracing = false;
-  /// Stamp wall-clock durations on trace events (profiling overlay; makes
-  /// the trace non-deterministic, never touches metrics or goldens).
-  bool trace_wallclock = false;
 
   bool faulted() const { return chaos || !fault_plan.empty(); }
   bool observed() const { return metrics || tracing; }
@@ -152,12 +149,9 @@ struct ExperimentSpec {
   bool chaos = false;
   /// One explicit fault schedule shared by every replication (--faults FILE).
   faults::FaultPlan fault_plan;
-  trust::TrustParams trust_params;
-  trust::DecisionConfig decision;
   /// Observability toggles applied to every task (see ReplicationTask).
   bool metrics = false;
   bool tracing = false;
-  bool trace_wallclock = false;
 
   /// Grid points in declaration order (node count, fraction, preset).
   std::vector<GridPoint> grid() const;
@@ -179,8 +173,6 @@ struct ExperimentSpec {
 /// Runs one replication synchronously: builds the TrustExperiment, drives
 /// `rounds` investigation rounds, extracts the metrics. Deterministic given
 /// the task. Thread-safe: each call owns its entire simulator stack.
-ReplicationResult run_replication(const ReplicationTask& task,
-                                  const trust::TrustParams& trust_params = {},
-                                  const trust::DecisionConfig& decision = {});
+ReplicationResult run_replication(const ReplicationTask& task);
 
 }  // namespace manet::runtime

@@ -17,13 +17,11 @@ unsigned Runner::effective_threads(std::size_t task_count) const {
 }
 
 std::vector<ReplicationResult> Runner::run(const ExperimentSpec& spec) {
-  return run(spec.expand(), spec.trust_params, spec.decision);
+  return run(spec.expand());
 }
 
 std::vector<ReplicationResult> Runner::run(
-    const std::vector<ReplicationTask>& tasks_in,
-    const trust::TrustParams& trust_params,
-    const trust::DecisionConfig& decision) {
+    const std::vector<ReplicationTask>& tasks_in) {
   std::vector<ReplicationResult> results(tasks_in.size());
   if (tasks_in.empty()) return results;
 
@@ -61,7 +59,7 @@ std::vector<ReplicationResult> Runner::run(
       const std::size_t i = next.fetch_add(1);
       if (i >= tasks.size()) return;
       try {
-        results[i] = run_replication(tasks[i], trust_params, decision);
+        results[i] = run_replication(tasks[i]);
       } catch (...) {
         // Some replication failed: move the cursor past the end so every
         // worker stops after its current task.

@@ -48,9 +48,7 @@ class Runner {
 
   /// Same over an explicit task list (results ordered by position in
   /// `tasks`, regardless of which thread ran what).
-  std::vector<ReplicationResult> run(const std::vector<ReplicationTask>& tasks,
-                                     const trust::TrustParams& trust_params = {},
-                                     const trust::DecisionConfig& decision = {});
+  std::vector<ReplicationResult> run(const std::vector<ReplicationTask>& tasks);
 
   /// Threads a run with this config will actually use for `task_count` tasks.
   unsigned effective_threads(std::size_t task_count) const;

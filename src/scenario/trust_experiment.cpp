@@ -15,6 +15,18 @@
 
 namespace manet::scenario {
 
+namespace {
+
+/// The range initial trust is drawn from; the default-trust anchor stays
+/// at TrustParams::default_trust.
+constexpr double kInitialTrustMin = 0.05;
+constexpr double kInitialTrustMax = 0.85;
+/// Faulted runs downgrade convictions of nodes not heard from within this
+/// window (see DetectorConfig::liveness_window).
+constexpr sim::Duration kLivenessWindow = sim::Duration::from_seconds(10.0);
+
+}  // namespace
+
 TrustExperiment::TrustExperiment(Config config) : config_{std::move(config)} {
   if (config_.num_nodes < 4)
     throw std::invalid_argument{"need at least 4 nodes"};
@@ -81,7 +93,6 @@ void TrustExperiment::build_network() {
     // the paper) and answer its investigations first-hand.
     nc.positions = net::grid_layout(config_.num_nodes, 50.0);
   }
-  nc.investigation = config_.investigation;
   nc.engine = config_.engine;
   nc.engine_threads = config_.engine_threads;
   nc.shards = config_.shards;
@@ -98,8 +109,8 @@ void TrustExperiment::build_network() {
   } else {
     // Attacker (node 1) advertises the phantom / forged link.
     std::set<NodeId> targets{phantom_};
-    auto spoof = std::make_unique<attacks::LinkSpoofingAttack>(config_.mode,
-                                                               targets);
+    auto spoof = std::make_unique<attacks::LinkSpoofingAttack>(
+        attacks::LinkSpoofingAttack::Mode::kAddNonExistent, targets);
     spoof_ = spoof.get();
     network_->set_hooks(1, std::move(spoof));
   }
@@ -124,11 +135,8 @@ void TrustExperiment::build_network() {
   // liveness gate and unresponsive decay; pristine runs keep the exact
   // golden-trace behavior.
   core::DetectorConfig dc;
-  dc.trust_params = config_.trust_params;
-  dc.decision = config_.decision;
-  dc.investigation = config_.investigation;
   if (faulted()) {
-    dc.liveness_window = config_.liveness_window;
+    dc.liveness_window = kLivenessWindow;
     dc.decay_unresponsive = true;
   }
   if (grayhole) dc.forwarding_audit = true;
@@ -139,8 +147,7 @@ void TrustExperiment::build_network() {
   for (std::size_t i = 1; i < config_.num_nodes; ++i) {
     detector_->trust_store().set_trust(
         Network::id_of(i),
-        picker.uniform_real(config_.initial_trust_min,
-                            config_.initial_trust_max));
+        picker.uniform_real(kInitialTrustMin, kInitialTrustMax));
   }
 
   if (config_.record_audit) {
@@ -196,160 +203,107 @@ void TrustExperiment::setup() {
   obs::span(obs::SpanName::kSetupConverge, begin, network_->now());
 }
 
-core::DetectionReport TrustExperiment::run_investigation(
-    NodeId suspect, NodeId subject, const std::vector<NodeId>& verifiers) {
-  core::DetectionReport report;
-  bool done = false;
-  detector_->set_report_callback([&](const core::DetectionReport& r) {
-    report = r;
-    done = true;
-  });
-  // The kick draws and schedules in the investigator's context — under the
-  // sharded engine that must happen on node 0's lane and stream.
-  network_->run_as(0, [&] {
-    detector_->investigate_claim(suspect, subject, /*claimed_up=*/true,
-                                 {core::EvidenceTag::kE1MprReplaced},
-                                 verifiers);
-  });
-
-  // Drive the simulation until the round's report lands (bounded wait).
-  const auto deadline = network_->now() + sim::Duration::from_seconds(60.0);
-  while (!done && network_->now() < deadline)
-    drive(sim::Duration::from_ms(250));
-  detector_->set_report_callback({});
-  if (!done) throw std::runtime_error{"investigation round never completed"};
-  return report;
-}
-
-TrustExperiment::RoundSnapshot TrustExperiment::run_round() {
-  if (config_.attack == AttackKind::kGrayhole) return run_grayhole_round();
-
-  RoundSnapshot snap;
-  snap.round = ++round_counter_;
-  const auto round_begin = network_->now();
-
-  // Verifiers: every bystander (the attacker's 1-hop neighbors, §IV-B).
-  std::vector<NodeId> verifiers;
-  verifiers.insert(verifiers.end(), honest_.begin(), honest_.end());
-  verifiers.insert(verifiers.end(), liars_.begin(), liars_.end());
-
-  const auto report = run_investigation(attacker(), phantom_, verifiers);
-  snap.detect = report.detect;
-  snap.verdict = report.verdict;
-  snap.margin = report.interval.margin;
-  snap.at = network_->now();
-  if (invariants_) invariants_->check_conviction(network_->now(), report);
-
-  for (std::size_t i = 1; i < config_.num_nodes; ++i) {
-    const auto id = Network::id_of(i);
-    snap.trust[id] = detector_->trust_store().trust(id);
-  }
-  obs::span(obs::SpanName::kRound, round_begin, network_->now(),
-            static_cast<std::uint64_t>(snap.round));
-  return snap;
-}
-
-TrustExperiment::RoundSnapshot TrustExperiment::run_grayhole_round() {
-  RoundSnapshot snap;
-  snap.round = ++round_counter_;
-  const auto round_begin = network_->now();
-
-  // Detection is scan-driven, not claim-driven: pad to the round's 5 s
-  // slot so third-party floods accumulate (and the attacker drops its
-  // share), then run one scan over the investigator's log growth.
+void TrustExperiment::pad_to_slot() {
+  // Round k's slot ends 15 + 5k s into the run: the set-up's convergence
+  // window, then one 5 s slot per round.
   const auto slot_end = sim::Time::from_seconds(
       15.0 + 5.0 * static_cast<double>(round_counter_));
   if (network_->now() < slot_end) drive(slot_end - network_->now());
+}
 
-  core::DetectionReport attacker_report;
-  bool have_attacker_report = false;
+std::size_t TrustExperiment::launch_and_settle(RoundSnapshot& snap,
+                                               NodeId suspect,
+                                               NodeId subject) {
+  const bool scan = !suspect.valid();
+  core::DetectionReport claim_report;
   detector_->set_report_callback([&](const core::DetectionReport& r) {
     if (r.suspect == attacker()) {
-      attacker_report = r;
-      have_attacker_report = true;
+      snap.detect = r.detect;
+      snap.verdict = r.verdict;
+      snap.margin = r.interval.margin;
     } else if (r.verdict == trust::Verdict::kIntruder) {
-      // Any conviction of a bystander is a false conviction — the audit's
-      // WILL_ALWAYS scoping is supposed to make these impossible.
+      // The grayhole audit's WILL_ALWAYS scoping and the liveness gate are
+      // supposed to make these impossible.
       ++false_convictions_;
     }
-    if (invariants_) invariants_->check_conviction(network_->now(), r);
+    if (!scan)
+      claim_report = r;
+    else if (invariants_)
+      invariants_->check_conviction(network_->now(), r);
   });
+  // The launch draws and schedules in the investigator's context — under
+  // the sharded engine that must happen on node 0's lane and stream.
   std::size_t launched = 0;
-  const auto audits_before = detector_->pipeline().forward_audits().size();
-  network_->run_as(0, [&] { launched = detector_->scan_once(); });
+  network_->run_as(0, [&] {
+    if (scan) {
+      launched = detector_->scan_once();
+      return;
+    }
+    // Verifiers: every bystander (the suspect's 1-hop neighbors, §IV-B);
+    // the investigation leaves out the suspect itself.
+    std::vector<NodeId> verifiers = honest_;
+    verifiers.insert(verifiers.end(), liars_.begin(), liars_.end());
+    detector_->investigate_claim(suspect, subject, /*claimed_up=*/true,
+                                 {core::EvidenceTag::kE1MprReplaced},
+                                 std::move(verifiers));
+  });
 
-  // Drive until every launched investigation lands (bounded wait).
-  const auto outstanding = [&] {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < config_.num_nodes; ++i)
-      n += network_->investigations(i).outstanding();
-    return n;
-  };
+  // Only the investigator runs a detector, so only it has investigations
+  // outstanding.
+  const auto& investigations = network_->investigations(0);
   const auto deadline = network_->now() + sim::Duration::from_seconds(60.0);
-  while (outstanding() != 0 && network_->now() < deadline)
+  while (investigations.outstanding() != 0 && network_->now() < deadline)
     drive(sim::Duration::from_ms(250));
   detector_->set_report_callback({});
-  if (outstanding() != 0)
-    throw std::runtime_error{"grayhole round investigations never completed"};
+  if (investigations.outstanding() != 0)
+    throw std::runtime_error{"round investigations never completed"};
+  if (!scan && invariants_)
+    invariants_->check_conviction(network_->now(), claim_report);
+  return launched;
+}
 
-  if (have_attacker_report) {
-    snap.detect = attacker_report.detect;
-    snap.verdict = attacker_report.verdict;
-    snap.margin = attacker_report.interval.margin;
-  }
-  snap.at = network_->now();
-  snap.investigations = launched;
-  // Delta, not deque size: the forward-audit ring (like the report ring)
-  // is skipped by the checkpoint surface, so per-round telemetry must not
-  // read its absolute length.
-  snap.audits = detector_->pipeline().forward_audits().size() - audits_before;
-  snap.dropped_control = drop_ ? drop_->dropped_control() : 0;
-  snap.false_convictions = false_convictions_;
-  snap.suppressed = detector_->degradation().suppressed_convictions;
-  snap.converged = network_->converged();
-  for (std::size_t i = 1; i < config_.num_nodes; ++i) {
-    const auto id = Network::id_of(i);
-    snap.trust[id] = detector_->trust_store().trust(id);
+TrustExperiment::RoundSnapshot TrustExperiment::run_round() {
+  RoundSnapshot snap;
+  snap.round = ++round_counter_;
+  const auto round_begin = network_->now();
+  const bool grayhole = config_.attack == AttackKind::kGrayhole;
+
+  if (grayhole) {
+    // Detection is scan-driven, not claim-driven: pad to the slot so
+    // third-party floods accumulate (and the attacker drops its share),
+    // then run one scan over the investigator's log growth.
+    pad_to_slot();
+    const auto audits_before = detector_->pipeline().forward_audits().size();
+    snap.investigations = launch_and_settle(snap);
+    // Delta, not deque size: the forward-audit ring (like the report ring)
+    // is skipped by the checkpoint surface, so per-round telemetry must not
+    // read its absolute length.
+    snap.audits = detector_->pipeline().forward_audits().size() - audits_before;
+    snap.dropped_control = drop_->dropped_control();
+  } else {
+    launch_and_settle(snap, attacker(), phantom_);
   }
   obs::span(obs::SpanName::kRound, round_begin, network_->now(),
             static_cast<std::uint64_t>(snap.round));
-  return snap;
-}
-
-TrustExperiment::RoundSnapshot TrustExperiment::run_churn_round() {
-  RoundSnapshot snap = run_round();
 
   if (injector_) {
-    // Churn rounds run on a fixed 5 s cadence: the investigation itself is
-    // sub-second, so pad each round with idle simulation until its slot
-    // ends. The padding is what gives fault events room to land between
-    // investigations (FaultPlan::chaos sizes its window to this cadence)
-    // and gives the OLSR plane time to react before the probe below.
-    const auto slot_end = sim::Time::from_seconds(
-        15.0 + 5.0 * static_cast<double>(round_counter_));
-    if (network_->now() < slot_end) drive(slot_end - network_->now());
+    // Faulted rounds keep the 5 s cadence: a spoof investigation is
+    // sub-second, so the padding is what gives fault events room to land
+    // between investigations (FaultPlan::chaos sizes its window to this
+    // cadence) and gives the OLSR plane time to react before the probe.
+    pad_to_slot();
 
     // False-conviction probe: the lowest-id down bystander is a crashed,
-    // honest node whose links have gone stale — exactly what a naive
-    // detector convicts. Its "claim" of a live link to the investigator is
-    // investigated like any spoofing suspicion; verifiers whose tables
-    // have expired the links answer against it.
+    // honest node whose links have gone stale. Its "claim" of a live link
+    // to the investigator is investigated like any spoofing suspicion;
+    // verifiers whose tables have expired the links answer against it.
     NodeId probe{};
     for (const auto& [id, since] : injector_->down_nodes()) {
       if (id == investigator() || id == attacker()) continue;
       probe = id;
       break;
     }
-    if (probe.valid()) {
-      std::vector<NodeId> verifiers;
-      for (const auto id : honest_)
-        if (id != probe) verifiers.push_back(id);
-      for (const auto id : liars_)
-        if (id != probe) verifiers.push_back(id);
-      const auto report = run_investigation(probe, investigator(), verifiers);
-      if (report.verdict == trust::Verdict::kIntruder) ++false_convictions_;
-      invariants_->check_conviction(network_->now(), report);
-    }
+    if (probe.valid()) launch_and_settle(snap, probe, investigator());
 
     const auto now = network_->now();
     invariants_->check_trust_bounds(now, investigator(),
@@ -359,20 +313,25 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_churn_round() {
       if (network_->medium().is_up(id))
         invariants_->check_routing(now, id, network_->agent(i).routes());
     }
-
-    // The probe may have moved trust values; re-snapshot after it.
-    for (std::size_t i = 1; i < config_.num_nodes; ++i) {
-      const auto id = Network::id_of(i);
-      snap.trust[id] = detector_->trust_store().trust(id);
-    }
+    snap.down = injector_->down_count();
   }
-
-  snap.down = injector_ ? injector_->down_count() : 0;
-  snap.suppressed = detector_->degradation().suppressed_convictions;
-  snap.false_convictions = false_convictions_;
-  snap.converged = network_->converged();
+  if (grayhole || injector_) {
+    snap.suppressed = detector_->degradation().suppressed_convictions;
+    snap.false_convictions = false_convictions_;
+    snap.converged = network_->converged();
+  }
   snap.at = network_->now();
+  snap.trust = trust_snapshot();
   return snap;
+}
+
+std::map<NodeId, double> TrustExperiment::trust_snapshot() const {
+  std::map<NodeId, double> trust;
+  for (std::size_t i = 1; i < config_.num_nodes; ++i) {
+    const auto id = Network::id_of(i);
+    trust[id] = detector_->trust_store().trust(id);
+  }
+  return trust;
 }
 
 TrustExperiment::RoundSnapshot TrustExperiment::run_idle_round() {
@@ -386,10 +345,7 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_idle_round() {
   snap.at = network_->now();
   obs::span(obs::SpanName::kIdleRound, round_begin, network_->now(),
             static_cast<std::uint64_t>(snap.round));
-  for (std::size_t i = 1; i < config_.num_nodes; ++i) {
-    const auto id = Network::id_of(i);
-    snap.trust[id] = detector_->trust_store().trust(id);
-  }
+  snap.trust = trust_snapshot();
   return snap;
 }
 

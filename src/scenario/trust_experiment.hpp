@@ -14,7 +14,7 @@
 
 namespace manet::logging {
 class AuditWriter;
-}
+}  // namespace manet::logging
 
 namespace manet::scenario {
 
@@ -38,21 +38,15 @@ class TrustExperiment {
     kGrayhole,
   };
 
+  /// What varies between replications. The rest of the §V set-up is fixed:
+  /// initial trust drawn uniformly between 0.05 and 0.85 (the paper:
+  /// "randomly set"), the default trust, decision and investigation
+  /// parameters, and a spoofer advertising one phantom neighbor.
   struct Config {
     std::size_t num_nodes = 16;   ///< incl. attacker and investigator
     std::size_t num_liars = 4;    ///< the paper's 26.3%
     std::uint64_t seed = 1;
-    int rounds = 25;
-    /// Initial trust drawn uniformly from this range (the paper: "randomly
-    /// set"); the default-trust anchor stays at trust_params.default_trust.
-    double initial_trust_min = 0.05;
-    double initial_trust_max = 0.85;
-    trust::TrustParams trust_params;
-    trust::DecisionConfig decision;
-    core::InvestigationConfig investigation;
     double radio_loss = 0.0;
-    attacks::LinkSpoofingAttack::Mode mode =
-        attacks::LinkSpoofingAttack::Mode::kAddNonExistent;
     /// Attack family; kSpoof preserves the legacy behaviour (and the
     /// golden traces) exactly.
     AttackKind attack = AttackKind::kSpoof;
@@ -69,13 +63,11 @@ class TrustExperiment {
     /// through the event queue at exact times; under the sharded engine
     /// it is stepped at the 250 ms drive boundaries, where every worker
     /// lane is quiescent — either way the run is byte-stable in the seed
-    /// and independent of engine_threads.
+    /// and independent of engine_threads. A non-empty plan also makes the
+    /// detector fault tolerant (pristine runs keep the golden traces):
+    /// convictions of nodes not heard from within 10 s are downgraded, and
+    /// unresponsive investigation responders decay instead of freezing.
     faults::FaultPlan fault_plan;
-    /// Detector fault tolerance, applied only when fault_plan is non-empty
-    /// (keeps the pristine golden traces untouched): convictions of nodes
-    /// not heard from within this window are downgraded, and unresponsive
-    /// investigation responders decay instead of freezing.
-    sim::Duration liveness_window = sim::Duration::from_seconds(10.0);
     /// Record the investigator's audit-event stream (versioned binary
     /// format, logging/audit_log.hpp): header with the pipeline config and
     /// initial trust snapshot, then every log line / completed round / idle
@@ -86,6 +78,9 @@ class TrustExperiment {
     bool record_audit = false;
   };
 
+  /// What one round leaves behind: the attacker's verdict, the
+  /// investigator's trust table and, on faulted and grayhole runs, the
+  /// degradation and audit telemetry.
   struct RoundSnapshot {
     int round = 0;
     sim::Time at{};       ///< virtual time when the round ended
@@ -94,8 +89,8 @@ class TrustExperiment {
     double margin = 0.0;  ///< Eq. 9 epsilon
     /// Investigator's trust per node after the round's updates.
     std::map<NodeId, double> trust;
-    // --- graceful-degradation telemetry (filled by run_churn_round;
-    // --- zeros/false on pristine runs) ---
+    // --- graceful-degradation telemetry (faulted and grayhole rounds;
+    // --- zeros/false on pristine spoof runs) ---
     std::size_t down = 0;  ///< nodes down when the round ended
     /// Cumulative liveness-gate suppressions (see DetectorConfig).
     std::uint64_t suppressed = 0;
@@ -115,24 +110,15 @@ class TrustExperiment {
   /// Builds the network, lets OLSR converge, activates the attack.
   void setup();
 
-  /// One investigation round (the attack stays active). Spoof runs
-  /// investigate the forged claim directly; grayhole runs dispatch to
-  /// run_grayhole_round (scan-driven detection).
+  /// One attack round (the attack stays active). Spoof runs investigate
+  /// the forged claim. Grayhole runs pad to the round's 5 s slot (round k
+  /// ends no earlier than 15 + 5k s) so floods accumulate and the attacker
+  /// drops its share, then run one detector scan. Faulted runs then pad to
+  /// the slot too, probe the lowest-id down bystander (a crashed, honest
+  /// node whose links have gone stale — exactly the node a naive detector
+  /// convicts) and run the invariant checks. A conviction of anyone but
+  /// the attacker counts as a false conviction.
   RoundSnapshot run_round();
-
-  /// One grayhole round: drive to the round's 5 s slot (floods accumulate,
-  /// the attacker drops), run one detector scan in the investigator's
-  /// context, wait for every launched investigation to land, and count any
-  /// conviction of a non-attacker as a false conviction.
-  RoundSnapshot run_grayhole_round();
-
-  /// One faulted round: the regular attacker investigation plus a
-  /// false-conviction probe of the lowest-id down bystander (a crashed,
-  /// honest node whose links have gone stale — exactly the node a naive
-  /// detector convicts). Fills the degradation fields of the snapshot and
-  /// feeds every report through the invariant checker. Falls back to
-  /// run_round semantics when no fault plan is configured.
-  RoundSnapshot run_churn_round();
 
   /// One idle round: the attack has ceased, no investigation happens, and
   /// the forgetting factor relaxes every trust value toward the default
@@ -167,7 +153,7 @@ class TrustExperiment {
   bool faulted() const { return !config_.fault_plan.empty(); }
   /// The injector driving the configured fault plan (null when pristine).
   faults::FaultInjector* injector() { return injector_.get(); }
-  /// Safety-rule oracle fed by run_churn_round (null when pristine).
+  /// Safety-rule oracle fed by faulted rounds (null when pristine).
   const faults::InvariantChecker* invariants() const {
     return invariants_.get();
   }
@@ -201,10 +187,21 @@ class TrustExperiment {
   /// engine (see Config::fault_plan).
   void drive(sim::Duration d);
   void apply_restored(const std::vector<std::uint8_t>& bytes);
-  /// One investigation of (suspect, subject) against `verifiers`; drives
-  /// the sim until the report lands and returns it.
-  core::DetectionReport run_investigation(NodeId suspect, NodeId subject,
-                                          const std::vector<NodeId>& verifiers);
+  /// Drives to the end of the current round's 5 s slot.
+  void pad_to_slot();
+  /// Launches one investigation in the investigator's context — with a
+  /// valid `suspect` a claim investigation of its advertised link to
+  /// `subject`, verified by every bystander; otherwise one detector scan —
+  /// then drives 250 ms slices until none is outstanding (60 s bound).
+  /// Each report that lands is tallied into `snap`: the attacker's last one
+  /// gives the round's Eq. 8-10 fields, and a conviction of anyone else is
+  /// a false conviction. The invariant checker sees a scan's reports as
+  /// they land and a claim's report once the round has settled. Returns
+  /// the number of investigations a scan launched (0 for a claim).
+  std::size_t launch_and_settle(RoundSnapshot& snap, NodeId suspect = {},
+                                NodeId subject = {});
+  /// The investigator's trust in every other node.
+  std::map<NodeId, double> trust_snapshot() const;
 
   Config config_;
   /// Declared before network_: the investigator's LogStore and the

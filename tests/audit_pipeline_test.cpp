@@ -409,7 +409,6 @@ std::vector<std::uint8_t> short_recorded_log(TrustExperiment::AttackKind attack)
   config.seed = 3;
   config.num_nodes = 9;
   config.num_liars = attack == TrustExperiment::AttackKind::kSpoof ? 2 : 0;
-  config.rounds = 2;
   config.attack = attack;
   config.record_audit = true;
   TrustExperiment exp{config};
@@ -713,19 +712,13 @@ Recorded record_run(std::uint64_t seed, int rounds, int idle,
   config.seed = seed;
   config.num_nodes = 16;
   config.num_liars = 4;
-  config.rounds = rounds;
   config.record_audit = true;
   config.fault_plan = std::move(plan);
   obs::Context obs_ctx;
   obs::Scope obs_scope{&obs_ctx};
   TrustExperiment exp{config};
   exp.setup();
-  for (int r = 0; r < rounds; ++r) {
-    if (exp.faulted())
-      exp.run_churn_round();
-    else
-      exp.run_round();
-  }
+  for (int r = 0; r < rounds; ++r) exp.run_round();
   if (idle > 0) {
     exp.cease_attack();
     for (int r = 0; r < idle; ++r) exp.run_idle_round();
@@ -823,7 +816,6 @@ TEST(AuditReplay, PrefixAtFrameBoundaryIsAValidLog) {
   config.seed = 5;
   config.num_nodes = 16;
   config.num_liars = 4;
-  config.rounds = 2;
   TrustExperiment twin{config};
   twin.setup();
   twin.run_round();

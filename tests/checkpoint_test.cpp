@@ -131,16 +131,13 @@ std::string fingerprint(const TrustExperiment::RoundSnapshot& s) {
 void expect_round_trip_at(int save_round, bool faulted) {
   const int total_rounds = 6;
   const auto config = checkpoint_config(faulted);
-  auto run_round = [faulted](TrustExperiment& e) {
-    return faulted ? e.run_churn_round() : e.run_round();
-  };
 
   // The reference run never stops.
   TrustExperiment reference{config};
   reference.setup();
   std::vector<std::string> expected;
   for (int r = 0; r < total_rounds; ++r) {
-    const auto snap = run_round(reference);
+    const auto snap = reference.run_round();
     if (r >= save_round) expected.push_back(fingerprint(snap));
   }
 
@@ -148,14 +145,14 @@ void expect_round_trip_at(int save_round, bool faulted) {
   // object graph, and continues.
   TrustExperiment original{config};
   original.setup();
-  for (int r = 0; r < save_round; ++r) run_round(original);
+  for (int r = 0; r < save_round; ++r) original.run_round();
   const auto bytes = original.save_checkpoint();
   ASSERT_FALSE(bytes.empty());
 
   const auto restored = TrustExperiment::restore_checkpoint(config, bytes);
   std::vector<std::string> actual;
   for (int r = save_round; r < total_rounds; ++r)
-    actual.push_back(fingerprint(run_round(*restored)));
+    actual.push_back(fingerprint(restored->run_round()));
 
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
@@ -185,19 +182,19 @@ TEST(Checkpoint, ChainedCheckpointsStillMatch) {
   TrustExperiment reference{config};
   reference.setup();
   std::string expected;
-  for (int r = 0; r < 5; ++r) expected = fingerprint(reference.run_churn_round());
+  for (int r = 0; r < 5; ++r) expected = fingerprint(reference.run_round());
 
   TrustExperiment first{config};
   first.setup();
-  first.run_churn_round();
+  first.run_round();
   const auto bytes1 = first.save_checkpoint();
   auto second = TrustExperiment::restore_checkpoint(config, bytes1);
-  second->run_churn_round();
-  second->run_churn_round();
+  second->run_round();
+  second->run_round();
   const auto bytes2 = second->save_checkpoint();
   auto third = TrustExperiment::restore_checkpoint(config, bytes2);
   std::string actual;
-  for (int r = 3; r < 5; ++r) actual = fingerprint(third->run_churn_round());
+  for (int r = 3; r < 5; ++r) actual = fingerprint(third->run_round());
 
   EXPECT_EQ(actual, expected);
 }
@@ -286,12 +283,7 @@ std::uint64_t checkpoint_digest_after_two_rounds(
     const TrustExperiment::Config& config) {
   TrustExperiment exp{config};
   exp.setup();
-  for (int r = 0; r < 2; ++r) {
-    if (exp.faulted())
-      exp.run_churn_round();
-    else
-      exp.run_round();
-  }
+  for (int r = 0; r < 2; ++r) exp.run_round();
   return test_digest::fnv1a64(exp.save_checkpoint());
 }
 
@@ -373,7 +365,7 @@ TEST(Checkpoint, RestoreRejectsConfigMismatch) {
   auto faulted_cfg = checkpoint_config(true);
   TrustExperiment faulted_exp{faulted_cfg};
   faulted_exp.setup();
-  faulted_exp.run_churn_round();
+  faulted_exp.run_round();
   const auto faulted_bytes = faulted_exp.save_checkpoint();
   auto pristine_cfg = checkpoint_config(false);
   pristine_cfg.seed = faulted_cfg.seed;
@@ -409,7 +401,7 @@ TEST(Checkpoint, RestoreThrowsOnlyCheckpointErrorUnderBitFlips) {
   config.num_liars = 2;
   TrustExperiment exp{config};
   exp.setup();
-  exp.run_churn_round();
+  exp.run_round();
   const auto bytes = exp.save_checkpoint();
   std::size_t rejected = 0;
   for (std::size_t at = 0; at < bytes.size(); at += 193) {
@@ -845,7 +837,7 @@ TEST(Checkpoint, RestoreRejectsUnorderedFaultInjectorNodes) {
   exp.setup();
   const auto& injector = *exp.injector();
   for (int r = 0; r < 8 && injector.down_count() == 0; ++r)
-    exp.run_churn_round();
+    exp.run_round();
   ASSERT_EQ(injector.down_count(), 1u);
   const auto bytes = exp.save_checkpoint();
   using Down = std::vector<std::pair<net::NodeId, sim::Time>>;

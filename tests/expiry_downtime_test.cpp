@@ -38,13 +38,13 @@ TEST(ExpiryDowntime, DownNodeAgesOutOfTablesAndTrustKeepsDecaying) {
   // t = 15 + 5k seconds. Round 1 ends right at the crash instant; its
   // trust snapshot is the pre-decay baseline (the round's investigation
   // ran before t=20 s, while the victim could still answer).
-  const auto r1 = exp.run_churn_round();
+  const auto r1 = exp.run_round();
   const double trust_before = r1.trust.at(victim);
 
   auto& investigator = exp.network().agent(0);
 
   TrustExperiment::RoundSnapshot r4;
-  for (int r = 1; r < 4; ++r) r4 = exp.run_churn_round();
+  for (int r = 1; r < 4; ++r) r4 = exp.run_round();
   // Four rounds in: t ≥ 35 s, the victim has been dark for ≥ 15 s — past
   // every OLSR hold time (links ~6 s, TC topology ~15 s). Round 5 is too
   // late to observe the downtime: its false-conviction probe of the corpse
@@ -71,7 +71,7 @@ TEST(ExpiryDowntime, DownNodeAgesOutOfTablesAndTrustKeepsDecaying) {
   // re-learned end to end: link, neighbor entry, route, and the up-aware
   // convergence criterion includes it again.
   TrustExperiment::RoundSnapshot last;
-  for (int r = 4; r < 11; ++r) last = exp.run_churn_round();
+  for (int r = 4; r < 11; ++r) last = exp.run_round();
   EXPECT_EQ(last.down, 0u);
   EXPECT_TRUE(last.converged);
   const auto later = exp.network().now();
@@ -87,7 +87,7 @@ TEST(ExpiryDowntime, VictimRoutesToPeersAgainAfterRestart) {
   TrustExperiment exp{downtime_config()};
   exp.setup();
   TrustExperiment::RoundSnapshot last;
-  for (int r = 0; r < 11; ++r) last = exp.run_churn_round();
+  for (int r = 0; r < 11; ++r) last = exp.run_round();
   ASSERT_TRUE(last.converged);
 
   auto& victim_agent = exp.network().agent(kVictim);
@@ -110,7 +110,7 @@ TEST(ExpiryDowntime, AmnesiacRestartColdTablesAlsoReconverge) {
   TrustExperiment exp{c};
   exp.setup();
   TrustExperiment::RoundSnapshot last;
-  for (int r = 0; r < 11; ++r) last = exp.run_churn_round();
+  for (int r = 0; r < 11; ++r) last = exp.run_round();
   EXPECT_EQ(last.down, 0u);
   EXPECT_TRUE(last.converged);
   EXPECT_TRUE(

@@ -146,7 +146,7 @@ TEST(FaultsGolden, ShardedFaultedRunIsEngineThreadInvariant) {
     std::ostringstream out;
     out.precision(17);  // full doubles: equality means bit-equal state
     for (int r = 0; r < 8; ++r) {
-      const auto s = exp.run_churn_round();
+      const auto s = exp.run_round();
       out << s.round << ' ' << s.at.us() << ' ' << s.detect << ' '
           << static_cast<int>(s.verdict) << ' ' << s.down << ' '
           << s.suppressed << ' ' << s.false_convictions << ' '

@@ -174,7 +174,7 @@ TEST(ForwardingAuditor, PersistRestoreCarriesPendingFloods) {
 
 // --- grayhole behavioural equivalence -------------------------------------
 
-TrustExperiment::Config grayhole_config(std::uint64_t seed, int rounds,
+TrustExperiment::Config grayhole_config(std::uint64_t seed,
                                         double drop_fraction = 1.0,
                                         std::size_t liars = 0) {
   TrustExperiment::Config config;
@@ -183,7 +183,6 @@ TrustExperiment::Config grayhole_config(std::uint64_t seed, int rounds,
   config.seed = seed;
   config.num_nodes = 16;
   config.num_liars = liars;
-  config.rounds = rounds;
   return config;
 }
 
@@ -202,11 +201,12 @@ TEST(GrayholeEquivalence, FiftySeedsReplayByteIdentically) {
   // stream (now carrying kForwardAudit frames) fed into a fresh pipeline
   // reproduces the live verdict and trust CSVs byte for byte.
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    auto config = grayhole_config(seed, /*rounds=*/3);
+    auto config = grayhole_config(seed);
     config.record_audit = true;
     TrustExperiment exp{config};
     exp.setup();
-    for (int r = 0; r < config.rounds; ++r) exp.run_round();
+    const int rounds = 3;
+    for (int r = 0; r < rounds; ++r) exp.run_round();
     exp.cease_attack();
     exp.run_idle_round();
     const auto live = csvs_of(exp);
@@ -258,13 +258,14 @@ TEST(GrayholeEquivalence, ShardedEngineIsThreadAndShardInvariant) {
     bool first = true;
     for (const auto& [threads, shards] :
          std::vector<std::pair<unsigned, unsigned>>{{1, 2}, {4, 2}, {4, 4}}) {
-      auto config = grayhole_config(seed, /*rounds=*/4);
+      auto config = grayhole_config(seed);
       config.engine = sim::EngineKind::kSharded;
       config.engine_threads = threads;
       config.shards = shards;
       TrustExperiment exp{config};
       exp.setup();
-      for (int r = 0; r < config.rounds; ++r) exp.run_round();
+      const int rounds = 4;
+      for (int r = 0; r < rounds; ++r) exp.run_round();
       const auto run = csvs_of(exp);
       if (first) {
         baseline = run;
@@ -310,7 +311,7 @@ TEST(GrayholeEquivalence, CheckpointRestoreContinuesByteIdentically) {
   // checkpoint_test pins it: post-restore round fingerprints plus the
   // final trust CSV.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto config = grayhole_config(seed, /*rounds=*/6);
+    const auto config = grayhole_config(seed);
 
     TrustExperiment pristine{config};
     pristine.setup();
@@ -340,12 +341,13 @@ TEST(GrayholeEquivalence, FullDropAttackerConvictedLiarsNotwithstanding) {
   // The soundness anchor as a direct assertion (the matrix fixture pins
   // the same property across the grid): a blackhole node is convicted and
   // nobody else ever is, even with a quarter of the bystanders lying.
-  auto config = grayhole_config(7, /*rounds=*/12, 1.0, /*liars=*/4);
+  auto config = grayhole_config(7, 1.0, /*liars=*/4);
   TrustExperiment exp{config};
   exp.setup();
   bool convicted = false;
   std::uint64_t false_convictions = 0;
-  for (int r = 0; r < config.rounds; ++r) {
+  const int rounds = 12;
+  for (int r = 0; r < rounds; ++r) {
     const auto snap = exp.run_round();
     if (snap.verdict == trust::Verdict::kIntruder) convicted = true;
     false_convictions = snap.false_convictions;

@@ -360,7 +360,6 @@ TEST(GoldenGuard, AuditLogIdenticalWithObservabilityOn) {
   const auto record = [](bool observed) {
     scenario::TrustExperiment::Config config;
     config.seed = 7;
-    config.rounds = 3;
     config.record_audit = true;
     obs::Context::Config oc;
     oc.tracing = true;

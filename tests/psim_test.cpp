@@ -165,6 +165,30 @@ TEST(ShardedEngine, RunAsNestsOnTheSameLane) {
   EXPECT_EQ(engine.stats().executed_events, 1u);
 }
 
+// A frame that lands at a host gone down is counted as dropped_down on
+// either engine: Medium::stats() folds every field of the shard lanes'
+// counters, not only the traffic ones.
+TEST(PsimMediumStats, DroppedDownCountsOnBothEngines) {
+  for (const auto engine :
+       {sim::EngineKind::kSequential, sim::EngineKind::kSharded}) {
+    scenario::Network::Config nc;
+    nc.seed = 7;
+    nc.engine = engine;
+    nc.engine_threads = 1;
+    nc.shards = 2;
+    nc.positions = net::grid_layout(16, 50.0);
+    scenario::Network network{std::move(nc)};
+    // n14 transmits; n15 goes down before the frame reaches it.
+    network.run_as(14, [&] {
+      network.medium().broadcast(net::NodeId{14}, net::Bytes{1, 2, 3});
+    });
+    network.medium().set_up(net::NodeId{15}, false);
+    network.run_for(sim::Duration::from_ms(10));
+    EXPECT_EQ(network.medium().stats().dropped_down, 1u)
+        << (engine == sim::EngineKind::kSharded ? "sharded" : "sequential");
+  }
+}
+
 // ------------------------------------------------- invariance contract
 
 runtime::ReplicationTask sharded_task(std::uint64_t seed, unsigned threads,
@@ -244,8 +268,7 @@ std::string run_sharded_spec_per_round(unsigned threads, unsigned shards) {
   for (auto task : spec.expand()) {
     task.engine_threads = threads;
     task.shards = shards;
-    results.push_back(
-        runtime::run_replication(task, spec.trust_params, spec.decision));
+    results.push_back(runtime::run_replication(task));
   }
   const runtime::Aggregator aggregator{0.95};
   return runtime::Aggregator::per_round_csv(aggregator.per_round(results));

@@ -13,7 +13,6 @@ TrustExperiment::Config base_config(std::uint64_t seed = 3) {
   c.seed = seed;
   c.num_nodes = 16;
   c.num_liars = 4;
-  c.rounds = 25;
   return c;
 }
 

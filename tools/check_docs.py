@@ -28,7 +28,8 @@ CODE_SPAN_RE = re.compile(r"`[^`]*`")
 ANCHOR_RE = re.compile(r"\(((?:\.\./)?(?:src|tests|tools|bench)/[\w/.-]+\.(?:cpp|hpp))#L(\d+)\)")
 LABELLED_RE = re.compile(r"\[([\w/.-]+):(\d+)\]\((?:\.\./)?([\w/.-]+)#L(\d+)\)")
 ANCHOR_SLACK = 3  # lines of drift tolerated before a symbol anchor fails
-DOC_DIRS = ["src/net", "src/sim", "src/psim", "src/obs"]
+DOC_DIRS = ["src/net", "src/sim", "src/psim", "src/obs", "src/scenario",
+            "src/runtime"]
 DECL_RE = re.compile(
     r"^(?:template\s*<[^>]*>\s*)?(class|struct)\s+([A-Z]\w+)"
     r"(?:\s+final)?\s*(?::[^;{]*)?\{")

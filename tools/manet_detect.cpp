@@ -226,6 +226,12 @@ int cmd_record(const Args& args) {
     std::fprintf(stderr, "manet_detect record: --out is required\n");
     return 1;
   }
+  if (args.rounds < 0 || args.idle < 0) {
+    std::fprintf(stderr,
+                 "manet_detect record: --rounds and --idle must not be "
+                 "negative\n");
+    return 1;
+  }
   // The metrics registry records for the whole live run; the pipeline
   // counters it collects are the same ones cmd_replay collects from the
   // recorded stream, so the two snapshots are directly diffable.
@@ -236,56 +242,64 @@ int cmd_record(const Args& args) {
   config.seed = args.seed;
   config.num_nodes = args.nodes;
   config.num_liars = args.liars;
-  config.rounds = args.rounds;
   config.record_audit = true;
   if (args.attack == "grayhole") {
     config.attack = scenario::TrustExperiment::AttackKind::kGrayhole;
     config.drop_fraction = args.drop_fraction;
   }
 
-  scenario::TrustExperiment exp{config};
-  exp.setup();
-  exp.run_attack_rounds(args.rounds);
-  exp.cease_attack();
-  for (int i = 0; i < args.idle; ++i) exp.run_idle_round();
-  // Flush log lines recorded after the last scan into the live pipeline so
-  // its kPipelineLines counter covers the same frames a replay consumes.
-  // Pure liveness-map bookkeeping — no RNG, trust, or audit-log effects.
-  exp.detector().feed_log_growth();
+  try {
+    scenario::TrustExperiment exp{config};
+    exp.setup();
+    exp.run_attack_rounds(args.rounds);
+    exp.cease_attack();
+    for (int i = 0; i < args.idle; ++i) exp.run_idle_round();
+    // Flush log lines recorded after the last scan into the live pipeline
+    // so its kPipelineLines counter covers the same frames a replay
+    // consumes. Pure liveness-map bookkeeping — no RNG, trust, or audit-log
+    // effects.
+    exp.detector().feed_log_growth();
 
-  const auto bytes = exp.audit_log();
-  if (!write_file(args.out, bytes.data(), bytes.size())) {
-    std::fprintf(stderr, "manet_detect record: cannot write %s\n",
-                 args.out.c_str());
-    return 1;
-  }
-  if (!args.verdicts.empty() &&
-      !write_file(args.verdicts, core::verdict_csv(exp.detector().reports()))) {
-    std::fprintf(stderr, "manet_detect record: cannot write %s\n",
-                 args.verdicts.c_str());
-    return 1;
-  }
-  if (!args.trust.empty() &&
-      !write_file(args.trust, core::trust_csv(exp.detector().trust_store()))) {
-    std::fprintf(stderr, "manet_detect record: cannot write %s\n",
-                 args.trust.c_str());
-    return 1;
-  }
-  if (!args.metrics.empty()) {
-    const auto snap = obs_ctx.snapshot();
-    const auto manifest = detect_manifest("record", args);
-    if (!write_file(args.metrics,
-                    snap.to_prometheus(manifest.comment_header()))) {
+    const auto bytes = exp.audit_log();
+    if (!write_file(args.out, bytes.data(), bytes.size())) {
       std::fprintf(stderr, "manet_detect record: cannot write %s\n",
-                   args.metrics.c_str());
+                   args.out.c_str());
       return 1;
     }
+    if (!args.verdicts.empty() &&
+        !write_file(args.verdicts,
+                    core::verdict_csv(exp.detector().reports()))) {
+      std::fprintf(stderr, "manet_detect record: cannot write %s\n",
+                   args.verdicts.c_str());
+      return 1;
+    }
+    if (!args.trust.empty() &&
+        !write_file(args.trust,
+                    core::trust_csv(exp.detector().trust_store()))) {
+      std::fprintf(stderr, "manet_detect record: cannot write %s\n",
+                   args.trust.c_str());
+      return 1;
+    }
+    if (!args.metrics.empty()) {
+      const auto snap = obs_ctx.snapshot();
+      const auto manifest = detect_manifest("record", args);
+      if (!write_file(args.metrics,
+                      snap.to_prometheus(manifest.comment_header()))) {
+        std::fprintf(stderr, "manet_detect record: cannot write %s\n",
+                     args.metrics.c_str());
+        return 1;
+      }
+    }
+    std::fprintf(stderr,
+                 "recorded %zu bytes (%d rounds + %d idle, seed %llu) to %s\n",
+                 bytes.size(), args.rounds, args.idle,
+                 static_cast<unsigned long long>(args.seed), args.out.c_str());
+    return 0;
+  } catch (const std::exception& e) {
+    // A config the experiment refuses (too few nodes, too many liars).
+    std::fprintf(stderr, "manet_detect record: %s\n", e.what());
+    return 1;
   }
-  std::fprintf(stderr,
-               "recorded %zu bytes (%d rounds + %d idle, seed %llu) to %s\n",
-               bytes.size(), args.rounds, args.idle,
-               static_cast<unsigned long long>(args.seed), args.out.c_str());
-  return 0;
 }
 
 int cmd_replay(const Args& args) {

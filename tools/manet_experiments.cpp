@@ -93,8 +93,6 @@ observability (see docs/ARCHITECTURE.md, "Observability")
                         flight recorders and dump Chrome trace_event JSON
                         (chrome://tracing / Perfetto; pid = task index,
                         tid = shard lane). Written on failure exits too.
-  --trace-wallclock     profiling overlay: stamp wall-clock durations on
-                        trace events (non-deterministic; off by default)
 )");
 }
 
@@ -370,8 +368,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = need_value(i++);
       ok = !trace_path.empty();
-    } else if (arg == "--trace-wallclock") {
-      spec.trace_wallclock = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -388,10 +384,6 @@ int main(int argc, char** argv) {
   spec.seeds = runtime::ExperimentSpec::seed_range(seed_base, num_seeds);
   spec.metrics = !metrics_path.empty();
   spec.tracing = !trace_path.empty();
-  if (spec.trace_wallclock && trace_path.empty()) {
-    std::fprintf(stderr, "error: --trace-wallclock needs --trace FILE\n");
-    return 2;
-  }
 
   if (degradation && !spec.chaos && spec.fault_plan.empty()) {
     std::fprintf(stderr,
