@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "mpr_reference.hpp"
 #include "olsr/mpr_selection.hpp"
@@ -229,12 +230,16 @@ TEST_P(MprProperty, CoverageInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MprProperty,
                          ::testing::Range<std::uint64_t>(1, 40));
 
-// select_mprs against the naive model on small random neighborhoods:
-// WILL_ALWAYS and WILL_NEVER members, vias missing from N, members reaching
-// nothing, 2-hop nodes only vias outside N reach, rows copied from their
-// predecessor (exact ties on gain, and on willingness when the level range
-// is narrow, down to the id tie-break), pruning on and off — all through
-// one MprScratch reused across every call.
+// select_mprs against the naive model on random neighborhoods: WILL_ALWAYS
+// and WILL_NEVER members, vias missing from N, members reaching nothing,
+// 2-hop nodes only vias outside N reach, rows copied from their predecessor
+// (exact ties on gain, and on willingness when the level range is narrow,
+// down to the id tie-break), pruning on and off. Most trials are small
+// (at most 8 vias and 10 2-hops); every 20th is large (60-90 vias, 100-300
+// 2-hops at a random density, so a 2-hop set spans several 64-bit words).
+// 2-hop ids mix small values with ids above 4096 and near 2^32, and one
+// MprScratch serves every call, so state a large run leaves behind is read
+// by the small run after it.
 class MprReference : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MprReference, MatchesNaiveModel) {
@@ -242,12 +247,30 @@ TEST_P(MprReference, MatchesNaiveModel) {
   const std::vector<Willingness> levels{
       Willingness::kNever, Willingness::kLow, Willingness::kDefault,
       Willingness::kHigh, Willingness::kAlways};
+  // 2-hop x's id: small, above 4096, or near the top of the id range.
+  const auto two_hop_id = [&](std::uint32_t x) {
+    switch (rng.uniform_int(0, 2)) {
+      case 0: return n(100 + x);
+      case 1: return n(4096 + 977 * x);
+      default: return n(0xFFFFFFFFu - x);
+    }
+  };
   MprScratch scratch;
   std::vector<NodeId> out{n(77)};  // stale content must be replaced
   std::size_t id_ties = 0;
+  std::size_t large_trials = 0;
+  std::size_t max_two_hops = 0;
   for (int trial = 0; trial < 2000; ++trial) {
-    const auto vias = static_cast<std::uint32_t>(rng.uniform_int(0, 8));
-    const auto two_hops = static_cast<std::uint32_t>(rng.uniform_int(0, 10));
+    const bool large = trial % 20 == 10;
+    large_trials += large;
+    const auto vias = static_cast<std::uint32_t>(
+        large ? rng.uniform_int(60, 90) : rng.uniform_int(0, 8));
+    const auto two_hops = static_cast<std::uint32_t>(
+        large ? rng.uniform_int(100, 300) : rng.uniform_int(0, 10));
+    // A row holds each 2-hop with probability 1/density.
+    const auto density = large ? rng.uniform_int(2, 40) : 3;
+    std::vector<NodeId> ids;
+    for (std::uint32_t x = 0; x < two_hops; ++x) ids.push_back(two_hop_id(x));
     const auto lo = rng.uniform_int(0, 4);
     const auto hi = std::min<std::int64_t>(4, lo + rng.uniform_int(0, 2));
     reference::Neighbors nbrs;
@@ -263,9 +286,12 @@ TEST_P(MprReference, MatchesNaiveModel) {
                    nbrs[n(y)] == nbrs[n(y - 1)] && !row.empty();
         continue;
       }
-      for (std::uint32_t x = 0; x < two_hops; ++x)
-        if (rng.uniform_int(0, 2) == 0) row.insert(n(100 + x));
+      for (const auto id : ids)
+        if (rng.uniform_int(1, density) == 1) row.insert(id);
     }
+    std::set<NodeId> n2;
+    for (const auto& [y, nodes] : reach) n2.insert(nodes.begin(), nodes.end());
+    max_two_hops = std::max(max_two_hops, n2.size());
     MprInputs in;
     in.neighbors.assign(nbrs.begin(), nbrs.end());
     in.reach = reference::flat(reach);
@@ -278,6 +304,8 @@ TEST_P(MprReference, MatchesNaiveModel) {
     }
   }
   EXPECT_GT(id_ties, 0u);  // the generator does reach the last tie-break
+  EXPECT_EQ(large_trials, 100u);
+  EXPECT_GT(max_two_hops, 192u);  // some run spans four words
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MprReference,
