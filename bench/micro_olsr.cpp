@@ -71,7 +71,13 @@ static void BM_MprSelection(benchmark::State& state) {
     benchmark::DoNotOptimize(olsr::select_mprs(in));
   }
 }
-BENCHMARK(BM_MprSelection)->Args({8, 20})->Args({16, 60})->Args({32, 200});
+// {63, 63} is the paper's N=64 full mesh while OLSR converges: every
+// other node is a via, and the 2-hop set is as large as the mesh.
+BENCHMARK(BM_MprSelection)
+    ->Args({8, 20})
+    ->Args({16, 60})
+    ->Args({32, 200})
+    ->Args({63, 63});
 
 static void BM_RoutingRecompute(benchmark::State& state) {
   const auto g = random_graph(static_cast<std::size_t>(state.range(0)), 4, 7);

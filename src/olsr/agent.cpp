@@ -743,20 +743,27 @@ void Agent::maybe_recompute_mprs() {
 
 void Agent::recompute_mprs() {
   // The heuristic is a pure function of N and the reach rows: with both
-  // as at its last run, it would reproduce mprs_.
+  // as at its last run, it would reproduce mprs_. N pairs each symmetric
+  // link with its neighbor's willingness in one walk (both ascend by id).
   links_.symmetric_neighbors(sim_.now(), sym_scratch_);
   auto& n_now = mpr_neighbors_scratch_;
   n_now.clear();
-  for (auto n : sym_scratch_)
-    n_now.emplace_back(n, neighbors_.willingness_of(n));
+  const auto& tuples = neighbors_.neighbor_tuples();
+  auto t = tuples.begin();
+  for (auto n : sym_scratch_) {
+    while (t != tuples.end() && t->id < n) ++t;
+    n_now.emplace_back(n, t != tuples.end() && t->id == n
+                              ? t->willingness
+                              : Willingness::kDefault);
+  }
   if (neighbors_.rows_stamp() == mpr_rows_stamp_ && n_now == mpr_neighbors_)
     return;
   mpr_neighbors_.swap(n_now);
   mpr_rows_stamp_ = neighbors_.rows_stamp();
 
   obs::hit(obs::Hot::kMprRuns);
-  select_mprs(mpr_neighbors_, neighbors_.reach_rows(),
-              /*prune_redundant=*/false, mpr_scratch_, fresh_mprs_);
+  select_mprs(mpr_neighbors_, neighbors_.reach_rows(), mpr_scratch_,
+              fresh_mprs_);
   if (fresh_mprs_ == mprs_) return;
 
   std::vector<NodeId> added, removed;

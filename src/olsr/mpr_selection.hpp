@@ -34,19 +34,29 @@ struct MprInputs {
 };
 
 /// Reusable working memory for select_mprs, so the per-HELLO path does not
-/// allocate in steady state. The pass never sorts: it indexes the strict
-/// 2-hop nodes once, by merging the already-sorted rows, and then works on
-/// flat arrays — each row as 2-hop indices, a provider count per 2-hop
-/// node, and covered/chosen flags.
+/// allocate in steady state. A run numbers the strict 2-hop nodes in the
+/// order the rows first list them, through an open-addressed id -> number
+/// table, and holds each row as a bit row over that numbering: sole
+/// providers, coverage and greedy gains are then word operations. Each
+/// Agent owns one; nothing is shared between instances.
 struct MprScratch {
-  std::vector<NodeId> two_hops;          // union of the rows, ascending
-  std::vector<NodeId> merged;            // merge staging
-  std::vector<std::size_t> runs;         // merge run bounds
-  std::vector<std::uint32_t> cells;      // rows back to back, as indices
-  std::vector<std::size_t> row_at;       // row r is cells[row_at[r], row_at[r+1])
-  std::vector<std::uint32_t> providers;  // per 2-hop node: rows reaching it
-  std::vector<std::uint8_t> uncovered;   // per 2-hop node
-  std::vector<std::uint8_t> chosen;      // per row
+  /// One entry of the id -> number table, live only while `run` is the
+  /// current run, so a run starts without clearing the table.
+  struct Slot {
+    std::uint64_t run = 0;
+    NodeId id;
+    std::uint32_t number = 0;
+  };
+  std::vector<Slot> slots;             // power-of-two size, at most half full
+  std::uint64_t run = 0;               // stamp of the current run
+  std::vector<NodeId> two_hops;        // number -> id
+  std::vector<std::uint32_t> cells;    // rows back to back, as numbers
+  std::vector<std::uint64_t> bits;     // row r is words [r*W, (r+1)*W)
+  std::vector<std::uint64_t> masks;    // seen once | seen twice | uncovered
+  std::vector<Willingness> will;       // per row
+  std::vector<std::uint8_t> chosen;    // per row
+  std::vector<std::size_t> bound;      // per row: its gain can be no more
+  std::vector<NodeId> always;          // WILL_ALWAYS members without a row
 };
 
 /// RFC 3626 §8.3.1 heuristic:
@@ -56,19 +66,18 @@ struct MprScratch {
 ///     reachability (number of still-uncovered 2-hop nodes), ties broken by
 ///     higher willingness, then larger total reach (degree), then lower id
 ///     (for determinism).
-/// An optional final pass drops redundant MPRs (coverage preserved).
-/// The result is sorted ascending.
-std::vector<NodeId> select_mprs(const MprInputs& inputs,
-                                bool prune_redundant = false);
+/// A via missing from `neighbors` counts as WILL_DEFAULT. The result is
+/// sorted ascending.
+std::vector<NodeId> select_mprs(const MprInputs& inputs);
 
 /// Scratch-buffer variant: `out` is replaced with the selected set.
-void select_mprs(const MprInputs& inputs, bool prune_redundant,
-                 MprScratch& scratch, std::vector<NodeId>& out);
+void select_mprs(const MprInputs& inputs, MprScratch& scratch,
+                 std::vector<NodeId>& out);
 /// The same over both lists read in place (the Agent passes
 /// NeighborTable's maintained reach rows, uncopied).
 void select_mprs(std::span<const MprNeighbor> neighbors,
-                 std::span<const ReachRow> reach, bool prune_redundant,
-                 MprScratch& scratch, std::vector<NodeId>& out);
+                 std::span<const ReachRow> reach, MprScratch& scratch,
+                 std::vector<NodeId>& out);
 
 /// True if `mprs` (sorted ascending) covers every strict 2-hop node of
 /// `inputs` — the safety property the paper's attack breaks from the

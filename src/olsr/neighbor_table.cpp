@@ -80,16 +80,6 @@ std::vector<NodeId> NeighborTable::symmetric_neighbors() const {
   return out;
 }
 
-Willingness NeighborTable::willingness_of(NodeId id) const {
-  const auto* t = find(id);
-  return t == nullptr ? Willingness::kDefault : t->willingness;
-}
-
-bool NeighborTable::is_symmetric_neighbor(NodeId id) const {
-  const auto* t = find(id);
-  return t != nullptr && t->symmetric;
-}
-
 std::span<const NodeId> NeighborTable::two_hop_ids(NodeId via) const {
   const auto it = lower_row(two_hops_, via);
   if (it == two_hops_.end() || it->via != via) return {};
@@ -200,8 +190,15 @@ void NeighborTable::refresh_row(NodeId via) {
   scratch_.clear();
   const auto* nb = find(via);
   if (nb != nullptr && can_relay(*nb)) {
-    for (const auto th : two_hop_ids(via))
-      if (th != self_ && !is_symmetric_neighbor(th)) scratch_.push_back(th);
+    // The 2-hop ids and the neighbor slab both ascend: one walk drops the
+    // symmetric neighbors.
+    auto t = neighbors_.begin();
+    for (const auto th : two_hop_ids(via)) {
+      while (t != neighbors_.end() && t->id < th) ++t;
+      const bool symmetric = t != neighbors_.end() && t->id == th &&
+                             t->symmetric;
+      if (th != self_ && !symmetric) scratch_.push_back(th);
+    }
   }
   auto it = std::lower_bound(rows_.begin(), rows_.end(), via, before_via);
   const bool present = it != rows_.end() && it->first == via;

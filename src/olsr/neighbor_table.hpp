@@ -65,7 +65,6 @@ class NeighborTable {
   void remove_neighbor(NodeId id, EdgeDelta* delta = nullptr);
   std::optional<NeighborTuple> neighbor(NodeId id) const;
   std::vector<NodeId> symmetric_neighbors() const;
-  Willingness willingness_of(NodeId id) const;
 
   /// Replaces the set of 2-hop neighbors advertised by `via` (the
   /// paper-relevant part: this is exactly the content an attacker forges),
@@ -120,7 +119,6 @@ class NeighborTable {
   };
 
   const NeighborTuple* find(NodeId id) const;
-  bool is_symmetric_neighbor(NodeId id) const;
   /// The 2-hop ids `via` advertises (empty when it has no row).
   std::span<const NodeId> two_hop_ids(NodeId via) const;
 

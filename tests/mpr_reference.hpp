@@ -50,10 +50,9 @@ inline Reach reach_rows(NodeId self, const std::vector<NeighborTuple>& nbrs,
   return out;
 }
 
-/// The RFC heuristic, steps 1-4, plus the optional redundancy removal.
-/// Neighbors with a reach entry but missing from N count as WILL_DEFAULT.
-inline std::set<NodeId> select(const Neighbors& n, const Reach& reach,
-                               bool prune) {
+/// The RFC heuristic, steps 1-4. Neighbors with a reach entry but missing
+/// from N count as WILL_DEFAULT.
+inline std::set<NodeId> select(const Neighbors& n, const Reach& reach) {
   const auto will = [&](NodeId y) {
     const auto it = n.find(y);
     return it == n.end() ? Willingness::kDefault : it->second;
@@ -102,20 +101,6 @@ inline std::set<NodeId> select(const Neighbors& n, const Reach& reach,
     }
     if (!best) break;
     mprs.insert(*best);
-  }
-  // 5. Redundancy removal, lowest willingness (then lowest id) first:
-  // drop a non-WILL_ALWAYS member if the rest still cover N2.
-  if (prune) {
-    std::vector<NodeId> order(mprs.begin(), mprs.end());
-    std::ranges::stable_sort(order, [&](NodeId a, NodeId b) {
-      return static_cast<int>(will(a)) < static_cast<int>(will(b));
-    });
-    for (const auto y : order) {
-      if (will(y) == Willingness::kAlways) continue;
-      auto trial = mprs;
-      trial.erase(y);
-      if (std::ranges::includes(covered_by(trial), n2)) mprs = trial;
-    }
   }
   return mprs;
 }

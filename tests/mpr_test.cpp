@@ -120,20 +120,6 @@ TEST(MprSelection, UnreachableTwoHopDoesNotLoopForever) {
   EXPECT_TRUE(contains(mprs, n(1)));
 }
 
-TEST(MprSelection, PruneRemovesRedundant) {
-  MprInputs in;
-  for (std::uint32_t i = 1; i <= 3; ++i)
-    set_will(in, n(i), Willingness::kDefault);
-  // n1 covers everything; n2/n3 cover subsets.
-  add_reach(in, n(1), n(10));
-  add_reach(in, n(1), n(11));
-  add_reach(in, n(2), n(10));
-  add_reach(in, n(3), n(11));
-  auto pruned = select_mprs(in, /*prune_redundant=*/true);
-  EXPECT_TRUE(covers_all_two_hops(in, pruned));
-  EXPECT_EQ(pruned.size(), 1u);
-}
-
 TEST(MprSelection, CoversAllTwoHopsDetectsGaps) {
   MprInputs in;
   set_will(in, n(1), Willingness::kDefault);
@@ -173,16 +159,13 @@ TEST(MprSelection, ScratchOverloadMatchesPlain) {
   add_reach(in, n(3), n(12));
   MprScratch scratch;
   std::vector<NodeId> out{n(77)};  // stale content must be cleared
-  select_mprs(in, /*prune_redundant=*/false, scratch, out);
+  select_mprs(in, scratch, out);
   EXPECT_EQ(out, select_mprs(in));
-  select_mprs(in, /*prune_redundant=*/true, scratch, out);
-  EXPECT_EQ(out, select_mprs(in, /*prune_redundant=*/true));
 }
 
 // Property sweep: for random neighborhoods, the selected MPR set always
-// covers every strict 2-hop node, never includes WILL_NEVER-excluded
-// entries (the caller drops them from reach), and pruning preserves
-// coverage while never enlarging the set.
+// covers every strict 2-hop node and never includes WILL_NEVER-excluded
+// entries (the caller drops them from reach).
 class MprProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MprProperty, CoverageInvariants) {
@@ -215,16 +198,6 @@ TEST_P(MprProperty, CoverageInvariants) {
         [](const auto& p, NodeId v) { return p.first < v; });
     EXPECT_TRUE(it != in.neighbors.end() && it->first == m);
   }
-
-  const auto pruned = select_mprs(in, /*prune_redundant=*/true);
-  EXPECT_TRUE(covers_all_two_hops(in, pruned));
-  EXPECT_LE(pruned.size(), mprs.size());
-  // WILL_ALWAYS members survive pruning.
-  for (const auto& [id, w] : in.neighbors) {
-    if (w == Willingness::kAlways && contains(mprs, id)) {
-      EXPECT_TRUE(contains(pruned, id));
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MprProperty,
@@ -234,9 +207,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MprProperty,
 // and WILL_NEVER members, vias missing from N, members reaching nothing,
 // 2-hop nodes only vias outside N reach, rows copied from their predecessor
 // (exact ties on gain, and on willingness when the level range is narrow,
-// down to the id tie-break), pruning on and off. Most trials are small
-// (at most 8 vias and 10 2-hops); every 20th is large (60-90 vias, 100-300
-// 2-hops at a random density, so a 2-hop set spans several 64-bit words).
+// down to the id tie-break). Most trials are small (at most 8 vias and 10
+// 2-hops); every 20th is large (60-90 vias, 100-300 2-hops at a random
+// density, so a 2-hop set spans several 64-bit words).
 // 2-hop ids mix small values with ids above 4096 and near 2^32, and one
 // MprScratch serves every call, so state a large run leaves behind is read
 // by the small run after it.
@@ -295,13 +268,11 @@ TEST_P(MprReference, MatchesNaiveModel) {
     MprInputs in;
     in.neighbors.assign(nbrs.begin(), nbrs.end());
     in.reach = reference::flat(reach);
-    for (const bool prune : {false, true}) {
-      const auto model = reference::select(nbrs, reach, prune);
-      const std::vector<NodeId> expected(model.begin(), model.end());
-      select_mprs(in, prune, scratch, out);
-      ASSERT_EQ(out, expected) << "trial " << trial << " prune " << prune;
-      ASSERT_EQ(select_mprs(in, prune), expected) << "trial " << trial;
-    }
+    const auto model = reference::select(nbrs, reach);
+    const std::vector<NodeId> expected(model.begin(), model.end());
+    select_mprs(in, scratch, out);
+    ASSERT_EQ(out, expected) << "trial " << trial;
+    ASSERT_EQ(select_mprs(in), expected) << "trial " << trial;
   }
   EXPECT_GT(id_ties, 0u);  // the generator does reach the last tie-break
   EXPECT_EQ(large_trials, 100u);

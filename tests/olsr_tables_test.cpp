@@ -146,7 +146,7 @@ TEST(NeighborTable, UpsertAndRemove) {
   // A verbatim repeat changes nothing.
   EXPECT_FALSE(nt.upsert_neighbor(NodeId{1}, Willingness::kHigh, true));
   ASSERT_TRUE(nt.neighbor(NodeId{1}).has_value());
-  EXPECT_EQ(nt.willingness_of(NodeId{1}), Willingness::kHigh);
+  EXPECT_EQ(nt.neighbor(NodeId{1})->willingness, Willingness::kHigh);
   EXPECT_EQ(nt.symmetric_neighbors(), (std::vector<NodeId>{NodeId{1}}));
   nt.remove_neighbor(NodeId{1});
   EXPECT_FALSE(nt.neighbor(NodeId{1}).has_value());
@@ -1115,8 +1115,7 @@ TEST_P(SlabEquivalence, IncrementalMprMatchesReference) {
     reference::Neighbors n;
     for (const auto y : agent.links().symmetric_neighbors(now))
       n[y] = will.contains(y) ? will[y] : Willingness::kDefault;
-    const auto expected =
-        reference::select(n, rows, /*prune_redundant=*/false);
+    const auto expected = reference::select(n, rows);
     ASSERT_EQ(agent.mpr_set(),
               std::vector<NodeId>(expected.begin(), expected.end()))
         << "step " << step;

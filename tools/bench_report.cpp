@@ -12,7 +12,7 @@
 // workloads), and the observability-layer gauges (disabled and enabled
 // counter record, span record, registry snapshot) — with repeated runs and
 // median aggregates, and
-// writes the results to BENCH_23.json: the current point of this repo's
+// writes the results to BENCH_27.json: the current point of this repo's
 // recorded perf trajectory (see docs/BENCHMARKING.md for the whole series
 // and its comparability rules; tools/bench_diff.py prints median deltas
 // between consecutive BENCH_N files).
@@ -29,7 +29,7 @@
 int main(int argc, char** argv) {
   std::vector<std::string> args = {
       argv[0],
-      "--benchmark_out=BENCH_23.json",
+      "--benchmark_out=BENCH_27.json",
       "--benchmark_out_format=json",
       "--benchmark_repetitions=5",
       "--benchmark_report_aggregates_only=true",

@@ -21,7 +21,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,7 +53,8 @@ record options (live run with audit recording)
   --rounds N        attack investigation rounds (default 12)
   --idle N          idle decay rounds after the attack ceases (default 4)
   --attack KIND     spoof (default) or grayhole (forwarding-audit workload)
-  --drop-fraction F grayhole drop probability (default 1.0 = blackhole)
+  --drop-fraction F grayhole drop probability in [0, 1] (default 1.0 =
+                    blackhole)
   --verdicts FILE   also dump the live run's verdict CSV
   --trust FILE      also dump the live run's final trust CSV
 
@@ -143,6 +147,34 @@ struct Args {
   int idle = 4;
 };
 
+// Whole-string number parses: a value with trailing characters, or no
+// digits, is refused rather than read as its longest numeric prefix.
+bool parse_u64(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  errno = 0;
+  char* rest = nullptr;
+  out = std::strtoull(text, &rest, 10);
+  return *rest == '\0' && errno == 0;
+}
+
+bool parse_int(const char* text, int& out) {
+  const char* digits = text[0] == '-' ? text + 1 : text;
+  if (!std::isdigit(static_cast<unsigned char>(digits[0]))) return false;
+  errno = 0;
+  char* rest = nullptr;
+  const long value = std::strtol(text, &rest, 10);
+  if (*rest != '\0' || errno != 0 || value < INT_MIN || value > INT_MAX)
+    return false;
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool parse_f64(const char* text, double& out) {
+  char* rest = nullptr;
+  out = std::strtod(text, &rest);
+  return rest != text && *rest == '\0';
+}
+
 bool parse_args(int argc, char** argv, Args& args) {
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -154,6 +186,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       return argv[++i];
     };
     const char* v = nullptr;
+    auto bad_value = [&] {
+      std::fprintf(stderr, "manet_detect: bad value for %s: '%s'\n",
+                   flag.c_str(), v);
+      return false;
+    };
+    std::uint64_t count = 0;
     if (flag == "--out") {
       if ((v = value()) == nullptr) return false;
       args.out = v;
@@ -171,19 +209,21 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.metrics = v;
     } else if (flag == "--seed") {
       if ((v = value()) == nullptr) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_u64(v, args.seed)) return bad_value();
     } else if (flag == "--nodes") {
       if ((v = value()) == nullptr) return false;
-      args.nodes = std::strtoull(v, nullptr, 10);
+      if (!parse_u64(v, count)) return bad_value();
+      args.nodes = count;
     } else if (flag == "--liars") {
       if ((v = value()) == nullptr) return false;
-      args.liars = std::strtoull(v, nullptr, 10);
+      if (!parse_u64(v, count)) return bad_value();
+      args.liars = count;
     } else if (flag == "--rounds") {
       if ((v = value()) == nullptr) return false;
-      args.rounds = std::atoi(v);
+      if (!parse_int(v, args.rounds)) return bad_value();
     } else if (flag == "--idle") {
       if ((v = value()) == nullptr) return false;
-      args.idle = std::atoi(v);
+      if (!parse_int(v, args.idle)) return bad_value();
     } else if (flag == "--attack") {
       if ((v = value()) == nullptr) return false;
       args.attack = v;
@@ -193,7 +233,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       }
     } else if (flag == "--drop-fraction") {
       if ((v = value()) == nullptr) return false;
-      args.drop_fraction = std::strtod(v, nullptr);
+      // The negated >= form also refuses NaN.
+      if (!parse_f64(v, args.drop_fraction) ||
+          !(args.drop_fraction >= 0.0 && args.drop_fraction <= 1.0))
+        return bad_value();
     } else if (flag == "--help" || flag == "-h") {
       usage();
       std::exit(0);
