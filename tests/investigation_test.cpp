@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/drop.hpp"
+#include "byte_digest.hpp"
 #include "attacks/link_spoofing.hpp"
 #include "core/investigation.hpp"
 #include "net/topology.hpp"
@@ -29,10 +30,16 @@ TEST(InvestigationCodec, QueryRoundTrip) {
   EXPECT_EQ(decoded->subject, q.subject);
   EXPECT_EQ(decoded->claimed_up, true);
   EXPECT_TRUE(is_query(encode_query(q)));
+  // tag, kind, id, suspect, subject, claim; big-endian like the OLSR wire.
+  EXPECT_EQ(test_digest::hex(encode_query(q)),
+            "01" "01" "00003039" "00000007" "00000009" "01");
 }
 
 TEST(InvestigationCodec, AnswerRoundTrip) {
-  for (double e : {-1.0, 0.0, 1.0}) {
+  // tag, id, responder, suspect, subject, then the evidence sign's byte.
+  const std::string fields = "02" "00000037" "00000003" "00000007" "00000009";
+  for (const auto& [e, sign] : {std::pair{-1.0, "02"}, std::pair{0.0, "00"},
+                                std::pair{1.0, "01"}}) {
     LinkAnswer a;
     a.investigation_id = 55;
     a.responder = NodeId{3};
@@ -44,6 +51,7 @@ TEST(InvestigationCodec, AnswerRoundTrip) {
     EXPECT_EQ(decoded->evidence, e);
     EXPECT_EQ(decoded->responder, a.responder);
     EXPECT_FALSE(is_query(encode_answer(a)));
+    EXPECT_EQ(test_digest::hex(encode_answer(a)), fields + sign);
   }
 }
 
@@ -54,6 +62,31 @@ TEST(InvestigationCodec, MalformedRejected) {
   auto bytes = encode_query(LinkQuery{});
   bytes[1] = 99;  // invalid kind
   EXPECT_FALSE(decode_query(bytes).has_value());
+
+  // Every strict prefix and a one-byte extension of each valid payload.
+  const auto short_or_long_rejected = [](std::vector<std::uint8_t> valid,
+                                         const auto& decode) {
+    ASSERT_TRUE(decode(valid).has_value());
+    for (std::size_t n = 0; n < valid.size(); ++n)
+      EXPECT_FALSE(decode({valid.begin(), valid.begin() +
+                                              static_cast<std::ptrdiff_t>(n)})
+                       .has_value())
+          << "prefix of " << n << " bytes";
+    valid.push_back(0);
+    EXPECT_FALSE(decode(valid).has_value()) << "one byte extra";
+  };
+  LinkQuery q;
+  q.investigation_id = 0x01020304;
+  q.kind = QueryKind::kForwarding;
+  q.suspect = NodeId{7};
+  short_or_long_rejected(encode_query(q), decode_query);
+  for (const double e : {-1.0, 0.0, 1.0}) {
+    LinkAnswer a;
+    a.investigation_id = 0x01020304;
+    a.responder = NodeId{3};
+    a.evidence = e;
+    short_or_long_rejected(encode_answer(a), decode_answer);
+  }
 }
 
 Network::Config cluster_config(std::size_t n, std::uint64_t seed = 1) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "byte_digest.hpp"
 #include "olsr/wire.hpp"
 #include "sim/rng.hpp"
 
@@ -272,11 +273,132 @@ TEST(Wire, EmptyPacketRoundTrips) {
   EXPECT_TRUE(back.messages.empty());
 }
 
+// One packet of each message type, with its committed bytes. The round
+// trips above pass under any byte order the writer and the reader agree
+// on; these pin RFC 3626's network byte order and every size field.
+struct PinnedPacket {
+  const char* name;
+  OlsrPacket packet;
+  std::string hex;
+};
+
+Message header_of(MessageType type, sim::Duration vtime, std::uint32_t orig,
+                  std::uint8_t ttl, std::uint8_t hops, std::uint16_t seq) {
+  Message m;
+  m.header.type = type;
+  m.header.vtime = vtime;
+  m.header.originator = NodeId{orig};
+  m.header.ttl = ttl;
+  m.header.hop_count = hops;
+  m.header.seq_num = seq;
+  return m;
+}
+
+std::vector<PinnedPacket> pinned_packets() {
+  const auto secs = [](double s) { return sim::Duration::from_seconds(s); };
+  std::vector<PinnedPacket> out;
+
+  OlsrPacket hello;
+  hello.seq_num = 0x1234;
+  hello.messages.push_back(make_hello_message());
+  hello.messages[0].header.originator = NodeId{0x0A0B0C0D};
+  out.push_back({"hello", hello, ""});
+
+  OlsrPacket tc;
+  tc.seq_num = 0x0102;
+  auto& t = tc.messages.emplace_back(
+      header_of(MessageType::kTc, secs(15.0), 0x00000102, 254, 1, 0xBEEF));
+  t.body = TcMessage{0x03E7, {NodeId{5}, NodeId{0x00010006}, NodeId{7}}};
+  out.push_back({"tc", tc, ""});
+
+  OlsrPacket mid;
+  mid.seq_num = 3;
+  auto& m = mid.messages.emplace_back(
+      header_of(MessageType::kMid, secs(15.0), 3, 255, 0, 0x0203));
+  m.body = MidMessage{{NodeId{30}, NodeId{0x1F000031}}};
+  out.push_back({"mid", mid, ""});
+
+  OlsrPacket hna;
+  hna.seq_num = 4;
+  auto& h = hna.messages.emplace_back(
+      header_of(MessageType::kHna, secs(15.0), 3, 255, 0, 0x0304));
+  h.body = HnaMessage{{{0x00000000u, 0}, {0x0A000000u, 8}, {0xC0A80101u, 32}}};
+  out.push_back({"hna", hna, ""});
+
+  OlsrPacket data;
+  data.seq_num = 0xABCD;
+  auto& d = data.messages.emplace_back(
+      header_of(MessageType::kData, secs(6.0), 1, 64, 2, 0x0405));
+  DataMessage body;
+  body.source = NodeId{1};
+  body.destination = NodeId{0x00000109};
+  body.route = {NodeId{4}, NodeId{0x00000109}};
+  body.trace = {NodeId{1}, NodeId{0x00020003}, NodeId{4}};
+  body.protocol = 0x4A01;
+  body.payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
+  d.body = body;
+  out.push_back({"data", data, ""});
+  return out;
+}
+
+TEST(Wire, PacketBytesArePinned) {
+  // Packet header (length, seq), message header (type, vtime, size,
+  // originator, ttl, hop count, seq), then the body.
+  const std::vector<std::string> expected{
+      // HELLO: reserved, htime 2 s, willingness 6; link codes 0x01, 0x06,
+      // 0x0a ascending, each with reserved, size and addresses.
+      "00301234"
+      "0186002c0a0b0c0d0100004d"
+      "00000506"
+      "0100000800000009"
+      "0600000c0000000300000004"
+      "0a00000800000002",
+      // TC: ANSN, reserved, advertised addresses.
+      "00200102"
+      "02e7001c00000102fe01beef"
+      "03e70000000000050001000600000007",
+      // MID: interface addresses.
+      "00180003"
+      "03e7001400000003ff000203"
+      "0000001e1f000031",
+      // HNA: (network, mask) for prefixes 0, 8 and 32.
+      "00280004"
+      "04e7002400000003ff000304"
+      "0000000000000000"
+      "0a000000ff000000"
+      "c0a80101ffffffff",
+      // DATA: source, destination, route and trace lengths, protocol,
+      // route, trace, payload length, payload.
+      "0037abcd"
+      "c88600330000000140020405"
+      "000000010000010902034a01"
+      "0000000400000109"
+      "000000010002000300000004"
+      "0005deadbeef01"};
+  const auto packets = pinned_packets();
+  ASSERT_EQ(packets.size(), expected.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const auto bytes = serialize_packet(packets[i].packet);
+    EXPECT_EQ(test_digest::hex(bytes), expected[i]) << packets[i].name;
+    // The committed bytes parse back into the same packet.
+    const auto pinned = test_digest::unhex(expected[i]);
+    EXPECT_EQ(serialize_packet(parse_packet(pinned)), pinned)
+        << packets[i].name;
+  }
+}
+
 TEST(Wire, WireSizeMatchesSerialization) {
-  const auto m = make_hello_message();
-  OlsrPacket p;
-  p.messages.push_back(m);
-  EXPECT_EQ(wire_size(m) + 4, serialize_packet(p).size());
+  for (const auto& pinned : pinned_packets()) {
+    std::size_t total = 4;  // packet header
+    for (const auto& m : pinned.packet.messages) total += wire_size(m);
+    EXPECT_EQ(total, serialize_packet(pinned.packet).size()) << pinned.name;
+  }
+  OlsrPacket all;
+  for (const auto& pinned : pinned_packets())
+    for (const auto& m : pinned.packet.messages) all.messages.push_back(m);
+  std::size_t total = 4;
+  for (const auto& m : all.messages) total += wire_size(m);
+  EXPECT_EQ(total, serialize_packet(all).size());
 }
 
 // Property: round-trip over randomized hello shapes.

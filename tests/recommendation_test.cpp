@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "byte_digest.hpp"
 #include "core/recommendation.hpp"
 #include "net/topology.hpp"
 #include "scenario/network.hpp"
@@ -23,6 +24,9 @@ TEST(RecommendationCodec, RequestRoundTrip) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(id, 42u);
   EXPECT_EQ(*decoded, subjects);
+  // tag, request id, count, subjects; big-endian like the OLSR wire.
+  EXPECT_EQ(test_digest::hex(bytes),
+            "03" "0000002a" "02" "00000003" "00000007");
 }
 
 TEST(RecommendationCodec, ReplyRoundTrip) {
@@ -38,6 +42,9 @@ TEST(RecommendationCodec, ReplyRoundTrip) {
   ASSERT_EQ(decoded->trusts.size(), 2u);
   EXPECT_NEAR(decoded->trusts[0].second, 0.75, 1.0 / 255.0);
   EXPECT_NEAR(decoded->trusts[1].second, 0.0, 1.0 / 255.0);
+  // tag, request id, recommender, count, then (subject, trust * 255) pairs.
+  EXPECT_EQ(test_digest::hex(encode_recommendation_reply(reply)),
+            "04" "00000007" "00000002" "02" "00000003" "bf" "00000009" "00");
 }
 
 TEST(RecommendationCodec, MalformedRejected) {
@@ -47,6 +54,41 @@ TEST(RecommendationCodec, MalformedRejected) {
   auto bytes = encode_recommendation_request(1, {net::NodeId{1}});
   bytes.pop_back();
   EXPECT_FALSE(decode_recommendation_request(bytes, id).has_value());
+
+  const auto decode_request = [&id](const std::vector<std::uint8_t>& b) {
+    return decode_recommendation_request(b, id);
+  };
+  const auto decode_reply = [](const std::vector<std::uint8_t>& b) {
+    return decode_recommendation_reply(b);
+  };
+  const auto request =
+      encode_recommendation_request(0x01020304, {net::NodeId{3}, net::NodeId{7}});
+  RecommendationReply reply;
+  reply.request_id = 0x01020304;
+  reply.recommender = net::NodeId{2};
+  reply.trusts = {{net::NodeId{3}, 0.75}, {net::NodeId{9}, 0.0}};
+  const auto replied = encode_recommendation_reply(reply);
+  const auto rejected = [](std::vector<std::uint8_t> valid,
+                           std::size_t count_at, const auto& decode) {
+    ASSERT_TRUE(decode(valid).has_value());
+    // Every strict prefix and a one-byte extension.
+    for (std::size_t n = 0; n < valid.size(); ++n)
+      EXPECT_FALSE(decode({valid.begin(), valid.begin() +
+                                              static_cast<std::ptrdiff_t>(n)})
+                       .has_value())
+          << "prefix of " << n << " bytes";
+    auto longer = valid;
+    longer.push_back(0);
+    EXPECT_FALSE(decode(longer).has_value()) << "one byte extra";
+    // A count byte that disagrees with the entries behind it.
+    for (const int delta : {-1, +1}) {
+      auto miscounted = valid;
+      miscounted[count_at] = static_cast<std::uint8_t>(valid[count_at] + delta);
+      EXPECT_FALSE(decode(miscounted).has_value()) << "count " << delta;
+    }
+  };
+  rejected(request, 5, decode_request);
+  rejected(replied, 9, decode_reply);
 }
 
 Network::Config cluster(std::size_t n) {
