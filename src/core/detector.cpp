@@ -27,7 +27,6 @@ Detector::Detector(sim::Engine& sim, olsr::Agent& agent,
       investigations_{investigations},
       log_triggers_{agent.id(), config.hello_window, config.storm_burst,
                     config.storm_window},
-      auditor_{config.audit},
       scan_timer_{sim, config.scan_interval, sim::Duration::from_ms(100),
                   [this] { scan_once(); }} {}
 

@@ -14,10 +14,11 @@
 
 namespace manet::core {
 
+/// One node's detector: the Eq. 5-10 parameters, the scan and its trigger
+/// windows, and the optional gates and audits.
 struct DetectorConfig {
   trust::TrustParams trust_params;
   trust::DecisionConfig decision;
-  InvestigationConfig investigation;
   /// Period of the autonomous log scan.
   sim::Duration scan_interval = sim::Duration::from_seconds(5.0);
   /// Window for contradictory HELLO pairs (the paper's delta-t).
@@ -50,7 +51,6 @@ struct DetectorConfig {
   /// through the ordinary kForwarding round. Off by default so legacy
   /// traces are untouched.
   bool forwarding_audit = false;
-  ForwardingAuditConfig audit;
 };
 
 /// The decision-side subset of a DetectorConfig — what a recorded audit

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
+#include "olsr/wire.hpp"
 #include "sim/slab.hpp"
 
 namespace manet::core {
@@ -15,75 +16,64 @@ std::uint64_t span_id(std::uint32_t agent, std::uint32_t investigation) {
   return (static_cast<std::uint64_t>(agent) << 32) | investigation;
 }
 
-}  // namespace
-}  // namespace manet::core
-
-namespace manet::core {
-namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t at) {
-  return (static_cast<std::uint32_t>(in[at]) << 24) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 8) |
-         static_cast<std::uint32_t>(in[at + 3]);
-}
-
 constexpr std::uint8_t kQueryTag = 1;
 constexpr std::uint8_t kAnswerTag = 2;
+/// tag, kind, id, suspect, subject, claim.
+constexpr std::size_t kQuerySize = 15;
+/// tag, id, responder, suspect, subject, evidence sign.
+constexpr std::size_t kAnswerSize = 18;
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_query(const LinkQuery& q) {
-  std::vector<std::uint8_t> out;
-  out.push_back(kQueryTag);
-  out.push_back(static_cast<std::uint8_t>(q.kind));
-  put_u32(out, q.investigation_id);
-  put_u32(out, q.suspect.value());
-  put_u32(out, q.subject.value());
-  out.push_back(q.claimed_up ? 1 : 0);
-  return out;
+  olsr::WireWriter w{kQuerySize};
+  w.u8(kQueryTag);
+  w.u8(q.kind);
+  w.u32(q.investigation_id);
+  w.node(q.suspect);
+  w.node(q.subject);
+  w.boolean(q.claimed_up);
+  return w.take();
 }
 
 std::optional<LinkQuery> decode_query(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() != 15 || bytes[0] != kQueryTag) return std::nullopt;
+  if (bytes.size() != kQuerySize) return std::nullopt;
+  olsr::WireReader r{bytes};
   LinkQuery q;
-  q.kind = static_cast<QueryKind>(bytes[1]);
+  if (r.u8() != kQueryTag) return std::nullopt;
+  r.u8(q.kind);
   if (q.kind != QueryKind::kLinkStatus && q.kind != QueryKind::kForwarding)
     return std::nullopt;
-  q.investigation_id = get_u32(bytes, 2);
-  q.suspect = NodeId{get_u32(bytes, 6)};
-  q.subject = NodeId{get_u32(bytes, 10)};
-  q.claimed_up = bytes[14] != 0;
+  r.u32(q.investigation_id);
+  r.node(q.suspect);
+  r.node(q.subject);
+  r.boolean(q.claimed_up);
   return q;
 }
 
 std::vector<std::uint8_t> encode_answer(const LinkAnswer& a) {
-  std::vector<std::uint8_t> out;
-  out.push_back(kAnswerTag);
-  put_u32(out, a.investigation_id);
-  put_u32(out, a.responder.value());
-  put_u32(out, a.suspect.value());
-  put_u32(out, a.subject.value());
-  out.push_back(a.evidence > 0 ? 1 : (a.evidence < 0 ? 2 : 0));
-  return out;
+  olsr::WireWriter w{kAnswerSize};
+  w.u8(kAnswerTag);
+  w.u32(a.investigation_id);
+  w.node(a.responder);
+  w.node(a.suspect);
+  w.node(a.subject);
+  w.u8(a.evidence > 0 ? 1 : (a.evidence < 0 ? 2 : 0));
+  return w.take();
 }
 
 std::optional<LinkAnswer> decode_answer(
     const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() != 18 || bytes[0] != kAnswerTag) return std::nullopt;
+  if (bytes.size() != kAnswerSize) return std::nullopt;
+  olsr::WireReader r{bytes};
   LinkAnswer a;
-  a.investigation_id = get_u32(bytes, 1);
-  a.responder = NodeId{get_u32(bytes, 5)};
-  a.suspect = NodeId{get_u32(bytes, 9)};
-  a.subject = NodeId{get_u32(bytes, 13)};
-  a.evidence = bytes[17] == 1 ? 1.0 : (bytes[17] == 2 ? -1.0 : 0.0);
+  if (r.u8() != kAnswerTag) return std::nullopt;
+  r.u32(a.investigation_id);
+  r.node(a.responder);
+  r.node(a.suspect);
+  r.node(a.subject);
+  const auto sign = r.u8();
+  a.evidence = sign == 1 ? 1.0 : (sign == 2 ? -1.0 : 0.0);
   return a;
 }
 
@@ -93,11 +83,9 @@ bool is_query(const std::vector<std::uint8_t>& bytes) {
 
 InvestigationManager::InvestigationManager(sim::Engine& sim,
                                            olsr::Agent& agent,
-                                           InvestigationConfig config,
                                            AnswerPolicy policy)
     : sim_{sim},
       agent_{agent},
-      config_{config},
       policy_{policy},
       index_{agent.log()} {
   agent_.set_data_handler(
@@ -121,7 +109,7 @@ double InvestigationManager::honest_observation(const LinkQuery& query) {
   const auto now = sim_.now();
   const auto& index = log_index();
   const auto fresh = [&](sim::Time at) {
-    return !(now - at > config_.hello_freshness);
+    return !(now - at > kHelloFreshness);
   };
 
   if (query.kind == QueryKind::kForwarding) {
@@ -240,14 +228,14 @@ void InvestigationManager::investigate(const LinkQuery& query,
   for (auto v : verifiers) {
     if (v == agent_.id() || v == query.suspect) continue;
     inv.pending.emplace_back(
-        v, PendingVerifier{config_.max_retries, {query.suspect}, false});
+        v, PendingVerifier{kMaxRetries, {query.suspect}, false});
   }
   if (inv.pending.empty()) {
     finalize(id);
     return;
   }
   for (auto& [v, _] : inv.pending) send_query_to(inv, v);
-  inv.timer->arm(config_.answer_timeout, [this, id] { on_timeout(id); });
+  inv.timer->arm(kAnswerTimeout, [this, id] { on_timeout(id); });
 }
 
 void InvestigationManager::send_query_to(Outstanding& inv, NodeId verifier) {
@@ -309,7 +297,7 @@ void InvestigationManager::on_timeout(std::uint32_t id) {
   }
 
   if (any_retry) {
-    inv.timer->arm(config_.answer_timeout, [this, id] { on_timeout(id); });
+    inv.timer->arm(kAnswerTimeout, [this, id] { on_timeout(id); });
   } else {
     finalize(id);
   }

@@ -27,6 +27,8 @@ enum class QueryKind : std::uint8_t {
   kForwarding = 2,
 };
 
+/// A requester's question to one verifier, carried as a DATA payload
+/// (encode_query).
 struct LinkQuery {
   std::uint32_t investigation_id = 0;
   QueryKind kind = QueryKind::kLinkStatus;
@@ -35,6 +37,8 @@ struct LinkQuery {
   bool claimed_up = true;  ///< the suspect's advertised claim
 };
 
+/// A verifier's answer to a LinkQuery, carried back the same way
+/// (encode_answer).
 struct LinkAnswer {
   std::uint32_t investigation_id = 0;
   NodeId responder;
@@ -60,21 +64,25 @@ enum class AnswerPolicy : std::uint8_t {
   kRandom,  ///< answer +/-1 uniformly (noise, for robustness tests)
 };
 
-struct InvestigationConfig {
-  sim::Duration answer_timeout = sim::Duration::from_seconds(2.0);
-  /// Additional attempts through alternative paths after a timeout
-  /// (Algorithm 1: try the other covering MPRs, then any alternate route).
-  int max_retries = 2;
-  /// How fresh a HELLO must be for an honest observation.
-  sim::Duration hello_freshness = sim::Duration::from_seconds(6.0);
-};
+/// How long a requester waits for each verifier's answer.
+inline constexpr sim::Duration kAnswerTimeout =
+    sim::Duration::from_seconds(2.0);
+/// Additional attempts through alternative paths after a timeout
+/// (Algorithm 1: try the other covering MPRs, then any alternate route).
+inline constexpr int kMaxRetries = 2;
+/// How fresh a HELLO must be for an honest observation.
+inline constexpr sim::Duration kHelloFreshness =
+    sim::Duration::from_seconds(6.0);
 
+/// One verifier's part in a completed round.
 struct RoundAnswer {
   NodeId responder;
   double evidence = 0.0;  ///< 0 when unanswered
   bool answered = false;
 };
 
+/// A completed investigation round: the query and every verifier's
+/// answer or timeout.
 struct RoundResult {
   std::uint32_t id = 0;
   LinkQuery query;
@@ -99,7 +107,6 @@ struct InvestigationStats {
 class InvestigationManager {
  public:
   InvestigationManager(sim::Engine& sim, olsr::Agent& agent,
-                       InvestigationConfig config = {},
                        AnswerPolicy policy = AnswerPolicy::kHonest);
 
   void set_policy(AnswerPolicy policy) { policy_ = policy; }
@@ -171,7 +178,6 @@ class InvestigationManager {
 
   sim::Engine& sim_;
   olsr::Agent& agent_;
-  InvestigationConfig config_;
   AnswerPolicy policy_;
   std::uint32_t next_id_ = 1;
   /// Ascending by id.

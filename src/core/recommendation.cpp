@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "olsr/wire.hpp"
 #include "sim/slab.hpp"
 #include "trust/propagation.hpp"
 
@@ -11,19 +12,10 @@ namespace {
 constexpr std::uint8_t kReqTag = 3;
 constexpr std::uint8_t kReplyTag = 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t at) {
-  return (static_cast<std::uint32_t>(in[at]) << 24) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 8) |
-         static_cast<std::uint32_t>(in[at + 3]);
-}
+/// tag, request id, subject count; then a u32 per subject.
+constexpr std::size_t kRequestHeaderSize = 6;
+/// tag, request id, recommender, count; then (u32 subject, u8 trust) pairs.
+constexpr std::size_t kReplyHeaderSize = 10;
 
 // Trust in [0,1] encoded in a byte (256 levels — plenty for a judgment).
 std::uint8_t encode_trust(double t) {
@@ -35,50 +27,54 @@ double decode_trust(std::uint8_t b) { return static_cast<double>(b) / 255.0; }
 
 std::vector<std::uint8_t> encode_recommendation_request(
     std::uint32_t request_id, const std::vector<net::NodeId>& subjects) {
-  std::vector<std::uint8_t> out{kReqTag};
-  put_u32(out, request_id);
-  out.push_back(static_cast<std::uint8_t>(subjects.size()));
-  for (auto s : subjects) put_u32(out, s.value());
-  return out;
+  olsr::WireWriter w{kRequestHeaderSize + 4 * subjects.size()};
+  w.u8(kReqTag);
+  w.u32(request_id);
+  w.u8(subjects.size());
+  w.nodes(subjects);
+  return w.take();
 }
 
 std::optional<std::vector<net::NodeId>> decode_recommendation_request(
     const std::vector<std::uint8_t>& bytes, std::uint32_t& request_id) {
-  if (bytes.size() < 6 || bytes[0] != kReqTag) return std::nullopt;
-  request_id = get_u32(bytes, 1);
-  const std::size_t count = bytes[5];
-  if (bytes.size() != 6 + 4 * count) return std::nullopt;
-  std::vector<net::NodeId> subjects;
-  for (std::size_t i = 0; i < count; ++i)
-    subjects.push_back(net::NodeId{get_u32(bytes, 6 + 4 * i)});
+  if (bytes.size() < kRequestHeaderSize) return std::nullopt;
+  olsr::WireReader r{bytes};
+  if (r.u8() != kReqTag) return std::nullopt;
+  r.u32(request_id);
+  const std::size_t count = r.u8();
+  if (r.remaining() != 4 * count) return std::nullopt;
+  std::vector<net::NodeId> subjects(count);
+  r.nodes(subjects);
   return subjects;
 }
 
 std::vector<std::uint8_t> encode_recommendation_reply(
     const RecommendationReply& reply) {
-  std::vector<std::uint8_t> out{kReplyTag};
-  put_u32(out, reply.request_id);
-  put_u32(out, reply.recommender.value());
-  out.push_back(static_cast<std::uint8_t>(reply.trusts.size()));
+  olsr::WireWriter w{kReplyHeaderSize + 5 * reply.trusts.size()};
+  w.u8(kReplyTag);
+  w.u32(reply.request_id);
+  w.node(reply.recommender);
+  w.u8(reply.trusts.size());
   for (const auto& [subject, trust] : reply.trusts) {
-    put_u32(out, subject.value());
-    out.push_back(encode_trust(trust));
+    w.node(subject);
+    w.u8(encode_trust(trust));
   }
-  return out;
+  return w.take();
 }
 
 std::optional<RecommendationReply> decode_recommendation_reply(
     const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 10 || bytes[0] != kReplyTag) return std::nullopt;
+  if (bytes.size() < kReplyHeaderSize) return std::nullopt;
+  olsr::WireReader r{bytes};
   RecommendationReply reply;
-  reply.request_id = get_u32(bytes, 1);
-  reply.recommender = net::NodeId{get_u32(bytes, 5)};
-  const std::size_t count = bytes[9];
-  if (bytes.size() != 10 + 5 * count) return std::nullopt;
+  if (r.u8() != kReplyTag) return std::nullopt;
+  r.u32(reply.request_id);
+  r.node(reply.recommender);
+  const std::size_t count = r.u8();
+  if (r.remaining() != 5 * count) return std::nullopt;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto subject = net::NodeId{get_u32(bytes, 10 + 5 * i)};
-    const auto trust = decode_trust(bytes[10 + 5 * i + 4]);
-    reply.trusts.emplace_back(subject, trust);
+    const auto subject = r.node();
+    reply.trusts.emplace_back(subject, decode_trust(r.u8()));
   }
   return reply;
 }

@@ -68,7 +68,7 @@ std::vector<ForwardAudit> ForwardingAuditor::close(sim::Time now) {
   // pending_ is in first-heard order, so the due floods are a prefix.
   std::vector<ForwardAudit> tallies;  // ascending by MPR
   while (!pending_.empty() &&
-         pending_.front().first_heard + config_.flood_timeout <= now) {
+         pending_.front().first_heard + kFloodTimeout <= now) {
     const auto& flood = pending_.front();
     for (auto mpr : flood.audited) {
       auto it = std::ranges::lower_bound(tallies, mpr, {}, &ForwardAudit::mpr);

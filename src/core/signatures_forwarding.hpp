@@ -21,18 +21,15 @@ using net::NodeId;
 /// reads tc_recv / fwd_echo / hello_recv records and the MPR set the
 /// detector follows from mpr_changed, never protocol state.
 
-/// Knobs of the per-window forwarded/expected audit.
-struct ForwardingAuditConfig {
-  /// A flood entry stays pending this long before it is tallied — the
-  /// audited MPR's jittered re-broadcast (<= 100 ms) must have landed by
-  /// then, with margin for a multi-hop detour.
-  sim::Duration flood_timeout = sim::Duration::from_seconds(2.0);
-  /// Minimum closed-entry count before a window can fail (transitional
-  /// MPR-selector windows must not convict).
-  std::size_t min_expected = 3;
-  /// A window fails when forwarded < fail_ratio * expected.
-  double fail_ratio = 0.5;
-};
+/// A flood entry stays pending this long before it is tallied — the
+/// audited MPR's jittered re-broadcast (<= 100 ms) must have landed by
+/// then, with margin for a multi-hop detour.
+inline constexpr sim::Duration kFloodTimeout = sim::Duration::from_seconds(2.0);
+/// Minimum closed-entry count before a window can fail (transitional
+/// MPR-selector windows must not convict).
+inline constexpr std::uint64_t kMinExpected = 3;
+/// A window fails when forwarded < kFailRatio * expected.
+inline constexpr double kFailRatio = 0.5;
 
 /// One closed audit-window tally for an audited MPR: out of `expected`
 /// floods it accepted while selected, how many did the local log hear it
@@ -52,28 +49,23 @@ struct ForwardAudit {
 /// they are never audited here, so honest bystanders cannot fail a window.
 class ForwardingAuditor {
  public:
-  explicit ForwardingAuditor(ForwardingAuditConfig config = {})
-      : config_{config} {}
-
-  const ForwardingAuditConfig& config() const { return config_; }
-
   /// Reads one record, later than every record read before. `mprs` is our
   /// MPR set (ascending) as of that record; a fresh flood audits its
   /// WILL_ALWAYS members.
   void read(const logging::RecordView& record, std::span<const NodeId> mprs);
 
-  /// Closes every pending flood older than flood_timeout at `now` and
+  /// Closes every pending flood older than kFloodTimeout at `now` and
   /// returns each audited MPR's tally over them, sorted by MPR. Nothing
   /// carries over to the next close, so one borderline round cannot bleed
   /// into the next.
   std::vector<ForwardAudit> close(sim::Time now);
 
-  /// Whether a closed tally fails: at least min_expected floods, of which
-  /// fewer than fail_ratio were heard re-forwarded.
-  bool fails(const ForwardAudit& tally) const {
-    return tally.expected >= config_.min_expected &&
+  /// Whether a closed tally fails: at least kMinExpected floods, of which
+  /// fewer than kFailRatio were heard re-forwarded.
+  static bool fails(const ForwardAudit& tally) {
+    return tally.expected >= kMinExpected &&
            static_cast<double>(tally.forwarded) <
-               config_.fail_ratio * static_cast<double>(tally.expected);
+               kFailRatio * static_cast<double>(tally.expected);
   }
 
   /// One flood awaiting the audited MPRs' re-broadcasts (public for
@@ -98,7 +90,6 @@ class ForwardingAuditor {
  private:
   void credit(NodeId orig, std::int64_t seq, NodeId by);
 
-  ForwardingAuditConfig config_;
   std::vector<NodeId> always_;  ///< WILL_ALWAYS advertisers, ascending
   std::deque<PendingFlood> pending_;  ///< in first-heard order
 };

@@ -41,7 +41,7 @@ struct CheckpointError : std::runtime_error {
 
 /// The checkpoint runs on the audit log's codec (logging/binary_codec.hpp);
 /// only the exception type differs.
-using CheckpointWriter = logging::BinaryWriter;
+using CheckpointWriter = logging::BinaryWriter<>;
 using CheckpointReader = logging::BinaryReader<CheckpointError>;
 
 // ------------------------------------------------------------------ images

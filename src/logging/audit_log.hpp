@@ -46,7 +46,7 @@ enum class AuditFrame : std::uint8_t {
 /// integer as i64, a list as its count and u32 ids; data_drop's fixed
 /// reason takes no bytes. One overload per direction, both walking the
 /// schema table: save reads the record in place, load fills an owning one.
-inline void transfer_record(BinaryWriter& io, const RecordView& record) {
+inline void transfer_record(BinaryWriter<>& io, const RecordView& record) {
   io.time(record.time);
   io.node(record.node);
   io.u8(record.event());
@@ -104,7 +104,7 @@ using AuditReader = BinaryReader<AuditError>;
 
 /// Writer of the audit-log format: the shared BinaryWriter plus the kLine
 /// frame the LogStore writer mode appends on every record.
-class AuditWriter : public BinaryWriter {
+class AuditWriter : public BinaryWriter<> {
  public:
   void line(const RecordView& record) {
     begin_frame(AuditFrame::kLine);

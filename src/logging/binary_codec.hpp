@@ -1,7 +1,7 @@
 #pragma once
 
-#include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -23,8 +23,31 @@ namespace manet::logging {
 template <typename T>
 concept WireInt = std::is_integral_v<T> || std::is_enum_v<T>;
 
-/// Little-endian writer behind both binary formats: the audit log
-/// (logging/audit_log.hpp) and the checkpoint (faults/checkpoint.hpp).
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "fields are stored by one byte swap or none");
+
+/// `v` with its bytes in `Order`, from the host's order or back (the swap
+/// is its own inverse): one byte swap, or none when the orders agree.
+template <std::endian Order, std::unsigned_integral U>
+constexpr U in_order(U v) {
+  if constexpr (Order == std::endian::native || sizeof v == 1) {
+    return v;
+  } else if constexpr (sizeof v == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof v == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    static_assert(sizeof v == 8);
+    return __builtin_bswap64(v);
+  }
+}
+
+/// The writer behind every byte format: the audit log
+/// (logging/audit_log.hpp) and the checkpoint (faults/checkpoint.hpp) are
+/// little-endian; the OLSR wire (olsr/wire.hpp) and the investigation and
+/// recommendation payloads its DATA messages carry are big-endian, RFC
+/// 3626's network byte order. Each format fixes `Order` at compile time.
 ///
 /// Each layout is one *transfer function*, a template over the direction:
 /// `transfer_x(IO& io, X& x)` calls one primitive per field. BinaryWriter's
@@ -32,8 +55,13 @@ concept WireInt = std::is_integral_v<T> || std::is_enum_v<T>;
 /// and fill them. So the same body saves (IO = BinaryWriter, X const) and
 /// loads (IO = BinaryReader), and a field is added, removed or reordered
 /// in one place. Load-side validation runs after the transfer.
+template <std::endian Order = std::endian::little>
 class BinaryWriter {
  public:
+  BinaryWriter() = default;
+  /// A writer that knows its final size up front appends without regrowing.
+  explicit BinaryWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   template <WireInt T>
   void u8(T v) { put(static_cast<std::uint8_t>(v)); }
   template <WireInt T>
@@ -67,14 +95,20 @@ class BinaryWriter {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + size);
   }
-  /// Node ids with no count, a u32 each: the bytes of `node` per id.
+  /// Node ids with no count, a u32 each: the bytes of `node` per id, in
+  /// one copy when `Order` is the host's.
   void nodes(std::span<const net::NodeId> ids) {
-    if constexpr (std::endian::native == std::endian::little) {
-      static_assert(sizeof(net::NodeId) == 4 &&
-                    std::is_trivially_copyable_v<net::NodeId>);
+    static_assert(sizeof(net::NodeId) == 4 &&
+                  std::is_trivially_copyable_v<net::NodeId>);
+    if constexpr (Order == std::endian::native) {
       raw(ids.data(), ids.size_bytes());
     } else {
-      for (const net::NodeId id : ids) node(id);
+      auto* out = grow(ids.size_bytes());
+      for (const net::NodeId id : ids) {
+        const auto v = in_order<Order>(id.value());
+        std::memcpy(out, &v, sizeof v);
+        out += sizeof v;
+      }
     }
   }
 
@@ -104,9 +138,9 @@ class BinaryWriter {
   /// Closes the open frame, patching its size.
   void end_frame() {
     if (frame_size_at_ == kNoFrame) throw std::logic_error{"no frame open"};
-    const auto size = buf_.size() - frame_size_at_ - 4;
-    for (std::size_t i = 0; i < 4; ++i)
-      buf_[frame_size_at_ + i] = static_cast<std::uint8_t>(size >> (8 * i));
+    const auto size = in_order<Order>(
+        static_cast<std::uint32_t>(buf_.size() - frame_size_at_ - 4));
+    std::memcpy(buf_.data() + frame_size_at_, &size, sizeof size);
     frame_size_at_ = kNoFrame;
   }
 
@@ -116,17 +150,18 @@ class BinaryWriter {
  private:
   static constexpr std::size_t kNoFrame = SIZE_MAX;
 
-  /// Appends one fixed-width field, little-endian, in one insert.
+  /// Appends one fixed-width field: one byte swap (or none) and one copy.
   template <typename U>
   void put(U v) {
-    std::array<std::uint8_t, sizeof v> bytes;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(bytes.data(), &v, sizeof v);
-    } else {
-      for (std::size_t i = 0; i < sizeof v; ++i)
-        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    v = in_order<Order>(v);
+    std::memcpy(grow(sizeof v), &v, sizeof v);
+  }
+
+  /// Extends the buffer by `n` bytes; returns where they start.
+  std::uint8_t* grow(std::size_t n) {
+    const auto at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
   }
 
   std::vector<std::uint8_t> buf_;
@@ -134,18 +169,18 @@ class BinaryWriter {
 };
 
 /// Bounds-checked reader over bytes held in (possibly mmapped) memory; the
-/// mirror of BinaryWriter. Every overrun throws `Error` (the format's own
-/// exception type) instead of reading past the end, and a count larger
-/// than the remaining bytes is rejected before anything is allocated for
-/// it. Each primitive has a returning form and a filling form; transfer
-/// functions use the filling one.
-template <typename Error>
+/// mirror of BinaryWriter, in the same `Order`. Every overrun throws
+/// `Error` (the format's own exception type) instead of reading past the
+/// end, and a count larger than the remaining bytes is rejected before
+/// anything is allocated for it. Each primitive has a returning form and a
+/// filling form; transfer functions use the filling one.
+template <typename Error, std::endian Order = std::endian::little>
 class BinaryReader {
  public:
   BinaryReader(const std::uint8_t* data, std::size_t size)
       : data_{data}, size_{size} {}
-  explicit BinaryReader(const std::vector<std::uint8_t>& data)
-      : BinaryReader{data.data(), data.size()} {}
+  explicit BinaryReader(std::span<const std::uint8_t> bytes)
+      : BinaryReader{bytes.data(), bytes.size()} {}
 
   std::uint8_t u8() { return load<std::uint8_t>(); }
   std::uint16_t u16() { return load<std::uint16_t>(); }
@@ -161,7 +196,7 @@ class BinaryReader {
   /// is corrupt: rejecting it here turns bad lengths into clean errors.
   std::size_t count(std::size_t width = 1) {
     const std::uint64_t n = u64();
-    if (n > (size_ - pos_) / width) fail("count exceeds the remaining bytes");
+    if (n > remaining() / width) fail("count exceeds the remaining bytes");
     return static_cast<std::size_t>(n);
   }
   std::string str() {
@@ -173,6 +208,14 @@ class BinaryReader {
     std::vector<std::uint8_t> b;
     blob(b);
     return b;
+  }
+  /// The next `n` bytes, with no length prefix: the mirror of the
+  /// writer's `raw`.
+  std::span<const std::uint8_t> raw(std::size_t n) {
+    if (n > remaining()) fail("truncated");
+    const std::span<const std::uint8_t> bytes{data_ + pos_, n};
+    pos_ += n;
+    return bytes;
   }
 
   template <WireInt T>
@@ -190,27 +233,40 @@ class BinaryReader {
   void time(sim::Time& t) { t = time(); }
   void node(net::NodeId& n) { n = node(); }
   void str(std::string& s) {
-    const std::size_t n = count();
-    s.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
+    const auto bytes = raw(count());
+    s.assign(bytes.begin(), bytes.end());
   }
   void blob(std::vector<std::uint8_t>& b) {
-    const std::size_t n = count();
-    b.assign(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
+    const auto bytes = raw(count());
+    b.assign(bytes.begin(), bytes.end());
   }
   /// Fills `out` with node ids (no count), a u32 each: one bounds check
-  /// for the whole run, and one copy on little-endian hosts.
+  /// for the whole run, then one copy in the host's order, or a byte swap
+  /// and a copy per id.
   void nodes(std::span<net::NodeId> out) {
-    if (out.size() > (size_ - pos_) / 4) fail("truncated");
-    if constexpr (std::endian::native == std::endian::little) {
-      static_assert(sizeof(net::NodeId) == 4 &&
-                    std::is_trivially_copyable_v<net::NodeId>);
-      std::memcpy(out.data(), data_ + pos_, out.size_bytes());
-      pos_ += out.size_bytes();
+    static_assert(sizeof(net::NodeId) == 4 &&
+                  std::is_trivially_copyable_v<net::NodeId>);
+    if (out.size() > remaining() / 4) fail("truncated");
+    const auto* in = data_ + pos_;
+    pos_ += out.size_bytes();
+    if constexpr (Order == std::endian::native) {
+      std::memcpy(out.data(), in, out.size_bytes());
     } else {
-      for (auto& id : out) id = node();
+      for (auto& id : out) {
+        std::uint32_t v;
+        std::memcpy(&v, in, sizeof v);
+        id = net::NodeId{in_order<Order>(v)};
+        in += sizeof v;
+      }
     }
+  }
+  /// Appends `n` node ids (no count) to `out`, bounded by the remaining
+  /// bytes before `out` grows.
+  void nodes(std::vector<net::NodeId>& out, std::size_t n) {
+    if (n > remaining() / 4) fail("truncated");
+    const auto have = out.size();
+    out.resize(have + n);
+    nodes(std::span{out}.subspan(have));
   }
 
   /// Replaces `seq` with a counted list, filling each new element through
@@ -237,6 +293,7 @@ class BinaryReader {
   }
 
   bool at_end() const { return pos_ == size_; }
+  std::size_t remaining() const { return size_ - pos_; }
 
   /// One frame header; `end` is the absolute position just past the
   /// payload. The caller validates `kind`; a size past the end throws.
@@ -248,7 +305,7 @@ class BinaryReader {
     FrameHeader frame;
     frame.kind = u8();
     const std::uint32_t size = u32();
-    if (size > size_ - pos_) fail("truncated frame");
+    if (size > remaining()) fail("truncated frame");
     frame.end = pos_ + size;
     return frame;
   }
@@ -262,20 +319,15 @@ class BinaryReader {
     throw Error{what};
   }
 
-  /// One fixed-width little-endian field: one bounds check, and one copy
-  /// on little-endian hosts.
+  /// One fixed-width field: one bounds check, one copy and one byte swap
+  /// (or none).
   template <typename U>
   U load() {
-    if (size_ - pos_ < sizeof(U)) fail("truncated");
-    U v = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, data_ + pos_, sizeof v);
-    } else {
-      for (std::size_t i = 0; i < sizeof v; ++i)
-        v |= static_cast<U>(static_cast<U>(data_[pos_ + i]) << (8 * i));
-    }
+    if (remaining() < sizeof(U)) fail("truncated");
+    U v;
+    std::memcpy(&v, data_ + pos_, sizeof v);
     pos_ += sizeof v;
-    return v;
+    return in_order<Order>(v);
   }
 
   const std::uint8_t* data_;

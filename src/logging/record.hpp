@@ -102,6 +102,8 @@ enum class FieldKind : std::uint8_t {
   kRouteExhausted,
 };
 
+/// One field of a kind's schema: its text key and how its value is
+/// stored.
 struct FieldSpec {
   Key key;
   FieldKind kind;

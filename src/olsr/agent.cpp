@@ -50,16 +50,16 @@ Agent::Agent(sim::Engine& sim, net::Medium& medium, NodeId id,
       hooks_{hooks},
       log_{config_.log_capacity},
       neighbors_{id},
-      hello_timer_{sim, config_.hello_interval, config_.jitter,
+      hello_timer_{sim, kHelloInterval, kMaxJitter,
                    [this] { emit_hello(); }},
-      tc_timer_{sim, config_.tc_interval, config_.jitter,
+      tc_timer_{sim, kTcInterval, kMaxJitter,
                 [this] { emit_tc(); }},
-      mid_timer_{sim, config_.mid_interval, config_.jitter,
+      mid_timer_{sim, kMidInterval, kMaxJitter,
                  [this] {
                    emit_mid();
                    emit_hna();
                  }},
-      housekeeping_timer_{sim, config_.housekeeping_interval, sim::Duration{},
+      housekeeping_timer_{sim, kHousekeepingInterval, sim::Duration{},
                           [this] { housekeep(); }} {}
 
 Agent::~Agent() { stop(); }
@@ -191,7 +191,7 @@ void Agent::emit_hello() {
   if (hooks_) hooks_->on_tick();
 
   HelloMessage h;
-  h.htime = config_.hello_interval;
+  h.htime = kHelloInterval;
   h.willingness = config_.willingness;
   const auto now = sim_.now();
 
@@ -211,7 +211,7 @@ void Agent::emit_hello() {
 
   Message m;
   m.header.type = MessageType::kHello;
-  m.header.vtime = config_.neighb_hold;
+  m.header.vtime = kNeighbHoldTime;
   m.header.originator = id_;
   m.header.ttl = 1;  // HELLOs are never forwarded (§6.1)
   m.header.seq_num = next_msg_seq();
@@ -235,7 +235,7 @@ void Agent::emit_tc() {
 
   Message m;
   m.header.type = MessageType::kTc;
-  m.header.vtime = config_.top_hold;
+  m.header.vtime = kTopHoldTime;
   m.header.originator = id_;
   m.header.ttl = kDefaultTtl;
   m.header.seq_num = next_msg_seq();
@@ -244,8 +244,7 @@ void Agent::emit_tc() {
   write_log(logging::Event::kTcSent, m.header.seq_num, tc.ansn, tc.advertised);
 
   ++stats_.tc_sent;
-  duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
-                     config_.dup_hold);
+  duplicates_.record(sim_.now(), id_, m.header.seq_num, true, kDupHoldTime);
   broadcast_message(std::move(m));
 }
 
@@ -264,8 +263,7 @@ void Agent::emit_mid() {
 
   write_log(logging::Event::kMidSent, m.header.seq_num, mid.interfaces);
 
-  duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
-                     config_.dup_hold);
+  duplicates_.record(sim_.now(), id_, m.header.seq_num, true, kDupHoldTime);
   broadcast_message(std::move(m));
 }
 
@@ -284,8 +282,7 @@ void Agent::emit_hna() {
 
   write_log(logging::Event::kHnaSent, m.header.seq_num, hna.entries.size());
 
-  duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
-                     config_.dup_hold);
+  duplicates_.record(sim_.now(), id_, m.header.seq_num, true, kDupHoldTime);
   broadcast_message(std::move(m));
 }
 
@@ -498,7 +495,7 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter,
   const bool forward =
       transmitter_selected_us && m.header.ttl > 1;
   duplicates_.record(sim_.now(), m.header.originator, m.header.seq_num,
-                     forward, config_.dup_hold, dup);
+                     forward, kDupHoldTime, dup);
   if (!forward) return;
 
   Message copy = m;
@@ -646,7 +643,7 @@ void Agent::send_data_via(std::vector<NodeId> route, std::uint16_t protocol,
 
   Message m;
   m.header.type = MessageType::kData;
-  m.header.vtime = config_.top_hold;
+  m.header.vtime = kTopHoldTime;
   m.header.originator = id_;
   m.header.ttl = kDefaultTtl;
   m.header.seq_num = next_msg_seq();

@@ -62,16 +62,9 @@ struct AgentStats {
 /// and no log record.
 class Agent {
  public:
+  /// What a scenario varies per node; the RFC 3626 timing is fixed in
+  /// olsr/constants.hpp.
   struct Config {
-    sim::Duration hello_interval = kHelloInterval;
-    sim::Duration tc_interval = kTcInterval;
-    sim::Duration mid_interval = kMidInterval;
-    /// Emission jitter, subtracted uniformly from each interval (§18.3).
-    sim::Duration jitter = sim::Duration::from_ms(100);
-    sim::Duration neighb_hold = kNeighbHoldTime;
-    sim::Duration top_hold = kTopHoldTime;
-    sim::Duration dup_hold = kDupHoldTime;
-    sim::Duration housekeeping_interval = sim::Duration::from_ms(500);
     Willingness willingness = Willingness::kDefault;
     /// Additional interface addresses; a non-empty list enables MID
     /// emission (multi-homed node).

@@ -6,14 +6,19 @@
 
 namespace manet::olsr {
 
-// RFC 3626 §18.2/§18.3 protocol constants (defaults; all are configurable
-// per-agent through Agent::Config).
+// RFC 3626 §18.2/§18.3 protocol constants, the same for every agent.
 
 inline constexpr sim::Duration kHelloInterval = sim::Duration::from_seconds(2.0);
 inline constexpr sim::Duration kRefreshInterval = sim::Duration::from_seconds(2.0);
 inline constexpr sim::Duration kTcInterval = sim::Duration::from_seconds(5.0);
 inline constexpr sim::Duration kMidInterval = kTcInterval;
 inline constexpr sim::Duration kHnaInterval = kTcInterval;
+/// Emission jitter, subtracted uniformly from each interval (§18.3).
+inline constexpr sim::Duration kMaxJitter = sim::Duration::from_ms(100);
+/// Period of the table expiry sweep (§18.3 leaves it to the
+/// implementation).
+inline constexpr sim::Duration kHousekeepingInterval =
+    sim::Duration::from_ms(500);
 
 inline constexpr sim::Duration kNeighbHoldTime =
     sim::Duration::from_seconds(6.0);  // 3 x REFRESH_INTERVAL

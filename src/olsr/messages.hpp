@@ -98,6 +98,7 @@ struct DataMessage {
 using MessageBody =
     std::variant<HelloMessage, TcMessage, MidMessage, HnaMessage, DataMessage>;
 
+/// One OLSR message: the common header and the body its type names.
 struct Message {
   MessageHeader header;
   MessageBody body;

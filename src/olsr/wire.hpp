@@ -1,8 +1,10 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
+#include "logging/binary_codec.hpp"
 #include "net/packet.hpp"
 #include "olsr/messages.hpp"
 
@@ -13,9 +15,16 @@ namespace manet::olsr {
 /// throws WireError on truncated or inconsistent input — a receiver drops
 /// such packets, exactly like a real daemon.
 
+/// A packet, or a payload a DATA message carries, that does not decode:
+/// truncated, overlong, or with fields that disagree.
 struct WireError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// The shared byte codec in network byte order: the packets below, and the
+/// investigation and recommendation payloads their DATA messages carry.
+using WireWriter = logging::BinaryWriter<std::endian::big>;
+using WireReader = logging::BinaryReader<WireError, std::endian::big>;
 
 /// Vtime/Htime 8-bit encoding: value = C * (1 + a/16) * 2^b seconds with
 /// C = 1/16 s, a = high nibble, b = low nibble. Both directions read one

@@ -48,7 +48,7 @@ Network::Network(Config config)
     agents_.push_back(std::make_unique<olsr::Agent>(engine_for(i), medium_,
                                                     id, agent_config));
     investigations_.push_back(std::make_unique<core::InvestigationManager>(
-        engine_for(i), *agents_.back(), config_.investigation));
+        engine_for(i), *agents_.back()));
   }
   built_ = true;
 }

@@ -31,7 +31,6 @@ class Network {
     /// scenarios give the attacker WILL_ALWAYS and the investigator
     /// log_fwd_echo without perturbing the rest of the fleet.
     std::map<std::size_t, olsr::Agent::Config> agent_overrides;
-    core::InvestigationConfig investigation;
     /// Discrete-event engine driving the network: the sequential Simulator
     /// (default; byte-stable legacy traces) or the psim sharded parallel
     /// engine (its own determinism contract — see psim::Engine). The

@@ -52,6 +52,7 @@ enum class Verdict {
 
 std::string to_string(Verdict v);
 
+/// The Eq. 9-10 decision rule's parameters.
 struct DecisionConfig {
   double gamma = 0.6;            ///< decision threshold of Eq. 10 / §V
   double confidence_level = 0.95;  ///< cl of Eq. 9

@@ -102,7 +102,6 @@ TEST(Detector, DetectsLinkOmission) {
   net.set_hooks(4, std::move(spoof));
   DetectorConfig dc;
   dc.scan_interval = sim::Duration::from_seconds(2.0);
-  dc.investigation.answer_timeout = sim::Duration::from_seconds(1.0);
   auto& detector = net.add_detector(0, dc);
   net.start_all();
   net.run_for(sim::Duration::from_seconds(20.0));

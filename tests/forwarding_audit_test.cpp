@@ -110,7 +110,7 @@ TEST(ForwardingAuditor, CreditedMprPassesTheWindow) {
 }
 
 TEST(ForwardingAuditor, MinExpectedGatesTheFailure) {
-  // Two closed floods are below min_expected (3): tallied, never flagged —
+  // Two closed floods are below kMinExpected (3): tallied, never flagged —
   // transitional MPR-selector windows must not convict.
   core::ForwardingAuditor auditor;
   auto records = audited_mpr_prelude();
@@ -374,7 +374,7 @@ TEST(GrayholeMatrix, PrecisionRecallMatchesFixture) {
   // drop-fraction x liar-fraction sweep, 8 seeds per cell. Hard floors
   // first (full-drop attackers always convicted, honest bystanders never),
   // then the byte-compare pins the exact precision/recall surface —
-  // including the designed blind spot: drop 0.2 sits under fail_ratio 0.5,
+  // including the designed blind spot: drop 0.2 sits under kFailRatio 0.5,
   // so the audit never flags it.
   const double drop_fractions[] = {0.2, 0.5, 1.0};
   const double liar_fractions[] = {0.0, 0.25};

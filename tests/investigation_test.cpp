@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "attacks/drop.hpp"
-#include "byte_digest.hpp"
 #include "attacks/link_spoofing.hpp"
+#include "byte_digest.hpp"
 #include "core/investigation.hpp"
 #include "net/topology.hpp"
 #include "scenario/network.hpp"

@@ -344,9 +344,7 @@ std::vector<NodeId> ids_of(TrustExperiment& exp) {
 std::pair<std::size_t, std::size_t> run_checked(TrustExperiment& exp,
                                                 int rounds,
                                                 std::uint64_t seed) {
-  // Every scenario here keeps the default investigation config.
-  Fleet fleet{exp.network(), InvestigationConfig{}.hello_freshness,
-              ids_of(exp)};
+  Fleet fleet{exp.network(), kHelloFreshness, ids_of(exp)};
   // Between rounds the logs holding the claims are swept; after the last
   // round every log is.
   for (int r = 0; r < rounds; ++r) {
@@ -444,7 +442,7 @@ TEST(LogIndexEquivalence, RetentionRestartsFollowTheRetainedWindow) {
     std::vector<NodeId> ids{phantom};
     for (std::size_t i = 0; i < net.size(); ++i)
       ids.push_back(Network::id_of(i));
-    Fleet fleet{net, c.investigation.hello_freshness, ids};
+    Fleet fleet{net, kHelloFreshness, ids};
     net.start_all();
     detector.start();
     for (int step = 0; step < 8; ++step) {

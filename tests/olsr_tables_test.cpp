@@ -820,7 +820,7 @@ TEST_P(SlabEquivalence, DuplicateSetMatchesFullScanReference) {
   sim::Rng rng{GetParam()};
   DuplicateSet ds;
   sim::Time now{};
-  // Constant hold time, like the agent's dup_hold: the ring's FIFO order
+  // Constant hold time, like the agent's kDupHoldTime: the ring's FIFO order
   // then matches expiry order exactly.
   const auto hold = sim::Duration::from_seconds(3.0);
   for (int step = 0; step < 400; ++step) {

@@ -273,13 +273,13 @@ TEST(Wire, EmptyPacketRoundTrips) {
   EXPECT_TRUE(back.messages.empty());
 }
 
-// One packet of each message type, with its committed bytes. The round
-// trips above pass under any byte order the writer and the reader agree
-// on; these pin RFC 3626's network byte order and every size field.
+// One packet of each message type; PacketBytesArePinned holds their
+// committed bytes. The round trips above pass under any byte order the
+// writer and the reader agree on; these pin RFC 3626's network byte order
+// and every size field.
 struct PinnedPacket {
   const char* name;
   OlsrPacket packet;
-  std::string hex;
 };
 
 Message header_of(MessageType type, sim::Duration vtime, std::uint32_t orig,
@@ -302,28 +302,28 @@ std::vector<PinnedPacket> pinned_packets() {
   hello.seq_num = 0x1234;
   hello.messages.push_back(make_hello_message());
   hello.messages[0].header.originator = NodeId{0x0A0B0C0D};
-  out.push_back({"hello", hello, ""});
+  out.push_back({"hello", hello});
 
   OlsrPacket tc;
   tc.seq_num = 0x0102;
   auto& t = tc.messages.emplace_back(
       header_of(MessageType::kTc, secs(15.0), 0x00000102, 254, 1, 0xBEEF));
   t.body = TcMessage{0x03E7, {NodeId{5}, NodeId{0x00010006}, NodeId{7}}};
-  out.push_back({"tc", tc, ""});
+  out.push_back({"tc", tc});
 
   OlsrPacket mid;
   mid.seq_num = 3;
   auto& m = mid.messages.emplace_back(
       header_of(MessageType::kMid, secs(15.0), 3, 255, 0, 0x0203));
   m.body = MidMessage{{NodeId{30}, NodeId{0x1F000031}}};
-  out.push_back({"mid", mid, ""});
+  out.push_back({"mid", mid});
 
   OlsrPacket hna;
   hna.seq_num = 4;
   auto& h = hna.messages.emplace_back(
       header_of(MessageType::kHna, secs(15.0), 3, 255, 0, 0x0304));
   h.body = HnaMessage{{{0x00000000u, 0}, {0x0A000000u, 8}, {0xC0A80101u, 32}}};
-  out.push_back({"hna", hna, ""});
+  out.push_back({"hna", hna});
 
   OlsrPacket data;
   data.seq_num = 0xABCD;
@@ -337,7 +337,7 @@ std::vector<PinnedPacket> pinned_packets() {
   body.protocol = 0x4A01;
   body.payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
   d.body = body;
-  out.push_back({"data", data, ""});
+  out.push_back({"data", data});
   return out;
 }
 

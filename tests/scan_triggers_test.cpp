@@ -127,7 +127,6 @@ TEST(ScanTriggers, LinkOmission) {
   net.set_hooks(4, std::move(spoof));
   DetectorConfig dc;
   dc.scan_interval = secs(2.0);
-  dc.investigation.answer_timeout = secs(1.0);
   auto& detector = net.add_detector(0, dc);
   net.start_all();
   net.run_for(secs(20.0));

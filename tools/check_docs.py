@@ -10,9 +10,9 @@
    lines of the anchor, so the paper-equation-to-code table cannot rot
    silently when edits shift line numbers. A link written as
    `[path:N](../path#LM)` must show the path and line it links to.
-3. Doxygen coverage: every public class/struct declared in src/net,
-   src/sim and src/psim headers carries a `///` doc comment (the
-   determinism-contract surface the batching and sharding work relies on).
+3. Doxygen coverage: every public class/struct declared in a header of
+   any src directory carries a `///` doc comment, above its
+   `template <...>` line when it has one.
 
 Exit code 0 = clean, 1 = findings (printed one per line).
 """
@@ -28,11 +28,13 @@ CODE_SPAN_RE = re.compile(r"`[^`]*`")
 ANCHOR_RE = re.compile(r"\(((?:\.\./)?(?:src|tests|tools|bench)/[\w/.-]+\.(?:cpp|hpp))#L(\d+)\)")
 LABELLED_RE = re.compile(r"\[([\w/.-]+):(\d+)\]\((?:\.\./)?([\w/.-]+)#L(\d+)\)")
 ANCHOR_SLACK = 3  # lines of drift tolerated before a symbol anchor fails
-DOC_DIRS = ["src/net", "src/sim", "src/psim", "src/obs", "src/scenario",
-            "src/runtime"]
+DOC_DIRS = ["src/attacks", "src/core", "src/faults", "src/logging",
+            "src/net", "src/obs", "src/olsr", "src/psim", "src/runtime",
+            "src/scenario", "src/sim", "src/stats", "src/trust"]
 DECL_RE = re.compile(
     r"^(?:template\s*<[^>]*>\s*)?(class|struct)\s+([A-Z]\w+)"
     r"(?:\s+final)?\s*(?::[^;{]*)?\{")
+TEMPLATE_RE = re.compile(r"^template\s*<[^>]*>$")
 
 
 def fail(findings, msg):
@@ -121,7 +123,13 @@ def check_doxygen_coverage(findings):
                 is_namespace = stripped.startswith("namespace ") or (
                     stripped.startswith("}") and "// namespace" in stripped)
                 if depth == 0 and (m := DECL_RE.match(stripped)):
-                    prev = lines[i - 1].strip() if i else ""
+                    # The comment sits above a template head on its own
+                    # line.
+                    above = i - 1
+                    while above >= 0 and TEMPLATE_RE.match(
+                            lines[above].strip()):
+                        above -= 1
+                    prev = lines[above].strip() if above >= 0 else ""
                     if not (prev.startswith("///") or prev.endswith("*/")):
                         fail(findings,
                              f"{rel}:{i + 1}: public {m.group(1)} {m.group(2)} "
