@@ -103,12 +103,7 @@ class BinaryWriter {
     if constexpr (Order == std::endian::native) {
       raw(ids.data(), ids.size_bytes());
     } else {
-      auto* out = grow(ids.size_bytes());
-      for (const net::NodeId id : ids) {
-        const auto v = in_order<Order>(id.value());
-        std::memcpy(out, &v, sizeof v);
-        out += sizeof v;
-      }
+      for (const net::NodeId id : ids) node(id);
     }
   }
 
@@ -154,14 +149,9 @@ class BinaryWriter {
   template <typename U>
   void put(U v) {
     v = in_order<Order>(v);
-    std::memcpy(grow(sizeof v), &v, sizeof v);
-  }
-
-  /// Extends the buffer by `n` bytes; returns where they start.
-  std::uint8_t* grow(std::size_t n) {
     const auto at = buf_.size();
-    buf_.resize(at + n);
-    return buf_.data() + at;
+    buf_.resize(at + sizeof v);
+    std::memcpy(buf_.data() + at, &v, sizeof v);
   }
 
   std::vector<std::uint8_t> buf_;
