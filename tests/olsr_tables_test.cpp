@@ -412,6 +412,65 @@ TEST(KnowledgeGraph, AdjacencyAscendsByTargetId) {
   EXPECT_EQ(g.arc_count(), 0u);
   ASSERT_NE(g.slot_of(NodeId{5}), KnowledgeGraph::kNpos);
   EXPECT_TRUE(g.arcs_from(g.slot_of(NodeId{5})).empty());
+
+  // Ids on both sides of the 4096 boundary of the id index, and one near
+  // 2^32, follow the same rules.
+  const NodeId lo{4095};
+  const NodeId mid{4096};
+  const NodeId hi{0xFFFFFFF0u};
+  const auto ids_of = [&g](auto slots) {
+    std::vector<NodeId> out;
+    for (const auto slot : slots) out.push_back(g.id_at(slot));
+    return out;
+  };
+  const auto targets_of = [&g](NodeId from) {
+    std::vector<NodeId> out;
+    for (const auto& a : g.arcs_from(g.slot_of(from)))
+      out.push_back(g.id_at(a.to));
+    return out;
+  };
+  g.add_arc(NodeId{5}, hi);
+  g.add_arc(NodeId{5}, mid);
+  g.add_arc(NodeId{5}, lo);
+  g.add_arc(hi, lo);
+  g.add_arc(hi, lo);
+  g.add_arc(hi, mid);
+  for (const NodeId id : {lo, mid, hi}) {
+    ASSERT_NE(g.slot_of(id), KnowledgeGraph::kNpos) << id.to_string();
+    EXPECT_EQ(g.id_at(g.slot_of(id)), id);
+  }
+  EXPECT_EQ(g.slot_of(NodeId{4097}), KnowledgeGraph::kNpos);
+  EXPECT_EQ(g.slot_of(NodeId{0xFFFFFFEFu}), KnowledgeGraph::kNpos);
+  EXPECT_EQ(targets_of(NodeId{5}), (std::vector<NodeId>{lo, mid, hi}));
+  EXPECT_EQ(targets_of(hi), (std::vector<NodeId>{lo, mid}));
+  EXPECT_EQ(ids_of(g.slots_by_id()),
+            (std::vector<NodeId>{NodeId{2}, NodeId{5}, NodeId{7}, NodeId{9},
+                                 lo, mid, hi}));
+  EXPECT_EQ(g.refs(hi, lo), 2u);
+  EXPECT_FALSE(g.remove_arc(hi, lo));
+  EXPECT_EQ(g.refs(hi, lo), 1u);
+  EXPECT_TRUE(g.remove_arc(NodeId{5}, mid));
+  EXPECT_EQ(g.refs(NodeId{5}, mid), 0u);
+  EXPECT_EQ(g.refs(hi, mid), 1u);
+  EXPECT_EQ(targets_of(NodeId{5}), (std::vector<NodeId>{lo, hi}));
+
+  // clear() forgets every id; re-added ones take fresh slots in
+  // first-seen order.
+  g.clear();
+  for (const NodeId id : {NodeId{5}, lo, mid, hi})
+    EXPECT_EQ(g.slot_of(id), KnowledgeGraph::kNpos) << id.to_string();
+  g.add_arc(hi, mid);
+  g.add_arc(lo, hi);
+  EXPECT_EQ(g.slot_count(), 3u);
+  EXPECT_EQ(g.slot_of(hi), 0u);
+  EXPECT_EQ(g.slot_of(mid), 1u);
+  EXPECT_EQ(g.slot_of(lo), 2u);
+  EXPECT_EQ(g.slot_of(NodeId{5}), KnowledgeGraph::kNpos);
+  EXPECT_EQ(ids_of(g.slots_by_id()), (std::vector<NodeId>{lo, mid, hi}));
+  EXPECT_EQ(g.refs(hi, mid), 1u);
+  EXPECT_EQ(g.refs(hi, lo), 0u);
+  EXPECT_EQ(g.arcs(), (std::vector<std::pair<NodeId, NodeId>>{{lo, hi},
+                                                               {hi, mid}}));
 }
 
 TEST(KnowledgeGraph, CopySharesStampUntilPatched) {
