@@ -25,8 +25,7 @@ Detector::Detector(sim::Engine& sim, olsr::Agent& agent,
       config_{config},
       pipeline_{pipeline_config(agent.id(), config)},
       investigations_{investigations},
-      log_triggers_{agent.id(), config.hello_window, config.storm_burst,
-                    config.storm_window},
+      log_triggers_{agent.id(), config.storm_burst},
       scan_timer_{sim, config.scan_interval, sim::Duration::from_ms(100),
                   [this] { scan_once(); }} {}
 
@@ -178,9 +177,9 @@ void Detector::check_forward_timeouts(std::vector<Trigger>& triggers) {
   // unless it was sent more than one scan interval before its timeout.
   const auto now = sim_.now();
   while (!pending_tcs_.empty() &&
-         now - pending_tcs_.front().at >= config_.fwd_timeout) {
+         now - pending_tcs_.front().at >= kFwdTimeout) {
     const auto& tc = pending_tcs_.front();
-    if (now - tc.at <= config_.fwd_timeout + config_.scan_interval) {
+    if (now - tc.at <= kFwdTimeout + config_.scan_interval) {
       const auto unheard =
           std::ranges::find_if(tc.mprs_then, [&tc](NodeId mpr) {
             return !std::ranges::binary_search(tc.heard_from, mpr);

@@ -14,6 +14,9 @@
 
 namespace manet::core {
 
+/// An MPR that has not retransmitted our TC after this long is E2-suspect.
+inline constexpr sim::Duration kFwdTimeout = sim::Duration::from_seconds(4.0);
+
 /// One node's detector: the Eq. 5-10 parameters, the scan and its trigger
 /// windows, and the optional gates and audits.
 struct DetectorConfig {
@@ -21,14 +24,9 @@ struct DetectorConfig {
   trust::DecisionConfig decision;
   /// Period of the autonomous log scan.
   sim::Duration scan_interval = sim::Duration::from_seconds(5.0);
-  /// Window for contradictory HELLO pairs (the paper's delta-t).
-  sim::Duration hello_window = sim::Duration::from_seconds(6.0);
-  /// An MPR that has not retransmitted our TC after this long is E2-suspect.
-  sim::Duration fwd_timeout = sim::Duration::from_seconds(4.0);
-  /// TC receptions from one originator within storm_window that count as a
+  /// TC receptions from one originator within kStormWindow that count as a
   /// broadcast storm.
   std::size_t storm_burst = 20;
-  sim::Duration storm_window = sim::Duration::from_seconds(5.0);
   /// Re-investigation cooldown per disputed (suspect, subject) link.
   sim::Duration suspect_cooldown = sim::Duration::from_seconds(10.0);
   /// Minimum |Detect| for a round to move responder trust at all; below it

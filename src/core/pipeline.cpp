@@ -62,30 +62,13 @@ void DetectionPipeline::consume_line(const logging::RecordView& line) {
   } else {
     return;
   }
-  const auto id = peer.value();
-  if (id >= kDenseIds) {
-    last_heard_far_[peer] = line.time;
-    return;
-  }
-  if (id >= last_heard_.size()) last_heard_.resize(id + 1);
-  last_heard_[id] = line.time;
+  last_heard_[peer] = line.time;
 }
 
 double DetectionPipeline::round_trust(NodeId responder) {
-  const auto id = responder.value();
-  if (id >= kDenseIds) return trust_.trust(responder);
-  if (id >= trust_memo_.size()) trust_memo_.resize(id + 1);
-  auto& memo = trust_memo_[id];
+  auto& memo = trust_memo_[responder];
   if (memo.round != memo_round_) memo = {memo_round_, trust_.trust(responder)};
   return memo.trust;
-}
-
-sim::Time DetectionPipeline::last_heard_of(NodeId node) const {
-  const auto id = node.value();
-  if (id < last_heard_.size()) return last_heard_[id];
-  if (id < kDenseIds) return sim::Time{};
-  auto it = last_heard_far_.find(node);
-  return it == last_heard_far_.end() ? sim::Time{} : it->second;
 }
 
 void DetectionPipeline::consume_decay(sim::Time time) {
@@ -120,7 +103,6 @@ void DetectionPipeline::restore(std::vector<PooledLink> pool,
   }
   degradation_ = degradation;
   last_heard_.clear();
-  last_heard_far_.clear();
 }
 
 DetectionPipeline::Pool& DetectionPipeline::pool_for(NodeId suspect,

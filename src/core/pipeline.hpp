@@ -2,11 +2,11 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/audit_event.hpp"
+#include "net/id_map.hpp"
 #include "trust/detection.hpp"
 #include "trust/trust_store.hpp"
 
@@ -115,7 +115,7 @@ class DetectionPipeline {
 
   /// Latest time the consumed stream records a reception (HELLO heard
   /// directly, or a TC relayed to us) from `node`; Time{} when never heard.
-  sim::Time last_heard_of(NodeId node) const;
+  sim::Time last_heard_of(NodeId node) const { return last_heard_.get(node); }
 
   const DetectorDegradation& degradation() const { return degradation_; }
 
@@ -167,13 +167,8 @@ class DetectionPipeline {
   Pool& pool_for(NodeId suspect, NodeId subject);
 
   /// The responder's current trust, looked up once per consume_round: a
-  /// memo indexed by node id, valid while its round stamp is current. Ids
-  /// from kDenseIds up (never seen in this simulator, but a replayed log
-  /// may carry any) go to the store every time.
+  /// memo by node id, valid while its round stamp is current.
   double round_trust(NodeId responder);
-  /// Ids below this index dense per-id slabs (the trust memo, the liveness
-  /// oracle); larger ones take a slower path.
-  static constexpr std::uint32_t kDenseIds = 4096;
   struct TrustMemo {
     std::uint64_t round = 0;
     double trust = 0.0;
@@ -181,17 +176,15 @@ class DetectionPipeline {
 
   PipelineConfig config_;
   trust::TrustStore trust_;
-  std::vector<TrustMemo> trust_memo_;
+  net::IdMap<TrustMemo> trust_memo_;
   std::uint64_t memo_round_ = 0;
   // Accumulated answers per disputed link, sorted by (suspect, subject).
   // Evidence values are stored raw; weights use the *current* trust at
   // decision time, so a liar's early answers lose influence as its trust
   // fades.
   std::vector<Pool> pools_;
-  // Liveness oracle: the latest reception per peer, Time{} when never
-  // heard. Indexed by id below kDenseIds; a map holds the larger ids.
-  std::vector<sim::Time> last_heard_;
-  std::map<NodeId, sim::Time> last_heard_far_;
+  // Liveness oracle: the latest reception per peer; Time{} if never heard.
+  net::IdMap<sim::Time> last_heard_;
   std::deque<DetectionReport> reports_;
   std::deque<TimedForwardAudit> forward_audits_;
   ReportCallback on_report_;

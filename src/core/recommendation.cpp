@@ -1,6 +1,7 @@
 #include "core/recommendation.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "olsr/wire.hpp"
 #include "sim/slab.hpp"
@@ -23,6 +24,13 @@ std::uint8_t encode_trust(double t) {
 }
 double decode_trust(std::uint8_t b) { return static_cast<double>(b) / 255.0; }
 
+/// The count byte of a request or reply.
+std::uint8_t entry_count(std::size_t entries) {
+  if (entries > 255)
+    throw std::length_error{"recommendation payload: more than 255 entries"};
+  return static_cast<std::uint8_t>(entries);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_recommendation_request(
@@ -30,7 +38,7 @@ std::vector<std::uint8_t> encode_recommendation_request(
   olsr::WireWriter w{kRequestHeaderSize + 4 * subjects.size()};
   w.u8(kReqTag);
   w.u32(request_id);
-  w.u8(subjects.size());
+  w.u8(entry_count(subjects.size()));
   w.nodes(subjects);
   return w.take();
 }
@@ -54,7 +62,7 @@ std::vector<std::uint8_t> encode_recommendation_reply(
   w.u8(kReplyTag);
   w.u32(reply.request_id);
   w.node(reply.recommender);
-  w.u8(reply.trusts.size());
+  w.u8(entry_count(reply.trusts.size()));
   for (const auto& [subject, trust] : reply.trusts) {
     w.node(subject);
     w.u8(encode_trust(trust));
@@ -92,13 +100,15 @@ void RecommendationExchange::bootstrap(
     const std::vector<net::NodeId>& subjects,
     const std::vector<net::NodeId>& recommenders, sim::Duration timeout,
     Done done) {
-  const auto id = next_id_++;
+  const auto id = next_id_;
+  // Encoded first, so a refused request leaves no entry and no timer.
+  const auto payload = encode_recommendation_request(id, subjects);
+  ++next_id_;
   auto& pending = sim::slab_entry(outstanding_, id);
   pending.subjects = subjects;
   pending.done = std::move(done);
   pending.timer = std::make_unique<sim::OneShotTimer>(sim_);
 
-  const auto payload = encode_recommendation_request(id, subjects);
   for (auto r : recommenders) {
     if (r == agent_.id()) continue;
     agent_.send_data(r, kRecommendationProtocol, payload);

@@ -22,6 +22,7 @@ struct RecommendationReply {
   std::vector<std::pair<net::NodeId, double>> trusts;
 };
 
+/// Both encoders throw std::length_error above 255 entries (a u8 count).
 std::vector<std::uint8_t> encode_recommendation_request(
     std::uint32_t request_id, const std::vector<net::NodeId>& subjects);
 std::vector<std::uint8_t> encode_recommendation_reply(
@@ -53,7 +54,8 @@ class RecommendationExchange {
   /// Asks `recommenders` for their trust in `subjects`; after the timeout,
   /// merges everything received via Eq. 7 and (a) writes the merged values
   /// into the local store for subjects with no prior state, (b) reports the
-  /// merged map through `done`.
+  /// merged map through `done`. Throws std::length_error, and leaves no
+  /// outstanding request, above 255 subjects.
   void bootstrap(const std::vector<net::NodeId>& subjects,
                  const std::vector<net::NodeId>& recommenders,
                  sim::Duration timeout, Done done);

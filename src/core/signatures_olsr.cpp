@@ -39,7 +39,7 @@ void LogTriggers::hello(const RecordView& record, std::vector<Trigger>& out) {
   // The pair need not be ordered (the paper's |t' - t| < delta-t): each
   // HELLO opens two slots that any later HELLO within the window may close.
   std::erase_if(hellos_, [&](const OpenHello& h) {
-    return record.time - h.at > hello_window_ ||
+    return record.time - h.at > kHelloWindow ||
            (!h.claim_open && !h.omission_open);
   });
   const auto from = record.id(Key::kFrom);
@@ -63,7 +63,7 @@ void LogTriggers::hello(const RecordView& record, std::vector<Trigger>& out) {
 }
 
 void LogTriggers::tc(const RecordView& record, std::vector<Trigger>& out) {
-  while (!tcs_.empty() && record.time - tcs_.front().first > storm_window_)
+  while (!tcs_.empty() && record.time - tcs_.front().first > kStormWindow)
     tcs_.pop_front();
   const auto orig = record.id(Key::kOrig);
   // This reception completes a burst when the storm_burst - 1 receptions

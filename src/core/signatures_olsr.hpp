@@ -14,17 +14,23 @@ namespace manet::core {
 
 using net::NodeId;
 
+/// Window for contradictory HELLO pairs (the paper's delta-t).
+inline constexpr sim::Duration kHelloWindow = sim::Duration::from_seconds(6.0);
+/// Window in which storm_burst TC receptions from one originator count as
+/// a broadcast storm.
+inline constexpr sim::Duration kStormWindow = sim::Duration::from_seconds(5.0);
+
 /// What raised a scan round (§III). Detector::scan_once maps each kind to
 /// one round shape.
 enum class TriggerKind : std::uint8_t {
   /// Expressions 1-2: the suspect's HELLO claims the subject symmetric and
-  /// the subject's own HELLO, heard within hello_window, does not list it.
+  /// the subject's own HELLO, heard within kHelloWindow, does not list it.
   kClaim,
   /// Expression 3: the subject's HELLO claims the suspect symmetric and the
   /// suspect's HELLO lists the subject neither symmetric nor heard (ASYM).
   kOmission,
   /// Broadcast storm: storm_burst TC receptions from the suspect within
-  /// storm_window.
+  /// kStormWindow.
   kStorm,
   /// E1: our MPR set gained the suspect; the detector checks the links the
   /// suspect advertises (find_disputed_links) and has no subject yet.
@@ -53,12 +59,8 @@ struct Trigger {
 /// restored detector starts with no open HELLO or storm history.
 class LogTriggers {
  public:
-  LogTriggers(NodeId self, sim::Duration hello_window, std::size_t storm_burst,
-              sim::Duration storm_window)
-      : self_{self},
-        hello_window_{hello_window},
-        storm_burst_{storm_burst},
-        storm_window_{storm_window} {}
+  LogTriggers(NodeId self, std::size_t storm_burst)
+      : self_{self}, storm_burst_{storm_burst} {}
 
   /// Reads one record, later than every record read before, and appends
   /// the triggers it raises.
@@ -80,11 +82,9 @@ class LogTriggers {
   };
 
   NodeId self_;
-  sim::Duration hello_window_;
   std::size_t storm_burst_;
-  sim::Duration storm_window_;
   std::vector<OpenHello> hellos_;  ///< in log order
-  /// (time, originator) of every tc_recv within storm_window of the latest.
+  /// (time, originator) of every tc_recv within kStormWindow of the latest.
   std::deque<std::pair<sim::Time, NodeId>> tcs_;
 };
 

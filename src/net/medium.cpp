@@ -71,40 +71,27 @@ void Medium::reset_stats() {
             BatchStats{});
 }
 
-void Medium::set_slot(NodeId id, std::uint32_t slot) {
-  const auto v = id.value();
-  if (v >= kDenseIds) {
-    if (slot == kNoSlot)
-      far_.erase(id);
-    else
-      far_[id] = slot;
-    return;
-  }
-  if (v >= dense_.size()) dense_.resize(v + 1, kNoSlot);
-  dense_[v] = slot;
-}
-
 void Medium::attach(NodeId id, Position pos, ReceiveHandler handler) {
   if (attached(id))
     throw std::logic_error{"host already attached: " + id.to_string()};
   const auto slot = static_cast<std::uint32_t>(hosts_.size());
   hosts_.push_back(Host{id, pos, std::move(handler), true, -1.0, 0, {}});
-  set_slot(id, slot);
+  slots_[id] = slot;
   grid_.insert(slot, pos);
   bump_generation();
 }
 
 void Medium::detach(NodeId id) {
-  const std::uint32_t slot = slot_of(id);
+  const std::uint32_t slot = slots_.get(id);
   if (slot == kNoSlot) return;
   grid_.erase(slot, hosts_[slot].pos);
-  set_slot(id, kNoSlot);
+  slots_.erase(id);
   // Keep storage dense: move the last host into the freed slot.
   const auto last = static_cast<std::uint32_t>(hosts_.size() - 1);
   if (slot != last) {
     grid_.replace(last, slot, hosts_[last].pos);
     hosts_[slot] = std::move(hosts_[last]);
-    set_slot(hosts_[slot].id, slot);
+    slots_[hosts_[slot].id] = slot;
   }
   hosts_.pop_back();
   bump_generation();
@@ -114,7 +101,7 @@ void Medium::set_handler(NodeId id, ReceiveHandler handler) {
   host(id).handler = std::move(handler);
 }
 
-bool Medium::attached(NodeId id) const { return slot_of(id) != kNoSlot; }
+bool Medium::attached(NodeId id) const { return slots_.get(id) != kNoSlot; }
 
 std::vector<NodeId> Medium::attached_ids() const {
   std::vector<NodeId> ids;
@@ -125,7 +112,7 @@ std::vector<NodeId> Medium::attached_ids() const {
 }
 
 void Medium::set_position(NodeId id, Position pos) {
-  const std::uint32_t slot = slot_of(id);
+  const std::uint32_t slot = slots_.get(id);
   if (slot == kNoSlot)
     throw std::out_of_range{"unknown host: " + id.to_string()};
   Host& h = hosts_[slot];
@@ -243,7 +230,7 @@ void Medium::land(std::uint32_t slot) {
 }
 
 void Medium::arrive(NodeId receiver, const Packet& packet) {
-  const std::uint32_t slot = slot_of(receiver);
+  const std::uint32_t slot = slots_.get(receiver);
   if (slot == kNoSlot) return;
   Host& h = hosts_[slot];
   if (!h.up) {
@@ -265,7 +252,7 @@ Medium::Host& Medium::host(NodeId id) {
 }
 
 const Medium::Host& Medium::host(NodeId id) const {
-  const std::uint32_t slot = slot_of(id);
+  const std::uint32_t slot = slots_.get(id);
   if (slot == kNoSlot)
     throw std::out_of_range{"unknown host: " + id.to_string()};
   return hosts_[slot];
@@ -377,7 +364,7 @@ void Medium::unicast(NodeId sender, NodeId next_hop, PayloadPtr payload) {
   // At most one receiver, no scan at all.
   obs::hit(obs::Hot::kMediumUnicasts);
   if (next_hop == sender) return;
-  const std::uint32_t rx_slot = slot_of(next_hop);
+  const std::uint32_t rx_slot = slots_.get(next_hop);
   if (rx_slot == kNoSlot) return;
   Host& rx = hosts_[rx_slot];
   if (!rx.up || rx.partition != tx.partition) return;
@@ -424,7 +411,7 @@ void Medium::deliver_to(Host& rx, const Packet& packet, sim::Engine& eng,
     rx.arrivals.emplace_back(arrival, corrupted);
 
     auto on_arrival = [this, receiver = rx.id, corrupted, packet, arrival] {
-      const std::uint32_t slot = slot_of(receiver);
+      const std::uint32_t slot = slots_.get(receiver);
       if (slot == kNoSlot) return;
       Host& h = hosts_[slot];
       if (!h.up) {

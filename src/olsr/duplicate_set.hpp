@@ -2,10 +2,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
-#include "net/node_id.hpp"
+#include "net/id_map.hpp"
 #include "sim/time.hpp"
 
 namespace manet::olsr {
@@ -16,10 +15,9 @@ using net::NodeId;
 /// default forwarding algorithm floods each message at most once per node.
 ///
 /// Each originator has one slot of live (seq, D_time, D_retransmitted)
-/// tuples, oldest first. Ids below kDenseIds index their slot directly;
-/// other ids find it through a hash map. A flood keeps a handful of live
-/// seqs per originator (one TC per interval within the hold time), so a
-/// lookup is one index plus a short scan.
+/// tuples, oldest first, found through a net::IdMap. A flood keeps a
+/// handful of live seqs per originator (one TC per interval within the
+/// hold time), so a lookup is one index plus a short scan.
 ///
 /// Expiry is bounded by a time-ordered FIFO ring instead of a whole-table
 /// scan. Every record() pushes a ring entry stamped with its expiry, so
@@ -34,6 +32,8 @@ class DuplicateSet {
     sim::Time valid_until{};
     std::uint16_t seq = 0;
     bool forwarded = false;
+
+    bool operator==(const Tuple&) const = default;
   };
 
   /// The live tuple of (originator, seq), or nullptr. The pointer stays
@@ -87,15 +87,7 @@ class DuplicateSet {
   void restore(const std::vector<Entry>& entries, std::deque<RingSlot> ring);
 
  private:
-  /// Originator ids below this index their slot directly.
-  static constexpr std::uint32_t kDenseIds = 4096;
-  using Slot = std::vector<Tuple>;
-  /// The originator's slot, or nullptr when it has none.
-  Slot* slot_of(NodeId originator);
-  Slot& slot_or_insert(NodeId originator);
-
-  std::vector<Slot> dense_;                        // by id, ids < kDenseIds
-  std::unordered_map<std::uint32_t, Slot> sparse_;  // every other id
+  net::IdMap<std::vector<Tuple>> slots_;  // by originator
   std::size_t size_ = 0;
   std::deque<RingSlot> ring_;  // FIFO, expiry-ordered for constant holds
 };

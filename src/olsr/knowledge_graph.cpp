@@ -26,19 +26,10 @@ std::uint64_t fresh_stamp() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint32_t KnowledgeGraph::slot_of(NodeId id) const {
-  const auto v = id.value();
-  if (v < kDenseIds) return v < dense_.size() ? dense_[v] : kNpos;
-  const auto it = std::lower_bound(
-      by_id_.begin(), by_id_.end(), id,
-      [this](std::uint32_t slot, NodeId n) { return ids_[slot] < n; });
-  if (it == by_id_.end() || ids_[*it] != id) return kNpos;
-  return *it;
-}
-
 std::uint32_t KnowledgeGraph::slot_or_insert(NodeId id) {
-  if (const auto slot = slot_of(id); slot != kNpos) return slot;
-  const auto slot = static_cast<std::uint32_t>(ids_.size());
+  auto& slot = slots_[id];
+  if (slot != kNpos) return slot;
+  slot = static_cast<std::uint32_t>(ids_.size());
   by_id_.insert(
       std::lower_bound(
           by_id_.begin(), by_id_.end(), id,
@@ -46,10 +37,6 @@ std::uint32_t KnowledgeGraph::slot_or_insert(NodeId id) {
       slot);
   ids_.push_back(id);
   out_.emplace_back();
-  if (const auto v = id.value(); v < kDenseIds) {
-    if (v >= dense_.size()) dense_.resize(v + 1, kNpos);
-    dense_[v] = slot;
-  }
   return slot;
 }
 
@@ -108,7 +95,7 @@ void KnowledgeGraph::clear() {
   ids_.clear();
   out_.clear();
   by_id_.clear();
-  dense_.clear();
+  slots_.clear();
   arc_count_ = 0;
   stamp_ = fresh_stamp();
   log_.clear();

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "net/node_id.hpp"
+#include "net/id_map.hpp"
 
 namespace manet::olsr {
 
@@ -42,13 +42,12 @@ struct EdgeDelta {
 /// reference count because one edge can come from several tuples (the link
 /// set, either 2-hop direction, a TC tuple), and it leaves the graph only
 /// when its last source does. Nodes get dense slots in first-seen order,
-/// found through a direct id index for ids below kDenseIds (a binary
-/// search over the id-sorted slots for any other id); each slot's
-/// adjacency is a slab ascending by *target id* — the order the
-/// trace-pinned BFS tie-breaks rely on. `stamp()` changes whenever the arc
-/// set does and is drawn from one process-wide sequence, so equal stamps
-/// mean equal arc sets (a copy shares its source's stamp until either is
-/// patched); routing re-runs its BFS only when the stamp moved.
+/// found through a net::IdMap; each slot's adjacency is a slab ascending
+/// by *target id* — the order the trace-pinned BFS tie-breaks rely on.
+/// `stamp()` changes whenever the arc set does and is drawn from one
+/// process-wide sequence, so equal stamps mean equal arc sets (a copy
+/// shares its source's stamp until either is patched); routing re-runs its
+/// BFS only when the stamp moved.
 ///
 /// The graph also logs the arcs that entered or left the arc set since
 /// the log last restarted, up to kLogCapacity of them: routing restarts it
@@ -99,7 +98,7 @@ class KnowledgeGraph {
   std::size_t slot_count() const { return ids_.size(); }
   NodeId id_at(std::uint32_t slot) const { return ids_[slot]; }
   /// Slot of `id`, or kNpos when the graph never saw it.
-  std::uint32_t slot_of(NodeId id) const;
+  std::uint32_t slot_of(NodeId id) const { return slots_.get(id); }
   /// Out-arcs of one slot, ascending by target id.
   std::span<const Arc> arcs_from(std::uint32_t slot) const {
     return out_[slot];
@@ -123,8 +122,6 @@ class KnowledgeGraph {
   }
 
  private:
-  /// Node ids below this index their slot directly.
-  static constexpr std::uint32_t kDenseIds = 4096;
   std::uint32_t slot_or_insert(NodeId id);
   /// Index of the first arc in `from_slot`'s slab not below `to`.
   std::size_t lower_arc(std::uint32_t from_slot, NodeId to) const;
@@ -134,7 +131,7 @@ class KnowledgeGraph {
   std::vector<NodeId> ids_;             // slot -> node id
   std::vector<std::vector<Arc>> out_;   // slot -> arcs ascending by id
   std::vector<std::uint32_t> by_id_;    // slots sorted by node id
-  std::vector<std::uint32_t> dense_;    // id -> slot (kNpos), ids < kDenseIds
+  net::IdMap<std::uint32_t> slots_{kNpos};  // id -> slot
   std::size_t arc_count_ = 0;
   std::uint64_t stamp_ = fresh_stamp();
   std::vector<ArcChange> log_;  // since log_base_, at most kLogCapacity

@@ -1,8 +1,12 @@
-// Unit tests for the wireless substrate: node ids, medium delivery/loss/
-// collision semantics, mobility models, topology generators.
+// Unit tests for the wireless substrate: node ids, the id index, medium
+// delivery/loss/collision semantics, mobility models, topology generators.
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "net/id_map.hpp"
 #include "net/medium.hpp"
 #include "net/mobility.hpp"
 #include "net/node_id.hpp"
@@ -26,6 +30,59 @@ TEST(NodeId, ParseRejectsGarbage) {
   EXPECT_THROW(NodeId::parse("n"), std::invalid_argument);
   EXPECT_THROW(NodeId::parse("n42x"), std::invalid_argument);
   EXPECT_THROW(NodeId::parse("n-1"), std::invalid_argument);
+}
+
+TEST(IdMap, BothSidesOfTheDenseBoundary) {
+  IdMap<int> map{-1};
+  const NodeId last_dense{kDenseIds - 1};
+  const NodeId first_far{kDenseIds};
+  const NodeId top{0xFFFFFFFEu};
+  // Never entered: the absent value, on either side of the boundary.
+  for (const NodeId id : {NodeId{0}, last_dense, first_far, top})
+    EXPECT_EQ(map.get(id), -1) << id.to_string();
+
+  map[NodeId{3}] = 30;
+  map[last_dense] = 40;
+  map[top] = 60;
+  map[first_far] = 50;
+  EXPECT_EQ(map.get(NodeId{3}), 30);
+  EXPECT_EQ(map.get(last_dense), 40);
+  EXPECT_EQ(map.get(first_far), 50);
+  EXPECT_EQ(map.get(top), 60);
+  // Ids the entries above made room for, or that sit next to them, stay
+  // absent.
+  for (const NodeId id : {NodeId{2}, NodeId{4}, NodeId{kDenseIds + 1},
+                          NodeId{0xFFFFFFFDu}})
+    EXPECT_EQ(map.get(id), -1) << id.to_string();
+  ++map[first_far];
+  EXPECT_EQ(map.get(first_far), 51);
+
+  using Seen = std::vector<std::pair<NodeId, int>>;
+  const auto seen = [&map] {
+    Seen out;
+    map.for_each([&out](NodeId id, int v) { out.emplace_back(id, v); });
+    return out;
+  };
+  EXPECT_EQ(seen(), (Seen{{NodeId{3}, 30}, {last_dense, 40},
+                          {first_far, 51}, {top, 60}}));
+
+  // Erase on each side, and of ids never entered.
+  map.erase(last_dense);
+  map.erase(first_far);
+  map.erase(NodeId{100});
+  map.erase(NodeId{0xFFFFFFF0u});
+  EXPECT_EQ(map.get(last_dense), -1);
+  EXPECT_EQ(map.get(first_far), -1);
+  EXPECT_EQ(seen(), (Seen{{NodeId{3}, 30}, {top, 60}}));
+  map[first_far] = 7;
+  EXPECT_EQ(map.get(first_far), 7);
+
+  map.clear();
+  for (const NodeId id : {NodeId{3}, last_dense, first_far, top})
+    EXPECT_EQ(map.get(id), -1) << id.to_string();
+  EXPECT_TRUE(seen().empty());
+  map[top] = 1;
+  EXPECT_EQ(seen(), (Seen{{top, 1}}));
 }
 
 TEST(Position, DistanceAndArithmetic) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "byte_digest.hpp"
 #include "core/recommendation.hpp"
 #include "net/topology.hpp"
@@ -27,6 +29,16 @@ TEST(RecommendationCodec, RequestRoundTrip) {
   // tag, request id, count, subjects; big-endian like the OLSR wire.
   EXPECT_EQ(test_digest::hex(bytes),
             "03" "0000002a" "02" "00000003" "00000007");
+
+  // The count is one byte: 255 subjects round-trip, 256 are refused.
+  std::vector<net::NodeId> many;
+  for (std::uint32_t i = 0; i < 255; ++i) many.push_back(net::NodeId{i});
+  const auto full = decode_recommendation_request(
+      encode_recommendation_request(1, many), id);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(*full, many);
+  many.push_back(net::NodeId{255});
+  EXPECT_THROW(encode_recommendation_request(1, many), std::length_error);
 }
 
 TEST(RecommendationCodec, ReplyRoundTrip) {
@@ -45,6 +57,17 @@ TEST(RecommendationCodec, ReplyRoundTrip) {
   // tag, request id, recommender, count, then (subject, trust * 255) pairs.
   EXPECT_EQ(test_digest::hex(encode_recommendation_reply(reply)),
             "04" "00000007" "00000002" "02" "00000003" "bf" "00000009" "00");
+
+  // The count is one byte: 255 entries round-trip, 256 are refused.
+  reply.trusts.clear();
+  for (std::uint32_t i = 0; i < 255; ++i)
+    reply.trusts.emplace_back(net::NodeId{i}, 1.0);
+  const auto full = decode_recommendation_reply(
+      encode_recommendation_reply(reply));
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->trusts, reply.trusts);
+  reply.trusts.emplace_back(net::NodeId{255}, 1.0);
+  EXPECT_THROW(encode_recommendation_reply(reply), std::length_error);
 }
 
 TEST(RecommendationCodec, MalformedRejected) {
@@ -209,6 +232,24 @@ TEST(RecommendationExchange, TimeoutWithNoRepliesYieldsNothing) {
   EXPECT_TRUE(called);
   EXPECT_TRUE(merged.empty());
   EXPECT_EQ(ex0.outstanding(), 0u);
+}
+
+TEST(RecommendationExchange, RefusedRequestLeavesNothingBehind) {
+  Network net{cluster(3)};
+  net.add_detector(0);
+  auto& ex0 = net.add_recommendations(0);
+  net.start_all();
+
+  std::vector<net::NodeId> subjects;
+  for (std::uint32_t i = 0; i < 256; ++i) subjects.push_back(net::NodeId{i});
+  bool called = false;
+  EXPECT_THROW(ex0.bootstrap(subjects, {Network::id_of(1)},
+                             sim::Duration::from_seconds(1.0),
+                             [&](const auto&) { called = true; }),
+               std::length_error);
+  EXPECT_EQ(ex0.outstanding(), 0u);
+  net.run_for(sim::Duration::from_seconds(3.0));
+  EXPECT_FALSE(called);
 }
 
 }  // namespace

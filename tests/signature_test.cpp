@@ -33,10 +33,9 @@ LogRecord tc_recv(double t, NodeId orig) {
   return rec(t, Event::kTcRecv, orig, orig, 0, 0, Ids{}, 1);
 }
 
-/// Triggers with the detector's default windows and the given burst.
+/// Triggers with the given burst.
 LogTriggers triggers(std::size_t storm_burst = 20) {
-  return LogTriggers{self, sim::Duration::from_seconds(6), storm_burst,
-                     sim::Duration::from_seconds(5)};
+  return LogTriggers{self, storm_burst};
 }
 
 std::vector<Trigger> feed(LogTriggers& t, const LogRecord& record) {
@@ -223,7 +222,7 @@ LogRecord echo(double t, NodeId by, std::int64_t seq) {
 
 TEST(OlsrSignatures, DropSignatureMatchesSeqPair) {
   // Our MPRs n2, n3 and n9 were selected when we sent TC 42; only n2
-  // echoed it. Once fwd_timeout (4 s) passes, the TC accuses its lowest
+  // echoed it. Once kFwdTimeout (4 s) passes, the TC accuses its lowest
   // unheard MPR, n3, and no other.
   ScanRig rig;
   rig.log(mprs(0.5, {n2, n3, n9}));
@@ -249,7 +248,7 @@ TEST(OlsrSignatures, DropSignatureRejectsSeqMismatch) {
 }
 
 TEST(OlsrSignatures, DropFiresOnlyWithinOneScanIntervalOfTheTimeout) {
-  // fwd_timeout 4 s + scan_interval 5 s: a TC that first times out 9 s
+  // kFwdTimeout 4 s + scan_interval 5 s: a TC that first times out 9 s
   // after it was sent still fires, one a microsecond older does not.
   ScanRig edge;
   edge.log(mprs(0.5, {n2}));
