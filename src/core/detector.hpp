@@ -17,8 +17,8 @@ namespace manet::core {
 /// An MPR that has not retransmitted our TC after this long is E2-suspect.
 inline constexpr sim::Duration kFwdTimeout = sim::Duration::from_seconds(4.0);
 
-/// One node's detector: the Eq. 5-10 parameters, the scan and its trigger
-/// windows, and the optional gates and audits.
+/// One node's detector: the Eq. 5-10 parameters, the scan, the storm burst
+/// and the re-investigation cooldown, and the optional gates and audits.
 struct DetectorConfig {
   trust::TrustParams trust_params;
   trust::DecisionConfig decision;

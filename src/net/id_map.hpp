@@ -20,6 +20,7 @@ inline constexpr std::uint32_t kDenseIds = 4096;
 template <class V>
 class IdMap {
  public:
+  /// `absent` is what an id never entered reads; V{} by default.
   IdMap() = default;
   explicit IdMap(V absent) : absent_{std::move(absent)} {}
 
